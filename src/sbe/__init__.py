@@ -45,6 +45,14 @@ from .processes import (
     singular_order_probe,
 )
 from .renorm import RenormConstants, c2_continuum_mollified, c2_lattice_sum, c2_quadrature, c21, compute_constants
-from .solver import SchemeConfig, Trajectory, drift_coefficient, mild_oracle, run, step_forward
+from .solver import (
+    SchemeConfig,
+    Trajectory,
+    coupled_convergence_study,
+    drift_coefficient,
+    mild_oracle,
+    run,
+    step_forward,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,15 +26,23 @@ import numpy as np
 
 from . import __version__
 from .fieldio import sha256_file, write_csv, write_field
-from .grids import GridSpec, coarsen_noise, coarsen_slice, sample_noise
+from .grids import GridSpec, sample_noise
 from .heat import HeatKernel
 from .kernels import DiscreteKernel, convolve_kernels, kernel_mass, order_norm, renormalized_convolve
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
-from .norms import comparison_norm, estimate_exponent, make_test_family
+from .norms import estimate_exponent, make_test_family
 from .operators import OperatorFamily, derivative_multiplier
 from .processes import TREE_LABELS, lift
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
-from .solver import SchemeConfig, drift_coefficient, ic_constant, ic_white_noise, ic_zero, run
+from .solver import (
+    SchemeConfig,
+    coupled_convergence_study,
+    drift_coefficient,
+    ic_constant,
+    ic_white_noise,
+    ic_zero,
+    run,
+)
 
 EXPERIMENT_KINDS = (
     "validate",
@@ -384,76 +392,33 @@ def _estimate_to_json(est) -> dict:
     }
 
 
-ESCAPE_GUARD = 100.0
-
-
-def coupled_convergence_study(
-    fam: OperatorFamily,
-    levels,
-    T: float,
-    replicas: int,
-    seed: int,
-    alpha: float = -0.6,
-    eta: float = -0.6,
-    b_drift: float = 0.0,
-    guard: float = ESCAPE_GUARD,
-):
-    """Coupled-noise solves at dyadic levels and pairwise comparison norms.
-
-    The noise is sampled at the finest level and block-averaged down; all
-    levels record at the shared coarse cadence and share the initial white
-    noise (pairwise-averaged). Per replica the comparison window is the
-    common recorded times before any level's blow-up truncation, with the
-    escape transient trimmed at max|u| <= guard; norms for every pair use
-    one shared scale set so levels are measured with the same yardstick.
-
-    Returns (per_pair dict, rows) where rows hold (replica, pair, value).
-    """
-    levels = sorted(levels)
-    coarse_grid = GridSpec(levels[0], T)
-    tf = make_test_family(coarse_grid, lambda_min=coarse_grid.eps, lambda_max=0.5)
-    pair_names = [f"{a}->{b}" for a, b in zip(levels[:-1], levels[1:])]
-    per_pair: dict[str, list[float]] = {p: [] for p in pair_names}
-    rows = []
-    for rep in range(replicas):
-        fine = GridSpec(levels[-1], T)
-        noise = sample_noise(fine, seed + rep)
-        u0 = ic_white_noise(fine, seed + rep)
-        recs = {}
-        for n in reversed(levels):
-            scheme = SchemeConfig(fam=fam, grid=noise.grid, b_drift=b_drift, record_stride=4 ** (n - levels[0]))
-            traj = run(scheme, u0, noise, T)
-            recs[n] = {round(t, 12): u for t, u in traj.snapshots if t > 0}
-            if n != levels[0]:
-                noise = coarsen_noise(noise)
-                u0 = coarsen_slice(u0)
-        common = sorted(set.intersection(*(set(recs[n]) for n in levels)))
-        use = [t for t in common if all(np.abs(recs[n][t]).max() <= guard for n in levels)]
-        if len(use) < 3:
-            continue
-        times = np.array(use)
-        for a, b in zip(levels[:-1], levels[1:]):
-            cvals = np.stack([recs[a][t] for t in use])
-            fvals = np.stack([recs[b][t] for t in use])
-            val = comparison_norm(cvals, fvals, times, GridSpec(a, T), GridSpec(b, T), alpha, eta, tf)
-            per_pair[f"{a}->{b}"].append(val)
-            rows.append((rep, f"{a}->{b}", val))
-    return per_pair, rows
-
-
 def _exp_convergence(cfg, fam, outdir):
+    """Coupled dyadic self-convergence over consecutive levels.
+
+    Every level always starts from the replica's coupled white noise (see
+    ``coupled_convergence_study``); the config's ``initial`` is ignored, and
+    the manifest says so. The manifest also lists the replicas dropped for
+    too few clean times and each replica's earliest escape time.
+    """
     levels = sorted(cfg.levels())
     if len(levels) < 3:
         raise SchemaError("N_range: convergence needs at least three dyadic levels")
-    per_pair, rows = coupled_convergence_study(
+    study = coupled_convergence_study(
         fam, levels, cfg.T, cfg.replicas, cfg.seed, cfg.alpha, cfg.eta, b_drift=_drift_value(cfg, fam)
     )
-    write_csv(os.path.join(outdir, "comparison_norms.csv"), ["replica", "levels", "comparison_norm"], rows)
-    medians = [(pair, statistics.median(v) if v else float("nan"), len(v)) for pair, v in per_pair.items()]
+    write_csv(os.path.join(outdir, "comparison_norms.csv"), ["replica", "levels", "comparison_norm"], study.rows)
+    medians = [(pair, statistics.median(v) if v else float("nan"), len(v)) for pair, v in study.per_pair.items()]
     write_csv(os.path.join(outdir, "medians.csv"), ["levels", "median_comparison_norm", "replicas_used"], medians)
     med_vals = [m for _, m, _ in medians]
     decreasing = all(b < a for a, b in zip(med_vals[:-1], med_vals[1:]))
-    return ["comparison_norms.csv", "medians.csv"], {"medians": med_vals, "decreasing": decreasing}, 0
+    extra = {
+        "medians": med_vals,
+        "decreasing": decreasing,
+        "initial_condition": "white-noise (coupled across levels; config initial ignored)",
+        "dropped_replicas": study.dropped,
+        "escape_times": study.escape_times,
+    }
+    return ["comparison_norms.csv", "medians.csv"], extra, 0
 
 
 def _exp_kernel_diag(cfg, fam, outdir):

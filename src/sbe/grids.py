@@ -19,6 +19,9 @@ __all__ = [
     "NoiseField",
     "LatticeField",
     "sample_noise",
+    "noise_stream",
+    "noise_block",
+    "block_average",
     "coarsen_noise",
     "coarsen_slice",
     "mollify_noise",
@@ -117,11 +120,23 @@ class LatticeField:
         return (self.t0_index + np.arange(self.values.shape[0])) * self.grid.dt
 
 
+def noise_stream(seed: int) -> np.random.Generator:
+    """The generator behind replica ``seed``'s space-time noise: stream (seed, 0)."""
+    return rng_for(seed, 0)
+
+
+def noise_block(gen: np.random.Generator, grid: GridSpec, rows: int) -> np.ndarray:
+    """The next ``rows`` time rows of a noise stream, N(0, eps^-3) per cell.
+
+    Drawing a field in consecutive blocks from one stream gives the same
+    values, bit for bit, as drawing it at once.
+    """
+    return gen.standard_normal((rows, grid.M)) * grid.eps ** (-1.5)
+
+
 def sample_noise(grid: GridSpec, seed: int) -> NoiseField:
     """i.i.d. N(0, eps^-3) at every space-time cell, deterministic in seed."""
-    gen = rng_for(seed, 0)
-    scale = grid.eps ** (-1.5)
-    values = gen.standard_normal((grid.n_steps, grid.M)) * scale
+    values = noise_block(noise_stream(seed), grid, grid.n_steps)
     return NoiseField(grid=grid, seed=seed, values=values)
 
 
@@ -130,22 +145,27 @@ def coarsen_slice(values: np.ndarray) -> np.ndarray:
     return (values[..., 0::2] + values[..., 1::2]) * 0.5
 
 
-def coarsen_noise(fine: NoiseField) -> NoiseField:
-    """Block-average the 4 (time) x 2 (space) fine cells per coarse box.
+def block_average(v: np.ndarray) -> np.ndarray:
+    """Mean of each 4 (time) x 2 (space) block over the last two axes.
 
     Fixed summation order keeps the result bit-reproducible: the eight
     parents are added pairwise in time-major order, then scaled by 1/8.
+    Leading axes (replicas) pass through.
     """
+    acc = (
+        ((v[..., 0::4, 0::2] + v[..., 0::4, 1::2]) + (v[..., 1::4, 0::2] + v[..., 1::4, 1::2]))
+        + ((v[..., 2::4, 0::2] + v[..., 2::4, 1::2]) + (v[..., 3::4, 0::2] + v[..., 3::4, 1::2]))
+    )
+    return acc * 0.125
+
+
+def coarsen_noise(fine: NoiseField) -> NoiseField:
+    """Block-average the 4 (time) x 2 (space) fine cells per coarse box."""
     if fine.grid.N < 1:
         raise ValueError("cannot coarsen an N=0 noise field")
     if fine.grid.n_steps % 4 != 0:
         raise ValueError("horizon not divisible into coarse time steps")
-    v = fine.values
-    acc = (
-        ((v[0::4, 0::2] + v[0::4, 1::2]) + (v[1::4, 0::2] + v[1::4, 1::2]))
-        + ((v[2::4, 0::2] + v[2::4, 1::2]) + (v[3::4, 0::2] + v[3::4, 1::2]))
-    )
-    return NoiseField(grid=fine.grid.coarsen(), seed=fine.seed, values=acc * 0.125)
+    return NoiseField(grid=fine.grid.coarsen(), seed=fine.seed, values=block_average(fine.values))
 
 
 def bump(r: np.ndarray) -> np.ndarray:

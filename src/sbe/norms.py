@@ -34,6 +34,8 @@ __all__ = [
     "holder_norm_space",
     "holder_norm_parabolic",
     "besov_norm_negative",
+    "comparison_terms",
+    "comparison_sup",
     "comparison_norm",
     "estimate_exponent",
 ]
@@ -242,6 +244,54 @@ def besov_norm_negative(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def comparison_terms(
+    coarse_slices: np.ndarray,
+    fine_slices: np.ndarray,
+    times: np.ndarray,
+    coarse_grid: GridSpec,
+    fine_grid: GridSpec,
+    eta: float,
+    tf: TestFunctionFamily,
+    base_stride: int = 1,
+) -> np.ndarray:
+    """Weighted coarse/fine pairing gaps, one row per scale, one column per slice.
+
+    Entry (s, i) is |t_i|_eps^(-min(eta, 0)) times the supremum over coarse
+    base sites x of |<coarse_i, phi_x^lambda_s> - <fine_i, phi_x^lambda_s>|;
+    scales below the coarse eps read 0. The reference grid must refine the
+    coarse one dyadically.
+    """
+    if fine_grid.N <= coarse_grid.N:
+        raise ValueError("reference grid must be strictly finer")
+    ratio = 2 ** (fine_grid.N - coarse_grid.N)
+    coarse_slices = np.atleast_2d(coarse_slices)
+    fine_slices = np.atleast_2d(fine_slices)
+    if coarse_slices.shape[0] != fine_slices.shape[0]:
+        raise ValueError("snapshot counts disagree")
+    if coarse_slices.shape[1] != coarse_grid.M or fine_slices.shape[1] != fine_grid.M:
+        raise ValueError("slice lengths disagree with grids")
+    te = _t_eps(np.asarray(times), coarse_grid.eps) ** (-min(eta, 0.0))
+    terms = np.zeros((len(tf.scales), coarse_slices.shape[0]))
+    for s, lam in enumerate(tf.scales):
+        if lam < coarse_grid.eps - 1e-15:
+            continue
+        pc = _space_pairing_map(coarse_slices, coarse_grid, tf, lam)
+        pf = _space_pairing_map(fine_slices, fine_grid, tf, lam)[:, ::ratio]
+        # te > 0, so scaling the per-slice supremum equals the supremum of
+        # the scaled gaps exactly
+        terms[s] = np.abs(pc - pf)[:, ::base_stride].max(axis=1) * te
+    return terms
+
+
+def comparison_sup(terms: np.ndarray, tf: TestFunctionFamily, alpha: float) -> float:
+    """sup over scales and slices of lambda^-alpha times the comparison terms."""
+    _check_scale_list(tf, alpha)
+    best = 0.0
+    for lam, sup in zip(tf.scales, np.max(terms, axis=1)):
+        best = max(best, float(lam ** (-alpha) * sup))
+    return best
+
+
 def comparison_norm(
     coarse_slices: np.ndarray,
     fine_slices: np.ndarray,
@@ -259,26 +309,8 @@ def comparison_norm(
     grid with its own eps weight) at coarse base sites and shared snapshot
     times; the reference grid must refine the coarse one dyadically.
     """
-    if fine_grid.N <= coarse_grid.N:
-        raise ValueError("reference grid must be strictly finer")
-    _check_scale_list(tf, alpha)
-    ratio = 2 ** (fine_grid.N - coarse_grid.N)
-    coarse_slices = np.atleast_2d(coarse_slices)
-    fine_slices = np.atleast_2d(fine_slices)
-    if coarse_slices.shape[0] != fine_slices.shape[0]:
-        raise ValueError("snapshot counts disagree")
-    if coarse_slices.shape[1] != coarse_grid.M or fine_slices.shape[1] != fine_grid.M:
-        raise ValueError("slice lengths disagree with grids")
-    te = _t_eps(np.asarray(times), coarse_grid.eps) ** (-min(eta, 0.0))
-    best = 0.0
-    for lam in tf.scales:
-        if lam < coarse_grid.eps - 1e-15:
-            continue
-        pc = _space_pairing_map(coarse_slices, coarse_grid, tf, lam)
-        pf = _space_pairing_map(fine_slices, fine_grid, tf, lam)[:, ::ratio]
-        gap = np.abs(pc - pf)[:, ::base_stride] * te[:, None]
-        best = max(best, float(lam ** (-alpha) * gap.max()))
-    return best
+    terms = comparison_terms(coarse_slices, fine_slices, times, coarse_grid, fine_grid, eta, tf, base_stride)
+    return comparison_sup(terms, tf, alpha)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ noise). Every right-hand-side term is mean-free, so the spatial mean of the
 solution is an exact invariant of the scheme. The mild (Duhamel) evaluation
 is kept as a quadratically-priced test oracle; blow-up past the overflow
 threshold truncates the trajectory with a flag rather than raising, since
-the convergence statement only holds up to a stopping time.
+the convergence statement only holds up to a stopping time. The coupled
+dyadic self-convergence study steps all replicas and levels together.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, NoiseField, rng_for
+from .grids import GridSpec, NoiseField, block_average, coarsen_slice, noise_block, noise_stream, rng_for
 from .heat import HeatKernel
+from .norms import comparison_sup, comparison_terms, make_test_family
 from .operators import OperatorFamily, derivative, derivative_multiplier, laplacian, twisted_product
 from .renorm import c21
 
@@ -32,10 +34,23 @@ __all__ = [
     "ic_zero",
     "ic_constant",
     "ic_white_noise",
+    "coupled_convergence_study",
+    "ConvergenceStudy",
     "BLOWUP_THRESHOLD",
+    "ESCAPE_GUARD",
+    "MIN_CLEAN_TIMES",
 ]
 
 BLOWUP_THRESHOLD = 1e8
+# comparison times need every level within this sup norm (escape transient trim)
+ESCAPE_GUARD = 100.0
+# a replica enters the convergence statistics with at least this many clean times
+MIN_CLEAN_TIMES = 3
+
+
+def _escaped(u: np.ndarray):
+    """Per row: sup norm past BLOWUP_THRESHOLD, or not a number."""
+    return ~(np.abs(u).max(axis=-1) <= BLOWUP_THRESHOLD)
 
 
 def drift_coefficient(fam: OperatorFamily, mode: str = "renormalized", value: float | None = None) -> float:
@@ -86,12 +101,6 @@ class Trajectory:
     blowup: bool = False
     blowup_time: float | None = None
 
-    def slice_at(self, t: float) -> np.ndarray:
-        for ts, u in self.snapshots:
-            if abs(ts - t) < 1e-12:
-                return u
-        raise KeyError(f"no snapshot at t={t}")
-
     @property
     def times(self) -> np.ndarray:
         return np.array([t for t, _ in self.snapshots])
@@ -112,8 +121,9 @@ def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.n
 def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float, seed: int | None = None) -> Trajectory:
     """Iterate the scheme, recording every stride-th slice.
 
-    On overflow past BLOWUP_THRESHOLD the trajectory is truncated and
-    flagged; blow-up is data, not an error.
+    On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
+    truncated and flagged; blow-up is data, not an error. The initial slice
+    must be finite and have the grid's M sites.
     """
     if noise.grid.N != cfg.grid.N:
         raise ValueError("noise and scheme grids disagree")
@@ -121,11 +131,15 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float, seed: in
     if n_steps > noise.grid.n_steps:
         raise ValueError("horizon exceeds the noise horizon")
     u = np.array(u0, dtype=np.float64)
+    if u.shape != (cfg.grid.M,):
+        raise ValueError(f"u0 has shape {u.shape}; level N={cfg.grid.N} needs ({cfg.grid.M},)")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u0 has non-finite entries")
     snaps = [(0.0, u.copy())]
     traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed if seed is None else seed)
     for n in range(n_steps):
         u = step_forward(cfg, u, noise.values[n])
-        if np.max(np.abs(u)) > BLOWUP_THRESHOLD:
+        if _escaped(u):
             traj.blowup = True
             traj.blowup_time = (n + 1) * cfg.grid.dt
             break
@@ -164,7 +178,7 @@ def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) 
         for s, fh in enumerate(forcing_hats):
             acc = acc + cfg.grid.dt * dmult * m ** (n - 1 - s) * fh
         u = np.fft.ifft(acc).real
-        if np.max(np.abs(u)) > BLOWUP_THRESHOLD:
+        if _escaped(u):
             traj.blowup = True
             traj.blowup_time = n * cfg.grid.dt
             break
@@ -185,3 +199,121 @@ def ic_white_noise(grid: GridSpec, seed: int) -> np.ndarray:
     """Spatial white noise with variance eps^-1 (the rough admissible class)."""
     gen = rng_for(seed, 1)
     return gen.standard_normal(grid.M) * grid.eps ** (-0.5)
+
+
+@dataclass(frozen=True)
+class ConvergenceStudy:
+    """Outcome of ``coupled_convergence_study``; unpacks as (per_pair, rows).
+
+    per_pair maps "a->b" to the replicas' comparison norms in replica
+    order, rows holds (replica, pair, value), dropped lists the replicas
+    with fewer than MIN_CLEAN_TIMES clean common times, and escape_times
+    gives each replica's earliest escape time over all levels (None if it
+    never escaped).
+    """
+
+    per_pair: dict
+    rows: list
+    dropped: list
+    escape_times: list
+
+    def __iter__(self):
+        return iter((self.per_pair, self.rows))
+
+
+def coupled_convergence_study(
+    fam: OperatorFamily,
+    levels,
+    T: float,
+    replicas: int,
+    seed: int,
+    alpha: float = -0.6,
+    eta: float = -0.6,
+    b_drift: float = 0.0,
+    guard: float = ESCAPE_GUARD,
+) -> ConvergenceStudy:
+    """Coupled-noise solves at consecutive dyadic levels and pairwise comparison norms.
+
+    Replica r's noise is its stream ``noise_stream(seed + r)`` at the finest
+    level, drawn one coarse time step (4^(Nmax - Nmin) fine rows) at a time
+    and block-averaged down to every coarser level. Every level starts from
+    the replica's white noise ``ic_white_noise(fine, seed + r)``, pairwise
+    averaged down. All replicas and levels step in lockstep, in time order.
+
+    A replica leaves the batch at the first step where any level escapes
+    (sup norm past BLOWUP_THRESHOLD, or not a number), since no later time is common to all
+    levels; its remaining noise is never drawn. At each coarse time the
+    replicas whose levels all lie within ``guard`` update their running
+    comparison-norm maxima (one scale set for every pair, so levels are
+    measured with the same yardstick). Replicas with fewer than
+    MIN_CLEAN_TIMES such times are dropped from the statistics.
+
+    Memory is O(replicas * M) at the finest level, independent of T.
+    """
+    levels = sorted(levels)
+    if levels != list(range(levels[0], levels[-1] + 1)):
+        raise ValueError(f"levels {levels} are not consecutive")
+    grids = [GridSpec(n, T) for n in levels]
+    coarse = grids[0]
+    tf = make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
+    schemes = [SchemeConfig(fam=fam, grid=g, b_drift=b_drift) for g in grids]
+    fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
+    every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step
+    pairs = list(range(len(levels) - 1))
+
+    gens = [noise_stream(seed + r) for r in range(replicas)]
+    u = [np.stack([ic_white_noise(grids[-1], seed + r) for r in range(replicas)])]
+    for _ in levels[:-1]:
+        u.insert(0, coarsen_slice(u[0]))
+    alive = np.arange(replicas)
+    sups = np.zeros((len(pairs), len(tf.scales), replicas))
+    clean = np.zeros(replicas, dtype=int)
+    escape_times: list = [None] * replicas
+
+    for k in range(coarse.n_steps):
+        if alive.size == 0:
+            break
+        xi = [np.stack([noise_block(gens[r], grids[-1], fine_rows) for r in alive])]
+        for _ in levels[:-1]:
+            xi.insert(0, block_average(xi[0]))
+        for j in range(1, fine_rows + 1):
+            bad = np.zeros(alive.size, dtype=bool)
+            for i, step in enumerate(every):
+                if j % step == 0:
+                    u[i] = step_forward(schemes[i], u[i], xi[i][:, j // step - 1])
+                    bad |= _escaped(u[i])
+            if bad.any():
+                t = (k * fine_rows + j) * grids[-1].dt
+                for r in alive[bad]:
+                    escape_times[r] = t
+                keep = ~bad
+                alive = alive[keep]
+                u = [v[keep] for v in u]
+                xi = [x[keep] for x in xi]
+        inside = np.ones(alive.size, dtype=bool)
+        for v in u:
+            inside &= np.abs(v).max(axis=-1) <= guard
+        if not inside.any():
+            continue
+        ids = alive[inside]
+        clean[ids] += 1
+        # rounded like the record keys of the per-replica study, so the time
+        # weights (and the norms) stay bit for bit the same
+        times = np.full(ids.size, round((k + 1) * coarse.dt, 12))
+        for p in pairs:
+            terms = comparison_terms(u[p][inside], u[p + 1][inside], times, grids[p], grids[p + 1], eta, tf)
+            sups[p][:, ids] = np.maximum(sups[p][:, ids], terms)
+
+    names = [f"{a}->{b}" for a, b in zip(levels[:-1], levels[1:])]
+    per_pair: dict[str, list[float]] = {name: [] for name in names}
+    rows = []
+    dropped = []
+    for r in range(replicas):
+        if clean[r] < MIN_CLEAN_TIMES:
+            dropped.append(r)
+            continue
+        for p, name in zip(pairs, names):
+            val = comparison_sup(sups[p][:, r : r + 1], tf, alpha)
+            per_pair[name].append(val)
+            rows.append((r, name, val))
+    return ConvergenceStudy(per_pair=per_pair, rows=rows, dropped=dropped, escape_times=escape_times)

@@ -107,6 +107,30 @@ class TestExperiments:
         manifest = json.load(open(os.path.join(bundle.directory, "run.json")))
         assert manifest["blowup"] and "blowup_time" in manifest
 
+    def test_convergence_manifest_records_drops_and_escapes(self, tmp_path):
+        cfg = config_from_dict(
+            {
+                "kind": "convergence",
+                "family": FAMILY,
+                "N_range": [4, 5, 6],
+                "T": 0.0625,
+                "seed": 1,
+                "replicas": 12,
+                "drift": "renormalized",
+            }
+        )
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        manifest = json.load(open(os.path.join(bundle.directory, "manifest.json")))
+        assert manifest["config"]["initial"] == {"kind": "zero"}
+        assert manifest["initial_condition"].startswith("white-noise") and "ignored" in manifest["initial_condition"]
+        dropped = manifest["dropped_replicas"]
+        escapes = manifest["escape_times"]
+        assert dropped and dropped == sorted(set(dropped)) and set(dropped) <= set(range(12))
+        assert len(escapes) == 12 and all(t is None or 0.0 < t <= 0.0625 for t in escapes)
+        assert any(t is not None for t in escapes)
+        rows = open(os.path.join(bundle.directory, "medians.csv")).read().splitlines()[1:]
+        assert [int(row.split(",")[-1]) for row in rows] == [12 - len(dropped)] * 2
+
     def test_manifest_lists_every_file(self, tmp_path):
         cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 5, "T": 0.125})
         bundle = run_experiment(cfg, out_root=str(tmp_path))

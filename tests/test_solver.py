@@ -108,6 +108,28 @@ def test_blowup_flagged_and_truncated(fam_bw_ss):
     assert traj.snapshots[-1][0] < 0.125
 
 
+def test_nan_flagged_as_blowup(fam_bw_ss):
+    """A non-number fails every sup-norm comparison; it must still stop the run."""
+    grid = GridSpec(5, 0.125)
+    values = np.zeros((grid.n_steps, grid.M))
+    values[3, 7] = np.nan
+    traj = run(SchemeConfig(fam_bw_ss, grid), ic_zero(grid), NoiseField(grid, 0, values), 0.125)
+    assert traj.blowup
+    assert traj.blowup_time == 4 * grid.dt
+    assert all(np.all(np.isfinite(u)) for _, u in traj.snapshots)
+
+
+@pytest.mark.parametrize(
+    "u0, match",
+    [(np.full(32, np.nan), "non-finite"), (np.array([0.0] * 31 + [np.inf]), "non-finite"), (np.zeros(16), r"\(32,\)")],
+)
+def test_run_rejects_bad_initial_slice(fam_bw_ss, u0, match):
+    grid = GridSpec(5, 0.125)
+    noise = NoiseField(grid, 0, np.zeros((grid.n_steps, grid.M)))
+    with pytest.raises(ValueError, match=match):
+        run(SchemeConfig(fam_bw_ss, grid), u0, noise, 0.125)
+
+
 def test_drift_coefficient_modes(fam_bw_pw, fam_ce_pw):
     assert drift_coefficient(fam_bw_pw, "none") == 0.0
     assert drift_coefficient(fam_ce_pw, "renormalized") == pytest.approx(0.0, abs=1e-10)
