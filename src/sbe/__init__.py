@@ -50,7 +50,6 @@ from .solver import (
     Trajectory,
     coupled_convergence_study,
     drift_coefficient,
-    mild_oracle,
     run,
     step_forward,
 )

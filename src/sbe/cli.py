@@ -28,10 +28,10 @@ from . import __version__
 from .fieldio import sha256_file, write_csv, write_field
 from .grids import GridSpec, sample_noise
 from .heat import HeatKernel
-from .kernels import DiscreteKernel, convolve_kernels, kernel_mass, order_norm, renormalized_convolve
+from .kernels import order_norm, renormalized_square_check
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import estimate_exponent, make_test_family
-from .operators import OperatorFamily, derivative_multiplier
+from .operators import OperatorFamily
 from .processes import TREE_LABELS, lift
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
@@ -424,19 +424,9 @@ def _exp_convergence(cfg, fam, outdir):
 def _exp_kernel_diag(cfg, fam, outdir):
     rows = []
     for n in cfg.levels():
-        horizon = min(cfg.T, 0.25)
-        grid = GridSpec(n, horizon)
-        hk = HeatKernel(grid, fam)
-        split = hk.split(horizon)
-        kern = DiscreteKernel(split.K, grid, -1.0)
+        grid = GridSpec(n, min(cfg.T, 0.25))
+        kern, ident, resid = renormalized_square_check(fam, grid)
         rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, -1.0, m=2)))
-        dxk = np.fft.ifft(np.fft.fft(split.K, axis=1) * derivative_multiplier(fam, grid.eps, grid.M), axis=1).real
-        sq = DiscreteKernel(dxk**2, grid, -3.5)
-        ident = renormalized_convolve(sq, kern)
-        plain = convolve_kernels(sq, kern)
-        embedded = np.zeros_like(plain.values)
-        embedded[: kern.values.shape[0]] = kern.values
-        resid = float(np.max(np.abs(ident.values - (plain.values - kernel_mass(sq) * embedded))))
         rows.append((n, "renormalized_convolution_identity_residual", resid))
         rows.append((n, "renormalized_convolution_order_norm", order_norm(ident, -3.5 + -1.0 + 3.0, m=0)))
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
@@ -460,12 +450,16 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Result
     # needs the admissibility-enforcing constructor up front
     fam = None if cfg.kind == "validate" else family_from_config(cfg.family)
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
-    outdir = os.path.join(out_root or cfg.out, f"{cfg.kind}-{stamp}")
+    base = os.path.join(out_root or cfg.out, f"{cfg.kind}-{stamp}")
     suffix = 0
-    while os.path.exists(outdir):
-        suffix += 1
-        outdir = os.path.join(out_root or cfg.out, f"{cfg.kind}-{stamp}-{suffix}")
-    os.makedirs(outdir)
+    while True:
+        # creating the directory is the claim, so concurrent runs cannot share one
+        outdir = f"{base}-{suffix}" if suffix else base
+        try:
+            os.makedirs(outdir)
+            break
+        except FileExistsError:
+            suffix += 1
     t0 = time.monotonic()
     files, extra, code = _EXPERIMENTS[cfg.kind](cfg, fam, outdir)
     manifest = {

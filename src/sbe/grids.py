@@ -24,6 +24,7 @@ __all__ = [
     "block_average",
     "coarsen_noise",
     "coarsen_slice",
+    "mollify",
     "mollify_noise",
     "rng_for",
     "bump",
@@ -178,7 +179,10 @@ def bump(r: np.ndarray) -> np.ndarray:
 
 
 def _mollifier_kernel(grid: GridSpec, rt: int, rs: int) -> np.ndarray:
-    """Tensor-product bump sampled on grid cells, discrete mass eps^3*sum = 1."""
+    """Tensor-product bump sampled on grid cells, discrete mass eps^3*sum = 1.
+
+    Each direction rescales the bump by radius + 1, where it first vanishes.
+    """
     it = np.arange(-rt, rt + 1)
     ix = np.arange(-rs, rs + 1)
     wt = bump(it / (rt + 1.0)) if rt > 0 else np.ones(1)
@@ -188,29 +192,33 @@ def _mollifier_kernel(grid: GridSpec, rt: int, rs: int) -> np.ndarray:
     return w
 
 
-def mollify_noise(noise: NoiseField, radius_cells_time: int, radius_cells_space: int) -> NoiseField:
-    """Discrete space-time convolution with a normalized symmetric bump.
+def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_cells_space: int) -> np.ndarray:
+    """eps^3-weighted space-time convolution of a time-major field with the bump.
 
-    Space wraps around the torus; time is zero-padded outside the horizon.
-    Radii (0, 0) reduce to the identity.
+    The weights are ``_mollifier_kernel``; space wraps around the torus and
+    time is zero-padded outside the rows. Radii (0, 0) reduce to the
+    identity.
     """
     rt, rs = int(radius_cells_time), int(radius_cells_space)
     if rt < 0 or rs < 0:
         raise ValueError("radii must be nonnegative")
-    grid = noise.grid
     if 2 * rs + 1 > grid.M:
         raise ValueError("mollifier support exceeds the torus")
     w = _mollifier_kernel(grid, rt, rs)
-    eps3 = grid.eps**3
-    v = noise.values
-    out = np.zeros_like(v)
-    nt = v.shape[0]
+    out = np.zeros_like(values)
+    nt = values.shape[0]
     for a in range(-rt, rt + 1):
-        rolled_t = np.zeros_like(v)
+        rolled_t = np.zeros_like(values)
         if a >= 0:
-            rolled_t[: nt - a] = v[a:]
+            rolled_t[: nt - a] = values[a:]
         else:
-            rolled_t[-a:] = v[: nt + a]
+            rolled_t[-a:] = values[: nt + a]
         for b in range(-rs, rs + 1):
             out += w[a + rt, b + rs] * np.roll(rolled_t, -b, axis=1)
-    return NoiseField(grid=grid, seed=noise.seed, values=eps3 * out)
+    return grid.eps**3 * out
+
+
+def mollify_noise(noise: NoiseField, radius_cells_time: int, radius_cells_space: int) -> NoiseField:
+    """The noise field mollified by ``mollify``."""
+    values = mollify(noise.values, noise.grid, radius_cells_time, radius_cells_space)
+    return NoiseField(grid=noise.grid, seed=noise.seed, values=values)

@@ -1,4 +1,4 @@
-"""Space-time discrete heat kernel, its spectral stepping form and the split.
+"""Space-time discrete heat kernel, its explicit step and the split.
 
 The kernel solves the explicit-Euler heat equation from an eps^-1 Kronecker
 delta, so each column is the inverse DFT of m(k)^n with the stepping
@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .measures import fourier_nu
-from .operators import OperatorFamily, derivative_multiplier, laplacian
+from .operators import OperatorFamily, derivative_multiplier, laplacian, stepping_multiplier
 
 __all__ = ["HeatKernel", "KernelSplit", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
 
@@ -71,8 +70,7 @@ class HeatKernel:
 
     def __post_init__(self):
         eps, M = self.grid.eps, self.grid.M
-        k = np.rint(np.fft.fftfreq(M) * M)
-        m = 1.0 + fourier_nu(self.fam.nu, eps * k) / (2.0 * self.fam.nu_bar)
+        m = stepping_multiplier(self.fam, eps, M)
         if not (abs(m[0] - 1.0) < 1e-12 and m.min() >= 0.5 - 1e-12 and m.max() <= 1.0 + 1e-12):
             raise ValueError("stepping multiplier left [1/2, 1]; family inadmissible")
         self.multiplier = m
@@ -105,18 +103,14 @@ class HeatKernel:
         n = int(round(t / self.grid.dt))
         return self.columns(n)[n].copy()
 
-    def step(self, u: np.ndarray, method: str = "spectral") -> np.ndarray:
-        """One explicit Euler step u + eps^2 lap u.
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """One explicit Euler step u + eps^2 lap u, by the stencil.
 
-        The stencil path is exact dyadic arithmetic for dyadic-weight
-        families; the spectral path multiplies by m(k). Both agree to 1e-10.
+        Exact dyadic arithmetic for dyadic-weight families; in Fourier it
+        multiplies mode k by the stepping multiplier m(k).
         """
         u = np.asarray(u, dtype=np.float64)
-        if method == "stencil":
-            return u + self.grid.dt * laplacian(self.fam, u, self.grid.eps, method="stencil")
-        if method == "spectral":
-            return np.fft.ifft(self.multiplier * np.fft.fft(u, axis=-1), axis=-1).real
-        raise ValueError(f"unknown method {method!r}")
+        return u + self.grid.dt * laplacian(self.fam, u, self.grid.eps)
 
     def split(self, horizon: float) -> "KernelSplit":
         """Cutoff split K = chi P, K_hat = P - K with torus-adapted radii.

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, rng_for, bump
-from .heat import signed_torus_coordinate
+from .grids import GridSpec, mollify, rng_for
+from .heat import HeatKernel, signed_torus_coordinate
 from .measures import AtomicMeasure2D
-from .operators import twisted_product, OperatorFamily
+from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
 
 __all__ = [
     "DiscreteKernel",
@@ -32,6 +32,7 @@ __all__ = [
     "twisted_kernel_product",
     "convolve_kernels",
     "renormalized_convolve",
+    "renormalized_square_check",
     "increment_bound_probe",
     "mollification_loss_probe",
 ]
@@ -100,31 +101,18 @@ def _pad_match(a: np.ndarray, b: np.ndarray):
     return pa, pb
 
 
-def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu) -> DiscreteKernel:
-    """Slice-wise twisted product; claimed order adds."""
+def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMeasure2D) -> DiscreteKernel:
+    """Slice-wise twisted product under mu; claimed order adds."""
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
-    fam = mu if isinstance(mu, OperatorFamily) else _product_only_family(mu)
     a, b = _pad_match(k1.values, k2.values)
-    vals = twisted_product(fam, a, b)
+    vals = twisted_product(mu, a, b)
     return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=k1.claimed_order + k2.claimed_order)
 
 
-def _product_only_family(mu: AtomicMeasure2D) -> OperatorFamily:
-    from .measures import preset_measure
-
-    return OperatorFamily(nu=preset_measure("laplacian-nn"), pi=preset_measure("deriv-backward"), mu=mu)
-
-
 def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    n1, n2 = a.shape[0], b.shape[0]
-    L = 1
-    while L < n1 + n2:
-        L *= 2
-    fa = np.fft.fft(np.fft.fft(a, axis=1), n=L, axis=0)
-    fb = np.fft.fft(np.fft.fft(b, axis=1), n=L, axis=0)
-    full = np.fft.ifft(np.fft.ifft(fa * fb, axis=0), axis=1).real
-    return grid.eps**3 * full[: n1 + n2 - 1]
+    full = time_convolve(np.fft.fft(a, axis=1), np.fft.fft(b, axis=1))
+    return grid.eps**3 * np.fft.ifft(full, axis=1).real
 
 
 def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
@@ -187,30 +175,35 @@ def mollification_loss_probe(k: DiscreteKernel, eps_bar_cells: int, kappa: float
 
     The mollifier is the parabolic rescaling of the smooth bump to
     eps_bar = eps_bar_cells * eps, sampled on the grid with discrete mass
-    one; boundedness across eps_bar values certifies the smoothing loss
-    bound.
+    one: ``grids.mollify`` at radii (cells^2 - 1, cells - 1), the last cells
+    inside the bump's support. Boundedness across eps_bar values certifies
+    the smoothing loss bound; one cell is the identity.
     """
     if eps_bar_cells < 1:
         raise ValueError("eps_bar must be at least one cell")
     grid = k.grid
-    rt, rs = eps_bar_cells**2, eps_bar_cells
-    it = np.arange(-rt, rt + 1)
-    ix = np.arange(-rs, rs + 1)
-    wt = bump(it / float(rt)) if rt > 1 else np.array([1.0])
-    wx = bump(ix / float(rs)) if rs > 1 else np.array([1.0])
-    w = np.outer(wt, wx)
-    w /= grid.eps**3 * w.sum()
-    nt, M = k.values.shape
-    half_t = (len(wt) - 1) // 2
-    padded = np.zeros((nt + 2 * half_t, M))
-    padded[half_t : half_t + nt] = k.values
-    out = np.zeros_like(k.values)
-    for a in range(len(wt)):
-        # row n of the shift holds K at time index n - (a - half_t)
-        shifted = padded[2 * half_t - a : 2 * half_t - a + nt]
-        for b in range(len(wx)):
-            out += w[a, b] * np.roll(shifted, b - rs, axis=1)
-    mollified = grid.eps**3 * out
+    mollified = mollify(k.values, grid, eps_bar_cells**2 - 1, eps_bar_cells - 1)
     diff = DiscreteKernel(values=k.values - mollified, grid=grid, claimed_order=k.claimed_order - kappa)
     eps_bar = eps_bar_cells * grid.eps
     return order_norm(diff, k.claimed_order - kappa, m) / eps_bar**kappa
+
+
+def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, DiscreteKernel, float]:
+    """Split kernel K, R(|DxK|^2) * K and the renormalized-convolution residual.
+
+    K (order -1) is the singular part of the heat kernel split at the grid
+    horizon and DxK its spectral derivative; |DxK|^2 is taken at order -3.5.
+    The residual is the sup gap between ``renormalized_convolve`` and
+    ``convolve_kernels`` minus the kernel mass times K, which vanishes up to
+    rounding. Returns (K, R(|DxK|^2) * K, residual).
+    """
+    K = HeatKernel(grid, fam).split(grid.T).K
+    kern = DiscreteKernel(K, grid, -1.0)
+    dxk = np.fft.ifft(np.fft.fft(K, axis=1) * derivative_multiplier(fam, grid.eps, grid.M), axis=1).real
+    sq = DiscreteKernel(dxk**2, grid, -3.5)
+    ident = renormalized_convolve(sq, kern)
+    plain = convolve_kernels(sq, kern)
+    embedded = np.zeros_like(plain.values)
+    embedded[: kern.values.shape[0]] = kern.values
+    resid = float(np.max(np.abs(ident.values - (plain.values - kernel_mass(sq) * embedded))))
+    return kern, ident, resid

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, LatticeField
+from .operators import time_convolve
 
 __all__ = [
     "TestFunctionFamily",
@@ -111,10 +112,7 @@ def _parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionF
     spatial = _space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
     mt = np.arange(-kt, kt + 1)
     wt = tf.profile(mt * grid.dt / lam**2) / lam**2
-    L = 1
-    while L < nt + 2 * kt + 1:
-        L *= 2
-    conv = np.fft.ifft(np.fft.fft(spatial, n=L, axis=0) * np.fft.fft(wt[::-1], n=L, axis=0)[:, None], axis=0).real
+    conv = time_convolve(spatial, wt[::-1, None]).real
     corr = conv[kt : kt + nt]  # linear correlation with zero padding outside
     interior = np.arange(kt, nt - kt)
     return grid.dt * corr, interior

@@ -11,6 +11,8 @@ The DFT convention carries the eps weight on the forward transform,
 F u(k) = eps * sum_x u(x) e^{-2 pi i k x}, with the inverse being the plain
 mode sum; on the torus the modes are the integers in [-M/2, M/2). Twisted
 Parseval: eps * sum_x B(f,g) = sum_k F f(k) F g(-k) mu_hat(-eps k, eps k).
+The operators are evaluated as stencils; the Fourier side supplies their
+multipliers and the time convolution the other layers share.
 """
 
 from __future__ import annotations
@@ -39,14 +41,11 @@ __all__ = [
     "dft",
     "idft",
     "modes",
-    "laplacian_multiplier",
+    "stepping_multiplier",
     "derivative_multiplier",
+    "time_convolve",
     "check_parseval_twisted",
-    "FFT_THRESHOLD",
 ]
-
-# Stencil evaluation below, spectral convolution at or above this M.
-FFT_THRESHOLD = 128
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,14 @@ def _check_support(measure_radius: int, M: int):
         raise ValueError(f"measure radius {measure_radius} wraps on M={M} torus")
 
 
-def _stencil_apply(offsets, weights, u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u, dtype=np.float64)
-    for j, w in zip(offsets, weights):
+def _stencil_apply(measure: AtomicMeasure1D, coeff: float, u: np.ndarray) -> np.ndarray:
+    """coeff * sum_j w_j u(. + eps j) along the last axis."""
+    u = np.asarray(u, dtype=np.float64)
+    _check_support(max(abs(int(j)) for j in measure.offsets), u.shape[-1])
+    out = np.zeros_like(u)
+    for j, w in zip(measure.offsets, measure.weights):
         out += w * np.roll(u, -int(j), axis=-1)
-    return out
+    return coeff * out
 
 
 def modes(M: int) -> np.ndarray:
@@ -102,10 +104,12 @@ def idft(spectrum: np.ndarray, eps: float) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1) / eps
 
 
-def laplacian_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray:
-    """Eigenvalues nu_hat(eps k) / (2 nu_bar eps^2) over FFT-ordered modes."""
-    k = modes(M)
-    return fourier_nu(fam.nu, eps * k) / (2.0 * fam.nu_bar * eps**2)
+def stepping_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray:
+    """m(k) = 1 + nu_hat(eps k) / (2 nu_bar) over FFT-ordered modes.
+
+    One explicit heat step u + eps^2 lap u multiplies mode k by m(k).
+    """
+    return 1.0 + fourier_nu(fam.nu, eps * modes(M)) / (2.0 * fam.nu_bar)
 
 
 def derivative_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray:
@@ -114,44 +118,43 @@ def derivative_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray
     return fourier_pi(fam.pi, -eps * k) / eps
 
 
-def _convolve(fam_measure, coeff: float, u: np.ndarray, eps: float, multiplier, method: str) -> np.ndarray:
-    M = u.shape[-1]
-    _check_support(max(abs(int(j)) for j in fam_measure.offsets), M)
-    if method == "auto":
-        method = "spectral" if M >= FFT_THRESHOLD else "stencil"
-    if method == "stencil":
-        return coeff * _stencil_apply(fam_measure.offsets, fam_measure.weights, u)
-    if method == "spectral":
-        return np.fft.ifft(multiplier * np.fft.fft(u, axis=-1), axis=-1).real
-    raise ValueError(f"unknown method {method!r}")
+def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution along axis 0, zero-padded to a power of two.
+
+    Returns rows 0..n1+n2-2 of sum_s a[s] b[n - s] as complex values; the
+    trailing axes broadcast, so a (n, 1) view of 1-d weights is enough.
+    """
+    n1, n2 = a.shape[0], b.shape[0]
+    L = 1
+    while L < n1 + n2:
+        L *= 2
+    spec = np.fft.fft(a, n=L, axis=0)
+    spec *= np.fft.fft(b, n=L, axis=0)
+    return np.fft.ifft(spec, axis=0)[: n1 + n2 - 1]
 
 
-def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float, method: str = "auto") -> np.ndarray:
+def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete Laplacian of one slice (or along the last axis)."""
-    u = np.asarray(u, dtype=np.float64)
-    mult = laplacian_multiplier(fam, eps, u.shape[-1]) if method != "stencil" else None
-    return _convolve(fam.nu, 1.0 / (2.0 * fam.nu_bar * eps**2), u, eps, mult, method)
+    return _stencil_apply(fam.nu, 1.0 / (2.0 * fam.nu_bar * eps**2), u)
 
 
-def derivative(fam: OperatorFamily, u: np.ndarray, eps: float, method: str = "auto") -> np.ndarray:
+def derivative(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete derivative; output has exact zero spatial mean."""
-    u = np.asarray(u, dtype=np.float64)
-    mult = derivative_multiplier(fam, eps, u.shape[-1]) if method != "stencil" else None
-    return _convolve(fam.pi, 1.0 / eps, u, eps, mult, method)
+    return _stencil_apply(fam.pi, 1.0 / eps, u)
 
 
-def twisted_product(fam: OperatorFamily, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def twisted_product(mu: AtomicMeasure2D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric."""
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if f.shape != g.shape:
         raise ValueError("twisted product needs matching shapes")
     M = f.shape[-1]
-    _check_support(fam.mu.radius, M)
+    _check_support(mu.radius, M)
     out = np.zeros_like(f)
     # Group atoms by the first offset so each roll of f is reused.
     by_j1: dict[int, list[tuple[int, float]]] = {}
-    for (j1, j2), w in fam.mu.atoms:
+    for (j1, j2), w in mu.atoms:
         by_j1.setdefault(j1, []).append((j2, w))
     for j1, pairs in by_j1.items():
         acc = np.zeros_like(g)
@@ -166,7 +169,7 @@ def check_parseval_twisted(fam: OperatorFamily, f: np.ndarray, g: np.ndarray, ep
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     M = f.shape[-1]
-    lhs = eps * np.sum(twisted_product(fam, f, g))
+    lhs = eps * np.sum(twisted_product(fam.mu, f, g))
     Ff = dft(f, eps)
     Fg = dft(g, eps)
     k = modes(M)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .grids import GridSpec, NoiseField
 from .heat import HeatKernel
-from .operators import OperatorFamily, derivative_multiplier, twisted_product
+from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
 from .renorm import RenormConstants
 
 __all__ = [
@@ -114,13 +114,7 @@ class _Lifter:
         if self._k_hat is None:
             split = self.hk.split(self.grid.T)
             self._k_hat = np.fft.fft(split.K, axis=1) * self.dmult
-        h = self._k_hat[: self.nt]
-        L = 1
-        while L < 2 * self.nt:
-            L *= 2
-        Hf = np.fft.fft(h, n=L, axis=0)
-        Ff = np.fft.fft(f_hat[: self.nt], n=L, axis=0)
-        full = np.fft.ifft(Hf * Ff, axis=0)[: self.nt]
+        full = time_convolve(self._k_hat[: self.nt], f_hat[: self.nt])[: self.nt]
         out = np.zeros((self.nt + 1, f_hat.shape[1]), dtype=np.complex128)
         out[1:] = self.eps**3 * full
         return out
@@ -160,7 +154,7 @@ def lift(
     lf = _Lifter(noise, fam, mode)
 
     def B(f, g):
-        return twisted_product(fam, f, g)
+        return twisted_product(fam.mu, f, g)
 
     fields: dict[str, np.ndarray] = {}
     hats: dict[str, np.ndarray] = {}

@@ -10,11 +10,13 @@ integrand
 and (b) as the exact stationary lattice value: for each nonzero torus mode
 the geometric series in the squared stepping multiplier, weighted by
 |pi_hat(eps k)|^2 and mu_hat(-eps k, eps k). Route (b) is the exact
-expectation for the simulated periodic system and is the default the solver
-consumes. c21 is eps-independent; its quadrature integrand has a removable
-singularity at k = 0 (the odd part of g(-k) mu_hat(-k, 0) vanishes
-linearly) and its mode-sum route evaluates the same even integrand on torus
-modes, which amounts to the closed geometric-series identity
+expectation for the simulated periodic system and the default of
+``compute_constants``, whose pair the tree lift subtracts; the solver never
+reads c2, and its renormalized drift is -4 c21 with c21 by quadrature. c21
+is eps-independent; its quadrature integrand has a removable singularity at
+k = 0 (the odd part of g(-k) mu_hat(-k, 0) vanishes linearly) and its
+mode-sum route evaluates the same even integrand on torus modes, which
+amounts to the closed geometric-series identity
 sum n (1-x)^{2n} = (1-x)^2 / (x^2 (2-x)^2).
 """
 
@@ -27,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .grids import GridSpec, bump
 from .measures import TAYLOR_THRESHOLD, f_of_k, fourier_mu, fourier_nu, fourier_pi, g_of_k
-from .operators import OperatorFamily, modes
+from .operators import OperatorFamily, modes, stepping_multiplier
 
 __all__ = [
     "RenormConstants",
@@ -111,11 +113,10 @@ def c2_lattice_sum(fam: OperatorFamily, grid: GridSpec) -> float:
     pi_hat(0) = 0.
     """
     eps, M = grid.eps, grid.M
-    k = modes(M)
-    k = k[k != 0]
-    kappa = eps * k
+    # modes(M)[0] is the only zero mode
+    kappa = eps * modes(M)[1:]
     pi_hat = fourier_pi(fam.pi, kappa)
-    m = 1.0 + fourier_nu(fam.nu, kappa) / (2.0 * fam.nu_bar)
+    m = stepping_multiplier(fam, eps, M)[1:]
     denom = 1.0 - m**2
     if np.min(denom) <= 0.0:
         raise ValueError("stepping multiplier reaches 1 at a nonzero mode")

@@ -3,8 +3,7 @@
 One step advances u by eps^2 times (discrete Laplacian + derivative of the
 twisted square + drift coefficient times the derivative + derivative of the
 noise). Every right-hand-side term is mean-free, so the spatial mean of the
-solution is an exact invariant of the scheme. The mild (Duhamel) evaluation
-is kept as a quadratically-priced test oracle; blow-up past the overflow
+solution is an exact invariant of the scheme. Blow-up past the overflow
 threshold truncates the trajectory with a flag rather than raising, since
 the convergence statement only holds up to a stopping time. The coupled
 dyadic self-convergence study steps all replicas and levels together.
@@ -19,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, NoiseField, block_average, coarsen_slice, noise_block, noise_stream, rng_for
-from .heat import HeatKernel
-from .norms import comparison_sup, comparison_terms, make_test_family
-from .operators import OperatorFamily, derivative, derivative_multiplier, laplacian, twisted_product
+from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
+from .operators import OperatorFamily, derivative, laplacian, twisted_product
 from .renorm import c21
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "Trajectory",
     "step_forward",
     "run",
-    "mild_oracle",
     "drift_coefficient",
     "ic_zero",
     "ic_constant",
@@ -112,9 +109,9 @@ class Trajectory:
 def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
     """One explicit step; all increment terms are mean-free."""
     eps = cfg.grid.eps
-    nonlinear = twisted_product(cfg.fam, u, u)
+    nonlinear = twisted_product(cfg.fam.mu, u, u)
     transported = nonlinear + cfg.b_drift * u + xi_slice
-    incr = laplacian(cfg.fam, u, eps, method="stencil") + derivative(cfg.fam, transported, eps, method="stencil")
+    incr = laplacian(cfg.fam, u, eps) + derivative(cfg.fam, transported, eps)
     return u + cfg.grid.dt * incr
 
 
@@ -145,45 +142,6 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float, seed: in
             break
         if (n + 1) % cfg.record_stride == 0 or n + 1 == n_steps:
             snaps.append(((n + 1) * cfg.grid.dt, u.copy()))
-    return traj
-
-
-def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
-    """Duhamel evaluation of the scheme, slice by slice.
-
-    u(n) = P_n * u0 + eps^2 sum_{s<n} (DxP)_{n-1-s} * [B(u,u) + b u + xi](s),
-    with every convolution spectral and past slices reused. Algebraically
-    identical to ``run``; kept quadratic in the step count on purpose.
-    """
-    if noise.grid.N != cfg.grid.N:
-        raise ValueError("noise and scheme grids disagree")
-    n_steps = int(round(T / cfg.grid.dt))
-    if n_steps > noise.grid.n_steps:
-        raise ValueError("horizon exceeds the noise horizon")
-    eps = cfg.grid.eps
-    hk = HeatKernel(cfg.grid, cfg.fam)
-    m = hk.multiplier
-    dmult = derivative_multiplier(cfg.fam, eps, cfg.grid.M)
-    u0 = np.array(u0, dtype=np.float64)
-    u0_hat = np.fft.fft(u0)
-    forcing_hats: list[np.ndarray] = []
-    u = u0.copy()
-    snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed)
-    for n in range(1, n_steps + 1):
-        prev = u
-        forcing = twisted_product(cfg.fam, prev, prev) + cfg.b_drift * prev + noise.values[n - 1]
-        forcing_hats.append(np.fft.fft(forcing))
-        acc = m**n * u0_hat
-        for s, fh in enumerate(forcing_hats):
-            acc = acc + cfg.grid.dt * dmult * m ** (n - 1 - s) * fh
-        u = np.fft.ifft(acc).real
-        if _escaped(u):
-            traj.blowup = True
-            traj.blowup_time = n * cfg.grid.dt
-            break
-        if n % cfg.record_stride == 0 or n == n_steps:
-            snaps.append((n * cfg.grid.dt, u.copy()))
     return traj
 
 
@@ -256,6 +214,7 @@ def coupled_convergence_study(
     grids = [GridSpec(n, T) for n in levels]
     coarse = grids[0]
     tf = make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
+    _check_scale_list(tf, alpha)  # before any step: a run may end with no replica left to check
     schemes = [SchemeConfig(fam=fam, grid=g, b_drift=b_drift) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
     every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step

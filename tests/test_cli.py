@@ -141,6 +141,16 @@ class TestExperiments:
         for entry in manifest["files"]:
             assert sha256_file(os.path.join(bundle.directory, entry["name"])) == entry["sha256"]
 
+    def test_taken_output_directory_gets_suffix(self, tmp_path, monkeypatch):
+        import time
+
+        monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "20260101-000000")
+        os.makedirs(tmp_path / "validate-20260101-000000")
+        cfg = config_from_dict({"kind": "validate", "family": FAMILY, "N": 5})
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        assert bundle.directory == str(tmp_path / "validate-20260101-000000-1")
+        assert os.path.exists(os.path.join(bundle.directory, "manifest.json"))
+
     def test_byte_reproducibility(self, tmp_path):
         payload = {"kind": "processes", "family": FAMILY, "N": 4, "T": 0.125, "replicas": 2, "seed": 9}
         a = run_experiment(config_from_dict(payload), out_root=str(tmp_path))

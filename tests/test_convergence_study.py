@@ -107,6 +107,20 @@ def test_unpacks_as_pair(fam_bw_ss):
     assert list(per_pair) == ["3->4", "4->5"]
 
 
+def test_alpha_checked_before_any_step(fam_bw_ss, monkeypatch):
+    # at these settings every replica is dropped, so a check after the run
+    # would never see alpha
+    import sbe.solver
+
+    def no_step(*args):
+        raise AssertionError("stepped before checking alpha")
+
+    monkeypatch.setattr(sbe.solver, "step_forward", no_step)
+    b = drift_coefficient(fam_bw_ss, "renormalized")
+    with pytest.raises(ValueError, match="smoothness"):
+        coupled_convergence_study(fam_bw_ss, [3, 4, 5], 0.25, 4, 0, alpha=-5.0, b_drift=b)
+
+
 def test_levels_must_be_consecutive(fam_bw_ss):
     with pytest.raises(ValueError, match="consecutive"):
         coupled_convergence_study(fam_bw_ss, [3, 5, 7], 0.0625, 1, 0)

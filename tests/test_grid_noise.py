@@ -109,6 +109,20 @@ class TestMollify:
         with pytest.raises(ValueError):
             mollify_noise(noise, 1, 5)
 
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_kernel_is_parabolic_rescaling(self, c):
+        from sbe.grids import _mollifier_kernel, bump
+
+        grid = GridSpec(5, 0.125)
+        w = _mollifier_kernel(grid, c * c - 1, c - 1)
+        sampled = np.outer(bump(np.arange(-c * c, c * c + 1) / c**2), bump(np.arange(-c, c + 1) / c))
+        # the sampled rescaling vanishes on its outer rim, so its nonzero
+        # entries are exactly the kernel's cells
+        assert not sampled[[0, -1]].any() and not sampled[:, [0, -1]].any()
+        inner = sampled[1:-1, 1:-1]
+        assert (inner > 0).all()
+        np.testing.assert_allclose(w, inner / (grid.eps**3 * inner.sum()), rtol=1e-14, atol=0)
+
 
 def test_field_io_round_trip(tmp_path):
     from sbe.fieldio import read_field, write_field

@@ -36,7 +36,7 @@ def test_one_step_stencil_exact(hk):
     grid = hk.grid
     delta = np.zeros(grid.M)
     delta[0] = 1.0 / grid.eps
-    col = hk.step(delta, method="stencil") * grid.eps
+    col = hk.step(delta) * grid.eps
     assert col[0] == 0.75 and col[1] == 0.125 and col[-1] == 0.125
 
 
@@ -61,7 +61,7 @@ def test_multiplier_range(all_preset_families):
 
 def test_step_preserves_constants(hk):
     u = np.full(32, 2.2)
-    np.testing.assert_allclose(hk.step(u, method="stencil"), u, atol=1e-13)
+    np.testing.assert_allclose(hk.step(u), u, atol=1e-13)
 
 
 def test_step_chaining_matches_column(hk):
@@ -69,7 +69,7 @@ def test_step_chaining_matches_column(hk):
     u = np.zeros(grid.M)
     u[0] = 1.0 / grid.eps
     for _ in range(9):
-        u = hk.step(u, method="stencil")
+        u = hk.step(u)
     np.testing.assert_allclose(u, hk.kernel_column(9 * grid.dt), atol=1e-10)
 
 
@@ -77,14 +77,15 @@ def test_step_spectral_diagonal(hk, rng):
     grid = hk.grid
     q = 7
     u = np.cos(2 * np.pi * q * grid.sites)
-    out = hk.step(u, method="spectral")
+    out = hk.step(u)
     m_q = hk.multiplier[q]
+    np.testing.assert_allclose(out, np.fft.ifft(hk.multiplier * np.fft.fft(u)).real, atol=1e-12)
     np.testing.assert_allclose(out, m_q * u, atol=1e-12)
 
 
 def test_step_paths_agree(hk, rng):
     u = rng.standard_normal(hk.grid.M)
-    np.testing.assert_allclose(hk.step(u, "stencil"), hk.step(u, "spectral"), atol=1e-10)
+    np.testing.assert_allclose(hk.step(u), np.fft.ifft(hk.multiplier * np.fft.fft(u)).real, atol=1e-10)
 
 
 def test_semigroup(hk):

@@ -85,6 +85,14 @@ class TestC21:
         with pytest.raises(ValueError):
             c21(fam_bw_pw, "mode_sum")
 
+    def test_solver_drift_uses_quadrature_route(self, fam_bw_pw):
+        from sbe.solver import drift_coefficient
+
+        q = c21(fam_bw_pw, "quadrature")
+        assert q != 0.0
+        assert drift_coefficient(fam_bw_pw, "renormalized") == -4.0 * q
+        assert drift_coefficient(fam_bw_pw, "renormalized") != -4.0 * c21(fam_bw_pw, "mode_sum", GridSpec(8, 0.25))
+
 
 def test_integrands_finite_at_origin(all_preset_families):
     from sbe.renorm import _c21_integrand

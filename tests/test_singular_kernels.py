@@ -159,6 +159,10 @@ class TestProbes:
         r8 = mollification_loss_probe(k, 8, 0.5)
         assert max(r4, r8) / min(r4, r8) < 2.0
 
+    def test_mollification_one_cell_is_identity(self, fam_bw_ss):
+        k, _ = split_kernel(fam_bw_ss, 5)
+        assert mollification_loss_probe(k, 1, 0.5) == 0.0
+
     def test_probe_guards(self, fam_bw_ss):
         k, _ = split_kernel(fam_bw_ss, 5)
         with pytest.raises(ValueError):

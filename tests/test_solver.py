@@ -12,10 +12,11 @@ from sbe.solver import (
     ic_constant,
     ic_white_noise,
     ic_zero,
-    mild_oracle,
     run,
     step_forward,
 )
+
+from oracles import mild_oracle
 
 
 def scaled_noise(grid, seed, amp):
@@ -193,7 +194,7 @@ def test_energy_identity_along_noisy_run(fam_bw_ss):
     cfg = SchemeConfig(fam_bw_ss, grid, record_stride=1)
     traj = run(cfg, ic_white_noise(grid, 23), noise, 0.0625)
     for _, u in traj.snapshots[:64]:
-        dnl = derivative(fam_bw_ss, twisted_product(fam_bw_ss, u, u), grid.eps, method="stencil")
+        dnl = derivative(fam_bw_ss, twisted_product(fam_bw_ss.mu, u, u), grid.eps)
         resid = grid.eps * np.sum(u * dnl)
         denom = grid.eps * np.sum(np.abs(u * dnl)) + 1e-300
         assert abs(resid) / denom < 1e-9
