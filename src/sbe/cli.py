@@ -7,8 +7,8 @@ containing a manifest (config echo, library version, wall time, checksums)
 plus CSV/binary artifacts; identical (config, seed) pairs reproduce the
 data files byte for byte.
 
-Exit codes: 0 ok, 1 validation failure, 2 runtime error, 3 blow-up
-truncated (simulate only).
+Exit codes: 0 ok, 1 validation failure, 2 config or runtime error, 3
+blow-up truncated (simulate only).
 """
 
 from __future__ import annotations
@@ -125,16 +125,32 @@ def family_from_config(family: dict) -> OperatorFamily:
     return OperatorFamily(nu=nu, pi=pi, mu=mu)
 
 
-def parse_config(path: str, kind: str | None = None) -> ExperimentConfig:
+def _load_json(path: str):
+    """The parsed config file; an unreadable or malformed file is a config error."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(raw, kind=kind)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"config: cannot read {path}: {exc}") from exc
+
+
+def parse_config(path: str, kind: str | None = None) -> ExperimentConfig:
+    return config_from_dict(_load_json(path), kind=kind)
+
+
+def _coerced(raw: dict, key: str, to, default):
+    value = raw.get(key, default)
+    try:
+        return to(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{key}: expected {'an integer' if to is int else 'a number'}, got {value!r}") from exc
 
 
 def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"config: expected a JSON object, got {type(raw).__name__}")
     if "family" not in raw:
         raise SchemaError("family: missing")
     cfg_kind = raw.get("kind", kind)
@@ -147,15 +163,19 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         family=raw["family"],
         N=raw.get("N"),
         N_range=raw.get("N_range"),
-        T=float(raw.get("T", 0.25)),
-        seed=int(raw.get("seed", 0)),
-        replicas=int(raw.get("replicas", 1)),
+        T=_coerced(raw, "T", float, 0.25),
+        seed=_coerced(raw, "seed", int, 0),
+        replicas=_coerced(raw, "replicas", int, 1),
         drift=raw.get("drift", "none"),
         initial=raw.get("initial", {"kind": "zero"}),
-        alpha=float(raw.get("alpha", -0.6)),
-        eta=float(raw.get("eta", -0.6)),
+        alpha=_coerced(raw, "alpha", float, -0.6),
+        eta=_coerced(raw, "eta", float, -0.6),
         out=raw.get("out", "sbe-out"),
     )
+    if cfg.N_range is not None and not isinstance(cfg.N_range, (list, tuple)):
+        raise SchemaError(f"N_range: expected a list of levels, got {cfg.N_range!r}")
+    if not isinstance(cfg.initial, dict):
+        raise SchemaError(f"initial: expected an object with a kind, got {cfg.initial!r}")
     if cfg.N is None and not cfg.N_range:
         raise SchemaError("N: missing (give N or N_range)")
     for n in cfg.levels():
@@ -483,18 +503,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output root directory")
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    # Precedence: config value over flag, flag over SBE_SEED env.
-    if "seed" not in raw:
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        elif os.environ.get("SBE_SEED"):
-            raw["seed"] = int(os.environ["SBE_SEED"])
-    try:
+        raw = _load_json(args.config)
+        # Precedence: config value over flag, flag over SBE_SEED env.
+        if isinstance(raw, dict) and "seed" not in raw:
+            if args.seed is not None:
+                raw["seed"] = args.seed
+            elif os.environ.get("SBE_SEED"):
+                raw["seed"] = os.environ["SBE_SEED"]
         cfg = config_from_dict(raw, kind=args.kind)
         if cfg.kind != args.kind:
             raise SchemaError(f"kind: config says {cfg.kind!r} but subcommand is {args.kind!r}")

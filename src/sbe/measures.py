@@ -40,6 +40,8 @@ __all__ = [
 # Below this |k| the direct quotients -nu_hat/k^2 and pi_hat/(ik) cancel
 # catastrophically; a 4th-order series takes over.
 TAYLOR_THRESHOLD = 1e-4
+# interior points of (0, 1) on which validate_nu checks nu_hat < 0
+NU_CHECK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -244,11 +246,11 @@ def g_of_k(m: AtomicMeasure1D, k):
 # Validators
 
 
-def validate_nu(m: AtomicMeasure1D, k_grid_size: int = 4096) -> ValidationReport:
+def validate_nu(m: AtomicMeasure1D) -> ValidationReport:
     """Check the Laplacian-measure assumptions.
 
     (i) symmetry, (ii) zero mass, (iii) zero first moment, (iv) second
-    moment 2, (v) nu_hat < 0 sampled on ``k_grid_size`` interior points of
+    moment 2, (v) nu_hat < 0 sampled on NU_CHECK_POINTS interior points of
     (0, 1). Failures are reported, never raised.
     """
     violations = []
@@ -265,7 +267,7 @@ def validate_nu(m: AtomicMeasure1D, k_grid_size: int = 4096) -> ValidationReport
     m2 = m.moment(2)
     if abs(m2 - 2.0) > 1e-12:
         violations.append(Violation("second_moment_two", m2, "sum j^2*w(j)"))
-    ks = np.linspace(0.0, 1.0, k_grid_size + 2)[1:-1]
+    ks = np.linspace(0.0, 1.0, NU_CHECK_POINTS + 2)[1:-1]
     vals = fourier_nu(m, ks)
     worst = float(np.max(vals))
     if worst >= 0.0:

@@ -1,7 +1,6 @@
 """Discrete Hoelder-Besov norms and the regularity-exponent estimator.
 
-Positive-regularity norms are exact increment suprema over grid pairs (with
-an optional base-point stride that makes them documented lower bounds).
+Positive-regularity norms are exact increment suprema over grid pairs.
 Negative-regularity norms pair the field with rescaled copies of a
 polynomial bump
 
@@ -9,7 +8,8 @@ polynomial bump
 
 at dyadic scales lambda in [eps, 1]; the parabolic variant rescales time by
 lambda^2. Pairings are evaluated at every base site via FFT correlation, so
-suprema cost one transform per scale.
+suprema cost one transform per scale. One loop, ``_pairing_maps``, walks
+the scales for the Besov norm and the exponent estimator alike.
 
 The exponent estimator fits the log-log slope of sup-pairings of the
 *band* functions phi^lambda - phi^(2 lambda) (differences of consecutive
@@ -41,6 +41,9 @@ __all__ = [
     "estimate_exponent",
 ]
 
+# base points per band in estimate_exponent: 2 PATCHES + 1 in space, PATCHES in time
+PATCHES = 16
+
 
 @dataclass(frozen=True)
 class TestFunctionFamily:
@@ -54,6 +57,9 @@ class TestFunctionFamily:
             raise ValueError("profile smoothness r must be >= 1")
         if len(self.scales) < 2:
             raise ValueError("need at least two scales")
+        # the parabolic pairings stop at the first scale past the horizon
+        if not np.all(np.diff(self.scales, prepend=0.0) > 0):
+            raise ValueError("scales must be positive and strictly increasing")
 
     @property
     def mass_constant(self) -> float:
@@ -102,13 +108,16 @@ def _space_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamil
 
 
 def _parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float):
-    """Space-time pairing map and the time indices free of boundary padding."""
+    """Space-time pairing map and the time indices free of boundary padding.
+
+    None when the scale's time support does not fit the horizon.
+    """
     if values.ndim != 2:
         raise ValueError("parabolic pairing needs a space-time field")
     nt = values.shape[0]
     kt = int(math.ceil(lam**2 / grid.dt))
     if 2 * kt + 1 > nt:
-        return None, None
+        return None
     spatial = _space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
     mt = np.arange(-kt, kt + 1)
     wt = tf.profile(mt * grid.dt / lam**2) / lam**2
@@ -118,81 +127,51 @@ def _parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionF
     return grid.dt * corr, interior
 
 
-def _as_field(field, grid=None) -> LatticeField:
-    if isinstance(field, LatticeField):
-        return field
-    if grid is None:
-        raise ValueError("raw arrays need an explicit grid")
-    return LatticeField(grid=grid, values=np.asarray(field, dtype=np.float64))
+def _slices_in_horizon(field: LatticeField, T: float | None):
+    """The field's slices and times in (0, T] (every positive time without T)."""
+    vals = np.atleast_2d(field.values)
+    times = field.times
+    keep = times > 1e-14
+    if T is not None:
+        keep &= times <= T + 1e-14
+    if not keep.any():
+        raise ValueError("no slices in (0, T]")
+    return vals[keep], times[keep]
 
 
-def holder_norm_space(
-    field: LatticeField,
-    alpha: float,
-    eta: float,
-    T: float | None = None,
-    base_stride: int = 1,
-    time_stride: int = 1,
-) -> float:
+def holder_norm_space(field: LatticeField, alpha: float, eta: float, T: float | None = None) -> float:
     """Supremum norm with spatial increments weighted by |x - xbar|^alpha.
 
-    Distances are plain coordinate differences on [0, 1). Strides > 1 turn
-    the result into a documented lower bound of the full supremum.
+    Distances are plain coordinate differences on [0, 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grid = field.grid
-    vals = np.atleast_2d(field.values)
-    times = field.times
-    keep = times > 1e-14
-    if T is not None:
-        keep &= times <= T + 1e-14
-    vals, times = vals[keep], times[keep]
-    if vals.size == 0:
-        raise ValueError("no slices in (0, T]")
+    vals, times = _slices_in_horizon(field, T)
     te = _t_eps(times, grid.eps)
     sup_abs = float(np.max(np.abs(vals) * te[:, None] ** (-min(eta, 0.0))))
+    wt = te ** (alpha - eta)
     sup_inc = 0.0
-    for it in range(0, vals.shape[0], time_stride):
-        v = vals[it]
-        wt = te[it] ** (alpha - eta)
-        for lag in range(1, grid.M):
-            idx = np.arange(0, grid.M - lag, base_stride)
-            if idx.size == 0:
-                continue
-            m = np.max(np.abs(v[idx + lag] - v[idx]))
-            sup_inc = max(sup_inc, wt * m / (lag * grid.eps) ** alpha)
+    for lag in range(1, grid.M):
+        inc = np.abs(vals[:, lag:] - vals[:, :-lag]).max(axis=1)
+        sup_inc = max(sup_inc, float(np.max(wt * inc / (lag * grid.eps) ** alpha)))
     return sup_abs + sup_inc
 
 
-def holder_norm_parabolic(
-    field: LatticeField,
-    alpha: float,
-    eta: float,
-    T: float | None = None,
-    base_stride: int = 1,
-    time_stride: int = 1,
-) -> float:
+def holder_norm_parabolic(field: LatticeField, alpha: float, eta: float, T: float | None = None) -> float:
     """Space norm plus the time-increment term over |t - tbar| <= |t,tbar|_eps^2."""
     grid = field.grid
-    base = holder_norm_space(field, alpha, eta, T, base_stride, time_stride)
-    vals = np.atleast_2d(field.values)
-    times = field.times
-    keep = times > 1e-14
-    if T is not None:
-        keep &= times <= T + 1e-14
-    vals, times = vals[keep], times[keep]
+    base = holder_norm_space(field, alpha, eta, T)
+    vals, times = _slices_in_horizon(field, T)
     te = _t_eps(times, grid.eps)
-    nt = vals.shape[0]
     sup_time = 0.0
-    cols = np.arange(0, grid.M, base_stride)
-    for gap in range(1, nt):
+    for gap in range(1, vals.shape[0]):
         dt_gap = times[gap:] - times[:-gap]
         pair_te = np.minimum(te[gap:], te[:-gap])
         ok = dt_gap <= pair_te**2 + 1e-14
         if not np.any(ok):
             continue
-        num = np.max(np.abs(vals[gap:][ok][:, cols] - vals[:-gap][ok][:, cols]), axis=1)
+        num = np.max(np.abs(vals[gap:][ok] - vals[:-gap][ok]), axis=1)
         ratio = num / (pair_te[ok] ** (eta - alpha) * dt_gap[ok] ** (alpha / 2.0))
         sup_time = max(sup_time, float(np.max(ratio)))
     return base + sup_time
@@ -203,13 +182,34 @@ def _check_scale_list(tf: TestFunctionFamily, alpha: float):
         raise ValueError(f"profile smoothness r={tf.r} must exceed |alpha|={abs(alpha)}")
 
 
+def _pairing_maps(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, mode: str):
+    """(lambda, pairing map, rows) per scale, in ascending scale order.
+
+    ``rows`` are the map's time rows free of boundary effects. Mode "space"
+    pairs each slice spatially at every scale; "parabolic" pairs in
+    space-time and stops at the first scale whose time support no longer
+    fits the horizon (larger scales fit even less).
+    """
+    if mode == "space":
+        values = np.atleast_2d(values)
+        for lam in tf.scales:
+            yield lam, _space_pairing_map(values, grid, tf, lam), slice(None)
+    elif mode == "parabolic":
+        for lam in tf.scales:
+            found = _parabolic_pairing_map(values, grid, tf, lam)
+            if found is None:
+                return
+            yield lam, *found
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def besov_norm_negative(
     field: LatticeField,
     alpha: float,
     tf: TestFunctionFamily,
     eta: float = 0.0,
     mode: str = "space",
-    base_stride: int = 1,
 ) -> float:
     """sup over scales/bases of lambda^-alpha |<field, phi^lambda>_eps|.
 
@@ -220,64 +220,47 @@ def besov_norm_negative(
         raise ValueError("negative-regularity norm needs alpha < 0")
     _check_scale_list(tf, alpha)
     grid = field.grid
-    vals = field.values
-    best = 0.0
-    if mode == "space":
-        vals2 = np.atleast_2d(vals)
-        te = _t_eps(field.times, grid.eps) ** (-min(eta, 0.0))
-        for lam in tf.scales:
-            pm = _space_pairing_map(vals2, grid, tf, lam)
-            weighted = np.abs(pm[:, ::base_stride]) * te[:, None]
-            best = max(best, float(lam ** (-alpha) * weighted.max()))
-        return best
-    if mode == "parabolic":
-        for lam in tf.scales:
-            pm, interior = _parabolic_pairing_map(vals, grid, tf, lam)
-            if pm is None or interior.size == 0:
-                continue
-            best = max(best, float(lam ** (-alpha) * np.abs(pm[interior][:, ::base_stride]).max()))
-        if best == 0.0 and np.any(vals != 0.0):
-            raise ValueError("no scale fits inside the horizon")
-        return best
-    raise ValueError(f"unknown mode {mode!r}")
+    weight = _t_eps(field.times, grid.eps)[:, None] ** (-min(eta, 0.0)) if mode == "space" else 1.0
+    sups = [
+        float(lam ** (-alpha) * (np.abs(pm[rows]) * weight).max())
+        for lam, pm, rows in _pairing_maps(field.values, grid, tf, mode)
+    ]
+    if not sups:
+        raise ValueError("no scale fits inside the horizon")
+    return max([0.0, *sups])
 
 
-def comparison_terms(
-    coarse_slices: np.ndarray,
-    fine_slices: np.ndarray,
-    times: np.ndarray,
-    coarse_grid: GridSpec,
-    fine_grid: GridSpec,
-    eta: float,
-    tf: TestFunctionFamily,
-    base_stride: int = 1,
-) -> np.ndarray:
-    """Weighted coarse/fine pairing gaps, one row per scale, one column per slice.
+def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: TestFunctionFamily) -> np.ndarray:
+    """Weighted pairing gaps of consecutive levels, indexed (pair, scale, slice).
 
-    Entry (s, i) is |t_i|_eps^(-min(eta, 0)) times the supremum over coarse
-    base sites x of |<coarse_i, phi_x^lambda_s> - <fine_i, phi_x^lambda_s>|;
-    scales below the coarse eps read 0. The reference grid must refine the
-    coarse one dyadically.
+    Entry (p, s, i) is |t_i|_eps^(-min(eta, 0)), with eps of level p, times
+    the supremum over level-p base sites x of
+    |<u_p,i, phi_x^lambda_s> - <u_p+1,i, phi_x^lambda_s>|; scales below
+    level p's eps leave pair p at 0. Each grid must refine the one before
+    it dyadically. Every level is paired once per scale.
     """
-    if fine_grid.N <= coarse_grid.N:
-        raise ValueError("reference grid must be strictly finer")
-    ratio = 2 ** (fine_grid.N - coarse_grid.N)
-    coarse_slices = np.atleast_2d(coarse_slices)
-    fine_slices = np.atleast_2d(fine_slices)
-    if coarse_slices.shape[0] != fine_slices.shape[0]:
+    level_slices = [np.atleast_2d(v) for v in level_slices]
+    for coarse, fine in zip(grids[:-1], grids[1:]):
+        if fine.N <= coarse.N:
+            raise ValueError("reference grid must be strictly finer")
+    if len({v.shape[0] for v in level_slices}) != 1:
         raise ValueError("snapshot counts disagree")
-    if coarse_slices.shape[1] != coarse_grid.M or fine_slices.shape[1] != fine_grid.M:
+    if any(v.shape[1] != g.M for v, g in zip(level_slices, grids)):
         raise ValueError("slice lengths disagree with grids")
-    te = _t_eps(np.asarray(times), coarse_grid.eps) ** (-min(eta, 0.0))
-    terms = np.zeros((len(tf.scales), coarse_slices.shape[0]))
+    n_pairs = len(grids) - 1
+    te = [_t_eps(np.asarray(times), g.eps) ** (-min(eta, 0.0)) for g in grids[:-1]]
+    terms = np.zeros((n_pairs, len(tf.scales), level_slices[0].shape[0]))
     for s, lam in enumerate(tf.scales):
-        if lam < coarse_grid.eps - 1e-15:
+        # eps falls with the level, so the pairs that resolve lam are a suffix
+        live = [p for p in range(n_pairs) if lam >= grids[p].eps - 1e-15]
+        if not live:
             continue
-        pc = _space_pairing_map(coarse_slices, coarse_grid, tf, lam)
-        pf = _space_pairing_map(fine_slices, fine_grid, tf, lam)[:, ::ratio]
-        # te > 0, so scaling the per-slice supremum equals the supremum of
-        # the scaled gaps exactly
-        terms[s] = np.abs(pc - pf)[:, ::base_stride].max(axis=1) * te
+        maps = {q: _space_pairing_map(level_slices[q], grids[q], tf, lam) for q in range(live[0], n_pairs + 1)}
+        for p in live:
+            ratio = 2 ** (grids[p + 1].N - grids[p].N)
+            # te > 0, so scaling the per-slice supremum equals the supremum of
+            # the scaled gaps exactly
+            terms[p, s] = np.abs(maps[p] - maps[p + 1][:, ::ratio]).max(axis=1) * te[p]
     return terms
 
 
@@ -299,7 +282,6 @@ def comparison_norm(
     alpha: float,
     eta: float,
     tf: TestFunctionFamily,
-    base_stride: int = 1,
 ) -> float:
     """Coarse/fine pairing-difference norm against shared test functions.
 
@@ -307,8 +289,8 @@ def comparison_norm(
     grid with its own eps weight) at coarse base sites and shared snapshot
     times; the reference grid must refine the coarse one dyadically.
     """
-    terms = comparison_terms(coarse_slices, fine_slices, times, coarse_grid, fine_grid, eta, tf, base_stride)
-    return comparison_sup(terms, tf, alpha)
+    terms = comparison_terms([coarse_slices, fine_slices], [coarse_grid, fine_grid], times, eta, tf)
+    return comparison_sup(terms[0], tf, alpha)
 
 
 @dataclass(frozen=True)
@@ -321,63 +303,39 @@ class HolderEstimate:
     mode: str
 
 
-def estimate_exponent(
-    field: LatticeField,
-    tf: TestFunctionFamily,
-    mode: str = "space",
-    patches: int = 16,
-    time_index: int | None = None,
-) -> HolderEstimate:
+def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "space") -> HolderEstimate:
     """Least-squares slope of log sup band-pairing against log lambda.
 
     The supremum runs over base points on a lambda-proportional stride
-    (spacing lambda/2, lambda^2/2 in time) covering ``patches``
-    correlation lengths per scale. Keeping the effective sample count
+    (spacing lambda/2, lambda^2/2 in time) covering PATCHES correlation
+    lengths per scale. Keeping the effective sample count
     scale-independent removes the extreme-value log factor that otherwise
-    biases the slope low. For mode "space" on a space-time field,
-    ``time_index`` picks the slice (default: last). Raises on a degenerate
-    (all-zero) pairing table.
+    biases the slope low. Mode "space" pairs the last slice of a
+    space-time field. Raises on a degenerate (all-zero) pairing table.
     """
     grid = field.grid
     if len(tf.scales) < 4:
         raise ValueError("need >= 4 scales for >= 3 band points")
-    if mode == "space":
-        vals = field.values if field.values.ndim == 1 else field.values[-1 if time_index is None else time_index]
-        maps = [_space_pairing_map(vals, grid, tf, lam) for lam in tf.scales]
-        sups, lams = [], []
-        for lam, a, b in zip(tf.scales[:-1], maps[:-1], maps[1:]):
-            stride = max(1, int(round(lam / (2.0 * grid.eps))))
-            idx = (np.arange(2 * patches + 1) * stride) % grid.M
-            sups.append(float(np.abs(a - b)[idx].max()))
-            lams.append(lam)
-        lams = np.array(lams)
-    elif mode == "parabolic":
-        if field.values.ndim != 2:
-            raise ValueError("parabolic mode needs a space-time field")
-        maps, lams_kept = [], []
-        for lam in tf.scales:
-            pm, interior = _parabolic_pairing_map(field.values, grid, tf, lam)
-            if pm is None or interior.size == 0:
-                break
-            maps.append((pm, interior))
-            lams_kept.append(lam)
-        if len(maps) < 4:
-            raise ValueError("not enough usable parabolic scales in the horizon")
-        sups, lams = [], []
-        for (pa, ia), (pb, ib), lam in zip(maps[:-1], maps[1:], lams_kept[:-1]):
-            band = np.abs(pa - pb)
-            st_x = max(1, int(round(lam / (2.0 * grid.eps))))
-            st_t = max(1, int(round(lam**2 / (2.0 * grid.dt))))
-            # sample backwards from the late interior: slow modes only
-            # equilibrate near the end of the horizon
-            tsel = ib[-1] - np.arange(patches) * st_t
-            tsel = tsel[tsel >= ib[0]]
-            xsel = (np.arange(2 * patches + 1) * st_x) % grid.M
-            sups.append(float(band[np.ix_(tsel, xsel)].max()))
-            lams.append(lam)
-        lams = np.array(lams)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    vals = field.values[-1:] if mode == "space" and field.values.ndim == 2 else field.values
+    sups, lams = [], []
+    prev = None
+    for lam, pm, rows in _pairing_maps(vals, grid, tf, mode):
+        if prev is not None:
+            lam_a, pa = prev
+            st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
+            st_t = max(1, int(round(lam_a**2 / (2.0 * grid.dt))))
+            # sample backwards from the latest usable time of the larger
+            # scale: slow modes only equilibrate near the end of the horizon
+            t = np.arange(pm.shape[0])[rows]
+            tsel = t[-1] - np.arange(PATCHES) * st_t
+            tsel = tsel[tsel >= t[0]]
+            xsel = (np.arange(2 * PATCHES + 1) * st_x) % grid.M
+            sel = np.ix_(tsel, xsel)
+            sups.append(float(np.abs(pa[sel] - pm[sel]).max()))
+            lams.append(lam_a)
+        prev = lam, pm
+    if len(sups) < 3:
+        raise ValueError("not enough usable parabolic scales in the horizon")
     sups = np.asarray(sups, dtype=np.float64)
     lams = np.asarray(lams, dtype=np.float64)
     if np.all(sups == 0.0):

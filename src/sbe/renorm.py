@@ -40,6 +40,11 @@ __all__ = [
     "c2_continuum_mollified",
 ]
 
+# Gauss-Legendre nodes of the c2 and c21 quadrature routes
+QUAD_NODES = 2048
+# time horizon of the mollified continuum constant
+CONTINUUM_HORIZON = 0.25
+
 
 @dataclass(frozen=True)
 class RenormConstants:
@@ -99,8 +104,8 @@ def _c2_integrand(fam: OperatorFamily, k: np.ndarray) -> np.ndarray:
     return np.abs(g) ** 2 * (4.0 * fam.nu_bar**2) / (f * (4.0 * fam.nu_bar + nu_hat)) * mu_diag
 
 
-def c2_quadrature(fam: OperatorFamily, grid: GridSpec, n_nodes: int = 2048) -> float:
-    k, w = _gl_nodes(n_nodes)
+def c2_quadrature(fam: OperatorFamily, grid: GridSpec) -> float:
+    k, w = _gl_nodes(QUAD_NODES)
     return float(np.sum(w * _c2_integrand(fam, k)) / grid.eps)
 
 
@@ -151,10 +156,10 @@ def _c21_integrand(fam: OperatorFamily, k: np.ndarray) -> np.ndarray:
     return -_im_g_mu_over_k(fam, k) * np.abs(g) ** 2 * weight * mu_diag
 
 
-def c21(fam: OperatorFamily, method: str = "quadrature", grid: GridSpec | None = None, n_nodes: int = 2048) -> float:
+def c21(fam: OperatorFamily, method: str = "quadrature", grid: GridSpec | None = None) -> float:
     """Drift constant; identically 0 whenever g is real and mu_hat(-k,0) real."""
     if method == "quadrature":
-        k, w = _gl_nodes(n_nodes)
+        k, w = _gl_nodes(QUAD_NODES)
         return float(np.sum(w * _c21_integrand(fam, k)))
     if method == "mode_sum":
         if grid is None:
@@ -186,7 +191,7 @@ def _bump_exp_moment_shifted(a: np.ndarray, n_quad: int = 96) -> np.ndarray:
     return np.sum(w * vals * np.exp(np.multiply.outer(a, x - 1.0)), axis=-1)
 
 
-def c2_continuum_mollified(eps_bar: float, quad_grid: int = 8, t_max: float = 0.25) -> float:
+def c2_continuum_mollified(eps_bar: float, quad_grid: int = 8) -> float:
     """int (d_x (K * rho_eps_bar))^2 over space-time, K the continuum kernel.
 
     Evaluated in parabolic units of eps_bar via space-Fourier quadrature:
@@ -194,14 +199,14 @@ def c2_continuum_mollified(eps_bar: float, quad_grid: int = 8, t_max: float = 0.
     the heat semigroup enters as e^{-4 pi^2 xi^2 s}. The window tau in
     (0, 1] around the mollifier support is integrated on a grid controlled
     by ``quad_grid``; the tau > 1 tail is closed-form. Scales exactly like
-    eps_bar^-1 up to the finite-horizon offset. Diagnostic only.
+    eps_bar^-1 up to the CONTINUUM_HORIZON offset. Diagnostic only.
     """
     if not 0.0 < eps_bar <= 0.25:
         raise ValueError("eps_bar must lie in (0, 1/4]")
     q = int(quad_grid)
     if q < 2:
         raise ValueError("quad_grid too small")
-    tau_max = t_max / eps_bar**2
+    tau_max = CONTINUUM_HORIZON / eps_bar**2
 
     xi = np.linspace(0.0, 8.0, 64 * q + 1)[1:]
     dxi = xi[1] - xi[0]

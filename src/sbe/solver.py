@@ -115,7 +115,7 @@ def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.n
     return u + cfg.grid.dt * incr
 
 
-def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float, seed: int | None = None) -> Trajectory:
+def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
     """Iterate the scheme, recording every stride-th slice.
 
     On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
@@ -133,7 +133,7 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float, seed: in
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 has non-finite entries")
     snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed if seed is None else seed)
+    traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed)
     for n in range(n_steps):
         u = step_forward(cfg, u, noise.values[n])
         if _escaped(u):
@@ -188,7 +188,6 @@ def coupled_convergence_study(
     alpha: float = -0.6,
     eta: float = -0.6,
     b_drift: float = 0.0,
-    guard: float = ESCAPE_GUARD,
 ) -> ConvergenceStudy:
     """Coupled-noise solves at consecutive dyadic levels and pairwise comparison norms.
 
@@ -201,7 +200,7 @@ def coupled_convergence_study(
     A replica leaves the batch at the first step where any level escapes
     (sup norm past BLOWUP_THRESHOLD, or not a number), since no later time is common to all
     levels; its remaining noise is never drawn. At each coarse time the
-    replicas whose levels all lie within ``guard`` update their running
+    replicas whose levels all lie within ESCAPE_GUARD update their running
     comparison-norm maxima (one scale set for every pair, so levels are
     measured with the same yardstick). Replicas with fewer than
     MIN_CLEAN_TIMES such times are dropped from the statistics.
@@ -218,14 +217,13 @@ def coupled_convergence_study(
     schemes = [SchemeConfig(fam=fam, grid=g, b_drift=b_drift) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
     every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step
-    pairs = list(range(len(levels) - 1))
 
     gens = [noise_stream(seed + r) for r in range(replicas)]
     u = [np.stack([ic_white_noise(grids[-1], seed + r) for r in range(replicas)])]
     for _ in levels[:-1]:
         u.insert(0, coarsen_slice(u[0]))
     alive = np.arange(replicas)
-    sups = np.zeros((len(pairs), len(tf.scales), replicas))
+    sups = np.zeros((len(levels) - 1, len(tf.scales), replicas))
     clean = np.zeros(replicas, dtype=int)
     escape_times: list = [None] * replicas
 
@@ -251,7 +249,7 @@ def coupled_convergence_study(
                 xi = [x[keep] for x in xi]
         inside = np.ones(alive.size, dtype=bool)
         for v in u:
-            inside &= np.abs(v).max(axis=-1) <= guard
+            inside &= np.abs(v).max(axis=-1) <= ESCAPE_GUARD
         if not inside.any():
             continue
         ids = alive[inside]
@@ -259,9 +257,8 @@ def coupled_convergence_study(
         # rounded like the record keys of the per-replica study, so the time
         # weights (and the norms) stay bit for bit the same
         times = np.full(ids.size, round((k + 1) * coarse.dt, 12))
-        for p in pairs:
-            terms = comparison_terms(u[p][inside], u[p + 1][inside], times, grids[p], grids[p + 1], eta, tf)
-            sups[p][:, ids] = np.maximum(sups[p][:, ids], terms)
+        terms = comparison_terms([v[inside] for v in u], grids, times, eta, tf)
+        sups[:, :, ids] = np.maximum(sups[:, :, ids], terms)
 
     names = [f"{a}->{b}" for a, b in zip(levels[:-1], levels[1:])]
     per_pair: dict[str, list[float]] = {name: [] for name in names}
@@ -271,7 +268,7 @@ def coupled_convergence_study(
         if clean[r] < MIN_CLEAN_TIMES:
             dropped.append(r)
             continue
-        for p, name in zip(pairs, names):
+        for p, name in enumerate(names):
             val = comparison_sup(sups[p][:, r : r + 1], tf, alpha)
             per_pair[name].append(val)
             rows.append((r, name, val))

@@ -195,3 +195,42 @@ class TestMainEntry:
         for kind in EXPERIMENT_KINDS:
             with pytest.raises(SystemExit):
                 main([kind, "--help"])
+
+
+class TestMalformedConfig:
+    """A config the schema cannot read exits 2 with a config error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            3,
+            [FAMILY],
+            {"family": FAMILY, "N": 5, "seed": "x"},
+            {"family": FAMILY, "N_range": 5},
+            {"family": FAMILY, "N": 5, "T": "soon"},
+            {"family": FAMILY, "N": 5, "replicas": None},
+            {"family": FAMILY, "N": 5, "alpha": [1]},
+            {"family": FAMILY, "N": 5, "eta": {}},
+            {"family": FAMILY, "N": 5, "seed": 1e400},
+            {"family": FAMILY, "N": 5, "initial": 5},
+        ],
+    )
+    def test_exit_two_config_error(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["T", "seed", "replicas", "alpha", "eta", "N_range"])
+    def test_uncoercible_field_named(self, field):
+        with pytest.raises(SchemaError, match=field):
+            config_from_dict({"kind": "validate", "family": FAMILY, "N": 5, field: "x"})
+
+    def test_bad_seed_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SBE_SEED", "abc")
+        path = write_config(tmp_path, {"family": FAMILY, "N": 5})
+        assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+        assert "config error" in capsys.readouterr().err

@@ -6,10 +6,12 @@ from sbe.norms import (
     TestFunctionFamily as BumpFamily,
     besov_norm_negative,
     comparison_norm,
+    comparison_terms,
     estimate_exponent,
     holder_norm_parabolic,
     holder_norm_space,
     make_test_family,
+    _parabolic_pairing_map,
     _space_pairing_map,
 )
 
@@ -56,6 +58,22 @@ class TestHolderSpace:
         fg = LatticeField(grid, f.values + g.values, t0_index=1)
         args = (0.4, -0.3)
         assert holder_norm_space(fg, *args) <= holder_norm_space(f, *args) + holder_norm_space(g, *args) + 1e-12
+
+    def test_matches_pairwise_loop(self, rng):
+        """Every slice and site pair, by the definition, on a field with an explosion weight."""
+        grid = GridSpec(4, 0.0625)
+        field = LatticeField(grid, rng.standard_normal((grid.n_steps, grid.M)), t0_index=1)
+        alpha, eta, T = 0.4, -0.3, 0.03
+        best_abs = best_inc = 0.0
+        for v, t in zip(field.values, field.times):
+            if t > T + 1e-14:
+                continue
+            te = min(max(np.sqrt(t), grid.eps), 1.0)
+            best_abs = max(best_abs, np.abs(v).max() * te ** (-eta))
+            for i in range(grid.M):
+                for j in range(i + 1, grid.M):
+                    best_inc = max(best_inc, te ** (alpha - eta) * abs(v[j] - v[i]) / ((j - i) * grid.eps) ** alpha)
+        assert holder_norm_space(field, alpha, eta, T) == pytest.approx(best_abs + best_inc, rel=1e-12)
 
     def test_alpha_range_guard(self):
         grid = GridSpec(4, 0.0625)
@@ -238,3 +256,63 @@ class TestEstimateExponent:
         assert len(est.scales) == len(est.sup_pairings) >= 3
         assert est.mode == "space"
         assert np.isfinite(est.residual)
+
+
+def test_family_rejects_unordered_scales():
+    with pytest.raises(ValueError, match="increasing"):
+        BumpFamily(r=4, scales=np.array([0.25, 0.125, 0.5]))
+    with pytest.raises(ValueError, match="increasing"):
+        BumpFamily(r=4, scales=np.array([0.125, 0.125, 0.25]))
+    with pytest.raises(ValueError, match="positive"):
+        BumpFamily(r=4, scales=np.array([0.0, 0.125]))
+
+
+@pytest.mark.parametrize("call", ["besov", "exponent"])
+def test_unknown_mode_named(call):
+    grid = GridSpec(6, 0.25)
+    tf = make_test_family(grid)
+    field = LatticeField(grid, white_slice(grid, 0))
+    with pytest.raises(ValueError, match="unknown mode"):
+        if call == "besov":
+            besov_norm_negative(field, -0.5, tf, mode="banana")
+        else:
+            estimate_exponent(field, tf, mode="banana")
+
+
+def test_comparison_terms_levels_at_once_match_pairs():
+    """Three levels in one call give the two two-level calls, bit for bit.
+
+    The scales start at the middle level's eps, so the smallest one lies
+    below the coarse eps and must leave the first pair at 0.
+    """
+    grids = [GridSpec(n, 0.25) for n in (5, 6, 7)]
+    tf = make_test_family(grids[1], lambda_max=0.5)
+    slices = [np.stack([white_slice(g, 10 * r + g.N) for r in range(3)]) for g in grids]
+    times = np.array([0.01, 0.0625, 0.25])
+    at_once = comparison_terms(slices, grids, times, -0.6, tf)
+    first = comparison_terms(slices[:2], grids[:2], times, -0.6, tf)
+    second = comparison_terms(slices[1:], grids[1:], times, -0.6, tf)
+    assert at_once.shape == (2, len(tf.scales), 3)
+    assert np.array_equal(at_once, np.concatenate([first, second]))
+    assert np.all(at_once[0, 0] == 0.0) and np.all(at_once[1, 0] > 0.0)
+
+
+def test_parabolic_bands_sample_back_from_the_larger_scale():
+    """Band sups equal a per-scale reference that samples times backwards
+    from the end of the larger scale's interior, on the smaller scale's strides."""
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    vals = sample_noise(grid, 4).values
+    est = estimate_exponent(LatticeField(grid, vals), tf, mode="parabolic")
+    maps = [_parabolic_pairing_map(vals, grid, tf, lam) for lam in tf.scales]
+    maps = maps[: maps.index(None)]
+    ref = []
+    for lam, (pa, _), (pb, ib) in zip(tf.scales, maps[:-1], maps[1:]):
+        st_x = max(1, int(round(lam / (2.0 * grid.eps))))
+        st_t = max(1, int(round(lam**2 / (2.0 * grid.dt))))
+        tsel = ib[-1] - np.arange(16) * st_t
+        tsel = tsel[tsel >= ib[0]]
+        xsel = (np.arange(33) * st_x) % grid.M
+        ref.append(np.abs(pa - pb)[np.ix_(tsel, xsel)].max())
+    assert len(ref) == 3
+    assert np.array_equal(est.sup_pairings, ref)
