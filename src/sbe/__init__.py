@@ -8,7 +8,7 @@ estimates discrete Hoelder-Besov regularity.
 
 __version__ = "0.1.0"
 
-from .grids import GridSpec, LatticeField, NoiseField, coarsen_noise, mollify_noise, sample_noise
+from .grids import GridSpec, LatticeField, NoiseField, coarsen_noise, sample_noise
 from .heat import HeatKernel, KernelSplit
 from .measures import (
     AtomicMeasure1D,
@@ -34,16 +34,8 @@ from .norms import (
     holder_norm_space,
     make_test_family,
 )
-from .operators import OperatorFamily, check_parseval_twisted, derivative, dft, idft, laplacian, twisted_product
-from .processes import (
-    RemainderSample,
-    TreeProcessSet,
-    lift,
-    remainder_r1222,
-    remainder_r21,
-    sample_remainder,
-    singular_order_probe,
-)
+from .operators import OperatorFamily, check_parseval_twisted, derivative, laplacian, twisted_product
+from .processes import TreeProcessSet, lift, remainder_r1222, remainder_r21
 from .renorm import RenormConstants, c2_continuum_mollified, c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,

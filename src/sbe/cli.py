@@ -56,6 +56,8 @@ EXPERIMENT_KINDS = (
 )
 
 N_GUARD = 10
+DRIFT_MODES = ("none", "renormalized")
+INITIAL_KINDS = ("zero", "constant", "white-noise")
 
 
 class SchemaError(ValueError):
@@ -181,18 +183,27 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
     for n in cfg.levels():
         if not isinstance(n, int) or n < 1 or n > N_GUARD:
             raise SchemaError(f"N: level {n} outside 1..{N_GUARD} (desk-scale guard)")
+    if not (math.isfinite(cfg.T) and cfg.T > 0):
+        raise SchemaError(f"T: expected a finite horizon > 0, got {cfg.T!r}")
+    for n in cfg.levels():
+        steps = cfg.T * 4**n
+        if abs(steps - round(steps)) > 1e-9:
+            raise SchemaError(f"T: {cfg.T!r} is not a whole number of time steps 4^-{n} at level {n}")
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
+    number = isinstance(cfg.drift, (int, float)) and not isinstance(cfg.drift, bool)
+    if not (number and math.isfinite(cfg.drift) or cfg.drift in DRIFT_MODES):
+        raise SchemaError(f"drift: expected 'none', 'renormalized' or a finite number, got {cfg.drift!r}")
+    if cfg.initial.get("kind", "zero") not in INITIAL_KINDS:
+        raise SchemaError(f"initial.kind: expected one of {', '.join(INITIAL_KINDS)}, got {cfg.initial.get('kind')!r}")
     measures_from_config(cfg.family)  # fail fast on malformed atoms
     return cfg
 
 
 def _drift_value(cfg: ExperimentConfig, fam: OperatorFamily) -> float:
-    if isinstance(cfg.drift, (int, float)) and not isinstance(cfg.drift, bool):
-        return drift_coefficient(fam, "custom", float(cfg.drift))
-    if cfg.drift in ("none", "renormalized"):
+    if cfg.drift in DRIFT_MODES:
         return drift_coefficient(fam, cfg.drift)
-    raise SchemaError("drift: expected 'none', 'renormalized' or a number")
+    return float(cfg.drift)
 
 
 def _initial_slice(cfg: ExperimentConfig, grid: GridSpec) -> np.ndarray:
@@ -201,9 +212,7 @@ def _initial_slice(cfg: ExperimentConfig, grid: GridSpec) -> np.ndarray:
         return ic_zero(grid)
     if kind == "constant":
         return ic_constant(grid, float(cfg.initial.get("value", 0.0)))
-    if kind == "white-noise":
-        return ic_white_noise(grid, cfg.seed)
-    raise SchemaError("initial.kind: expected zero, constant or white-noise")
+    return ic_white_noise(grid, cfg.seed)
 
 
 @dataclass
@@ -214,15 +223,14 @@ class ResultBundle:
     exit_code: int = 0
 
 
-def emit(bundle: ResultBundle, directory: str | None = None) -> None:
+def emit(bundle: ResultBundle) -> None:
     """Write the manifest for a bundle, checksumming every listed file."""
-    outdir = directory or bundle.directory
     entries = []
     for name in sorted(bundle.files):
-        path = os.path.join(outdir, name)
+        path = os.path.join(bundle.directory, name)
         entries.append({"name": name, "sha256": sha256_file(path), "bytes": os.path.getsize(path)})
     bundle.manifest["files"] = entries
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with open(os.path.join(bundle.directory, "manifest.json"), "w") as fh:
         json.dump(bundle.manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

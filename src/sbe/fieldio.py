@@ -1,9 +1,9 @@
-"""Binary field dumps with JSON sidecars, plus CSV helpers.
+"""Binary field dumps with JSON sidecars, plus the CSV writer.
 
 Layout: flat little-endian float64, time-major C order, one ``.bin`` per
 field with a ``.json`` sidecar carrying {N, T, seed, layout}. CSV is for
-small grids and diagnostic tables; formatting uses %.17g so identical
-inputs reproduce identical bytes.
+diagnostic tables; formatting uses %.17g so identical inputs reproduce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-__all__ = ["write_field", "read_field", "write_csv", "field_to_csv", "sha256_file"]
+__all__ = ["write_field", "read_field", "write_csv", "sha256_file"]
 
 
 def write_field(directory: str, name: str, values: np.ndarray, meta: dict) -> list[str]:
@@ -60,12 +60,6 @@ def _format_cell(c):
     if isinstance(c, (np.integer,)):
         return str(int(c))
     return c
-
-
-def field_to_csv(path: str, values: np.ndarray) -> None:
-    """Small-grid export: one row per time slice (or one row for a slice)."""
-    arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    write_csv(path, [f"x{i}" for i in range(arr.shape[1])], arr.tolist())
 
 
 def sha256_file(path: str) -> str:

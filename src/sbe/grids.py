@@ -25,7 +25,6 @@ __all__ = [
     "coarsen_noise",
     "coarsen_slice",
     "mollify",
-    "mollify_noise",
     "rng_for",
     "bump",
 ]
@@ -216,9 +215,3 @@ def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_c
         for b in range(-rs, rs + 1):
             out += w[a + rt, b + rs] * np.roll(rolled_t, -b, axis=1)
     return grid.eps**3 * out
-
-
-def mollify_noise(noise: NoiseField, radius_cells_time: int, radius_cells_space: int) -> NoiseField:
-    """The noise field mollified by ``mollify``."""
-    values = mollify(noise.values, noise.grid, radius_cells_time, radius_cells_space)
-    return NoiseField(grid=noise.grid, seed=noise.seed, values=values)

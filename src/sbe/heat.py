@@ -84,24 +84,13 @@ class HeatKernel:
         return bool(self.multiplier.min() < 0.55)
 
     def columns(self, n_max: int) -> np.ndarray:
-        """Rows 0..n_max of the kernel, cached; memory is M*(n_max+1) reals.
-
-        For horizons too long to cache, evaluate kernel_column per time
-        instead of growing this array.
-        """
+        """Rows 0..n_max of the kernel, cached; memory is M*(n_max+1) reals."""
         if n_max >= self._columns.shape[0]:
             n = np.arange(self._columns.shape[0], n_max + 1)
             powers = np.exp(np.multiply.outer(n, np.log(self.multiplier)))
             new = np.fft.ifft(powers, axis=-1).real / self.grid.eps
             self._columns = np.vstack([self._columns, new])
         return self._columns[: n_max + 1]
-
-    def kernel_column(self, t: float) -> np.ndarray:
-        """P_t(.) for t >= 0; zero by convention for t < 0."""
-        if t < 0:
-            return np.zeros(self.grid.M)
-        n = int(round(t / self.grid.dt))
-        return self.columns(n)[n].copy()
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """One explicit Euler step u + eps^2 lap u, by the stencil.
@@ -168,6 +157,3 @@ class BoundsDiagnostic:
     times: np.ndarray
     per_time_max: np.ndarray
     sup: float
-
-    def rows(self):
-        return list(zip(self.times.tolist(), self.per_time_max.tolist()))

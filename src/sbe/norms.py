@@ -43,6 +43,8 @@ __all__ = [
 
 # base points per band in estimate_exponent: 2 PATCHES + 1 in space, PATCHES in time
 PATCHES = 16
+# continuous derivatives r of the bump profile that make_test_family builds
+PROFILE_SMOOTHNESS = 4
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class TestFunctionFamily:
         return out
 
 
-def make_test_family(grid: GridSpec, r: int = 4, lambda_min: float | None = None, lambda_max: float = 1.0) -> TestFunctionFamily:
+def make_test_family(grid: GridSpec, lambda_min: float | None = None, lambda_max: float = 1.0) -> TestFunctionFamily:
     """Dyadic scales eps * 2^j clipped to [lambda_min, lambda_max]."""
     lo = grid.eps if lambda_min is None else lambda_min
     scales = []
@@ -83,7 +85,7 @@ def make_test_family(grid: GridSpec, r: int = 4, lambda_min: float | None = None
         if lam >= lo - 1e-12:
             scales.append(lam)
         lam *= 2.0
-    return TestFunctionFamily(r=r, scales=np.array(scales))
+    return TestFunctionFamily(r=PROFILE_SMOOTHNESS, scales=np.array(scales))
 
 
 def _t_eps(times: np.ndarray, eps: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Discrete Laplacian, derivative and twisted product, plus the DFT layer.
+"""Discrete Laplacian, derivative and twisted product, and their multipliers.
 
 All three operators act on periodic fields through the family's atomic
 measures:
@@ -38,8 +38,6 @@ __all__ = [
     "laplacian",
     "derivative",
     "twisted_product",
-    "dft",
-    "idft",
     "modes",
     "stepping_multiplier",
     "derivative_multiplier",
@@ -92,16 +90,6 @@ def _stencil_apply(measure: AtomicMeasure1D, coeff: float, u: np.ndarray) -> np.
 def modes(M: int) -> np.ndarray:
     """Integer torus frequencies in FFT order: 0..M/2-1, -M/2..-1."""
     return np.rint(np.fft.fftfreq(M) * M).astype(np.int64)
-
-
-def dft(u: np.ndarray, eps: float) -> np.ndarray:
-    """Forward transform with the eps weight, acting on the last axis."""
-    return eps * np.fft.fft(u, axis=-1)
-
-
-def idft(spectrum: np.ndarray, eps: float) -> np.ndarray:
-    """Mode-sum inverse; returns a complex array (round trip <= 1e-12)."""
-    return np.fft.ifft(spectrum, axis=-1) / eps
 
 
 def stepping_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray:
@@ -170,8 +158,8 @@ def check_parseval_twisted(fam: OperatorFamily, f: np.ndarray, g: np.ndarray, ep
     g = np.asarray(g, dtype=np.float64)
     M = f.shape[-1]
     lhs = eps * np.sum(twisted_product(fam.mu, f, g))
-    Ff = dft(f, eps)
-    Fg = dft(g, eps)
+    Ff = eps * np.fft.fft(f, axis=-1)
+    Fg = eps * np.fft.fft(g, axis=-1)
     k = modes(M)
     Fg_neg = Fg[(-k) % M]
     mu_hat = fourier_mu(fam.mu, -eps * k, eps * k)

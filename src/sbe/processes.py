@@ -32,13 +32,10 @@ from .renorm import RenormConstants
 
 __all__ = [
     "TreeProcessSet",
-    "RemainderSample",
     "TREE_LABELS",
     "lift",
     "remainder_r21",
     "remainder_r1222",
-    "sample_remainder",
-    "singular_order_probe",
 ]
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
@@ -194,44 +191,18 @@ def lift(
     )
 
 
-@dataclass(frozen=True)
-class RemainderSample:
-    """One evaluated remainder: which tree, where expanded, where probed."""
-
-    label: str
-    base_point: tuple
-    evaluation_point: tuple
-    value: float
-
-    def __post_init__(self):
-        if self.label not in ("R21", "R1222"):
-            raise ValueError("label must be R21 or R1222")
-        if not np.isfinite(self.value):
-            raise ValueError("remainder value must be finite")
-
-
-def sample_remainder(tps: "TreeProcessSet", fam: OperatorFamily, label: str, base, point) -> RemainderSample:
-    """Evaluate one remainder and wrap it with its provenance."""
-    if label == "R21":
-        t_idx, x_idx = base
-        _, y_idx = point
-        value = remainder_r21(tps, fam, t_idx, x_idx, y_idx)
-        point = (t_idx, y_idx)
-    elif label == "R1222":
-        value = remainder_r1222(tps, fam, base, point)
-    else:
-        raise ValueError("label must be R21 or R1222")
-    return RemainderSample(label=label, base_point=tuple(base), evaluation_point=tuple(point), value=value)
+def _twisted_at(fam: OperatorFamily, f: np.ndarray, x: int, g: np.ndarray, y: int) -> float:
+    """int f(x + y1) g(y + y2) mu(dy1, dy2) on the torus, atom by atom."""
+    M = f.shape[-1]
+    acc = 0.0
+    for (j1, j2), w in fam.mu.atoms:
+        acc += w * f[(x + j1) % M] * g[(y + j2) % M]
+    return acc
 
 
 def remainder_r21(tps: TreeProcessSet, fam: OperatorFamily, t_idx: int, x_idx: int, y_idx: int) -> float:
     """R21(t, x; y) = T21(t, y) - int T11(t, x+y1) T1(t, y+y2) mu(dy1, dy2)."""
-    M = tps.grid.M
-    t11 = tps["T11"][t_idx]
-    t1 = tps["T1"][t_idx]
-    acc = 0.0
-    for (j1, j2), w in fam.mu.atoms:
-        acc += w * t11[(x_idx + j1) % M] * t1[(y_idx + j2) % M]
+    acc = _twisted_at(fam, tps["T11"][t_idx], x_idx, tps["T1"][t_idx], y_idx)
     return float(tps["T21"][t_idx, y_idx] - acc)
 
 
@@ -239,22 +210,6 @@ def remainder_r1222(tps: TreeProcessSet, fam: OperatorFamily, z: tuple, zbar: tu
     """R1222(z; zbar) with the cached DxP * T1 from the lift."""
     if tps.dxp_t1 is None:
         raise ValueError("lift did not build T1222 / the cached DxP*T1")
-    M = tps.grid.M
     (t_idx, x_idx), (tb_idx, xb_idx) = z, zbar
-    t122 = tps["T122"][t_idx]
-    dxp = tps.dxp_t1[tb_idx]
-    acc = 0.0
-    for (j1, j2), w in fam.mu.atoms:
-        acc += w * t122[(x_idx + j1) % M] * dxp[(xb_idx + j2) % M]
+    acc = _twisted_at(fam, tps["T122"][t_idx], x_idx, tps.dxp_t1[tb_idx], xb_idx)
     return float(tps["T1222"][tb_idx, xb_idx] - acc)
-
-
-def singular_order_probe(values: np.ndarray, grid: GridSpec, claimed_order: float) -> float:
-    """Sup of |forward-difference derivatives| / |z|_{s,eps}^(zeta - |k|_s).
-
-    Thin wrapper over the singular-kernel order norm at derivative depth 2;
-    a value stable across N certifies the claimed order empirically.
-    """
-    from .kernels import DiscreteKernel, order_norm
-
-    return order_norm(DiscreteKernel(values=values, grid=grid, claimed_order=claimed_order), claimed_order, m=2)

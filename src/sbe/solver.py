@@ -11,8 +11,6 @@ dyadic self-convergence study steps all replicas and levels together.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +48,12 @@ def _escaped(u: np.ndarray):
     return ~(np.abs(u).max(axis=-1) <= BLOWUP_THRESHOLD)
 
 
-def drift_coefficient(fam: OperatorFamily, mode: str = "renormalized", value: float | None = None) -> float:
-    """Drift modes: none -> 0, renormalized -> -4*c21, custom -> value."""
+def drift_coefficient(fam: OperatorFamily, mode: str = "renormalized") -> float:
+    """Drift modes: none -> 0, renormalized -> -4*c21."""
     if mode == "none":
         return 0.0
     if mode == "renormalized":
         return -4.0 * c21(fam, method="quadrature")
-    if mode == "custom":
-        if value is None:
-            raise ValueError("custom drift mode needs a value")
-        return float(value)
     raise ValueError(f"unknown drift mode {mode!r}")
 
 
@@ -76,24 +70,10 @@ class SchemeConfig:
         if self.record_stride < 1:
             raise ValueError("record stride must be >= 1")
 
-    def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                "family": self.fam.fingerprint(),
-                "N": self.grid.N,
-                "T": self.grid.T,
-                "b_drift": self.b_drift,
-                "stride": self.record_stride,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
 
 @dataclass
 class Trajectory:
     snapshots: list  # (t, slice) with strictly increasing multiples of eps^2
-    config_fingerprint: str
     seed: int
     blowup: bool = False
     blowup_time: float | None = None
@@ -133,7 +113,7 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 has non-finite entries")
     snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed)
+    traj = Trajectory(snapshots=snaps, seed=noise.seed)
     for n in range(n_steps):
         u = step_forward(cfg, u, noise.values[n])
         if _escaped(u):

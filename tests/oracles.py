@@ -34,7 +34,7 @@ def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) 
     forcing_hats: list[np.ndarray] = []
     u = u0.copy()
     snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, config_fingerprint=cfg.fingerprint(), seed=noise.seed)
+    traj = Trajectory(snapshots=snaps, seed=noise.seed)
     for n in range(1, n_steps + 1):
         prev = u
         forcing = twisted_product(cfg.fam.mu, prev, prev) + cfg.b_drift * prev + noise.values[n - 1]

@@ -234,3 +234,33 @@ class TestMalformedConfig:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestConfigFailsBeforeOutput:
+    """A bad horizon, drift or initial kind exits 2, naming it, before any output directory exists."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"T": 0},
+            {"T": -1},
+            {"T": float("nan")},
+            {"T": float("inf")},
+            {"T": 0.1},
+            {"drift": "sideways"},
+            {"initial": {"kind": "spiky"}},
+        ],
+    )
+    def test_exit_two_nothing_created(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, dict({"family": FAMILY, "N": 5, "T": 0.125}, **bad))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        field = "initial.kind" if "initial" in bad else next(iter(bad))
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_horizon_checked_at_every_level(self):
+        # 1/64 is a whole number of steps at N = 3 but not at N = 2
+        config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [3, 4], "T": 1 / 64})
+        with pytest.raises(SchemaError, match="^T: .* level 2"):
+            config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [2, 3], "T": 1 / 64})

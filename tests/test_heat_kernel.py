@@ -11,19 +11,15 @@ def hk(fam_bw_ss):
 
 
 def test_initial_column_is_scaled_delta(hk):
-    col = hk.kernel_column(0.0)
+    col = hk.columns(0)[0]
     expected = np.zeros(32)
     expected[0] = 32.0
     np.testing.assert_array_equal(col, expected)
 
 
-def test_negative_time_vanishes(hk):
-    assert not hk.kernel_column(-0.25).any()
-
-
 def test_one_step_values(hk):
     grid = hk.grid
-    col = hk.kernel_column(grid.dt) * grid.eps
+    col = hk.columns(1)[1] * grid.eps
     assert col[0] == pytest.approx(0.75, abs=1e-13)
     assert col[1] == pytest.approx(0.125, abs=1e-13)
     assert col[-1] == pytest.approx(0.125, abs=1e-13)
@@ -70,7 +66,7 @@ def test_step_chaining_matches_column(hk):
     u[0] = 1.0 / grid.eps
     for _ in range(9):
         u = hk.step(u)
-    np.testing.assert_allclose(u, hk.kernel_column(9 * grid.dt), atol=1e-10)
+    np.testing.assert_allclose(u, hk.columns(9)[9], atol=1e-10)
 
 
 def test_step_spectral_diagonal(hk, rng):

@@ -8,8 +8,6 @@ from sbe.operators import (
     check_parseval_twisted,
     derivative,
     derivative_multiplier,
-    dft,
-    idft,
     laplacian,
     modes,
     stepping_multiplier,
@@ -170,25 +168,6 @@ def test_time_convolve_broadcasts_column_weights(rng):
 
 
 class TestDFT:
-    def test_delta_spectrum(self):
-        grid = GridSpec(5, 0.25)
-        u = np.zeros(grid.M)
-        u[0] = 1.0 / grid.eps
-        np.testing.assert_allclose(dft(u, grid.eps), 1.0, atol=1e-12)
-
-    def test_round_trip(self, rng):
-        grid = GridSpec(6, 0.25)
-        u = rng.standard_normal(grid.M)
-        back = idft(dft(u, grid.eps), grid.eps)
-        assert np.max(np.abs(back.real - u)) < 1e-12
-        assert np.max(np.abs(back.imag)) < 1e-12
-
-    def test_convolution_theorem(self, rng):
-        grid = GridSpec(6, 0.25)
-        f, g = rng.standard_normal((2, grid.M))
-        conv = grid.eps * np.fft.ifft(np.fft.fft(f) * np.fft.fft(g)).real
-        np.testing.assert_allclose(dft(conv, grid.eps), dft(f, grid.eps) * dft(g, grid.eps), atol=1e-10)
-
     def test_mode_layout(self):
         m = modes(8)
         np.testing.assert_array_equal(m, [0, 1, 2, 3, -4, -3, -2, -1])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
+from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
-from sbe.processes import TREE_LABELS, lift, remainder_r1222, remainder_r21, singular_order_probe
+from sbe.processes import TREE_LABELS, lift, remainder_r1222, remainder_r21
 from sbe.renorm import RenormConstants, compute_constants
 
 
@@ -160,17 +161,15 @@ def test_kernel_mode_consistency(fam_bw_ss):
 class TestSingularOrderProbe:
     def test_zero_kernel(self):
         grid = GridSpec(5, 0.25)
-        assert singular_order_probe(np.zeros((8, grid.M)), grid, -1.0) == 0.0
+        assert order_norm(DiscreteKernel(np.zeros((8, grid.M)), grid, -1.0), -1.0, m=2) == 0.0
 
     def test_scaled_delta(self):
-        from sbe.kernels import DiscreteKernel, order_norm
-
         grid = GridSpec(5, 0.25)
         k = np.zeros((4, grid.M))
         k[0, 0] = 1.0 / grid.eps
         # the undifferentiated ratio at the origin is exactly one
         assert order_norm(DiscreteKernel(k, grid, -1.0), -1.0, m=0) == pytest.approx(1.0, rel=1e-12)
-        full = singular_order_probe(k, grid, -1.0)
+        full = order_norm(DiscreteKernel(k, grid, -1.0), -1.0, m=2)
         assert np.isfinite(full) and full >= 1.0
 
     def test_split_kernel_stability(self, fam_bw_ss):
@@ -180,21 +179,6 @@ class TestSingularOrderProbe:
         for N in (5, 6, 7):
             grid = GridSpec(N, 0.25)
             sp = HeatKernel(grid, fam_bw_ss).split(0.25)
-            vals.append(singular_order_probe(sp.K, grid, -1.0))
+            vals.append(order_norm(DiscreteKernel(sp.K, grid, -1.0), -1.0, m=2))
         assert max(vals) / min(vals) < 2.0
 
-
-def test_remainder_sample_record(fam_bw_ss, setup):
-    from sbe.processes import RemainderSample, sample_remainder
-
-    grid, consts = setup
-    tps = lift(sample_noise(grid, 12), fam_bw_ss, consts)
-    s = sample_remainder(tps, fam_bw_ss, "R21", (5, 2), (5, 9))
-    assert s.label == "R21" and s.evaluation_point == (5, 9)
-    assert s.value == remainder_r21(tps, fam_bw_ss, 5, 2, 9)
-    s2 = sample_remainder(tps, fam_bw_ss, "R1222", (5, 2), (7, 9))
-    assert s2.value == remainder_r1222(tps, fam_bw_ss, (5, 2), (7, 9))
-    with pytest.raises(ValueError):
-        RemainderSample("R99", (0, 0), (0, 0), 1.0)
-    with pytest.raises(ValueError):
-        RemainderSample("R21", (0, 0), (0, 0), float("nan"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sbe import kernels
 from sbe.grids import GridSpec
 from sbe.heat import HeatKernel, signed_torus_coordinate
 from sbe.kernels import (
@@ -11,6 +12,7 @@ from sbe.kernels import (
     mollification_loss_probe,
     order_norm,
     renormalized_convolve,
+    renormalized_square_check,
     twisted_kernel_product,
 )
 from sbe.operators import derivative_multiplier
@@ -135,6 +137,20 @@ class TestRenormalizedConvolve:
         sq, k, _ = self.make_window_pair(fam_bw_pw, 6)
         out = renormalized_convolve(sq, k)
         assert np.isfinite(order_norm(out, out.claimed_order, 0))
+
+
+class TestRenormalizedSquareCheck:
+    def test_residual_is_a_rounding_gap(self, fam_bw_pw):
+        _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
+        assert 0.0 < resid <= 1e-15
+
+    def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
+        # the direct sum does not go through the FFT convolution, so a
+        # relative error of 1e-9 there must show in the residual
+        fft_route = kernels._spacetime_convolve
+        monkeypatch.setattr(kernels, "_spacetime_convolve", lambda a, b, grid: fft_route(a, b, grid) * (1 + 1e-9))
+        _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
+        assert resid > 1e-12
 
 
 class TestProbes:

@@ -137,9 +137,6 @@ def test_drift_coefficient_modes(fam_bw_pw, fam_ce_pw):
     assert drift_coefficient(fam_bw_pw, "renormalized") == pytest.approx(
         -4.0 * __import__("sbe").c21(fam_bw_pw, "quadrature"), rel=1e-12
     )
-    assert drift_coefficient(fam_bw_pw, "custom", 1.5) == 1.5
-    with pytest.raises(ValueError):
-        drift_coefficient(fam_bw_pw, "custom")
 
 
 def test_ic_white_noise_variance():
