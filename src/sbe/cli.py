@@ -20,7 +20,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,20 +44,10 @@ from .solver import (
     run,
 )
 
-EXPERIMENT_KINDS = (
-    "validate",
-    "constants",
-    "heat-kernel",
-    "simulate",
-    "processes",
-    "regularity",
-    "convergence",
-    "kernel-diagnostics",
-)
-
 N_GUARD = 10
 DRIFT_MODES = ("none", "renormalized")
 INITIAL_KINDS = ("zero", "constant", "white-noise")
+SINGLE_LEVEL_KINDS = ("heat-kernel", "simulate", "processes", "regularity")
 
 
 class SchemaError(ValueError):
@@ -83,19 +73,9 @@ class ExperimentConfig:
         return list(self.N_range) if self.N_range else [self.N]
 
     def echo(self) -> dict:
-        return {
-            "kind": self.kind,
-            "family": self.family,
-            "N": self.N,
-            "N_range": self.N_range,
-            "T": self.T,
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "drift": self.drift,
-            "initial": self.initial,
-            "alpha": self.alpha,
-            "eta": self.eta,
-        }
+        echoed = asdict(self)
+        del echoed["out"]
+        return echoed
 
 
 def _measure_from(entry, kind: str):
@@ -180,15 +160,22 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise SchemaError(f"initial: expected an object with a kind, got {cfg.initial!r}")
     if cfg.N is None and not cfg.N_range:
         raise SchemaError("N: missing (give N or N_range)")
-    for n in cfg.levels():
+    if cfg.N is None and cfg.kind in SINGLE_LEVEL_KINDS:
+        raise SchemaError(f"N: missing ({cfg.kind} runs at one level N; N_range is not read)")
+    given = ([cfg.N] if cfg.N is not None else []) + list(cfg.N_range or [])
+    for n in given:
         if not isinstance(n, int) or n < 1 or n > N_GUARD:
             raise SchemaError(f"N: level {n} outside 1..{N_GUARD} (desk-scale guard)")
     if not (math.isfinite(cfg.T) and cfg.T > 0):
         raise SchemaError(f"T: expected a finite horizon > 0, got {cfg.T!r}")
-    for n in cfg.levels():
+    for n in given:
         steps = cfg.T * 4**n
         if abs(steps - round(steps)) > 1e-9:
             raise SchemaError(f"T: {cfg.T!r} is not a whole number of time steps 4^-{n} at level {n}")
+    if cfg.kind == "convergence":
+        levels = sorted(cfg.levels())
+        if len(levels) < 3 or levels != list(range(levels[0], levels[0] + len(levels))):
+            raise SchemaError(f"N_range: convergence needs three or more distinct consecutive levels, got {levels}")
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
     number = isinstance(cfg.drift, (int, float)) and not isinstance(cfg.drift, bool)
@@ -196,6 +183,14 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise SchemaError(f"drift: expected 'none', 'renormalized' or a finite number, got {cfg.drift!r}")
     if cfg.initial.get("kind", "zero") not in INITIAL_KINDS:
         raise SchemaError(f"initial.kind: expected one of {', '.join(INITIAL_KINDS)}, got {cfg.initial.get('kind')!r}")
+    if cfg.initial.get("kind") == "constant":
+        value = cfg.initial.get("value", 0.0)
+        try:
+            finite = math.isfinite(float(value))  # the value _initial_slice will read
+        except (TypeError, ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise SchemaError(f"initial.value: expected a finite number, got {value!r}")
     measures_from_config(cfg.family)  # fail fast on malformed atoms
     return cfg
 
@@ -428,11 +423,8 @@ def _exp_convergence(cfg, fam, outdir):
     the manifest says so. The manifest also lists the replicas dropped for
     too few clean times and each replica's earliest escape time.
     """
-    levels = sorted(cfg.levels())
-    if len(levels) < 3:
-        raise SchemaError("N_range: convergence needs at least three dyadic levels")
     study = coupled_convergence_study(
-        fam, levels, cfg.T, cfg.replicas, cfg.seed, cfg.alpha, cfg.eta, b_drift=_drift_value(cfg, fam)
+        fam, cfg.levels(), cfg.T, cfg.replicas, cfg.seed, cfg.alpha, cfg.eta, b_drift=_drift_value(cfg, fam)
     )
     write_csv(os.path.join(outdir, "comparison_norms.csv"), ["replica", "levels", "comparison_norm"], study.rows)
     medians = [(pair, statistics.median(v) if v else float("nan"), len(v)) for pair, v in study.per_pair.items()]
@@ -471,6 +463,7 @@ _EXPERIMENTS = {
     "convergence": _exp_convergence,
     "kernel-diagnostics": _exp_kernel_diag,
 }
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ResultBundle:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, NoiseField
+from .grids import NoiseField
 from .heat import HeatKernel
 from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
 from .renorm import RenormConstants
@@ -40,18 +40,6 @@ __all__ = [
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
 
-_REQUIRES = {
-    "T1": (),
-    "T11": ("T1",),
-    "T2": ("T1",),
-    "T21": ("T11", "T1"),
-    "T12": ("T2",),
-    "T22": ("T12", "T1"),
-    "T122": ("T22",),
-    "T124": ("T12",),
-    "T1222": ("T122", "T1", "T12"),
-}
-
 
 @dataclass
 class TreeProcessSet:
@@ -61,71 +49,27 @@ class TreeProcessSet:
     ``dxp_t1`` caches DxP * T1 for the second remainder.
     """
 
-    grid: GridSpec
     fields: dict
-    a: float
-    b: float
-    kernel_mode: str
-    family_fingerprint: str
     dxp_t1: np.ndarray | None = None
 
     def __getitem__(self, label: str) -> np.ndarray:
         return self.fields[label]
 
 
-def _closure(labels) -> set:
-    todo = list(labels)
-    seen = set()
-    while todo:
-        lab = todo.pop()
-        if lab in seen:
-            continue
-        seen.add(lab)
-        todo.extend(_REQUIRES[lab])
-    return seen
+class _Memo(dict):
+    """Trees built so far; a missing label is built once, by its rule.
 
+    Rules receive the memo as their argument and never hold it, so no
+    reference cycle outlives a lift.
+    """
 
-class _Lifter:
-    def __init__(self, noise: NoiseField, fam: OperatorFamily, mode: str):
-        self.grid = noise.grid
-        self.fam = fam
-        self.mode = mode
-        self.eps = self.grid.eps
-        self.nt = self.grid.n_steps
-        self.hk = HeatKernel(self.grid, fam)
-        self.dmult = derivative_multiplier(fam, self.eps, self.grid.M)
-        self.xi_hat = np.fft.fft(noise.values, axis=1)
-        self._k_hat = None
+    def __init__(self, rules: dict):
+        super().__init__()
+        self.rules = rules
 
-    def conv_p(self, f_hat: np.ndarray) -> np.ndarray:
-        """Causal DxP convolution via the geometric recurrence in k-space."""
-        m = self.hk.multiplier
-        pref = self.eps**2 * self.dmult
-        out = np.zeros((self.nt + 1, f_hat.shape[1]), dtype=np.complex128)
-        for n in range(1, self.nt + 1):
-            out[n] = m * out[n - 1] + pref * f_hat[n - 1]
-        return out
-
-    def conv_k(self, f_hat: np.ndarray) -> np.ndarray:
-        """Causal DxK convolution for the cutoff kernel, FFT along time."""
-        if self._k_hat is None:
-            split = self.hk.split(self.grid.T)
-            self._k_hat = np.fft.fft(split.K, axis=1) * self.dmult
-        full = time_convolve(self._k_hat[: self.nt], f_hat[: self.nt])[: self.nt]
-        out = np.zeros((self.nt + 1, f_hat.shape[1]), dtype=np.complex128)
-        out[1:] = self.eps**3 * full
-        return out
-
-    def conv(self, f_hat: np.ndarray) -> np.ndarray:
-        return self.conv_p(f_hat) if self.mode == "full_P" else self.conv_k(f_hat)
-
-    @staticmethod
-    def to_field(hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(hat, axis=1).real
-
-    @staticmethod
-    def to_hat(field: np.ndarray) -> np.ndarray:
-        return np.fft.fft(field, axis=1)
+    def __missing__(self, label: str) -> np.ndarray:
+        value = self[label] = self.rules[label](self)
+        return value
 
 
 def lift(
@@ -137,8 +81,9 @@ def lift(
 ) -> TreeProcessSet:
     """Build the controlling processes for one noise realization.
 
-    ``labels`` restricts the computation to the requested trees plus their
-    dependency closure. Deterministic in (noise, family, constants, mode).
+    Each tree is one rule of the table below, evaluated on demand: ``labels``
+    computes the requested trees plus exactly the trees their rules read.
+    Deterministic in (noise, family, constants, mode).
     """
     if mode not in ("full_P", "split_K"):
         raise ValueError(f"unknown kernel mode {mode!r}")
@@ -146,49 +91,57 @@ def lift(
         raise ValueError("constants were computed for a different family")
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
-    wanted = _closure(labels)
+    grid = noise.grid
+    eps, nt = grid.eps, grid.n_steps
     a, b = consts.c2, consts.c21
-    lf = _Lifter(noise, fam, mode)
+    hk = HeatKernel(grid, fam)
+    m = hk.multiplier
+    dmult = derivative_multiplier(fam, eps, grid.M)
+    pref = eps**2 * dmult
+
+    def conv_p(f_hat: np.ndarray) -> np.ndarray:
+        """Causal DxP convolution via the geometric recurrence in k-space."""
+        out = np.zeros((nt + 1, f_hat.shape[1]), dtype=np.complex128)
+        for n in range(1, nt + 1):
+            out[n] = m * out[n - 1] + pref * f_hat[n - 1]
+        return out
+
+    conv = conv_p
+    if mode == "split_K":
+        k_hat = (np.fft.fft(hk.split(grid.T).K, axis=1) * dmult)[:nt]
+
+        def conv(f_hat: np.ndarray) -> np.ndarray:
+            """Causal DxK convolution for the cutoff kernel, FFT along time."""
+            out = np.zeros((nt + 1, f_hat.shape[1]), dtype=np.complex128)
+            out[1:] = eps**3 * time_convolve(k_hat, f_hat[:nt])[:nt]
+            return out
+
+    def field(f_hat: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(f_hat, axis=1).real
+
+    def hat(f: np.ndarray) -> np.ndarray:
+        return np.fft.fft(f, axis=1)
 
     def B(f, g):
         return twisted_product(fam.mu, f, g)
 
-    fields: dict[str, np.ndarray] = {}
-    hats: dict[str, np.ndarray] = {}
-    hats["T1"] = lf.conv(lf.xi_hat)
-    fields["T1"] = lf.to_field(hats["T1"])
-    if "T11" in wanted:
-        w_inner = lf.to_field(lf.conv(hats["T1"]))
-        ones = np.ones_like(fields["T1"])
-        fields["T11"] = B(ones, w_inner)
-    if "T2" in wanted:
-        fields["T2"] = B(fields["T1"], fields["T1"]) - a
-    if "T21" in wanted:
-        fields["T21"] = B(fields["T11"], fields["T1"]) - b
-    if "T12" in wanted:
-        hats["T12"] = lf.conv(lf.to_hat(fields["T2"]))
-        fields["T12"] = lf.to_field(hats["T12"])
-    if "T22" in wanted:
-        fields["T22"] = B(fields["T12"], fields["T1"]) - 2.0 * b * fields["T1"]
-    if "T122" in wanted:
-        fields["T122"] = lf.to_field(lf.conv(lf.to_hat(fields["T22"])))
-    if "T124" in wanted:
-        fields["T124"] = lf.to_field(lf.conv_p(lf.to_hat(B(fields["T12"], fields["T12"]))))
-    dxp_t1 = None
-    if "T1222" in wanted:
-        dxp_t1 = lf.to_field(lf.conv_p(hats["T1"]))
-        arg = B(fields["T122"], fields["T1"]) - b * fields["T12"]
-        fields["T1222"] = lf.to_field(lf.conv_p(lf.to_hat(arg)))
-
-    return TreeProcessSet(
-        grid=noise.grid,
-        fields=fields,
-        a=a,
-        b=b,
-        kernel_mode=mode,
-        family_fingerprint=consts.family_fingerprint,
-        dxp_t1=dxp_t1,
-    )
+    rules = {
+        "T1_hat": lambda t: conv(hat(noise.values)),
+        "T1": lambda t: field(t["T1_hat"]),
+        "T11": lambda t: B(np.ones_like(t["T1"]), field(conv(t["T1_hat"]))),
+        "T2": lambda t: B(t["T1"], t["T1"]) - a,
+        "T21": lambda t: B(t["T11"], t["T1"]) - b,
+        "T12": lambda t: field(conv(hat(t["T2"]))),
+        "T22": lambda t: B(t["T12"], t["T1"]) - 2.0 * b * t["T1"],
+        "T122": lambda t: field(conv(hat(t["T22"]))),
+        "T124": lambda t: field(conv_p(hat(B(t["T12"], t["T12"])))),
+        "T1222": lambda t: field(conv_p(hat(B(t["T122"], t["T1"]) - b * t["T12"]))),
+    }
+    trees = _Memo(rules)
+    for label in labels:
+        trees[label]  # builds the label and every tree its rule reads
+    dxp_t1 = field(conv_p(trees["T1_hat"])) if "T1222" in trees else None
+    return TreeProcessSet(fields={lab: trees[lab] for lab in TREE_LABELS if lab in trees}, dxp_t1=dxp_t1)
 
 
 def _twisted_at(fam: OperatorFamily, f: np.ndarray, x: int, g: np.ndarray, y: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestConfigSchema:
     def test_round_trip_through_manifest_echo(self, tmp_path):
         cfg = config_from_dict({"kind": "validate", "family": FAMILY, "N": 5, "T": 0.125, "seed": 3})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
-        echoed = json.load(open(os.path.join(bundle.directory, "manifest.json")))["config"]
+        echoed = json.loads(Path(bundle.directory, "manifest.json").read_text())["config"]
         again = config_from_dict({k: v for k, v in echoed.items() if v is not None})
         assert again == cfg
 
@@ -68,7 +69,7 @@ class TestExperiments:
         cfg = config_from_dict({"kind": "validate", "family": FAMILY, "N": 5, "T": 0.125})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
         assert bundle.exit_code == 0
-        report = json.load(open(os.path.join(bundle.directory, "validation.json")))
+        report = json.loads(Path(bundle.directory, "validation.json").read_text())
         assert report["ok"]
         assert report["scheme"]["marginally_oscillatory"]
 
@@ -82,7 +83,7 @@ class TestExperiments:
         family = {"nu": "laplacian-nn", "pi": "deriv-central", "mu": "product-pointwise"}
         cfg = config_from_dict({"kind": "constants", "family": family, "N_range": [5, 6], "T": 0.25})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
-        rows = open(os.path.join(bundle.directory, "constants.csv")).read().splitlines()
+        rows = Path(bundle.directory, "constants.csv").read_text().splitlines()
         header = rows[0].split(",")
         i_q = header.index("c21_quadrature")
         i_m = header.index("c21_modesum")
@@ -104,7 +105,7 @@ class TestExperiments:
         )
         bundle = run_experiment(cfg, out_root=str(tmp_path))
         assert bundle.exit_code == 3
-        manifest = json.load(open(os.path.join(bundle.directory, "run.json")))
+        manifest = json.loads(Path(bundle.directory, "run.json").read_text())
         assert manifest["blowup"] and "blowup_time" in manifest
 
     def test_convergence_manifest_records_drops_and_escapes(self, tmp_path):
@@ -120,7 +121,7 @@ class TestExperiments:
             }
         )
         bundle = run_experiment(cfg, out_root=str(tmp_path))
-        manifest = json.load(open(os.path.join(bundle.directory, "manifest.json")))
+        manifest = json.loads(Path(bundle.directory, "manifest.json").read_text())
         assert manifest["config"]["initial"] == {"kind": "zero"}
         assert manifest["initial_condition"].startswith("white-noise") and "ignored" in manifest["initial_condition"]
         dropped = manifest["dropped_replicas"]
@@ -128,13 +129,13 @@ class TestExperiments:
         assert dropped and dropped == sorted(set(dropped)) and set(dropped) <= set(range(12))
         assert len(escapes) == 12 and all(t is None or 0.0 < t <= 0.0625 for t in escapes)
         assert any(t is not None for t in escapes)
-        rows = open(os.path.join(bundle.directory, "medians.csv")).read().splitlines()[1:]
+        rows = Path(bundle.directory, "medians.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[-1]) for row in rows] == [12 - len(dropped)] * 2
 
     def test_manifest_lists_every_file(self, tmp_path):
         cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 5, "T": 0.125})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
-        manifest = json.load(open(os.path.join(bundle.directory, "manifest.json")))
+        manifest = json.loads(Path(bundle.directory, "manifest.json").read_text())
         listed = {f["name"] for f in manifest["files"]}
         present = set(os.listdir(bundle.directory)) - {"manifest.json"}
         assert listed == present
@@ -155,7 +156,7 @@ class TestExperiments:
         payload = {"kind": "processes", "family": FAMILY, "N": 4, "T": 0.125, "replicas": 2, "seed": 9}
         a = run_experiment(config_from_dict(payload), out_root=str(tmp_path))
         b = run_experiment(config_from_dict(payload), out_root=str(tmp_path))
-        for entry in json.load(open(os.path.join(a.directory, "manifest.json")))["files"]:
+        for entry in json.loads(Path(a.directory, "manifest.json").read_text())["files"]:
             other = os.path.join(b.directory, entry["name"])
             assert sha256_file(other) == entry["sha256"], entry["name"]
 
@@ -178,18 +179,18 @@ class TestMainEntry:
         out = str(tmp_path / "o1")
         assert main(["processes", "--config", path, "--seed", "5", "--out", out]) == 0
         run_dir = next(p for p in (tmp_path / "o1").iterdir())
-        assert json.load(open(run_dir / "manifest.json"))["config"]["seed"] == 5
+        assert json.loads((run_dir / "manifest.json").read_text())["config"]["seed"] == 5
 
         path2 = write_config(tmp_path, {"family": FAMILY, "N": 4, "T": 0.125, "seed": 3}, "c2.json")
         out = str(tmp_path / "o2")
         assert main(["processes", "--config", path2, "--seed", "5", "--out", out]) == 0
         run_dir = next(p for p in (tmp_path / "o2").iterdir())
-        assert json.load(open(run_dir / "manifest.json"))["config"]["seed"] == 3
+        assert json.loads((run_dir / "manifest.json").read_text())["config"]["seed"] == 3
 
         out = str(tmp_path / "o3")
         assert main(["processes", "--config", path, "--out", out]) == 0
         run_dir = next(p for p in (tmp_path / "o3").iterdir())
-        assert json.load(open(run_dir / "manifest.json"))["config"]["seed"] == 77
+        assert json.loads((run_dir / "manifest.json").read_text())["config"]["seed"] == 77
 
     def test_all_kinds_have_subcommands(self):
         for kind in EXPERIMENT_KINDS:
@@ -256,6 +257,27 @@ class TestConfigFailsBeforeOutput:
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 2
         field = "initial.kind" if "initial" in bad else next(iter(bad))
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, bad, field",
+        [
+            ("heat-kernel", {"N_range": [5]}, "N"),
+            ("simulate", {"N_range": [5]}, "N"),
+            ("processes", {"N_range": [5]}, "N"),
+            ("regularity", {"N_range": [5]}, "N"),
+            ("simulate", {"N": 14, "N_range": [5]}, "N"),
+            ("convergence", {"N_range": [5, 6]}, "N_range"),
+            ("convergence", {"N_range": [5, 5, 6]}, "N_range"),
+            ("simulate", {"N": 5, "initial": {"kind": "constant", "value": "x"}}, "initial.value"),
+        ],
+        ids=["heat-kernel", "simulate", "processes", "regularity", "N-beside-N_range", "two-levels", "repeated-level", "initial-value"],
+    )
+    def test_level_and_initial_value_checked_first(self, tmp_path, capsys, kind, bad, field):
+        path = write_config(tmp_path, dict({"family": FAMILY, "T": 0.125}, **bad))
+        out = tmp_path / "out"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,9 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
+from sbe.operators import derivative_multiplier, stepping_multiplier
 from sbe.processes import TREE_LABELS, lift, remainder_r1222, remainder_r21
 from sbe.renorm import RenormConstants, compute_constants
 
@@ -71,16 +74,54 @@ def test_t1_linear_in_noise(fam_bw_ss, setup):
 
 def test_t11_pointwise_product_collapses(fam_bw_pw, setup):
     # with the single-atom product, B(1, h) = h so T11 is the inner
-    # convolution of T1 itself
+    # convolution DxP * T1, here by the k-space recurrence
     grid, _ = setup
     consts = compute_constants(fam_bw_pw, grid, "lattice_sum")
     noise = sample_noise(grid, 5)
     tps = lift(noise, fam_bw_pw, consts, labels=("T11", "T1"))
-    from sbe.processes import _Lifter
+    m = stepping_multiplier(fam_bw_pw, grid.eps, grid.M)
+    pref = grid.eps**2 * derivative_multiplier(fam_bw_pw, grid.eps, grid.M)
+    t1_hat = np.fft.fft(tps["T1"], axis=1)
+    inner = np.zeros_like(t1_hat)
+    for n in range(1, grid.n_steps + 1):
+        inner[n] = m * inner[n - 1] + pref * t1_hat[n - 1]
+    np.testing.assert_allclose(tps["T11"], np.fft.ifft(inner, axis=1).real, atol=1e-10)
 
-    lf = _Lifter(noise, fam_bw_pw, "full_P")
-    inner = lf.to_field(lf.conv(np.fft.fft(tps["T1"], axis=1)))
-    np.testing.assert_allclose(tps["T11"], inner, atol=1e-10)
+
+REGULARITY_LABELS = ("T1", "T11", "T12", "T2")
+
+
+@pytest.mark.parametrize(
+    "labels, built",
+    [
+        (("T1",), {"T1"}),
+        (("T2",), {"T1", "T2"}),
+        (("T21",), {"T1", "T11", "T21"}),
+        (("T124",), {"T1", "T2", "T12", "T124"}),
+        (("T1222",), {"T1", "T2", "T12", "T22", "T122", "T1222"}),
+        (REGULARITY_LABELS, set(REGULARITY_LABELS)),
+        (TREE_LABELS, set(TREE_LABELS)),
+    ],
+)
+def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
+    grid, consts = setup
+    tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, labels=labels)
+    assert set(tps.fields) == built
+    assert (tps.dxp_t1 is not None) == ("T1222" in built)
+
+
+@pytest.mark.parametrize("mode", ["full_P", "split_K"])
+def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup, mode):
+    # a cycle would keep every tree of a lift alive until the next collection
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        lift(noise, fam_bw_ss, consts, mode=mode)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_remainder_r21_pointwise_identity(fam_bw_pw, setup):
