@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .fieldio import sha256_file, write_csv, write_field
+from .fieldio import sha256_file, write_csv, write_field, write_json
 from .grids import GridSpec, sample_noise
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check
@@ -122,8 +122,11 @@ def parse_config(path: str, kind: str | None = None) -> ExperimentConfig:
     return config_from_dict(_load_json(path), kind=kind)
 
 
-def _coerced(raw: dict, key: str, to, default):
-    value = raw.get(key, default)
+def _coerced(key: str, value, to):
+    """value as ``to``; an integer takes integral numbers and strings ("77"), never booleans."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if to is int and (isinstance(value, bool) or fraction):
+        raise SchemaError(f"{key}: expected an integer, got {value!r}")
     try:
         return to(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -140,22 +143,23 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise SchemaError("kind: missing (set it in the config or pick a subcommand)")
     if cfg_kind not in EXPERIMENT_KINDS:
         raise SchemaError(f"kind: {cfg_kind!r} is not one of {', '.join(EXPERIMENT_KINDS)}")
+    N, N_range = raw.get("N"), raw.get("N_range")
+    if N_range is not None and not isinstance(N_range, (list, tuple)):
+        raise SchemaError(f"N_range: expected a list of levels, got {N_range!r}")
     cfg = ExperimentConfig(
         kind=cfg_kind,
         family=raw["family"],
-        N=raw.get("N"),
-        N_range=raw.get("N_range"),
-        T=_coerced(raw, "T", float, 0.25),
-        seed=_coerced(raw, "seed", int, 0),
-        replicas=_coerced(raw, "replicas", int, 1),
+        N=None if N is None else _coerced("N", N, int),
+        N_range=None if N_range is None else [_coerced("N_range", n, int) for n in N_range],
+        T=_coerced("T", raw.get("T", 0.25), float),
+        seed=_coerced("seed", raw.get("seed", 0), int),
+        replicas=_coerced("replicas", raw.get("replicas", 1), int),
         drift=raw.get("drift", "none"),
         initial=raw.get("initial", {"kind": "zero"}),
-        alpha=_coerced(raw, "alpha", float, -0.6),
-        eta=_coerced(raw, "eta", float, -0.6),
+        alpha=_coerced("alpha", raw.get("alpha", -0.6), float),
+        eta=_coerced("eta", raw.get("eta", -0.6), float),
         out=raw.get("out", "sbe-out"),
     )
-    if cfg.N_range is not None and not isinstance(cfg.N_range, (list, tuple)):
-        raise SchemaError(f"N_range: expected a list of levels, got {cfg.N_range!r}")
     if not isinstance(cfg.initial, dict):
         raise SchemaError(f"initial: expected an object with a kind, got {cfg.initial!r}")
     if cfg.N is None and not cfg.N_range:
@@ -164,7 +168,7 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise SchemaError(f"N: missing ({cfg.kind} runs at one level N; N_range is not read)")
     given = ([cfg.N] if cfg.N is not None else []) + list(cfg.N_range or [])
     for n in given:
-        if not isinstance(n, int) or n < 1 or n > N_GUARD:
+        if not 1 <= n <= N_GUARD:
             raise SchemaError(f"N: level {n} outside 1..{N_GUARD} (desk-scale guard)")
     if not (math.isfinite(cfg.T) and cfg.T > 0):
         raise SchemaError(f"T: expected a finite horizon > 0, got {cfg.T!r}")
@@ -225,9 +229,7 @@ def emit(bundle: ResultBundle) -> None:
         path = os.path.join(bundle.directory, name)
         entries.append({"name": name, "sha256": sha256_file(path), "bytes": os.path.getsize(path)})
     bundle.manifest["files"] = entries
-    with open(os.path.join(bundle.directory, "manifest.json"), "w") as fh:
-        json.dump(bundle.manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(bundle.directory, "manifest.json", bundle.manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +259,8 @@ def _exp_validate(cfg, fam, outdir):
             "min_multiplier": float(hk.multiplier.min()),
             "marginally_oscillatory": hk.marginally_oscillatory,
         }
-    with open(os.path.join(outdir, "validation.json"), "w") as fh:
-        json.dump({"ok": ok, "reports": payload, "scheme": hk_note}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return ["validation.json"], {"ok": ok}, 0 if ok else 1
+    files = [write_json(outdir, "validation.json", {"ok": ok, "reports": payload, "scheme": hk_note})]
+    return files, {"ok": ok}, 0 if ok else 1
 
 
 def _exp_constants(cfg, fam, outdir):
@@ -332,16 +332,13 @@ def _exp_simulate(cfg, fam, outdir):
     }
     if traj.blowup:
         run_manifest["blowup_time"] = traj.blowup_time
-    with open(os.path.join(outdir, "run.json"), "w") as fh:
-        json.dump(run_manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    files.append("run.json")
+    files.append(write_json(outdir, "run.json", run_manifest))
     return files, {"blowup": traj.blowup}, 3 if traj.blowup else 0
 
 
 def _exp_processes(cfg, fam, outdir):
     grid = GridSpec(cfg.N, cfg.T)
-    consts = compute_constants(fam, grid, "lattice_sum")
+    consts = compute_constants(fam, grid)
     files: list[str] = []
     finals = {lab: [] for lab in TREE_LABELS}
     for rep in range(cfg.replicas):
@@ -367,7 +364,7 @@ def _exp_regularity(cfg, fam, outdir):
     from .grids import LatticeField
 
     grid = GridSpec(cfg.N, cfg.T)
-    consts = compute_constants(fam, grid, "lattice_sum")
+    consts = compute_constants(fam, grid)
     # at least four dyadic scales per mode; parabolic scales must fit kt in
     # the horizon (2 lambda^2 <= T)
     lam_min = 4 * grid.eps
@@ -398,10 +395,7 @@ def _exp_regularity(cfg, fam, outdir):
         rows.append((lab, mode, float(np.mean(vals)), sd, cfg.replicas))
     write_csv(os.path.join(outdir, "exponents.csv"), ["target", "mode", "exponent_mean", "exponent_sd", "replicas"], rows)
     write_csv(os.path.join(outdir, "pairings.csv"), ["target", "lambda", "sup_pairing"], curves)
-    with open(os.path.join(outdir, "estimates.json"), "w") as fh:
-        json.dump(estimates, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return ["exponents.csv", "pairings.csv", "estimates.json"], {}, 0
+    return ["exponents.csv", "pairings.csv", write_json(outdir, "estimates.json", estimates)], {}, 0
 
 
 def _estimate_to_json(est) -> dict:

@@ -1,9 +1,10 @@
 """Binary field dumps with JSON sidecars, plus the CSV writer.
 
 Layout: flat little-endian float64, time-major C order, one ``.bin`` per
-field with a ``.json`` sidecar carrying {N, T, seed, layout}. CSV is for
-diagnostic tables; formatting uses %.17g so identical inputs reproduce
-identical bytes.
+field with a ``.json`` sidecar carrying {N, T, seed, layout}. Every JSON
+file, sidecars included, goes through ``write_json``. CSV is for diagnostic
+tables; formatting uses %.17g so identical inputs reproduce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -15,14 +16,21 @@ import os
 
 import numpy as np
 
-__all__ = ["write_field", "read_field", "write_csv", "sha256_file"]
+__all__ = ["write_field", "read_field", "write_json", "write_csv", "sha256_file"]
+
+
+def write_json(directory: str, name: str, obj) -> str:
+    """Write obj to directory/name (sorted keys, indent 1, final newline); returns name."""
+    with open(os.path.join(directory, name), "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return name
 
 
 def write_field(directory: str, name: str, values: np.ndarray, meta: dict) -> list[str]:
     """Write name.bin + name.json under directory; returns the file names."""
     os.makedirs(directory, exist_ok=True)
     bin_name = f"{name}.bin"
-    json_name = f"{name}.json"
     arr = np.ascontiguousarray(values, dtype="<f8")
     with open(os.path.join(directory, bin_name), "wb") as fh:
         fh.write(arr.tobytes(order="C"))
@@ -30,10 +38,7 @@ def write_field(directory: str, name: str, values: np.ndarray, meta: dict) -> li
     sidecar.setdefault("layout", "time-major")
     sidecar["shape"] = list(arr.shape)
     sidecar["dtype"] = "<f8"
-    with open(os.path.join(directory, json_name), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return [bin_name, json_name]
+    return [bin_name, write_json(directory, f"{name}.json", sidecar)]
 
 
 def read_field(directory: str, name: str) -> tuple[np.ndarray, dict]:

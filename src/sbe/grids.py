@@ -70,6 +70,17 @@ class GridSpec:
         return GridSpec(self.N - 1, self.T)
 
 
+def _shift(u: np.ndarray, j: int) -> np.ndarray:
+    """u(. + eps j) along the last axis: u itself if j = 0 (mod M), else one rotated copy."""
+    j = int(j) % u.shape[-1]
+    if j == 0:
+        return u
+    out = np.empty_like(u)
+    out[..., :-j] = u[..., j:]
+    out[..., -j:] = u[..., :j]
+    return out
+
+
 def rng_for(seed: int, *stream) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream...).
 
@@ -204,14 +215,11 @@ def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_c
     if 2 * rs + 1 > grid.M:
         raise ValueError("mollifier support exceeds the torus")
     w = _mollifier_kernel(grid, rt, rs)
-    out = np.zeros_like(values)
     nt = values.shape[0]
+    padded = np.pad(values, ((rt, rt), (0, 0)))
+    out = np.zeros_like(values)
     for a in range(-rt, rt + 1):
-        rolled_t = np.zeros_like(values)
-        if a >= 0:
-            rolled_t[: nt - a] = values[a:]
-        else:
-            rolled_t[-a:] = values[: nt + a]
         for b in range(-rs, rs + 1):
-            out += w[a + rt, b + rs] * np.roll(rolled_t, -b, axis=1)
+            # padded rows rt + a.. are the values a steps later, zero past the ends
+            out += w[a + rt, b + rs] * _shift(padded[rt + a : rt + a + nt], b)
     return grid.eps**3 * out

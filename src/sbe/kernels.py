@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, mollify, rng_for
-from .heat import HeatKernel, signed_torus_coordinate
+from .grids import GridSpec, _shift, mollify, rng_for
+from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
 from .measures import AtomicMeasure2D
 from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
 
@@ -64,17 +64,16 @@ class DiscreteKernel:
 def _znorm_eps(n_rows: int, grid: GridSpec) -> np.ndarray:
     t = np.arange(n_rows)[:, None] * grid.dt
     x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
-    return np.maximum(np.maximum(np.sqrt(t), np.abs(x)), grid.eps)
+    return np.maximum(parabolic_norm(t, x), grid.eps)
 
 
 def _forward_diffs(values: np.ndarray, grid: GridSpec, m: int) -> dict:
     """Forward differences Dbar^(k0,k1) for 2 k0 + k1 <= m, zero-padded in time."""
     out = {(0, 0): values}
     if m >= 1:
-        dx = (np.roll(values, -1, axis=1) - values) / grid.eps
-        out[(0, 1)] = dx
+        out[(0, 1)] = (_shift(values, 1) - values) / grid.eps
     if m >= 2:
-        out[(0, 2)] = (np.roll(out[(0, 1)], -1, axis=1) - out[(0, 1)]) / grid.eps
+        out[(0, 2)] = (_shift(out[(0, 1)], 1) - out[(0, 1)]) / grid.eps
         padded = np.vstack([values, np.zeros((1, values.shape[1]))])
         out[(1, 0)] = (padded[1:] - padded[:-1]) / grid.dt
     return out
@@ -171,7 +170,7 @@ def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     num = np.abs(k.values[i1, j1] - k.values[i2, j2])
     dt_gap = np.abs(i1 - i2) * grid.dt
     dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
-    sep = np.maximum(np.maximum(np.sqrt(dt_gap), dx_gap), grid.eps)
+    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
     denom = sep**kappa * (zn[i1, j1] ** (zeta - kappa) + zn[i2, j2] ** (zeta - kappa))
     return float(np.max(num / denom))
 

@@ -55,13 +55,12 @@ class Violation:
 class ValidationReport:
     """Outcome of an admissibility check: ok iff violations is empty."""
 
-    ok: bool
     violations: tuple[Violation, ...] = ()
     info: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.ok != (len(self.violations) == 0):
-            raise ValueError("ok flag inconsistent with violations list")
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def _as_sorted_atoms(atoms):
@@ -273,7 +272,6 @@ def validate_nu(m: AtomicMeasure1D) -> ValidationReport:
     if worst >= 0.0:
         violations.append(Violation("fourier_negative", worst, "max nu_hat on (0,1) grid"))
     return ValidationReport(
-        ok=not violations,
         violations=tuple(violations),
         info={"total_variation": m.total_variation(), "moments": (mass, m1, m2)},
     )
@@ -288,7 +286,7 @@ def validate_pi(m: AtomicMeasure1D) -> ValidationReport:
     m1 = m.moment(1)
     if abs(m1 - 1.0) > 1e-12:
         violations.append(Violation("first_moment_one", m1, "sum j*w(j)"))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(violations=tuple(violations))
 
 
 def validate_mu(m: AtomicMeasure2D) -> ValidationReport:
@@ -306,7 +304,6 @@ def validate_mu(m: AtomicMeasure2D) -> ValidationReport:
     if asym > 1e-12:
         violations.append(Violation("exchange_symmetry", asym, "max |w(a,b) - w(b,a)|"))
     return ValidationReport(
-        ok=not violations,
         violations=tuple(violations),
         info={"total_mass": m.total_mass()},
     )

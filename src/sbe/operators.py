@@ -11,17 +11,21 @@ The DFT convention carries the eps weight on the forward transform,
 F u(k) = eps * sum_x u(x) e^{-2 pi i k x}, with the inverse being the plain
 mode sum; on the torus the modes are the integers in [-M/2, M/2). Twisted
 Parseval: eps * sum_x B(f,g) = sum_k F f(k) F g(-k) mu_hat(-eps k, eps k).
-The operators are evaluated as stencils; the Fourier side supplies their
-multipliers and the time convolution the other layers share.
+The operators are evaluated as one shift-and-sum stencil over the atoms
+(twisted_product sums the g stencil once per first offset of mu); the
+Fourier side supplies their multipliers and the time convolution the other
+layers share.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
+from .grids import _shift
 from .measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -72,19 +76,20 @@ class OperatorFamily:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _check_support(measure_radius: int, M: int):
-    if measure_radius >= M / 2:
-        raise ValueError(f"measure radius {measure_radius} wraps on M={M} torus")
-
-
-def _stencil_apply(measure: AtomicMeasure1D, coeff: float, u: np.ndarray) -> np.ndarray:
-    """coeff * sum_j w_j u(. + eps j) along the last axis."""
+def _periodic(measure, u) -> np.ndarray:
+    """u as float64, once the measure's support is known not to wrap the torus."""
     u = np.asarray(u, dtype=np.float64)
-    _check_support(max(abs(int(j)) for j in measure.offsets), u.shape[-1])
+    if measure.radius >= u.shape[-1] / 2:
+        raise ValueError(f"measure radius {measure.radius} wraps on M={u.shape[-1]} torus")
+    return u
+
+
+def _stencil(atoms, u: np.ndarray) -> np.ndarray:
+    """sum_j w_j u(. + eps j) along the last axis, added in atom order."""
     out = np.zeros_like(u)
-    for j, w in zip(measure.offsets, measure.weights):
-        out += w * np.roll(u, -int(j), axis=-1)
-    return coeff * out
+    for j, w in atoms:
+        out += w * _shift(u, j)
+    return out
 
 
 def modes(M: int) -> np.ndarray:
@@ -123,32 +128,27 @@ def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete Laplacian of one slice (or along the last axis)."""
-    return _stencil_apply(fam.nu, 1.0 / (2.0 * fam.nu_bar * eps**2), u)
+    return 1.0 / (2.0 * fam.nu_bar * eps**2) * _stencil(fam.nu.atoms, _periodic(fam.nu, u))
 
 
 def derivative(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete derivative; output has exact zero spatial mean."""
-    return _stencil_apply(fam.pi, 1.0 / eps, u)
+    return 1.0 / eps * _stencil(fam.pi.atoms, _periodic(fam.pi, u))
 
 
 def twisted_product(mu: AtomicMeasure2D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric."""
-    f = np.asarray(f, dtype=np.float64)
+    """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric.
+
+    mu's atoms are sorted, so groupby meets each first offset j1 once.
+    """
+    f = _periodic(mu, f)
     g = np.asarray(g, dtype=np.float64)
     if f.shape != g.shape:
         raise ValueError("twisted product needs matching shapes")
-    M = f.shape[-1]
-    _check_support(mu.radius, M)
     out = np.zeros_like(f)
-    # Group atoms by the first offset so each roll of f is reused.
-    by_j1: dict[int, list[tuple[int, float]]] = {}
-    for (j1, j2), w in mu.atoms:
-        by_j1.setdefault(j1, []).append((j2, w))
-    for j1, pairs in by_j1.items():
-        acc = np.zeros_like(g)
-        for j2, w in pairs:
-            acc += w * np.roll(g, -j2, axis=-1)
-        out += np.roll(f, -j1, axis=-1) * acc
+    for j1, run in groupby(mu.atoms, key=lambda atom: atom[0][0]):
+        # one statement, so no run's field-sized temporaries outlive it
+        out += _stencil([(j2, w) for (_, j2), w in run], g) * _shift(f, j1)
     return out
 
 

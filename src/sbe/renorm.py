@@ -10,7 +10,7 @@ integrand
 and (b) as the exact stationary lattice value: for each nonzero torus mode
 the geometric series in the squared stepping multiplier, weighted by
 |pi_hat(eps k)|^2 and mu_hat(-eps k, eps k). Route (b) is the exact
-expectation for the simulated periodic system and the default of
+expectation for the simulated periodic system and the route of
 ``compute_constants``, whose pair the tree lift subtracts; the solver never
 reads c2, and its renormalized drift is -4 c21 with c21 by quadrature. c21
 is eps-independent; its quadrature integrand has a removable singularity at
@@ -40,8 +40,11 @@ __all__ = [
     "c2_continuum_mollified",
 ]
 
-# Gauss-Legendre nodes of the c2 and c21 quadrature routes
+# Gauss-Legendre nodes of the c2 and c21 quadrature routes, in equal panels
 QUAD_NODES = 2048
+QUAD_PANELS = 16
+# Gauss-Legendre nodes on [-1, 1] of the bump integrals of the mollified constant
+BUMP_NODES = 96
 # time horizon of the mollified continuum constant
 CONTINUUM_HORIZON = 0.25
 
@@ -52,36 +55,27 @@ class RenormConstants:
 
     c2: float
     c21: float
-    method: str
     grid_N: int
     family_fingerprint: str
 
 
 def compute_constants(fam: OperatorFamily, grid: GridSpec, method: str = "lattice_sum") -> RenormConstants:
-    if method == "lattice_sum":
-        return RenormConstants(
-            c2=c2_lattice_sum(fam, grid),
-            c21=c21(fam, method="mode_sum", grid=grid),
-            method="lattice_sum",
-            grid_N=grid.N,
-            family_fingerprint=fam.fingerprint(),
-        )
-    if method == "quadrature":
-        return RenormConstants(
-            c2=c2_quadrature(fam, grid),
-            c21=c21(fam, method="quadrature"),
-            method="quadrature",
-            grid_N=grid.N,
-            family_fingerprint=fam.fingerprint(),
-        )
-    raise ValueError(f"unknown method {method!r}")
+    """c2 by ``c2_lattice_sum`` and c21 by its mode sum, the only ``method``."""
+    if method != "lattice_sum":
+        raise ValueError(f"unknown method {method!r}")
+    return RenormConstants(
+        c2=c2_lattice_sum(fam, grid),
+        c21=c21(fam, method="mode_sum", grid=grid),
+        grid_N=grid.N,
+        family_fingerprint=fam.fingerprint(),
+    )
 
 
-def _gl_nodes(n_nodes: int, n_panels: int = 16):
-    """Composite Gauss-Legendre rule on [-1/2, 1/2]."""
-    per = max(2, n_nodes // n_panels)
+def _gl_nodes(n_nodes: int):
+    """Composite Gauss-Legendre rule on [-1/2, 1/2] in QUAD_PANELS panels."""
+    per = max(2, n_nodes // QUAD_PANELS)
     base_x, base_w = leggauss(per)
-    edges = np.linspace(-0.5, 0.5, n_panels + 1)
+    edges = np.linspace(-0.5, 0.5, QUAD_PANELS + 1)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -174,21 +168,23 @@ def c21(fam: OperatorFamily, method: str = "quadrature", grid: GridSpec | None =
 # Mollified continuum constant (eps-bar scaling diagnostic)
 
 
-def _bump_profile_ft(xi: np.ndarray, n_quad: int = 96) -> np.ndarray:
+def _bump_rule():
+    """Gauss-Legendre nodes on [-1, 1], their weights times the unit-mass bump, and its mass."""
+    x, w = leggauss(BUMP_NODES)
+    mass = float(np.sum(w * bump(x)))
+    return x, w * (bump(x) / mass), mass
+
+
+def _bump_profile_ft(xi: np.ndarray) -> np.ndarray:
     """Fourier transform of the normalized 1-d bump on [-1, 1]."""
-    x, w = leggauss(n_quad)
-    vals = bump(x)
-    vals = vals / np.sum(w * vals)
-    phase = np.exp(-2j * np.pi * np.multiply.outer(xi, x))
-    return np.sum(w * vals * phase, axis=-1)
+    x, wb, _ = _bump_rule()
+    return np.sum(wb * np.exp(-2j * np.pi * np.multiply.outer(xi, x)), axis=-1)
 
 
-def _bump_exp_moment_shifted(a: np.ndarray, n_quad: int = 96) -> np.ndarray:
+def _bump_exp_moment_shifted(a: np.ndarray) -> np.ndarray:
     """beta~(a) = int e^{a (w - 1)} bump(w) dw, normalized; stays in [0, 1]."""
-    x, w = leggauss(n_quad)
-    vals = bump(x)
-    vals = vals / np.sum(w * vals)
-    return np.sum(w * vals * np.exp(np.multiply.outer(a, x - 1.0)), axis=-1)
+    x, wb, _ = _bump_rule()
+    return np.sum(wb * np.exp(np.multiply.outer(a, x - 1.0)), axis=-1)
 
 
 def c2_continuum_mollified(eps_bar: float, quad_grid: int = 8) -> float:
@@ -215,8 +211,7 @@ def c2_continuum_mollified(eps_bar: float, quad_grid: int = 8) -> float:
 
     # tau in (-1, 1]: the s-integral int_0^inf e^{-a s} bt(tau - s) ds against
     # the normalized time bump, by Gauss-Legendre on the overlap of supports.
-    zx, zw = leggauss(96)
-    bt_mass = float(np.sum(zw * bump(zx)))
+    bt_mass = _bump_rule()[2]
     gx, gw = leggauss(4 * q)
     taus = np.linspace(-1.0, 1.0, 4 * q + 1)
     taus = 0.5 * (taus[:-1] + taus[1:])

@@ -74,7 +74,6 @@ class SchemeConfig:
 @dataclass
 class Trajectory:
     snapshots: list  # (t, slice) with strictly increasing multiples of eps^2
-    seed: int
     blowup: bool = False
     blowup_time: float | None = None
 
@@ -113,7 +112,7 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 has non-finite entries")
     snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, seed=noise.seed)
+    traj = Trajectory(snapshots=snaps)
     for n in range(n_steps):
         u = step_forward(cfg, u, noise.values[n])
         if _escaped(u):

@@ -3,14 +3,69 @@
 ``mild_oracle`` evaluates the explicit scheme in its mild (Duhamel) form,
 quadratic in the step count, so that the stepping solver can be checked
 against an independent spelling of the same recurrence.
+
+``stencil_apply_roll``, ``twisted_product_roll`` and ``forward_diffs_roll``
+spell the stencil operators, the twisted product and the kernel forward
+differences with ``np.roll``; they are the reference that the shift-and-sum
+engine must match bit for bit.
 """
 
 import numpy as np
 
-from sbe.grids import NoiseField
+from sbe.grids import GridSpec, NoiseField
 from sbe.heat import HeatKernel
+from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.operators import derivative_multiplier, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped
+
+
+def _check_support(measure_radius: int, M: int):
+    if measure_radius >= M / 2:
+        raise ValueError(f"measure radius {measure_radius} wraps on M={M} torus")
+
+
+def stencil_apply_roll(measure: AtomicMeasure1D, coeff: float, u: np.ndarray) -> np.ndarray:
+    """coeff * sum_j w_j u(. + eps j) along the last axis."""
+    u = np.asarray(u, dtype=np.float64)
+    _check_support(max(abs(int(j)) for j in measure.offsets), u.shape[-1])
+    out = np.zeros_like(u)
+    for j, w in zip(measure.offsets, measure.weights):
+        out += w * np.roll(u, -int(j), axis=-1)
+    return coeff * out
+
+
+def twisted_product_roll(mu: AtomicMeasure2D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric."""
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if f.shape != g.shape:
+        raise ValueError("twisted product needs matching shapes")
+    M = f.shape[-1]
+    _check_support(mu.radius, M)
+    out = np.zeros_like(f)
+    # Group atoms by the first offset so each roll of f is reused.
+    by_j1: dict[int, list[tuple[int, float]]] = {}
+    for (j1, j2), w in mu.atoms:
+        by_j1.setdefault(j1, []).append((j2, w))
+    for j1, pairs in by_j1.items():
+        acc = np.zeros_like(g)
+        for j2, w in pairs:
+            acc += w * np.roll(g, -j2, axis=-1)
+        out += np.roll(f, -j1, axis=-1) * acc
+    return out
+
+
+def forward_diffs_roll(values: np.ndarray, grid: GridSpec, m: int) -> dict:
+    """Forward differences Dbar^(k0,k1) for 2 k0 + k1 <= m, zero-padded in time."""
+    out = {(0, 0): values}
+    if m >= 1:
+        dx = (np.roll(values, -1, axis=1) - values) / grid.eps
+        out[(0, 1)] = dx
+    if m >= 2:
+        out[(0, 2)] = (np.roll(out[(0, 1)], -1, axis=1) - out[(0, 1)]) / grid.eps
+        padded = np.vstack([values, np.zeros((1, values.shape[1]))])
+        out[(1, 0)] = (padded[1:] - padded[:-1]) / grid.dt
+    return out
 
 
 def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
@@ -34,7 +89,7 @@ def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) 
     forcing_hats: list[np.ndarray] = []
     u = u0.copy()
     snaps = [(0.0, u.copy())]
-    traj = Trajectory(snapshots=snaps, seed=noise.seed)
+    traj = Trajectory(snapshots=snaps)
     for n in range(1, n_steps + 1):
         prev = u
         forcing = twisted_product(cfg.fam.mu, prev, prev) + cfg.b_drift * prev + noise.values[n - 1]

@@ -281,6 +281,34 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, bad, field",
+        [
+            ("simulate", {"replicas": 2.7}, "replicas"),
+            ("simulate", {"seed": 1.9}, "seed"),
+            ("simulate", {"seed": True}, "seed"),
+            ("simulate", {"replicas": True}, "replicas"),
+            ("simulate", {"N": True}, "N"),
+            ("simulate", {"N": 5.5}, "N"),
+            ("constants", {"N": None, "N_range": [True, 2, 3]}, "N_range"),
+            ("constants", {"N": None, "N_range": [2, 3.5]}, "N_range"),
+        ],
+    )
+    def test_integer_fields_reject_booleans_and_fractions(self, tmp_path, capsys, kind, bad, field):
+        payload = {k: v for k, v in dict({"family": FAMILY, "N": 5, "T": 0.25}, **bad).items() if v is not None}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: expected an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_numbers_and_strings_accepted(self):
+        cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": "5", "seed": "77", "replicas": 2.0})
+        assert (cfg.N, cfg.seed, cfg.replicas) == (5, 77, 2)
+        assert all(type(v) is int for v in (cfg.echo()["N"], cfg.echo()["seed"], cfg.echo()["replicas"]))
+        cfg = config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [2.0, "3"]})
+        assert cfg.levels() == [2, 3]
+
     def test_horizon_checked_at_every_level(self):
         # 1/64 is a whole number of steps at N = 3 but not at N = 2
         config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [3, 4], "T": 1 / 64})

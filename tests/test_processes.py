@@ -14,7 +14,7 @@ from sbe.renorm import RenormConstants, compute_constants
 @pytest.fixture(scope="module")
 def setup(fam_bw_ss):
     grid = GridSpec(5, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     return grid, consts
 
 
@@ -53,7 +53,7 @@ def test_lift_guards(fam_bw_ss, fam_ce_pw, setup):
     noise = sample_noise(grid, 1)
     with pytest.raises(ValueError, match="different family"):
         lift(noise, fam_ce_pw, consts)
-    wrong_grid = RenormConstants(consts.c2, consts.c21, consts.method, 7, consts.family_fingerprint)
+    wrong_grid = RenormConstants(consts.c2, consts.c21, 7, consts.family_fingerprint)
     with pytest.raises(ValueError, match="N="):
         lift(noise, fam_bw_ss, wrong_grid)
     with pytest.raises(ValueError, match="kernel mode"):
@@ -76,7 +76,7 @@ def test_t11_pointwise_product_collapses(fam_bw_pw, setup):
     # with the single-atom product, B(1, h) = h so T11 is the inner
     # convolution DxP * T1, here by the k-space recurrence
     grid, _ = setup
-    consts = compute_constants(fam_bw_pw, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_pw, grid)
     noise = sample_noise(grid, 5)
     tps = lift(noise, fam_bw_pw, consts, labels=("T11", "T1"))
     m = stepping_multiplier(fam_bw_pw, grid.eps, grid.M)
@@ -126,7 +126,7 @@ def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup, mode):
 
 def test_remainder_r21_pointwise_identity(fam_bw_pw, setup):
     grid, _ = setup
-    consts = compute_constants(fam_bw_pw, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_pw, grid)
     tps = lift(sample_noise(grid, 6), fam_bw_pw, consts, labels=("T21", "T11", "T1"))
     t, x = grid.n_steps, 7
     expected = tps["T21"][t, x] - tps["T11"][t, x] * tps["T1"][t, x]
@@ -135,7 +135,7 @@ def test_remainder_r21_pointwise_identity(fam_bw_pw, setup):
 
 def test_remainder_r1222_pointwise_identity(fam_bw_pw, setup):
     grid, _ = setup
-    consts = compute_constants(fam_bw_pw, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_pw, grid)
     tps = lift(sample_noise(grid, 6), fam_bw_pw, consts)
     z = (grid.n_steps // 2, 9)
     expected = tps["T1222"][z] - tps["T122"][z] * tps.dxp_t1[z]
@@ -158,7 +158,7 @@ def test_chaos_parity(fam_bw_ss, setup):
 def test_remainder_r21_sublinear_growth(fam_bw_ss):
     """Median |R|/|y-x|^0.3 stays bounded across dyadic separations."""
     grid = GridSpec(6, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     seps = (1, 2, 4, 8, 16)
     ratios = {s: [] for s in seps}
     for rep in range(40):
@@ -173,7 +173,7 @@ def test_remainder_r21_sublinear_growth(fam_bw_ss):
 def test_remainder_r1222_scaling(fam_bw_ss):
     """|R1222(z; zbar)| shrinks roughly linearly in the separation."""
     grid = GridSpec(6, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     near, far = [], []
     for rep in range(40):
         tps = lift(sample_noise(grid, 900 + rep), fam_bw_ss, consts)
@@ -186,7 +186,7 @@ def test_remainder_r1222_scaling(fam_bw_ss):
 def test_kernel_mode_consistency(fam_bw_ss):
     """full_P and split_K responses differ by a markedly smoother field."""
     grid = GridSpec(7, 0.125)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     tf = make_test_family(grid, lambda_min=4 * grid.eps, lambda_max=0.25)
     gaps = []
     for rep in range(3):

@@ -48,7 +48,7 @@ def test_c2_scaling_in_eps(all_preset_families):
 def test_c2_lattice_monte_carlo_oracle(fam_bw_ss):
     """Independent Monte Carlo estimate of the stationary squared response."""
     grid = GridSpec(4, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     vals = []
     for rep in range(300):
         tps = lift(sample_noise(grid, 5000 + rep), fam_bw_ss, consts, labels=("T2",))
@@ -105,10 +105,14 @@ def test_integrands_finite_at_origin(all_preset_families):
 
 def test_constants_record_provenance(fam_bw_ss):
     grid = GridSpec(6, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
-    assert consts.method == "lattice_sum"
+    consts = compute_constants(fam_bw_ss, grid)
     assert consts.grid_N == 6
     assert consts.family_fingerprint == fam_bw_ss.fingerprint()
+
+
+def test_constants_have_one_method(fam_bw_ss):
+    with pytest.raises(ValueError, match="unknown method"):
+        compute_constants(fam_bw_ss, GridSpec(6, 0.25), "quadrature")
 
 
 class TestContinuumMollified:
