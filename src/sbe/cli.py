@@ -123,14 +123,15 @@ def parse_config(path: str, kind: str | None = None) -> ExperimentConfig:
 
 
 def _coerced(key: str, value, to):
-    """value as ``to``; an integer takes integral numbers and strings ("77"), never booleans."""
+    """value as ``to``, never from a boolean; an integer takes integral numbers and strings ("77")."""
+    expected = f"{key}: expected {'an integer' if to is int else 'a number'}, got {value!r}"
     fraction = isinstance(value, float) and not value.is_integer()
-    if to is int and (isinstance(value, bool) or fraction):
-        raise SchemaError(f"{key}: expected an integer, got {value!r}")
+    if isinstance(value, bool) or (to is int and fraction):
+        raise SchemaError(expected)
     try:
         return to(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{key}: expected {'an integer' if to is int else 'a number'}, got {value!r}") from exc
+        raise SchemaError(expected) from exc
 
 
 def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
@@ -190,7 +191,7 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
     if cfg.initial.get("kind") == "constant":
         value = cfg.initial.get("value", 0.0)
         try:
-            finite = math.isfinite(float(value))  # the value _initial_slice will read
+            finite = not isinstance(value, bool) and math.isfinite(float(value))  # what _initial_slice reads
         except (TypeError, ValueError, OverflowError):
             finite = False
         if not finite:

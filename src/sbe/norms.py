@@ -7,15 +7,17 @@ polynomial bump
     phi(y) = c_r (1 - y^2)^(r+1)   on |y| < 1,  unit continuum mass,
 
 at dyadic scales lambda in [eps, 1]; the parabolic variant rescales time by
-lambda^2. Pairings are evaluated at every base site via FFT correlation, so
-suprema cost one transform per scale. One loop, ``_pairing_maps``, walks
-the scales for the Besov norm and the exponent estimator alike.
+lambda^2. The Besov norm and the level comparison need true suprema, so
+they evaluate the pairings at every base site via FFT correlation, one
+transform per scale; each kernel's spectrum is built once per (r, M,
+lambda).
 
 The exponent estimator fits the log-log slope of sup-pairings of the
 *band* functions phi^lambda - phi^(2 lambda) (differences of consecutive
 dyadic dilates). The band family has zero mass, so the estimator resolves
 positive exponents as well; with the plain bump any function-valued field
-would saturate at slope 0.
+would saturate at slope 0. It reads each band at a few hundred sampled
+base points, so it evaluates the pairings there alone, as direct sums.
 """
 
 from __future__ import annotations
@@ -102,10 +104,38 @@ def _space_kernel(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndar
     return full
 
 
+# conjugate spectra of _space_kernel keyed on (r, M, lambda): the convergence
+# study pairs every snapshot against the same few kernels
+_SPECTRA: dict[tuple[int, int, float], np.ndarray] = {}
+_SPECTRA_MAX = 64
+
+
+def _kernel_spectrum(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarray:
+    """conj(fft(_space_kernel)), read-only and shared between calls."""
+    key = (tf.r, grid.M, float(lam))
+    if key not in _SPECTRA:
+        if len(_SPECTRA) >= _SPECTRA_MAX:
+            _SPECTRA.clear()
+        spec = np.conj(np.fft.fft(_space_kernel(tf, grid, lam)))
+        spec.flags.writeable = False
+        _SPECTRA[key] = spec
+    return _SPECTRA[key]
+
+
+def _time_halfwidth(grid: GridSpec, lam: float) -> int:
+    """kt: the parabolic kernel at scale lambda spans time steps -kt..kt."""
+    return int(math.ceil(lam**2 / grid.dt))
+
+
+def _time_kernel(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarray:
+    """lambda^-2 phi((. )/lambda^2) sampled on time offsets -kt..kt."""
+    kt = _time_halfwidth(grid, lam)
+    return tf.profile(np.arange(-kt, kt + 1) * grid.dt / lam**2) / lam**2
+
+
 def _space_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float) -> np.ndarray:
     """eps-weighted pairing against phi_x^lambda at every base site x."""
-    w = _space_kernel(tf, grid, lam)
-    spec = np.fft.fft(values, axis=-1) * np.conj(np.fft.fft(w))
+    spec = np.fft.fft(values, axis=-1) * _kernel_spectrum(tf, grid, lam)
     return grid.eps * np.fft.ifft(spec, axis=-1).real
 
 
@@ -117,16 +147,34 @@ def _parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionF
     if values.ndim != 2:
         raise ValueError("parabolic pairing needs a space-time field")
     nt = values.shape[0]
-    kt = int(math.ceil(lam**2 / grid.dt))
+    kt = _time_halfwidth(grid, lam)
     if 2 * kt + 1 > nt:
         return None
     spatial = _space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
-    mt = np.arange(-kt, kt + 1)
-    wt = tf.profile(mt * grid.dt / lam**2) / lam**2
+    wt = _time_kernel(tf, grid, lam)
     conv = time_convolve(spatial, wt[::-1, None]).real
     corr = conv[kt : kt + nt]  # linear correlation with zero padding outside
     interior = np.arange(kt, nt - kt)
     return grid.dt * corr, interior
+
+
+def _pairings_at(
+    values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float, tsel: np.ndarray, xsel: np.ndarray, mode: str
+) -> np.ndarray:
+    """The pairing map's entries at rows tsel and sites xsel only, shape (tsel, xsel).
+
+    Mode "space" pairs rows tsel spatially; "parabolic" pairs in space-time
+    around times tsel, which must lie in the map's interior. Each time window
+    is contracted with the time weights before the space sum, so a point
+    costs one pass over its window.
+    """
+    shifts = _space_kernel(tf, grid, lam)[(np.arange(grid.M)[:, None] - xsel) % grid.M]
+    if mode == "space":
+        return grid.eps * (values[tsel] @ shifts)
+    wt = _time_kernel(tf, grid, lam)
+    kt = len(wt) // 2
+    rows = np.stack([wt @ values[t - kt : t + kt + 1] for t in tsel])
+    return grid.dt * grid.eps * (rows @ shifts)
 
 
 def _slices_in_horizon(field: LatticeField, T: float | None):
@@ -184,28 +232,6 @@ def _check_scale_list(tf: TestFunctionFamily, alpha: float):
         raise ValueError(f"profile smoothness r={tf.r} must exceed |alpha|={abs(alpha)}")
 
 
-def _pairing_maps(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, mode: str):
-    """(lambda, pairing map, rows) per scale, in ascending scale order.
-
-    ``rows`` are the map's time rows free of boundary effects. Mode "space"
-    pairs each slice spatially at every scale; "parabolic" pairs in
-    space-time and stops at the first scale whose time support no longer
-    fits the horizon (larger scales fit even less).
-    """
-    if mode == "space":
-        values = np.atleast_2d(values)
-        for lam in tf.scales:
-            yield lam, _space_pairing_map(values, grid, tf, lam), slice(None)
-    elif mode == "parabolic":
-        for lam in tf.scales:
-            found = _parabolic_pairing_map(values, grid, tf, lam)
-            if found is None:
-                return
-            yield lam, *found
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-
 def besov_norm_negative(
     field: LatticeField,
     alpha: float,
@@ -216,17 +242,27 @@ def besov_norm_negative(
     """sup over scales/bases of lambda^-alpha |<field, phi^lambda>_eps|.
 
     ``mode`` "space" pairs each time slice spatially (with the |t|_eps
-    explosion weight); "parabolic" pairs in space-time on interior times.
+    explosion weight); "parabolic" pairs in space-time on interior times and
+    stops at the first scale whose time support no longer fits the horizon
+    (larger scales fit even less).
     """
     if alpha >= 0.0:
         raise ValueError("negative-regularity norm needs alpha < 0")
+    if mode not in ("space", "parabolic"):
+        raise ValueError(f"unknown mode {mode!r}")
     _check_scale_list(tf, alpha)
     grid = field.grid
     weight = _t_eps(field.times, grid.eps)[:, None] ** (-min(eta, 0.0)) if mode == "space" else 1.0
-    sups = [
-        float(lam ** (-alpha) * (np.abs(pm[rows]) * weight).max())
-        for lam, pm, rows in _pairing_maps(field.values, grid, tf, mode)
-    ]
+    sups = []
+    for lam in tf.scales:
+        if mode == "space":
+            pm, rows = _space_pairing_map(np.atleast_2d(field.values), grid, tf, lam), slice(None)
+        else:
+            found = _parabolic_pairing_map(field.values, grid, tf, lam)
+            if found is None:
+                break
+            pm, rows = found
+        sups.append(float(lam ** (-alpha) * (np.abs(pm[rows]) * weight).max()))
     if not sups:
         raise ValueError("no scale fits inside the horizon")
     return max([0.0, *sups])
@@ -318,24 +354,33 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
     grid = field.grid
     if len(tf.scales) < 4:
         raise ValueError("need >= 4 scales for >= 3 band points")
-    vals = field.values[-1:] if mode == "space" and field.values.ndim == 2 else field.values
+    if mode == "space":
+        vals = np.atleast_2d(field.values)[-1:]
+        kts = [0] * len(tf.scales)
+    elif mode == "parabolic":
+        vals = field.values
+        if vals.ndim != 2:
+            raise ValueError("parabolic pairing needs a space-time field")
+        kts = [_time_halfwidth(grid, lam) for lam in tf.scales]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    nt = vals.shape[0]
+    # kt grows with the scale, so the scales whose time support fits the
+    # horizon are a prefix; parabolic bands stop where it ends
+    usable = sum(2 * kt + 1 <= nt for kt in kts)
     sups, lams = [], []
-    prev = None
-    for lam, pm, rows in _pairing_maps(vals, grid, tf, mode):
-        if prev is not None:
-            lam_a, pa = prev
-            st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
-            st_t = max(1, int(round(lam_a**2 / (2.0 * grid.dt))))
-            # sample backwards from the latest usable time of the larger
-            # scale: slow modes only equilibrate near the end of the horizon
-            t = np.arange(pm.shape[0])[rows]
-            tsel = t[-1] - np.arange(PATCHES) * st_t
-            tsel = tsel[tsel >= t[0]]
-            xsel = (np.arange(2 * PATCHES + 1) * st_x) % grid.M
-            sel = np.ix_(tsel, xsel)
-            sups.append(float(np.abs(pa[sel] - pm[sel]).max()))
-            lams.append(lam_a)
-        prev = lam, pm
+    for lam_a, lam_b, kt_b in zip(tf.scales[:usable], tf.scales[1:usable], kts[1:usable]):
+        st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
+        st_t = max(1, int(round(lam_a**2 / (2.0 * grid.dt))))
+        # sample backwards from the latest usable time of the larger
+        # scale: slow modes only equilibrate near the end of the horizon
+        tsel = nt - 1 - kt_b - np.arange(PATCHES) * st_t
+        tsel = tsel[tsel >= kt_b]
+        xsel = (np.arange(2 * PATCHES + 1) * st_x) % grid.M
+        pa = _pairings_at(vals, grid, tf, lam_a, tsel, xsel, mode)
+        pb = _pairings_at(vals, grid, tf, lam_b, tsel, xsel, mode)
+        sups.append(float(np.abs(pa - pb).max()))
+        lams.append(lam_a)
     if len(sups) < 3:
         raise ValueError("not enough usable parabolic scales in the horizon")
     sups = np.asarray(sups, dtype=np.float64)

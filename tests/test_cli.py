@@ -302,6 +302,22 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {field}: expected an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"T": True}, "T"),
+            ({"alpha": True}, "alpha"),
+            ({"eta": False}, "eta"),
+            ({"initial": {"kind": "constant", "value": True}}, "initial.value"),
+        ],
+    )
+    def test_float_fields_reject_booleans(self, tmp_path, capsys, bad, field):
+        path = write_config(tmp_path, dict({"family": FAMILY, "N": 5, "T": 0.25}, **bad))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: expected a " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_numbers_and_strings_accepted(self):
         cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": "5", "seed": "77", "replicas": 2.0})
         assert (cfg.N, cfg.seed, cfg.replicas) == (5, 77, 2)

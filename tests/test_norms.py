@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import sbe.norms
 from sbe.grids import GridSpec, LatticeField, rng_for, sample_noise
 from sbe.norms import (
     TestFunctionFamily as BumpFamily,
@@ -11,6 +14,7 @@ from sbe.norms import (
     holder_norm_parabolic,
     holder_norm_space,
     make_test_family,
+    _pairings_at,
     _parabolic_pairing_map,
     _space_pairing_map,
 )
@@ -297,6 +301,48 @@ def test_comparison_terms_levels_at_once_match_pairs():
     assert np.all(at_once[0, 0] == 0.0) and np.all(at_once[1, 0] > 0.0)
 
 
+def test_comparison_terms_builds_each_kernel_spectrum_once(monkeypatch):
+    """Repeated calls, as the convergence study makes once per snapshot time,
+    reuse one read-only spectrum per (r, M, lambda)."""
+    built = []
+    real = sbe.norms._space_kernel
+
+    def counted(tf, grid, lam):
+        built.append((tf.r, grid.M, lam))
+        return real(tf, grid, lam)
+
+    monkeypatch.setattr(sbe.norms, "_space_kernel", counted)
+    monkeypatch.setattr(sbe.norms, "_SPECTRA", {})
+    grids = [GridSpec(n, 0.25) for n in (5, 6, 7)]
+    tf = make_test_family(grids[0], lambda_max=0.5)
+    slices = [white_slice(g, g.N)[None, :] for g in grids]
+    first = comparison_terms(slices, grids, np.array([0.125]), -0.6, tf)
+    for _ in range(3):
+        assert np.array_equal(comparison_terms(slices, grids, np.array([0.125]), -0.6, tf), first)
+    assert len(built) == len(set(built)) == len(grids) * len(tf.scales)
+    assert not any(spec.flags.writeable for spec in sbe.norms._SPECTRA.values())
+
+
+def band_points(grid, tf, nt, mode):
+    """(smaller scale, larger scale, tsel, xsel) of each band that fits nt rows.
+
+    Times run backwards from the end of the larger scale's interior on the
+    smaller scale's time stride; sites run on the smaller scale's stride.
+    """
+    bands = []
+    for lam_a, lam_b in zip(tf.scales[:-1], tf.scales[1:]):
+        kt = 0 if mode == "space" else math.ceil(lam_b**2 / grid.dt)
+        if 2 * kt + 1 > nt:
+            break
+        st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
+        st_t = max(1, int(round(lam_a**2 / (2.0 * grid.dt))))
+        interior = np.arange(kt, nt - kt)
+        tsel = interior[-1] - np.arange(16) * st_t
+        tsel = tsel[tsel >= interior[0]]
+        bands.append((lam_a, lam_b, tsel, (np.arange(33) * st_x) % grid.M))
+    return bands
+
+
 def test_parabolic_bands_sample_back_from_the_larger_scale():
     """Band sups equal a per-scale reference that samples times backwards
     from the end of the larger scale's interior, on the smaller scale's strides."""
@@ -304,15 +350,52 @@ def test_parabolic_bands_sample_back_from_the_larger_scale():
     tf = make_test_family(grid, lambda_max=0.25)
     vals = sample_noise(grid, 4).values
     est = estimate_exponent(LatticeField(grid, vals), tf, mode="parabolic")
-    maps = [_parabolic_pairing_map(vals, grid, tf, lam) for lam in tf.scales]
-    maps = maps[: maps.index(None)]
     ref = []
-    for lam, (pa, _), (pb, ib) in zip(tf.scales, maps[:-1], maps[1:]):
-        st_x = max(1, int(round(lam / (2.0 * grid.eps))))
-        st_t = max(1, int(round(lam**2 / (2.0 * grid.dt))))
-        tsel = ib[-1] - np.arange(16) * st_t
-        tsel = tsel[tsel >= ib[0]]
-        xsel = (np.arange(33) * st_x) % grid.M
-        ref.append(np.abs(pa - pb)[np.ix_(tsel, xsel)].max())
+    for lam_a, lam_b, tsel, xsel in band_points(grid, tf, vals.shape[0], "parabolic"):
+        pa = _pairings_at(vals, grid, tf, lam_a, tsel, xsel, "parabolic")
+        pb = _pairings_at(vals, grid, tf, lam_b, tsel, xsel, "parabolic")
+        ref.append(np.abs(pa - pb).max())
     assert len(ref) == 3
     assert np.array_equal(est.sup_pairings, ref)
+
+
+@pytest.mark.parametrize("mode", ["space", "parabolic"])
+@pytest.mark.parametrize(
+    "N, T", [(6, 0.125), (8, 0.0625), (6, 129 / 4096)], ids=["N6", "N8", "N6-largest-scale-just-fits"]
+)
+def test_point_pairings_match_the_full_maps(mode, N, T):
+    """At every point the estimator samples, both scales of each band agree
+    with the FFT pairing maps to 1e-13 of the scale's largest sampled value."""
+    grid = GridSpec(N, T)
+    tf = make_test_family(grid, lambda_max=0.25)
+    vals = sample_noise(grid, 40000 + N).values
+    if mode == "space":
+        vals = vals[-1:]
+    bands = band_points(grid, tf, vals.shape[0], mode)
+    assert len(bands) >= 3
+    if mode == "parabolic" and T == 129 / 4096:
+        # 2 kt + 1 == nt at lambda = 1/8
+        assert bands[-1][1] == 0.125 and vals.shape[0] == 2 * 64 + 1
+    for lam_a, lam_b, tsel, xsel in bands:
+        for lam in (lam_a, lam_b):
+            if mode == "space":
+                full = _space_pairing_map(vals, grid, tf, lam)
+            else:
+                full, interior = _parabolic_pairing_map(vals, grid, tf, lam)
+                assert np.isin(tsel, interior).all()
+            ref = full[np.ix_(tsel, xsel)]
+            pts = _pairings_at(vals, grid, tf, lam, tsel, xsel, mode)
+            assert np.abs(pts - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mode", ["space", "parabolic"])
+def test_estimate_exponent_builds_no_full_map(monkeypatch, mode):
+    def refuse(*args):
+        raise AssertionError("full pairing map built")
+
+    monkeypatch.setattr(sbe.norms, "_parabolic_pairing_map", refuse)
+    monkeypatch.setattr(sbe.norms, "_space_pairing_map", refuse)
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    est = estimate_exponent(LatticeField(grid, sample_noise(grid, 4).values), tf, mode=mode)
+    assert len(est.sup_pairings) >= 3
