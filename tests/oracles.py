@@ -8,6 +8,12 @@ against an independent spelling of the same recurrence.
 spell the stencil operators, the twisted product and the kernel forward
 differences with ``np.roll``; they are the reference that the shift-and-sum
 engine must match bit for bit.
+
+``dxp_forward``, ``trees_forward`` and ``dxk_direct`` rebuild the tree
+processes of ``sbe.processes.lift`` without its transforms: DxP * F by
+stepping the forward scheme of the linear family with F as the forcing,
+DxK * F by the direct space-time sum at chosen points, and every twisted
+product by ``twisted_product_roll``.
 """
 
 import numpy as np
@@ -15,8 +21,8 @@ import numpy as np
 from sbe.grids import GridSpec, NoiseField
 from sbe.heat import HeatKernel
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
-from sbe.operators import derivative_multiplier, twisted_product
-from sbe.solver import SchemeConfig, Trajectory, _escaped
+from sbe.operators import OperatorFamily, derivative_multiplier, twisted_product
+from sbe.solver import SchemeConfig, Trajectory, _escaped, step_forward
 
 
 def _check_support(measure_radius: int, M: int):
@@ -105,3 +111,65 @@ def mild_oracle(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) 
         if n % cfg.record_stride == 0 or n == n_steps:
             snaps.append((n * cfg.grid.dt, u.copy()))
     return traj
+
+
+def linear_family(fam: OperatorFamily) -> OperatorFamily:
+    """fam's nu and pi with the zero product measure: the scheme without its nonlinearity."""
+    return OperatorFamily(fam.nu, fam.pi, AtomicMeasure2D({(0, 0): 0.0}))
+
+
+def dxp_forward(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray) -> np.ndarray:
+    """DxP * F by the forward scheme, rows 0..n_steps.
+
+    ``step_forward`` on the linear family (zero product, zero drift) from a
+    zero start, with F in place of the noise: row n is
+    eps^2 sum_{s<n} (DxP)_{n-1-s} * F_s, since step n reads F at row n - 1.
+    """
+    cfg = SchemeConfig(linear_family(fam), grid)
+    out = np.zeros((grid.n_steps + 1, grid.M))
+    for n in range(1, grid.n_steps + 1):
+        out[n] = step_forward(cfg, out[n - 1], forcing[n - 1])
+    return out
+
+
+def trees_forward(noise: NoiseField, fam: OperatorFamily, a: float, b: float) -> dict:
+    """The nine full_P trees and DxP * T1 (key "dxp_t1") by ``dxp_forward``.
+
+    Each tree is built from the oracle's own lower trees, never from lift's.
+    """
+    grid = noise.grid
+
+    def conv(f):
+        return dxp_forward(fam, grid, f)
+
+    def B(f, g):
+        return twisted_product_roll(fam.mu, f, g)
+
+    t = {"T1": conv(noise.values)}
+    t["dxp_t1"] = conv(t["T1"])
+    t["T11"] = B(np.ones_like(t["T1"]), t["dxp_t1"])
+    t["T2"] = B(t["T1"], t["T1"]) - a
+    t["T21"] = B(t["T11"], t["T1"]) - b
+    t["T12"] = conv(t["T2"])
+    t["T22"] = B(t["T12"], t["T1"]) - 2.0 * b * t["T1"]
+    t["T122"] = conv(t["T22"])
+    t["T124"] = conv(B(t["T12"], t["T12"]))
+    t["T1222"] = conv(B(t["T122"], t["T1"]) - b * t["T12"])
+    return t
+
+
+def dxk_direct(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray, points) -> np.ndarray:
+    """(DxK * F)(n, x) at each (n, x) of ``points`` by the direct sum.
+
+    eps^3 sum_{s<n} sum_y DxK(n-1-s, x-y) F(s, y), with K the singular part of
+    the heat kernel split at the grid horizon and DxK its roll-stencil
+    derivative.
+    """
+    eps, M = grid.eps, grid.M
+    dxk = stencil_apply_roll(fam.pi, 1.0 / eps, HeatKernel(grid, fam).split(grid.T).K)
+    y = np.arange(M)
+    vals = []
+    for n, x in points:
+        s = np.arange(n)
+        vals.append(eps**3 * np.sum(dxk[n - 1 - s][:, (x - y) % M] * forcing[s]))
+    return np.array(vals)
