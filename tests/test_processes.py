@@ -6,7 +6,7 @@ import pytest
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
-from sbe.operators import derivative_multiplier, stepping_multiplier
+from sbe.operators import derivative_multiplier, stepping_multiplier, twisted_product
 from sbe.processes import TREE_LABELS, lift, remainder_r1222, remainder_r21
 from sbe.renorm import RenormConstants, compute_constants
 
@@ -72,20 +72,45 @@ def test_t1_linear_in_noise(fam_bw_ss, setup):
     np.testing.assert_allclose(t_sum, t_parts, atol=1e-9)
 
 
+def kspace_recurrence(fam, grid, f):
+    """DxP * f by the k-space recurrence on full spectra, one time row per step."""
+    m = stepping_multiplier(fam, grid.eps, grid.M)
+    pref = grid.eps**2 * derivative_multiplier(fam, grid.eps, grid.M)
+    f_hat = np.fft.fft(f, axis=1)
+    out = np.zeros((grid.n_steps + 1, grid.M), dtype=np.complex128)
+    for n in range(1, grid.n_steps + 1):
+        out[n] = m * out[n - 1] + pref * f_hat[n - 1]
+    return np.fft.ifft(out, axis=1).real
+
+
 def test_t11_pointwise_product_collapses(fam_bw_pw, setup):
     # with the single-atom product, B(1, h) = h so T11 is the inner
-    # convolution DxP * T1, here by the k-space recurrence
+    # convolution DxP * T1
     grid, _ = setup
     consts = compute_constants(fam_bw_pw, grid)
     noise = sample_noise(grid, 5)
     tps = lift(noise, fam_bw_pw, consts, labels=("T11", "T1"))
-    m = stepping_multiplier(fam_bw_pw, grid.eps, grid.M)
-    pref = grid.eps**2 * derivative_multiplier(fam_bw_pw, grid.eps, grid.M)
-    t1_hat = np.fft.fft(tps["T1"], axis=1)
-    inner = np.zeros_like(t1_hat)
-    for n in range(1, grid.n_steps + 1):
-        inner[n] = m * inner[n - 1] + pref * t1_hat[n - 1]
-    np.testing.assert_allclose(tps["T11"], np.fft.ifft(inner, axis=1).real, atol=1e-10)
+    np.testing.assert_allclose(tps["T11"], kspace_recurrence(fam_bw_pw, grid, tps["T1"]), atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["full_P", "split_K"])
+@pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 3), (5, 64), (6, 129)])
+def test_blocked_recurrence_matches_the_sequential_one(fam_bw_ss, mode, N, nt):
+    # blocks of isqrt(nt) rows: nt = 1 is one block, 2 and 3 are one-row
+    # blocks, 64 is 8 full blocks of 8, and 129 is 12 blocks of 11 with the
+    # last one padded
+    grid = GridSpec(N, nt * 4.0**-N)
+    noise = sample_noise(grid, 60 + nt)
+    tps = lift(noise, fam_bw_ss, compute_constants(fam_bw_ss, grid), mode=mode)
+    checks = [
+        ("dxp_t1", tps.dxp_t1, tps["T1"]),
+        ("T124", tps["T124"], twisted_product(fam_bw_ss.mu, tps["T12"], tps["T12"])),
+    ]
+    if mode == "full_P":
+        checks.append(("T1", tps["T1"], noise.values))
+    for label, got, integrand in checks:
+        want = kspace_recurrence(fam_bw_ss, grid, integrand)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), label
 
 
 REGULARITY_LABELS = ("T1", "T11", "T12", "T2")
