@@ -9,9 +9,12 @@ Its order-zeta norm takes forward differences in space and time,
 with |z|_{s,eps} = (sqrt(t) v |x|) v eps and |k|_s = 2 k0 + k1. Stability
 of the value across N certifies the claimed order empirically. Twisted
 products act slice-wise; convolutions are eps^3-weighted space-time sums,
-linear in time and circular in space. The renormalized convolution pairs
-the first kernel against increments, which is the plain convolution minus
-the kernel mass times the second factor.
+linear in time and circular in space. Kernels are real, so they are
+convolved on real half-spectra (rfft modes 0..M/2) and only over the rows
+they occupy: each input is cut after its last nonzero row before the time
+FFT, and the output rows past the computed ones are exact zeros. The
+renormalized convolution pairs the first kernel against increments, which
+is the plain convolution minus the kernel mass times the second factor.
 """
 
 from __future__ import annotations
@@ -115,9 +118,20 @@ def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMea
     return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=k1.claimed_order + k2.claimed_order)
 
 
+def _occupied_rows(a: np.ndarray) -> int:
+    """Number of rows up to and including the last nonzero one (0 if all zero)."""
+    nonzero = np.flatnonzero(np.any(a != 0.0, axis=1))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
 def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    full = time_convolve(np.fft.fft(a, axis=1), np.fft.fft(b, axis=1))
-    return grid.eps**3 * np.fft.ifft(full, axis=1).real
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy."""
+    r1, r2 = _occupied_rows(a), _occupied_rows(b)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, grid.M))
+    if r1 and r2:
+        full = time_convolve(np.fft.rfft(a[:r1], axis=1), np.fft.rfft(b[:r2], axis=1))
+        out[: r1 + r2 - 1] = grid.eps**3 * np.fft.irfft(full, n=grid.M, axis=1)
+    return out
 
 
 def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
@@ -141,10 +155,8 @@ def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKer
         raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
-    conv = _spacetime_convolve(k1.values, k2.values, k1.grid)
-    embedded = np.zeros_like(conv)
-    embedded[: k2.values.shape[0]] = k2.values
-    vals = conv - kernel_mass(k1) * embedded
+    vals = _spacetime_convolve(k1.values, k2.values, k1.grid)
+    vals[: k2.values.shape[0]] -= kernel_mass(k1) * k2.values
     return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=z1 + z2 + SPACE_TIME_DIM)
 
 
@@ -193,6 +205,30 @@ def mollification_loss_probe(k: DiscreteKernel, eps_bar_cells: int, kappa: float
     return order_norm(diff, k.claimed_order - kappa) / eps_bar**kappa
 
 
+def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
+    """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows.
+
+    The literal increment sum over every w of sq's grid: rows s where
+    K(z - w) = 0 add -K(z) times sq. Row s of K(z - w) is row nk - 1 - n + s
+    of K reversed in time and space, shifted by M - 1 - x.
+    """
+    nk, M = K.shape
+    rev = K[::-1, ::-1]
+    terms = np.empty(sq.shape)
+    out = np.empty(len(points))
+    for i, (n, x) in enumerate(points):
+        # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
+        lo, hi = max(0, n - nk + 1), min(n, nk - 1) + 1
+        kz = K[n, x] if n < nk else 0.0
+        terms[:lo] = 0.0 - kz
+        terms[hi:] = 0.0 - kz
+        if lo < hi:
+            np.subtract(_shift(rev[nk - 1 - n + lo : nk - 1 - n + hi], M - 1 - x), kz, out=terms[lo:hi])
+        np.multiply(sq, terms, out=terms)
+        out[i] = eps**3 * np.sum(terms)
+    return out
+
+
 def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, DiscreteKernel, float]:
     """Split kernel K, R(|DxK|^2) * K and the renormalized-convolution residual.
 
@@ -205,21 +241,14 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     """
     K = HeatKernel(grid, fam).split(grid.T).K
     kern = DiscreteKernel(K, grid, -1.0)
-    dxk = np.fft.ifft(np.fft.fft(K, axis=1) * derivative_multiplier(fam, grid.eps, grid.M), axis=1).real
+    dmult = derivative_multiplier(fam, grid.eps, grid.M)[: grid.M // 2 + 1]
+    dxk = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=grid.M, axis=1)
     sq = DiscreteKernel(dxk**2, grid, -3.5)
     ident = renormalized_convolve(sq, kern)
     rows, M = ident.values.shape
-    nk = K.shape[0]  # |DxK|^2 has K's rows too
     gen = rng_for(PROBE_SEED, 91)
     points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1)]
     points += zip(gen.integers(0, rows, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
-    gap = 0.0
-    for n, x in points:
-        # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
-        s = np.arange(max(0, n - nk + 1), min(n, nk - 1) + 1)
-        shifted = np.zeros_like(K)
-        shifted[s] = K[n - s][:, (x - np.arange(M)) % M]
-        kz = K[n, x] if n < nk else 0.0
-        direct = grid.eps**3 * np.sum(sq.values * (shifted - kz))
-        gap = max(gap, abs(direct - ident.values[n, x]))
-    return kern, ident, gap / float(np.max(np.abs(ident.values)))
+    n_idx, x_idx = np.array(points).T
+    gap = np.max(np.abs(_direct_sums(K, sq.values, points, grid.eps) - ident.values[n_idx, x_idx]))
+    return kern, ident, float(gap) / float(np.max(np.abs(ident.values)))

@@ -13,9 +13,10 @@ drift-generating tree) where the recursion prescribes them:
 
 ``K`` is the full kernel P when kernel mode is "full_P" (the constants are
 defined against the full kernel) or the cutoff singular part when
-"split_K"; the last two trees always use P. Space convolutions are
-spectral on real half-spectra (rfft modes 0..M/2, the fields being real);
-the time convolution is the causal Riemann sum
+"split_K"; the last two trees always use P. B(1, h) is the stencil of h
+with mu's weights summed over j1 (for Sasamoto-Spohn, (h + h(. + eps)) / 2).
+Space convolutions are spectral on real half-spectra (rfft modes 0..M/2,
+the fields being real); the time convolution is the causal Riemann sum
 eps^2 sum_{s < t} H_{t - s - eps^2} F_s, the offset that makes the mild
 form reproduce the forward scheme exactly.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .grids import NoiseField
 from .heat import HeatKernel
-from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
+from .operators import OperatorFamily, _stencil, derivative_multiplier, time_convolve, twisted_product
 from .renorm import RenormConstants
 
 __all__ = [
@@ -147,11 +148,17 @@ def lift(
     def B(f, g):
         return twisted_product(fam.mu, f, g)
 
+    # B(1, h) = sum_j2 (sum_j1 mu(j1, j2)) h(. + eps j2)
+    marginal = {}
+    for (_, j2), w in fam.mu.atoms:
+        marginal[j2] = marginal.get(j2, 0.0) + w
+    one_atoms = sorted(marginal.items())
+
     rules = {
         "T1_hat": lambda t: conv(hat(noise.values)),
         "T1": lambda t: field(t["T1_hat"]),
         "DxK_T1": lambda t: field(conv(t["T1_hat"])),
-        "T11": lambda t: B(np.ones_like(t["T1"]), t["DxK_T1"]),
+        "T11": lambda t: _stencil(one_atoms, t["DxK_T1"]),
         "T2": lambda t: B(t["T1"], t["T1"]) - a,
         "T21": lambda t: B(t["T11"], t["T1"]) - b,
         "T12": lambda t: field(conv(hat(t["T2"]))),

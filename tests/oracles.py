@@ -14,6 +14,10 @@ processes of ``sbe.processes.lift`` without its transforms: DxP * F by
 stepping the forward scheme of the linear family with F as the forcing,
 DxK * F by the direct space-time sum at chosen points, and every twisted
 product by ``twisted_product_roll``.
+
+``increment_sums_zeros_like`` is the direct-sum loop of criterion 9's check
+as first written: a zero kernel-sized field and a fancy index per point. The
+shift-based loop of ``sbe.kernels._direct_sums`` must equal it bit for bit.
 """
 
 import numpy as np
@@ -172,4 +176,19 @@ def dxk_direct(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray, points)
     for n, x in points:
         s = np.arange(n)
         vals.append(eps**3 * np.sum(dxk[n - 1 - s][:, (x - y) % M] * forcing[s]))
+    return np.array(vals)
+
+
+def increment_sums_zeros_like(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
+    """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows."""
+    nk, M = K.shape
+    vals = []
+    for n, x in points:
+        # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
+        s = np.arange(max(0, n - nk + 1), min(n, nk - 1) + 1)
+        shifted = np.zeros_like(K)
+        shifted[s] = K[n - s][:, (x - np.arange(M)) % M]
+        kz = K[n, x] if n < nk else 0.0
+        direct = eps**3 * np.sum(sq * (shifted - kz))
+        vals.append(direct)
     return np.array(vals)

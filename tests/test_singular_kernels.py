@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import increment_sums_zeros_like
 from sbe import kernels
-from sbe.grids import GridSpec
+from sbe.grids import GridSpec, rng_for
 from sbe.heat import HeatKernel, signed_torus_coordinate
 from sbe.kernels import (
     DiscreteKernel,
@@ -139,10 +140,67 @@ class TestRenormalizedConvolve:
         assert np.isfinite(order_norm(out, out.claimed_order, 0))
 
 
+def spacetime_sum(a, b, eps):
+    """eps^3 sum_{s, y} a(s, y) b(n - s, x - y) for every (n, x), b zero outside its rows."""
+    n1, M = a.shape
+    n2 = b.shape[0]
+    out = np.zeros((n1 + n2 - 1, M))
+    for n in range(n1 + n2 - 1):
+        for x in range(M):
+            for s in range(max(0, n - n2 + 1), min(n, n1 - 1) + 1):
+                out[n, x] += sum(a[s, y] * b[n - s, (x - y) % M] for y in range(M))
+    return eps**3 * out
+
+
+class TestSpacetimeConvolve:
+    grid = GridSpec(3, 0.25)
+
+    def rows(self, n, trailing_zeros, seed):
+        vals = rng_for(seed, 0).standard_normal((n, self.grid.M))
+        if trailing_zeros:
+            vals[n - trailing_zeros :] = 0.0
+        return vals
+
+    @pytest.mark.parametrize(
+        "n1, z1, n2, z2",
+        [(5, 0, 3, 0), (3, 0, 7, 0), (6, 2, 4, 0), (4, 0, 6, 3), (5, 4, 5, 1), (1, 0, 4, 0)],
+    )
+    def test_matches_the_direct_sum(self, n1, z1, n2, z2):
+        a, b = self.rows(n1, z1, 1), self.rows(n2, z2, 2)
+        got = kernels._spacetime_convolve(a, b, self.grid)
+        want = spacetime_sum(a, b, self.grid.eps)
+        assert got.shape == (n1 + n2 - 1, self.grid.M)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # rows past the occupied ones are exact zeros
+        assert not got[(n1 - z1) + (n2 - z2) - 1 :].any()
+
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_all_zero_input(self, zero_first):
+        zero, other = np.zeros((4, self.grid.M)), self.rows(6, 0, 3)
+        a, b = (zero, other) if zero_first else (other, zero)
+        got = kernels._spacetime_convolve(a, b, self.grid)
+        assert got.shape == (9, self.grid.M)
+        assert not got.any()
+
+
 class TestRenormalizedSquareCheck:
     def test_residual_is_a_rounding_gap(self, fam_bw_pw):
         _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
         assert 0.0 < resid <= 1e-15
+
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_direct_sums_equal_the_reference_loop(self, fam_bw_ss, N):
+        grid = GridSpec(N, 0.25)
+        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        dmult = derivative_multiplier(fam_bw_ss, grid.eps, grid.M)[: grid.M // 2 + 1]
+        sq = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=grid.M, axis=1) ** 2
+        nk, M = K.shape
+        rows = 2 * nk - 1
+        gen = rng_for(5, N)
+        points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1), (nk - 1, 3), (nk, M - 2), (1, 1)]
+        points += zip(gen.integers(0, rows, 24).tolist(), gen.integers(0, M, 24).tolist())
+        got = kernels._direct_sums(K, sq, points, grid.eps)
+        assert np.array_equal(got, increment_sums_zeros_like(K, sq, points, grid.eps))
 
     def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
         # the direct sum does not go through the FFT convolution, so a
