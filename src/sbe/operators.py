@@ -11,10 +11,18 @@ The DFT convention carries the eps weight on the forward transform,
 F u(k) = eps * sum_x u(x) e^{-2 pi i k x}, with the inverse being the plain
 mode sum; on the torus the modes are the integers in [-M/2, M/2). Twisted
 Parseval: eps * sum_x B(f,g) = sum_k F f(k) F g(-k) mu_hat(-eps k, eps k).
-The operators are evaluated as one shift-and-sum stencil over the atoms
-(twisted_product sums the g stencil once per first offset of mu); the
-Fourier side supplies their multipliers and the time convolution the other
-layers share.
+The three operators run on one blocked shift-and-sum engine. It copies
+about _BLOCK_BYTES of rows at a time into a flat buffer that lays the rows
+end to end, each with r wrapped ghost sites on either side (``_Wrapped``),
+so u(. + eps j) is one contiguous view that holds it at columns
+r + j .. r + j + M - 1 of every padded row. ``_accumulate`` adds the terms
+with ``out=`` ufuncs from a zero start in atom order (the twisted product
+sums the g stencil once per first offset of mu). Those are the operations,
+in the order, of rolling the field once per offset, so the results equal
+the ``np.roll`` spelling bit for bit, and no field-sized temporary is made
+beyond the result. The operators prepare the engine per call; the solver
+holds one prepared step per level. The Fourier side supplies their
+multipliers and the time convolution the other layers share.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from itertools import groupby
 
 import numpy as np
 
-from .grids import _shift
 from .measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -76,20 +83,148 @@ class OperatorFamily:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# one block of wrapped rows holds about this many bytes, so it stays in cache
+_BLOCK_BYTES = 128 * 1024
+
+
+def _check_wrap(radius: int, M: int) -> None:
+    if radius >= M / 2:
+        raise ValueError(f"measure radius {radius} wraps on M={M} torus")
+
+
 def _periodic(measure, u) -> np.ndarray:
     """u as float64, once the measure's support is known not to wrap the torus."""
     u = np.asarray(u, dtype=np.float64)
-    if measure.radius >= u.shape[-1] / 2:
-        raise ValueError(f"measure radius {measure.radius} wraps on M={u.shape[-1]} torus")
+    _check_wrap(measure.radius, u.shape[-1])
     return u
+
+
+def _terms(atoms, bilinear: bool = False) -> tuple:
+    """The engine's terms for a measure's atoms.
+
+    A stencil is the one term (None, ((j, w), ...)); the twisted product has
+    a term (j1, ((j2, w), ...)) per first offset j1 of mu. mu's atoms are
+    sorted, so groupby meets each first offset once. Each weight is a 0-d
+    float64 array, which numpy multiplies by with less overhead per call
+    than a Python float and to the same bits.
+    """
+    if not bilinear:
+        return ((None, tuple((int(j), np.array(w, dtype=np.float64)) for j, w in atoms)),)
+    return tuple(
+        (int(j1), tuple((int(j2), np.array(w, dtype=np.float64)) for (_, j2), w in run))
+        for j1, run in groupby(atoms, key=lambda atom: atom[0][0])
+    )
+
+
+def _reach(terms) -> int:
+    """The largest |offset| the terms read: the ghost sites they need."""
+    offsets = [j for _, atoms in terms for j, _ in atoms] + [j1 for j1, _ in terms if j1 is not None]
+    return max(map(abs, offsets), default=0)
+
+
+def _block_rows(M: int, r: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * (M + 2 * r)))
+
+
+class _Wrapped:
+    """Rows of M sites laid end to end, each with r <= M wrapped ghost sites on either side.
+
+    The flat buffer holds r spare sites, n padded rows of W = M + 2r sites
+    (``rows``, with the sites themselves in ``center``) and r spare sites;
+    ``use`` sets n. Once the rows are loaded and wrapped, ``at(j)`` is a
+    contiguous view of n W sites whose padded row i holds u_i(x + eps j) at
+    position r + x, for |j| <= r. Its ghost positions hold values of no use,
+    which ``core`` leaves out of any array in this padded layout.
+    """
+
+    def __init__(self, rows: int, M: int, r: int):
+        self.M, self.r, self.W = M, r, M + 2 * r
+        # zeros: the spare sites are read by at(j) though no result uses them
+        self.buf = np.zeros(rows * self.W + 2 * r)
+        self.use(rows)
+
+    def use(self, n: int) -> None:
+        self.n, self.size = n, n * self.W
+        self.rows = self.buf[self.r : self.r + self.size].reshape(n, self.W)
+        self.center = self.core(self.rows)
+        self.views = {}
+
+    def core(self, padded: np.ndarray) -> np.ndarray:
+        """The (n, M) sites of an array in the padded layout."""
+        return padded.reshape(self.n, self.W)[:, self.r : self.r + self.M]
+
+    def wrap(self) -> None:
+        r, M = self.r, self.M
+        if r:
+            np.copyto(self.rows[:, :r], self.rows[:, M : M + r])
+            np.copyto(self.rows[:, M + r :], self.rows[:, r : 2 * r])
+
+    def load(self, u: np.ndarray) -> None:
+        np.copyto(self.center, u)
+        self.wrap()
+
+    def at(self, j: int) -> np.ndarray:
+        view = self.views.get(j)
+        if view is None:
+            view = self.views[j] = self.buf[self.r + j : self.r + j + self.size]
+        return view
+
+
+def _accumulate(out, terms, g: _Wrapped, f: _Wrapped | None, acc, tmp) -> None:
+    """out = the sum of the terms over the loaded rows, added in order from zero.
+
+    A (None, atoms) term adds sum_j w g(. + eps j); a (j1, atoms) term adds
+    f(. + eps j1) times sum_j2 w g(. + eps j2), which acc sums from zero.
+    out, acc and tmp are flat arrays in the padded layout of g and f.
+    """
+    out.fill(0.0)
+    for j1, atoms in terms:
+        into = out if j1 is None else acc
+        if j1 is not None:
+            acc.fill(0.0)
+        for j, w in atoms:
+            np.multiply(w, g.at(j), out=tmp)
+            np.add(into, tmp, out=into)
+        if j1 is not None:
+            np.multiply(acc, f.at(j1), out=tmp)
+            np.add(out, tmp, out=out)
+
+
+def _apply(terms, g: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    """The engine on a whole field (..., M), prepared for it and run a block of rows at a time.
+
+    f is read only by bilinear terms; when it is g, one buffer serves both.
+    """
+    shape, M = g.shape, g.shape[-1]
+    r = _reach(terms)
+    g2 = g.reshape(-1, M)
+    f2 = None if f is None or f is g else f.reshape(-1, M)
+    R = g2.shape[0]
+    rows = max(1, min(R, _block_rows(M, r)))
+    gw = _Wrapped(rows, M, r)
+    fw = gw if f2 is None else _Wrapped(rows, M, r)
+    scratch = np.empty((3, gw.size))
+    out = np.empty((R, M))
+    for a in range(0, R, rows):
+        n = min(rows, R - a)
+        if n != gw.n:
+            gw.use(n)
+            fw.use(n)
+        gw.load(g2[a : a + n])
+        if fw is not gw:
+            fw.load(f2[a : a + n])
+        total, acc, tmp = scratch[:, : gw.size]
+        _accumulate(total, terms, gw, fw, acc, tmp)
+        np.copyto(out[a : a + n], gw.core(total))
+    return out.reshape(shape)
 
 
 def _stencil(atoms, u: np.ndarray) -> np.ndarray:
     """sum_j w_j u(. + eps j) along the last axis, added in atom order."""
-    out = np.zeros_like(u)
-    for j, w in atoms:
-        out += w * _shift(u, j)
-    return out
+    terms = _terms(atoms)
+    u = np.asarray(u, dtype=np.float64)
+    _check_wrap(_reach(terms), u.shape[-1])
+    return _apply(terms, u)
 
 
 def modes(M: int) -> np.ndarray:
@@ -128,28 +263,23 @@ def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete Laplacian of one slice (or along the last axis)."""
-    return 1.0 / (2.0 * fam.nu_bar * eps**2) * _stencil(fam.nu.atoms, _periodic(fam.nu, u))
+    out = _apply(_terms(fam.nu.atoms), _periodic(fam.nu, u))
+    return np.multiply(1.0 / (2.0 * fam.nu_bar * eps**2), out, out=out)
 
 
 def derivative(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:
     """Periodic discrete derivative; output has exact zero spatial mean."""
-    return 1.0 / eps * _stencil(fam.pi.atoms, _periodic(fam.pi, u))
+    out = _apply(_terms(fam.pi.atoms), _periodic(fam.pi, u))
+    return np.multiply(1.0 / eps, out, out=out)
 
 
 def twisted_product(mu: AtomicMeasure2D, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric.
-
-    mu's atoms are sorted, so groupby meets each first offset j1 once.
-    """
+    """B(f, g) under mu; bilinear, symmetric when mu is exchange-symmetric."""
     f = _periodic(mu, f)
     g = np.asarray(g, dtype=np.float64)
     if f.shape != g.shape:
         raise ValueError("twisted product needs matching shapes")
-    out = np.zeros_like(f)
-    for j1, run in groupby(mu.atoms, key=lambda atom: atom[0][0]):
-        # one statement, so no run's field-sized temporaries outlive it
-        out += _stencil([(j2, w) for (_, j2), w in run], g) * _shift(f, j1)
-    return out
+    return _apply(_terms(mu.atoms, bilinear=True), g, f)
 
 
 def check_parseval_twisted(fam: OperatorFamily, f: np.ndarray, g: np.ndarray, eps: float) -> float:

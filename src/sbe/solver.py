@@ -7,6 +7,11 @@ solution is an exact invariant of the scheme. Blow-up past the overflow
 threshold truncates the trajectory with a flag rather than raising, since
 the convergence statement only holds up to a stopping time. The coupled
 dyadic self-convergence study steps all replicas and levels together.
+
+A step is prepared once per level (``_Step``): the family's terms for the
+operators' blocked engine, the drift, and buffers for a block of replica
+rows. ``run`` and the study hold one for the whole run; ``step_forward``
+is a one-step use of it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .grids import GridSpec, NoiseField, block_average, coarsen_slice, noise_block, noise_stream, rng_for
 from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
-from .operators import OperatorFamily, derivative, laplacian, twisted_product
+from .operators import OperatorFamily, _accumulate, _block_rows, _check_wrap, _reach, _terms, _Wrapped
 from .renorm import c21
 
 __all__ = [
@@ -85,13 +90,86 @@ class Trajectory:
         return np.stack([u for _, u in self.snapshots])
 
 
+class _Step:
+    """The scheme's step for one config, prepared once and applied as often as needed.
+
+    It holds the engine terms of mu, nu and pi, the drift and buffers for up
+    to ``rows`` state rows (one block of the engine). A call takes a state
+    (..., M) and a noise slice of the same shape and returns a new array,
+    which no later call writes to. States with fewer rows use the leading
+    rows of the buffers; states with more are stepped a block at a time.
+    Every value is computed as ``u + dt * (lap u + der(B(u, u) + b u + xi))``
+    with each operator summed from zero in atom order.
+    """
+
+    def __init__(self, cfg: SchemeConfig, rows: int = 1):
+        fam, grid = cfg.fam, cfg.grid
+        self.N, self.M = grid.N, grid.M
+        for measure in (fam.mu, fam.nu, fam.pi):
+            _check_wrap(measure.radius, self.M)
+        self.product = _terms(fam.mu.atoms, bilinear=True)
+        self.lap = _terms(fam.nu.atoms)
+        self.der = _terms(fam.pi.atoms)
+        # 0-d arrays, like the weights in _terms
+        self.lap_coeff = np.array(1.0 / (2.0 * fam.nu_bar * grid.eps**2))
+        self.der_coeff = np.array(1.0 / grid.eps)
+        self.b_drift, self.dt = np.array(cfg.b_drift, dtype=np.float64), np.array(grid.dt)
+        r = max(_reach(self.product), _reach(self.lap), _reach(self.der))
+        self.rows = max(1, min(rows, _block_rows(self.M, r)))
+        # one padded layout for all: the state, read by B and lap, and the
+        # transported field B(u, u) + b u + xi, read by der
+        self.u = _Wrapped(self.rows, self.M, r)
+        self.t = _Wrapped(self.rows, self.M, r)
+        self.scratch = np.empty((4, self.u.size))
+        self._use(self.rows)
+
+    def _use(self, n: int) -> None:
+        self.u.use(n)
+        self.t.use(n)
+        self.lap_out, self.der_out, self.acc, self.tmp = self.scratch[:, : self.u.size]
+        self.lap_core = self.u.core(self.lap_out)
+
+    def __call__(self, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        xi_slice = np.asarray(xi_slice, dtype=np.float64)
+        if u.shape[-1:] != (self.M,):
+            raise ValueError(f"state has shape {u.shape}; level N={self.N} needs (..., {self.M})")
+        if xi_slice.shape != u.shape:
+            raise ValueError(f"noise slice has shape {xi_slice.shape}; the state has shape {u.shape}")
+        rows, noise = u.reshape(-1, self.M), xi_slice.reshape(-1, self.M)
+        out = np.empty(rows.shape)
+        for a in range(0, rows.shape[0], self.rows):
+            n = min(self.rows, rows.shape[0] - a)
+            if n != self.u.n:
+                self._use(n)
+            self._block(rows[a : a + n], noise[a : a + n], out[a : a + n])
+        return out.reshape(u.shape)
+
+    def _block(self, u: np.ndarray, xi: np.ndarray, out: np.ndarray) -> None:
+        w, t, lap, der, acc, tmp = self.u, self.t, self.lap_out, self.der_out, self.acc, self.tmp
+        w.load(u)
+        transported = t.at(0)
+        _accumulate(transported, self.product, w, w, acc, tmp)
+        np.multiply(self.b_drift, w.at(0), out=tmp)
+        np.add(transported, tmp, out=transported)
+        np.add(t.center, xi, out=t.center)
+        t.wrap()
+        _accumulate(lap, self.lap, w, None, acc, tmp)
+        np.multiply(self.lap_coeff, lap, out=lap)
+        _accumulate(der, self.der, t, None, acc, tmp)
+        np.multiply(self.der_coeff, der, out=der)
+        np.add(lap, der, out=lap)
+        np.multiply(self.dt, lap, out=lap)
+        np.add(u, self.lap_core, out=out)
+
+
 def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
-    """One explicit step; all increment terms are mean-free."""
-    eps = cfg.grid.eps
-    nonlinear = twisted_product(cfg.fam.mu, u, u)
-    transported = nonlinear + cfg.b_drift * u + xi_slice
-    incr = laplacian(cfg.fam, u, eps) + derivative(cfg.fam, transported, eps)
-    return u + cfg.grid.dt * incr
+    """One explicit step; all increment terms are mean-free.
+
+    u is one slice (M,) or a batch (..., M); xi_slice must have u's shape.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    return _Step(cfg, rows=int(np.prod(u.shape[:-1])))(u, xi_slice)
 
 
 def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
@@ -99,11 +177,14 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
 
     On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
     truncated and flagged; blow-up is data, not an error. The initial slice
-    must be finite and have the grid's M sites.
+    must be finite and have the grid's M sites, and T must be a nonnegative
+    multiple of eps^2.
     """
     if noise.grid.N != cfg.grid.N:
         raise ValueError("noise and scheme grids disagree")
-    n_steps = int(round(T / cfg.grid.dt))
+    if T < 0:
+        raise ValueError(f"horizon T={T} is negative")
+    n_steps = GridSpec(cfg.grid.N, T).n_steps  # raises unless T is a multiple of dt
     if n_steps > noise.grid.n_steps:
         raise ValueError("horizon exceeds the noise horizon")
     u = np.array(u0, dtype=np.float64)
@@ -111,16 +192,17 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
         raise ValueError(f"u0 has shape {u.shape}; level N={cfg.grid.N} needs ({cfg.grid.M},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("u0 has non-finite entries")
-    snaps = [(0.0, u.copy())]
+    snaps = [(0.0, u)]
     traj = Trajectory(snapshots=snaps)
+    step = _Step(cfg)
     for n in range(n_steps):
-        u = step_forward(cfg, u, noise.values[n])
+        u = step(u, noise.values[n])
         if _escaped(u):
             traj.blowup = True
             traj.blowup_time = (n + 1) * cfg.grid.dt
             break
         if (n + 1) % cfg.record_stride == 0 or n + 1 == n_steps:
-            snaps.append(((n + 1) * cfg.grid.dt, u.copy()))
+            snaps.append(((n + 1) * cfg.grid.dt, u))
     return traj
 
 
@@ -193,7 +275,7 @@ def coupled_convergence_study(
     coarse = grids[0]
     tf = make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
     _check_scale_list(tf, alpha)  # before any step: a run may end with no replica left to check
-    schemes = [SchemeConfig(fam=fam, grid=g, b_drift=b_drift) for g in grids]
+    steps = [_Step(SchemeConfig(fam=fam, grid=g, b_drift=b_drift), rows=replicas) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
     every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step
 
@@ -214,9 +296,9 @@ def coupled_convergence_study(
             xi.insert(0, block_average(xi[0]))
         for j in range(1, fine_rows + 1):
             bad = np.zeros(alive.size, dtype=bool)
-            for i, step in enumerate(every):
-                if j % step == 0:
-                    u[i] = step_forward(schemes[i], u[i], xi[i][:, j // step - 1])
+            for i, stride in enumerate(every):
+                if j % stride == 0:
+                    u[i] = steps[i](u[i], xi[i][:, j // stride - 1])
                     bad |= _escaped(u[i])
             if bad.any():
                 t = (k * fine_rows + j) * grids[-1].dt

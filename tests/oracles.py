@@ -6,8 +6,10 @@ against an independent spelling of the same recurrence.
 
 ``stencil_apply_roll``, ``twisted_product_roll`` and ``forward_diffs_roll``
 spell the stencil operators, the twisted product and the kernel forward
-differences with ``np.roll``; they are the reference that the shift-and-sum
-engine must match bit for bit.
+differences with ``np.roll``, one rolled copy per offset; they are the
+reference that the blocked engine of ``sbe.operators`` must match bit for
+bit. ``step_roll`` spells one explicit step with them, the reference for
+the solver's held step.
 
 ``dxp_forward``, ``trees_forward`` and ``dxk_direct`` rebuild the tree
 processes of ``sbe.processes.lift`` without its transforms: DxP * F by
@@ -63,6 +65,14 @@ def twisted_product_roll(mu: AtomicMeasure2D, f: np.ndarray, g: np.ndarray) -> n
             acc += w * np.roll(g, -j2, axis=-1)
         out += np.roll(f, -j1, axis=-1) * acc
     return out
+
+
+def step_roll(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
+    """u + dt (lap u + der(B(u, u) + b u + xi)), every operator by roll."""
+    fam, eps = cfg.fam, cfg.grid.eps
+    transported = twisted_product_roll(fam.mu, u, u) + cfg.b_drift * u + xi_slice
+    lap = stencil_apply_roll(fam.nu, 1.0 / (2.0 * fam.nu_bar * eps**2), u)
+    return u + cfg.grid.dt * (lap + stencil_apply_roll(fam.pi, 1.0 / eps, transported))
 
 
 def forward_diffs_roll(values: np.ndarray, grid: GridSpec, m: int) -> dict:

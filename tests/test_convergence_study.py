@@ -115,7 +115,8 @@ def test_alpha_checked_before_any_step(fam_bw_ss, monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before checking alpha")
 
-    monkeypatch.setattr(sbe.solver, "step_forward", no_step)
+    # the study steps through the held step of each level, not step_forward
+    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
     b = drift_coefficient(fam_bw_ss, "renormalized")
     with pytest.raises(ValueError, match="smoothness"):
         coupled_convergence_study(fam_bw_ss, [3, 4, 5], 0.25, 4, 0, alpha=-5.0, b_drift=b)

@@ -8,6 +8,7 @@ from sbe.operators import OperatorFamily, derivative_multiplier
 from sbe.solver import (
     BLOWUP_THRESHOLD,
     SchemeConfig,
+    _Step,
     drift_coefficient,
     ic_constant,
     ic_white_noise,
@@ -16,7 +17,7 @@ from sbe.solver import (
     step_forward,
 )
 
-from oracles import mild_oracle
+from oracles import mild_oracle, step_roll
 
 
 def scaled_noise(grid, seed, amp):
@@ -129,6 +130,115 @@ def test_run_rejects_bad_initial_slice(fam_bw_ss, u0, match):
     noise = NoiseField(grid, 0, np.zeros((grid.n_steps, grid.M)))
     with pytest.raises(ValueError, match=match):
         run(SchemeConfig(fam_bw_ss, grid), u0, noise, 0.125)
+
+
+class TestHeldStep:
+    """One prepared step, applied K times, against K step_forward calls and the roll spelling."""
+
+    @staticmethod
+    def cfg(fam, N):
+        return SchemeConfig(fam, GridSpec(N, 0.25), b_drift=-0.7)
+
+    def steps_agree(self, cfg, u, xis, keep=None):
+        """K held steps equal K step_forward calls and K roll steps, bit for bit.
+
+        keep[k], if given, selects the rows that stay after step k. Returns
+        every array the held step returned, with a copy made on return.
+        """
+        held = _Step(cfg, rows=u.shape[0] if u.ndim > 1 else 1)
+        v = w = u
+        returned = []
+        for k, xi in enumerate(xis):
+            if u.ndim > 1:
+                xi = xi[: u.shape[0]]
+            new = held(u, xi)
+            returned.append((new, new.copy()))
+            v = step_forward(cfg, v, xi)
+            w = step_roll(cfg, w, xi)
+            assert new.shape == u.shape
+            assert np.array_equal(new, v) and np.array_equal(new, w), k
+            u = new
+            if keep is not None and k in keep:
+                u, v, w = u[keep[k]], v[keep[k]], w[keep[k]]
+        return returned
+
+    def test_one_slice(self, fam_bw_ss, rng):
+        for N in (5, 9):
+            cfg = self.cfg(fam_bw_ss, N)
+            u = rng.standard_normal(cfg.grid.M)
+            self.steps_agree(cfg, u, rng.standard_normal((12, cfg.grid.M)))
+
+    def test_batch_drops_rows_to_none(self, all_preset_families, rng):
+        for name, fam in all_preset_families.items():
+            cfg = self.cfg(fam, 5)
+            u = rng.standard_normal((5, cfg.grid.M))
+            keep = {
+                2: np.array([True, False, True, True, False]),
+                5: np.array([False, True, False]),
+                7: np.zeros(1, dtype=bool),
+            }
+            returned = self.steps_agree(cfg, u, rng.standard_normal((10, 5, cfg.grid.M)), keep)
+            assert returned[-1][0].shape == (0, cfg.grid.M), name
+
+    def test_batch_over_several_blocks(self, fam_bw_ss, rng):
+        # at M = 512 a block holds 31 rows, so 70 rows take two full blocks and a partial one
+        cfg = self.cfg(fam_bw_ss, 9)
+        u = rng.standard_normal((70, cfg.grid.M))
+        keep = {1: np.arange(70) != 3}
+        self.steps_agree(cfg, u, rng.standard_normal((4, 70, cfg.grid.M)), keep)
+
+    def test_returned_arrays_never_overwritten(self, fam_bw_ss, rng):
+        cfg = self.cfg(fam_bw_ss, 5)
+        for shape in ((cfg.grid.M,), (4, cfg.grid.M)):
+            u = rng.standard_normal(shape)
+            returned = self.steps_agree(cfg, u, rng.standard_normal((8,) + shape))
+            for new, copy in returned:
+                assert np.array_equal(new, copy)
+
+    def test_runs_equal_step_by_step(self, fam_bw_ss):
+        grid = GridSpec(6, 0.0625)
+        cfg = SchemeConfig(fam_bw_ss, grid, b_drift=-0.7, record_stride=1)
+        noise = sample_noise(grid, 8)
+        traj = run(cfg, ic_white_noise(grid, 8), noise, grid.T)
+        u = ic_white_noise(grid, 8)
+        for n, (t, snap) in enumerate(traj.snapshots[1:]):
+            u = step_roll(cfg, u, noise.values[n])
+            assert np.array_equal(snap, u), n
+
+
+class TestShapesAndHorizons:
+    @pytest.mark.parametrize(
+        "u_shape, xi_shape, match",
+        [
+            ((64,), (64,), r"\(64,\).*\(\.\.\., 32\)"),
+            ((3, 16), (3, 16), r"\(3, 16\).*\(\.\.\., 32\)"),
+            ((32,), (3, 32), r"\(3, 32\).*\(32,\)"),
+            ((3, 32), (32,), r"\(32,\).*\(3, 32\)"),
+            ((3, 32), (2, 32), r"\(2, 32\).*\(3, 32\)"),
+        ],
+    )
+    def test_step_rejects_bad_shapes(self, fam_bw_ss, u_shape, xi_shape, match):
+        cfg = SchemeConfig(fam_bw_ss, GridSpec(5, 0.25))
+        u, xi = np.zeros(u_shape), np.zeros(xi_shape)
+        with pytest.raises(ValueError, match=match):
+            step_forward(cfg, u, xi)
+        with pytest.raises(ValueError, match=match):
+            _Step(cfg, rows=3)(u, xi)
+
+    @pytest.mark.parametrize(
+        "T, match", [(0.1, "not a multiple"), (-0.1, "negative"), (-0.125, "negative"), (2.0**-11, "not a multiple")]
+    )
+    def test_run_rejects_bad_horizons(self, fam_bw_ss, T, match):
+        grid = GridSpec(5, 0.125)
+        noise = NoiseField(grid, 0, np.zeros((grid.n_steps, grid.M)))
+        with pytest.raises(ValueError, match=match):
+            run(SchemeConfig(fam_bw_ss, grid), ic_zero(grid), noise, T)
+
+    def test_run_takes_a_zero_horizon(self, fam_bw_ss):
+        grid = GridSpec(5, 0.125)
+        noise = NoiseField(grid, 0, np.zeros((grid.n_steps, grid.M)))
+        traj = run(SchemeConfig(fam_bw_ss, grid), ic_constant(grid, 0.5), noise, 0.0)
+        assert len(traj.snapshots) == 1 and not traj.blowup
 
 
 def test_drift_coefficient_modes(fam_bw_pw, fam_ce_pw):

@@ -1,6 +1,8 @@
-"""The one shift-and-sum engine against the np.roll reference in oracles.py.
+"""The one blocked shift-and-sum engine against the np.roll reference in oracles.py.
 
-The engine keeps the summation order, so every comparison is exact.
+The engine keeps the summation order, so every comparison is exact. Fields
+are cut into blocks of rows, so the shapes include fields of several blocks
+with a partial last one, an empty batch and 1-d and 3-d fields.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ from oracles import forward_diffs_roll, stencil_apply_roll, twisted_product_roll
 from sbe.grids import GridSpec, _shift
 from sbe.kernels import _forward_diffs
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
-from sbe.operators import OperatorFamily, derivative, laplacian, twisted_product
+from sbe.operators import OperatorFamily, _block_rows, _reach, _terms, derivative, laplacian, twisted_product
 
 
 def radius2_family() -> OperatorFamily:
@@ -36,17 +38,48 @@ def test_shift_is_a_roll(rng):
             assert np.array_equal(_shift(u, j), np.roll(u, -j, axis=-1)), (shape, j)
 
 
+def engine_shapes(M: int, block: int) -> list:
+    """Field shapes for a torus of M sites, where the engine takes ``block`` rows at a time.
+
+    1-d, (R, M) and 3-d fields, an empty batch, and fields spanning several
+    blocks with a partial last block (2-d and 3-d).
+    """
+    return [(M,), (3, M), (0, M), (2, 3, M), (2 * block + 3, M), (2, block + 2, M)]
+
+
 def test_operators_match_roll_reference(families, rng):
     for name, fam in families.items():
         r = max(fam.nu.radius, fam.pi.radius, fam.mu.radius)
-        # the smallest tori the wrap guard allows, an odd one, and (R, M) batches
-        for shape in ((2 * r + 1,), (2 * r + 2,), (3, 2 * r + 2), (33,), (5, 64)):
-            f, g = rng.standard_normal((2,) + shape)
-            eps = 1.0 / shape[-1]
-            lap = stencil_apply_roll(fam.nu, 1.0 / (2.0 * fam.nu_bar * eps**2), f)
-            assert np.array_equal(laplacian(fam, f, eps), lap), (name, shape)
-            assert np.array_equal(derivative(fam, f, eps), stencil_apply_roll(fam.pi, 1.0 / eps, f)), (name, shape)
-            assert np.array_equal(twisted_product(fam.mu, f, g), twisted_product_roll(fam.mu, f, g)), (name, shape)
+        # the smallest tori the wrap guard allows, an odd one, and a wider one
+        for M in (2 * r + 1, 2 * r + 2, 33, 64):
+            eps = 1.0 / M
+            lap_coeff = 1.0 / (2.0 * fam.nu_bar * eps**2)
+            cases = (  # measure, bilinear, engine, reference
+                (
+                    fam.nu,
+                    False,
+                    lambda f, g: laplacian(fam, f, eps),
+                    lambda f, g: stencil_apply_roll(fam.nu, lap_coeff, f),
+                ),
+                (
+                    fam.pi,
+                    False,
+                    lambda f, g: derivative(fam, f, eps),
+                    lambda f, g: stencil_apply_roll(fam.pi, 1.0 / eps, f),
+                ),
+                (
+                    fam.mu,
+                    True,
+                    lambda f, g: twisted_product(fam.mu, f, g),
+                    lambda f, g: twisted_product_roll(fam.mu, f, g),
+                ),
+            )
+            for measure, bilinear, engine, reference in cases:
+                block = _block_rows(M, _reach(_terms(measure.atoms, bilinear)))
+                for shape in engine_shapes(M, block):
+                    f, g = rng.standard_normal((2,) + shape)
+                    for second in (g, f):  # distinct f and g, then f is g
+                        assert np.array_equal(engine(f, second), reference(f, second)), (name, measure, shape)
 
 
 def test_forward_diffs_match_roll_reference(rng):
