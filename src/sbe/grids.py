@@ -70,12 +70,21 @@ class GridSpec:
         return GridSpec(self.N - 1, self.T)
 
 
-def _shift(u: np.ndarray, j: int) -> np.ndarray:
-    """u(. + eps j) along the last axis: u itself if j = 0 (mod M), else one rotated copy."""
+def _shift(u: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """u(. + eps j) along the last axis.
+
+    Without out: u itself if j = 0 (mod M), else one rotated copy. With out
+    (u's shape, not overlapping u): the rotation written into out, which is
+    returned.
+    """
     j = int(j) % u.shape[-1]
-    if j == 0:
-        return u
-    out = np.empty_like(u)
+    if out is None:
+        if j == 0:
+            return u
+        out = np.empty_like(u)
+    elif j == 0:
+        np.copyto(out, u)
+        return out
     out[..., :-j] = u[..., j:]
     out[..., -j:] = u[..., :j]
     return out

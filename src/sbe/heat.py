@@ -7,6 +7,13 @@ pins m into [1/2, 1], which is the stability certificate of the scheme.
 The singular/smooth split multiplies by a smooth cutoff in the parabolic
 distance, with radii (1/4, 1/2) so the singular part fits in one torus
 period.
+
+Every whole-field pass (the powers of m and their inverse DFTs, the cutoff
+and the split, the decay-bound weights) runs one block of about
+operators._BLOCK_BYTES of rows at a time into arrays allocated once. Each
+step is elementwise, per row or a per-row max, so the results equal the
+whole-field passes bit for bit, and no field-sized temporary is made
+beyond the results. Every horizon lies in [0, T].
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .operators import OperatorFamily, derivative_multiplier, laplacian, stepping_multiplier
+from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, stepping_multiplier
 
 __all__ = ["HeatKernel", "KernelSplit", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
 
@@ -83,13 +90,25 @@ class HeatKernel:
         """True when min m(k) < 0.55: the Nyquist mode barely damps."""
         return bool(self.multiplier.min() < 0.55)
 
+    def _steps(self, horizon: float) -> int:
+        """The time rows horizon / eps^2 up to a horizon, which must lie in [0, T]."""
+        if not 0.0 <= horizon <= self.grid.T + 1e-12:
+            raise ValueError(f"horizon {horizon} outside [0, T] with T = {self.grid.T}")
+        return int(round(horizon / self.grid.dt))
+
     def columns(self, n_max: int) -> np.ndarray:
-        """Rows 0..n_max of the kernel, cached; memory is M*(n_max+1) reals."""
-        if n_max >= self._columns.shape[0]:
-            n = np.arange(self._columns.shape[0], n_max + 1)
-            powers = np.exp(np.multiply.outer(n, np.log(self.multiplier)))
-            new = np.fft.ifft(powers, axis=-1).real / self.grid.eps
-            self._columns = np.vstack([self._columns, new])
+        """Rows 0..n_max of the kernel, n_max eps^2 <= T; cached, and grown keeping the rows computed."""
+        self._steps(n_max * self.grid.dt)
+        have = self._columns.shape[0]
+        if n_max >= have:
+            grown = np.empty((n_max + 1, self.grid.M))
+            grown[:have] = self._columns
+            new = grown[have:]
+            log_m = np.log(self.multiplier)
+            for rows in _blocks(new.shape[0], 16 * self.grid.M):
+                powers = np.exp(np.multiply.outer(have + np.arange(rows.start, rows.stop), log_m))
+                np.divide(np.fft.ifft(powers, axis=-1).real, self.grid.eps, out=new[rows])
+            self._columns = grown
         return self._columns[: n_max + 1]
 
     def step(self, u: np.ndarray) -> np.ndarray:
@@ -108,16 +127,15 @@ class HeatKernel:
         surrogate); its radii are calibrated so that K equals P on
         |z|_s <= cutoff_inner and vanishes for |z|_s > cutoff_outer.
         """
-        if horizon > self.grid.T + 1e-12:
-            raise ValueError("split horizon exceeds grid horizon")
-        n_h = int(round(horizon / self.grid.dt))
-        P = self.columns(n_h)
-        t = np.arange(n_h + 1)[:, None] * self.grid.dt
+        P = self.columns(self._steps(horizon))
         x = signed_torus_coordinate(self.grid.M, self.grid.eps)[None, :]
-        rho = smooth_parabolic_norm(t, x)
-        chi = smooth_cutoff(rho, inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-        K = chi * P
-        return KernelSplit(K=K, K_hat=P - K, cutoff_inner=CUTOFF_INNER, cutoff_outer=CUTOFF_OUTER, grid=self.grid)
+        K, K_hat = np.empty_like(P), np.empty_like(P)
+        for rows in _blocks(P.shape[0], 8 * self.grid.M):
+            t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
+            chi = smooth_cutoff(smooth_parabolic_norm(t, x), inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
+            np.multiply(chi, P[rows], out=K[rows])
+            np.subtract(P[rows], K[rows], out=K_hat[rows])
+        return KernelSplit(K=K, K_hat=K_hat, cutoff_inner=CUTOFF_INNER, cutoff_outer=CUTOFF_OUTER, grid=self.grid)
 
     def verify_bounds(self, j: int, horizon: float) -> "BoundsDiagnostic":
         """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded.
@@ -128,17 +146,18 @@ class HeatKernel:
         if j not in (0, 1, 2):
             raise ValueError("j must be 0, 1 or 2")
         eps, M = self.grid.eps, self.grid.M
-        n_h = int(round(horizon / self.grid.dt))
+        n_h = self._steps(horizon)
         cols = self.columns(n_h)
-        spec = np.fft.fft(cols, axis=-1)
-        dmult = derivative_multiplier(self.fam, eps, M)
-        vals = np.fft.ifft(spec * dmult**j, axis=-1).real if j else cols
+        dmult = derivative_multiplier(self.fam, eps, M) ** j
         t = np.arange(n_h + 1) * self.grid.dt
         t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
         x = signed_torus_coordinate(M, eps)
-        keep = parabolic_norm(t[:, None], x[None, :]) <= 0.375
-        weighted = np.where(keep, np.abs(vals) * t_eps[:, None] ** (1 + j), 0.0)
-        per_t = weighted.max(axis=1)
+        per_t = np.empty(n_h + 1)
+        for rows in _blocks(n_h + 1, 16 * M):
+            vals = np.fft.ifft(np.fft.fft(cols[rows], axis=-1) * dmult, axis=-1).real if j else cols[rows]
+            keep = parabolic_norm(t[rows, None], x[None, :]) <= 0.375
+            weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
+            per_t[rows] = weighted.max(axis=1)
         return BoundsDiagnostic(j=j, times=t, per_time_max=per_t, sup=float(per_t.max()))
 
 

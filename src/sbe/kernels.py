@@ -15,10 +15,20 @@ they occupy: each input is cut after its last nonzero row before the time
 FFT, and the output rows past the computed ones are exact zeros. The
 renormalized convolution pairs the first kernel against increments, which
 is the plain convolution minus the kernel mass times the second factor.
+
+The whole-field passes run one block of about operators._BLOCK_BYTES at a
+time: the order norm's z-norms, differences and ratios per block of rows
+(the time difference reads one row past the block), the time FFTs of a
+convolution per block of columns into its one spectrum, the inverse space
+transform and the renormalized convolution's mass term per block of rows
+straight into the output, and |DxK|^2 per block of rows. Each step is
+elementwise, per row or column, or a max, so the results equal the
+whole-field passes bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +36,15 @@ import numpy as np
 from .grids import GridSpec, _shift, mollify, rng_for
 from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
 from .measures import AtomicMeasure2D
-from .operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
+from .operators import (
+    OperatorFamily,
+    _blocks,
+    _convolve_spectrum,
+    _time_length,
+    _time_spectrum,
+    derivative_multiplier,
+    twisted_product,
+)
 
 __all__ = [
     "DiscreteKernel",
@@ -64,8 +82,9 @@ class DiscreteKernel:
         object.__setattr__(self, "values", v)
 
 
-def _znorm_eps(n_rows: int, grid: GridSpec) -> np.ndarray:
-    t = np.arange(n_rows)[:, None] * grid.dt
+def _znorm_eps(rows: slice, grid: GridSpec) -> np.ndarray:
+    """|z|_{s,eps} on the time rows ``rows`` of the grid."""
+    t = np.arange(rows.start, rows.stop)[:, None] * grid.dt
     x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
     return np.maximum(parabolic_norm(t, x), grid.eps)
 
@@ -82,17 +101,42 @@ def _forward_diffs(values: np.ndarray, grid: GridSpec, m: int) -> dict:
     return out
 
 
+def _not_finite(values: np.ndarray) -> ValueError:
+    """The error for a kernel whose order-norm ratios are not all finite, naming its first non-finite value."""
+    bad = np.argwhere(~np.isfinite(values))
+    if not len(bad):
+        return ValueError("order-norm ratios overflow on a finite kernel")
+    first = tuple(int(i) for i in bad[0])
+    return ValueError(f"kernel has {len(bad)} non-finite values, the first {values[first]} at (row, site) {first}")
+
+
 def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
-    """Exact maximum of the order-zeta ratios up to derivative depth m <= 2."""
-    if m > 2:
-        raise ValueError("derivative depth capped at 2")
-    zn = _znorm_eps(k.values.shape[0], k.grid)
+    """Exact maximum of the order-zeta ratios up to derivative depth m, the int 0, 1 or 2.
+
+    A kernel with a non-finite value has no order norm: ValueError.
+    """
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (0, 1, 2):
+        raise ValueError(f"derivative depth m must be the int 0, 1 or 2, not {m!r}")
+    values, grid = k.values, k.grid
+    nt = values.shape[0]
     best = 0.0
-    for (k0, k1), arr in _forward_diffs(k.values, k.grid, m).items():
-        order = 2 * k0 + k1
-        if order > m:
-            continue
-        best = max(best, float(np.max(np.abs(arr) / zn ** (zeta - order))))
+    # a non-finite value makes a non-finite ratio, which raises below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows in _blocks(nt, 8 * grid.M):
+            zn = _znorm_eps(rows, grid)
+            diffs = _forward_diffs(values[rows], grid, m)
+            if m == 2 and rows.stop < nt:
+                # the block's last time difference reads the next block's first row
+                diffs[(1, 0)][-1] = (values[rows.stop] - values[rows.stop - 1]) / grid.dt
+            denominators = {}
+            for (k0, k1), arr in diffs.items():
+                order = 2 * k0 + k1
+                if order not in denominators:
+                    denominators[order] = zn ** (zeta - order)
+                peak = float(np.max(np.abs(arr) / denominators[order]))
+                if not math.isfinite(peak):
+                    raise _not_finite(values)
+                best = max(best, peak)
     return best
 
 
@@ -125,12 +169,19 @@ def _occupied_rows(a: np.ndarray) -> int:
 
 
 def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy."""
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
+
+    a's half-spectrum is dropped once its time FFT is in the spectrum, before
+    b's is made, and the inverse space transform is written, a block of rows
+    at a time, straight into the output.
+    """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     out = np.zeros((a.shape[0] + b.shape[0] - 1, grid.M))
     if r1 and r2:
-        full = time_convolve(np.fft.rfft(a[:r1], axis=1), np.fft.rfft(b[:r2], axis=1))
-        out[: r1 + r2 - 1] = grid.eps**3 * np.fft.irfft(full, n=grid.M, axis=1)
+        spec = _time_spectrum(np.fft.rfft(a[:r1], axis=1), _time_length(r1 + r2))
+        _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
+        for rows in _blocks(r1 + r2 - 1, 8 * grid.M):
+            np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=grid.M, axis=1), out=out[rows])
     return out
 
 
@@ -156,7 +207,9 @@ def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKer
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
     vals = _spacetime_convolve(k1.values, k2.values, k1.grid)
-    vals[: k2.values.shape[0]] -= kernel_mass(k1) * k2.values
+    mass = kernel_mass(k1)
+    for rows in _blocks(k2.values.shape[0], 8 * k1.grid.M):
+        vals[rows] -= mass * k2.values[rows]
     return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=z1 + z2 + SPACE_TIME_DIM)
 
 
@@ -172,7 +225,7 @@ def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     nt, M = k.values.shape
     gen = rng_for(PROBE_SEED, 90)
     zeta = k.claimed_order
-    zn = _znorm_eps(nt, grid)
+    zn = _znorm_eps(slice(0, nt), grid)
     i1 = gen.integers(0, nt, PROBE_PAIRS)
     j1 = gen.integers(0, M, PROBE_PAIRS)
     i2 = gen.integers(0, nt, PROBE_PAIRS)
@@ -223,7 +276,8 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
         terms[:lo] = 0.0 - kz
         terms[hi:] = 0.0 - kz
         if lo < hi:
-            np.subtract(_shift(rev[nk - 1 - n + lo : nk - 1 - n + hi], M - 1 - x), kz, out=terms[lo:hi])
+            _shift(rev[nk - 1 - n + lo : nk - 1 - n + hi], M - 1 - x, out=terms[lo:hi])
+            np.subtract(terms[lo:hi], kz, out=terms[lo:hi])
         np.multiply(sq, terms, out=terms)
         out[i] = eps**3 * np.sum(terms)
     return out
@@ -242,8 +296,10 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     K = HeatKernel(grid, fam).split(grid.T).K
     kern = DiscreteKernel(K, grid, -1.0)
     dmult = derivative_multiplier(fam, grid.eps, grid.M)[: grid.M // 2 + 1]
-    dxk = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=grid.M, axis=1)
-    sq = DiscreteKernel(dxk**2, grid, -3.5)
+    dxk_sq = np.empty_like(K)
+    for rows in _blocks(K.shape[0], 8 * grid.M):
+        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=grid.M, axis=1), out=dxk_sq[rows])
+    sq = DiscreteKernel(dxk_sq, grid, -3.5)
     ident = renormalized_convolve(sq, kern)
     rows, M = ident.values.shape
     gen = rng_for(PROBE_SEED, 91)
@@ -251,4 +307,5 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     points += zip(gen.integers(0, rows, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
     n_idx, x_idx = np.array(points).T
     gap = np.max(np.abs(_direct_sums(K, sq.values, points, grid.eps) - ident.values[n_idx, x_idx]))
-    return kern, ident, float(gap) / float(np.max(np.abs(ident.values)))
+    sup = max(float(ident.values.max()), -float(ident.values.min()))  # max |ident|, with no |ident| field
+    return kern, ident, float(gap) / sup

@@ -22,7 +22,10 @@ in the order, of rolling the field once per offset, so the results equal
 the ``np.roll`` spelling bit for bit, and no field-sized temporary is made
 beyond the result. The operators prepare the engine per call; the solver
 holds one prepared step per level. The Fourier side supplies their
-multipliers and the time convolution the other layers share.
+multipliers and the time convolution the other layers share. That
+convolution keeps one (L, W) spectrum and transforms, multiplies and
+inverts it in place one block of about _BLOCK_BYTES of columns at a time,
+which gives the whole-array transforms bit for bit.
 """
 
 from __future__ import annotations
@@ -124,6 +127,12 @@ def _reach(terms) -> int:
 
 def _block_rows(M: int, r: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (M + 2 * r)))
+
+
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each about _BLOCK_BYTES of items item_bytes wide."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(a, min(n, a + step)) for a in range(0, n, step)]
 
 
 class _Wrapped:
@@ -246,19 +255,51 @@ def derivative_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray
     return fourier_pi(fam.pi, -eps * k) / eps
 
 
-def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution along axis 0, zero-padded to a power of two.
+def _time_length(n: int) -> int:
+    """The power of two L >= n that time convolutions zero-pad to."""
+    L = 1
+    while L < n:
+        L *= 2
+    return L
 
-    Returns rows 0..n1+n2-2 of sum_s a[s] b[n - s] as complex values; the
-    trailing axes broadcast, so a (n, 1) view of 1-d weights is enough.
+
+def _time_spectrum(a: np.ndarray, L: int) -> np.ndarray:
+    """The length-L FFT along axis 0 of a (n, W), computed a block of columns at a time into one (L, W) array."""
+    spec = np.empty((L, a.shape[1]), dtype=np.complex128)
+    for cols in _blocks(a.shape[1], 16 * L):
+        spec[:, cols] = np.fft.fft(a[:, cols], n=L, axis=0)
+    return spec
+
+
+def _convolve_spectrum(spec: np.ndarray, b: np.ndarray) -> None:
+    """Multiply spec (L, W) by the length-L FFT along axis 0 of b and invert, in place.
+
+    A block of columns at a time; b is (n, W), or (n, 1) for weights shared
+    by every column, which are transformed once.
+    """
+    L, W = spec.shape
+    if b.shape[1] not in (1, W):
+        raise ValueError(f"time convolution of widths {W} and {b.shape[1]}")
+    shared = np.fft.fft(b, n=L, axis=0) if b.shape[1] == 1 else None
+    for cols in _blocks(W, 16 * L):
+        block = spec[:, cols]
+        block *= np.fft.fft(b[:, cols], n=L, axis=0) if shared is None else shared
+        block[...] = np.fft.ifft(block, axis=0)
+
+
+def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution along axis 0 of (n, W) fields, zero-padded to a power of two.
+
+    Returns rows 0..n1+n2-2 of sum_s a[s] b[n - s] as complex values. b may
+    be a (n, 1) view of 1-d weights shared by every column. The (L, W)
+    spectrum is the only field-sized array: each block of about
+    _BLOCK_BYTES of its columns is transformed, multiplied and inverted in
+    place, which gives the whole-array transforms bit for bit.
     """
     n1, n2 = a.shape[0], b.shape[0]
-    L = 1
-    while L < n1 + n2:
-        L *= 2
-    spec = np.fft.fft(a, n=L, axis=0)
-    spec *= np.fft.fft(b, n=L, axis=0)
-    return np.fft.ifft(spec, axis=0)[: n1 + n2 - 1]
+    spec = _time_spectrum(a, _time_length(n1 + n2))
+    _convolve_spectrum(spec, b)
+    return spec[: n1 + n2 - 1]
 
 
 def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:

@@ -20,12 +20,28 @@ product by ``twisted_product_roll``.
 ``increment_sums_zeros_like`` is the direct-sum loop of criterion 9's check
 as first written: a zero kernel-sized field and a fancy index per point. The
 shift-based loop of ``sbe.kernels._direct_sums`` must equal it bit for bit.
+
+``columns_whole``, ``split_whole``, ``verify_bounds_whole``,
+``time_convolve_whole``, ``spacetime_convolve_whole`` and
+``order_norm_whole`` are the heat kernel, its split and decay bounds, the
+time and space-time convolutions and the order norm spelled on whole fields,
+one field-sized array per step. The blocked passes of ``sbe.heat``,
+``sbe.operators`` and ``sbe.kernels`` must equal them bit for bit.
 """
 
 import numpy as np
 
-from sbe.grids import GridSpec, NoiseField
-from sbe.heat import HeatKernel
+from sbe.grids import GridSpec, NoiseField, _shift
+from sbe.heat import (
+    CUTOFF_INNER,
+    CUTOFF_OUTER,
+    HeatKernel,
+    parabolic_norm,
+    signed_torus_coordinate,
+    smooth_cutoff,
+    smooth_parabolic_norm,
+)
+from sbe.kernels import _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.operators import OperatorFamily, derivative_multiplier, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped, step_forward
@@ -202,3 +218,82 @@ def increment_sums_zeros_like(K: np.ndarray, sq: np.ndarray, points, eps: float)
         direct = eps**3 * np.sum(sq * (shifted - kz))
         vals.append(direct)
     return np.array(vals)
+
+
+def columns_whole(hk: HeatKernel, n_max: int) -> np.ndarray:
+    """Rows 0..n_max of hk's kernel: the scaled delta, then the inverse DFTs of m^n in one pass."""
+    n = np.arange(1, n_max + 1)
+    powers = np.exp(np.multiply.outer(n, np.log(hk.multiplier)))
+    delta = np.zeros((1, hk.grid.M))
+    delta[0, 0] = 1.0 / hk.grid.eps
+    return np.vstack([delta, np.fft.ifft(powers, axis=-1).real / hk.grid.eps])
+
+
+def split_whole(hk: HeatKernel, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K, K_hat) of hk's cutoff split, each step on the whole field."""
+    grid = hk.grid
+    n_h = int(round(horizon / grid.dt))
+    P = columns_whole(hk, n_h)
+    t = np.arange(n_h + 1)[:, None] * grid.dt
+    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
+    rho = smooth_parabolic_norm(t, x)
+    chi = smooth_cutoff(rho, inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
+    K = chi * P
+    return K, P - K
+
+
+def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
+    """The per-time maxima of ``HeatKernel.verify_bounds``, each step on the whole field."""
+    grid = hk.grid
+    eps, M = grid.eps, grid.M
+    n_h = int(round(horizon / grid.dt))
+    cols = columns_whole(hk, n_h)
+    spec = np.fft.fft(cols, axis=-1)
+    dmult = derivative_multiplier(hk.fam, eps, M)
+    vals = np.fft.ifft(spec * dmult**j, axis=-1).real if j else cols
+    t = np.arange(n_h + 1) * grid.dt
+    t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
+    x = signed_torus_coordinate(M, eps)
+    keep = parabolic_norm(t[:, None], x[None, :]) <= 0.375
+    weighted = np.where(keep, np.abs(vals) * t_eps[:, None] ** (1 + j), 0.0)
+    return weighted.max(axis=1)
+
+
+def time_convolve_whole(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows 0..n1+n2-2 of the linear convolution along axis 0, by whole-array FFTs of length L."""
+    n1, n2 = a.shape[0], b.shape[0]
+    L = 1
+    while L < n1 + n2:
+        L *= 2
+    spec = np.fft.fft(a, n=L, axis=0)
+    spec *= np.fft.fft(b, n=L, axis=0)
+    return np.fft.ifft(spec, axis=0)[: n1 + n2 - 1]
+
+
+def spacetime_convolve_whole(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2: whole half-spectra and one inverse transform."""
+    r1, r2 = _occupied_rows(a), _occupied_rows(b)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, grid.M))
+    if r1 and r2:
+        full = time_convolve_whole(np.fft.rfft(a[:r1], axis=1), np.fft.rfft(b[:r2], axis=1))
+        out[: r1 + r2 - 1] = grid.eps**3 * np.fft.irfft(full, n=grid.M, axis=1)
+    return out
+
+
+def order_norm_whole(values: np.ndarray, grid: GridSpec, zeta: float, m: int) -> float:
+    """The order-zeta norm at depth m, each forward difference and ratio on the whole field."""
+    t = np.arange(values.shape[0])[:, None] * grid.dt
+    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
+    zn = np.maximum(parabolic_norm(t, x), grid.eps)
+    diffs = {(0, 0): values}
+    if m >= 1:
+        diffs[(0, 1)] = (_shift(values, 1) - values) / grid.eps
+    if m >= 2:
+        diffs[(0, 2)] = (_shift(diffs[(0, 1)], 1) - diffs[(0, 1)]) / grid.eps
+        padded = np.vstack([values, np.zeros((1, values.shape[1]))])
+        diffs[(1, 0)] = (padded[1:] - padded[:-1]) / grid.dt
+    best = 0.0
+    for (k0, k1), arr in diffs.items():
+        order = 2 * k0 + k1
+        best = max(best, float(np.max(np.abs(arr) / zn ** (zeta - order))))
+    return best

@@ -36,6 +36,9 @@ def test_shift_is_a_roll(rng):
         M = shape[-1]
         for j in range(-2 * M, 2 * M + 1):
             assert np.array_equal(_shift(u, j), np.roll(u, -j, axis=-1)), (shape, j)
+            out = np.full_like(u, np.nan)
+            assert _shift(u, j, out=out) is out
+            assert np.array_equal(out, np.roll(u, -j, axis=-1)), (shape, j)
 
 
 def engine_shapes(M: int, block: int) -> list:
