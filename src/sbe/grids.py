@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _blocks, _stencil
+
 __all__ = [
     "GridSpec",
     "NoiseField",
@@ -68,26 +70,6 @@ class GridSpec:
         if self.N == 0:
             raise ValueError("cannot coarsen below N=0")
         return GridSpec(self.N - 1, self.T)
-
-
-def _shift(u: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
-    """u(. + eps j) along the last axis.
-
-    Without out: u itself if j = 0 (mod M), else one rotated copy. With out
-    (u's shape, not overlapping u): the rotation written into out, which is
-    returned.
-    """
-    j = int(j) % u.shape[-1]
-    if out is None:
-        if j == 0:
-            return u
-        out = np.empty_like(u)
-    elif j == 0:
-        np.copyto(out, u)
-        return out
-    out[..., :-j] = u[..., j:]
-    out[..., -j:] = u[..., :j]
-    return out
 
 
 def rng_for(seed: int, *stream) -> np.random.Generator:
@@ -197,38 +179,44 @@ def bump(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mollifier_kernel(grid: GridSpec, rt: int, rs: int) -> np.ndarray:
-    """Tensor-product bump sampled on grid cells, discrete mass eps^3*sum = 1.
+def _mollifier_kernel(rt: int, rs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time and space factors of the tensor-product bump sampled on grid cells, each of unit sum.
 
-    Each direction rescales the bump by radius + 1, where it first vanishes.
+    Each direction rescales the bump by radius + 1, where it first vanishes,
+    so radius 0 is the one weight 1.
     """
-    it = np.arange(-rt, rt + 1)
-    ix = np.arange(-rs, rs + 1)
-    wt = bump(it / (rt + 1.0)) if rt > 0 else np.ones(1)
-    wx = bump(ix / (rs + 1.0)) if rs > 0 else np.ones(1)
-    w = np.outer(wt, wx)
-    w /= grid.eps**3 * w.sum()
-    return w
+    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0))
+    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0))
+    return wt / wt.sum(), wx / wx.sum()
 
 
 def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_cells_space: int) -> np.ndarray:
-    """eps^3-weighted space-time convolution of a time-major field with the bump.
+    """Space-time convolution of a time-major (rows, M) field with the bump of unit discrete mass.
 
-    The weights are ``_mollifier_kernel``; space wraps around the torus and
-    time is zero-padded outside the rows. Radii (0, 0) reduce to the
-    identity.
+    The bump is the tensor product of ``_mollifier_kernel``'s factors, so one
+    pass of the operators' stencil engine convolves in space, around the
+    torus, and 2 rt + 1 row-shifted multiply-adds a block of rows at a time
+    in time, zero-padded outside the rows. Radii (0, 0) return the input.
     """
     rt, rs = int(radius_cells_time), int(radius_cells_space)
     if rt < 0 or rs < 0:
         raise ValueError("radii must be nonnegative")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != grid.M:
+        raise ValueError(f"mollify needs a time-major (rows, M) field with M = {grid.M}, not shape {values.shape}")
     if 2 * rs + 1 > grid.M:
         raise ValueError("mollifier support exceeds the torus")
-    w = _mollifier_kernel(grid, rt, rs)
-    nt = values.shape[0]
-    padded = np.pad(values, ((rt, rt), (0, 0)))
-    out = np.zeros_like(values)
-    for a in range(-rt, rt + 1):
-        for b in range(-rs, rs + 1):
-            # padded rows rt + a.. are the values a steps later, zero past the ends
-            out += w[a + rt, b + rs] * _shift(padded[rt + a : rt + a + nt], b)
-    return grid.eps**3 * out
+    wt, wx = _mollifier_kernel(rt, rs)
+    space = _stencil(tuple(zip(range(-rs, rs + 1), wx)), values)
+    nt = space.shape[0]
+    out = np.zeros_like(space)
+    blocks = _blocks(nt, 8 * grid.M)
+    tmp = np.empty((blocks[0].stop if blocks else 0, grid.M))
+    for rows in blocks:
+        for a, w in zip(range(-rt, rt + 1), wt):
+            # output row n reads row n + a, zero past the ends
+            lo, hi = max(rows.start, -a), min(rows.stop, nt - a)
+            if lo < hi:
+                np.multiply(w, space[lo + a : hi + a], out=tmp[: hi - lo])
+                out[lo:hi] += tmp[: hi - lo]
+    return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, _shift, mollify, rng_for
+from .grids import GridSpec, mollify, rng_for
 from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
 from .measures import AtomicMeasure2D
 from .operators import (
@@ -82,20 +82,29 @@ class DiscreteKernel:
         object.__setattr__(self, "values", v)
 
 
-def _znorm_eps(rows: slice, grid: GridSpec) -> np.ndarray:
-    """|z|_{s,eps} on the time rows ``rows`` of the grid."""
-    t = np.arange(rows.start, rows.stop)[:, None] * grid.dt
-    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
-    return np.maximum(parabolic_norm(t, x), grid.eps)
+def _znorm_eps(n: np.ndarray, x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """|z|_{s,eps} at time rows n and sites x, index arrays that broadcast together."""
+    t = n * grid.dt
+    xs = signed_torus_coordinate(grid.M, grid.eps)[x]
+    return np.maximum(parabolic_norm(t, xs), grid.eps)
+
+
+def _space_diff(u: np.ndarray, eps: float) -> np.ndarray:
+    """(u(. + eps) - u) / eps along the last axis: one subtract over the rows end to end, then the wrap column's."""
+    out = np.empty_like(u)
+    flat, flat_out = u.reshape(-1), out.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=flat_out[:-1])
+    np.subtract(u[..., 0], u[..., -1], out=out[..., -1])
+    return np.divide(out, eps, out=out)
 
 
 def _forward_diffs(values: np.ndarray, grid: GridSpec, m: int) -> dict:
     """Forward differences Dbar^(k0,k1) for 2 k0 + k1 <= m, zero-padded in time."""
     out = {(0, 0): values}
     if m >= 1:
-        out[(0, 1)] = (_shift(values, 1) - values) / grid.eps
+        out[(0, 1)] = _space_diff(values, grid.eps)
     if m >= 2:
-        out[(0, 2)] = (_shift(out[(0, 1)], 1) - out[(0, 1)]) / grid.eps
+        out[(0, 2)] = _space_diff(out[(0, 1)], grid.eps)
         padded = np.vstack([values, np.zeros((1, values.shape[1]))])
         out[(1, 0)] = (padded[1:] - padded[:-1]) / grid.dt
     return out
@@ -123,7 +132,7 @@ def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
     # a non-finite value makes a non-finite ratio, which raises below
     with np.errstate(invalid="ignore", over="ignore"):
         for rows in _blocks(nt, 8 * grid.M):
-            zn = _znorm_eps(rows, grid)
+            zn = _znorm_eps(np.arange(rows.start, rows.stop)[:, None], np.arange(grid.M), grid)
             diffs = _forward_diffs(values[rows], grid, m)
             if m == 2 and rows.stop < nt:
                 # the block's last time difference reads the next block's first row
@@ -216,7 +225,8 @@ def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKer
 def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     """Empirical sup of |K(z) - K(zbar)| / (|z-zbar|^kappa (|z|^(z-k) + |zbar|^(z-k))).
 
-    Sampled over PROBE_PAIRS seeded random grid pairs; kappa = 0 collapses to the
+    Sampled over PROBE_PAIRS seeded random grid pairs, with |z|_{s,eps} taken
+    at the sampled points only; kappa = 0 collapses to the
     triangle-inequality consequence of the order norm.
     """
     if not 0.0 <= kappa <= 1.0:
@@ -225,7 +235,6 @@ def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     nt, M = k.values.shape
     gen = rng_for(PROBE_SEED, 90)
     zeta = k.claimed_order
-    zn = _znorm_eps(slice(0, nt), grid)
     i1 = gen.integers(0, nt, PROBE_PAIRS)
     j1 = gen.integers(0, M, PROBE_PAIRS)
     i2 = gen.integers(0, nt, PROBE_PAIRS)
@@ -236,7 +245,7 @@ def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     dt_gap = np.abs(i1 - i2) * grid.dt
     dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
     sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
-    denom = sep**kappa * (zn[i1, j1] ** (zeta - kappa) + zn[i2, j2] ** (zeta - kappa))
+    denom = sep**kappa * (_znorm_eps(i1, j1, grid) ** (zeta - kappa) + _znorm_eps(i2, j2, grid) ** (zeta - kappa))
     return float(np.max(num / denom))
 
 
@@ -262,11 +271,10 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
     """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows.
 
     The literal increment sum over every w of sq's grid: rows s where
-    K(z - w) = 0 add -K(z) times sq. Row s of K(z - w) is row nk - 1 - n + s
-    of K reversed in time and space, shifted by M - 1 - x.
+    K(z - w) = 0 add -K(z) times sq; on the others it is row n - s of K at
+    sites x, .., 0, M - 1, .., x + 1, two reversed slices copied into one buffer.
     """
-    nk, M = K.shape
-    rev = K[::-1, ::-1]
+    nk = K.shape[0]
     terms = np.empty(sq.shape)
     out = np.empty(len(points))
     for i, (n, x) in enumerate(points):
@@ -276,7 +284,10 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
         terms[:lo] = 0.0 - kz
         terms[hi:] = 0.0 - kz
         if lo < hi:
-            _shift(rev[nk - 1 - n + lo : nk - 1 - n + hi], M - 1 - x, out=terms[lo:hi])
+            rows = K[n - hi + 1 : n - lo + 1][::-1]  # rows n - s for s = lo .. hi - 1
+            # copied first: a subtract that reads the reversed slices is slower
+            np.copyto(terms[lo:hi, : x + 1], rows[:, x::-1])
+            np.copyto(terms[lo:hi, x + 1 :], rows[:, :x:-1])
             np.subtract(terms[lo:hi], kz, out=terms[lo:hi])
         np.multiply(sq, terms, out=terms)
         out[i] = eps**3 * np.sum(terms)

@@ -275,7 +275,8 @@ def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: Tes
     the supremum over level-p base sites x of
     |<u_p,i, phi_x^lambda_s> - <u_p+1,i, phi_x^lambda_s>|; scales below
     level p's eps leave pair p at 0. Each grid must refine the one before
-    it dyadically. Every level is paired once per scale.
+    it dyadically, and ``times`` holds one time per slice. Every level is
+    paired once per scale.
     """
     level_slices = [np.atleast_2d(v) for v in level_slices]
     for coarse, fine in zip(grids[:-1], grids[1:]):
@@ -285,9 +286,13 @@ def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: Tes
         raise ValueError("snapshot counts disagree")
     if any(v.shape[1] != g.M for v, g in zip(level_slices, grids)):
         raise ValueError("slice lengths disagree with grids")
+    times = np.asarray(times)
+    n_slices = level_slices[0].shape[0]
+    if times.shape != (n_slices,):
+        raise ValueError(f"need one time per slice: {times.size} times for {n_slices} slices")
     n_pairs = len(grids) - 1
-    te = [_t_eps(np.asarray(times), g.eps) ** (-min(eta, 0.0)) for g in grids[:-1]]
-    terms = np.zeros((n_pairs, len(tf.scales), level_slices[0].shape[0]))
+    te = [_t_eps(times, g.eps) ** (-min(eta, 0.0)) for g in grids[:-1]]
+    terms = np.zeros((n_pairs, len(tf.scales), n_slices))
     for s, lam in enumerate(tf.scales):
         # eps falls with the level, so the pairs that resolve lam are a suffix
         live = [p for p in range(n_pairs) if lam >= grids[p].eps - 1e-15]

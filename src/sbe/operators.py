@@ -11,9 +11,10 @@ The DFT convention carries the eps weight on the forward transform,
 F u(k) = eps * sum_x u(x) e^{-2 pi i k x}, with the inverse being the plain
 mode sum; on the torus the modes are the integers in [-M/2, M/2). Twisted
 Parseval: eps * sum_x B(f,g) = sum_k F f(k) F g(-k) mu_hat(-eps k, eps k).
-The three operators run on one blocked shift-and-sum engine. It copies
-about _BLOCK_BYTES of rows at a time into a flat buffer that lays the rows
-end to end, each with r wrapped ghost sites on either side (``_Wrapped``),
+The three operators, and the space pass of ``grids.mollify``, run on one
+blocked shift-and-sum engine. It copies about _BLOCK_BYTES of rows at a
+time into a flat buffer that lays the rows end to end, each with r
+wrapped ghost sites on either side (``_Wrapped``),
 so u(. + eps j) is one contiguous view that holds it at columns
 r + j .. r + j + M - 1 of every padded row. ``_accumulate`` adds the terms
 with ``out=`` ufuncs from a zero start in atom order (the twisted product

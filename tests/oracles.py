@@ -19,19 +19,26 @@ product by ``twisted_product_roll``.
 
 ``increment_sums_zeros_like`` is the direct-sum loop of criterion 9's check
 as first written: a zero kernel-sized field and a fancy index per point. The
-shift-based loop of ``sbe.kernels._direct_sums`` must equal it bit for bit.
+reversed-slice loop of ``sbe.kernels._direct_sums`` must equal it bit for
+bit.
+
+``mollify_loop`` is the bump mollifier as first written: a double loop over
+the space-time stencil points, one rolled copy of the field each. The
+separable ``sbe.grids.mollify`` groups its sums differently, so it must
+match within rounding.
 
 ``columns_whole``, ``split_whole``, ``verify_bounds_whole``,
-``time_convolve_whole``, ``spacetime_convolve_whole`` and
-``order_norm_whole`` are the heat kernel, its split and decay bounds, the
-time and space-time convolutions and the order norm spelled on whole fields,
-one field-sized array per step. The blocked passes of ``sbe.heat``,
-``sbe.operators`` and ``sbe.kernels`` must equal them bit for bit.
+``time_convolve_whole``, ``spacetime_convolve_whole``, ``order_norm_whole``
+and ``increment_bound_whole`` are the heat kernel, its split and decay
+bounds, the time and space-time convolutions, the order norm and the
+increment probe spelled on whole fields, one field-sized array per step.
+The blocked passes of ``sbe.heat``, ``sbe.operators`` and ``sbe.kernels``
+must equal them bit for bit.
 """
 
 import numpy as np
 
-from sbe.grids import GridSpec, NoiseField, _shift
+from sbe.grids import GridSpec, NoiseField, bump, rng_for
 from sbe.heat import (
     CUTOFF_INNER,
     CUTOFF_OUTER,
@@ -41,7 +48,7 @@ from sbe.heat import (
     smooth_cutoff,
     smooth_parabolic_norm,
 )
-from sbe.kernels import _occupied_rows
+from sbe.kernels import PROBE_PAIRS, PROBE_SEED, _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.operators import OperatorFamily, derivative_multiplier, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped, step_forward
@@ -287,9 +294,9 @@ def order_norm_whole(values: np.ndarray, grid: GridSpec, zeta: float, m: int) ->
     zn = np.maximum(parabolic_norm(t, x), grid.eps)
     diffs = {(0, 0): values}
     if m >= 1:
-        diffs[(0, 1)] = (_shift(values, 1) - values) / grid.eps
+        diffs[(0, 1)] = (np.roll(values, -1, axis=1) - values) / grid.eps
     if m >= 2:
-        diffs[(0, 2)] = (_shift(diffs[(0, 1)], 1) - diffs[(0, 1)]) / grid.eps
+        diffs[(0, 2)] = (np.roll(diffs[(0, 1)], -1, axis=1) - diffs[(0, 1)]) / grid.eps
         padded = np.vstack([values, np.zeros((1, values.shape[1]))])
         diffs[(1, 0)] = (padded[1:] - padded[:-1]) / grid.dt
     best = 0.0
@@ -297,3 +304,45 @@ def order_norm_whole(values: np.ndarray, grid: GridSpec, zeta: float, m: int) ->
         order = 2 * k0 + k1
         best = max(best, float(np.max(np.abs(arr) / zn ** (zeta - order))))
     return best
+
+
+def increment_bound_whole(values: np.ndarray, grid: GridSpec, zeta: float, kappa: float) -> float:
+    """``increment_bound_probe`` reading its z-norms from the whole (nt, M) z-norm field."""
+    nt, M = values.shape
+    gen = rng_for(PROBE_SEED, 90)
+    t = np.arange(nt)[:, None] * grid.dt
+    x = signed_torus_coordinate(M, grid.eps)[None, :]
+    zn = np.maximum(parabolic_norm(t, x), grid.eps)
+    i1 = gen.integers(0, nt, PROBE_PAIRS)
+    j1 = gen.integers(0, M, PROBE_PAIRS)
+    i2 = gen.integers(0, nt, PROBE_PAIRS)
+    j2 = gen.integers(0, M, PROBE_PAIRS)
+    same = (i1 == i2) & (j1 == j2)
+    i2[same] = (i2[same] + 1) % nt
+    num = np.abs(values[i1, j1] - values[i2, j2])
+    dt_gap = np.abs(i1 - i2) * grid.dt
+    dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
+    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
+    denom = sep**kappa * (zn[i1, j1] ** (zeta - kappa) + zn[i2, j2] ** (zeta - kappa))
+    return float(np.max(num / denom))
+
+
+def mollify_loop(values: np.ndarray, grid: GridSpec, rt: int, rs: int) -> np.ndarray:
+    """eps^3-weighted space-time convolution with the bump, one rolled copy per stencil point.
+
+    The weights are the tensor-product bump, each direction rescaled by
+    radius + 1, sampled on grid cells with discrete mass eps^3 sum = 1;
+    space wraps around the torus and time is zero-padded outside the rows.
+    """
+    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0)) if rt > 0 else np.ones(1)
+    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0)) if rs > 0 else np.ones(1)
+    w = np.outer(wt, wx)
+    w /= grid.eps**3 * w.sum()
+    nt = values.shape[0]
+    padded = np.pad(values, ((rt, rt), (0, 0)))
+    out = np.zeros_like(values)
+    for a in range(-rt, rt + 1):
+        for b in range(-rs, rs + 1):
+            # padded rows rt + a.. are the values a steps later, zero past the ends
+            out += w[a + rt, b + rs] * np.roll(padded[rt + a : rt + a + nt], -b, axis=1)
+    return grid.eps**3 * out

@@ -5,8 +5,10 @@ convolutions and the order norm run one block of about
 ``operators._BLOCK_BYTES`` at a time. Each step is elementwise, per row or
 column, or a max, so every comparison is exact. The block counts are read
 from ``operators._blocks``, so the fields span several blocks with a partial
-last one whatever the block size. The memory guards keep the passes free of
-field-sized temporaries.
+last one whatever the block size. The increment probe takes its z-norms at
+its sampled points only, which must give the whole field's values. The
+memory guards keep the passes free of field-sized temporaries, and the
+mollifier to its space pass and its result.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ import pytest
 
 from oracles import (
     columns_whole,
+    increment_bound_whole,
     order_norm_whole,
     spacetime_convolve_whole,
     split_whole,
@@ -23,9 +26,9 @@ from oracles import (
     verify_bounds_whole,
 )
 from sbe import kernels
-from sbe.grids import GridSpec
+from sbe.grids import GridSpec, mollify
 from sbe.heat import HeatKernel
-from sbe.kernels import DiscreteKernel, order_norm
+from sbe.kernels import DiscreteKernel, increment_bound_probe, order_norm
 from sbe.operators import _blocks, time_convolve
 
 
@@ -211,6 +214,14 @@ class TestOrderNorm:
             order_norm(DiscreteKernel(np.ones((2, grid.M)), grid, -1.0), -1.0, m)
 
 
+class TestIncrementProbe:
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+    def test_equals_the_whole_field_z_norms(self, fam_bw_ss, long_grid, kappa):
+        K = HeatKernel(long_grid, fam_bw_ss).split(long_grid.T).K
+        got = increment_bound_probe(DiscreteKernel(K, long_grid, -1.0), kappa)
+        assert got == increment_bound_whole(K, long_grid, -1.0, kappa)
+
+
 def traced_peak(call) -> tuple[object, int]:
     """call()'s result and the peak bytes it had traced beyond those allocated before it."""
     tracemalloc.start()
@@ -253,3 +264,15 @@ class TestMemory:
             L *= 2
         half_row = 16 * (grid.M // 2 + 1)
         assert peak <= out.nbytes + L * half_row + max(r1, r2) * half_row + 2**20
+
+    def test_increment_probe_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
+        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        _, peak = traced_peak(lambda: increment_bound_probe(DiscreteKernel(K, grid, -1.0), 0.5))
+        assert peak < K.nbytes / 4
+
+    def test_mollify_holds_two_fields(self, fam_bw_ss):
+        # the radii of mollification_loss_probe at four cells, on a 4.2 MB kernel
+        grid = GridSpec(7, 0.25)
+        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        _, peak = traced_peak(lambda: mollify(K, grid, 15, 3))
+        assert peak <= 2 * K.nbytes + 2**20

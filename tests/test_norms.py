@@ -301,6 +301,16 @@ def test_comparison_terms_levels_at_once_match_pairs():
     assert np.all(at_once[0, 0] == 0.0) and np.all(at_once[1, 0] > 0.0)
 
 
+@pytest.mark.parametrize("n_times", [1, 2])
+def test_comparison_terms_needs_one_time_per_slice(n_times):
+    grids = [GridSpec(n, 0.25) for n in (5, 6)]
+    tf = make_test_family(grids[0], lambda_max=0.5)
+    slices = [np.stack([white_slice(g, 10 * r + g.N) for r in range(3)]) for g in grids]
+    times = np.linspace(0.0625, 0.25, n_times)
+    with pytest.raises(ValueError, match=f"{n_times} times for 3 slices"):
+        comparison_terms(slices, grids, times, -0.6, tf)
+
+
 def test_comparison_terms_builds_each_kernel_spectrum_once(monkeypatch):
     """Repeated calls, as the convergence study makes once per snapshot time,
     reuse one read-only spectrum per (r, M, lambda)."""

@@ -10,7 +10,7 @@ MODULES = ("cli", "fieldio", "grids", "heat", "kernels", "measures", "norms", "o
 REMOVED = {
     "operators": ("dft", "idft"),
     "fieldio": ("field_to_csv",),
-    "grids": ("mollify_noise",),
+    "grids": ("mollify_noise", "_shift"),
     "processes": ("singular_order_probe", "sample_remainder", "RemainderSample"),
 }
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import forward_diffs_roll, stencil_apply_roll, twisted_product_roll
-from sbe.grids import GridSpec, _shift
+from sbe.grids import GridSpec
 from sbe.kernels import _forward_diffs
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.operators import OperatorFamily, _block_rows, _reach, _terms, derivative, laplacian, twisted_product
@@ -27,18 +27,6 @@ def radius2_family() -> OperatorFamily:
 @pytest.fixture()
 def families(all_preset_families):
     return dict(all_preset_families, radius2=radius2_family())
-
-
-def test_shift_is_a_roll(rng):
-    for shape in ((1,), (5,), (3, 8), (2, 3, 6)):
-        u = rng.standard_normal(shape)
-        assert _shift(u, 0) is u
-        M = shape[-1]
-        for j in range(-2 * M, 2 * M + 1):
-            assert np.array_equal(_shift(u, j), np.roll(u, -j, axis=-1)), (shape, j)
-            out = np.full_like(u, np.nan)
-            assert _shift(u, j, out=out) is out
-            assert np.array_equal(out, np.roll(u, -j, axis=-1)), (shape, j)
 
 
 def engine_shapes(M: int, block: int) -> list:
