@@ -8,7 +8,7 @@ estimates discrete Hoelder-Besov regularity.
 
 __version__ = "0.1.0"
 
-from .grids import GridSpec, LatticeField, NoiseField, coarsen_noise, sample_noise
+from .grids import GridSpec, LatticeField, NoiseField, sample_noise
 from .heat import HeatKernel, KernelSplit
 from .measures import (
     AtomicMeasure1D,

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .fieldio import sha256_file, write_csv, write_field, write_json
-from .grids import GridSpec, sample_noise
+from .grids import GridSpec, LatticeField, sample_noise
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
-from .norms import estimate_exponent, make_test_family
+from .norms import _usable_scales, estimate_exponent, make_test_family
 from .operators import OperatorFamily
 from .processes import TREE_LABELS, lift
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
@@ -177,6 +177,11 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         steps = cfg.T * 4**n
         if abs(steps - round(steps)) > 1e-9:
             raise SchemaError(f"T: {cfg.T!r} is not a whole number of time steps 4^-{n} at level {n}")
+    if cfg.kind == "regularity":
+        try:
+            _regularity_families(GridSpec(cfg.N, cfg.T))
+        except ValueError as exc:
+            raise SchemaError(f"N={cfg.N}, T={cfg.T!r}: too few test-function scales to fit ({exc})") from exc
     if cfg.kind == "convergence":
         levels = sorted(cfg.levels())
         if len(levels) < 3 or levels != list(range(levels[0], levels[0] + len(levels))):
@@ -361,17 +366,26 @@ def _exp_processes(cfg, fam, outdir):
     return files, {"c2": consts.c2, "c21": consts.c21}, 0
 
 
-def _exp_regularity(cfg, fam, outdir):
-    from .grids import LatticeField
+def _regularity_families(grid: GridSpec):
+    """The space and parabolic test families of the regularity table.
 
-    grid = GridSpec(cfg.N, cfg.T)
-    consts = compute_constants(fam, grid)
-    # at least four dyadic scales per mode; parabolic scales must fit kt in
-    # the horizon (2 lambda^2 <= T)
+    Four dyadic scales each where the level and the horizon leave room; the
+    parabolic ones must fit kt in the horizon (2 lambda^2 <= T - dt). Raises
+    ValueError where estimate_exponent would refuse either family.
+    """
     lam_min = 4 * grid.eps
     tf_space = make_test_family(grid, lambda_min=lam_min, lambda_max=min(0.5, max(0.125, 8 * lam_min)))
-    lam_p = 2.0 ** math.floor(math.log2(math.sqrt((cfg.T - grid.dt) / 2.0)))
+    lam_p = 2.0 ** math.floor(math.log2(math.sqrt((grid.T - grid.dt) / 2.0))) if grid.n_steps > 1 else 0.0
     tf_para = make_test_family(grid, lambda_min=max(grid.eps, lam_p / 8), lambda_max=lam_p)
+    _usable_scales(tf_space, grid, 1, "space")
+    _usable_scales(tf_para, grid, grid.n_steps, "parabolic")
+    return tf_space, tf_para
+
+
+def _exp_regularity(cfg, fam, outdir):
+    grid = GridSpec(cfg.N, cfg.T)
+    consts = compute_constants(fam, grid)
+    tf_space, tf_para = _regularity_families(grid)
     targets = {"T1": "space", "T11": "space", "T12": "space", "T2": "parabolic"}
     table: dict[str, list[float]] = {lab: [] for lab in list(targets) + ["noise"]}
     curves = []

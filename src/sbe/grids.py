@@ -24,7 +24,6 @@ __all__ = [
     "noise_stream",
     "noise_block",
     "block_average",
-    "coarsen_noise",
     "coarsen_slice",
     "mollify",
     "rng_for",
@@ -66,11 +65,6 @@ class GridSpec:
     def sites(self) -> np.ndarray:
         return np.arange(self.M) * self.eps
 
-    def coarsen(self) -> "GridSpec":
-        if self.N == 0:
-            raise ValueError("cannot coarsen below N=0")
-        return GridSpec(self.N - 1, self.T)
-
 
 def rng_for(seed: int, *stream) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream...).
@@ -86,9 +80,7 @@ def rng_for(seed: int, *stream) -> np.random.Generator:
 class NoiseField:
     """Seeded space-time white noise, variance eps^-3, time-major layout.
 
-    values[n, i] is the draw at time n*eps^2, site i*eps. Fields produced by
-    coarsening keep the originating seed; together with N it identifies the
-    content through the deterministic averaging pipeline.
+    values[n, i] is the draw at time n*eps^2, site i*eps.
     """
 
     grid: GridSpec
@@ -159,15 +151,6 @@ def block_average(v: np.ndarray) -> np.ndarray:
         + ((v[..., 2::4, 0::2] + v[..., 2::4, 1::2]) + (v[..., 3::4, 0::2] + v[..., 3::4, 1::2]))
     )
     return acc * 0.125
-
-
-def coarsen_noise(fine: NoiseField) -> NoiseField:
-    """Block-average the 4 (time) x 2 (space) fine cells per coarse box."""
-    if fine.grid.N < 1:
-        raise ValueError("cannot coarsen an N=0 noise field")
-    if fine.grid.n_steps % 4 != 0:
-        raise ValueError("horizon not divisible into coarse time steps")
-    return NoiseField(grid=fine.grid.coarsen(), seed=fine.seed, values=block_average(fine.values))
 
 
 def bump(r: np.ndarray) -> np.ndarray:

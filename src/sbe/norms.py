@@ -7,28 +7,29 @@ polynomial bump
     phi(y) = c_r (1 - y^2)^(r+1)   on |y| < 1,  unit continuum mass,
 
 at dyadic scales lambda in [eps, 1]; the parabolic variant rescales time by
-lambda^2. The Besov norm and the level comparison need true suprema, so
-they evaluate the pairings at every base site via FFT correlation, one
-transform per scale; each kernel's spectrum is built once per (r, M,
-lambda).
+lambda^2. Every pairing is a direct sum at the base sites read: a field's
+rows times the matrix whose columns are phi_x^lambda at those sites, one
+matrix per (r, level, lambda, sites), built once and shared. The Besov
+norm reads every site; the level comparison reads each level at its own
+sites and the finest level at the sites of the one before it.
 
 The exponent estimator fits the log-log slope of sup-pairings of the
 *band* functions phi^lambda - phi^(2 lambda) (differences of consecutive
 dyadic dilates). The band family has zero mass, so the estimator resolves
 positive exponents as well; with the plain bump any function-valued field
 would saturate at slope 0. It reads each band at a few hundred sampled
-base points, so it evaluates the pairings there alone, as direct sums.
+base points only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridSpec, LatticeField
-from .operators import time_convolve
 
 __all__ = [
     "TestFunctionFamily",
@@ -67,15 +68,24 @@ class TestFunctionFamily:
 
     @property
     def mass_constant(self) -> float:
-        s = self.r + 1
-        return math.gamma(s + 1.5) / (math.sqrt(math.pi) * math.gamma(s + 1))
+        return _mass_constant(self.r)
 
     def profile(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros_like(y)
-        inside = np.abs(y) < 1.0
-        out[inside] = self.mass_constant * (1.0 - y[inside] ** 2) ** (self.r + 1)
-        return out
+        return _profile(self.r, y)
+
+
+def _mass_constant(r: int) -> float:
+    s = r + 1
+    return math.gamma(s + 1.5) / (math.sqrt(math.pi) * math.gamma(s + 1))
+
+
+def _profile(r: int, y) -> np.ndarray:
+    """c_r (1 - y^2)^(r+1) on |y| < 1, zero outside: a family's profile depends on r alone."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < 1.0
+    out[inside] = _mass_constant(r) * (1.0 - y[inside] ** 2) ** (r + 1)
+    return out
 
 
 def make_test_family(grid: GridSpec, lambda_min: float | None = None, lambda_max: float = 1.0) -> TestFunctionFamily:
@@ -94,32 +104,30 @@ def _t_eps(times: np.ndarray, eps: float) -> np.ndarray:
     return np.maximum(np.minimum(np.sqrt(np.abs(times)), 1.0), eps)
 
 
-def _space_kernel(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarray:
+def _space_kernel(r: int, grid: GridSpec, lam: float) -> np.ndarray:
     """lambda^-1 phi((. )/lambda) sampled on site offsets, torus-periodized."""
     half = int(math.ceil(lam / grid.eps))
     d = np.arange(-half, half + 1)
-    w = tf.profile(d * grid.eps / lam) / lam
+    w = _profile(r, d * grid.eps / lam) / lam
     full = np.zeros(grid.M)
     np.add.at(full, d % grid.M, w)
     return full
 
 
-# conjugate spectra of _space_kernel keyed on (r, M, lambda): the convergence
-# study pairs every snapshot against the same few kernels
-_SPECTRA: dict[tuple[int, int, float], np.ndarray] = {}
-_SPECTRA_MAX = 64
+@functools.lru_cache(maxsize=32)
+def _site_matrix(r: int, N: int, lam: float, sites: tuple[int, ...]) -> np.ndarray:
+    """(M, len(sites)) matrix whose column j is phi^lambda centred at site sites[j].
 
-
-def _kernel_spectrum(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarray:
-    """conj(fft(_space_kernel)), read-only and shared between calls."""
-    key = (tf.r, grid.M, float(lam))
-    if key not in _SPECTRA:
-        if len(_SPECTRA) >= _SPECTRA_MAX:
-            _SPECTRA.clear()
-        spec = np.conj(np.fft.fft(_space_kernel(tf, grid, lam)))
-        spec.flags.writeable = False
-        _SPECTRA[key] = spec
-    return _SPECTRA[key]
+    Read-only and shared between calls. The cache holds at most 32
+    matrices of at most M x M doubles: 256 MB in the worst case, at M = 1024
+    (N = 10) when every entry pairs a level-10 field at all its sites. The
+    convergence study reads 3 matrices per scale: 15 and 0.5 MB in all at
+    levels (5, 6, 7), 21 and 11 MB at levels (7, 8, 9).
+    """
+    grid = GridSpec(N, 0.0)
+    shifts = _space_kernel(r, grid, lam)[(np.arange(grid.M)[:, None] - np.asarray(sites)) % grid.M]
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _time_halfwidth(grid: GridSpec, lam: float) -> int:
@@ -133,44 +141,20 @@ def _time_kernel(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarr
     return tf.profile(np.arange(-kt, kt + 1) * grid.dt / lam**2) / lam**2
 
 
-def _space_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float) -> np.ndarray:
-    """eps-weighted pairing against phi_x^lambda at every base site x."""
-    spec = np.fft.fft(values, axis=-1) * _kernel_spectrum(tf, grid, lam)
-    return grid.eps * np.fft.ifft(spec, axis=-1).real
-
-
-def _parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float):
-    """Space-time pairing map and the time indices free of boundary padding.
-
-    None when the scale's time support does not fit the horizon.
-    """
-    if values.ndim != 2:
-        raise ValueError("parabolic pairing needs a space-time field")
-    nt = values.shape[0]
-    kt = _time_halfwidth(grid, lam)
-    if 2 * kt + 1 > nt:
-        return None
-    spatial = _space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
-    wt = _time_kernel(tf, grid, lam)
-    conv = time_convolve(spatial, wt[::-1, None]).real
-    corr = conv[kt : kt + nt]  # linear correlation with zero padding outside
-    interior = np.arange(kt, nt - kt)
-    return grid.dt * corr, interior
-
-
 def _pairings_at(
     values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float, tsel: np.ndarray, xsel: np.ndarray, mode: str
 ) -> np.ndarray:
-    """The pairing map's entries at rows tsel and sites xsel only, shape (tsel, xsel).
+    """eps-weighted pairings with phi_x^lambda at rows tsel and sites xsel, shape (tsel, xsel).
 
-    Mode "space" pairs rows tsel spatially; "parabolic" pairs in space-time
-    around times tsel, which must lie in the map's interior. Each time window
-    is contracted with the time weights before the space sum, so a point
-    costs one pass over its window.
+    Mode "space" pairs rows tsel spatially, each row on its own, so a row's
+    pairings do not depend on the rows stacked with it. "parabolic" pairs in
+    space-time around times tsel, whose time windows must lie inside the
+    field; each window is contracted with the time weights before the space
+    sum, so a point costs one pass over its window.
     """
-    shifts = _space_kernel(tf, grid, lam)[(np.arange(grid.M)[:, None] - xsel) % grid.M]
+    shifts = _site_matrix(tf.r, grid.N, float(lam), tuple(np.asarray(xsel).tolist()))
     if mode == "space":
-        return grid.eps * (values[tsel] @ shifts)
+        return grid.eps * (values[tsel, None] @ shifts)[:, 0]
     wt = _time_kernel(tf, grid, lam)
     kt = len(wt) // 2
     rows = np.stack([wt @ values[t - kt : t + kt + 1] for t in tsel])
@@ -252,17 +236,18 @@ def besov_norm_negative(
         raise ValueError(f"unknown mode {mode!r}")
     _check_scale_list(tf, alpha)
     grid = field.grid
+    if mode == "parabolic" and field.values.ndim != 2:
+        raise ValueError("parabolic pairing needs a space-time field")
+    vals = np.atleast_2d(field.values)
     weight = _t_eps(field.times, grid.eps)[:, None] ** (-min(eta, 0.0)) if mode == "space" else 1.0
+    nt, sites = vals.shape[0], np.arange(grid.M)
     sups = []
     for lam in tf.scales:
-        if mode == "space":
-            pm, rows = _space_pairing_map(np.atleast_2d(field.values), grid, tf, lam), slice(None)
-        else:
-            found = _parabolic_pairing_map(field.values, grid, tf, lam)
-            if found is None:
-                break
-            pm, rows = found
-        sups.append(float(lam ** (-alpha) * (np.abs(pm[rows]) * weight).max()))
+        kt = _time_halfwidth(grid, lam) if mode == "parabolic" else 0
+        if 2 * kt + 1 > nt:
+            break
+        pm = _pairings_at(vals, grid, tf, lam, np.arange(kt, nt - kt), sites, mode)
+        sups.append(float(lam ** (-alpha) * (np.abs(pm) * weight).max()))
     if not sups:
         raise ValueError("no scale fits inside the horizon")
     return max([0.0, *sups])
@@ -279,6 +264,8 @@ def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: Tes
     paired once per scale.
     """
     level_slices = [np.atleast_2d(v) for v in level_slices]
+    if len(grids) < 2:
+        raise ValueError(f"need two or more levels, got {len(grids)}")
     for coarse, fine in zip(grids[:-1], grids[1:]):
         if fine.N <= coarse.N:
             raise ValueError("reference grid must be strictly finer")
@@ -292,18 +279,22 @@ def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: Tes
         raise ValueError(f"need one time per slice: {times.size} times for {n_slices} slices")
     n_pairs = len(grids) - 1
     te = [_t_eps(times, g.eps) ** (-min(eta, 0.0)) for g in grids[:-1]]
+    rows = np.arange(n_slices)
+    # every level is read at all its sites but the finest, which only the
+    # last pair reads, at the sites of the level before it
+    sites = [np.arange(g.M) for g in grids[:-1]] + [np.arange(0, grids[-1].M, grids[-1].M // grids[-2].M)]
     terms = np.zeros((n_pairs, len(tf.scales), n_slices))
     for s, lam in enumerate(tf.scales):
         # eps falls with the level, so the pairs that resolve lam are a suffix
         live = [p for p in range(n_pairs) if lam >= grids[p].eps - 1e-15]
         if not live:
             continue
-        maps = {q: _space_pairing_map(level_slices[q], grids[q], tf, lam) for q in range(live[0], n_pairs + 1)}
+        maps = [_pairings_at(v, g, tf, lam, rows, x, "space") for v, g, x in zip(level_slices, grids, sites)]
         for p in live:
-            ratio = 2 ** (grids[p + 1].N - grids[p].N)
+            fine = maps[p + 1][:, :: len(sites[p + 1]) // grids[p].M]
             # te > 0, so scaling the per-slice supremum equals the supremum of
             # the scaled gaps exactly
-            terms[p, s] = np.abs(maps[p] - maps[p + 1][:, ::ratio]).max(axis=1) * te[p]
+            terms[p, s] = np.abs(maps[p] - fine).max(axis=1) * te[p]
     return terms
 
 
@@ -346,6 +337,23 @@ class HolderEstimate:
     mode: str
 
 
+def _usable_scales(tf: TestFunctionFamily, grid: GridSpec, nt: int, mode: str) -> int:
+    """How many leading scales estimate_exponent pairs on a field of nt time rows.
+
+    kt grows with the scale, so the scales whose time support fits the
+    horizon are a prefix (all of them in space mode). Raises when fewer than
+    4 fit: they leave fewer than 3 band points to fit a slope to.
+    """
+    if len(tf.scales) < 4:
+        raise ValueError("need >= 4 scales for >= 3 band points")
+    if mode == "space":
+        return len(tf.scales)
+    usable = sum(2 * _time_halfwidth(grid, lam) + 1 <= nt for lam in tf.scales)
+    if usable < 4:
+        raise ValueError("not enough usable parabolic scales in the horizon")
+    return usable
+
+
 def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "space") -> HolderEstimate:
     """Least-squares slope of log sup band-pairing against log lambda.
 
@@ -357,24 +365,19 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
     space-time field. Raises on a degenerate (all-zero) pairing table.
     """
     grid = field.grid
-    if len(tf.scales) < 4:
-        raise ValueError("need >= 4 scales for >= 3 band points")
     if mode == "space":
         vals = np.atleast_2d(field.values)[-1:]
-        kts = [0] * len(tf.scales)
     elif mode == "parabolic":
         vals = field.values
         if vals.ndim != 2:
             raise ValueError("parabolic pairing needs a space-time field")
-        kts = [_time_halfwidth(grid, lam) for lam in tf.scales]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     nt = vals.shape[0]
-    # kt grows with the scale, so the scales whose time support fits the
-    # horizon are a prefix; parabolic bands stop where it ends
-    usable = sum(2 * kt + 1 <= nt for kt in kts)
+    usable = _usable_scales(tf, grid, nt, mode)
     sups, lams = [], []
-    for lam_a, lam_b, kt_b in zip(tf.scales[:usable], tf.scales[1:usable], kts[1:usable]):
+    for lam_a, lam_b in zip(tf.scales[:usable], tf.scales[1:usable]):
+        kt_b = _time_halfwidth(grid, lam_b) if mode == "parabolic" else 0
         st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
         st_t = max(1, int(round(lam_a**2 / (2.0 * grid.dt))))
         # sample backwards from the latest usable time of the larger
@@ -386,8 +389,6 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
         pb = _pairings_at(vals, grid, tf, lam_b, tsel, xsel, mode)
         sups.append(float(np.abs(pa - pb).max()))
         lams.append(lam_a)
-    if len(sups) < 3:
-        raise ValueError("not enough usable parabolic scales in the horizon")
     sups = np.asarray(sups, dtype=np.float64)
     lams = np.asarray(lams, dtype=np.float64)
     if np.all(sups == 0.0):

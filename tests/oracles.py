@@ -34,6 +34,11 @@ bounds, the time and space-time convolutions, the order norm and the
 increment probe spelled on whole fields, one field-sized array per step.
 The blocked passes of ``sbe.heat``, ``sbe.operators`` and ``sbe.kernels``
 must equal them bit for bit.
+
+``space_pairing_map`` and ``parabolic_pairing_map`` pair a field with the
+test functions phi_x^lambda of ``sbe.norms`` at every base site, by FFT
+correlation. They are the reference that the direct sums of
+``sbe.norms._pairings_at`` must match within rounding.
 """
 
 import numpy as np
@@ -50,7 +55,8 @@ from sbe.heat import (
 )
 from sbe.kernels import PROBE_PAIRS, PROBE_SEED, _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
-from sbe.operators import OperatorFamily, derivative_multiplier, twisted_product
+from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
+from sbe.operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped, step_forward
 
 
@@ -346,3 +352,28 @@ def mollify_loop(values: np.ndarray, grid: GridSpec, rt: int, rs: int) -> np.nda
             # padded rows rt + a.. are the values a steps later, zero past the ends
             out += w[a + rt, b + rs] * np.roll(padded[rt + a : rt + a + nt], -b, axis=1)
     return grid.eps**3 * out
+
+
+def space_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float) -> np.ndarray:
+    """eps-weighted pairing against phi_x^lambda at every base site x."""
+    spec = np.fft.fft(values, axis=-1) * np.conj(np.fft.fft(_space_kernel(tf.r, grid, lam)))
+    return grid.eps * np.fft.ifft(spec, axis=-1).real
+
+
+def parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float):
+    """Space-time pairing map and the time indices free of boundary padding.
+
+    None when the scale's time support does not fit the horizon.
+    """
+    if values.ndim != 2:
+        raise ValueError("parabolic pairing needs a space-time field")
+    nt = values.shape[0]
+    kt = _time_halfwidth(grid, lam)
+    if 2 * kt + 1 > nt:
+        return None
+    spatial = space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
+    wt = _time_kernel(tf, grid, lam)
+    conv = time_convolve(spatial, wt[::-1, None]).real
+    corr = conv[kt : kt + nt]  # linear correlation with zero padding outside
+    interior = np.arange(kt, nt - kt)
+    return grid.dt * corr, interior

@@ -281,6 +281,21 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("N, T", [(5, 0.125), (8, 4.0**-8)], ids=["three-space-scales", "one-time-step"])
+    def test_regularity_without_enough_scales(self, tmp_path, capsys, N, T):
+        path = write_config(tmp_path, {"family": FAMILY, "N": N, "T": T})
+        out = tmp_path / "out"
+        assert main(["regularity", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: N={N}, T={T!r}: " in err and "scales" in err
+        assert not out.exists()
+
+    def test_regularity_at_the_smallest_level_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"family": FAMILY, "N": 6, "T": 0.0625})
+        out = tmp_path / "out"
+        assert main(["regularity", "--config", path, "--out", str(out)]) == 0
+        assert {"exponents.csv", "pairings.csv", "estimates.json"} <= set(os.listdir(capsys.readouterr().out.strip()))
+
     @pytest.mark.parametrize(
         "kind, bad, field",
         [

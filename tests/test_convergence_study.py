@@ -10,7 +10,7 @@ return exactly the same numbers.
 import numpy as np
 import pytest
 
-from sbe.grids import GridSpec, coarsen_noise, coarsen_slice, sample_noise
+from sbe.grids import GridSpec, NoiseField, block_average, coarsen_slice, sample_noise
 from sbe.measures import AtomicMeasure2D
 from sbe.norms import comparison_norm, make_test_family
 from sbe.operators import OperatorFamily
@@ -44,7 +44,7 @@ def reference_study(fam, levels, T, replicas, seed, alpha=-0.6, eta=-0.6, b_drif
             if traj.blowup:
                 blowups.append(traj.blowup_time)
             if n != levels[0]:
-                noise = coarsen_noise(noise)
+                noise = NoiseField(GridSpec(n - 1, T), noise.seed, block_average(noise.values))
                 u0 = coarsen_slice(u0)
         escapes.append(min(blowups) if blowups else None)
         common = sorted(set.intersection(*(set(recs[n]) for n in levels)))

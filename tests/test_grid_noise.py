@@ -7,8 +7,8 @@ from oracles import mollify_loop
 from sbe.grids import (
     GridSpec,
     _mollifier_kernel,
+    block_average,
     bump,
-    coarsen_noise,
     coarsen_slice,
     mollify,
     sample_noise,
@@ -46,43 +46,36 @@ def test_noise_determinism_and_seed_sensitivity():
 
 def test_coarsen_variance():
     grid = GridSpec(7, 0.25)
-    fine = sample_noise(grid, 11)
-    coarse = coarsen_noise(fine)
-    n = coarse.values.size
+    coarse = block_average(sample_noise(grid, 11).values)
+    n = coarse.size
     var = (2 * grid.eps) ** -3
-    assert abs(coarse.values.var() - var) < 3 * var * np.sqrt(2.0 / n)
+    assert abs(coarse.var() - var) < 3 * var * np.sqrt(2.0 / n)
 
 
 def test_coarsen_is_exact_block_mean():
-    fine = sample_noise(GridSpec(5, 0.25), 9)
-    coarse = coarsen_noise(fine)
-    v = fine.values
+    v = sample_noise(GridSpec(5, 0.25), 9).values
+    coarse = block_average(v)
     box = (((v[0, 0] + v[0, 1]) + (v[1, 0] + v[1, 1])) + ((v[2, 0] + v[2, 1]) + (v[3, 0] + v[3, 1]))) * 0.125
-    assert coarse.values[0, 0] == box  # bit-level
+    assert coarse[0, 0] == box  # bit-level
 
 
 def test_double_coarsen_is_64_cell_average():
     fine = sample_noise(GridSpec(6, 0.25), 5)
-    twice = coarsen_noise(coarsen_noise(fine))
+    twice = block_average(block_average(fine.values))
     direct = fine.values[:16, :4].mean()
-    assert abs(twice.values[0, 0] - direct) < 1e-12
-
-
-def test_coarsen_floor():
-    with pytest.raises(ValueError):
-        coarsen_noise(sample_noise(GridSpec(0, 4.0), 0))
+    assert abs(twice[0, 0] - direct) < 1e-12
 
 
 def test_coupling_consistency_linear_statistic():
     # any linear functional of the coarse field is exactly computable from
     # the fine one: no fresh randomness enters through coarsening
     fine = sample_noise(GridSpec(6, 0.25), 21)
-    coarse = coarsen_noise(fine)
-    w = np.cos(np.arange(coarse.grid.M))
-    stat_coarse = coarse.values[3] @ w
+    coarse = block_average(fine.values)
+    w = np.cos(np.arange(coarse.shape[1]))
+    stat_coarse = coarse[3] @ w
     fine_block = fine.values[12:16]
     stat_from_fine = sum(
-        0.125 * (fine_block[:, 2 * i] + fine_block[:, 2 * i + 1]).sum() * w[i] for i in range(coarse.grid.M)
+        0.125 * (fine_block[:, 2 * i] + fine_block[:, 2 * i + 1]).sum() * w[i] for i in range(coarse.shape[1])
     )
     assert stat_coarse == pytest.approx(stat_from_fine, rel=1e-12)
 

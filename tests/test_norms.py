@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sbe.norms
+from oracles import parabolic_pairing_map, space_pairing_map
 from sbe.grids import GridSpec, LatticeField, rng_for, sample_noise
 from sbe.norms import (
     TestFunctionFamily as BumpFamily,
@@ -15,8 +16,6 @@ from sbe.norms import (
     holder_norm_space,
     make_test_family,
     _pairings_at,
-    _parabolic_pairing_map,
-    _space_pairing_map,
 )
 
 
@@ -174,8 +173,8 @@ def test_pairing_scale_equivariance():
     for mu_, lam in ((1 / 16, 1 / 8), (1 / 8, 1 / 4)):
         g1 = tf.profile((x - 0.5) / mu_) / mu_
         g2 = tf.profile((x - 0.5) / (2 * mu_)) / (2 * mu_)
-        p1 = _space_pairing_map(g1, grid, tf, lam).max()
-        p2 = _space_pairing_map(g2, grid, tf, 2 * lam).max()
+        p1 = _pairings_at(g1[None], grid, tf, lam, [0], np.arange(grid.M), "space").max()
+        p2 = _pairings_at(g2[None], grid, tf, 2 * lam, [0], np.arange(grid.M), "space").max()
         assert p1 == pytest.approx(2 * p2, rel=1e-6)  # up to grid quantization
 
 
@@ -199,6 +198,11 @@ class TestComparisonNorm:
         val = comparison_norm(a[None, :], b[None, :], np.array([0.125]), coarse, fine, -0.6, -0.6, tf)
         na = besov_norm_negative(LatticeField(coarse, a), -0.6, tf)
         assert 0.3 * na < val < 10 * na
+
+    def test_one_level_is_refused(self):
+        g = GridSpec(5, 0.25)
+        with pytest.raises(ValueError, match="two or more levels, got 1"):
+            comparison_terms([np.zeros((1, 32))], [g], np.array([0.1]), 0.0, make_test_family(g))
 
     def test_grid_ordering_guard(self):
         g = GridSpec(5, 0.25)
@@ -311,26 +315,58 @@ def test_comparison_terms_needs_one_time_per_slice(n_times):
         comparison_terms(slices, grids, times, -0.6, tf)
 
 
-def test_comparison_terms_builds_each_kernel_spectrum_once(monkeypatch):
+def test_comparison_terms_builds_each_site_matrix_once():
     """Repeated calls, as the convergence study makes once per snapshot time,
-    reuse one read-only spectrum per (r, M, lambda)."""
-    built = []
-    real = sbe.norms._space_kernel
-
-    def counted(tf, grid, lam):
-        built.append((tf.r, grid.M, lam))
-        return real(tf, grid, lam)
-
-    monkeypatch.setattr(sbe.norms, "_space_kernel", counted)
-    monkeypatch.setattr(sbe.norms, "_SPECTRA", {})
+    build one read-only test-function matrix per (level, scale)."""
+    sbe.norms._site_matrix.cache_clear()
     grids = [GridSpec(n, 0.25) for n in (5, 6, 7)]
     tf = make_test_family(grids[0], lambda_max=0.5)
     slices = [white_slice(g, g.N)[None, :] for g in grids]
     first = comparison_terms(slices, grids, np.array([0.125]), -0.6, tf)
     for _ in range(3):
         assert np.array_equal(comparison_terms(slices, grids, np.array([0.125]), -0.6, tf), first)
-    assert len(built) == len(set(built)) == len(grids) * len(tf.scales)
-    assert not any(spec.flags.writeable for spec in sbe.norms._SPECTRA.values())
+    info = sbe.norms._site_matrix.cache_info()
+    assert info.misses == info.currsize == len(grids) * len(tf.scales)
+    assert info.hits == 3 * info.misses
+    # the finest level is paired at the sites of the level before it only
+    finest = sbe.norms._site_matrix(tf.r, 7, float(tf.scales[0]), tuple(range(0, 128, 2)))
+    assert sbe.norms._site_matrix.cache_info().misses == info.misses
+    assert finest.shape == (128, 64) and not finest.flags.writeable
+
+
+@pytest.mark.parametrize("R", [1, 3, 50])
+def test_comparison_terms_batch_matches_replicas_alone(R):
+    """R replicas stacked in one call give each replica's own call, bit for bit."""
+    grids = [GridSpec(n, 0.25) for n in (5, 6, 7)]
+    tf = make_test_family(grids[0], lambda_max=0.5)
+    slices = [np.stack([white_slice(g, 100 * r + g.N) for r in range(R)]) for g in grids]
+    times = np.full(R, 0.0625)
+    batch = comparison_terms(slices, grids, times, -0.6, tf)
+    for r in range(R):
+        alone = comparison_terms([v[r : r + 1] for v in slices], grids, times[r : r + 1], -0.6, tf)
+        assert np.array_equal(batch[:, :, r : r + 1], alone)
+
+
+@pytest.mark.parametrize("mode", ["space", "parabolic"])
+def test_besov_norm_matches_the_full_maps(mode):
+    """The norm is the weighted sup of the FFT pairing maps, to rounding."""
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    vals = sample_noise(grid, 7).values
+    field = LatticeField(grid, vals, t0_index=1)
+    alpha, eta = -1.6, -0.4
+    want = 0.0
+    for lam in tf.scales:
+        if mode == "space":
+            te = np.maximum(np.minimum(np.sqrt(field.times), 1.0), grid.eps)[:, None]
+            pm = space_pairing_map(vals, grid, tf, lam) * te ** (-eta)
+        else:
+            found = parabolic_pairing_map(vals, grid, tf, lam)
+            if found is None:
+                break
+            pm = found[0][found[1]]
+        want = max(want, lam ** (-alpha) * np.abs(pm).max())
+    assert besov_norm_negative(field, alpha, tf, eta, mode) == pytest.approx(want, rel=1e-12)
 
 
 def band_points(grid, tf, nt, mode):
@@ -389,9 +425,9 @@ def test_point_pairings_match_the_full_maps(mode, N, T):
     for lam_a, lam_b, tsel, xsel in bands:
         for lam in (lam_a, lam_b):
             if mode == "space":
-                full = _space_pairing_map(vals, grid, tf, lam)
+                full = space_pairing_map(vals, grid, tf, lam)
             else:
-                full, interior = _parabolic_pairing_map(vals, grid, tf, lam)
+                full, interior = parabolic_pairing_map(vals, grid, tf, lam)
                 assert np.isin(tsel, interior).all()
             ref = full[np.ix_(tsel, xsel)]
             pts = _pairings_at(vals, grid, tf, lam, tsel, xsel, mode)
@@ -400,12 +436,18 @@ def test_point_pairings_match_the_full_maps(mode, N, T):
 
 @pytest.mark.parametrize("mode", ["space", "parabolic"])
 def test_estimate_exponent_builds_no_full_map(monkeypatch, mode):
-    def refuse(*args):
-        raise AssertionError("full pairing map built")
+    """The estimator reads at most PATCHES times and 2 PATCHES + 1 sites per scale."""
+    shapes = []
+    real = sbe.norms._pairings_at
 
-    monkeypatch.setattr(sbe.norms, "_parabolic_pairing_map", refuse)
-    monkeypatch.setattr(sbe.norms, "_space_pairing_map", refuse)
+    def recorded(values, grid, tf, lam, tsel, xsel, mode):
+        shapes.append((len(tsel), len(xsel)))
+        return real(values, grid, tf, lam, tsel, xsel, mode)
+
+    monkeypatch.setattr(sbe.norms, "_pairings_at", recorded)
     grid = GridSpec(6, 0.125)
     tf = make_test_family(grid, lambda_max=0.25)
     est = estimate_exponent(LatticeField(grid, sample_noise(grid, 4).values), tf, mode=mode)
     assert len(est.sup_pairings) >= 3
+    assert len(shapes) == 2 * len(est.sup_pairings)
+    assert all(1 <= nt <= 16 and nx == 33 for nt, nx in shapes)

@@ -6,11 +6,13 @@ import sbe
 
 MODULES = ("cli", "fieldio", "grids", "heat", "kernels", "measures", "norms", "operators", "processes", "renorm", "solver")
 
-# conveniences that nothing outside their own tests called, now gone
+# conveniences that nothing outside their own tests called, and internals
+# replaced by another route, now gone
 REMOVED = {
     "operators": ("dft", "idft"),
     "fieldio": ("field_to_csv",),
-    "grids": ("mollify_noise", "_shift"),
+    "grids": ("mollify_noise", "_shift", "coarsen_noise"),
+    "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
     "processes": ("singular_order_probe", "sample_remainder", "RemainderSample"),
 }
 
@@ -29,3 +31,4 @@ def test_removed_names_are_gone():
             assert name not in sbe.__all__ and not hasattr(mod, name), f"{module}.{name}"
     assert not hasattr(sbe.HeatKernel, "kernel_column")
     assert not hasattr(sbe.SchemeConfig, "fingerprint")
+    assert not hasattr(sbe.GridSpec, "coarsen")
