@@ -355,6 +355,7 @@ def _exp_processes(cfg, fam, outdir):
         if rep == 0:
             for lab in TREE_LABELS:
                 files += write_field(outdir, f"tree_{lab}", tps[lab], {"N": grid.N, "T": grid.T, "seed": cfg.seed})
+        del noise, tps  # free this replica before the next one is drawn
     rows = []
     for lab in TREE_LABELS:
         vals = finals[lab]
@@ -392,7 +393,8 @@ def _exp_regularity(cfg, fam, outdir):
     estimates = {}
     for rep in range(cfg.replicas):
         noise = sample_noise(grid, cfg.seed + rep)
-        tps = lift(noise, fam, consts, labels=tuple(targets))
+        # the space estimates read only the last slice of T11 and T12
+        tps = lift(noise, fam, consts, labels=tuple(targets), last=("T11", "T12"))
         for lab, mode in targets.items():
             est = estimate_exponent(LatticeField(grid, tps[lab]), tf_space if mode == "space" else tf_para, mode=mode)
             table[lab].append(est.exponent)
@@ -403,6 +405,7 @@ def _exp_regularity(cfg, fam, outdir):
         table["noise"].append(est.exponent)
         if rep == 0:
             estimates["noise"] = _estimate_to_json(est)
+        del noise, tps  # free this replica before the next one is drawn
     rows = []
     for lab, vals in table.items():
         mode = targets.get(lab, "parabolic")

@@ -27,6 +27,17 @@ turn adds m^(i+1) times the finished last row of the block before it to its
 row i. That takes about 2 sqrt(nt) array steps instead of nt, and it is
 stable: admissibility pins m into [1/2, 1], so every power is at most 1 and
 nothing is divided. The DxK convolution of split_K is an FFT along time.
+
+A statistic that reads only the final time slice of T11 or T12 (the space
+estimates of the regularity table) asks ``lift`` for it with ``last``. The
+last row of DxP * F comes from the same recurrence kept on one row per
+block: each block runs its in-block steps on one running row, reading F
+through strided row views, and the blocks' last rows are carried forward
+with the same powers of m. These are the additions and products of the full
+recurrence in the same order, so the row, its inverse transform and the T11
+stencil on it are the same bits as the last row of the full tree. In
+split_K mode the last row is sliced from the full FFT convolution, the same
+bits with no saving.
 """
 
 from __future__ import annotations
@@ -51,6 +62,24 @@ __all__ = [
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
 
+# The trees each rule of ``lift`` reads, in the order the rule receives them;
+# T1_hat is T1's half-spectrum and DxK_T1 the convolution T11 is a stencil of.
+_READS = {
+    "T1_hat": (),
+    "T1": ("T1_hat",),
+    "DxK_T1": ("T1_hat",),
+    "T11": ("DxK_T1",),
+    "T2": ("T1",),
+    "T21": ("T11", "T1"),
+    "T12": ("T2",),
+    "T22": ("T12", "T1"),
+    "T122": ("T22",),
+    "T124": ("T12",),
+    "T1222": ("T122", "T1", "T12"),
+}
+# The same for the trees ``lift`` can build at the last time slice only.
+_LAST_READS = {"T11": ("T1_hat",), "T12": ("T2",)}
+
 
 @dataclass
 class TreeProcessSet:
@@ -70,17 +99,55 @@ class TreeProcessSet:
 class _Memo(dict):
     """Trees built so far; a missing label is built once, by its rule.
 
-    Rules receive the memo as their argument and never hold it, so no
-    reference cycle outlives a lift.
+    A rule receives the trees it reads as arguments and never holds the
+    memo, so no reference cycle outlives a lift.
     """
 
-    def __init__(self, rules: dict):
+    def __init__(self, rules: dict, reads: dict):
         super().__init__()
         self.rules = rules
+        self.reads = reads
 
     def __missing__(self, label: str) -> np.ndarray:
-        value = self[label] = self.rules[label](self)
+        value = self[label] = self.rules[label](*(self[r] for r in self.reads[label]))
         return value
+
+
+def _label_tuple(labels, name: str) -> tuple:
+    """``labels`` as a tuple of tree labels; anything else is a ValueError."""
+    if isinstance(labels, str):
+        raise ValueError(f"{name} must be a sequence of tree labels, not the string {labels!r}; pass ({labels!r},)")
+    labels = tuple(labels)
+    for label in labels:
+        if label not in TREE_LABELS:
+            raise ValueError(f"unknown tree label {label!r} in {name}; choose from {', '.join(TREE_LABELS)}")
+    return labels
+
+
+def _plan_reads(labels, last) -> tuple:
+    """(labels, last, what each rule of the lift reads), checked before anything is built.
+
+    ``last`` must name requested trees that have a last-slice rule and that
+    no other tree of the lift reads in full.
+    """
+    labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
+    for label in last:
+        if label not in labels:
+            raise ValueError(f"last label {label!r} is not among the requested labels")
+        if label not in _LAST_READS:
+            raise ValueError(f"{label} cannot be built at the last slice only; last may name {', '.join(_LAST_READS)}")
+    reads = {**_READS, **{label: _LAST_READS[label] for label in last}}
+    closure, todo = set(), list(labels)
+    while todo:
+        label = todo.pop()
+        if label not in closure:
+            closure.add(label)
+            todo += reads[label]
+    for label in last:
+        readers = sorted(r for r in closure if label in reads[r])
+        if readers:
+            raise ValueError(f"{label} cannot be built at the last slice only: {', '.join(readers)} reads it in full")
+    return labels, last, reads
 
 
 def lift(
@@ -89,12 +156,19 @@ def lift(
     consts: RenormConstants,
     mode: str = "full_P",
     labels=TREE_LABELS,
+    last=(),
 ) -> TreeProcessSet:
     """Build the controlling processes for one noise realization.
 
     Each tree is one rule of the table below, evaluated on demand: ``labels``
     computes the requested trees plus exactly the trees their rules read.
-    Deterministic in (noise, family, constants, mode).
+    ``last`` names requested trees built at the final time slice only, shape
+    (1, M), with the same bits as the full tree's last row (see the module
+    docstring). It may name T11 and T12, each unless another tree of the
+    lift reads it in full (T21 reads T11; T22 and T124 read T12). Labels
+    outside TREE_LABELS, a bare string and any other ``last`` are refused
+    before anything is computed. Deterministic in (noise, family, constants,
+    mode).
     """
     if mode not in ("full_P", "split_K"):
         raise ValueError(f"unknown kernel mode {mode!r}")
@@ -102,6 +176,7 @@ def lift(
         raise ValueError("constants were computed for a different family")
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
+    labels, last, reads = _plan_reads(labels, last)
     grid = noise.grid
     eps, nt = grid.eps, grid.n_steps
     a, b = consts.c2, consts.c21
@@ -115,11 +190,24 @@ def lift(
     n_blocks = -(-nt // block)
     carry_powers = m ** np.arange(1, block + 1)[:, None]  # m^(i+1) for row i of a block
 
-    def conv_p(f_hat: np.ndarray) -> np.ndarray:
+    def conv_p(f_hat: np.ndarray, last: bool = False) -> np.ndarray:
         """Causal DxP convolution by the blocked recurrence of the module docstring.
 
-        The last block is padded with zero forcing.
+        The last block is padded with zero forcing. With ``last`` only the
+        final row is kept: row i of every block is one strided view of
+        f_hat, and the last block, which may be partial, stops at its
+        final row, so nothing field-sized is made.
         """
+        if last:
+            ends = pref * f_hat[0:nt:block]  # each block's running row
+            for i in range(1, block):
+                row = pref * f_hat[i:nt:block]
+                row += m * ends[: len(row)]
+                ends[: len(row)] = row
+            # a block keeps its last row, the last block its row (nt - 1) % block
+            for j in range(1, n_blocks):
+                ends[j] += carry_powers[-1 if j < n_blocks - 1 else (nt - 1) % block] * ends[j - 1]
+            return ends[-1:]
         out = np.zeros((n_blocks * block + 1, half), dtype=np.complex128)
         np.multiply(pref, f_hat[:nt], out=out[1 : nt + 1])
         blocks = out[1:].reshape(n_blocks, block, half)
@@ -133,11 +221,11 @@ def lift(
     if mode == "split_K":
         k_hat = (np.fft.rfft(hk.split(grid.T).K, axis=1) * dmult)[:nt]
 
-        def conv(f_hat: np.ndarray) -> np.ndarray:
+        def conv(f_hat: np.ndarray, last: bool = False) -> np.ndarray:
             """Causal DxK convolution for the cutoff kernel, FFT along time."""
             out = np.zeros((nt + 1, half), dtype=np.complex128)
             out[1:] = eps**3 * time_convolve(k_hat, f_hat[:nt])[:nt]
-            return out
+            return out[-1:] if last else out
 
     def field(f_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft(f_hat, n=grid.M, axis=1)
@@ -155,19 +243,24 @@ def lift(
     one_atoms = sorted(marginal.items())
 
     rules = {
-        "T1_hat": lambda t: conv(hat(noise.values)),
-        "T1": lambda t: field(t["T1_hat"]),
-        "DxK_T1": lambda t: field(conv(t["T1_hat"])),
-        "T11": lambda t: _stencil(one_atoms, t["DxK_T1"]),
-        "T2": lambda t: B(t["T1"], t["T1"]) - a,
-        "T21": lambda t: B(t["T11"], t["T1"]) - b,
-        "T12": lambda t: field(conv(hat(t["T2"]))),
-        "T22": lambda t: B(t["T12"], t["T1"]) - 2.0 * b * t["T1"],
-        "T122": lambda t: field(conv(hat(t["T22"]))),
-        "T124": lambda t: field(conv_p(hat(B(t["T12"], t["T12"])))),
-        "T1222": lambda t: field(conv_p(hat(B(t["T122"], t["T1"]) - b * t["T12"]))),
+        "T1_hat": lambda: conv(hat(noise.values)),
+        "T1": field,
+        "DxK_T1": lambda t1_hat: field(conv(t1_hat)),
+        "T11": lambda dxk_t1: _stencil(one_atoms, dxk_t1),
+        "T2": lambda t1: B(t1, t1) - a,
+        "T21": lambda t11, t1: B(t11, t1) - b,
+        "T12": lambda t2: field(conv(hat(t2))),
+        "T22": lambda t12, t1: B(t12, t1) - 2.0 * b * t1,
+        "T122": lambda t22: field(conv(hat(t22))),
+        "T124": lambda t12: field(conv_p(hat(B(t12, t12)))),
+        "T1222": lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12))),
     }
-    trees = _Memo(rules)
+    last_rules = {
+        "T11": lambda t1_hat: _stencil(one_atoms, field(conv(t1_hat, last=True))),
+        "T12": lambda t2: field(conv(hat(t2), last=True)),
+    }
+    rules.update({label: last_rules[label] for label in last})
+    trees = _Memo(rules, reads)
     for label in labels:
         trees[label]  # builds the label and every tree its rule reads
     dxp_t1 = None

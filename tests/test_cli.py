@@ -1,12 +1,16 @@
+import csv
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from sbe.cli import (
     EXPERIMENT_KINDS,
     SchemaError,
+    _regularity_families,
     config_from_dict,
     family_from_config,
     main,
@@ -14,6 +18,10 @@ from sbe.cli import (
     run_experiment,
 )
 from sbe.fieldio import sha256_file
+from sbe.grids import GridSpec, LatticeField, sample_noise
+from sbe.norms import estimate_exponent
+from sbe.processes import lift
+from sbe.renorm import compute_constants
 
 FAMILY = {"nu": "laplacian-nn", "pi": "deriv-backward", "mu": "product-sasamoto-spohn"}
 
@@ -295,6 +303,32 @@ class TestConfigFailsBeforeOutput:
         out = tmp_path / "out"
         assert main(["regularity", "--config", path, "--out", str(out)]) == 0
         assert {"exponents.csv", "pairings.csv", "estimates.json"} <= set(os.listdir(capsys.readouterr().out.strip()))
+
+    def test_regularity_exponents_are_those_of_full_lifts(self, tmp_path, capsys):
+        # the run lifts T11 and T12 at the last slice only; the table must not move
+        seed, replicas = 11, 2
+        path = write_config(tmp_path, {"family": FAMILY, "N": 6, "T": 0.0625, "seed": seed, "replicas": replicas})
+        assert main(["regularity", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        with open(os.path.join(capsys.readouterr().out.strip(), "exponents.csv")) as fh:
+            got = {row["target"]: row for row in csv.DictReader(fh)}
+        fam = family_from_config(FAMILY)
+        grid = GridSpec(6, 0.0625)
+        consts = compute_constants(fam, grid)
+        tf_space, tf_para = _regularity_families(grid)
+        targets = {"T1": tf_space, "T11": tf_space, "T12": tf_space, "T2": tf_para}
+        want = {lab: [] for lab in [*targets, "noise"]}
+        for rep in range(replicas):
+            noise = sample_noise(grid, seed + rep)
+            tps = lift(noise, fam, consts, labels=tuple(targets))
+            for lab, tf in targets.items():
+                mode = "space" if tf is tf_space else "parabolic"
+                want[lab].append(estimate_exponent(LatticeField(grid, tps[lab]), tf, mode=mode).exponent)
+            noise_est = estimate_exponent(LatticeField(grid, noise.values), tf_para, mode="parabolic")
+            want["noise"].append(noise_est.exponent)
+        assert set(got) == set(want)
+        for lab, vals in want.items():
+            assert float(got[lab]["exponent_mean"]) == float(np.mean(vals)), lab
+            assert float(got[lab]["exponent_sd"]) == float(np.std(vals, ddof=1)), lab
 
     @pytest.mark.parametrize(
         "kind, bad, field",

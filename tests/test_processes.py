@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,93 @@ def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
     tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, labels=labels)
     assert set(tps.fields) == built
     assert (tps.dxp_t1 is not None) == ("T1222" in built)
+
+
+@pytest.mark.parametrize("mode", ["full_P", "split_K"])
+@pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (8, 8192)])
+def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, mode, N, nt):
+    # nt = 1 and 2 are one-row blocks, 37 is 7 blocks of 6 with the last one
+    # partial, 100 is 10 full blocks of 10, and N = 8, T = 0.125 is the
+    # regularity table's level
+    grid = GridSpec(N, nt * 4.0**-N)
+    consts = compute_constants(fam_bw_ss, grid)
+    noise = sample_noise(grid, 70 + grid.n_steps)
+    full = lift(noise, fam_bw_ss, consts, mode=mode, labels=REGULARITY_LABELS)
+    part = lift(noise, fam_bw_ss, consts, mode=mode, labels=REGULARITY_LABELS, last=("T11", "T12"))
+    for label in ("T11", "T12"):
+        assert part[label].shape == (1, grid.M)
+        assert np.array_equal(part[label], full[label][-1:]), label
+    for label in ("T1", "T2"):
+        assert np.array_equal(part[label], full[label]), label
+
+
+@pytest.mark.parametrize(
+    "labels, last, built",
+    [
+        (REGULARITY_LABELS, ("T11", "T12"), set(REGULARITY_LABELS)),
+        (("T11", "T1222"), ("T11",), {"T1", "T2", "T11", "T12", "T22", "T122", "T1222"}),
+    ],
+)
+def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, last, built):
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    full = lift(noise, fam_bw_ss, consts, labels=labels)
+    tps = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
+    assert set(tps.fields) == built
+    for label in built:
+        assert tps[label].shape == ((1, grid.M) if label in last else (grid.n_steps + 1, grid.M)), label
+    assert (tps.dxp_t1 is None) == (full.dxp_t1 is None)
+    if full.dxp_t1 is not None:
+        assert np.array_equal(tps.dxp_t1, full.dxp_t1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"labels": ("DxK_T1",)}, "unknown tree label 'DxK_T1' in labels; choose from T1, T2, T11"),
+        ({"labels": ("T1_hat",)}, "unknown tree label 'T1_hat'"),
+        ({"labels": ("t2",)}, "unknown tree label 't2'"),
+        ({"labels": "T2"}, "not the string 'T2'"),
+        ({"labels": ("T11",), "last": "T11"}, "last must be a sequence"),
+        ({"labels": ("T11",), "last": ("T12",)}, "'T12' is not among the requested labels"),
+        ({"labels": ("T2",), "last": ("T2",)}, "T2 cannot be built at the last slice only; last may name T11, T12"),
+        ({"labels": ("T12", "T22"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
+        ({"labels": ("T12", "T122"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
+        ({"labels": ("T11", "T21"), "last": ("T11",)}, "T11 .* T21 reads it in full"),
+    ],
+)
+def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwargs, match):
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("transform ran before the labels were checked")
+
+    for name in ("fft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_transform)
+    with pytest.raises(ValueError, match=match):
+        lift(noise, fam_bw_ss, consts, **kwargs)
+
+
+def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
+    # the regularity lift with last builds T1_hat, T1, T2 and hat(T2): one
+    # field more than the ("T2",) lift, against three more without last
+    grid = GridSpec(7, 0.25)
+    consts = compute_constants(fam_bw_ss, grid)
+    noise = sample_noise(grid, 8)
+    field_bytes = (grid.n_steps + 1) * grid.M * 8
+
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            lift(noise, fam_bw_ss, consts, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    t2_only = peak(labels=("T2",))
+    assert peak(labels=REGULARITY_LABELS, last=("T11", "T12")) <= t2_only + field_bytes
+    assert peak(labels=REGULARITY_LABELS) > t2_only + 2 * field_bytes
 
 
 @pytest.mark.parametrize("mode", ["full_P", "split_K"])
