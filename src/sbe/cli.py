@@ -30,7 +30,7 @@ from .grids import GridSpec, LatticeField, sample_noise
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
-from .norms import _usable_scales, estimate_exponent, make_test_family
+from .norms import PROFILE_SMOOTHNESS, _usable_scales, estimate_exponent, make_test_family
 from .operators import OperatorFamily
 from .processes import TREE_LABELS, lift
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
@@ -188,6 +188,12 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
             raise SchemaError(f"N_range: convergence needs three or more distinct consecutive levels, got {levels}")
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
+    if cfg.seed < 0:
+        raise SchemaError(f"seed: expected a non-negative integer, got {cfg.seed}")
+    if not abs(cfg.alpha) < PROFILE_SMOOTHNESS:  # also refuses NaN
+        raise SchemaError(f"alpha: expected a finite number with |alpha| < {PROFILE_SMOOTHNESS}, got {cfg.alpha!r}")
+    if not math.isfinite(cfg.eta):
+        raise SchemaError(f"eta: expected a finite number, got {cfg.eta!r}")
     number = isinstance(cfg.drift, (int, float)) and not isinstance(cfg.drift, bool)
     if not (number and math.isfinite(cfg.drift) or cfg.drift in DRIFT_MODES):
         raise SchemaError(f"drift: expected 'none', 'renormalized' or a finite number, got {cfg.drift!r}")

@@ -212,8 +212,15 @@ def holder_norm_parabolic(field: LatticeField, alpha: float, eta: float, T: floa
 
 
 def _check_scale_list(tf: TestFunctionFamily, alpha: float):
-    if tf.r <= abs(alpha):
+    if not abs(alpha) < tf.r:  # also refuses NaN
         raise ValueError(f"profile smoothness r={tf.r} must exceed |alpha|={abs(alpha)}")
+
+
+def _check_finite(values: np.ndarray, name: str):
+    """A supremum folded with ``max`` would read a NaN as 0, so refuse one up front."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"{bad} non-finite values in {name}")
 
 
 def besov_norm_negative(
@@ -228,8 +235,10 @@ def besov_norm_negative(
     ``mode`` "space" pairs each time slice spatially (with the |t|_eps
     explosion weight); "parabolic" pairs in space-time on interior times and
     stops at the first scale whose time support no longer fits the horizon
-    (larger scales fit even less).
+    (larger scales fit even less). A field with a non-finite value has no
+    norm: ValueError.
     """
+    _check_finite(field.values, "field")
     if alpha >= 0.0:
         raise ValueError("negative-regularity norm needs alpha < 0")
     if mode not in ("space", "parabolic"):
@@ -299,7 +308,8 @@ def comparison_terms(level_slices, grids, times: np.ndarray, eta: float, tf: Tes
 
 
 def comparison_sup(terms: np.ndarray, tf: TestFunctionFamily, alpha: float) -> float:
-    """sup over scales and slices of lambda^-alpha times the comparison terms."""
+    """sup over scales and slices of lambda^-alpha times the comparison terms; non-finite terms are a ValueError."""
+    _check_finite(terms, "comparison terms")
     _check_scale_list(tf, alpha)
     best = 0.0
     for lam, sup in zip(tf.scales, np.max(terms, axis=1)):

@@ -38,6 +38,12 @@ recurrence in the same order, so the row, its inverse transform and the T11
 stencil on it are the same bits as the last row of the full tree. In
 split_K mode the last row is sliced from the full FFT convolution, the same
 bits with no saving.
+
+``lift`` states the recursion once, as a table of label: (the trees the
+rule reads, the rule), every tree after the trees it reads; the last-slice
+rules sit in a second table of the same shape and replace their entries.
+The labels, ``last`` and the closure are checked against the table before
+any transform runs.
 """
 
 from __future__ import annotations
@@ -62,24 +68,6 @@ __all__ = [
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
 
-# The trees each rule of ``lift`` reads, in the order the rule receives them;
-# T1_hat is T1's half-spectrum and DxK_T1 the convolution T11 is a stencil of.
-_READS = {
-    "T1_hat": (),
-    "T1": ("T1_hat",),
-    "DxK_T1": ("T1_hat",),
-    "T11": ("DxK_T1",),
-    "T2": ("T1",),
-    "T21": ("T11", "T1"),
-    "T12": ("T2",),
-    "T22": ("T12", "T1"),
-    "T122": ("T22",),
-    "T124": ("T12",),
-    "T1222": ("T122", "T1", "T12"),
-}
-# The same for the trees ``lift`` can build at the last time slice only.
-_LAST_READS = {"T11": ("T1_hat",), "T12": ("T2",)}
-
 
 @dataclass
 class TreeProcessSet:
@@ -96,23 +84,6 @@ class TreeProcessSet:
         return self.fields[label]
 
 
-class _Memo(dict):
-    """Trees built so far; a missing label is built once, by its rule.
-
-    A rule receives the trees it reads as arguments and never holds the
-    memo, so no reference cycle outlives a lift.
-    """
-
-    def __init__(self, rules: dict, reads: dict):
-        super().__init__()
-        self.rules = rules
-        self.reads = reads
-
-    def __missing__(self, label: str) -> np.ndarray:
-        value = self[label] = self.rules[label](*(self[r] for r in self.reads[label]))
-        return value
-
-
 def _label_tuple(labels, name: str) -> tuple:
     """``labels`` as a tuple of tree labels; anything else is a ValueError."""
     if isinstance(labels, str):
@@ -122,32 +93,6 @@ def _label_tuple(labels, name: str) -> tuple:
         if label not in TREE_LABELS:
             raise ValueError(f"unknown tree label {label!r} in {name}; choose from {', '.join(TREE_LABELS)}")
     return labels
-
-
-def _plan_reads(labels, last) -> tuple:
-    """(labels, last, what each rule of the lift reads), checked before anything is built.
-
-    ``last`` must name requested trees that have a last-slice rule and that
-    no other tree of the lift reads in full.
-    """
-    labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
-    for label in last:
-        if label not in labels:
-            raise ValueError(f"last label {label!r} is not among the requested labels")
-        if label not in _LAST_READS:
-            raise ValueError(f"{label} cannot be built at the last slice only; last may name {', '.join(_LAST_READS)}")
-    reads = {**_READS, **{label: _LAST_READS[label] for label in last}}
-    closure, todo = set(), list(labels)
-    while todo:
-        label = todo.pop()
-        if label not in closure:
-            closure.add(label)
-            todo += reads[label]
-    for label in last:
-        readers = sorted(r for r in closure if label in reads[r])
-        if readers:
-            raise ValueError(f"{label} cannot be built at the last slice only: {', '.join(readers)} reads it in full")
-    return labels, last, reads
 
 
 def lift(
@@ -160,15 +105,16 @@ def lift(
 ) -> TreeProcessSet:
     """Build the controlling processes for one noise realization.
 
-    Each tree is one rule of the table below, evaluated on demand: ``labels``
-    computes the requested trees plus exactly the trees their rules read.
-    ``last`` names requested trees built at the final time slice only, shape
-    (1, M), with the same bits as the full tree's last row (see the module
-    docstring). It may name T11 and T12, each unless another tree of the
-    lift reads it in full (T21 reads T11; T22 and T124 read T12). Labels
-    outside TREE_LABELS, a bare string and any other ``last`` are refused
-    before anything is computed. Deterministic in (noise, family, constants,
-    mode).
+    Each tree is one entry of the table below, listed after the trees its
+    rule reads: one reverse pass over the table finds the requested
+    ``labels`` plus exactly the trees their rules read, and one forward pass
+    builds those, each once. ``last`` names requested trees built at the
+    final time slice only, shape (1, M), with the same bits as the full
+    tree's last row (see the module docstring). It may name T11 and T12,
+    each unless another tree of the lift reads it in full (T21 reads T11;
+    T22 and T124 read T12). Labels outside TREE_LABELS, a bare string and
+    any other ``last`` are refused before anything is computed.
+    Deterministic in (noise, family, constants, mode).
     """
     if mode not in ("full_P", "split_K"):
         raise ValueError(f"unknown kernel mode {mode!r}")
@@ -176,7 +122,7 @@ def lift(
         raise ValueError("constants were computed for a different family")
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
-    labels, last, reads = _plan_reads(labels, last)
+    labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
     grid = noise.grid
     eps, nt = grid.eps, grid.n_steps
     a, b = consts.c2, consts.c21
@@ -219,10 +165,8 @@ def lift(
 
     conv = conv_p
     if mode == "split_K":
-        k_hat = (np.fft.rfft(hk.split(grid.T).K, axis=1) * dmult)[:nt]
-
         def conv(f_hat: np.ndarray, last: bool = False) -> np.ndarray:
-            """Causal DxK convolution for the cutoff kernel, FFT along time."""
+            """Causal DxK convolution for the cutoff kernel, FFT along time (k_hat is set after the refusals)."""
             out = np.zeros((nt + 1, half), dtype=np.complex128)
             out[1:] = eps**3 * time_convolve(k_hat, f_hat[:nt])[:nt]
             return out[-1:] if last else out
@@ -242,30 +186,51 @@ def lift(
         marginal[j2] = marginal.get(j2, 0.0) + w
     one_atoms = sorted(marginal.items())
 
-    rules = {
-        "T1_hat": lambda: conv(hat(noise.values)),
-        "T1": field,
-        "DxK_T1": lambda t1_hat: field(conv(t1_hat)),
-        "T11": lambda dxk_t1: _stencil(one_atoms, dxk_t1),
-        "T2": lambda t1: B(t1, t1) - a,
-        "T21": lambda t11, t1: B(t11, t1) - b,
-        "T12": lambda t2: field(conv(hat(t2))),
-        "T22": lambda t12, t1: B(t12, t1) - 2.0 * b * t1,
-        "T122": lambda t22: field(conv(hat(t22))),
-        "T124": lambda t12: field(conv_p(hat(B(t12, t12)))),
-        "T1222": lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12))),
+    # label: (the trees its rule reads, the rule), each tree after the trees it
+    # reads; T1_hat is T1's half-spectrum and DxK_T1 the convolution T11 is a
+    # stencil of
+    table = {
+        "T1_hat": ((), lambda: conv(hat(noise.values))),
+        "T1": (("T1_hat",), field),
+        "DxK_T1": (("T1_hat",), lambda t1_hat: field(conv(t1_hat))),
+        "T11": (("DxK_T1",), lambda dxk_t1: _stencil(one_atoms, dxk_t1)),
+        "T2": (("T1",), lambda t1: B(t1, t1) - a),
+        "T21": (("T11", "T1"), lambda t11, t1: B(t11, t1) - b),
+        "T12": (("T2",), lambda t2: field(conv(hat(t2)))),
+        "T22": (("T12", "T1"), lambda t12, t1: B(t12, t1) - 2.0 * b * t1),
+        "T122": (("T22",), lambda t22: field(conv(hat(t22)))),
+        "T124": (("T12",), lambda t12: field(conv_p(hat(B(t12, t12))))),
+        "T1222": (("T122", "T1", "T12"), lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12)))),
     }
-    last_rules = {
-        "T11": lambda t1_hat: _stencil(one_atoms, field(conv(t1_hat, last=True))),
-        "T12": lambda t2: field(conv(hat(t2), last=True)),
+    # the trees that can be built at the last time slice only, in the same shape
+    last_table = {
+        "T11": (("T1_hat",), lambda t1_hat: _stencil(one_atoms, field(conv(t1_hat, last=True)))),
+        "T12": (("T2",), lambda t2: field(conv(hat(t2), last=True))),
     }
-    rules.update({label: last_rules[label] for label in last})
-    trees = _Memo(rules, reads)
-    for label in labels:
-        trees[label]  # builds the label and every tree its rule reads
+    for label in last:
+        if label not in labels:
+            raise ValueError(f"last label {label!r} is not among the requested labels")
+        if label not in last_table:
+            raise ValueError(f"{label} cannot be built at the last slice only; last may name {', '.join(last_table)}")
+        table[label] = last_table[label]
+    needed = set(labels)  # grows to the closure: a tree read by a needed tree comes before it
+    for label, (reads, _) in reversed(table.items()):
+        if label in needed:
+            needed.update(reads)
+    for label in last:
+        readers = sorted(r for r in needed if label in table[r][0])
+        if readers:
+            raise ValueError(f"{label} cannot be built at the last slice only: {', '.join(readers)} reads it in full")
+
+    if mode == "split_K":
+        k_hat = (np.fft.rfft(hk.split(grid.T).K, axis=1) * dmult)[:nt]
+    trees = {}
+    for label, (reads, rule) in table.items():
+        if label in needed:
+            trees[label] = rule(*(trees[r] for r in reads))
     dxp_t1 = None
-    if "T1222" in trees:
-        dxp_t1 = trees["DxK_T1"] if conv is conv_p else field(conv_p(trees["T1_hat"]))
+    if "T1222" in trees:  # the second remainder reads DxP * T1, which is DxK_T1 in full_P mode
+        dxp_t1 = trees["DxK_T1"] if conv is conv_p and "DxK_T1" in trees else field(conv_p(trees["T1_hat"]))
     return TreeProcessSet(fields={lab: trees[lab] for lab in TREE_LABELS if lab in trees}, dxp_t1=dxp_t1)
 
 

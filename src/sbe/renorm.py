@@ -59,10 +59,8 @@ class RenormConstants:
     family_fingerprint: str
 
 
-def compute_constants(fam: OperatorFamily, grid: GridSpec, method: str = "lattice_sum") -> RenormConstants:
-    """c2 by ``c2_lattice_sum`` and c21 by its mode sum, the only ``method``."""
-    if method != "lattice_sum":
-        raise ValueError(f"unknown method {method!r}")
+def compute_constants(fam: OperatorFamily, grid: GridSpec) -> RenormConstants:
+    """c2 by ``c2_lattice_sum`` and c21 by its mode sum."""
     return RenormConstants(
         c2=c2_lattice_sum(fam, grid),
         c21=c21(fam, method="mode_sum", grid=grid),

@@ -159,7 +159,7 @@ def test_criterion_5_renormalization_constants(fam_bw_ss, fam_bw_pw, fam_ce_pw, 
 def test_criterion_6_chaos_mean(fam_bw_ss):
     t0 = time.monotonic()
     grid = GridSpec(6, 0.25)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     vals = []
     for rep in range(200):
         tps = lift(sample_noise(grid, 20_000 + rep), fam_bw_ss, consts, labels=("T2",))
@@ -178,7 +178,7 @@ def test_criterion_6_chaos_mean(fam_bw_ss):
 def test_criterion_7_regularity_table(fam_bw_ss):
     t0 = time.monotonic()
     grid = GridSpec(8, 0.125)
-    consts = compute_constants(fam_bw_ss, grid, "lattice_sum")
+    consts = compute_constants(fam_bw_ss, grid)
     tf = make_test_family(grid, lambda_min=4 * grid.eps, lambda_max=0.125)
     targets = {"T1": "space", "T11": "space", "T12": "space", "T2": "parabolic"}
     table = {lab: [] for lab in list(targets) + ["noise"]}

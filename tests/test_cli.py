@@ -289,6 +289,36 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"alpha": float("nan")}, "alpha"),
+            ({"alpha": "inf"}, "alpha"),
+            ({"alpha": -5.0}, "alpha"),
+            ({"alpha": 4}, "alpha"),
+            ({"eta": "nan"}, "eta"),
+            ({"eta": float("-inf")}, "eta"),
+            ({"seed": -1}, "seed"),
+            ({"seed": "-3"}, "seed"),
+        ],
+    )
+    def test_convergence_parameters_checked_first(self, tmp_path, capsys, bad, field):
+        payload = dict({"family": FAMILY, "N_range": [3, 4, 5], "T": 0.125, "replicas": 2}, **bad)
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: expected a " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_from_flag_or_env_checked_first(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.125})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--seed", "-1", "--out", str(out)]) == 2
+        monkeypatch.setenv("SBE_SEED", "-2")
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("config error: seed: expected a non-negative integer") == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("N, T", [(5, 0.125), (8, 4.0**-8)], ids=["three-space-scales", "one-time-step"])
     def test_regularity_without_enough_scales(self, tmp_path, capsys, N, T):
         path = write_config(tmp_path, {"family": FAMILY, "N": N, "T": T})

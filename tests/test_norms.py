@@ -10,6 +10,7 @@ from sbe.norms import (
     TestFunctionFamily as BumpFamily,
     besov_norm_negative,
     comparison_norm,
+    comparison_sup,
     comparison_terms,
     estimate_exponent,
     holder_norm_parabolic,
@@ -164,6 +165,19 @@ class TestBesovNegative:
         val = besov_norm_negative(LatticeField(grid, noise.values), -1.6, tf, mode="parabolic")
         assert np.isfinite(val) and val > 0
 
+    @pytest.mark.parametrize("mode", ["space", "parabolic"])
+    def test_non_finite_field_refused(self, mode):
+        # max(0.0, nan) is 0.0, so a NaN must not reach the fold
+        grid = GridSpec(5, 0.25)
+        tf = make_test_family(grid, lambda_max=0.25)
+        values = sample_noise(grid, 0).values.copy()
+        values[3, 7] = np.nan
+        with pytest.raises(ValueError, match="^1 non-finite values in field"):
+            besov_norm_negative(LatticeField(grid, values), -1.6, tf, mode=mode)
+        values[:] = np.inf
+        with pytest.raises(ValueError, match=f"^{values.size} non-finite values in field"):
+            besov_norm_negative(LatticeField(grid, values), -1.6, tf, mode=mode)
+
 
 def test_pairing_scale_equivariance():
     """Pairing a dilated bump at a dilated scale rescales exactly on dyadic grids."""
@@ -203,6 +217,21 @@ class TestComparisonNorm:
         g = GridSpec(5, 0.25)
         with pytest.raises(ValueError, match="two or more levels, got 1"):
             comparison_terms([np.zeros((1, 32))], [g], np.array([0.1]), 0.0, make_test_family(g))
+
+    def test_non_finite_terms_and_alpha_refused(self):
+        # max(0.0, nan) is 0.0, so all-NaN terms used to read as a norm of 0
+        tf = make_test_family(GridSpec(5, 0.25))
+        terms = np.full((len(tf.scales), 3), np.nan)
+        with pytest.raises(ValueError, match=f"^{terms.size} non-finite values in comparison terms"):
+            comparison_sup(terms, tf, -0.6)
+        terms[:] = 1.0
+        terms[0, 1] = np.inf
+        with pytest.raises(ValueError, match="^1 non-finite values in comparison terms"):
+            comparison_sup(terms, tf, -0.6)
+        terms[0, 1] = 1.0
+        assert comparison_sup(terms, tf, -0.6) > 0.0
+        with pytest.raises(ValueError, match="must exceed"):
+            comparison_sup(terms, tf, float("nan"))
 
     def test_grid_ordering_guard(self):
         g = GridSpec(5, 0.25)

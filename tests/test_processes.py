@@ -202,6 +202,20 @@ def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwarg
         lift(noise, fam_bw_ss, consts, **kwargs)
 
 
+@pytest.mark.parametrize("labels, last", [(("T2",), ("T2",)), (("T12", "T22"), ("T12",))])
+def test_split_k_refuses_before_transforming_its_kernel(fam_bw_ss, setup, monkeypatch, labels, last):
+    # these refusals read the rule table, which lift builds before any transform
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("the cutoff kernel was transformed before the refusal")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    with pytest.raises(ValueError, match="cannot be built at the last slice only"):
+        lift(noise, fam_bw_ss, consts, mode="split_K", labels=labels, last=last)
+
+
 def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
     # the regularity lift with last builds T1_hat, T1, T2 and hat(T2): one
     # field more than the ("T2",) lift, against three more without last
@@ -235,6 +249,30 @@ def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup, mode):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_full_lift_builds_each_tree_once(fam_bw_ss, setup, monkeypatch):
+    # full_P: one inverse transform for each of T1, DxK_T1, T12, T122, T124
+    # and T1222 (DxP * T1 is DxK_T1), one forward transform for each of the
+    # noise and the four products that are convolved
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    tps = lift(noise, fam_bw_ss, consts)
+    assert set(tps.fields) == set(TREE_LABELS) and tps.dxp_t1 is not None
+    assert calls == {"rfft": 5, "irfft": 6}
 
 
 def test_remainder_r21_pointwise_identity(fam_bw_pw, setup):

@@ -13,7 +13,15 @@ REMOVED = {
     "fieldio": ("field_to_csv",),
     "grids": ("mollify_noise", "_shift", "coarsen_noise"),
     "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
-    "processes": ("singular_order_probe", "sample_remainder", "RemainderSample"),
+    "processes": (
+        "singular_order_probe",
+        "sample_remainder",
+        "RemainderSample",
+        "_READS",
+        "_LAST_READS",
+        "_Memo",
+        "_plan_reads",
+    ),
 }
 
 

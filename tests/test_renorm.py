@@ -110,11 +110,6 @@ def test_constants_record_provenance(fam_bw_ss):
     assert consts.family_fingerprint == fam_bw_ss.fingerprint()
 
 
-def test_constants_have_one_method(fam_bw_ss):
-    with pytest.raises(ValueError, match="unknown method"):
-        compute_constants(fam_bw_ss, GridSpec(6, 0.25), "quadrature")
-
-
 class TestContinuumMollified:
     def test_halving_doubles(self):
         v = {e: c2_continuum_mollified(e) for e in (1 / 16, 1 / 32, 1 / 64)}
