@@ -79,12 +79,18 @@ class ExperimentConfig:
 
 
 def _measure_from(entry, kind: str):
+    """The measure of family.<kind>: a preset name or an atoms object; a malformed one is a SchemaError naming it."""
     if isinstance(entry, str):
-        return preset_measure(entry)
+        try:
+            return preset_measure(entry)
+        except KeyError as exc:
+            raise SchemaError(f"family.{kind}: {exc.args[0]}") from exc
     if isinstance(entry, dict) and "atoms" in entry:
-        if kind == "mu":
-            return AtomicMeasure2D.from_json(entry)
-        return AtomicMeasure1D.from_json(entry)
+        try:
+            return (AtomicMeasure2D if kind == "mu" else AtomicMeasure1D).from_json(entry)
+        except (TypeError, ValueError, OverflowError) as exc:
+            shape = "[j1, j2, weight]" if kind == "mu" else "[j, weight]"
+            raise SchemaError(f"family.{kind}: malformed atoms, each {shape} with a finite weight ({exc})") from exc
     raise SchemaError(f"family.{kind}: expected a preset name or an atoms object")
 
 
@@ -355,7 +361,9 @@ def _exp_processes(cfg, fam, outdir):
     finals = {lab: [] for lab in TREE_LABELS}
     for rep in range(cfg.replicas):
         noise = sample_noise(grid, cfg.seed + rep)
-        tps = lift(noise, fam, consts)
+        # replica 0 is written in full, the later ones enter only at the last
+        # slice; T1, T2, T12, T22 and T122 stay full, as other trees read them
+        tps = lift(noise, fam, consts, last=() if rep == 0 else ("T11", "T21", "T124", "T1222"))
         for lab in TREE_LABELS:
             finals[lab].append(float(tps[lab][-1, 0]))
         if rep == 0:

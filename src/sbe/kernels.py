@@ -20,10 +20,10 @@ The whole-field passes run one block of about operators._BLOCK_BYTES at a
 time: the order norm's z-norms, differences and ratios per block of rows
 (the time difference reads one row past the block), the time FFTs of a
 convolution per block of columns into its one spectrum, the inverse space
-transform and the renormalized convolution's mass term per block of rows
-straight into the output, and |DxK|^2 per block of rows. Each step is
-elementwise, per row or column, or a max, so the results equal the
-whole-field passes bit for bit.
+transform per block of rows into the output, which reuses the spectrum's
+buffer, the renormalized convolution's mass term per block of rows in
+place, and |DxK|^2 per block of rows. Each step is elementwise, per row or
+column, or a max, so the results equal the whole-field passes bit for bit.
 """
 
 from __future__ import annotations
@@ -180,17 +180,28 @@ def _occupied_rows(a: np.ndarray) -> int:
 def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
 
-    a's half-spectrum is dropped once its time FFT is in the spectrum, before
-    b's is made, and the inverse space transform is written, a block of rows
-    at a time, straight into the output.
+    The (L, M/2+1) time spectrum and the (n_out, M) output share one float
+    buffer, the spectrum as a complex view of its head. a's half-spectrum is
+    dropped once its time FFT is in the spectrum, before b's is made. The
+    inverse space transform is written a block of rows at a time, in
+    increasing row order, over the spectrum: output row i ends at byte
+    8M (i + 1) and spectrum row i + 1 starts at byte (8M + 16)(i + 1), so no
+    block overwrites a spectrum row still to be read. The rows past the
+    computed ones are then zeroed. The result is a view of that buffer.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, grid.M))
-    if r1 and r2:
-        spec = _time_spectrum(np.fft.rfft(a[:r1], axis=1), _time_length(r1 + r2))
-        _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
-        for rows in _blocks(r1 + r2 - 1, 8 * grid.M):
-            np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=grid.M, axis=1), out=out[rows])
+    n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
+    if not (r1 and r2):
+        return np.zeros((n_out, M))
+    L, half = _time_length(r1 + r2), M // 2 + 1
+    buf = np.empty(max(2 * L * half, n_out * M))
+    spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
+    _time_spectrum(np.fft.rfft(a[:r1], axis=1), L, out=spec)
+    _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
+    out = buf[: n_out * M].reshape(n_out, M)
+    for rows in _blocks(r1 + r2 - 1, 8 * M):
+        np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=M, axis=1), out=out[rows])
+    out[r1 + r2 - 1 :] = 0.0
     return out
 
 

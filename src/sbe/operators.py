@@ -264,9 +264,12 @@ def _time_length(n: int) -> int:
     return L
 
 
-def _time_spectrum(a: np.ndarray, L: int) -> np.ndarray:
-    """The length-L FFT along axis 0 of a (n, W), computed a block of columns at a time into one (L, W) array."""
-    spec = np.empty((L, a.shape[1]), dtype=np.complex128)
+def _time_spectrum(a: np.ndarray, L: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The length-L FFT along axis 0 of a (n, W), computed a block of columns at a time into one (L, W) array.
+
+    The array is ``out`` when given, a complex (L, W) view the caller owns.
+    """
+    spec = np.empty((L, a.shape[1]), dtype=np.complex128) if out is None else out
     for cols in _blocks(a.shape[1], 16 * L):
         spec[:, cols] = np.fft.fft(a[:, cols], n=L, axis=0)
     return spec

@@ -28,16 +28,20 @@ row i. That takes about 2 sqrt(nt) array steps instead of nt, and it is
 stable: admissibility pins m into [1/2, 1], so every power is at most 1 and
 nothing is divided. The DxK convolution of split_K is an FFT along time.
 
-A statistic that reads only the final time slice of T11 or T12 (the space
-estimates of the regularity table) asks ``lift`` for it with ``last``. The
+A statistic that reads only the final time slice of a tree asks ``lift``
+for it with ``last``: the space estimates of the regularity table read T11
+and T12 there, and the Monte Carlo means of the ``processes`` experiment
+read T11, T21, T124 and T1222 there for every replica after the first. The
 last row of DxP * F comes from the same recurrence kept on one row per
 block: each block runs its in-block steps on one running row, reading F
 through strided row views, and the blocks' last rows are carried forward
 with the same powers of m. These are the additions and products of the full
 recurrence in the same order, so the row, its inverse transform and the T11
-stencil on it are the same bits as the last row of the full tree. In
-split_K mode the last row is sliced from the full FFT convolution, the same
-bits with no saving.
+stencil on it are the same bits as the last row of the full tree. T21's
+last row is the twisted product of the last rows of T11 and T1, which acts
+row by row. T124 and T1222 still convolve their full forcing, so T12, T122
+and T1 stay full under them. In split_K mode the last row of T11 or T12 is
+sliced from the full FFT convolution, the same bits with no saving.
 
 ``lift`` states the recursion once, as a table of label: (the trees the
 rule reads, the rule), every tree after the trees it reads; the last-slice
@@ -73,7 +77,8 @@ TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
 class TreeProcessSet:
     """One realization of the controlling processes on a shared grid.
 
-    fields[label] has shape (n_steps + 1, M), time index n <-> t = n eps^2.
+    fields[label] has shape (n_steps + 1, M), time index n <-> t = n eps^2,
+    or (1, M), the last slice, for a label the lift was given in ``last``.
     ``dxp_t1`` caches DxP * T1 for the second remainder.
     """
 
@@ -110,11 +115,13 @@ def lift(
     ``labels`` plus exactly the trees their rules read, and one forward pass
     builds those, each once. ``last`` names requested trees built at the
     final time slice only, shape (1, M), with the same bits as the full
-    tree's last row (see the module docstring). It may name T11 and T12,
-    each unless another tree of the lift reads it in full (T21 reads T11;
-    T22 and T124 read T12). Labels outside TREE_LABELS, a bare string and
-    any other ``last`` are refused before anything is computed.
-    Deterministic in (noise, family, constants, mode).
+    tree's last row (see the module docstring). It may name T11, T12, T21,
+    T124 and T1222, each unless another tree of the lift reads it in full
+    (a full T21 reads T11; T22, T124 and T1222 read T12); T21 built last
+    reads only the last rows of T11 and T1. ``dxp_t1`` is built only with
+    a full T1222. Labels outside TREE_LABELS, a bare string and any other
+    ``last`` are refused before anything is computed. Deterministic in
+    (noise, family, constants, mode).
     """
     if mode not in ("full_P", "split_K"):
         raise ValueError(f"unknown kernel mode {mode!r}")
@@ -206,7 +213,11 @@ def lift(
     last_table = {
         "T11": (("T1_hat",), lambda t1_hat: _stencil(one_atoms, field(conv(t1_hat, last=True)))),
         "T12": (("T2",), lambda t2: field(conv(hat(t2), last=True))),
+        "T21": (("T11", "T1"), lambda t11, t1: B(t11[-1:], t1[-1:]) - b),
+        "T124": (("T12",), lambda t12: field(conv_p(hat(B(t12, t12)), last=True))),
+        "T1222": (("T122", "T1", "T12"), lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12), last=True))),
     }
+    reads_last_rows = ("T21",)  # last rules that read only the last rows of their trees
     for label in last:
         if label not in labels:
             raise ValueError(f"last label {label!r} is not among the requested labels")
@@ -218,7 +229,7 @@ def lift(
         if label in needed:
             needed.update(reads)
     for label in last:
-        readers = sorted(r for r in needed if label in table[r][0])
+        readers = sorted(r for r in needed if label in table[r][0] and not (r in last and r in reads_last_rows))
         if readers:
             raise ValueError(f"{label} cannot be built at the last slice only: {', '.join(readers)} reads it in full")
 
@@ -229,7 +240,8 @@ def lift(
         if label in needed:
             trees[label] = rule(*(trees[r] for r in reads))
     dxp_t1 = None
-    if "T1222" in trees:  # the second remainder reads DxP * T1, which is DxK_T1 in full_P mode
+    if "T1222" in trees and "T1222" not in last:
+        # the second remainder reads DxP * T1, which is DxK_T1 in full_P mode
         dxp_t1 = trees["DxK_T1"] if conv is conv_p and "DxK_T1" in trees else field(conv_p(trees["T1_hat"]))
     return TreeProcessSet(fields={lab: trees[lab] for lab in TREE_LABELS if lab in trees}, dxp_t1=dxp_t1)
 

@@ -1,8 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sbe.measures import preset_measure
 from sbe.operators import OperatorFamily
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """call()'s result and the peak bytes it had traced beyond those allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def family(pi_name: str, mu_name: str) -> OperatorFamily:

@@ -7,6 +7,7 @@ import pytest
 
 import numpy as np
 
+from sbe import cli
 from sbe.cli import (
     EXPERIMENT_KINDS,
     SchemaError,
@@ -17,10 +18,10 @@ from sbe.cli import (
     parse_config,
     run_experiment,
 )
-from sbe.fieldio import sha256_file
+from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
 from sbe.norms import estimate_exponent
-from sbe.processes import lift
+from sbe.processes import TREE_LABELS, lift
 from sbe.renorm import compute_constants
 
 FAMILY = {"nu": "laplacian-nn", "pi": "deriv-backward", "mu": "product-sasamoto-spohn"}
@@ -359,6 +360,58 @@ class TestConfigFailsBeforeOutput:
         for lab, vals in want.items():
             assert float(got[lab]["exponent_mean"]) == float(np.mean(vals)), lab
             assert float(got[lab]["exponent_sd"]) == float(np.std(vals, ddof=1)), lab
+
+    def test_processes_summary_is_that_of_full_lifts(self, tmp_path, capsys, monkeypatch):
+        # replicas after the first lift T11, T21, T124 and T1222 at the last
+        # slice only; the summary and the written trees must not move
+        seed, replicas = 21, 3
+        heights = []
+
+        def recorded(*args, **kwargs):
+            tps = lift(*args, **kwargs)
+            heights.append(tps["T1222"].shape[0])
+            return tps
+
+        monkeypatch.setattr(cli, "lift", recorded)
+        path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.25, "seed": seed, "replicas": replicas})
+        assert main(["processes", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        outdir = capsys.readouterr().out.strip()
+        with open(os.path.join(outdir, "mc_summary.csv")) as fh:
+            got = {row["label"]: row for row in csv.DictReader(fh)}
+        fam = family_from_config(FAMILY)
+        grid = GridSpec(5, 0.25)
+        consts = compute_constants(fam, grid)
+        finals = {lab: [] for lab in TREE_LABELS}
+        for rep in range(replicas):
+            tps = lift(sample_noise(grid, seed + rep), fam, consts)
+            for lab in TREE_LABELS:
+                finals[lab].append(float(tps[lab][-1, 0]))
+            if rep == 0:
+                for lab in TREE_LABELS:
+                    assert np.array_equal(read_field(outdir, f"tree_{lab}")[0], tps[lab]), lab
+        assert set(got) == set(TREE_LABELS)
+        for lab, vals in finals.items():
+            assert float(got[lab]["mean"]) == float(np.mean(vals)), lab
+            assert float(got[lab]["stderr"]) == float(np.std(vals, ddof=1) / np.sqrt(replicas)), lab
+            assert float(got[lab]["t"]) == 0.25 and int(got[lab]["replicas"]) == replicas, lab
+        assert heights == [grid.n_steps + 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "family, field",
+        [
+            (dict(FAMILY, nu={"atoms": [[-1, 1.0], [0, float("nan")], [1, 1.0]]}), "family.nu"),
+            (dict(FAMILY, nu={"atoms": [[-1, 1.0], [0, "heavy"], [1, 1.0]]}), "family.nu"),
+            (dict(FAMILY, mu={"atoms": [[0, 1.0]]}), "family.mu"),
+            (dict(FAMILY, pi="deriv-sideways"), "family.pi"),
+        ],
+        ids=["nan-weight", "string-weight", "two-element-mu-atom", "unknown-preset"],
+    )
+    def test_malformed_measures_named(self, tmp_path, capsys, family, field):
+        path = write_config(tmp_path, {"family": family, "N": 5, "T": 0.125})
+        out = tmp_path / "out"
+        assert main(["processes", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, bad, field",

@@ -1,9 +1,9 @@
 import gc
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
@@ -136,22 +136,38 @@ def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
     assert (tps.dxp_t1 is not None) == ("T1222" in built)
 
 
+PROCESSES_LAST = ("T11", "T21", "T124", "T1222")  # what the processes experiment builds last for later replicas
+
+
 @pytest.mark.parametrize("mode", ["full_P", "split_K"])
-@pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (8, 8192)])
+@pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (7, 4096), (8, 8192)])
 def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, mode, N, nt):
     # nt = 1 and 2 are one-row blocks, 37 is 7 blocks of 6 with the last one
-    # partial, 100 is 10 full blocks of 10, and N = 8, T = 0.125 is the
-    # regularity table's level
+    # partial, 100 is 10 full blocks of 10, N = 7, T = 0.25 is the processes
+    # experiment's level and N = 8, T = 0.125 the regularity table's; T21 is
+    # a twisted product of two last rows, T124 and T1222 the last row of
+    # conv_p on their full forcing
     grid = GridSpec(N, nt * 4.0**-N)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 70 + grid.n_steps)
-    full = lift(noise, fam_bw_ss, consts, mode=mode, labels=REGULARITY_LABELS)
-    part = lift(noise, fam_bw_ss, consts, mode=mode, labels=REGULARITY_LABELS, last=("T11", "T12"))
-    for label in ("T11", "T12"):
-        assert part[label].shape == (1, grid.M)
-        assert np.array_equal(part[label], full[label][-1:]), label
-    for label in ("T1", "T2"):
-        assert np.array_equal(part[label], full[label]), label
+    full = lift(noise, fam_bw_ss, consts, mode=mode)
+    for labels, last in [(REGULARITY_LABELS, ("T11", "T12")), (TREE_LABELS, PROCESSES_LAST)]:
+        part = lift(noise, fam_bw_ss, consts, mode=mode, labels=labels, last=last)
+        assert set(part.fields) == set(labels)
+        for label in labels:
+            if label in last:
+                assert part[label].shape == (1, grid.M), label
+                assert np.array_equal(part[label], full[label][-1:]), label
+            else:
+                assert np.array_equal(part[label], full[label]), label
+
+
+def test_last_t1222_builds_no_dxp_t1(fam_bw_ss, setup):
+    grid, consts = setup
+    tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, last=PROCESSES_LAST)
+    assert tps.dxp_t1 is None
+    with pytest.raises(ValueError, match="did not build T1222"):
+        remainder_r1222(tps, fam_bw_ss, (0, 0), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -159,6 +175,9 @@ def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, mode, N, nt):
     [
         (REGULARITY_LABELS, ("T11", "T12"), set(REGULARITY_LABELS)),
         (("T11", "T1222"), ("T11",), {"T1", "T2", "T11", "T12", "T22", "T122", "T1222"}),
+        # T21 built last reads only the last rows of T11 and T1
+        (("T11", "T21"), ("T11", "T21"), {"T1", "T11", "T21"}),
+        (("T11", "T21"), ("T21",), {"T1", "T11", "T21"}),
     ],
 )
 def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, last, built):
@@ -187,6 +206,7 @@ def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, las
         ({"labels": ("T12", "T22"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
         ({"labels": ("T12", "T122"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
         ({"labels": ("T11", "T21"), "last": ("T11",)}, "T11 .* T21 reads it in full"),
+        ({"labels": ("T12", "T124"), "last": ("T12", "T124")}, "T12 .* T124 reads it in full"),
     ],
 )
 def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwargs, match):
@@ -225,16 +245,41 @@ def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
     field_bytes = (grid.n_steps + 1) * grid.M * 8
 
     def peak(**kwargs):
-        tracemalloc.start()
-        try:
-            lift(noise, fam_bw_ss, consts, **kwargs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: lift(noise, fam_bw_ss, consts, **kwargs))[1]
 
     t2_only = peak(labels=("T2",))
     assert peak(labels=REGULARITY_LABELS, last=("T11", "T12")) <= t2_only + field_bytes
     assert peak(labels=REGULARITY_LABELS) > t2_only + 2 * field_bytes
+
+
+def test_later_replica_lift_holds_two_fields_less(fam_bw_ss):
+    # the processes experiment's later replicas: with T11, T21, T124 and
+    # T1222 at the last slice, and no DxP * T1, the lift peaks at least two
+    # fields below the full lift
+    grid = GridSpec(7, 0.25)
+    consts = compute_constants(fam_bw_ss, grid)
+    noise = sample_noise(grid, 8)
+    field_bytes = (grid.n_steps + 1) * grid.M * 8
+    _, full = traced_peak(lambda: lift(noise, fam_bw_ss, consts))
+    _, later = traced_peak(lambda: lift(noise, fam_bw_ss, consts, last=PROCESSES_LAST))
+    assert later <= full - 2 * field_bytes
+
+
+def test_later_replica_lift_transforms_three_full_fields(fam_bw_ss, setup, monkeypatch):
+    # full_P with T11, T21, T124 and T1222 last: T1, T12 and T122 are
+    # inverse-transformed in full, T11, T124 and T1222 as one row each
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    rows = []
+    irfft = np.fft.irfft
+
+    def recorded(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    lift(noise, fam_bw_ss, consts, last=PROCESSES_LAST)
+    assert sorted(rows) == [1, 1, 1] + 3 * [grid.n_steps + 1]
 
 
 @pytest.mark.parametrize("mode", ["full_P", "split_K"])
