@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .fieldio import sha256_file, write_csv, write_field, write_json
-from .grids import GridSpec, LatticeField, sample_noise
+from .grids import GridSpec, LatticeField, NoiseField, sample_noise
 from .heat import HeatKernel
-from .kernels import order_norm, renormalized_square_check
+from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import PROFILE_SMOOTHNESS, _usable_scales, estimate_exponent, make_test_family
 from .operators import OperatorFamily
@@ -192,6 +192,8 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         levels = sorted(cfg.levels())
         if len(levels) < 3 or levels != list(range(levels[0], levels[0] + len(levels))):
             raise SchemaError(f"N_range: convergence needs three or more distinct consecutive levels, got {levels}")
+    if cfg.kind == "kernel-diagnostics":
+        _check_kernel_memory(cfg)
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
     if cfg.seed < 0:
@@ -215,6 +217,35 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
             raise SchemaError(f"initial.value: expected a finite number, got {value!r}")
     measures_from_config(cfg.family)  # fail fast on malformed atoms
     return cfg
+
+
+def _memory_available() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, read only; None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def _diag_grid(cfg: ExperimentConfig, n: int) -> GridSpec:
+    """A kernel-diagnostics level: the split kernel's horizon is at most 1/4."""
+    return GridSpec(n, min(cfg.T, 0.25))
+
+
+def _check_kernel_memory(cfg: ExperimentConfig) -> None:
+    """Refuse kernel-diagnostics levels whose largest check needs more than the memory available."""
+    n = max(cfg.levels())
+    need, budget = square_check_bytes(_diag_grid(cfg, n)), _memory_available()
+    if budget is not None and need > budget:
+        name = "N_range" if cfg.N_range else "N"
+        raise SchemaError(
+            f"{name}: level {n} needs about {need / 1e9:.2f} GB for the kernel diagnostics, "
+            f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
+        )
 
 
 def _drift_value(cfg: ExperimentConfig, fam: OperatorFamily) -> float:
@@ -330,10 +361,10 @@ def _exp_heat_kernel(cfg, fam, outdir):
 
 def _exp_simulate(cfg, fam, outdir):
     grid = GridSpec(cfg.N, cfg.T)
-    noise = sample_noise(grid, cfg.seed)
     b = _drift_value(cfg, fam)
     scheme = SchemeConfig(fam=fam, grid=grid, b_drift=b, record_stride=max(1, grid.n_steps // 64))
-    traj = run(scheme, _initial_slice(cfg, grid), noise, cfg.T)
+    # streamed: run draws the noise a block of rows at a time
+    traj = run(scheme, _initial_slice(cfg, grid), NoiseField(grid, cfg.seed), cfg.T)
     files = write_field(
         outdir,
         "trajectory",
@@ -470,11 +501,12 @@ def _exp_convergence(cfg, fam, outdir):
 def _exp_kernel_diag(cfg, fam, outdir):
     rows = []
     for n in cfg.levels():
-        grid = GridSpec(n, min(cfg.T, 0.25))
+        grid = _diag_grid(cfg, n)
         kern, ident, resid = renormalized_square_check(fam, grid)
         rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, -1.0, m=2)))
         rows.append((n, "renormalized_convolution_identity_residual", resid))
         rows.append((n, "renormalized_convolution_order_norm", order_norm(ident, -3.5 + -1.0 + 3.0, m=0)))
+        del kern, ident  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0
 

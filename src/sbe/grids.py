@@ -76,20 +76,39 @@ def rng_for(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NoiseField:
     """Seeded space-time white noise, variance eps^-3, time-major layout.
 
-    values[n, i] is the draw at time n*eps^2, site i*eps.
+    An explicit field holds values[n, i], the draw at time n*eps^2, site
+    i*eps. A streamed one, made without values, holds none: its rows are
+    those of sample_noise(grid, seed), which ``solver.run`` draws from
+    noise_stream(seed) a block at a time as it reads them. Reading
+    ``values`` of a streamed field is a ValueError.
     """
 
     grid: GridSpec
     seed: int
-    values: np.ndarray
+    _values: np.ndarray | None
 
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n_steps, self.grid.M):
+    def __init__(self, grid: GridSpec, seed: int, values: np.ndarray | None = None):
+        if values is not None and values.shape != (grid.n_steps, grid.M):
             raise ValueError("noise shape inconsistent with grid")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_values", values)
+
+    @property
+    def streamed(self) -> bool:
+        return self._values is None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            raise ValueError(
+                f"streamed noise field (seed {self.seed}, N={self.grid.N}) holds no values; draw them with sample_noise"
+            )
+        return self._values
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,20 @@ is the plain convolution minus the kernel mass times the second factor.
 
 The whole-field passes run one block of about operators._BLOCK_BYTES at a
 time: the order norm's z-norms, differences and ratios per block of rows
-(the time difference reads one row past the block), the time FFTs of a
-convolution per block of columns into its one spectrum, the inverse space
-transform per block of rows into the output, which reuses the spectrum's
-buffer, the renormalized convolution's mass term per block of rows in
-place, and |DxK|^2 per block of rows. Each step is elementwise, per row or
-column, or a max, so the results equal the whole-field passes bit for bit.
+(the time difference reads one row past the block); in a convolution the
+first input's space transform per block of rows into the head of its one
+buffer, the time FFTs per block of columns in place, and the inverse space
+transform per block of rows over the spectrum into the output, to which
+the buffer is then cut; the renormalized convolution's mass term per block
+of rows in place; and |DxK|^2 per block of rows. Each step is elementwise,
+per row or column, or a max, so the results equal the whole-field passes
+bit for bit.
+
+A convolution is two halves, the first input into the buffer and the
+second input into the output, so a caller can drop the first input in
+between. The renormalized-square check does so with |DxK|^2, after its
+direct sums and mass: its peak is K, the buffer and K's half-spectrum,
+which ``square_check_bytes`` bounds before anything is allocated.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .grids import GridSpec, mollify, rng_for
 from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
 from .measures import AtomicMeasure2D
 from .operators import (
+    _BLOCK_BYTES,
     OperatorFamily,
     _blocks,
     _convolve_spectrum,
@@ -54,6 +63,7 @@ __all__ = [
     "convolve_kernels",
     "renormalized_convolve",
     "renormalized_square_check",
+    "square_check_bytes",
     "increment_bound_probe",
     "mollification_loss_probe",
 ]
@@ -177,32 +187,75 @@ def _occupied_rows(a: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
+def _first_operand(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple:
+    """The first half of the convolution of a with b: a's time spectrum in a new buffer.
 
-    The (L, M/2+1) time spectrum and the (n_out, M) output share one float
-    buffer, the spectrum as a complex view of its head. a's half-spectrum is
-    dropped once its time FFT is in the spectrum, before b's is made. The
-    inverse space transform is written a block of rows at a time, in
-    increasing row order, over the spectrum: output row i ends at byte
-    8M (i + 1) and spectrum row i + 1 starts at byte (8M + 16)(i + 1), so no
-    block overwrites a spectrum row still to be read. The rows past the
-    computed ones are then zeroed. The result is a view of that buffer.
+    The buffer holds max(2 L (M/2+1), n_out M) floats, n_out = n1 + n2 - 1:
+    the (L, M/2+1) spectrum as a complex view of its head, and later the
+    (n_out, M) output. a's half-spectrum is written into the spectrum's head
+    rows a block of rows at a time, and each block of columns is then
+    time-transformed in place. b is read for its rows only, so a caller may
+    drop a before b's half-spectrum is made. Returns (buffer, r1, r2, n_out),
+    with r1 and r2 the rows a and b occupy; when either is 0 the buffer is
+    the all-zero output.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
     if not (r1 and r2):
-        return np.zeros((n_out, M))
+        return np.zeros(n_out * M), r1, r2, n_out
     L, half = _time_length(r1 + r2), M // 2 + 1
     buf = np.empty(max(2 * L * half, n_out * M))
     spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
-    _time_spectrum(np.fft.rfft(a[:r1], axis=1), L, out=spec)
-    _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
-    out = buf[: n_out * M].reshape(n_out, M)
-    for rows in _blocks(r1 + r2 - 1, 8 * M):
-        np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=M, axis=1), out=out[rows])
-    out[r1 + r2 - 1 :] = 0.0
-    return out
+    for rows in _blocks(r1, 8 * M):
+        spec[rows] = np.fft.rfft(a[rows], axis=1)
+    _time_spectrum(spec[:r1], L, out=spec)
+    return buf, r1, r2, n_out
+
+
+def _finish_with(first: tuple, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The second half: multiply ``_first_operand``'s spectrum by b's, invert, and shrink the buffer to the output.
+
+    The inverse space transform is written a block of rows at a time, in
+    increasing row order, over the spectrum: output row i ends at byte
+    8M (i + 1) and spectrum row i + 1 starts at byte (8M + 16)(i + 1), so no
+    block overwrites a spectrum row still to be read. The rows past the
+    computed ones are then zeroed, and the buffer is cut to the n_out M
+    floats of the output in place, so the result holds nothing else.
+    """
+    buf, r1, r2, n_out = first
+    M = grid.M
+    if r1 and r2:
+        L, half = _time_length(r1 + r2), M // 2 + 1
+        spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
+        _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
+        out = buf[: n_out * M].reshape(n_out, M)
+        for rows in _blocks(r1 + r2 - 1, 8 * M):
+            np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=M, axis=1), out=out[rows])
+        out[r1 + r2 - 1 :] = 0.0
+        del spec, out
+        # no view of buf is left, and the caller's handle on it is the array
+        # itself, which the resize updates; shrinking moves no data
+        buf.resize(n_out * M, refcheck=False)
+    return buf.reshape(n_out, M)
+
+
+def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
+
+    The two halves of one pipeline: ``_first_operand`` puts a's time
+    spectrum into the buffer that ``_finish_with`` turns into the output.
+    The peak is that buffer, max(2 L (M/2+1), n_out M) floats, and one
+    input's half-spectrum; the result holds only the (n_out, M) output.
+    """
+    return _finish_with(_first_operand(a, b, grid), b, grid)
+
+
+def _renormalized(first: tuple, mass: float, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The FFT route of R K1 * K2 from K1's first half: the convolution minus mass times b, per block of rows in place."""
+    vals = _finish_with(first, b, grid)
+    for rows in _blocks(b.shape[0], 8 * grid.M):
+        vals[rows] -= mass * b[rows]
+    return vals
 
 
 def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
@@ -226,10 +279,7 @@ def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKer
         raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
-    vals = _spacetime_convolve(k1.values, k2.values, k1.grid)
-    mass = kernel_mass(k1)
-    for rows in _blocks(k2.values.shape[0], 8 * k1.grid.M):
-        vals[rows] -= mass * k2.values[rows]
+    vals = _renormalized(_first_operand(k1.values, k2.values, k1.grid), kernel_mass(k1), k2.values, k1.grid)
     return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=z1 + z2 + SPACE_TIME_DIM)
 
 
@@ -314,20 +364,45 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     direct sum eps^3 sum_w |DxK|^2(w) (K(z - w) - K(z)), K zero outside its
     rows, at CHECK_POINTS seeded points z and the four corners: the largest
     gap over the sup of the FFT result. Returns (K, R(|DxK|^2) * K, residual).
+
+    The direct sums and the mass of |DxK|^2 are taken first; |DxK|^2 is then
+    put into the convolution's buffer and dropped before K's half-spectrum
+    is made, so the peak is K, the buffer and one half-spectrum
+    (``square_check_bytes``).
     """
     K = HeatKernel(grid, fam).split(grid.T).K
-    kern = DiscreteKernel(K, grid, -1.0)
-    dmult = derivative_multiplier(fam, grid.eps, grid.M)[: grid.M // 2 + 1]
+    M = grid.M
+    dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
     dxk_sq = np.empty_like(K)
-    for rows in _blocks(K.shape[0], 8 * grid.M):
-        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=grid.M, axis=1), out=dxk_sq[rows])
-    sq = DiscreteKernel(dxk_sq, grid, -3.5)
-    ident = renormalized_convolve(sq, kern)
-    rows, M = ident.values.shape
+    for rows in _blocks(K.shape[0], 8 * M):
+        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=dxk_sq[rows])
+    rows = 2 * K.shape[0] - 1
     gen = rng_for(PROBE_SEED, 91)
     points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1)]
     points += zip(gen.integers(0, rows, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
+    direct = _direct_sums(K, dxk_sq, points, grid.eps)
+    mass = kernel_mass(DiscreteKernel(dxk_sq, grid, -3.5))
+    first = _first_operand(dxk_sq, K, grid)
+    del dxk_sq
+    ident = DiscreteKernel(_renormalized(first, mass, K, grid), grid, -3.5 + -1.0 + SPACE_TIME_DIM)
     n_idx, x_idx = np.array(points).T
-    gap = np.max(np.abs(_direct_sums(K, sq.values, points, grid.eps) - ident.values[n_idx, x_idx]))
+    gap = np.max(np.abs(direct - ident.values[n_idx, x_idx]))
     sup = max(float(ident.values.max()), -float(ident.values.min()))  # max |ident|, with no |ident| field
-    return kern, ident, float(gap) / sup
+    return DiscreteKernel(K, grid, -1.0), ident, float(gap) / sup
+
+
+def square_check_bytes(grid: GridSpec) -> int:
+    """Bytes that ``renormalized_square_check`` holds at its peak on this grid, as an upper bound.
+
+    K, the convolution's buffer and K's half-spectrum. K has n_steps + 1
+    rows; its cutoff vanishes from t = 1/4 on, so it occupies at most
+    min(n_steps + 1, M^2 / 4) rows, and so does |DxK|^2. |DxK|^2 beside K
+    and the buffer, the direct sums' scratch beside K and |DxK|^2, and the
+    split's three fields hold less. Four blocks of the blocked passes, each
+    at least one column of the time FFTs, cover their temporaries.
+    """
+    M, rows = grid.M, grid.n_steps + 1
+    occupied = min(rows, max(1, M * M // 4))
+    L, half = _time_length(2 * occupied), M // 2 + 1
+    buffer = 8 * max(2 * L * half, (2 * rows - 1) * M)
+    return 8 * rows * M + buffer + 16 * occupied * half + 4 * max(_BLOCK_BYTES, 16 * L)

@@ -268,6 +268,8 @@ def _time_spectrum(a: np.ndarray, L: int, out: np.ndarray | None = None) -> np.n
     """The length-L FFT along axis 0 of a (n, W), computed a block of columns at a time into one (L, W) array.
 
     The array is ``out`` when given, a complex (L, W) view the caller owns.
+    a may be the head rows of ``out``: each block of columns is read whole
+    before it is written, so the transform then runs in place.
     """
     spec = np.empty((L, a.shape[1]), dtype=np.complex128) if out is None else out
     for cols in _blocks(a.shape[1], 16 * L):

@@ -119,9 +119,9 @@ def lift(
     T124 and T1222, each unless another tree of the lift reads it in full
     (a full T21 reads T11; T22, T124 and T1222 read T12); T21 built last
     reads only the last rows of T11 and T1. ``dxp_t1`` is built only with
-    a full T1222. Labels outside TREE_LABELS, a bare string and any other
-    ``last`` are refused before anything is computed. Deterministic in
-    (noise, family, constants, mode).
+    a full T1222. Labels outside TREE_LABELS, a bare string, any other
+    ``last`` and a streamed noise field are refused before anything is
+    computed. Deterministic in (noise, family, constants, mode).
     """
     if mode not in ("full_P", "split_K"):
         raise ValueError(f"unknown kernel mode {mode!r}")
@@ -130,6 +130,7 @@ def lift(
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
     labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
+    xi = noise.values  # a streamed field holds none: ValueError
     grid = noise.grid
     eps, nt = grid.eps, grid.n_steps
     a, b = consts.c2, consts.c21
@@ -197,7 +198,7 @@ def lift(
     # reads; T1_hat is T1's half-spectrum and DxK_T1 the convolution T11 is a
     # stencil of
     table = {
-        "T1_hat": ((), lambda: conv(hat(noise.values))),
+        "T1_hat": ((), lambda: conv(hat(xi))),
         "T1": (("T1_hat",), field),
         "DxK_T1": (("T1_hat",), lambda t1_hat: field(conv(t1_hat))),
         "T11": (("DxK_T1",), lambda dxk_t1: _stencil(one_atoms, dxk_t1)),

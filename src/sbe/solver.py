@@ -11,7 +11,9 @@ dyadic self-convergence study steps all replicas and levels together.
 A step is prepared once per level (``_Step``): the family's terms for the
 operators' blocked engine, the drift, and buffers for a block of replica
 rows. ``run`` and the study hold one for the whole run; ``step_forward``
-is a one-step use of it.
+is a one-step use of it. ``run`` reads its noise a block of rows at a
+time, sliced from an explicit field or drawn from a streamed one's stream,
+as the study draws its own.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .grids import GridSpec, NoiseField, block_average, coarsen_slice, noise_block, noise_stream, rng_for
 from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
-from .operators import OperatorFamily, _accumulate, _block_rows, _check_wrap, _reach, _terms, _Wrapped
+from .operators import OperatorFamily, _accumulate, _block_rows, _blocks, _check_wrap, _reach, _terms, _Wrapped
 from .renorm import c21
 
 __all__ = [
@@ -172,10 +174,25 @@ def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.n
     return _Step(cfg, rows=int(np.prod(u.shape[:-1])))(u, xi_slice)
 
 
+def _noise_blocks(noise: NoiseField, n_steps: int):
+    """The first n_steps rows of noise, one block of about _BLOCK_BYTES of rows at a time.
+
+    An explicit field yields slices of its values; a streamed one draws each
+    block from its stream as it is read, which gives the same rows bit for
+    bit (``noise_block``), so a run that stops early draws no more.
+    """
+    gen = noise_stream(noise.seed) if noise.streamed else None
+    for rows in _blocks(n_steps, 8 * noise.grid.M):
+        yield noise.values[rows] if gen is None else noise_block(gen, noise.grid, rows.stop - rows.start)
+
+
 def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
     """Iterate the scheme, recording every stride-th slice.
 
-    On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
+    The noise is read a block of rows at a time; a streamed field
+    (``NoiseField(grid, seed)``) is drawn as it is read and gives the steps
+    of ``sample_noise(grid, seed)`` bit for bit, holding one block of it
+    instead of the whole field. On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
     truncated and flagged; blow-up is data, not an error. The initial slice
     must be finite and have the grid's M sites, and T must be a nonnegative
     multiple of eps^2.
@@ -195,8 +212,9 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
     snaps = [(0.0, u)]
     traj = Trajectory(snapshots=snaps)
     step = _Step(cfg)
-    for n in range(n_steps):
-        u = step(u, noise.values[n])
+    rows = (xi for block in _noise_blocks(noise, n_steps) for xi in block)
+    for n, xi in enumerate(rows):
+        u = step(u, xi)
         if _escaped(u):
             traj.blowup = True
             traj.blowup_time = (n + 1) * cfg.grid.dt

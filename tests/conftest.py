@@ -1,21 +1,40 @@
+import os
 import tracemalloc
 
-import numpy as np
-import pytest
+# one BLAS thread, as the benchmark's workers run, before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from sbe.measures import preset_measure
 from sbe.operators import OperatorFamily
 
 
-def traced_peak(call) -> tuple[object, int]:
-    """call()'s result and the peak bytes it had traced beyond those allocated before it."""
+def pytest_configure(config):
+    # added here, not in pyproject.toml: pytest resolves the warning classes
+    # of the ini file before it loads this file, which would import numpy,
+    # and its BLAS threads with it, before the variables above are set
+    config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
+
+
+def traced(call) -> tuple[object, int, int]:
+    """call()'s result, and the peak and the current bytes it had traced beyond those allocated before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        current, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, current - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """call()'s result and the peak bytes it had traced beyond those allocated before it."""
+    result, peak, _ = traced(call)
+    return result, peak
 
 
 def family(pi_name: str, mu_name: str) -> OperatorFamily:

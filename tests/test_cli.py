@@ -20,9 +20,11 @@ from sbe.cli import (
 )
 from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
+from sbe.kernels import square_check_bytes
 from sbe.norms import estimate_exponent
 from sbe.processes import TREE_LABELS, lift
 from sbe.renorm import compute_constants
+from sbe.solver import SchemeConfig, ic_white_noise, run
 
 FAMILY = {"nu": "laplacian-nn", "pi": "deriv-backward", "mu": "product-sasamoto-spohn"}
 
@@ -116,6 +118,19 @@ class TestExperiments:
         assert bundle.exit_code == 3
         manifest = json.loads(Path(bundle.directory, "run.json").read_text())
         assert manifest["blowup"] and "blowup_time" in manifest
+
+    def test_simulate_streams_the_noise_it_would_sample(self, tmp_path, fam_bw_ss, monkeypatch):
+        def refuse(grid, seed):
+            raise AssertionError("simulate drew the whole noise field")
+
+        monkeypatch.setattr(cli, "sample_noise", refuse)
+        raw = {"kind": "simulate", "family": FAMILY, "N": 6, "T": 0.0625, "seed": 4, "initial": {"kind": "white-noise"}}
+        bundle = run_experiment(config_from_dict(raw), out_root=str(tmp_path))
+        values, meta = read_field(bundle.directory, "trajectory")
+        grid = GridSpec(6, 0.0625)
+        cfg = SchemeConfig(fam_bw_ss, grid, record_stride=grid.n_steps // 64)
+        want = run(cfg, ic_white_noise(grid, 4), sample_noise(grid, 4), grid.T)
+        assert np.array_equal(values, want.values()) and meta["times"] == want.times.tolist()
 
     def test_convergence_manifest_records_drops_and_escapes(self, tmp_path):
         cfg = config_from_dict(
@@ -268,6 +283,23 @@ class TestConfigFailsBeforeOutput:
         field = "initial.kind" if "initial" in bad else next(iter(bad))
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("levels, field", [({"N_range": [5, 7]}, "N_range"), ({"N": 7}, "N")])
+    def test_kernel_diagnostics_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, levels, field):
+        need = square_check_bytes(GridSpec(7, 0.125))
+        monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
+        path = write_config(tmp_path, dict({"family": FAMILY, "T": 0.125}, **levels))
+        out = tmp_path / "out"
+        assert main(["kernel-diagnostics", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: level 7 needs about {need / 1e9:.2f} GB" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kernel_diagnostics_within_the_memory_available(self, monkeypatch):
+        # the horizon is cut to 1/4, and an unreadable budget refuses nothing
+        raw = {"kind": "kernel-diagnostics", "family": FAMILY, "N_range": [5, 7], "T": 1.0}
+        for budget in (square_check_bytes(GridSpec(7, 0.25)), None):
+            monkeypatch.setattr(cli, "_memory_available", lambda: budget)
+            assert config_from_dict(raw).N_range == [5, 7]
 
     @pytest.mark.parametrize(
         "kind, bad, field",

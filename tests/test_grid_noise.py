@@ -6,6 +6,7 @@ import pytest
 from oracles import mollify_loop
 from sbe.grids import (
     GridSpec,
+    NoiseField,
     _mollifier_kernel,
     block_average,
     bump,
@@ -42,6 +43,16 @@ def test_noise_determinism_and_seed_sensitivity():
     assert np.array_equal(a.values, b.values)
     c = sample_noise(grid, 4)
     assert np.mean(a.values != c.values) > 0.99
+
+
+def test_streamed_field_holds_no_values():
+    grid = GridSpec(5, 0.125)
+    streamed, explicit = NoiseField(grid, 3), sample_noise(grid, 3)
+    assert streamed.streamed and not explicit.streamed
+    with pytest.raises(ValueError, match=r"streamed noise field \(seed 3, N=5\) holds no values"):
+        streamed.values
+    with pytest.raises(ValueError, match="noise shape inconsistent"):
+        NoiseField(grid, 3, explicit.values[1:])
 
 
 def test_coarsen_variance():

@@ -14,7 +14,7 @@ mollifier to its space pass and its result.
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import traced, traced_peak
 from oracles import (
     columns_whole,
     increment_bound_whole,
@@ -27,8 +27,14 @@ from oracles import (
 from sbe import kernels
 from sbe.grids import GridSpec, mollify
 from sbe.heat import HeatKernel
-from sbe.kernels import DiscreteKernel, increment_bound_probe, order_norm
-from sbe.operators import _blocks, time_convolve
+from sbe.kernels import (
+    DiscreteKernel,
+    increment_bound_probe,
+    order_norm,
+    renormalized_square_check,
+    square_check_bytes,
+)
+from sbe.operators import _blocks, _time_length, time_convolve
 
 
 def spans_blocks(n: int, item_bytes: int) -> bool:
@@ -245,14 +251,31 @@ class TestMemory:
     def test_convolution_holds_one_input_half_spectrum(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
         sq = K**2
-        out, peak = traced_peak(lambda: kernels._spacetime_convolve(sq, K, grid))
+        out, peak, held = traced(lambda: kernels._spacetime_convolve(sq, K, grid))
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
         L = 1
         while L < r1 + r2:
             L *= 2
         # the spectrum and the output share one buffer; beside it one input's half-spectrum
         half_row = 16 * (grid.M // 2 + 1)
+        assert L * half_row > 1.9 * out.nbytes  # the buffer is about twice the output here
         assert peak <= max(out.nbytes, L * half_row) + max(r1, r2) * half_row + 2**20
+        # and the result holds only the output
+        assert held <= out.nbytes + 2**20
+
+    def test_square_check_holds_k_the_buffer_and_one_half_spectrum(self, fam_bw_ss, grid):
+        (kern, ident, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
+        K, rows = kern.values, kernels._occupied_rows(kern.values)
+        half_row = 16 * (grid.M // 2 + 1)
+        buffer = max(_time_length(2 * rows) * half_row, ident.values.nbytes)
+        assert peak <= K.nbytes + buffer + rows * half_row + 2**20
+
+    @pytest.mark.parametrize("N", [6, 7])
+    def test_square_check_bytes_bound_the_traced_peak(self, fam_bw_ss, N):
+        renormalized_square_check(fam_bw_ss, GridSpec(3, 0.25))  # numpy's first FFT call imports its module
+        grid = GridSpec(N, 0.25)
+        _, peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
+        assert peak <= square_check_bytes(grid)
 
     def test_increment_probe_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).split(grid.T).K

@@ -59,6 +59,8 @@ def test_lift_guards(fam_bw_ss, fam_ce_pw, setup):
         lift(noise, fam_bw_ss, wrong_grid)
     with pytest.raises(ValueError, match="kernel mode"):
         lift(noise, fam_bw_ss, consts, mode="banana")
+    with pytest.raises(ValueError, match=r"streamed noise field \(seed 1, N=5\)"):
+        lift(NoiseField(grid, 1), fam_bw_ss, consts)
 
 
 def test_t1_linear_in_noise(fam_bw_ss, setup):

@@ -204,9 +204,10 @@ class TestRenormalizedSquareCheck:
 
     def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
         # the direct sum does not go through the FFT convolution, so a
-        # relative error of 1e-9 there must show in the residual
-        fft_route = kernels._spacetime_convolve
-        monkeypatch.setattr(kernels, "_spacetime_convolve", lambda a, b, grid: fft_route(a, b, grid) * (1 + 1e-9))
+        # relative error of 1e-9 there must show in the residual;
+        # _finish_with makes the convolution's values from its buffer
+        fft_route = kernels._finish_with
+        monkeypatch.setattr(kernels, "_finish_with", lambda first, b, grid: fft_route(first, b, grid) * (1 + 1e-9))
         _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
         assert resid > 1e-12
 

@@ -4,7 +4,7 @@ import pytest
 from sbe.grids import GridSpec, NoiseField, sample_noise
 from sbe.heat import HeatKernel
 from sbe.measures import AtomicMeasure2D, fourier_mu, fourier_pi
-from sbe.operators import OperatorFamily, derivative_multiplier
+from sbe.operators import OperatorFamily, _blocks, derivative_multiplier
 from sbe.solver import (
     BLOWUP_THRESHOLD,
     SchemeConfig,
@@ -17,7 +17,8 @@ from sbe.solver import (
     step_forward,
 )
 
-from oracles import mild_oracle, step_roll
+from conftest import traced_peak
+from oracles import linear_family, mild_oracle, step_roll
 
 
 def scaled_noise(grid, seed, amp):
@@ -305,3 +306,38 @@ def test_energy_identity_along_noisy_run(fam_bw_ss):
         resid = grid.eps * np.sum(u * dnl)
         denom = grid.eps * np.sum(np.abs(u * dnl)) + 1e-300
         assert abs(resid) / denom < 1e-9
+
+
+class TestStreamedNoise:
+    """A streamed field steps through the rows of sample_noise, drawn a block at a time."""
+
+    @pytest.mark.parametrize(
+        "N, T, steps, initial, seed, blowup, partial",
+        [
+            (5, 0.125, 128, "white-noise", 11, True, False),  # one block
+            (6, 0.125, 300, "zero", 3, True, True),
+            (7, 0.0625, 1024, "white-noise", 5, True, False),  # escapes in the fourth of eight blocks
+            (8, 0.0625, 1000, "zero", 8, False, True),
+            (5, 0.125, 0, "white-noise", 2, False, False),  # T = 0
+        ],
+    )
+    def test_equals_the_explicit_field(self, fam_bw_ss, N, T, steps, initial, seed, blowup, partial):
+        grid = GridSpec(N, T)
+        u0 = ic_white_noise(grid, seed) if initial == "white-noise" else ic_zero(grid)
+        cfg = SchemeConfig(fam_bw_ss, grid, record_stride=7)
+        block = _blocks(max(steps, 1), 8 * grid.M)[0].stop
+        assert (steps % block != 0) == partial
+        want = run(cfg, u0, sample_noise(grid, seed), steps * grid.dt)
+        got = run(cfg, u0, NoiseField(grid, seed), steps * grid.dt)
+        assert want.blowup == got.blowup == blowup
+        assert got.blowup_time == want.blowup_time
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.values(), want.values())
+
+    def test_holds_less_than_an_eighth_of_the_field(self, fam_bw_ss):
+        # the linear scheme runs to the horizon
+        grid = GridSpec(8, 0.25)
+        cfg = SchemeConfig(linear_family(fam_bw_ss), grid, record_stride=grid.n_steps // 64)
+        traj, peak = traced_peak(lambda: run(cfg, ic_zero(grid), NoiseField(grid, 4), grid.T))
+        assert not traj.blowup and len(traj.snapshots) == 65
+        assert peak < grid.n_steps * grid.M * 8 / 8
