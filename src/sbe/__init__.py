@@ -9,7 +9,7 @@ estimates discrete Hoelder-Besov regularity.
 __version__ = "0.1.0"
 
 from .grids import GridSpec, LatticeField, NoiseField, sample_noise
-from .heat import HeatKernel, KernelSplit
+from .heat import HeatKernel
 from .measures import (
     AtomicMeasure1D,
     AtomicMeasure2D,
@@ -35,8 +35,8 @@ from .norms import (
     make_test_family,
 )
 from .operators import OperatorFamily, check_parseval_twisted, derivative, laplacian, twisted_product
-from .processes import TreeProcessSet, lift, remainder_r1222, remainder_r21
-from .renorm import RenormConstants, c2_continuum_mollified, c2_lattice_sum, c2_quadrature, c21, compute_constants
+from .processes import lift
+from .renorm import RenormConstants, c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,
     Trajectory,

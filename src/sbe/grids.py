@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _blocks, _stencil
-
 __all__ = [
     "GridSpec",
     "NoiseField",
@@ -25,9 +23,7 @@ __all__ = [
     "noise_block",
     "block_average",
     "coarsen_slice",
-    "mollify",
     "rng_for",
-    "bump",
 ]
 
 
@@ -170,55 +166,3 @@ def block_average(v: np.ndarray) -> np.ndarray:
         + ((v[..., 2::4, 0::2] + v[..., 2::4, 1::2]) + (v[..., 3::4, 0::2] + v[..., 3::4, 1::2]))
     )
     return acc * 0.125
-
-
-def bump(r: np.ndarray) -> np.ndarray:
-    """Smooth bump exp(-1/(1-r^2)) on |r| < 1, zero outside (unnormalized)."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
-def _mollifier_kernel(rt: int, rs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time and space factors of the tensor-product bump sampled on grid cells, each of unit sum.
-
-    Each direction rescales the bump by radius + 1, where it first vanishes,
-    so radius 0 is the one weight 1.
-    """
-    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0))
-    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0))
-    return wt / wt.sum(), wx / wx.sum()
-
-
-def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_cells_space: int) -> np.ndarray:
-    """Space-time convolution of a time-major (rows, M) field with the bump of unit discrete mass.
-
-    The bump is the tensor product of ``_mollifier_kernel``'s factors, so one
-    pass of the operators' stencil engine convolves in space, around the
-    torus, and 2 rt + 1 row-shifted multiply-adds a block of rows at a time
-    in time, zero-padded outside the rows. Radii (0, 0) return the input.
-    """
-    rt, rs = int(radius_cells_time), int(radius_cells_space)
-    if rt < 0 or rs < 0:
-        raise ValueError("radii must be nonnegative")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != grid.M:
-        raise ValueError(f"mollify needs a time-major (rows, M) field with M = {grid.M}, not shape {values.shape}")
-    if 2 * rs + 1 > grid.M:
-        raise ValueError("mollifier support exceeds the torus")
-    wt, wx = _mollifier_kernel(rt, rs)
-    space = _stencil(tuple(zip(range(-rs, rs + 1), wx)), values)
-    nt = space.shape[0]
-    out = np.zeros_like(space)
-    blocks = _blocks(nt, 8 * grid.M)
-    tmp = np.empty((blocks[0].stop if blocks else 0, grid.M))
-    for rows in blocks:
-        for a, w in zip(range(-rt, rt + 1), wt):
-            # output row n reads row n + a, zero past the ends
-            lo, hi = max(rows.start, -a), min(rows.stop, nt - a)
-            if lo < hi:
-                np.multiply(w, space[lo + a : hi + a], out=tmp[: hi - lo])
-                out[lo:hi] += tmp[: hi - lo]
-    return out

@@ -1,19 +1,19 @@
-"""Space-time discrete heat kernel, its explicit step and the split.
+"""Space-time discrete heat kernel, its explicit step and its singular part.
 
 The kernel solves the explicit-Euler heat equation from an eps^-1 Kronecker
 delta, so each column is the inverse DFT of m(k)^n with the stepping
 multiplier m(k) = 1 + nu_hat(eps k)/(2 nu_bar), n = t/eps^2. Admissible nu
 pins m into [1/2, 1], which is the stability certificate of the scheme.
-The singular/smooth split multiplies by a smooth cutoff in the parabolic
-distance, with radii (1/4, 1/2) so the singular part fits in one torus
-period.
+The singular part K multiplies P by a smooth cutoff in the parabolic
+distance, with radii (1/4, 1/2) so that K fits in one torus period.
 
-Every whole-field pass (the powers of m and their inverse DFTs, the cutoff
-and the split, the decay-bound weights) runs one block of about
-operators._BLOCK_BYTES of rows at a time into arrays allocated once. Each
-step is elementwise, per row or a per-row max, so the results equal the
-whole-field passes bit for bit, and no field-sized temporary is made
-beyond the results. Every horizon lies in [0, T].
+Every whole-field pass (the powers of m and their inverse DFTs, the
+singular part, the decay-bound weights) runs one block of about
+operators._BLOCK_BYTES of rows at a time into arrays allocated once; the
+cached columns and the singular part make their rows of P through one
+routine. Each step is elementwise, per row or a per-row max, so the results
+equal the whole-field passes bit for bit, and no field-sized temporary is
+made beyond the results. Every horizon lies in [0, T].
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .grids import GridSpec
 from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, stepping_multiplier
 
-__all__ = ["HeatKernel", "KernelSplit", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
+__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
 
 CUTOFF_INNER = 0.25
 CUTOFF_OUTER = 0.5
@@ -81,9 +81,8 @@ class HeatKernel:
         if not (abs(m[0] - 1.0) < 1e-12 and m.min() >= 0.5 - 1e-12 and m.max() <= 1.0 + 1e-12):
             raise ValueError("stepping multiplier left [1/2, 1]; family inadmissible")
         self.multiplier = m
-        delta = np.zeros((1, M))
-        delta[0, 0] = 1.0 / eps
-        self._columns = delta  # row n holds P at t = n eps^2
+        self._columns = np.empty((1, M))  # row n holds P at t = n eps^2
+        self._rows(0, self._columns)
 
     @property
     def marginally_oscillatory(self) -> bool:
@@ -96,6 +95,16 @@ class HeatKernel:
             raise ValueError(f"horizon {horizon} outside [0, T] with T = {self.grid.T}")
         return int(round(horizon / self.grid.dt))
 
+    def _rows(self, start: int, out: np.ndarray) -> None:
+        """Rows start.. of the kernel into out, one per row of out: row n is the inverse DFT of m^n over eps.
+
+        Row 0 is the eps^-1 delta exactly: m^0 = 1, and the inverse DFT of a
+        constant on M = 2^N points has exact zeros.
+        """
+        n = start + np.arange(out.shape[0])
+        powers = np.exp(np.multiply.outer(n, np.log(self.multiplier)))
+        np.divide(np.fft.ifft(powers, axis=-1).real, self.grid.eps, out=out)
+
     def columns(self, n_max: int) -> np.ndarray:
         """Rows 0..n_max of the kernel, n_max eps^2 <= T; cached, and grown keeping the rows computed."""
         self._steps(n_max * self.grid.dt)
@@ -103,11 +112,8 @@ class HeatKernel:
         if n_max >= have:
             grown = np.empty((n_max + 1, self.grid.M))
             grown[:have] = self._columns
-            new = grown[have:]
-            log_m = np.log(self.multiplier)
-            for rows in _blocks(new.shape[0], 16 * self.grid.M):
-                powers = np.exp(np.multiply.outer(have + np.arange(rows.start, rows.stop), log_m))
-                np.divide(np.fft.ifft(powers, axis=-1).real, self.grid.eps, out=new[rows])
+            for rows in _blocks(n_max + 1 - have, 16 * self.grid.M):
+                self._rows(have + rows.start, grown[have + rows.start : have + rows.stop])
             self._columns = grown
         return self._columns[: n_max + 1]
 
@@ -120,22 +126,26 @@ class HeatKernel:
         u = np.asarray(u, dtype=np.float64)
         return u + self.grid.dt * laplacian(self.fam, u, self.grid.eps)
 
-    def split(self, horizon: float) -> "KernelSplit":
-        """Cutoff split K = chi P, K_hat = P - K with torus-adapted radii.
+    def singular_part(self, horizon: float) -> np.ndarray:
+        """The singular part K = chi P of the kernel up to a horizon, with torus-adapted radii.
 
         chi is smooth in z (a transition in the smooth parabolic-norm
         surrogate); its radii are calibrated so that K equals P on
-        |z|_s <= cutoff_inner and vanishes for |z|_s > cutoff_outer.
+        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. P is
+        made a block of rows at a time by the routine behind ``columns``
+        and is not cached, so K is the one field held.
         """
-        P = self.columns(self._steps(horizon))
-        x = signed_torus_coordinate(self.grid.M, self.grid.eps)[None, :]
-        K, K_hat = np.empty_like(P), np.empty_like(P)
-        for rows in _blocks(P.shape[0], 8 * self.grid.M):
+        n_h = self._steps(horizon)
+        M = self.grid.M
+        x = signed_torus_coordinate(M, self.grid.eps)[None, :]
+        K = np.empty((n_h + 1, M))
+        for rows in _blocks(n_h + 1, 16 * M):
+            P = K[rows]
+            self._rows(rows.start, P)
             t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
             chi = smooth_cutoff(smooth_parabolic_norm(t, x), inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-            np.multiply(chi, P[rows], out=K[rows])
-            np.subtract(P[rows], K[rows], out=K_hat[rows])
-        return KernelSplit(K=K, K_hat=K_hat, cutoff_inner=CUTOFF_INNER, cutoff_outer=CUTOFF_OUTER, grid=self.grid)
+            np.multiply(chi, P, out=P)
+        return K
 
     def verify_bounds(self, j: int, horizon: float) -> "BoundsDiagnostic":
         """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded.
@@ -159,15 +169,6 @@ class HeatKernel:
             weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
             per_t[rows] = weighted.max(axis=1)
         return BoundsDiagnostic(j=j, times=t, per_time_max=per_t, sup=float(per_t.max()))
-
-
-@dataclass(frozen=True)
-class KernelSplit:
-    K: np.ndarray
-    K_hat: np.ndarray
-    cutoff_inner: float
-    cutoff_outer: float
-    grid: GridSpec
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ Its order-zeta norm takes forward differences in space and time,
     max_{|k|_s <= m} sup_z |Dbar^k K(z)| / |z|_{s,eps}^(zeta - |k|_s),
 
 with |z|_{s,eps} = (sqrt(t) v |x|) v eps and |k|_s = 2 k0 + k1. Stability
-of the value across N certifies the claimed order empirically. Twisted
-products act slice-wise; convolutions are eps^3-weighted space-time sums,
-linear in time and circular in space. Kernels are real, so they are
-convolved on real half-spectra (rfft modes 0..M/2) and only over the rows
-they occupy: each input is cut after its last nonzero row before the time
-FFT, and the output rows past the computed ones are exact zeros. The
-renormalized convolution pairs the first kernel against increments, which
-is the plain convolution minus the kernel mass times the second factor.
+of the value across N certifies the claimed order empirically.
+
+The renormalized-square check behind ``kernel-diagnostics`` and criterion 9
+pairs |DxK|^2 against increments of K: the renormalized convolution
+R(|DxK|^2) * K is the plain convolution minus the mass of |DxK|^2 times K.
+Convolutions are eps^3-weighted space-time sums, linear in time and
+circular in space. Kernels are real, so they are convolved on real
+half-spectra (rfft modes 0..M/2) and only over the rows they occupy: each
+input is cut after its last nonzero row before the time FFT, and the
+output rows past the computed ones are exact zeros.
 
 The whole-field passes run one block of about operators._BLOCK_BYTES at a
 time: the order norm's z-norms, differences and ratios per block of rows
@@ -41,9 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, mollify, rng_for
+from .grids import GridSpec, rng_for
 from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
-from .measures import AtomicMeasure2D
 from .operators import (
     _BLOCK_BYTES,
     OperatorFamily,
@@ -52,26 +53,18 @@ from .operators import (
     _time_length,
     _time_spectrum,
     derivative_multiplier,
-    twisted_product,
 )
 
 __all__ = [
     "DiscreteKernel",
     "order_norm",
     "kernel_mass",
-    "twisted_kernel_product",
-    "convolve_kernels",
-    "renormalized_convolve",
     "renormalized_square_check",
     "square_check_bytes",
-    "increment_bound_probe",
-    "mollification_loss_probe",
 ]
 
 SPACE_TIME_DIM = 3  # |s| = 2 + 1 for parabolic scaling
-# seeded grid pairs that increment_bound_probe samples, and the seed of
-# every sampled check here
-PROBE_PAIRS = 4096
+# the seed of every sampled check here
 PROBE_SEED = 0
 # seeded points (besides the corners) where renormalized_square_check sums directly
 CHECK_POINTS = 32
@@ -163,24 +156,6 @@ def kernel_mass(k: DiscreteKernel) -> float:
     return float(k.grid.eps**3 * np.sum(k.values))
 
 
-def _pad_match(a: np.ndarray, b: np.ndarray):
-    rows = max(a.shape[0], b.shape[0])
-    pa = np.zeros((rows, a.shape[1]))
-    pb = np.zeros((rows, b.shape[1]))
-    pa[: a.shape[0]] = a
-    pb[: b.shape[0]] = b
-    return pa, pb
-
-
-def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMeasure2D) -> DiscreteKernel:
-    """Slice-wise twisted product under mu; claimed order adds."""
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    a, b = _pad_match(k1.values, k2.values)
-    vals = twisted_product(mu, a, b)
-    return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=k1.claimed_order + k2.claimed_order)
-
-
 def _occupied_rows(a: np.ndarray) -> int:
     """Number of rows up to and including the last nonzero one (0 if all zero)."""
     nonzero = np.flatnonzero(np.any(a != 0.0, axis=1))
@@ -258,76 +233,6 @@ def _renormalized(first: tuple, mass: float, b: np.ndarray, grid: GridSpec) -> n
     return vals
 
 
-def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
-    """eps^3-weighted space-time convolution; claimed order gains |s| = 3."""
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    vals = _spacetime_convolve(k1.values, k2.values, k1.grid)
-    return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=k1.claimed_order + k2.claimed_order + SPACE_TIME_DIM)
-
-
-def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
-    """(R K1 * K2)(z) = eps^3 sum_w K1(w) (K2(z - w) - K2(z)).
-
-    Admissible only on the lemma's order window: zeta1 in (-4, -3] and
-    zeta2 in (-6 - zeta1, 0].
-    """
-    z1, z2 = k1.claimed_order, k2.claimed_order
-    if not (-SPACE_TIME_DIM - 1 < z1 <= -SPACE_TIME_DIM):
-        raise ValueError(f"zeta1={z1} outside (-4, -3]")
-    if not (-2 * SPACE_TIME_DIM - z1 < z2 <= 0.0):
-        raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    vals = _renormalized(_first_operand(k1.values, k2.values, k1.grid), kernel_mass(k1), k2.values, k1.grid)
-    return DiscreteKernel(values=vals, grid=k1.grid, claimed_order=z1 + z2 + SPACE_TIME_DIM)
-
-
-def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
-    """Empirical sup of |K(z) - K(zbar)| / (|z-zbar|^kappa (|z|^(z-k) + |zbar|^(z-k))).
-
-    Sampled over PROBE_PAIRS seeded random grid pairs, with |z|_{s,eps} taken
-    at the sampled points only; kappa = 0 collapses to the
-    triangle-inequality consequence of the order norm.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
-    grid = k.grid
-    nt, M = k.values.shape
-    gen = rng_for(PROBE_SEED, 90)
-    zeta = k.claimed_order
-    i1 = gen.integers(0, nt, PROBE_PAIRS)
-    j1 = gen.integers(0, M, PROBE_PAIRS)
-    i2 = gen.integers(0, nt, PROBE_PAIRS)
-    j2 = gen.integers(0, M, PROBE_PAIRS)
-    same = (i1 == i2) & (j1 == j2)
-    i2[same] = (i2[same] + 1) % nt
-    num = np.abs(k.values[i1, j1] - k.values[i2, j2])
-    dt_gap = np.abs(i1 - i2) * grid.dt
-    dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
-    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
-    denom = sep**kappa * (_znorm_eps(i1, j1, grid) ** (zeta - kappa) + _znorm_eps(i2, j2, grid) ** (zeta - kappa))
-    return float(np.max(num / denom))
-
-
-def mollification_loss_probe(k: DiscreteKernel, eps_bar_cells: int, kappa: float) -> float:
-    """order_norm(K - K_mollified, zeta - kappa) / eps_bar^kappa, at depth 0.
-
-    The mollifier is the parabolic rescaling of the smooth bump to
-    eps_bar = eps_bar_cells * eps, sampled on the grid with discrete mass
-    one: ``grids.mollify`` at radii (cells^2 - 1, cells - 1), the last cells
-    inside the bump's support. Boundedness across eps_bar values certifies
-    the smoothing loss bound; one cell is the identity.
-    """
-    if eps_bar_cells < 1:
-        raise ValueError("eps_bar must be at least one cell")
-    grid = k.grid
-    mollified = mollify(k.values, grid, eps_bar_cells**2 - 1, eps_bar_cells - 1)
-    diff = DiscreteKernel(values=k.values - mollified, grid=grid, claimed_order=k.claimed_order - kappa)
-    eps_bar = eps_bar_cells * grid.eps
-    return order_norm(diff, k.claimed_order - kappa) / eps_bar**kappa
-
-
 def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
     """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows.
 
@@ -356,11 +261,11 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
 
 
 def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, DiscreteKernel, float]:
-    """Split kernel K, R(|DxK|^2) * K and the renormalized-convolution residual.
+    """Singular kernel K, R(|DxK|^2) * K and the renormalized-convolution residual.
 
-    K (order -1) is the singular part of the heat kernel split at the grid
+    K (order -1) is the singular part of the heat kernel up to the grid
     horizon and DxK its spectral derivative; |DxK|^2 is taken at order -3.5.
-    The residual compares the FFT route of ``renormalized_convolve`` with the
+    The residual compares the FFT route (``_renormalized``) with the
     direct sum eps^3 sum_w |DxK|^2(w) (K(z - w) - K(z)), K zero outside its
     rows, at CHECK_POINTS seeded points z and the four corners: the largest
     gap over the sup of the FFT result. Returns (K, R(|DxK|^2) * K, residual).
@@ -370,7 +275,7 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     is made, so the peak is K, the buffer and one half-spectrum
     (``square_check_bytes``).
     """
-    K = HeatKernel(grid, fam).split(grid.T).K
+    K = HeatKernel(grid, fam).singular_part(grid.T)
     M = grid.M
     dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
     dxk_sq = np.empty_like(K)
@@ -398,7 +303,7 @@ def square_check_bytes(grid: GridSpec) -> int:
     rows; its cutoff vanishes from t = 1/4 on, so it occupies at most
     min(n_steps + 1, M^2 / 4) rows, and so does |DxK|^2. |DxK|^2 beside K
     and the buffer, the direct sums' scratch beside K and |DxK|^2, and the
-    split's three fields hold less. Four blocks of the blocked passes, each
+    singular part's blocks of P beside K hold less. Four blocks of the blocked passes, each
     at least one column of the time FFTs, cover their temporaries.
     """
     M, rows = grid.M, grid.n_steps + 1

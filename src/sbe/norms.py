@@ -177,6 +177,7 @@ def holder_norm_space(field: LatticeField, alpha: float, eta: float, T: float | 
     """Supremum norm with spatial increments weighted by |x - xbar|^alpha.
 
     Distances are plain coordinate differences on [0, 1).
+    One of the paper's named Hoelder-Besov estimators: kept for users though no experiment calls it.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -193,7 +194,10 @@ def holder_norm_space(field: LatticeField, alpha: float, eta: float, T: float | 
 
 
 def holder_norm_parabolic(field: LatticeField, alpha: float, eta: float, T: float | None = None) -> float:
-    """Space norm plus the time-increment term over |t - tbar| <= |t,tbar|_eps^2."""
+    """Space norm plus the time-increment term over |t - tbar| <= |t,tbar|_eps^2.
+
+    One of the paper's named Hoelder-Besov estimators: kept for users though no experiment calls it.
+    """
     grid = field.grid
     base = holder_norm_space(field, alpha, eta, T)
     vals, times = _slices_in_horizon(field, T)
@@ -237,6 +241,7 @@ def besov_norm_negative(
     stops at the first scale whose time support no longer fits the horizon
     (larger scales fit even less). A field with a non-finite value has no
     norm: ValueError.
+    One of the paper's named Hoelder-Besov estimators: kept for users though no experiment calls it.
     """
     _check_finite(field.values, "field")
     if alpha >= 0.0:
@@ -332,6 +337,7 @@ def comparison_norm(
     Both fields are paired with the same phi_x^lambda (each on its own
     grid with its own eps weight) at coarse base sites and shared snapshot
     times; the reference grid must refine the coarse one dyadically.
+    One of the paper's named Hoelder-Besov estimators: kept for users though no experiment calls it.
     """
     terms = comparison_terms([coarse_slices, fine_slices], [coarse_grid, fine_grid], times, eta, tf)
     return comparison_sup(terms[0], tf, alpha)

@@ -11,7 +11,7 @@ The DFT convention carries the eps weight on the forward transform,
 F u(k) = eps * sum_x u(x) e^{-2 pi i k x}, with the inverse being the plain
 mode sum; on the torus the modes are the integers in [-M/2, M/2). Twisted
 Parseval: eps * sum_x B(f,g) = sum_k F f(k) F g(-k) mu_hat(-eps k, eps k).
-The three operators, and the space pass of ``grids.mollify``, run on one
+The three operators, and the T11 stencil of ``processes.lift``, run on one
 blocked shift-and-sum engine. It copies about _BLOCK_BYTES of rows at a
 time into a flat buffer that lays the rows end to end, each with r
 wrapped ghost sites on either side (``_Wrapped``),
@@ -23,10 +23,10 @@ in the order, of rolling the field once per offset, so the results equal
 the ``np.roll`` spelling bit for bit, and no field-sized temporary is made
 beyond the result. The operators prepare the engine per call; the solver
 holds one prepared step per level. The Fourier side supplies their
-multipliers and the time convolution the other layers share. That
-convolution keeps one (L, W) spectrum and transforms, multiplies and
-inverts it in place one block of about _BLOCK_BYTES of columns at a time,
-which gives the whole-array transforms bit for bit.
+multipliers, and the two in-place halves of the zero-padded time
+convolution of ``kernels``: one (L, W) spectrum is transformed, then
+multiplied and inverted, one block of about _BLOCK_BYTES of columns at a
+time, which gives the whole-array transforms bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "modes",
     "stepping_multiplier",
     "derivative_multiplier",
-    "time_convolve",
     "check_parseval_twisted",
 ]
 
@@ -264,48 +263,25 @@ def _time_length(n: int) -> int:
     return L
 
 
-def _time_spectrum(a: np.ndarray, L: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The length-L FFT along axis 0 of a (n, W), computed a block of columns at a time into one (L, W) array.
+def _time_spectrum(a: np.ndarray, L: int, out: np.ndarray) -> None:
+    """The length-L FFT along axis 0 of a (n, W) into ``out``, a complex (L, W) array, a block of columns at a time.
 
-    The array is ``out`` when given, a complex (L, W) view the caller owns.
     a may be the head rows of ``out``: each block of columns is read whole
     before it is written, so the transform then runs in place.
     """
-    spec = np.empty((L, a.shape[1]), dtype=np.complex128) if out is None else out
     for cols in _blocks(a.shape[1], 16 * L):
-        spec[:, cols] = np.fft.fft(a[:, cols], n=L, axis=0)
-    return spec
+        out[:, cols] = np.fft.fft(a[:, cols], n=L, axis=0)
 
 
 def _convolve_spectrum(spec: np.ndarray, b: np.ndarray) -> None:
-    """Multiply spec (L, W) by the length-L FFT along axis 0 of b and invert, in place.
-
-    A block of columns at a time; b is (n, W), or (n, 1) for weights shared
-    by every column, which are transformed once.
-    """
+    """Multiply spec (L, W) by the length-L FFT along axis 0 of b (n, W) and invert, in place, a block of columns at a time."""
     L, W = spec.shape
-    if b.shape[1] not in (1, W):
+    if b.shape[1] != W:
         raise ValueError(f"time convolution of widths {W} and {b.shape[1]}")
-    shared = np.fft.fft(b, n=L, axis=0) if b.shape[1] == 1 else None
     for cols in _blocks(W, 16 * L):
         block = spec[:, cols]
-        block *= np.fft.fft(b[:, cols], n=L, axis=0) if shared is None else shared
+        block *= np.fft.fft(b[:, cols], n=L, axis=0)
         block[...] = np.fft.ifft(block, axis=0)
-
-
-def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution along axis 0 of (n, W) fields, zero-padded to a power of two.
-
-    Returns rows 0..n1+n2-2 of sum_s a[s] b[n - s] as complex values. b may
-    be a (n, 1) view of 1-d weights shared by every column. The (L, W)
-    spectrum is the only field-sized array: each block of about
-    _BLOCK_BYTES of its columns is transformed, multiplied and inverted in
-    place, which gives the whole-array transforms bit for bit.
-    """
-    n1, n2 = a.shape[0], b.shape[0]
-    spec = _time_spectrum(a, _time_length(n1 + n2))
-    _convolve_spectrum(spec, b)
-    return spec[: n1 + n2 - 1]
 
 
 def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:

@@ -11,26 +11,35 @@ reference that the blocked engine of ``sbe.operators`` must match bit for
 bit. ``step_roll`` spells one explicit step with them, the reference for
 the solver's held step.
 
-``dxp_forward``, ``trees_forward`` and ``dxk_direct`` rebuild the tree
-processes of ``sbe.processes.lift`` without its transforms: DxP * F by
-stepping the forward scheme of the linear family with F as the forcing,
-DxK * F by the direct space-time sum at chosen points, and every twisted
-product by ``twisted_product_roll``.
+``dxp_forward`` and ``trees_forward`` rebuild the tree processes of
+``sbe.processes.lift`` without its transforms: DxP * F by stepping the
+forward scheme of the linear family with F as the forcing, and every
+twisted product by ``twisted_product_roll``. ``dxk_fft`` is DxK * F with K
+the singular part of the heat kernel, by an FFT along time: the
+split-kernel response, which the suite compares with the full one.
+``dxk_direct`` takes the same sum directly at chosen points, its reference.
+``remainder_r21`` and ``remainder_r1222`` are the remainders of the paper's
+expansion at a point, read off the trees.
 
 ``increment_sums_zeros_like`` is the direct-sum loop of criterion 9's check
 as first written: a zero kernel-sized field and a fancy index per point. The
 reversed-slice loop of ``sbe.kernels._direct_sums`` must equal it bit for
 bit.
 
-``mollify_loop`` is the bump mollifier as first written: a double loop over
-the space-time stencil points, one rolled copy of the field each. The
-separable ``sbe.grids.mollify`` groups its sums differently, so it must
-match within rounding.
+``twisted_kernel_product``, ``convolve_kernels``, ``renormalized_convolve``,
+``increment_bound_probe`` and ``mollification_loss_probe`` are the kernel
+calculus of the paper's kernel lemmas on ``sbe.kernels.DiscreteKernel``,
+the convolutions through the blocked pipeline of ``sbe.kernels``. ``mollify``
+convolves a field with the separable bump (``bump``, ``mollifier_kernel``)
+on the operators' stencil engine; ``mollify_loop``, the mollifier as first
+written, a double loop over the space-time stencil points with one rolled
+copy of the field each, groups its sums differently, so the two must match
+within rounding.
 
 ``columns_whole``, ``split_whole``, ``verify_bounds_whole``,
 ``time_convolve_whole``, ``spacetime_convolve_whole``, ``order_norm_whole``
-and ``increment_bound_whole`` are the heat kernel, its split and decay
-bounds, the time and space-time convolutions, the order norm and the
+and ``increment_bound_whole`` are the heat kernel, its singular part and
+decay bounds, the time and space-time convolutions, the order norm and the
 increment probe spelled on whole fields, one field-sized array per step.
 The blocked passes of ``sbe.heat``, ``sbe.operators`` and ``sbe.kernels``
 must equal them bit for bit.
@@ -43,7 +52,8 @@ correlation. They are the reference that the direct sums of
 
 import numpy as np
 
-from sbe.grids import GridSpec, NoiseField, bump, rng_for
+from sbe import kernels
+from sbe.grids import GridSpec, NoiseField, rng_for
 from sbe.heat import (
     CUTOFF_INNER,
     CUTOFF_OUTER,
@@ -53,11 +63,14 @@ from sbe.heat import (
     smooth_cutoff,
     smooth_parabolic_norm,
 )
-from sbe.kernels import PROBE_PAIRS, PROBE_SEED, _occupied_rows
+from sbe.kernels import PROBE_SEED, SPACE_TIME_DIM, DiscreteKernel, _occupied_rows, _znorm_eps, kernel_mass, order_norm
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
-from sbe.operators import OperatorFamily, derivative_multiplier, time_convolve, twisted_product
-from sbe.solver import SchemeConfig, Trajectory, _escaped, step_forward
+from sbe.operators import OperatorFamily, _blocks, _stencil, derivative_multiplier, twisted_product
+from sbe.solver import SchemeConfig, Trajectory, _escaped, _Step
+
+# seeded grid pairs that increment_bound_probe samples
+PROBE_PAIRS = 4096
 
 
 def _check_support(measure_radius: int, M: int):
@@ -164,19 +177,21 @@ def linear_family(fam: OperatorFamily) -> OperatorFamily:
 def dxp_forward(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray) -> np.ndarray:
     """DxP * F by the forward scheme, rows 0..n_steps.
 
-    ``step_forward`` on the linear family (zero product, zero drift) from a
-    zero start, with F in place of the noise: row n is
+    The explicit step of the linear family (zero product, zero drift) from
+    a zero start, with F in place of the noise: row n is
     eps^2 sum_{s<n} (DxP)_{n-1-s} * F_s, since step n reads F at row n - 1.
+    The step is the one ``step_forward`` prepares per call, held for all
+    rows: the same bits, at a third of the cost.
     """
-    cfg = SchemeConfig(linear_family(fam), grid)
+    step = _Step(SchemeConfig(linear_family(fam), grid))
     out = np.zeros((grid.n_steps + 1, grid.M))
     for n in range(1, grid.n_steps + 1):
-        out[n] = step_forward(cfg, out[n - 1], forcing[n - 1])
+        out[n] = step(out[n - 1], forcing[n - 1])
     return out
 
 
 def trees_forward(noise: NoiseField, fam: OperatorFamily, a: float, b: float) -> dict:
-    """The nine full_P trees and DxP * T1 (key "dxp_t1") by ``dxp_forward``.
+    """The nine trees and DxP * T1 (key "dxp_t1") by ``dxp_forward``.
 
     Each tree is built from the oracle's own lower trees, never from lift's.
     """
@@ -205,17 +220,58 @@ def dxk_direct(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray, points)
     """(DxK * F)(n, x) at each (n, x) of ``points`` by the direct sum.
 
     eps^3 sum_{s<n} sum_y DxK(n-1-s, x-y) F(s, y), with K the singular part of
-    the heat kernel split at the grid horizon and DxK its roll-stencil
+    the heat kernel up to the grid horizon and DxK its roll-stencil
     derivative.
     """
     eps, M = grid.eps, grid.M
-    dxk = stencil_apply_roll(fam.pi, 1.0 / eps, HeatKernel(grid, fam).split(grid.T).K)
+    dxk = stencil_apply_roll(fam.pi, 1.0 / eps, HeatKernel(grid, fam).singular_part(grid.T))
     y = np.arange(M)
     vals = []
     for n, x in points:
         s = np.arange(n)
         vals.append(eps**3 * np.sum(dxk[n - 1 - s][:, (x - y) % M] * forcing[s]))
     return np.array(vals)
+
+
+def dxk_fft(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray) -> np.ndarray:
+    """DxK * F on rows 0..n_steps by an FFT along time, K the singular part up to the grid horizon.
+
+    Row n is eps^3 sum_{s<n} (DxK)_{n-1-s} * F_s, the sum of ``dxk_direct``,
+    with DxK the spectral derivative on real half-spectra and the time sum
+    ``time_convolve_whole`` of the half-spectra. It is the split-kernel
+    response that ``processes.lift`` once built beside the full one.
+    """
+    eps, nt, half = grid.eps, grid.n_steps, grid.M // 2 + 1
+    dmult = derivative_multiplier(fam, eps, grid.M)[:half]
+    k_hat = (np.fft.rfft(HeatKernel(grid, fam).singular_part(grid.T), axis=1) * dmult)[:nt]
+    out = np.zeros((nt + 1, half), dtype=np.complex128)
+    out[1:] = eps**3 * time_convolve_whole(k_hat, np.fft.rfft(forcing[:nt], axis=1))[:nt]
+    return np.fft.irfft(out, n=grid.M, axis=1)
+
+
+def twisted_at(fam: OperatorFamily, f: np.ndarray, x: int, g: np.ndarray, y: int) -> float:
+    """int f(x + y1) g(y + y2) mu(dy1, dy2) on the torus, atom by atom."""
+    M = f.shape[-1]
+    acc = 0.0
+    for (j1, j2), w in fam.mu.atoms:
+        acc += w * f[(x + j1) % M] * g[(y + j2) % M]
+    return acc
+
+
+def remainder_r21(trees: dict, fam: OperatorFamily, t_idx: int, x_idx: int, y_idx: int) -> float:
+    """R21(t, x; y) = T21(t, y) - int T11(t, x+y1) T1(t, y+y2) mu(dy1, dy2)."""
+    acc = twisted_at(fam, trees["T11"][t_idx], x_idx, trees["T1"][t_idx], y_idx)
+    return float(trees["T21"][t_idx, y_idx] - acc)
+
+
+def remainder_r1222(trees: dict, dxp_t1: np.ndarray, fam: OperatorFamily, z: tuple, zbar: tuple) -> float:
+    """R1222(z; zbar) = T1222(zbar) - int T122(t, x+y1) DxP*T1(tbar, xbar+y2) mu(dy1, dy2).
+
+    ``dxp_t1`` is DxP * T1, as ``dxp_forward`` makes it from trees["T1"].
+    """
+    (t_idx, x_idx), (tb_idx, xb_idx) = z, zbar
+    acc = twisted_at(fam, trees["T122"][t_idx], x_idx, dxp_t1[tb_idx], xb_idx)
+    return float(trees["T1222"][tb_idx, xb_idx] - acc)
 
 
 def increment_sums_zeros_like(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
@@ -242,8 +298,8 @@ def columns_whole(hk: HeatKernel, n_max: int) -> np.ndarray:
     return np.vstack([delta, np.fft.ifft(powers, axis=-1).real / hk.grid.eps])
 
 
-def split_whole(hk: HeatKernel, horizon: float) -> tuple[np.ndarray, np.ndarray]:
-    """(K, K_hat) of hk's cutoff split, each step on the whole field."""
+def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
+    """hk's singular part K = chi P, each step on the whole field."""
     grid = hk.grid
     n_h = int(round(horizon / grid.dt))
     P = columns_whole(hk, n_h)
@@ -251,8 +307,7 @@ def split_whole(hk: HeatKernel, horizon: float) -> tuple[np.ndarray, np.ndarray]
     x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
     rho = smooth_parabolic_norm(t, x)
     chi = smooth_cutoff(rho, inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-    K = chi * P
-    return K, P - K
+    return chi * P
 
 
 def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
@@ -333,6 +388,140 @@ def increment_bound_whole(values: np.ndarray, grid: GridSpec, zeta: float, kappa
     return float(np.max(num / denom))
 
 
+def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMeasure2D) -> DiscreteKernel:
+    """Slice-wise twisted product under mu, the shorter kernel zero-padded in time; claimed order adds."""
+    if k1.grid != k2.grid:
+        raise ValueError("kernels live on different grids")
+    rows = max(k1.values.shape[0], k2.values.shape[0])
+    a, b = np.zeros((rows, k1.grid.M)), np.zeros((rows, k2.grid.M))
+    a[: k1.values.shape[0]] = k1.values
+    b[: k2.values.shape[0]] = k2.values
+    return DiscreteKernel(twisted_product(mu, a, b), k1.grid, k1.claimed_order + k2.claimed_order)
+
+
+def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
+    """eps^3-weighted space-time convolution by ``kernels._spacetime_convolve``; claimed order gains |s| = 3."""
+    if k1.grid != k2.grid:
+        raise ValueError("kernels live on different grids")
+    vals = kernels._spacetime_convolve(k1.values, k2.values, k1.grid)
+    return DiscreteKernel(vals, k1.grid, k1.claimed_order + k2.claimed_order + SPACE_TIME_DIM)
+
+
+def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
+    """(R K1 * K2)(z) = eps^3 sum_w K1(w) (K2(z - w) - K2(z)), by the FFT route of the square check.
+
+    Admissible only on the lemma's order window: zeta1 in (-4, -3] and
+    zeta2 in (-6 - zeta1, 0].
+    """
+    z1, z2 = k1.claimed_order, k2.claimed_order
+    if not (-SPACE_TIME_DIM - 1 < z1 <= -SPACE_TIME_DIM):
+        raise ValueError(f"zeta1={z1} outside (-4, -3]")
+    if not (-2 * SPACE_TIME_DIM - z1 < z2 <= 0.0):
+        raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
+    if k1.grid != k2.grid:
+        raise ValueError("kernels live on different grids")
+    first = kernels._first_operand(k1.values, k2.values, k1.grid)
+    vals = kernels._renormalized(first, kernel_mass(k1), k2.values, k1.grid)
+    return DiscreteKernel(vals, k1.grid, z1 + z2 + SPACE_TIME_DIM)
+
+
+def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
+    """Empirical sup of |K(z) - K(zbar)| / (|z-zbar|^kappa (|z|^(z-k) + |zbar|^(z-k))).
+
+    Sampled over PROBE_PAIRS seeded random grid pairs, with |z|_{s,eps} taken
+    at the sampled points only; kappa = 0 collapses to the
+    triangle-inequality consequence of the order norm.
+    """
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError("kappa must lie in [0, 1]")
+    grid = k.grid
+    nt, M = k.values.shape
+    gen = rng_for(PROBE_SEED, 90)
+    zeta = k.claimed_order
+    i1 = gen.integers(0, nt, PROBE_PAIRS)
+    j1 = gen.integers(0, M, PROBE_PAIRS)
+    i2 = gen.integers(0, nt, PROBE_PAIRS)
+    j2 = gen.integers(0, M, PROBE_PAIRS)
+    same = (i1 == i2) & (j1 == j2)
+    i2[same] = (i2[same] + 1) % nt
+    num = np.abs(k.values[i1, j1] - k.values[i2, j2])
+    dt_gap = np.abs(i1 - i2) * grid.dt
+    dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
+    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
+    denom = sep**kappa * (_znorm_eps(i1, j1, grid) ** (zeta - kappa) + _znorm_eps(i2, j2, grid) ** (zeta - kappa))
+    return float(np.max(num / denom))
+
+
+def mollification_loss_probe(k: DiscreteKernel, eps_bar_cells: int, kappa: float) -> float:
+    """order_norm(K - K_mollified, zeta - kappa) / eps_bar^kappa, at depth 0.
+
+    The mollifier is the parabolic rescaling of the smooth bump to
+    eps_bar = eps_bar_cells * eps, sampled on the grid with discrete mass
+    one: ``mollify`` at radii (cells^2 - 1, cells - 1), the last cells
+    inside the bump's support. Boundedness across eps_bar values certifies
+    the smoothing loss bound; one cell is the identity.
+    """
+    if eps_bar_cells < 1:
+        raise ValueError("eps_bar must be at least one cell")
+    grid = k.grid
+    mollified = mollify(k.values, grid, eps_bar_cells**2 - 1, eps_bar_cells - 1)
+    diff = DiscreteKernel(values=k.values - mollified, grid=grid, claimed_order=k.claimed_order - kappa)
+    eps_bar = eps_bar_cells * grid.eps
+    return order_norm(diff, k.claimed_order - kappa) / eps_bar**kappa
+
+
+def bump(r: np.ndarray) -> np.ndarray:
+    """Smooth bump exp(-1/(1-r^2)) on |r| < 1, zero outside (unnormalized)."""
+    r = np.asarray(r, dtype=np.float64)
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+    return out
+
+
+def mollifier_kernel(rt: int, rs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time and space factors of the tensor-product bump sampled on grid cells, each of unit sum.
+
+    Each direction rescales the bump by radius + 1, where it first vanishes,
+    so radius 0 is the one weight 1.
+    """
+    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0))
+    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0))
+    return wt / wt.sum(), wx / wx.sum()
+
+
+def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_cells_space: int) -> np.ndarray:
+    """Space-time convolution of a time-major (rows, M) field with the bump of unit discrete mass.
+
+    The bump is the tensor product of ``mollifier_kernel``'s factors, so one
+    pass of the operators' stencil engine convolves in space, around the
+    torus, and 2 rt + 1 row-shifted multiply-adds a block of rows at a time
+    in time, zero-padded outside the rows. Radii (0, 0) return the input.
+    """
+    rt, rs = int(radius_cells_time), int(radius_cells_space)
+    if rt < 0 or rs < 0:
+        raise ValueError("radii must be nonnegative")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[1] != grid.M:
+        raise ValueError(f"mollify needs a time-major (rows, M) field with M = {grid.M}, not shape {values.shape}")
+    if 2 * rs + 1 > grid.M:
+        raise ValueError("mollifier support exceeds the torus")
+    wt, wx = mollifier_kernel(rt, rs)
+    space = _stencil(tuple(zip(range(-rs, rs + 1), wx)), values)
+    nt = space.shape[0]
+    out = np.zeros_like(space)
+    blocks = _blocks(nt, 8 * grid.M)
+    tmp = np.empty((blocks[0].stop if blocks else 0, grid.M))
+    for rows in blocks:
+        for a, w in zip(range(-rt, rt + 1), wt):
+            # output row n reads row n + a, zero past the ends
+            lo, hi = max(rows.start, -a), min(rows.stop, nt - a)
+            if lo < hi:
+                np.multiply(w, space[lo + a : hi + a], out=tmp[: hi - lo])
+                out[lo:hi] += tmp[: hi - lo]
+    return out
+
+
 def mollify_loop(values: np.ndarray, grid: GridSpec, rt: int, rs: int) -> np.ndarray:
     """eps^3-weighted space-time convolution with the bump, one rolled copy per stencil point.
 
@@ -373,7 +562,7 @@ def parabolic_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFa
         return None
     spatial = space_pairing_map(values, grid, tf, lam)  # carries eps * lambda^-1 phi_x
     wt = _time_kernel(tf, grid, lam)
-    conv = time_convolve(spatial, wt[::-1, None]).real
+    conv = time_convolve_whole(spatial, wt[::-1, None]).real
     corr = conv[kt : kt + nt]  # linear correlation with zero padding outside
     interior = np.arange(kt, nt - kt)
     return grid.dt * corr, interior

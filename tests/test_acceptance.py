@@ -237,8 +237,8 @@ def test_criterion_9_singular_kernel_order(fam_bw_ss, fam_bw_pw):
     vals = []
     for N in (5, 6, 7, 8):
         grid = GridSpec(N, 0.25)
-        sp = HeatKernel(grid, fam_bw_ss).split(0.25)
-        vals.append(order_norm(DiscreteKernel(sp.K, grid, -1.0), -1.0, 2))
+        K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
+        vals.append(order_norm(DiscreteKernel(K, grid, -1.0), -1.0, 2))
     stable = max(vals) / min(vals) <= 2.0
 
     _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(6, 0.25))

