@@ -25,14 +25,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .fieldio import sha256_file, write_csv, write_field, write_json
+from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
 from .grids import GridSpec, LatticeField, NoiseField, sample_noise
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import PROFILE_SMOOTHNESS, _usable_scales, estimate_exponent, make_test_family
 from .operators import OperatorFamily
-from .processes import TREE_LABELS, lift
+from .processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,
@@ -192,8 +192,7 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         levels = sorted(cfg.levels())
         if len(levels) < 3 or levels != list(range(levels[0], levels[0] + len(levels))):
             raise SchemaError(f"N_range: convergence needs three or more distinct consecutive levels, got {levels}")
-    if cfg.kind == "kernel-diagnostics":
-        _check_kernel_memory(cfg)
+    _check_memory(cfg)
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
     if cfg.seed < 0:
@@ -236,14 +235,28 @@ def _diag_grid(cfg: ExperimentConfig, n: int) -> GridSpec:
     return GridSpec(n, min(cfg.T, 0.25))
 
 
-def _check_kernel_memory(cfg: ExperimentConfig) -> None:
-    """Refuse kernel-diagnostics levels whose largest check needs more than the memory available."""
-    n = max(cfg.levels())
-    need, budget = square_check_bytes(_diag_grid(cfg, n)), _memory_available()
+def _check_memory(cfg: ExperimentConfig) -> None:
+    """Refuse a config whose largest level needs more than the memory available.
+
+    kernel-diagnostics: the largest square check (``square_check_bytes``).
+    processes and regularity: a replica's noise field and a few chunks of its
+    lift, and for regularity T2, which its parabolic estimate reads in full.
+    """
+    if cfg.kind == "kernel-diagnostics":
+        n = max(cfg.levels())
+        name, at, what = "N_range" if cfg.N_range else "N", "", "the kernel diagnostics"
+        need = square_check_bytes(_diag_grid(cfg, n))
+    elif cfg.kind in ("processes", "regularity"):
+        n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
+        name, at, what = "N", f" at T={cfg.T!r}", f"the {cfg.kind} lifts"
+        fields = 2 if cfg.kind == "regularity" else 1
+        need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
+    else:
+        return
+    budget = _memory_available()
     if budget is not None and need > budget:
-        name = "N_range" if cfg.N_range else "N"
         raise SchemaError(
-            f"{name}: level {n} needs about {need / 1e9:.2f} GB for the kernel diagnostics, "
+            f"{name}: level {n}{at} needs about {need / 1e9:.2f} GB for {what}, "
             f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
         )
 
@@ -392,14 +405,22 @@ def _exp_processes(cfg, fam, outdir):
     finals = {lab: [] for lab in TREE_LABELS}
     for rep in range(cfg.replicas):
         noise = sample_noise(grid, cfg.seed + rep)
-        # replica 0 is written in full, the later ones enter only at the last
-        # slice; T1, T2, T12, T22 and T122 stay full, as other trees read them
-        tps = lift(noise, fam, consts, last=() if rep == 0 else ("T11", "T21", "T124", "T1222"))
+        if rep == 0:
+            # replica 0 is written a chunk of rows at a time, as the lift makes them
+            meta = {"N": grid.N, "T": grid.T, "seed": cfg.seed}
+            writers = {lab: FieldAppender(outdir, f"tree_{lab}", meta) for lab in TREE_LABELS}
+            for _, chunk in lift_chunks(noise, fam, consts):
+                for lab, rows in chunk.items():
+                    writers[lab].append(rows)
+                # keep the last rows only, so no chunk is held while the next is made
+                tps = {lab: rows[-1:].copy() for lab, rows in chunk.items()}
+                chunk.clear()
+            files += [name for writer in writers.values() for name in writer.close()]
+        else:
+            # the later ones enter only at the last slice
+            tps = lift(noise, fam, consts, last=TREE_LABELS)
         for lab in TREE_LABELS:
             finals[lab].append(float(tps[lab][-1, 0]))
-        if rep == 0:
-            for lab in TREE_LABELS:
-                files += write_field(outdir, f"tree_{lab}", tps[lab], {"N": grid.N, "T": grid.T, "seed": cfg.seed})
         del noise, tps  # free this replica before the next one is drawn
     rows = []
     for lab in TREE_LABELS:
@@ -438,8 +459,8 @@ def _exp_regularity(cfg, fam, outdir):
     estimates = {}
     for rep in range(cfg.replicas):
         noise = sample_noise(grid, cfg.seed + rep)
-        # the space estimates read only the last slice of T11 and T12
-        tps = lift(noise, fam, consts, labels=tuple(targets), last=("T11", "T12"))
+        # the space estimates read only the last slice of T1, T11 and T12
+        tps = lift(noise, fam, consts, labels=tuple(targets), last=("T1", "T11", "T12"))
         for lab, mode in targets.items():
             est = estimate_exponent(LatticeField(grid, tps[lab]), tf_space if mode == "space" else tf_para, mode=mode)
             table[lab].append(est.exponent)

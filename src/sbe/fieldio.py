@@ -1,10 +1,11 @@
 """Binary field dumps with JSON sidecars, plus the CSV writer.
 
 Layout: flat little-endian float64, time-major C order, one ``.bin`` per
-field with a ``.json`` sidecar carrying {N, T, seed, layout}. Every JSON
-file, sidecars included, goes through ``write_json``. CSV is for diagnostic
-tables; formatting uses %.17g so identical inputs reproduce identical
-bytes.
+field with a ``.json`` sidecar carrying {N, T, seed, layout}. A field too
+long to hold is appended a block of rows at a time, and its sidecar is
+written last. Every JSON file, sidecars included, goes through
+``write_json``. CSV is for diagnostic tables; formatting uses %.17g so
+identical inputs reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 
 import numpy as np
 
-__all__ = ["write_field", "read_field", "write_json", "write_csv", "sha256_file"]
+__all__ = ["write_field", "FieldAppender", "read_field", "write_json", "write_csv", "sha256_file"]
 
 
 def write_json(directory: str, name: str, obj) -> str:
@@ -29,16 +30,43 @@ def write_json(directory: str, name: str, obj) -> str:
 
 def write_field(directory: str, name: str, values: np.ndarray, meta: dict) -> list[str]:
     """Write name.bin + name.json under directory; returns the file names."""
-    os.makedirs(directory, exist_ok=True)
-    bin_name = f"{name}.bin"
-    arr = np.ascontiguousarray(values, dtype="<f8")
-    with open(os.path.join(directory, bin_name), "wb") as fh:
-        fh.write(memoryview(arr))  # the array's own buffer: no field-sized copy
-    sidecar = dict(meta)
-    sidecar.setdefault("layout", "time-major")
-    sidecar["shape"] = list(arr.shape)
-    sidecar["dtype"] = "<f8"
-    return [bin_name, write_json(directory, f"{name}.json", sidecar)]
+    writer = FieldAppender(directory, name, meta)
+    writer.append(values)
+    return writer.close()
+
+
+class FieldAppender:
+    """The files of ``write_field``, written a block of rows at a time.
+
+    Each ``append`` adds rows to name.bin in time order; ``close`` writes the
+    name.json sidecar last, with the shape of all the rows appended, and
+    returns the file names. The files are those ``write_field`` writes for
+    the rows stacked in order. No file stays open between calls.
+    """
+
+    def __init__(self, directory: str, name: str, meta: dict):
+        os.makedirs(directory, exist_ok=True)
+        self.directory, self.name, self.meta = directory, name, meta
+        self.path = os.path.join(directory, f"{name}.bin")
+        self.shape = None
+        open(self.path, "wb").close()
+
+    def append(self, rows: np.ndarray) -> None:
+        arr = np.ascontiguousarray(rows, dtype="<f8")
+        if self.shape is None:
+            self.shape = [0, *arr.shape[1:]]
+        elif list(arr.shape[1:]) != self.shape[1:]:
+            raise ValueError(f"rows of shape {arr.shape[1:]} appended to a field of rows {tuple(self.shape[1:])}")
+        with open(self.path, "ab") as fh:
+            fh.write(memoryview(arr))  # the array's own buffer: no copy
+        self.shape[0] += arr.shape[0]
+
+    def close(self) -> list[str]:
+        sidecar = dict(self.meta)
+        sidecar.setdefault("layout", "time-major")
+        sidecar["shape"] = self.shape
+        sidecar["dtype"] = "<f8"
+        return [f"{self.name}.bin", write_json(self.directory, f"{self.name}.json", sidecar)]
 
 
 def read_field(directory: str, name: str) -> tuple[np.ndarray, dict]:

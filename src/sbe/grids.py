@@ -78,9 +78,9 @@ class NoiseField:
 
     An explicit field holds values[n, i], the draw at time n*eps^2, site
     i*eps. A streamed one, made without values, holds none: its rows are
-    those of sample_noise(grid, seed), which ``solver.run`` draws from
-    noise_stream(seed) a block at a time as it reads them. Reading
-    ``values`` of a streamed field is a ValueError.
+    those of sample_noise(grid, seed), which ``solver.run`` and
+    ``processes.lift`` draw from noise_stream(seed) a block at a time as
+    they read them. Reading ``values`` of a streamed field is a ValueError.
     """
 
     grid: GridSpec

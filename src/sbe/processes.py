@@ -21,30 +21,35 @@ makes the mild form reproduce the forward scheme exactly.
 That sum is the k-space recurrence out[n] = m out[n-1] + eps^2 Dx F[n-1]
 with the stepping multiplier m, the one time convolution of the lift. It
 runs in blocks of about sqrt(nt) time rows: every block runs the recurrence
-from zero at once, then each block in turn adds m^(i+1) times the finished
-last row of the block before it to its row i. That takes about 2 sqrt(nt)
-array steps instead of nt, and it is stable: admissibility pins m into
-[1/2, 1], so every power is at most 1 and nothing is divided.
+from zero, then each block in turn adds m^(i+1) times the finished last row
+of the block before it to its row i. Admissibility pins m into [1/2, 1], so
+every power is at most 1 and nothing is divided.
 
-A statistic that reads only the final time slice of a tree asks ``lift``
-for it with ``last``: the space estimates of the regularity table read T11
-and T12 there, and the Monte Carlo means of the ``processes`` experiment
-read T11, T21, T124 and T1222 there for every replica after the first. The
-last row of DxP * F comes from the same recurrence kept on one row per
-block: each block runs its in-block steps on one running row, reading F
-through strided row views, and the blocks' last rows are carried forward
-with the same powers of m. These are the additions and products of the full
-recurrence in the same order, so the row, its inverse transform and the T11
-stencil on it are the same bits as the last row of the full tree. T21's
-last row is the twisted product of the last rows of T11 and T1, which acts
-row by row. T124 and T1222 still convolve their full forcing, so T12, T122
-and T1 stay full under them.
+The trees are built in one forward pass over time, a chunk of whole blocks
+at a time (about _CHUNK_BYTES of half-spectrum rows, at least one block).
+Inside a chunk the in-block steps run across the chunk's blocks at once:
+about block steps per chunk and one carry per block, where a row loop
+would take nt steps. The first block of a chunk takes its carry from the finished last row
+of the chunk before, which each convolution keeps; output row n + 1 reads
+forcing row n, so a convolution also keeps its forcing's last row. The
+twisted products, the T11 stencil and the transforms act row by row. So
+every chunking makes the additions and products of the whole-field
+recurrence in the same order and gives the same bits. The noise is read a
+chunk at a time too: a streamed field is drawn with ``noise_block``, which
+gives the same rows in any chunking.
 
-``lift`` states the recursion once, as a table of label: (the trees the
-rule reads, the rule), every tree after the trees it reads; the last-slice
-rules sit in a second table of the same shape and replace their entries.
-The labels, ``last`` and the closure are checked against the table before
-any transform runs.
+A statistic that reads a tree only at the final time slice names it in
+``last``: the regularity table's space estimates read T1, T11 and T12
+there, the ``processes`` experiment's Monte Carlo means every tree. Such a
+tree is returned as that row alone, and where no convolution and no tree
+returned in full reads it, it is made at that row alone. Every other tree
+is copied into one full array as its chunks come. The pass holds a few
+chunks besides the returned trees and an explicit noise field, however
+long the horizon.
+
+The recursion is stated once, as a table of label: (the trees the rule
+reads, the rule), every tree after the trees it reads. The labels and
+``last`` are checked against it before any transform runs.
 """
 
 from __future__ import annotations
@@ -53,13 +58,16 @@ import math
 
 import numpy as np
 
-from .grids import NoiseField
+from .grids import GridSpec, NoiseField, noise_block, noise_stream
 from .operators import OperatorFamily, _stencil, derivative_multiplier, stepping_multiplier, twisted_product
 from .renorm import RenormConstants
 
-__all__ = ["TREE_LABELS", "lift"]
+__all__ = ["TREE_LABELS", "lift", "lift_chunks", "lift_chunk_bytes"]
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
+
+_CHUNK_BYTES = 3 << 19  # a chunk's half-spectrum (1.5 MiB), rounded down to whole blocks
+_CHUNKS_HELD = 24  # chunk-sized arrays held at once: about 19 in a full lift written chunk by chunk
 
 
 def _label_tuple(labels, name: str) -> tuple:
@@ -73,68 +81,110 @@ def _label_tuple(labels, name: str) -> tuple:
     return labels
 
 
-def lift(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels=TREE_LABELS, last=()) -> dict:
-    """Build the controlling processes for one noise realization: {label: field}.
+def _block(grid: GridSpec) -> int:
+    """The rows of a block of the recurrence, about sqrt(nt)."""
+    return max(1, math.isqrt(grid.n_steps))
 
-    Each field has shape (n_steps + 1, M), time index n <-> t = n eps^2.
-    Each tree is one entry of the table below, listed after the trees its
-    rule reads: one reverse pass over the table finds the requested
-    ``labels`` plus exactly the trees their rules read, and one forward pass
-    builds those, each once. ``last`` names requested trees built at the
-    final time slice only, shape (1, M), with the same bits as the full
-    tree's last row (see the module docstring). It may name T11, T12, T21,
-    T124 and T1222, each unless another tree of the lift reads it in full
-    (a full T21 reads T11; T22, T124 and T1222 read T12); T21 built last
-    reads only the last rows of T11 and T1. Labels outside TREE_LABELS, a
-    bare string, any other ``last`` and a streamed noise field are refused
-    before anything is computed. Deterministic in (noise, family, constants).
+
+def _chunk_rows(grid: GridSpec) -> int:
+    """Forcing rows per chunk: whole blocks, about _CHUNK_BYTES of half-spectrum, at least one block."""
+    block = _block(grid)
+    return block * max(1, _CHUNK_BYTES // (block * (grid.M // 2 + 1) * 16))
+
+
+def lift_chunk_bytes(grid: GridSpec) -> int:
+    """About the most that a lift's pass holds at once besides its noise and the trees it returns in full."""
+    return _CHUNKS_HELD * (_chunk_rows(grid) + 1) * (grid.M // 2 + 1) * 16
+
+
+class _Convolution:
+    """DxP * F by the blocked recurrence of the module docstring, one chunk per call.
+
+    A call takes the half-spectrum of a chunk's rows and returns the output
+    rows they drive, in a buffer that the next call overwrites; the first
+    call's output starts with row 0, which is zero. With ``shifted`` the
+    rows are those of a tree F: output row n + 1 reads row n, so a chunk's
+    output reads the last row of the chunk before and all but its own last
+    row, which is kept for the next call. Without, they are the forcing
+    rows themselves (the noise). The finished last row of a chunk's last
+    block is kept for the carries of the next.
+    """
+
+    def __init__(self, m: np.ndarray, pref: np.ndarray, carry_powers: np.ndarray, shifted: bool):
+        self.m, self.pref, self.carry_powers, self.shifted = m, pref, carry_powers, shifted
+        self.head = None  # the forcing row before this chunk's rows
+        self.carry = None  # the finished last row of the chunk before
+        self.out = None
+
+    def __call__(self, f_hat: np.ndarray) -> np.ndarray:
+        m, pref, carry_powers = self.m, self.pref, self.carry_powers
+        block, half = carry_powers.shape
+        head, first = self.head, self.out is None
+        if self.shifted:
+            self.head, f_hat = f_hat[-1].copy(), f_hat[:-1]
+        k = len(f_hat) + (head is not None)
+        n_blocks = -(-k // block)
+        if first:  # sized by the first chunk, the longest; its row 0 stays zero
+            self.out = np.zeros((n_blocks * block + 1, half), dtype=np.complex128)
+            self.tmp = np.empty((max(n_blocks, block), half), dtype=np.complex128)
+            self.steps = {}
+        out = self.out[: n_blocks * block + 1]  # a short last block's rows past k are never read
+        rows = out[1 : k + 1]
+        if head is not None:
+            np.multiply(pref, head, rows[0])
+            rows = rows[1:]
+        np.multiply(pref, f_hat, rows)
+        blocks = out[1:].reshape(n_blocks, block, half)
+        steps = self.steps.get(n_blocks)
+        if steps is None:  # the in-block steps' views, made once per chunk length
+            steps = self.steps[n_blocks] = [(blocks[:, i - 1], blocks[:, i]) for i in range(1, block)]
+        tmp = self.tmp[:n_blocks]
+        for before, row in steps:  # blocks[:, i] += m * blocks[:, i - 1]
+            np.multiply(m, before, tmp)
+            np.add(row, tmp, row)
+        tmp = self.tmp[:block]
+        for j in range(n_blocks):  # blocks[j] += m^(i+1) * blocks[j - 1, -1]
+            before = blocks[j - 1, -1] if j else self.carry
+            if before is not None:
+                np.multiply(carry_powers, before, tmp)
+                np.add(blocks[j], tmp, blocks[j])
+        if n_blocks:
+            self.carry = blocks[-1, -1].copy()
+        return out[: k + 1] if first else out[1 : k + 1]
+
+
+def lift_chunks(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels=TREE_LABELS, last=()):
+    """The trees of ``lift`` a chunk of time rows at a time: an iterator of (rows, {label: values}).
+
+    ``rows`` is the slice of time indices a chunk covers; the chunks cover
+    0..n_steps in order. Each chunk holds every tree that ``lift`` returns
+    in full, the final chunk also the last row of each tree in ``last``,
+    all with the bits ``lift`` returns. The pass does not write a chunk's
+    arrays again. The arguments are checked when this is called, before
+    anything is computed.
     """
     if consts.family_fingerprint != fam.fingerprint():
         raise ValueError("constants were computed for a different family")
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
     labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
-    xi = noise.values  # a streamed field holds none: ValueError
+    for label in last:
+        if label not in labels:
+            raise ValueError(f"last label {label!r} is not among the requested labels")
+    return _stream(noise, fam, consts, labels, last)
+
+
+def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels: tuple, last: tuple):
     grid = noise.grid
-    eps, nt = grid.eps, grid.n_steps
+    eps, nt, M = grid.eps, grid.n_steps, grid.M
     a, b = consts.c2, consts.c21
-    half = grid.M // 2 + 1  # rfft modes 0..M/2
-    m = stepping_multiplier(fam, eps, grid.M)[:half]
-    pref = eps**2 * derivative_multiplier(fam, eps, grid.M)[:half]
-    # conv_p's recurrence runs in n_blocks blocks of `block` rows, ~sqrt(nt) each
-    block = max(1, math.isqrt(nt))
-    n_blocks = -(-nt // block)
-    carry_powers = m ** np.arange(1, block + 1)[:, None]  # m^(i+1) for row i of a block
-
-    def conv_p(f_hat: np.ndarray, last: bool = False) -> np.ndarray:
-        """Causal DxP convolution by the blocked recurrence of the module docstring.
-
-        The last block is padded with zero forcing. With ``last`` only the
-        final row is kept: row i of every block is one strided view of
-        f_hat, and the last block, which may be partial, stops at its
-        final row, so nothing field-sized is made.
-        """
-        if last:
-            ends = pref * f_hat[0:nt:block]  # each block's running row
-            for i in range(1, block):
-                row = pref * f_hat[i:nt:block]
-                row += m * ends[: len(row)]
-                ends[: len(row)] = row
-            # a block keeps its last row, the last block its row (nt - 1) % block
-            for j in range(1, n_blocks):
-                ends[j] += carry_powers[-1 if j < n_blocks - 1 else (nt - 1) % block] * ends[j - 1]
-            return ends[-1:]
-        out = np.zeros((n_blocks * block + 1, half), dtype=np.complex128)
-        np.multiply(pref, f_hat[:nt], out=out[1 : nt + 1])
-        blocks = out[1:].reshape(n_blocks, block, half)
-        for i in range(1, block):
-            blocks[:, i] += m * blocks[:, i - 1]
-        for j in range(1, n_blocks):
-            blocks[j] += carry_powers * blocks[j - 1, -1]
-        return out[: nt + 1]
+    half = M // 2 + 1  # rfft modes 0..M/2
+    m = stepping_multiplier(fam, eps, M)[:half]
+    pref = eps**2 * derivative_multiplier(fam, eps, M)[:half]
+    carry_powers = m ** np.arange(1, _block(grid) + 1)[:, None]  # m^(i+1) for row i of a block
 
     def field(f_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(f_hat, n=grid.M, axis=1)
+        return np.fft.irfft(f_hat, n=M, axis=1)
 
     def hat(f: np.ndarray) -> np.ndarray:
         return np.fft.rfft(f, axis=1)
@@ -148,48 +198,89 @@ def lift(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels
         marginal[j2] = marginal.get(j2, 0.0) + w
     one_atoms = sorted(marginal.items())
 
+    # the half-spectra of the convolutions; only T1's is driven by the noise
+    conv = {
+        label: _Convolution(m, pref, carry_powers, shifted=label != "T1_hat")
+        for label in ("T1_hat", "DxP_T1_hat", "T12_hat", "T122_hat", "T124_hat", "T1222_hat")
+    }
     # label: (the trees its rule reads, the rule), each tree after the trees it
-    # reads; T1_hat is T1's half-spectrum and DxP_T1 the convolution T11 is a
-    # stencil of
+    # reads; xi is the chunk's noise rows
     table = {
-        "T1_hat": ((), lambda: conv_p(hat(xi))),
+        "T1_hat": (("xi",), lambda xi: conv["T1_hat"](hat(xi))),
         "T1": (("T1_hat",), field),
-        "DxP_T1": (("T1_hat",), lambda t1_hat: field(conv_p(t1_hat))),
-        "T11": (("DxP_T1",), lambda dxp_t1: _stencil(one_atoms, dxp_t1)),
+        "DxP_T1_hat": (("T1_hat",), conv["DxP_T1_hat"]),
+        "T11": (("DxP_T1_hat",), lambda dxp_t1: _stencil(one_atoms, field(dxp_t1))),
         "T2": (("T1",), lambda t1: B(t1, t1) - a),
         "T21": (("T11", "T1"), lambda t11, t1: B(t11, t1) - b),
-        "T12": (("T2",), lambda t2: field(conv_p(hat(t2)))),
+        "T12_hat": (("T2",), lambda t2: conv["T12_hat"](hat(t2))),
+        "T12": (("T12_hat",), field),
         "T22": (("T12", "T1"), lambda t12, t1: B(t12, t1) - 2.0 * b * t1),
-        "T122": (("T22",), lambda t22: field(conv_p(hat(t22)))),
-        "T124": (("T12",), lambda t12: field(conv_p(hat(B(t12, t12))))),
-        "T1222": (("T122", "T1", "T12"), lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12)))),
+        "T122_hat": (("T22",), lambda t22: conv["T122_hat"](hat(t22))),
+        "T122": (("T122_hat",), field),
+        "T124_hat": (("T12",), lambda t12: conv["T124_hat"](hat(B(t12, t12)))),
+        "T124": (("T124_hat",), field),
+        "T1222_hat": (("T122", "T1", "T12"), lambda t122, t1, t12: conv["T1222_hat"](hat(B(t122, t1) - b * t12))),
+        "T1222": (("T1222_hat",), field),
     }
-    # the trees that can be built at the last time slice only, in the same shape
-    last_table = {
-        "T11": (("T1_hat",), lambda t1_hat: _stencil(one_atoms, field(conv_p(t1_hat, last=True)))),
-        "T12": (("T2",), lambda t2: field(conv_p(hat(t2), last=True))),
-        "T21": (("T11", "T1"), lambda t11, t1: B(t11[-1:], t1[-1:]) - b),
-        "T124": (("T12",), lambda t12: field(conv_p(hat(B(t12, t12)), last=True))),
-        "T1222": (("T122", "T1", "T12"), lambda t122, t1, t12: field(conv_p(hat(B(t122, t1) - b * t12), last=True))),
-    }
-    reads_last_rows = ("T21",)  # last rules that read only the last rows of their trees
-    for label in last:
-        if label not in labels:
-            raise ValueError(f"last label {label!r} is not among the requested labels")
-        if label not in last_table:
-            raise ValueError(f"{label} cannot be built at the last slice only; last may name {', '.join(last_table)}")
-        table[label] = last_table[label]
     needed = set(labels)  # grows to the closure: a tree read by a needed tree comes before it
     for label, (reads, _) in reversed(table.items()):
         if label in needed:
             needed.update(reads)
-    for label in last:
-        readers = sorted(r for r in needed if label in table[r][0] and not (r in last and r in reads_last_rows))
-        if readers:
-            raise ValueError(f"{label} cannot be built at the last slice only: {', '.join(readers)} reads it in full")
+    # every row is made of the trees returned in full, of the convolutions
+    # and of what they read; the other needed trees only at the final row
+    full = needed.intersection(TREE_LABELS).difference(last) | needed.intersection(conv)
+    for label, (reads, _) in reversed(table.items()):
+        if label in full:
+            full.update(reads)
 
+    returned = [label for label in TREE_LABELS if label in needed and label not in last]
+
+    gen = noise_stream(noise.seed) if noise.streamed else None
+    step = _chunk_rows(grid)
+    for start in range(0, max(nt, 1), step):  # one chunk when there is no time step
+        k = min(step, nt - start)
+        final = start + k == nt
+        trees = {"xi": noise.values[start : start + k] if gen is None else noise_block(gen, grid, k)}
+        for label, (reads, rule) in table.items():
+            if label in full:
+                trees[label] = rule(*(trees[r] for r in reads))
+            elif label in needed and final:
+                trees[label] = rule(*(trees[r][-1:] for r in reads))
+        chunk = {label: trees[label] for label in returned}
+        if final:
+            chunk.update((label, trees[label][-1:].copy()) for label in last)
+        # output row n + 1 reads noise row n; the first chunk also holds row 0
+        yield slice(start + 1 if start else 0, start + k + 1), chunk
+        del chunk, trees  # hold nothing of this chunk while the next is made
+
+
+def lift(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels=TREE_LABELS, last=()) -> dict:
+    """Build the controlling processes for one noise realization: {label: field}.
+
+    Each field has shape (n_steps + 1, M), time index n <-> t = n eps^2.
+    Each tree is one entry of the table of ``lift_chunks``, listed after the
+    trees its rule reads: one reverse pass over the table finds the
+    requested ``labels`` plus exactly the trees their rules read, and one
+    forward pass over time builds those (see the module docstring).
+    ``last`` names requested trees to return at the final time slice only,
+    shape (1, M), with the same bits as the full tree's last row; it may
+    name any of them. Every other tree of the closure is returned in full.
+    The noise may be explicit or streamed; a streamed field is drawn a
+    chunk at a time and gives the trees of the explicit field it stands
+    for. Labels outside TREE_LABELS, a bare string and a ``last`` label that
+    is not requested are refused before anything is computed.
+    Deterministic in (noise, family, constants).
+    """
+    labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
+    shape = (noise.grid.n_steps + 1, noise.grid.M)
     trees = {}
-    for label, (reads, rule) in table.items():
-        if label in needed:
-            trees[label] = rule(*(trees[r] for r in reads))
+    for rows, chunk in lift_chunks(noise, fam, consts, labels, last):
+        for label, values in chunk.items():
+            if label in last:
+                trees[label] = values
+            else:
+                if label not in trees:
+                    trees[label] = np.empty(shape)
+                trees[label][rows] = values
+        chunk.clear()  # hold nothing of this chunk while the next is made
     return {label: trees[label] for label in TREE_LABELS if label in trees}

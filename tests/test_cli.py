@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from sbe import cli
+from sbe import cli, processes
 from sbe.cli import (
     EXPERIMENT_KINDS,
     SchemaError,
@@ -22,7 +22,7 @@ from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
 from sbe.kernels import square_check_bytes
 from sbe.norms import estimate_exponent
-from sbe.processes import TREE_LABELS, lift
+from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import compute_constants
 from sbe.solver import SchemeConfig, ic_white_noise, run
 
@@ -102,6 +102,32 @@ class TestExperiments:
             cells = next(iter(__import__("csv").reader([row])))
             assert abs(float(cells[i_q])) < 1e-10
             assert abs(float(cells[i_m])) < 1e-10
+
+    # sha256 of replica 0's trees and of the summary at N = 5, T = 0.25, seed
+    # 21, 2 replicas: the bytes the whole-field lift wrote
+    PROCESSES_DIGESTS = {
+        "tree_T1.bin": "cc5dbb03258e2558c62f08de4f07d999cb4b7e39c9969fb02556f9b2d2588fa3",
+        "tree_T2.bin": "47641f1992e6ba703a48315c9d050d62f0dfb61804fe2622c38d27a03d501c11",
+        "tree_T11.bin": "68719df16a27e4fcfe22409615ec0b5bc6da5a9523e28cccbd954db8ccfc3eba",
+        "tree_T21.bin": "1fdbcfb857c12765291263e47fd4ac388ec5c64f77c35a523f2b19401afee610",
+        "tree_T12.bin": "5d877135013088bebac219e6ec41c3b9b244018739bb179d8a5f3230583890cd",
+        "tree_T22.bin": "9c35c1d960e16c8945167fd10724ee3deb983d3b551d559284cebadf8a3ed73d",
+        "tree_T122.bin": "60fed38760afc30abc8d11040d20a93c4618ac1e47c0da327fbc975240a29f7a",
+        "tree_T124.bin": "1e033614008ebb3c09ec3b13114c789f0b92edaed82a123949cae8c5793ed824",
+        "tree_T1222.bin": "d261bfe1e6566fde1f1b5491a8d84a4fe337733b5d8059858b4ac7abe5c925d7",
+        "tree_T1.json": "ae8cd7a1a68bd0a386df41a501cc439dc85b9867daf4d606ed1cf04e323a9357",
+        "mc_summary.csv": "1f91902253bb6af0133678427bc54a05010d95c7be7d60d803ef15e73e51f626",
+    }
+
+    @pytest.mark.parametrize("blocks", [None, 3], ids=["one-chunk", "six-chunks"])
+    def test_processes_trees_keep_their_bytes(self, tmp_path, monkeypatch, blocks):
+        # 16 blocks of 16 rows: one chunk, or five of 3 blocks and one of 1
+        if blocks:
+            monkeypatch.setattr(processes, "_CHUNK_BYTES", blocks * 16 * 17 * 16)
+        cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": 5, "T": 0.25, "seed": 21, "replicas": 2})
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        for name, digest in self.PROCESSES_DIGESTS.items():
+            assert sha256_file(os.path.join(bundle.directory, name)) == digest, name
 
     def test_simulate_blowup_exit_three(self, tmp_path):
         cfg = config_from_dict(
@@ -301,6 +327,22 @@ class TestConfigFailsBeforeOutput:
             monkeypatch.setattr(cli, "_memory_available", lambda: budget)
             assert config_from_dict(raw).N_range == [5, 7]
 
+    @pytest.mark.parametrize("kind, fields", [("regularity", 2), ("processes", 1)])
+    def test_lifts_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, kind, fields):
+        # regularity holds the noise and T2, processes the noise, each with a few chunks
+        grid = GridSpec(8, 0.125)
+        need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
+        monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
+        path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
+        out = tmp_path / "out"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: N: level 8 at T=0.125 needs about {need / 1e9:.2f} GB for the {kind} lifts" in err
+        assert not out.exists()
+        for budget in (need, None):  # an unreadable budget refuses nothing
+            monkeypatch.setattr(cli, "_memory_available", lambda: budget)
+            assert config_from_dict({"kind": kind, "family": FAMILY, "N": 8, "T": 0.125}).N == 8
+
     @pytest.mark.parametrize(
         "kind, bad, field",
         [
@@ -367,11 +409,20 @@ class TestConfigFailsBeforeOutput:
         assert main(["regularity", "--config", path, "--out", str(out)]) == 0
         assert {"exponents.csv", "pairings.csv", "estimates.json"} <= set(os.listdir(capsys.readouterr().out.strip()))
 
-    def test_regularity_exponents_are_those_of_full_lifts(self, tmp_path, capsys):
-        # the run lifts T11 and T12 at the last slice only; the table must not move
+    def test_regularity_exponents_are_those_of_full_lifts(self, tmp_path, capsys, monkeypatch):
+        # the run lifts T1, T11 and T12 at the last slice only; the table must not move
         seed, replicas = 11, 2
+        heights = []
+
+        def recorded(*args, **kwargs):
+            tps = lift(*args, **kwargs)
+            heights.append({lab: tree.shape[0] for lab, tree in tps.items()})
+            return tps
+
+        monkeypatch.setattr(cli, "lift", recorded)
         path = write_config(tmp_path, {"family": FAMILY, "N": 6, "T": 0.0625, "seed": seed, "replicas": replicas})
         assert main(["regularity", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert heights == replicas * [{"T1": 1, "T2": GridSpec(6, 0.0625).n_steps + 1, "T11": 1, "T12": 1}]
         with open(os.path.join(capsys.readouterr().out.strip(), "exponents.csv")) as fh:
             got = {row["target"]: row for row in csv.DictReader(fh)}
         fam = family_from_config(FAMILY)
@@ -394,17 +445,23 @@ class TestConfigFailsBeforeOutput:
             assert float(got[lab]["exponent_sd"]) == float(np.std(vals, ddof=1)), lab
 
     def test_processes_summary_is_that_of_full_lifts(self, tmp_path, capsys, monkeypatch):
-        # replicas after the first lift T11, T21, T124 and T1222 at the last
-        # slice only; the summary and the written trees must not move
+        # replica 0 is written a chunk at a time, the later replicas lift
+        # every tree at the last slice only; the summary and the written
+        # trees must not move
         seed, replicas = 21, 3
-        heights = []
+        heights, streamed = [], []
 
         def recorded(*args, **kwargs):
             tps = lift(*args, **kwargs)
-            heights.append(tps["T1222"].shape[0])
+            heights.append({tps[lab].shape[0] for lab in TREE_LABELS})
             return tps
 
+        def chunks(*args, **kwargs):
+            streamed.append(args[0].seed)
+            return lift_chunks(*args, **kwargs)
+
         monkeypatch.setattr(cli, "lift", recorded)
+        monkeypatch.setattr(cli, "lift_chunks", chunks)
         path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.25, "seed": seed, "replicas": replicas})
         assert main(["processes", "--config", path, "--out", str(tmp_path / "out")]) == 0
         outdir = capsys.readouterr().out.strip()
@@ -426,7 +483,7 @@ class TestConfigFailsBeforeOutput:
             assert float(got[lab]["mean"]) == float(np.mean(vals)), lab
             assert float(got[lab]["stderr"]) == float(np.std(vals, ddof=1) / np.sqrt(replicas)), lab
             assert float(got[lab]["t"]) == 0.25 and int(got[lab]["replicas"]) == replicas, lab
-        assert heights == [grid.n_steps + 1, 1, 1]
+        assert heights == [{1}, {1}] and streamed == [seed]
 
     @pytest.mark.parametrize(
         "family, field",

@@ -169,3 +169,24 @@ def test_write_field_writes_the_array_buffer(tmp_path):
     big = sample_noise(GridSpec(8, 0.125), 1).values
     _, peak = traced_peak(lambda: write_field(str(tmp_path), "big", big, {"N": 8}))
     assert peak < big.nbytes / 4
+
+
+def test_field_appender_writes_the_files_of_write_field(tmp_path):
+    from sbe.fieldio import FieldAppender, write_field
+
+    # blocks of rows appended in order, the last one shorter, give the bytes
+    # and the sidecar of the whole field written at once; the sidecar comes last
+    vals = sample_noise(GridSpec(5, 0.25), 3).values
+    meta = {"N": 5, "T": 0.25, "seed": 3}
+    write_field(str(tmp_path), "whole", vals, meta)
+    writer = FieldAppender(str(tmp_path), "appended", meta)
+    for start in range(0, len(vals), 100):
+        writer.append(vals[start : start + 100])
+    assert not (tmp_path / "appended.json").exists()
+    assert writer.close() == ["appended.bin", "appended.json"]
+    assert (tmp_path / "appended.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+    assert (tmp_path / "appended.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
+    ragged = FieldAppender(str(tmp_path), "ragged", meta)
+    ragged.append(vals)
+    with pytest.raises(ValueError, match=r"rows of shape \(16,\) appended to a field of rows \(32,\)"):
+        ragged.append(vals[:, :16])

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
 from sbe.operators import derivative_multiplier, stepping_multiplier, twisted_product
-from sbe.processes import TREE_LABELS, lift
+from sbe import processes
+from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import RenormConstants, compute_constants
 
 
@@ -59,8 +61,6 @@ def test_lift_guards(fam_bw_ss, fam_ce_pw, setup):
     wrong_grid = RenormConstants(consts.c2, consts.c21, 7, consts.family_fingerprint)
     with pytest.raises(ValueError, match="N="):
         lift(noise, fam_bw_ss, wrong_grid)
-    with pytest.raises(ValueError, match=r"streamed noise field \(seed 1, N=5\)"):
-        lift(NoiseField(grid, 1), fam_bw_ss, consts)
 
 
 def test_t1_linear_in_noise(fam_bw_ss, setup):
@@ -135,35 +135,77 @@ def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
     assert set(tps) == built
 
 
-PROCESSES_LAST = ("T11", "T21", "T124", "T1222")  # what the processes experiment builds last for later replicas
+PROCESSES_LAST = ("T11", "T21", "T124", "T1222")  # the trees that no convolution and no full tree reads
+REGULARITY_LAST = ("T1", "T11", "T12")  # what the regularity table reads at the last slice
+
+
+def n_blocks(grid):
+    return -(-grid.n_steps // max(1, math.isqrt(grid.n_steps)))
+
+
+def chunk_blocks(monkeypatch, grid, blocks):
+    """Make lift's chunks ``blocks`` blocks of its recurrence long."""
+    block = max(1, math.isqrt(grid.n_steps))
+    monkeypatch.setattr(processes, "_CHUNK_BYTES", blocks * block * (grid.M // 2 + 1) * 16)
+
+
+def chunk_bytes(grid):
+    return lift_chunk_bytes(grid) / processes._CHUNKS_HELD
+
+
+def same_bits(got, want):
+    """Equal bit for bit, so -0.0 and 0.0 differ, without copying either array."""
+    return got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (7, 4096), (8, 8192)])
-def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, N, nt):
-    # nt = 1 and 2 are one-row blocks, 37 is 7 blocks of 6 with the last one
-    # partial, 100 is 10 full blocks of 10, N = 7, T = 0.25 is the processes
-    # experiment's level and N = 8, T = 0.125 the regularity table's; T21 is
-    # a twisted product of two last rows, T124 and T1222 the last row of
-    # conv_p on their full forcing
+def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, monkeypatch, N, nt):
+    # every tree, full or last, against the one-chunk lift, with one chunk,
+    # two and three or more with a shorter last chunk: nt = 1 is one block,
+    # 2 is two one-row blocks, 37 is 7 blocks of 6 (the last one partial),
+    # 100 is 10 blocks of 10, N = 7, T = 0.25 is the processes experiment's
+    # level and N = 8, T = 0.125 the regularity table's (92 blocks, the last
+    # one of 2 rows); a streamed noise field gives the explicit one's trees
     grid = GridSpec(N, nt * 4.0**-N)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 70 + grid.n_steps)
-    full = lift(noise, fam_bw_ss, consts)
-    for labels, last in [(REGULARITY_LABELS, ("T11", "T12")), (TREE_LABELS, PROCESSES_LAST)]:
-        part = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
-        assert set(part) == set(labels)
-        for label in labels:
-            if label in last:
-                assert part[label].shape == (1, grid.M), label
-                assert np.array_equal(part[label], full[label][-1:]), label
-            else:
-                assert np.array_equal(part[label], full[label]), label
+    chunk_blocks(monkeypatch, grid, n_blocks(grid))
+    whole = lift(noise, fam_bw_ss, consts)
+    configs = [(TREE_LABELS, ()), (TREE_LABELS, TREE_LABELS), (REGULARITY_LABELS, REGULARITY_LAST)]
+    partial = n_blocks(grid) // 3 + 1
+    for blocks in (n_blocks(grid), -(-n_blocks(grid) // 2), partial):
+        chunk_blocks(monkeypatch, grid, blocks)
+        for field in (noise, NoiseField(grid, noise.seed)) if blocks == partial else (noise,):
+            for labels, last in configs:
+                if blocks == n_blocks(grid) and field is noise and not last:
+                    continue  # the one-chunk lift itself
+                part = lift(field, fam_bw_ss, consts, labels=labels, last=last)
+                assert set(part) == set(labels)
+                for label in labels:
+                    want = whole[label][-1:] if label in last else whole[label]
+                    assert same_bits(part[label], want), (blocks, last, label)
+
+
+@pytest.mark.parametrize("blocks, spans", [(7, [(0, 38)]), (4, [(0, 25), (25, 38)]), (3, [(0, 19), (19, 37), (37, 38)])])
+def test_chunks_cover_every_row_once_in_order(fam_bw_ss, monkeypatch, blocks, spans):
+    # nt = 37 is 7 blocks of 6: one chunk, two (the second of 3 blocks, the
+    # last one partial) and three (the third of one row)
+    grid = GridSpec(5, 37 * 4.0**-5)
+    consts = compute_constants(fam_bw_ss, grid)
+    chunk_blocks(monkeypatch, grid, blocks)
+    chunks = list(lift_chunks(sample_noise(grid, 3), fam_bw_ss, consts, labels=("T21", "T2"), last=("T21",)))
+    assert [(rows.start, rows.stop) for rows, _ in chunks] == spans
+    for i, (rows, chunk) in enumerate(chunks):
+        final = i == len(chunks) - 1
+        assert list(chunk) == ["T1", "T2", "T11"] + ["T21"] * final
+        assert all(chunk[label].shape == (rows.stop - rows.start, grid.M) for label in ("T1", "T2", "T11"))
+    assert chunk["T21"].shape == (1, grid.M)
 
 
 @pytest.mark.parametrize(
     "labels, last, built",
     [
-        (REGULARITY_LABELS, ("T11", "T12"), set(REGULARITY_LABELS)),
+        (REGULARITY_LABELS, REGULARITY_LAST, set(REGULARITY_LABELS)),
         (("T11", "T1222"), ("T11",), {"T1", "T2", "T11", "T12", "T22", "T122", "T1222"}),
         # T21 built last reads only the last rows of T11 and T1
         (("T11", "T21"), ("T11", "T21"), {"T1", "T11", "T21"}),
@@ -190,11 +232,6 @@ def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, las
         ({"labels": "T2"}, "not the string 'T2'"),
         ({"labels": ("T11",), "last": "T11"}, "last must be a sequence"),
         ({"labels": ("T11",), "last": ("T12",)}, "'T12' is not among the requested labels"),
-        ({"labels": ("T2",), "last": ("T2",)}, "T2 cannot be built at the last slice only; last may name T11, T12"),
-        ({"labels": ("T12", "T22"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
-        ({"labels": ("T12", "T122"), "last": ("T12",)}, "T12 .* T22 reads it in full"),
-        ({"labels": ("T11", "T21"), "last": ("T11",)}, "T11 .* T21 reads it in full"),
-        ({"labels": ("T12", "T124"), "last": ("T12", "T124")}, "T12 .* T124 reads it in full"),
         ({"labels": ("DxP_T1",)}, "unknown tree label 'DxP_T1'"),
     ],
 )
@@ -211,40 +248,63 @@ def test_lift_refuses_what_it_cannot_return(fam_bw_ss, setup, monkeypatch, kwarg
         lift(noise, fam_bw_ss, consts, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "labels, last",
+    [
+        (("T2",), ("T2",)),
+        (("T12", "T22"), ("T12",)),
+        (("T12", "T122"), ("T12",)),
+        (("T11", "T21"), ("T11",)),
+        (("T12", "T124"), ("T12", "T124")),
+    ],
+)
+def test_lift_builds_any_last_it_once_refused(fam_bw_ss, setup, monkeypatch, labels, last):
+    # last may name a tree that another tree reads in full: it is made in
+    # full and returned at the last slice
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    whole = lift(noise, fam_bw_ss, consts, labels=labels)
+    chunk_blocks(monkeypatch, grid, 3)
+    part = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
+    assert set(part) == set(whole)
+    for label, tree in whole.items():
+        assert same_bits(part[label], tree[-1:] if label in last else tree), label
+
+
 def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
-    # the regularity lift with last builds T1_hat, T1, T2 and hat(T2): one
-    # field more than the ("T2",) lift, against three more without last
-    grid = GridSpec(7, 0.25)
+    # the regularity lift holds T2 and a few chunks; with T1, T11 and T12 in
+    # full it holds three fields more
+    grid = GridSpec(7, 0.5)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 8)
     field_bytes = (grid.n_steps + 1) * grid.M * 8
 
     def peak(**kwargs):
-        return traced_peak(lambda: lift(noise, fam_bw_ss, consts, **kwargs))[1]
+        return traced_peak(lambda: lift(noise, fam_bw_ss, consts, labels=REGULARITY_LABELS, **kwargs))[1]
 
-    t2_only = peak(labels=("T2",))
-    assert peak(labels=REGULARITY_LABELS, last=("T11", "T12")) <= t2_only + field_bytes
-    assert peak(labels=REGULARITY_LABELS) > t2_only + 2 * field_bytes
+    assert peak(last=REGULARITY_LAST) <= field_bytes + 12 * chunk_bytes(grid)
+    assert peak() >= 4 * field_bytes
 
 
 def test_later_replica_lift_holds_two_fields_less(fam_bw_ss):
-    # the processes experiment's later replicas: with T11, T21, T124 and
-    # T1222 at the last slice, the lift peaks at least two fields below the
-    # full lift
+    # the processes experiment's later replicas, with every tree at the last
+    # slice: at least two fields below the full lift (nine fields less now)
     grid = GridSpec(7, 0.25)
     consts = compute_constants(fam_bw_ss, grid)
     noise = sample_noise(grid, 8)
     field_bytes = (grid.n_steps + 1) * grid.M * 8
     _, full = traced_peak(lambda: lift(noise, fam_bw_ss, consts))
-    _, later = traced_peak(lambda: lift(noise, fam_bw_ss, consts, last=PROCESSES_LAST))
+    _, later = traced_peak(lambda: lift(noise, fam_bw_ss, consts, last=TREE_LABELS))
     assert later <= full - 2 * field_bytes
 
 
 def test_later_replica_lift_transforms_three_full_fields(fam_bw_ss, setup, monkeypatch):
-    # with T11, T21, T124 and T1222 last: T1, T12 and T122 are
-    # inverse-transformed in full, T11, T124 and T1222 as one row each
+    # with every tree last (or the four that nothing else reads), in chunks
+    # of three blocks: T1, T12 and T122 are inverse-transformed in full, row
+    # by row across the chunks, and DxP_T1, T124 and T1222 at the last row only
     grid, consts = setup
     noise = sample_noise(grid, 4)
+    chunk_blocks(monkeypatch, grid, 3)
     rows = []
     irfft = np.fft.irfft
 
@@ -253,8 +313,28 @@ def test_later_replica_lift_transforms_three_full_fields(fam_bw_ss, setup, monke
         return irfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", recorded)
-    lift(noise, fam_bw_ss, consts, last=PROCESSES_LAST)
-    assert sorted(rows) == [1, 1, 1] + 3 * [grid.n_steps + 1]
+    for last in (PROCESSES_LAST, TREE_LABELS):
+        rows.clear()
+        lift(noise, fam_bw_ss, consts, last=last)
+        assert sum(rows) == 3 * (grid.n_steps + 1) + 3 and rows.count(1) == 3 and len(rows) == 3 * 6 + 3, last
+
+
+def test_later_replica_lift_peaks_within_a_few_chunks(fam_bw_ss, monkeypatch):
+    # from a streamed noise field with every tree at the last slice, a later
+    # processes replica holds a few chunks and no field: within what
+    # lift_chunk_bytes allows, flat when nt is quadrupled (4096 -> 16384
+    # rows, chunks of 448 and 384 with 256 KiB chunks at N = 6), and under
+    # half a field at the longer horizon
+    monkeypatch.setattr(processes, "_CHUNK_BYTES", 1 << 18)
+    peaks = []
+    for T in (1.0, 4.0):
+        grid = GridSpec(6, T)
+        consts = compute_constants(fam_bw_ss, grid)
+        _, peak = traced_peak(lambda: lift(NoiseField(grid, 8), fam_bw_ss, consts, last=TREE_LABELS))
+        assert peak <= lift_chunk_bytes(grid), T
+        peaks.append(peak)
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < (grid.n_steps + 1) * grid.M * 8 / 2
 
 
 def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup):
@@ -271,27 +351,31 @@ def test_lift_leaves_no_reference_cycles(fam_bw_ss, setup):
 
 
 def test_full_lift_builds_each_tree_once(fam_bw_ss, setup, monkeypatch):
-    # one inverse transform for each of T1, DxP_T1, T12, T122, T124 and
-    # T1222, one forward transform for each of the noise and the four
-    # products that are convolved
+    # each tree's transforms cover each of its rows exactly once, in chunks
+    # of three blocks (N = 5, T = 0.25: 16 blocks of 16, so 6 chunks): the
+    # noise and the four convolved products forward, T1, DxP_T1, T12,
+    # T122, T124 and T1222 inverse
     grid, consts = setup
     noise = sample_noise(grid, 4)
-    calls = {"rfft": 0, "irfft": 0}
+    nt = grid.n_steps
+    chunk_blocks(monkeypatch, grid, 3)
+    rows = {"rfft": [], "irfft": []}
 
-    def counted(name):
+    def recorded(name):
         transform = getattr(np.fft, name)
 
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return transform(*args, **kwargs)
+        def call(a, *args, **kwargs):
+            rows[name].append(a.shape[0])
+            return transform(a, *args, **kwargs)
 
         return call
 
-    for name in calls:
-        monkeypatch.setattr(np.fft, name, counted(name))
+    for name in rows:
+        monkeypatch.setattr(np.fft, name, recorded(name))
     tps = lift(noise, fam_bw_ss, consts)
     assert set(tps) == set(TREE_LABELS)
-    assert calls == {"rfft": 5, "irfft": 6}
+    assert (len(rows["rfft"]), len(rows["irfft"])) == (5 * 6, 6 * 6)
+    assert (sum(rows["rfft"]), sum(rows["irfft"])) == (nt + 4 * (nt + 1), 6 * (nt + 1))
 
 
 def test_remainder_r21_pointwise_identity(fam_bw_pw, setup):
