@@ -239,8 +239,9 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     """Refuse a config whose largest level needs more than the memory available.
 
     kernel-diagnostics: the largest square check (``square_check_bytes``).
-    processes and regularity: a replica's noise field and a few chunks of its
-    lift, and for regularity T2, which its parabolic estimate reads in full.
+    processes and regularity: a few chunks of a replica's lift, and for
+    regularity its noise field and T2, which its parabolic estimates read in
+    full (processes draws its noise as the lift reads it).
     """
     if cfg.kind == "kernel-diagnostics":
         n = max(cfg.levels())
@@ -249,7 +250,7 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     elif cfg.kind in ("processes", "regularity"):
         n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
         name, at, what = "N", f" at T={cfg.T!r}", f"the {cfg.kind} lifts"
-        fields = 2 if cfg.kind == "regularity" else 1
+        fields = 2 if cfg.kind == "regularity" else 0
         need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
     else:
         return
@@ -401,27 +402,23 @@ def _exp_simulate(cfg, fam, outdir):
 def _exp_processes(cfg, fam, outdir):
     grid = GridSpec(cfg.N, cfg.T)
     consts = compute_constants(fam, grid)
-    files: list[str] = []
     finals = {lab: [] for lab in TREE_LABELS}
+    # replica 0 is written a chunk of rows at a time, as the lift makes them;
+    # the later ones enter only at the last slice. Each replica's noise is
+    # drawn as its lift reads it.
+    meta = {"N": grid.N, "T": grid.T, "seed": cfg.seed}
+    writers = {lab: FieldAppender(outdir, f"tree_{lab}", meta) for lab in TREE_LABELS}
     for rep in range(cfg.replicas):
-        noise = sample_noise(grid, cfg.seed + rep)
-        if rep == 0:
-            # replica 0 is written a chunk of rows at a time, as the lift makes them
-            meta = {"N": grid.N, "T": grid.T, "seed": cfg.seed}
-            writers = {lab: FieldAppender(outdir, f"tree_{lab}", meta) for lab in TREE_LABELS}
-            for _, chunk in lift_chunks(noise, fam, consts):
-                for lab, rows in chunk.items():
-                    writers[lab].append(rows)
-                # keep the last rows only, so no chunk is held while the next is made
-                tps = {lab: rows[-1:].copy() for lab, rows in chunk.items()}
-                chunk.clear()
-            files += [name for writer in writers.values() for name in writer.close()]
-        else:
-            # the later ones enter only at the last slice
-            tps = lift(noise, fam, consts, last=TREE_LABELS)
-        for lab in TREE_LABELS:
-            finals[lab].append(float(tps[lab][-1, 0]))
-        del noise, tps  # free this replica before the next one is drawn
+        noise = NoiseField(grid, cfg.seed + rep)
+        for span, chunk in lift_chunks(noise, fam, consts, last=() if rep == 0 else TREE_LABELS):
+            if rep == 0:
+                for lab, values in chunk.items():
+                    writers[lab].append(values)
+            if span.stop > grid.n_steps:  # the final chunk
+                for lab in TREE_LABELS:
+                    finals[lab].append(float(chunk[lab][-1, 0]))
+            chunk.clear()  # hold nothing of this chunk while the next is made
+    files = [name for writer in writers.values() for name in writer.close()]
     rows = []
     for lab in TREE_LABELS:
         vals = finals[lab]

@@ -5,7 +5,9 @@ and time step eps^2. Noise is i.i.d. centered Gaussian with variance eps^-3
 per space-time cell; the field one level coarser is obtained exactly by
 averaging the 4 x 2 block of fine cells covering each coarse parabolic box,
 which realizes the box-average definition of the discrete noise and couples
-all dyadic resolutions to one underlying realization.
+all dyadic resolutions to one underlying realization. A noise field is
+explicit, holding its values, or streamed, drawn from its seed's stream as
+it is read; ``NoiseField.blocks`` reads either a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ __all__ = [
     "NoiseField",
     "LatticeField",
     "sample_noise",
-    "noise_stream",
-    "noise_block",
     "block_average",
     "coarsen_slice",
     "rng_for",
@@ -78,9 +78,9 @@ class NoiseField:
 
     An explicit field holds values[n, i], the draw at time n*eps^2, site
     i*eps. A streamed one, made without values, holds none: its rows are
-    those of sample_noise(grid, seed), which ``solver.run`` and
-    ``processes.lift`` draw from noise_stream(seed) a block at a time as
-    they read them. Reading ``values`` of a streamed field is a ValueError.
+    those of sample_noise(grid, seed), drawn from the seed's stream as
+    ``blocks`` reads them. Reading ``values`` of a streamed field is a
+    ValueError.
     """
 
     grid: GridSpec
@@ -95,16 +95,26 @@ class NoiseField:
         object.__setattr__(self, "_values", values)
 
     @property
-    def streamed(self) -> bool:
-        return self._values is None
-
-    @property
     def values(self) -> np.ndarray:
         if self._values is None:
             raise ValueError(
                 f"streamed noise field (seed {self.seed}, N={self.grid.N}) holds no values; draw them with sample_noise"
             )
         return self._values
+
+    def blocks(self, step: int):
+        """The rows in order, ``step`` at a time (the last block may be shorter).
+
+        An explicit field yields views of its values; a streamed one draws
+        each block from its stream as it is read, the same bits in any
+        blocking, so a reader that stops early draws no more. There is
+        always at least one block, empty when there is no time step.
+        """
+        nt = self.grid.n_steps
+        gen = _noise_stream(self.seed) if self._values is None else None
+        for start in range(0, max(nt, 1), step):
+            rows = min(step, nt - start)
+            yield self._values[start : start + rows] if gen is None else _noise_block(gen, self.grid, rows)
 
 
 @dataclass(frozen=True)
@@ -129,24 +139,21 @@ class LatticeField:
         return (self.t0_index + np.arange(self.values.shape[0])) * self.grid.dt
 
 
-def noise_stream(seed: int) -> np.random.Generator:
+def _noise_stream(seed: int) -> np.random.Generator:
     """The generator behind replica ``seed``'s space-time noise: stream (seed, 0)."""
     return rng_for(seed, 0)
 
 
-def noise_block(gen: np.random.Generator, grid: GridSpec, rows: int) -> np.ndarray:
-    """The next ``rows`` time rows of a noise stream, N(0, eps^-3) per cell.
-
-    Drawing a field in consecutive blocks from one stream gives the same
-    values, bit for bit, as drawing it at once.
-    """
-    return gen.standard_normal((rows, grid.M)) * grid.eps ** (-1.5)
+def _noise_block(gen: np.random.Generator, grid: GridSpec, rows: int) -> np.ndarray:
+    """The next ``rows`` time rows of a noise stream, N(0, eps^-3) per cell, scaled in place."""
+    xi = gen.standard_normal((rows, grid.M))
+    np.multiply(xi, grid.eps ** (-1.5), out=xi)
+    return xi
 
 
 def sample_noise(grid: GridSpec, seed: int) -> NoiseField:
     """i.i.d. N(0, eps^-3) at every space-time cell, deterministic in seed."""
-    values = noise_block(noise_stream(seed), grid, grid.n_steps)
-    return NoiseField(grid=grid, seed=seed, values=values)
+    return NoiseField(grid=grid, seed=seed, values=_noise_block(_noise_stream(seed), grid, grid.n_steps))
 
 
 def coarsen_slice(values: np.ndarray) -> np.ndarray:

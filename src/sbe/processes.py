@@ -35,17 +35,17 @@ forcing row n, so a convolution also keeps its forcing's last row. The
 twisted products, the T11 stencil and the transforms act row by row. So
 every chunking makes the additions and products of the whole-field
 recurrence in the same order and gives the same bits. The noise is read a
-chunk at a time too: a streamed field is drawn with ``noise_block``, which
-gives the same rows in any chunking.
+chunk at a time too, with ``NoiseField.blocks``, which gives the same rows
+in any chunking.
 
 A statistic that reads a tree only at the final time slice names it in
 ``last``: the regularity table's space estimates read T1, T11 and T12
 there, the ``processes`` experiment's Monte Carlo means every tree. Such a
 tree is returned as that row alone, and where no convolution and no tree
-returned in full reads it, it is made at that row alone. Every other tree
-is copied into one full array as its chunks come. The pass holds a few
-chunks besides the returned trees and an explicit noise field, however
-long the horizon.
+returned in full reads it, it is made at that row alone. Every other
+requested tree is copied into one full array as its chunks come; a tree
+that is only read is not returned. The pass holds a few chunks besides the
+returned trees and an explicit noise field, however long the horizon.
 
 The recursion is stated once, as a table of label: (the trees the rule
 reads, the rule), every tree after the trees it reads. The labels and
@@ -58,7 +58,7 @@ import math
 
 import numpy as np
 
-from .grids import GridSpec, NoiseField, noise_block, noise_stream
+from .grids import GridSpec, NoiseField
 from .operators import OperatorFamily, _stencil, derivative_multiplier, stepping_multiplier, twisted_product
 from .renorm import RenormConstants
 
@@ -226,21 +226,19 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
     for label, (reads, _) in reversed(table.items()):
         if label in needed:
             needed.update(reads)
+    returned = [label for label in TREE_LABELS if label in labels and label not in last]
     # every row is made of the trees returned in full, of the convolutions
     # and of what they read; the other needed trees only at the final row
-    full = needed.intersection(TREE_LABELS).difference(last) | needed.intersection(conv)
+    full = set(returned) | needed.intersection(conv)
     for label, (reads, _) in reversed(table.items()):
         if label in full:
             full.update(reads)
 
-    returned = [label for label in TREE_LABELS if label in needed and label not in last]
-
-    gen = noise_stream(noise.seed) if noise.streamed else None
     step = _chunk_rows(grid)
-    for start in range(0, max(nt, 1), step):  # one chunk when there is no time step
-        k = min(step, nt - start)
+    for start, xi in zip(range(0, max(nt, 1), step), noise.blocks(step)):  # one chunk when there is no time step
+        k = len(xi)
         final = start + k == nt
-        trees = {"xi": noise.values[start : start + k] if gen is None else noise_block(gen, grid, k)}
+        trees = {"xi": xi}
         for label, (reads, rule) in table.items():
             if label in full:
                 trees[label] = rule(*(trees[r] for r in reads))
@@ -262,9 +260,10 @@ def lift(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels
     trees its rule reads: one reverse pass over the table finds the
     requested ``labels`` plus exactly the trees their rules read, and one
     forward pass over time builds those (see the module docstring).
-    ``last`` names requested trees to return at the final time slice only,
-    shape (1, M), with the same bits as the full tree's last row; it may
-    name any of them. Every other tree of the closure is returned in full.
+    Only the requested ``labels`` are returned. ``last`` names requested
+    trees to return at the final time slice only, shape (1, M), with the
+    same bits as the full tree's last row; it may name any of them. Every
+    other requested tree is returned in full.
     The noise may be explicit or streamed; a streamed field is drawn a
     chunk at a time and gives the trees of the explicit field it stands
     for. Labels outside TREE_LABELS, a bare string and a ``last`` label that

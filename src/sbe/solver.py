@@ -11,20 +11,21 @@ dyadic self-convergence study steps all replicas and levels together.
 A step is prepared once per level (``_Step``): the family's terms for the
 operators' blocked engine, the drift, and buffers for a block of replica
 rows. ``run`` and the study hold one for the whole run; ``step_forward``
-is a one-step use of it. ``run`` reads its noise a block of rows at a
-time, sliced from an explicit field or drawn from a streamed one's stream,
-as the study draws its own.
+is a one-step use of it. ``run`` and the study read their noise with
+``NoiseField.blocks``, which slices an explicit field and draws a streamed
+one a block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .grids import GridSpec, NoiseField, block_average, coarsen_slice, noise_block, noise_stream, rng_for
+from .grids import GridSpec, NoiseField, block_average, coarsen_slice, rng_for
 from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
-from .operators import OperatorFamily, _accumulate, _block_rows, _blocks, _check_wrap, _reach, _terms, _Wrapped
+from .operators import _BLOCK_BYTES, OperatorFamily, _accumulate, _block_rows, _check_wrap, _reach, _terms, _Wrapped
 from .renorm import c21
 
 __all__ = [
@@ -174,25 +175,14 @@ def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.n
     return _Step(cfg, rows=int(np.prod(u.shape[:-1])))(u, xi_slice)
 
 
-def _noise_blocks(noise: NoiseField, n_steps: int):
-    """The first n_steps rows of noise, one block of about _BLOCK_BYTES of rows at a time.
-
-    An explicit field yields slices of its values; a streamed one draws each
-    block from its stream as it is read, which gives the same rows bit for
-    bit (``noise_block``), so a run that stops early draws no more.
-    """
-    gen = noise_stream(noise.seed) if noise.streamed else None
-    for rows in _blocks(n_steps, 8 * noise.grid.M):
-        yield noise.values[rows] if gen is None else noise_block(gen, noise.grid, rows.stop - rows.start)
-
-
 def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
     """Iterate the scheme, recording every stride-th slice.
 
-    The noise is read a block of rows at a time; a streamed field
-    (``NoiseField(grid, seed)``) is drawn as it is read and gives the steps
-    of ``sample_noise(grid, seed)`` bit for bit, holding one block of it
-    instead of the whole field. On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
+    The noise is read a block of about _BLOCK_BYTES of rows at a time; a
+    streamed field (``NoiseField(grid, seed)``) is drawn as it is read and
+    gives the steps of ``sample_noise(grid, seed)`` bit for bit, holding one
+    block of it instead of the whole field and drawing none past a blow-up.
+    On overflow past BLOWUP_THRESHOLD (or a non-number) the trajectory is
     truncated and flagged; blow-up is data, not an error. The initial slice
     must be finite and have the grid's M sites, and T must be a nonnegative
     multiple of eps^2.
@@ -212,7 +202,8 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
     snaps = [(0.0, u)]
     traj = Trajectory(snapshots=snaps)
     step = _Step(cfg)
-    rows = (xi for block in _noise_blocks(noise, n_steps) for xi in block)
+    blocks = noise.blocks(max(1, _BLOCK_BYTES // (8 * cfg.grid.M)))
+    rows = islice((xi for block in blocks for xi in block), n_steps)
     for n, xi in enumerate(rows):
         u = step(u, xi)
         if _escaped(u):
@@ -270,9 +261,9 @@ def coupled_convergence_study(
 ) -> ConvergenceStudy:
     """Coupled-noise solves at consecutive dyadic levels and pairwise comparison norms.
 
-    Replica r's noise is its stream ``noise_stream(seed + r)`` at the finest
-    level, drawn one coarse time step (4^(Nmax - Nmin) fine rows) at a time
-    and block-averaged down to every coarser level. Every level starts from
+    Replica r's noise is the streamed field ``NoiseField(fine, seed + r)``
+    at the finest level, read one coarse time step (4^(Nmax - Nmin) fine
+    rows) at a time and block-averaged down to every coarser level. Every level starts from
     the replica's white noise ``ic_white_noise(fine, seed + r)``, pairwise
     averaged down. All replicas and levels step in lockstep, in time order.
 
@@ -297,7 +288,7 @@ def coupled_convergence_study(
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
     every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step
 
-    gens = [noise_stream(seed + r) for r in range(replicas)]
+    blocks = [NoiseField(grids[-1], seed + r).blocks(fine_rows) for r in range(replicas)]
     u = [np.stack([ic_white_noise(grids[-1], seed + r) for r in range(replicas)])]
     for _ in levels[:-1]:
         u.insert(0, coarsen_slice(u[0]))
@@ -309,7 +300,7 @@ def coupled_convergence_study(
     for k in range(coarse.n_steps):
         if alive.size == 0:
             break
-        xi = [np.stack([noise_block(gens[r], grids[-1], fine_rows) for r in alive])]
+        xi = [np.stack([next(blocks[r]) for r in alive])]
         for _ in levels[:-1]:
             xi.insert(0, block_average(xi[0]))
         for j in range(1, fine_rows + 1):

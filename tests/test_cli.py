@@ -7,6 +7,7 @@ import pytest
 
 import numpy as np
 
+from conftest import traced_peak
 from sbe import cli, processes
 from sbe.cli import (
     EXPERIMENT_KINDS,
@@ -327,9 +328,9 @@ class TestConfigFailsBeforeOutput:
             monkeypatch.setattr(cli, "_memory_available", lambda: budget)
             assert config_from_dict(raw).N_range == [5, 7]
 
-    @pytest.mark.parametrize("kind, fields", [("regularity", 2), ("processes", 1)])
+    @pytest.mark.parametrize("kind, fields", [("regularity", 2), ("processes", 0)])
     def test_lifts_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, kind, fields):
-        # regularity holds the noise and T2, processes the noise, each with a few chunks
+        # regularity holds the noise and T2 with a few chunks, processes the chunks alone
         grid = GridSpec(8, 0.125)
         need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
         monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
@@ -445,22 +446,23 @@ class TestConfigFailsBeforeOutput:
             assert float(got[lab]["exponent_sd"]) == float(np.std(vals, ddof=1)), lab
 
     def test_processes_summary_is_that_of_full_lifts(self, tmp_path, capsys, monkeypatch):
-        # replica 0 is written a chunk at a time, the later replicas lift
-        # every tree at the last slice only; the summary and the written
-        # trees must not move
+        # every replica goes through one lift_chunks call on its streamed
+        # noise, replica 0 with every tree in full and written a chunk at a
+        # time, the later ones with every tree at the last slice only; the
+        # summary and the written trees must not move
         seed, replicas = 21, 3
-        heights, streamed = [], []
+        calls = []
 
-        def recorded(*args, **kwargs):
-            tps = lift(*args, **kwargs)
-            heights.append({tps[lab].shape[0] for lab in TREE_LABELS})
-            return tps
+        def chunks(noise, *args, **kwargs):
+            calls.append((noise.seed, kwargs.get("last", ())))
+            with pytest.raises(ValueError, match="holds no values"):
+                noise.values
+            return lift_chunks(noise, *args, **kwargs)
 
-        def chunks(*args, **kwargs):
-            streamed.append(args[0].seed)
-            return lift_chunks(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("processes called lift")
 
-        monkeypatch.setattr(cli, "lift", recorded)
+        monkeypatch.setattr(cli, "lift", refuse)
         monkeypatch.setattr(cli, "lift_chunks", chunks)
         path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.25, "seed": seed, "replicas": replicas})
         assert main(["processes", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -483,7 +485,26 @@ class TestConfigFailsBeforeOutput:
             assert float(got[lab]["mean"]) == float(np.mean(vals)), lab
             assert float(got[lab]["stderr"]) == float(np.std(vals, ddof=1) / np.sqrt(replicas)), lab
             assert float(got[lab]["t"]) == 0.25 and int(got[lab]["replicas"]) == replicas, lab
-        assert heights == [{1}, {1}] and streamed == [seed]
+        assert calls == [(seed, ()), (seed + 1, TREE_LABELS), (seed + 2, TREE_LABELS)]
+
+    def test_processes_streams_every_replica_s_noise(self, tmp_path, monkeypatch):
+        def refuse(grid, seed):
+            raise AssertionError("processes drew a whole noise field")
+
+        monkeypatch.setattr(cli, "sample_noise", refuse)
+        cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": 5, "T": 0.25, "seed": 21, "replicas": 2})
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        for name, digest in TestExperiments.PROCESSES_DIGESTS.items():
+            assert sha256_file(os.path.join(bundle.directory, name)) == digest, name
+
+    def test_processes_holds_no_noise_field(self, tmp_path):
+        # two replicas at N = 7, T = 1 stay below one noise field plus
+        # lift_chunk_bytes, indeed below lift_chunk_bytes alone, all that
+        # the memory check counts for processes
+        grid = GridSpec(7, 1.0)
+        cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": grid.N, "T": grid.T, "seed": 5, "replicas": 2})
+        _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
+        assert peak < lift_chunk_bytes(grid)
 
     @pytest.mark.parametrize(
         "family, field",

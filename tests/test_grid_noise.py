@@ -39,11 +39,31 @@ def test_noise_determinism_and_seed_sensitivity():
 def test_streamed_field_holds_no_values():
     grid = GridSpec(5, 0.125)
     streamed, explicit = NoiseField(grid, 3), sample_noise(grid, 3)
-    assert streamed.streamed and not explicit.streamed
     with pytest.raises(ValueError, match=r"streamed noise field \(seed 3, N=5\) holds no values"):
         streamed.values
     with pytest.raises(ValueError, match="noise shape inconsistent"):
         NoiseField(grid, 3, explicit.values[1:])
+
+
+@pytest.mark.parametrize("step", [1, 7, 128, 500], ids=["one-row", "partial-last", "one-block", "past-the-end"])
+def test_blocks_of_explicit_and_streamed_fields_agree(step):
+    # N = 5, T = 0.125: 128 rows, so 7 leaves a last block of 2
+    grid = GridSpec(5, 0.125)
+    explicit = sample_noise(grid, 3)
+    for field in (explicit, NoiseField(grid, 3)):
+        blocks = list(field.blocks(step))
+        assert [len(b) for b in blocks] == [min(step, 128 - a) for a in range(0, 128, step)]
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.int64), explicit.values.view(np.int64))
+    # an explicit field's blocks are views of its values
+    assert all(np.shares_memory(b, explicit.values) for b in explicit.blocks(step))
+
+
+def test_blocks_without_a_time_step_is_one_empty_block():
+    grid = GridSpec(5, 0.0)
+    for field in (sample_noise(grid, 3), NoiseField(grid, 3)):
+        blocks = list(field.blocks(4))
+        assert len(blocks) == 1 and blocks[0].shape == (0, grid.M)
 
 
 def test_coarsen_variance():

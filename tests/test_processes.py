@@ -117,6 +117,46 @@ def test_blocked_recurrence_matches_the_sequential_one(fam_bw_ss, N, nt):
 REGULARITY_LABELS = ("T1", "T11", "T12", "T2")
 
 
+def recorded_work(monkeypatch, call):
+    """call()'s result and the rows lift's forward and inverse transforms and twisted products took."""
+    rows = {"rfft": 0, "irfft": 0, "product": 0}
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            rows[name] += args[-1].shape[0]  # the transforms' one array, the products' second factor
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", recorded("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", recorded("irfft", np.fft.irfft))
+    monkeypatch.setattr(processes, "twisted_product", recorded("product", twisted_product))
+    return call(), rows
+
+
+def work_of(nt, built):
+    """The rows that building ``built`` ({tree: "full" or "last"}) takes.
+
+    T1, T11 and the four convolved trees are inverse-transformed, T2, T21
+    and T22 are twisted products, each over every row or at the last row
+    alone. A convolution runs over every row: the noise (nt rows) is
+    transformed for T1, the forcing of T12, T122, T124 and T1222 (nt + 1
+    rows) for theirs, and those of T124 and T1222 are twisted products.
+    """
+    rows = {"rfft": nt, "irfft": 0, "product": 0}
+    for tree, made in built.items():
+        n = nt + 1 if made == "full" else 1
+        if tree in ("T1", "T11", "T12", "T122", "T124", "T1222"):
+            rows["irfft"] += n
+        if tree in ("T2", "T21", "T22"):
+            rows["product"] += n
+        if tree in ("T12", "T122", "T124", "T1222"):
+            rows["rfft"] += nt + 1
+        if tree in ("T124", "T1222"):
+            rows["product"] += nt + 1
+    return rows
+
+
 @pytest.mark.parametrize(
     "labels, built",
     [
@@ -129,10 +169,13 @@ REGULARITY_LABELS = ("T1", "T11", "T12", "T2")
         (TREE_LABELS, set(TREE_LABELS)),
     ],
 )
-def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, labels, built):
+def test_lift_builds_exactly_the_closure(fam_bw_ss, setup, monkeypatch, labels, built):
+    # the requested trees are returned; the closure is built, over every row
     grid, consts = setup
-    tps = lift(sample_noise(grid, 4), fam_bw_ss, consts, labels=labels)
-    assert set(tps) == built
+    noise = sample_noise(grid, 4)
+    tps, work = recorded_work(monkeypatch, lambda: lift(noise, fam_bw_ss, consts, labels=labels))
+    assert set(tps) == set(labels)
+    assert work == work_of(grid.n_steps, dict.fromkeys(built, "full"))
 
 
 PROCESSES_LAST = ("T11", "T21", "T124", "T1222")  # the trees that no convolution and no full tree reads
@@ -197,28 +240,35 @@ def test_chunks_cover_every_row_once_in_order(fam_bw_ss, monkeypatch, blocks, sp
     assert [(rows.start, rows.stop) for rows, _ in chunks] == spans
     for i, (rows, chunk) in enumerate(chunks):
         final = i == len(chunks) - 1
-        assert list(chunk) == ["T1", "T2", "T11"] + ["T21"] * final
-        assert all(chunk[label].shape == (rows.stop - rows.start, grid.M) for label in ("T1", "T2", "T11"))
+        assert list(chunk) == ["T2"] + ["T21"] * final
+        assert chunk["T2"].shape == (rows.stop - rows.start, grid.M)
     assert chunk["T21"].shape == (1, grid.M)
 
 
 @pytest.mark.parametrize(
     "labels, last, built",
     [
-        (REGULARITY_LABELS, REGULARITY_LAST, set(REGULARITY_LABELS)),
-        (("T11", "T1222"), ("T11",), {"T1", "T2", "T11", "T12", "T22", "T122", "T1222"}),
+        (REGULARITY_LABELS, REGULARITY_LAST, {"T1": "full", "T2": "full", "T11": "last", "T12": "last"}),
+        (
+            ("T11", "T1222"),
+            ("T11",),
+            {"T1": "full", "T2": "full", "T11": "last", "T12": "full", "T22": "full", "T122": "full", "T1222": "full"},
+        ),
         # T21 built last reads only the last rows of T11 and T1
-        (("T11", "T21"), ("T11", "T21"), {"T1", "T11", "T21"}),
-        (("T11", "T21"), ("T21",), {"T1", "T11", "T21"}),
+        (("T11", "T21"), ("T11", "T21"), {"T1": "last", "T11": "last", "T21": "last"}),
+        (("T11", "T21"), ("T21",), {"T1": "last", "T11": "full", "T21": "last"}),
     ],
 )
-def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, labels, last, built):
+def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, monkeypatch, labels, last, built):
+    # only the requested trees are returned; a tree that no full tree and no
+    # convolution reads is built at the last row alone
     grid, consts = setup
     noise = sample_noise(grid, 4)
     full = lift(noise, fam_bw_ss, consts, labels=labels)
-    tps = lift(noise, fam_bw_ss, consts, labels=labels, last=last)
-    assert set(tps) == built
-    for label in built:
+    tps, work = recorded_work(monkeypatch, lambda: lift(noise, fam_bw_ss, consts, labels=labels, last=last))
+    assert set(tps) == set(labels)
+    assert work == work_of(grid.n_steps, built)
+    for label in labels:
         assert tps[label].shape == ((1, grid.M) if label in last else (grid.n_steps + 1, grid.M)), label
         assert np.array_equal(tps[label], full[label][-1:] if label in last else full[label]), label
 
@@ -284,6 +334,18 @@ def test_last_rows_make_no_field_sized_temporary(fam_bw_ss):
 
     assert peak(last=REGULARITY_LAST) <= field_bytes + 12 * chunk_bytes(grid)
     assert peak() >= 4 * field_bytes
+
+
+def test_lift_holds_only_the_trees_requested(fam_bw_ss):
+    # the T2-only lift returns T2 alone and holds at most lift_chunk_bytes
+    # beside it, indeed less than the T1 field it reads a chunk at a time
+    grid = GridSpec(7, 1.0)
+    consts = compute_constants(fam_bw_ss, grid)
+    field_bytes = (grid.n_steps + 1) * grid.M * 8
+    assert field_bytes < lift_chunk_bytes(grid)
+    tps, peak = traced_peak(lambda: lift(NoiseField(grid, 3), fam_bw_ss, consts, labels=("T2",)))
+    assert list(tps) == ["T2"]
+    assert peak < 2 * field_bytes
 
 
 def test_later_replica_lift_holds_two_fields_less(fam_bw_ss):

@@ -19,7 +19,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 REMOVED = {
     "operators": ("dft", "idft", "time_convolve"),
     "fieldio": ("field_to_csv",),
-    "grids": ("mollify_noise", "_shift", "coarsen_noise", "mollify", "_mollifier_kernel", "bump"),
+    "grids": (
+        "mollify_noise",
+        "_shift",
+        "coarsen_noise",
+        "mollify",
+        "_mollifier_kernel",
+        "bump",
+        "noise_stream",
+        "noise_block",
+    ),
     "heat": ("KernelSplit",),
     "kernels": (
         "twisted_kernel_product",
@@ -52,6 +61,7 @@ REMOVED = {
         "BUMP_NODES",
         "CONTINUUM_HORIZON",
     ),
+    "solver": ("_noise_blocks",),
 }
 
 # public names that neither the library nor the acceptance criteria load, and why they stay
@@ -82,6 +92,8 @@ def test_removed_names_are_gone():
     assert not hasattr(sbe.HeatKernel, "split")
     assert not hasattr(sbe.SchemeConfig, "fingerprint")
     assert not hasattr(sbe.GridSpec, "coarsen")
+    # NoiseField.blocks is the one place that tells explicit noise from streamed
+    assert not hasattr(sbe.NoiseField, "streamed")
     assert "mode" not in inspect.signature(sbe.lift).parameters
     # lift's one time convolution is its own recurrence on the stepping multiplier
     processes = importlib.import_module("sbe.processes")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sbe import grids
 from sbe.grids import GridSpec, NoiseField, sample_noise
 from sbe.heat import HeatKernel
 from sbe.measures import AtomicMeasure2D, fourier_mu, fourier_pi
@@ -333,6 +334,24 @@ class TestStreamedNoise:
         assert got.blowup_time == want.blowup_time
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.values(), want.values())
+
+    def test_stops_drawing_at_the_blowup(self, fam_bw_ss, monkeypatch):
+        # N = 7, T = 0.0625: 8 blocks of 128 rows; the run escapes in the
+        # fourth and draws no block after it
+        grid = GridSpec(7, 0.0625)
+        drawn = []
+        draw = grids._noise_block
+
+        def recorded(gen, grid, rows):
+            drawn.append(rows)
+            return draw(gen, grid, rows)
+
+        monkeypatch.setattr(grids, "_noise_block", recorded)
+        traj = run(SchemeConfig(fam_bw_ss, grid), ic_white_noise(grid, 5), NoiseField(grid, 5), grid.T)
+        block = _blocks(grid.n_steps, 8 * grid.M)[0].stop
+        stopped = round(traj.blowup_time / grid.dt)
+        assert traj.blowup and 3 * block < stopped <= 4 * block
+        assert drawn == [block] * 4
 
     def test_holds_less_than_an_eighth_of_the_field(self, fam_bw_ss):
         # the linear scheme runs to the horizon
