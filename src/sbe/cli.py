@@ -521,9 +521,9 @@ def _exp_kernel_diag(cfg, fam, outdir):
     for n in cfg.levels():
         grid = _diag_grid(cfg, n)
         kern, ident, resid = renormalized_square_check(fam, grid)
-        rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, -1.0, m=2)))
+        rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, kern.claimed_order, m=2)))
         rows.append((n, "renormalized_convolution_identity_residual", resid))
-        rows.append((n, "renormalized_convolution_order_norm", order_norm(ident, -3.5 + -1.0 + 3.0, m=0)))
+        rows.append((n, "renormalized_convolution_order_norm", order_norm(ident, ident.claimed_order, m=0)))
         del kern, ident  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0

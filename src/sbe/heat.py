@@ -8,12 +8,13 @@ The singular part K multiplies P by a smooth cutoff in the parabolic
 distance, with radii (1/4, 1/2) so that K fits in one torus period.
 
 Every whole-field pass (the powers of m and their inverse DFTs, the
-singular part, the decay-bound weights) runs one block of about
-operators._BLOCK_BYTES of rows at a time into arrays allocated once; the
-cached columns and the singular part make their rows of P through one
-routine. Each step is elementwise, per row or a per-row max, so the results
-equal the whole-field passes bit for bit, and no field-sized temporary is
-made beyond the results. Every horizon lies in [0, T].
+cutoff, the decay-bound weights) runs one block of about
+operators._BLOCK_BYTES of rows at a time; the columns, the singular part
+and the decay bounds make their rows of P through one routine, and a
+``HeatKernel`` keeps none of them between calls. Each step is elementwise,
+per row or a per-row max, so the results equal the whole-field passes bit
+for bit, and no field-sized temporary is made beyond the results: the
+decay bounds hold one block of P. Every horizon lies in [0, T].
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, stepping_multiplier
+from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
 
 __all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
 
@@ -58,12 +59,6 @@ def smooth_parabolic_norm(t, x) -> np.ndarray:
     return (np.asarray(t, dtype=np.float64) ** 2 + np.asarray(x, dtype=np.float64) ** 4) ** 0.25
 
 
-def signed_torus_coordinate(M: int, eps: float) -> np.ndarray:
-    """Site coordinates folded to [-1/2, 1/2)."""
-    i = np.arange(M)
-    return (((i + M // 2) % M) - M // 2) * eps
-
-
 def parabolic_norm(t, x) -> np.ndarray:
     """|z|_s = sqrt(|t|) v |x| with x already a signed torus coordinate."""
     return np.maximum(np.sqrt(np.abs(t)), np.abs(x))
@@ -76,13 +71,10 @@ class HeatKernel:
     multiplier: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        eps, M = self.grid.eps, self.grid.M
-        m = stepping_multiplier(self.fam, eps, M)
+        m = stepping_multiplier(self.fam, self.grid.eps, self.grid.M)
         if not (abs(m[0] - 1.0) < 1e-12 and m.min() >= 0.5 - 1e-12 and m.max() <= 1.0 + 1e-12):
             raise ValueError("stepping multiplier left [1/2, 1]; family inadmissible")
         self.multiplier = m
-        self._columns = np.empty((1, M))  # row n holds P at t = n eps^2
-        self._rows(0, self._columns)
 
     @property
     def marginally_oscillatory(self) -> bool:
@@ -106,16 +98,12 @@ class HeatKernel:
         np.divide(np.fft.ifft(powers, axis=-1).real, self.grid.eps, out=out)
 
     def columns(self, n_max: int) -> np.ndarray:
-        """Rows 0..n_max of the kernel, n_max eps^2 <= T; cached, and grown keeping the rows computed."""
+        """Rows 0..n_max of the kernel, n_max eps^2 <= T, in a new array (row n holds P at t = n eps^2)."""
         self._steps(n_max * self.grid.dt)
-        have = self._columns.shape[0]
-        if n_max >= have:
-            grown = np.empty((n_max + 1, self.grid.M))
-            grown[:have] = self._columns
-            for rows in _blocks(n_max + 1 - have, 16 * self.grid.M):
-                self._rows(have + rows.start, grown[have + rows.start : have + rows.stop])
-            self._columns = grown
-        return self._columns[: n_max + 1]
+        P = np.empty((n_max + 1, self.grid.M))
+        for rows in _blocks(n_max + 1, 16 * self.grid.M):
+            self._rows(rows.start, P[rows])
+        return P
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """One explicit Euler step u + eps^2 lap u, by the stencil.
@@ -131,40 +119,40 @@ class HeatKernel:
 
         chi is smooth in z (a transition in the smooth parabolic-norm
         surrogate); its radii are calibrated so that K equals P on
-        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. P is
-        made a block of rows at a time by the routine behind ``columns``
-        and is not cached, so K is the one field held.
+        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. chi
+        multiplies ``columns`` in place a block of rows at a time, so K is
+        the one field held.
         """
-        n_h = self._steps(horizon)
-        M = self.grid.M
-        x = signed_torus_coordinate(M, self.grid.eps)[None, :]
-        K = np.empty((n_h + 1, M))
-        for rows in _blocks(n_h + 1, 16 * M):
-            P = K[rows]
-            self._rows(rows.start, P)
+        K = self.columns(self._steps(horizon))
+        x = self.grid.eps * modes(self.grid.M)
+        for rows in _blocks(K.shape[0], 16 * self.grid.M):
             t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
             chi = smooth_cutoff(smooth_parabolic_norm(t, x), inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-            np.multiply(chi, P, out=P)
+            np.multiply(chi, K[rows], out=K[rows])
         return K
 
     def verify_bounds(self, j: int, horizon: float) -> "BoundsDiagnostic":
         """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded.
 
         Samples grid points with |z|_s <= 3/8 to stay clear of the torus
-        wraparound; an N-stable value certifies the decay bound.
+        wraparound; an N-stable value certifies the decay bound. P is made
+        a block of rows at a time into one block buffer, so no field is held.
         """
         if j not in (0, 1, 2):
             raise ValueError("j must be 0, 1 or 2")
         eps, M = self.grid.eps, self.grid.M
         n_h = self._steps(horizon)
-        cols = self.columns(n_h)
         dmult = derivative_multiplier(self.fam, eps, M) ** j
         t = np.arange(n_h + 1) * self.grid.dt
         t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
-        x = signed_torus_coordinate(M, eps)
+        x = eps * modes(M)
         per_t = np.empty(n_h + 1)
-        for rows in _blocks(n_h + 1, 16 * M):
-            vals = np.fft.ifft(np.fft.fft(cols[rows], axis=-1) * dmult, axis=-1).real if j else cols[rows]
+        blocks = _blocks(n_h + 1, 16 * M)
+        buf = np.empty((blocks[0].stop, M))
+        for rows in blocks:
+            P = buf[: rows.stop - rows.start]
+            self._rows(rows.start, P)
+            vals = np.fft.ifft(np.fft.fft(P, axis=-1) * dmult, axis=-1).real if j else P
             keep = parabolic_norm(t[rows, None], x[None, :]) <= 0.375
             weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
             per_t[rows] = weighted.max(axis=1)

@@ -22,18 +22,21 @@ The whole-field passes run one block of about operators._BLOCK_BYTES at a
 time: the order norm's z-norms, differences and ratios per block of rows
 (the time difference reads one row past the block); in a convolution the
 first input's space transform per block of rows into the head of its one
-buffer, the time FFTs per block of columns in place, and the inverse space
-transform per block of rows over the spectrum into the output, to which
-the buffer is then cut; the renormalized convolution's mass term per block
-of rows in place; and |DxK|^2 per block of rows. Each step is elementwise,
-per row or column, or a max, so the results equal the whole-field passes
-bit for bit.
+buffer, the zero-padded time FFTs (length ``_time_length``) per block of
+columns in place, and the inverse space transform per block of rows over
+the spectrum into the output, to which the buffer is then cut; the
+renormalized convolution's mass term per block of rows in place; and
+|DxK|^2 per block of rows. Each step is elementwise, per row or column, or
+a max, so the results equal the whole-field passes bit for bit.
 
-A convolution is two halves, the first input into the buffer and the
-second input into the output, so a caller can drop the first input in
-between. The renormalized-square check does so with |DxK|^2, after its
-direct sums and mass: its peak is K, the buffer and K's half-spectrum,
-which ``square_check_bytes`` bounds before anything is allocated.
+A convolution is two halves, ``_first_operand`` (the first input into the
+buffer) and ``_finish_with`` (the second input into the output), and this
+module holds the whole pipeline and its buffer layout. A caller can drop
+the first input in between; the peak is the buffer, max(2 L (M/2+1),
+n_out M) floats, and one input's half-spectrum. The renormalized-square
+check drops |DxK|^2 there, after its direct sums and mass: its peak is K,
+the buffer and K's half-spectrum, which ``square_check_bytes`` bounds
+before anything is allocated.
 """
 
 from __future__ import annotations
@@ -44,16 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, rng_for
-from .heat import HeatKernel, parabolic_norm, signed_torus_coordinate
-from .operators import (
-    _BLOCK_BYTES,
-    OperatorFamily,
-    _blocks,
-    _convolve_spectrum,
-    _time_length,
-    _time_spectrum,
-    derivative_multiplier,
-)
+from .heat import HeatKernel, parabolic_norm
+from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multiplier, modes
 
 __all__ = [
     "DiscreteKernel",
@@ -86,10 +81,8 @@ class DiscreteKernel:
 
 
 def _znorm_eps(n: np.ndarray, x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|z|_{s,eps} at time rows n and sites x, index arrays that broadcast together."""
-    t = n * grid.dt
-    xs = signed_torus_coordinate(grid.M, grid.eps)[x]
-    return np.maximum(parabolic_norm(t, xs), grid.eps)
+    """|z|_{s,eps} at time rows n and signed site coordinates x (of eps * modes(M)), arrays that broadcast together."""
+    return np.maximum(parabolic_norm(n * grid.dt, x), grid.eps)
 
 
 def _space_diff(u: np.ndarray, eps: float) -> np.ndarray:
@@ -131,11 +124,12 @@ def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
         raise ValueError(f"derivative depth m must be the int 0, 1 or 2, not {m!r}")
     values, grid = k.values, k.grid
     nt = values.shape[0]
+    x = grid.eps * modes(grid.M)
     best = 0.0
     # a non-finite value makes a non-finite ratio, which raises below
     with np.errstate(invalid="ignore", over="ignore"):
         for rows in _blocks(nt, 8 * grid.M):
-            zn = _znorm_eps(np.arange(rows.start, rows.stop)[:, None], np.arange(grid.M), grid)
+            zn = _znorm_eps(np.arange(rows.start, rows.stop)[:, None], x, grid)
             diffs = _forward_diffs(values[rows], grid, m)
             if m == 2 and rows.stop < nt:
                 # the block's last time difference reads the next block's first row
@@ -162,6 +156,14 @@ def _occupied_rows(a: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
+def _time_length(n: int) -> int:
+    """The power of two L >= n that the time FFTs zero-pad to."""
+    L = 1
+    while L < n:
+        L *= 2
+    return L
+
+
 def _first_operand(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple:
     """The first half of the convolution of a with b: a's time spectrum in a new buffer.
 
@@ -169,10 +171,10 @@ def _first_operand(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple:
     the (L, M/2+1) spectrum as a complex view of its head, and later the
     (n_out, M) output. a's half-spectrum is written into the spectrum's head
     rows a block of rows at a time, and each block of columns is then
-    time-transformed in place. b is read for its rows only, so a caller may
-    drop a before b's half-spectrum is made. Returns (buffer, r1, r2, n_out),
-    with r1 and r2 the rows a and b occupy; when either is 0 the buffer is
-    the all-zero output.
+    time-transformed in place, read whole before it is written. b is read
+    for its rows only, so a caller may drop a before b's half-spectrum is
+    made. Returns (buffer, r1, r2, n_out), with r1 and r2 the rows a and b
+    occupy; when either is 0 the buffer is the all-zero output.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
@@ -183,26 +185,33 @@ def _first_operand(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple:
     spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
     for rows in _blocks(r1, 8 * M):
         spec[rows] = np.fft.rfft(a[rows], axis=1)
-    _time_spectrum(spec[:r1], L, out=spec)
+    for cols in _blocks(half, 16 * L):
+        spec[:, cols] = np.fft.fft(spec[:r1, cols], n=L, axis=0)
     return buf, r1, r2, n_out
 
 
 def _finish_with(first: tuple, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The second half: multiply ``_first_operand``'s spectrum by b's, invert, and shrink the buffer to the output.
 
-    The inverse space transform is written a block of rows at a time, in
-    increasing row order, over the spectrum: output row i ends at byte
-    8M (i + 1) and spectrum row i + 1 starts at byte (8M + 16)(i + 1), so no
-    block overwrites a spectrum row still to be read. The rows past the
-    computed ones are then zeroed, and the buffer is cut to the n_out M
-    floats of the output in place, so the result holds nothing else.
+    b's time spectrum multiplies the spectrum, which is inverted in time in
+    place, a block of columns at a time. The inverse space transform is
+    written a block of rows at a time, in increasing row order, over the
+    spectrum: output row i ends at byte 8M (i + 1) and spectrum row i + 1
+    starts at byte (8M + 16)(i + 1), so no block overwrites a spectrum row
+    still to be read. The rows past the computed ones are then zeroed, and
+    the buffer is cut to the n_out M floats of the output in place, so the
+    result holds nothing else.
     """
     buf, r1, r2, n_out = first
     M = grid.M
     if r1 and r2:
         L, half = _time_length(r1 + r2), M // 2 + 1
         spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
-        _convolve_spectrum(spec, np.fft.rfft(b[:r2], axis=1))
+        b_hat = np.fft.rfft(b[:r2], axis=1)
+        for cols in _blocks(half, 16 * L):
+            block = spec[:, cols]
+            block *= np.fft.fft(b_hat[:, cols], n=L, axis=0)
+            block[...] = np.fft.ifft(block, axis=0)
         out = buf[: n_out * M].reshape(n_out, M)
         for rows in _blocks(r1 + r2 - 1, 8 * M):
             np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=M, axis=1), out=out[rows])
@@ -212,17 +221,6 @@ def _finish_with(first: tuple, b: np.ndarray, grid: GridSpec) -> np.ndarray:
         # itself, which the resize updates; shrinking moves no data
         buf.resize(n_out * M, refcheck=False)
     return buf.reshape(n_out, M)
-
-
-def _spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
-
-    The two halves of one pipeline: ``_first_operand`` puts a's time
-    spectrum into the buffer that ``_finish_with`` turns into the output.
-    The peak is that buffer, max(2 L (M/2+1), n_out M) floats, and one
-    input's half-spectrum; the result holds only the (n_out, M) output.
-    """
-    return _finish_with(_first_operand(a, b, grid), b, grid)
 
 
 def _renormalized(first: tuple, mass: float, b: np.ndarray, grid: GridSpec) -> np.ndarray:

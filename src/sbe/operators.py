@@ -23,10 +23,8 @@ in the order, of rolling the field once per offset, so the results equal
 the ``np.roll`` spelling bit for bit, and no field-sized temporary is made
 beyond the result. The operators prepare the engine per call; the solver
 holds one prepared step per level. The Fourier side supplies their
-multipliers, and the two in-place halves of the zero-padded time
-convolution of ``kernels``: one (L, W) spectrum is transformed, then
-multiplied and inverted, one block of about _BLOCK_BYTES of columns at a
-time, which gives the whole-array transforms bit for bit.
+multipliers; ``_blocks`` cuts the other modules' whole-field passes into
+slices of about _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -253,35 +251,6 @@ def derivative_multiplier(fam: OperatorFamily, eps: float, M: int) -> np.ndarray
     """Eigenvalues pi_hat(-eps k) / eps over FFT-ordered modes."""
     k = modes(M)
     return fourier_pi(fam.pi, -eps * k) / eps
-
-
-def _time_length(n: int) -> int:
-    """The power of two L >= n that time convolutions zero-pad to."""
-    L = 1
-    while L < n:
-        L *= 2
-    return L
-
-
-def _time_spectrum(a: np.ndarray, L: int, out: np.ndarray) -> None:
-    """The length-L FFT along axis 0 of a (n, W) into ``out``, a complex (L, W) array, a block of columns at a time.
-
-    a may be the head rows of ``out``: each block of columns is read whole
-    before it is written, so the transform then runs in place.
-    """
-    for cols in _blocks(a.shape[1], 16 * L):
-        out[:, cols] = np.fft.fft(a[:, cols], n=L, axis=0)
-
-
-def _convolve_spectrum(spec: np.ndarray, b: np.ndarray) -> None:
-    """Multiply spec (L, W) by the length-L FFT along axis 0 of b (n, W) and invert, in place, a block of columns at a time."""
-    L, W = spec.shape
-    if b.shape[1] != W:
-        raise ValueError(f"time convolution of widths {W} and {b.shape[1]}")
-    for cols in _blocks(W, 16 * L):
-        block = spec[:, cols]
-        block *= np.fft.fft(b[:, cols], n=L, axis=0)
-        block[...] = np.fft.ifft(block, axis=0)
 
 
 def laplacian(fam: OperatorFamily, u: np.ndarray, eps: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from sbe.measures import preset_measure
-from sbe.operators import OperatorFamily, _convolve_spectrum, _time_length, _time_spectrum
+from sbe.operators import OperatorFamily
 
 
 def pytest_configure(config):
@@ -35,15 +35,6 @@ def traced_peak(call) -> tuple[object, int]:
     """call()'s result and the peak bytes it had traced beyond those allocated before it."""
     result, peak, _ = traced(call)
     return result, peak
-
-
-def time_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows 0..n1+n2-2 of the linear convolution along axis 0 of (n, W) arrays, by the blocked in-place halves."""
-    L = _time_length(a.shape[0] + b.shape[0])
-    spec = np.empty((L, a.shape[1]), dtype=np.complex128)
-    _time_spectrum(a, L, out=spec)
-    _convolve_spectrum(spec, b)
-    return spec[: a.shape[0] + b.shape[0] - 1]
 
 
 def family(pi_name: str, mu_name: str) -> OperatorFamily:

@@ -29,7 +29,8 @@ bit.
 ``twisted_kernel_product``, ``convolve_kernels``, ``renormalized_convolve``,
 ``increment_bound_probe`` and ``mollification_loss_probe`` are the kernel
 calculus of the paper's kernel lemmas on ``sbe.kernels.DiscreteKernel``,
-the convolutions through the blocked pipeline of ``sbe.kernels``. ``mollify``
+the convolutions through the blocked pipeline of ``sbe.kernels``, whose two
+halves ``spacetime_convolve`` runs on plain arrays. ``mollify``
 convolves a field with the separable bump (``bump``, ``mollifier_kernel``)
 on the operators' stencil engine; ``mollify_loop``, the mollifier as first
 written, a double loop over the space-time stencil points with one rolled
@@ -41,8 +42,8 @@ within rounding.
 and ``increment_bound_whole`` are the heat kernel, its singular part and
 decay bounds, the time and space-time convolutions, the order norm and the
 increment probe spelled on whole fields, one field-sized array per step.
-The blocked passes of ``sbe.heat``, ``sbe.operators`` and ``sbe.kernels``
-must equal them bit for bit.
+The blocked passes of ``sbe.heat`` and ``sbe.kernels`` must equal them bit
+for bit.
 
 ``space_pairing_map`` and ``parabolic_pairing_map`` pair a field with the
 test functions phi_x^lambda of ``sbe.norms`` at every base site, by FFT
@@ -59,14 +60,13 @@ from sbe.heat import (
     CUTOFF_OUTER,
     HeatKernel,
     parabolic_norm,
-    signed_torus_coordinate,
     smooth_cutoff,
     smooth_parabolic_norm,
 )
 from sbe.kernels import PROBE_SEED, SPACE_TIME_DIM, DiscreteKernel, _occupied_rows, _znorm_eps, kernel_mass, order_norm
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
-from sbe.operators import OperatorFamily, _blocks, _stencil, derivative_multiplier, twisted_product
+from sbe.operators import OperatorFamily, _blocks, _stencil, derivative_multiplier, modes, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped, _Step
 
 # seeded grid pairs that increment_bound_probe samples
@@ -304,7 +304,7 @@ def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
     n_h = int(round(horizon / grid.dt))
     P = columns_whole(hk, n_h)
     t = np.arange(n_h + 1)[:, None] * grid.dt
-    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
+    x = (grid.eps * modes(grid.M))[None, :]
     rho = smooth_parabolic_norm(t, x)
     chi = smooth_cutoff(rho, inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
     return chi * P
@@ -321,7 +321,7 @@ def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
     vals = np.fft.ifft(spec * dmult**j, axis=-1).real if j else cols
     t = np.arange(n_h + 1) * grid.dt
     t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
-    x = signed_torus_coordinate(M, eps)
+    x = eps * modes(M)
     keep = parabolic_norm(t[:, None], x[None, :]) <= 0.375
     weighted = np.where(keep, np.abs(vals) * t_eps[:, None] ** (1 + j), 0.0)
     return weighted.max(axis=1)
@@ -351,7 +351,7 @@ def spacetime_convolve_whole(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np
 def order_norm_whole(values: np.ndarray, grid: GridSpec, zeta: float, m: int) -> float:
     """The order-zeta norm at depth m, each forward difference and ratio on the whole field."""
     t = np.arange(values.shape[0])[:, None] * grid.dt
-    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
+    x = (grid.eps * modes(grid.M))[None, :]
     zn = np.maximum(parabolic_norm(t, x), grid.eps)
     diffs = {(0, 0): values}
     if m >= 1:
@@ -372,7 +372,7 @@ def increment_bound_whole(values: np.ndarray, grid: GridSpec, zeta: float, kappa
     nt, M = values.shape
     gen = rng_for(PROBE_SEED, 90)
     t = np.arange(nt)[:, None] * grid.dt
-    x = signed_torus_coordinate(M, grid.eps)[None, :]
+    x = (grid.eps * modes(M))[None, :]
     zn = np.maximum(parabolic_norm(t, x), grid.eps)
     i1 = gen.integers(0, nt, PROBE_PAIRS)
     j1 = gen.integers(0, M, PROBE_PAIRS)
@@ -382,7 +382,7 @@ def increment_bound_whole(values: np.ndarray, grid: GridSpec, zeta: float, kappa
     i2[same] = (i2[same] + 1) % nt
     num = np.abs(values[i1, j1] - values[i2, j2])
     dt_gap = np.abs(i1 - i2) * grid.dt
-    dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
+    dx_gap = np.abs((grid.eps * modes(M))[(j1 - j2) % M])
     sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
     denom = sep**kappa * (zn[i1, j1] ** (zeta - kappa) + zn[i2, j2] ** (zeta - kappa))
     return float(np.max(num / denom))
@@ -399,11 +399,21 @@ def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMea
     return DiscreteKernel(twisted_product(mu, a, b), k1.grid, k1.claimed_order + k2.claimed_order)
 
 
+def spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
+
+    The two halves of the pipeline of ``sbe.kernels``: ``_first_operand``
+    puts a's time spectrum into the buffer that ``_finish_with`` turns into
+    the output, so the result holds only the (n_out, M) output.
+    """
+    return kernels._finish_with(kernels._first_operand(a, b, grid), b, grid)
+
+
 def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
-    """eps^3-weighted space-time convolution by ``kernels._spacetime_convolve``; claimed order gains |s| = 3."""
+    """eps^3-weighted space-time convolution by ``spacetime_convolve``; claimed order gains |s| = 3."""
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
-    vals = kernels._spacetime_convolve(k1.values, k2.values, k1.grid)
+    vals = spacetime_convolve(k1.values, k2.values, k1.grid)
     return DiscreteKernel(vals, k1.grid, k1.claimed_order + k2.claimed_order + SPACE_TIME_DIM)
 
 
@@ -445,10 +455,11 @@ def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
     same = (i1 == i2) & (j1 == j2)
     i2[same] = (i2[same] + 1) % nt
     num = np.abs(k.values[i1, j1] - k.values[i2, j2])
+    x = grid.eps * modes(M)
     dt_gap = np.abs(i1 - i2) * grid.dt
-    dx_gap = np.abs(signed_torus_coordinate(M, grid.eps)[(j1 - j2) % M])
+    dx_gap = np.abs(x[(j1 - j2) % M])
     sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
-    denom = sep**kappa * (_znorm_eps(i1, j1, grid) ** (zeta - kappa) + _znorm_eps(i2, j2, grid) ** (zeta - kappa))
+    denom = sep**kappa * (_znorm_eps(i1, x[j1], grid) ** (zeta - kappa) + _znorm_eps(i2, x[j2], grid) ** (zeta - kappa))
     return float(np.max(num / denom))
 
 

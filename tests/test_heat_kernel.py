@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from sbe.grids import GridSpec
-from sbe.heat import CUTOFF_INNER, HeatKernel, parabolic_norm, signed_torus_coordinate
+from sbe.heat import CUTOFF_INNER, HeatKernel, parabolic_norm
+from sbe.operators import modes
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestSplit:
         hk_long = HeatKernel(GridSpec(5, 0.5), fam_bw_ss)
         K = hk_long.singular_part(0.5)
         t = np.arange(K.shape[0])[:, None] * hk_long.grid.dt
-        x = signed_torus_coordinate(hk_long.grid.M, hk_long.grid.eps)[None, :]
+        x = (hk_long.grid.eps * modes(hk_long.grid.M))[None, :]
         zn = parabolic_norm(t, x)
         assert np.max(np.abs(K[zn >= 0.5])) == 0.0
         # sampled points at |z|_s = 0.6 sit outside the cutoff support
@@ -117,7 +118,7 @@ class TestSplit:
         K = hk.singular_part(0.25)
         cols = hk.columns(hk.grid.n_steps)
         t = np.arange(K.shape[0])[:, None] * hk.grid.dt
-        x = signed_torus_coordinate(hk.grid.M, hk.grid.eps)[None, :]
+        x = (hk.grid.eps * modes(hk.grid.M))[None, :]
         zn = parabolic_norm(t, x)
         inner = zn <= CUTOFF_INNER
         assert np.max(np.abs((K - cols)[inner])) == 0.0

@@ -1,20 +1,21 @@
 """The blocked kernel diagnostics against their whole-field spellings in oracles.py.
 
-The heat kernel, its singular part and decay bounds, the time and
-space-time convolutions and the order norm run one block of about
+The heat kernel, its singular part and decay bounds, the space-time
+convolution and the order norm run one block of about
 ``operators._BLOCK_BYTES`` at a time. Each step is elementwise, per row or
 column, or a max, so every comparison is exact. The block counts are read
 from ``operators._blocks``, so the fields span several blocks with a partial
 last one whatever the block size. The increment probe takes its z-norms at
 its sampled points only, which must give the whole field's values. The
-memory guards keep the passes free of field-sized temporaries, and the
-mollifier to its space pass and its result.
+memory guards keep the passes free of field-sized temporaries, the heat
+kernel free of rows kept between calls, and the mollifier to its space
+pass and its result.
 """
 
 import numpy as np
 import pytest
 
-from conftest import time_convolve, traced, traced_peak
+from conftest import traced, traced_peak
 from oracles import (
     columns_whole,
     increment_bound_probe,
@@ -22,16 +23,16 @@ from oracles import (
     mollify,
     order_norm_whole,
     renormalized_convolve,
+    spacetime_convolve,
     spacetime_convolve_whole,
     split_whole,
-    time_convolve_whole,
     verify_bounds_whole,
 )
 from sbe import kernels
 from sbe.grids import GridSpec
 from sbe.heat import HeatKernel
 from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check, square_check_bytes
-from sbe.operators import _blocks, _time_length
+from sbe.operators import _BLOCK_BYTES, _blocks
 
 
 def spans_blocks(n: int, item_bytes: int) -> bool:
@@ -52,12 +53,21 @@ class TestHeatKernel:
         rows, M = long_grid.n_steps + 1, long_grid.M
         assert spans_blocks(rows, 8 * M) and spans_blocks(rows, 16 * M)
         K = hk.singular_part(long_grid.T)
-        assert hk._columns.shape == (1, M)  # the singular part leaves the cache as it was
         assert np.array_equal(K, split_whole(hk, long_grid.T))
         assert np.array_equal(hk.columns(long_grid.n_steps), columns_whole(hk, long_grid.n_steps))
         for j in (0, 1, 2):
             diag = hk.verify_bounds(j, long_grid.T)
             assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, j, long_grid.T)), j
+
+    def test_bounds_equal_the_whole_field_in_every_block(self, fam_bw_ss):
+        # M = 128: blocks of 64 rows, and every row up to T = 1/8 has sites inside |z|_s <= 3/8
+        grid = GridSpec(7, 0.125)
+        hk = HeatKernel(grid, fam_bw_ss)
+        assert spans_blocks(grid.n_steps + 1, 16 * grid.M)
+        for j in (0, 1, 2):
+            diag = hk.verify_bounds(j, grid.T)
+            assert diag.per_time_max.all(), j
+            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, j, grid.T)), j
 
     def test_cache_grown_in_two_calls_keeps_its_rows(self, fam_bw_ss, long_grid):
         hk = HeatKernel(long_grid, fam_bw_ss)
@@ -92,37 +102,6 @@ class TestHeatKernel:
         assert hk.verify_bounds(2, 0.125).per_time_max.shape == (129,)
 
 
-class TestTimeConvolve:
-    @pytest.mark.parametrize(
-        "n1, n2, W, blocked",
-        [
-            (5, 11, 1100, True),  # L = 16: unequal rows, several column blocks
-            (2000, 1500, 5, True),  # L = 4096: a few columns per block
-            (1, 7, 300, False),  # a 1-row input
-            (9, 1, 300, False),
-        ],
-    )
-    def test_equals_the_whole_array_transforms(self, rng, n1, n2, W, blocked):
-        a = rng.standard_normal((n1, W)) + 1j * rng.standard_normal((n1, W))
-        b = rng.standard_normal((n2, W)) + 1j * rng.standard_normal((n2, W))
-        L = 1
-        while L < n1 + n2:
-            L *= 2
-        assert spans_blocks(W, 16 * L) == blocked
-        out = time_convolve(a, b)
-        assert out.shape == (n1 + n2 - 1, W)
-        assert np.array_equal(out, time_convolve_whole(a, b))
-
-    def test_all_zero_input(self, rng):
-        a, b = np.zeros((6, 300), dtype=complex), rng.standard_normal((4, 300)) + 0j
-        assert np.array_equal(time_convolve(a, b), time_convolve_whole(a, b))
-        assert not time_convolve(a, b).any()
-
-    def test_mismatched_widths_are_refused(self, rng):
-        with pytest.raises(ValueError, match="widths 4 and 3"):
-            time_convolve(rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
-
-
 class TestSpacetimeConvolve:
     @pytest.mark.parametrize(
         "n1, z1, n2, z2, blocked",
@@ -132,6 +111,9 @@ class TestSpacetimeConvolve:
             (700, 0, 1, 0, False),
             (650, 640, 800, 0, False),  # an input occupying 10 of its rows
             (5, 0, 11, 0, False),  # L = 16: every column in one block
+            (2000, 0, 1500, 0, True),  # L = 4096: two columns per block
+            (1, 0, 7, 0, False),  # a 1-row input, L = 8
+            (9, 0, 1, 0, False),
         ],
     )
     def test_equals_the_whole_field_route(self, rng, n1, z1, n2, z2, blocked):
@@ -144,7 +126,7 @@ class TestSpacetimeConvolve:
         while L < r:
             L *= 2
         assert (spans_blocks(r - 1, 8 * grid.M) and spans_blocks(grid.M // 2 + 1, 16 * L)) == blocked
-        got = kernels._spacetime_convolve(a, b, grid)
+        got = spacetime_convolve(a, b, grid)
         assert np.array_equal(got, spacetime_convolve_whole(a, b, grid))
 
     def test_renormalized_convolution_equals_the_whole_field(self, rng):
@@ -161,7 +143,7 @@ class TestSpacetimeConvolve:
         grid = GridSpec(5, 0.25)
         zero, other = np.zeros((600, grid.M)), rng.standard_normal((700, grid.M))
         a, b = (zero, other) if zero_first else (other, zero)
-        got = kernels._spacetime_convolve(a, b, grid)
+        got = spacetime_convolve(a, b, grid)
         assert got.shape == (1299, grid.M) and not got.any()
         assert np.array_equal(got, spacetime_convolve_whole(a, b, grid))
 
@@ -232,6 +214,18 @@ class TestMemory:
         # K alone: P is made a block of rows at a time and not cached
         assert peak - field < field / 4
 
+    def test_heat_kernel_keeps_nothing_between_calls(self, fam_bw_ss, grid):
+        hk = HeatKernel(grid, fam_bw_ss)
+        field = 8 * (grid.n_steps + 1) * grid.M
+        # columns dropped by the caller leave nothing behind
+        _, _, held = traced(lambda: hk.columns(grid.n_steps).shape)
+        assert held < _BLOCK_BYTES
+        # a fresh kernel's decay bounds make P one block of rows at a time
+        fresh = HeatKernel(grid, fam_bw_ss)
+        _, peak = traced_peak(lambda: fresh.verify_bounds(2, grid.T))
+        assert peak < field / 4
+        assert set(vars(hk)) == set(vars(fresh)) == {"grid", "fam", "multiplier"}
+
     def test_order_norm_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         for m in (0, 1, 2):
@@ -241,7 +235,7 @@ class TestMemory:
     def test_convolution_holds_one_input_half_spectrum(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         sq = K**2
-        out, peak, held = traced(lambda: kernels._spacetime_convolve(sq, K, grid))
+        out, peak, held = traced(lambda: spacetime_convolve(sq, K, grid))
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
         L = 1
         while L < r1 + r2:
@@ -257,7 +251,7 @@ class TestMemory:
         (kern, ident, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
         K, rows = kern.values, kernels._occupied_rows(kern.values)
         half_row = 16 * (grid.M // 2 + 1)
-        buffer = max(_time_length(2 * rows) * half_row, ident.values.nbytes)
+        buffer = max(kernels._time_length(2 * rows) * half_row, ident.values.nbytes)
         assert peak <= K.nbytes + buffer + rows * half_row + 2**20
 
     @pytest.mark.parametrize("N", [6, 7])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import time_convolve
 from sbe.grids import GridSpec
 from sbe.measures import preset_measure
 from sbe.operators import (
@@ -143,18 +142,6 @@ def test_stepping_multiplier_spellings(all_preset_families):
             assert np.array_equal(m[1:], 1.0 + fourier_nu(fam.nu, grid.eps * nonzero) / (2.0 * fam.nu_bar))
             u = np.cos(2 * np.pi * 3 * grid.sites)
             np.testing.assert_allclose(u + grid.dt * laplacian(fam, u, grid.eps), m[3] * u, atol=1e-12)
-
-
-def test_time_convolve_matches_direct_sum(rng):
-    a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    b = rng.standard_normal((11, 3)) + 1j * rng.standard_normal((11, 3))
-    direct = np.zeros((15, 3), dtype=np.complex128)
-    for s in range(5):
-        for t in range(11):
-            direct[s + t] += a[s] * b[t]
-    out = time_convolve(a, b)
-    assert out.shape == (15, 3) and np.iscomplexobj(out)
-    np.testing.assert_allclose(out, direct, rtol=0, atol=1e-12)
 
 
 class TestDFT:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import pathlib
@@ -17,7 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the mollifier and the continuum constant live on in tests/oracles.py and
 # tests/test_renorm.py
 REMOVED = {
-    "operators": ("dft", "idft", "time_convolve"),
+    "operators": ("dft", "idft", "time_convolve", "_time_length", "_time_spectrum", "_convolve_spectrum"),
     "fieldio": ("field_to_csv",),
     "grids": (
         "mollify_noise",
@@ -29,7 +30,7 @@ REMOVED = {
         "noise_stream",
         "noise_block",
     ),
-    "heat": ("KernelSplit",),
+    "heat": ("KernelSplit", "signed_torus_coordinate"),
     "kernels": (
         "twisted_kernel_product",
         "_pad_match",
@@ -38,6 +39,7 @@ REMOVED = {
         "increment_bound_probe",
         "mollification_loss_probe",
         "PROBE_PAIRS",
+        "_spacetime_convolve",
     ),
     "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
     "processes": (
@@ -75,6 +77,9 @@ KEPT = {
     "solver": {"step_forward": "the scheme's one-step entry point: run's held step, prepared for a single call"},
 }
 
+# private module-level functions and classes that no library module reads, and why they stay
+PRIVATE_KEPT: dict[str, str] = {}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_all_entry_resolves(name):
@@ -83,13 +88,15 @@ def test_every_all_entry_resolves(name):
     assert not missing
 
 
-def test_removed_names_are_gone():
+def test_removed_names_are_gone(fam_bw_ss):
     for module, names in REMOVED.items():
         mod = importlib.import_module(f"sbe.{module}")
         for name in names:
             assert name not in sbe.__all__ and not hasattr(sbe, name) and not hasattr(mod, name), f"{module}.{name}"
     assert not hasattr(sbe.HeatKernel, "kernel_column")
     assert not hasattr(sbe.HeatKernel, "split")
+    # the kernel keeps no rows between calls
+    assert not hasattr(sbe.HeatKernel(sbe.GridSpec(3, 0.25), fam_bw_ss), "_columns")
     assert not hasattr(sbe.SchemeConfig, "fingerprint")
     assert not hasattr(sbe.GridSpec, "coarsen")
     # NoiseField.blocks is the one place that tells explicit noise from streamed
@@ -111,11 +118,29 @@ def _loaded_names(tree: ast.AST) -> set:
     return names
 
 
+@functools.cache
+def _library() -> tuple[dict, dict]:
+    """The parsed modules of src/sbe, and the names each reads."""
+    sources = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "sbe").glob("*.py"))}
+    return sources, {stem: _loaded_names(tree) for stem, tree in sources.items()}
+
+
+def _library_reads(module: str, name: str) -> bool:
+    """True when a module of src/sbe reads module's name outside its own definition."""
+    sources, loaded = _library()
+    if any(name in loaded[stem] for stem in loaded if stem != module):
+        return True
+    own = [
+        node
+        for node in sources[module].body
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+    ]
+    return name in _loaded_names(ast.Module(body=own, type_ignores=[]))
+
+
 def test_every_public_name_has_a_caller():
     # a public name stays only while the library reads it outside its own
     # definition, an acceptance criterion reads it, or KEPT says why
-    sources = {path.stem: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "sbe").glob("*.py"))}
-    loaded = {stem: _loaded_names(tree) for stem, tree in sources.items()}
     acceptance = _loaded_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
     unreached = []
     for module in LIBRARY:
@@ -123,13 +148,22 @@ def test_every_public_name_has_a_caller():
         kept = KEPT.get(module, {})
         assert set(kept) <= set(public), module
         for name in public:
-            if name in kept or name in acceptance or any(name in loaded[s] for s in loaded if s != module):
-                continue
-            own = [
-                node
-                for node in sources[module].body
-                if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
-            ]
-            if name not in _loaded_names(ast.Module(body=own, type_ignores=[])):
+            if not (name in kept or name in acceptance or _library_reads(module, name)):
                 unreached.append(f"{module}.{name}")
     assert not unreached, f"public names with no caller: {', '.join(unreached)}"
+
+
+def test_every_private_helper_has_a_library_reader():
+    # a private module-level function or class stays only while the library
+    # reads it outside its own definition, or PRIVATE_KEPT says why; one
+    # that only tests call belongs in tests/oracles.py
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in _library()[0].items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not _library_reads(module, node.name)
+    ]
+    assert sorted(unread) == sorted(PRIVATE_KEPT), f"private helpers no library module reads: {', '.join(unread)}"

@@ -7,13 +7,14 @@ from oracles import (
     increment_sums_zeros_like,
     mollification_loss_probe,
     renormalized_convolve,
+    spacetime_convolve,
     twisted_kernel_product,
 )
 from sbe import kernels
 from sbe.grids import GridSpec, rng_for
-from sbe.heat import HeatKernel, signed_torus_coordinate
+from sbe.heat import HeatKernel
 from sbe.kernels import DiscreteKernel, kernel_mass, order_norm, renormalized_square_check
-from sbe.operators import derivative_multiplier
+from sbe.operators import derivative_multiplier, modes
 
 
 def split_kernel(fam, N, horizon=0.25):
@@ -24,7 +25,7 @@ def split_kernel(fam, N, horizon=0.25):
 def norm_one_kernel(grid, rows=8):
     """The kernel |z|_{s,eps}^{-1} itself."""
     t = np.arange(rows)[:, None] * grid.dt
-    x = signed_torus_coordinate(grid.M, grid.eps)[None, :]
+    x = (grid.eps * modes(grid.M))[None, :]
     zn = np.maximum(np.maximum(np.sqrt(t), np.abs(x)), grid.eps)
     return DiscreteKernel(zn**-1.0, grid, -1.0)
 
@@ -159,11 +160,11 @@ class TestSpacetimeConvolve:
 
     @pytest.mark.parametrize(
         "n1, z1, n2, z2",
-        [(5, 0, 3, 0), (3, 0, 7, 0), (6, 2, 4, 0), (4, 0, 6, 3), (5, 4, 5, 1), (1, 0, 4, 0)],
+        [(5, 0, 3, 0), (3, 0, 7, 0), (6, 2, 4, 0), (4, 0, 6, 3), (5, 4, 5, 1), (1, 0, 4, 0), (5, 0, 11, 0)],
     )
     def test_matches_the_direct_sum(self, n1, z1, n2, z2):
         a, b = self.rows(n1, z1, 1), self.rows(n2, z2, 2)
-        got = kernels._spacetime_convolve(a, b, self.grid)
+        got = spacetime_convolve(a, b, self.grid)
         want = spacetime_sum(a, b, self.grid.eps)
         assert got.shape == (n1 + n2 - 1, self.grid.M)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -174,7 +175,7 @@ class TestSpacetimeConvolve:
     def test_all_zero_input(self, zero_first):
         zero, other = np.zeros((4, self.grid.M)), self.rows(6, 0, 3)
         a, b = (zero, other) if zero_first else (other, zero)
-        got = kernels._spacetime_convolve(a, b, self.grid)
+        got = spacetime_convolve(a, b, self.grid)
         assert got.shape == (9, self.grid.M)
         assert not got.any()
 
