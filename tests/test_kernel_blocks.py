@@ -12,6 +12,8 @@ kernel free of rows kept between calls, and the mollifier to its space
 pass and its result.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from oracles import (
     spacetime_convolve,
     spacetime_convolve_whole,
     split_whole,
+    time_convolve_whole,
     verify_bounds_whole,
 )
 from sbe import kernels
@@ -100,6 +103,50 @@ class TestHeatKernel:
         assert hk.columns(0).shape == (1, 32)
         assert np.array_equal(hk.singular_part(0.0), hk.columns(0))  # the delta lies inside the cutoff
         assert hk.verify_bounds(2, 0.125).per_time_max.shape == (129,)
+
+
+class TestTimeConvolve:
+    """The pipeline's time FFTs over W spectrum columns, against whole-array transforms.
+
+    ``_first_operand`` and ``_finish_with`` read only M and eps of their
+    grid, so a stand-in with M = 2W - 2 sites and eps = 1 gives half-spectra
+    W columns wide, as many as the time FFTs are to run over.
+    """
+
+    @staticmethod
+    def grid_of_width(W: int) -> SimpleNamespace:
+        return SimpleNamespace(M=2 * W - 2, eps=1.0)
+
+    @staticmethod
+    def whole(a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
+        spectra = time_convolve_whole(np.fft.rfft(a, axis=1), np.fft.rfft(b, axis=1))
+        return np.fft.irfft(spectra, n=M, axis=1)
+
+    @pytest.mark.parametrize(
+        "n1, n2, W, blocked",
+        [(5, 11, 1100, True)],  # L = 16: unequal rows, several column blocks
+    )
+    def test_equals_the_whole_array_transforms(self, rng, n1, n2, W, blocked):
+        grid = self.grid_of_width(W)
+        a, b = rng.standard_normal((n1, grid.M)), rng.standard_normal((n2, grid.M))
+        L = kernels._time_length(n1 + n2)
+        assert L == 16 and spans_blocks(W, 16 * L) == blocked
+        out = spacetime_convolve(a, b, grid)
+        assert out.shape == (n1 + n2 - 1, grid.M)
+        assert np.array_equal(out, self.whole(a, b, grid.M))
+
+    def test_all_zero_input(self, rng):
+        grid = self.grid_of_width(1100)
+        a, b = np.zeros((6, grid.M)), rng.standard_normal((4, grid.M))
+        out = spacetime_convolve(a, b, grid)
+        assert out.shape == (9, grid.M) and not out.any()
+        assert np.array_equal(out, self.whole(a, b, grid.M))
+        # constant in space: every spectrum column but the first is all zero,
+        # over several column blocks at L = 16, and stays zero through the time FFTs
+        a[:] = rng.standard_normal((6, 1))
+        assert spans_blocks(1100, 16 * kernels._time_length(10))
+        out = spacetime_convolve(a, b, grid)
+        assert np.array_equal(out, self.whole(a, b, grid.M))
 
 
 class TestSpacetimeConvolve:
