@@ -31,7 +31,7 @@ from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import PROFILE_SMOOTHNESS, _usable_scales, estimate_exponent, make_test_family
-from .operators import OperatorFamily
+from .operators import _BLOCK_BYTES, OperatorFamily
 from .processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
@@ -239,11 +239,16 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     """Refuse a config whose largest level needs more than the memory available.
 
     kernel-diagnostics: the largest square check (``square_check_bytes``).
+    heat-kernel: P, which it writes whole, and a block of the decay bounds.
     processes and regularity: a few chunks of a replica's lift, and for
     regularity its noise field and T2, which its parabolic estimates read in
     full (processes draws its noise as the lift reads it).
     """
-    if cfg.kind == "kernel-diagnostics":
+    if cfg.kind == "heat-kernel":
+        n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
+        name, at, what = "N", f" at T={cfg.T!r}", "the heat kernel"
+        need = (grid.n_steps + 1) * grid.M * 8 + _BLOCK_BYTES
+    elif cfg.kind == "kernel-diagnostics":
         n = max(cfg.levels())
         name, at, what = "N_range" if cfg.N_range else "N", "", "the kernel diagnostics"
         need = square_check_bytes(_diag_grid(cfg, n))
@@ -357,7 +362,7 @@ def _exp_heat_kernel(cfg, fam, outdir):
     n_half = grid.n_steps // 2
     semi = 0.0
     if n_half >= 1:
-        conv = grid.eps * np.fft.ifft(np.fft.fft(cols[n_half]) * np.fft.fft(cols[grid.n_steps - n_half])).real
+        conv = grid.eps * np.fft.irfft(np.fft.rfft(cols[n_half]) * np.fft.rfft(cols[grid.n_steps - n_half]), n=grid.M)
         semi = float(np.max(np.abs(conv - cols[grid.n_steps])))
     rows = [
         ("mass_max_error", float(np.max(np.abs(mass - 1.0)))),
@@ -365,8 +370,7 @@ def _exp_heat_kernel(cfg, fam, outdir):
         ("multiplier_min", float(hk.multiplier.min())),
         ("multiplier_max", float(hk.multiplier.max())),
     ]
-    for j in (0, 1, 2):
-        rows.append((f"decay_bound_sup_j{j}", hk.verify_bounds(j, cfg.T).sup))
+    rows += [(f"decay_bound_sup_j{diag.j}", diag.sup) for diag in hk.verify_bounds(cfg.T)]
     write_csv(os.path.join(outdir, "heat_kernel.csv"), ["quantity", "value"], rows)
     files = ["heat_kernel.csv"]
     files += write_field(outdir, "kernel", cols, {"N": grid.N, "T": grid.T, "seed": None})

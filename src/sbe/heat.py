@@ -7,14 +7,15 @@ pins m into [1/2, 1], which is the stability certificate of the scheme.
 The singular part K multiplies P by a smooth cutoff in the parabolic
 distance, with radii (1/4, 1/2) so that K fits in one torus period.
 
-Every whole-field pass (the powers of m and their inverse DFTs, the
-cutoff, the decay-bound weights) runs one block of about
-operators._BLOCK_BYTES of rows at a time; the columns, the singular part
-and the decay bounds make their rows of P through one routine, and a
-``HeatKernel`` keeps none of them between calls. Each step is elementwise,
-per row or a per-row max, so the results equal the whole-field passes bit
-for bit, and no field-sized temporary is made beyond the results: the
-decay bounds hold one block of P. Every horizon lies in [0, T].
+P is real, so row n is the irfft of m^n on the half-spectrum (rfft modes
+0..M/2), as in ``kernels`` and ``processes``. Every pass (the powers of m
+and their inverse DFTs, the cutoff, the decay-bound weights) runs one
+block of about operators._BLOCK_BYTES of rows at a time, and a
+``HeatKernel`` keeps no rows between calls; the decay bounds take all three
+derivative orders from each block's half-spectrum and hold one block of P.
+Each step is elementwise, per row or a per-row max, so the results equal
+the whole-field passes bit for bit. Every horizon is a whole number of
+steps in [0, T].
 """
 
 from __future__ import annotations
@@ -82,27 +83,30 @@ class HeatKernel:
         return bool(self.multiplier.min() < 0.55)
 
     def _steps(self, horizon: float) -> int:
-        """The time rows horizon / eps^2 up to a horizon, which must lie in [0, T]."""
+        """The time rows horizon / eps^2 up to a horizon, a whole number of steps in [0, T]."""
         if not 0.0 <= horizon <= self.grid.T + 1e-12:
             raise ValueError(f"horizon {horizon} outside [0, T] with T = {self.grid.T}")
-        return int(round(horizon / self.grid.dt))
+        steps = horizon / self.grid.dt
+        if abs(steps - round(steps)) > 1e-9:  # GridSpec's tolerance on T
+            raise ValueError(f"horizon {horizon} is not a multiple of dt={self.grid.dt}")
+        return round(steps)
 
-    def _rows(self, start: int, out: np.ndarray) -> None:
-        """Rows start.. of the kernel into out, one per row of out: row n is the inverse DFT of m^n over eps.
+    def _rows(self, rows: slice) -> np.ndarray:
+        """A block of rows of the kernel in a new array: row n is the inverse DFT of m^n over eps.
 
-        Row 0 is the eps^-1 delta exactly: m^0 = 1, and the inverse DFT of a
+        Row 0 is the eps^-1 delta exactly: m^0 = 1, and the irfft of a
         constant on M = 2^N points has exact zeros.
         """
-        n = start + np.arange(out.shape[0])
-        powers = np.exp(np.multiply.outer(n, np.log(self.multiplier)))
-        np.divide(np.fft.ifft(powers, axis=-1).real, self.grid.eps, out=out)
+        n = np.arange(rows.start, rows.stop)
+        powers = np.exp(np.multiply.outer(n, np.log(self.multiplier[: self.grid.M // 2 + 1])))
+        return np.fft.irfft(powers, n=self.grid.M, axis=-1) / self.grid.eps
 
     def columns(self, n_max: int) -> np.ndarray:
         """Rows 0..n_max of the kernel, n_max eps^2 <= T, in a new array (row n holds P at t = n eps^2)."""
         self._steps(n_max * self.grid.dt)
         P = np.empty((n_max + 1, self.grid.M))
         for rows in _blocks(n_max + 1, 16 * self.grid.M):
-            self._rows(rows.start, P[rows])
+            P[rows] = self._rows(rows)
         return P
 
     def step(self, u: np.ndarray) -> np.ndarray:
@@ -119,44 +123,42 @@ class HeatKernel:
 
         chi is smooth in z (a transition in the smooth parabolic-norm
         surrogate); its radii are calibrated so that K equals P on
-        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. chi
-        multiplies ``columns`` in place a block of rows at a time, so K is
-        the one field held.
+        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. Each
+        block of rows of P is made, cut off and written into K, so K is the
+        one field held.
         """
-        K = self.columns(self._steps(horizon))
+        K = np.empty((self._steps(horizon) + 1, self.grid.M))
         x = self.grid.eps * modes(self.grid.M)
         for rows in _blocks(K.shape[0], 16 * self.grid.M):
             t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
             chi = smooth_cutoff(smooth_parabolic_norm(t, x), inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-            np.multiply(chi, K[rows], out=K[rows])
+            np.multiply(chi, self._rows(rows), out=K[rows])
         return K
 
-    def verify_bounds(self, j: int, horizon: float) -> "BoundsDiagnostic":
-        """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded.
+    def verify_bounds(self, horizon: float) -> tuple["BoundsDiagnostic", ...]:
+        """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded, for j = 0, 1, 2 in order.
 
         Samples grid points with |z|_s <= 3/8 to stay clear of the torus
         wraparound; an N-stable value certifies the decay bound. P is made
-        a block of rows at a time into one block buffer, so no field is held.
+        a block of rows at a time, whose half-spectrum gives D_x P and
+        D_x^2 P, so no field is held.
         """
-        if j not in (0, 1, 2):
-            raise ValueError("j must be 0, 1 or 2")
         eps, M = self.grid.eps, self.grid.M
         n_h = self._steps(horizon)
-        dmult = derivative_multiplier(self.fam, eps, M) ** j
+        dmult = derivative_multiplier(self.fam, eps, M)[: M // 2 + 1]
         t = np.arange(n_h + 1) * self.grid.dt
         t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
         x = eps * modes(M)
-        per_t = np.empty(n_h + 1)
-        blocks = _blocks(n_h + 1, 16 * M)
-        buf = np.empty((blocks[0].stop, M))
-        for rows in blocks:
-            P = buf[: rows.stop - rows.start]
-            self._rows(rows.start, P)
-            vals = np.fft.ifft(np.fft.fft(P, axis=-1) * dmult, axis=-1).real if j else P
+        per_t = np.empty((3, n_h + 1))
+        for rows in _blocks(n_h + 1, 16 * M):
+            P = self._rows(rows)
+            spec = np.fft.rfft(P, axis=-1)
             keep = parabolic_norm(t[rows, None], x[None, :]) <= 0.375
-            weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
-            per_t[rows] = weighted.max(axis=1)
-        return BoundsDiagnostic(j=j, times=t, per_time_max=per_t, sup=float(per_t.max()))
+            for j in (0, 1, 2):
+                vals = np.fft.irfft(spec * dmult**j, n=M, axis=-1) if j else P
+                weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
+                per_t[j, rows] = weighted.max(axis=1)
+        return tuple(BoundsDiagnostic(j=j, times=t, per_time_max=per_t[j], sup=float(per_t[j].max())) for j in (0, 1, 2))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from sbe.heat import HeatKernel
 from sbe.measures import preset_measure
 from sbe.operators import OperatorFamily
 
@@ -29,6 +30,18 @@ def traced(call) -> tuple[object, int, int]:
         return result, peak - before, current - before
     finally:
         tracemalloc.stop()
+
+
+def count_rows(monkeypatch) -> list:
+    """Patch HeatKernel._rows to add up the rows of P it makes; the returned one-item list holds the count."""
+    made, rows_of = [0], HeatKernel._rows
+
+    def counted(hk, rows):
+        made[0] += rows.stop - rows.start
+        return rows_of(hk, rows)
+
+    monkeypatch.setattr(HeatKernel, "_rows", counted)
+    return made
 
 
 def traced_peak(call) -> tuple[object, int]:

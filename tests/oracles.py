@@ -41,9 +41,10 @@ within rounding.
 ``time_convolve_whole``, ``spacetime_convolve_whole``, ``order_norm_whole``
 and ``increment_bound_whole`` are the heat kernel, its singular part and
 decay bounds, the time and space-time convolutions, the order norm and the
-increment probe spelled on whole fields, one field-sized array per step.
-The blocked passes of ``sbe.heat`` and ``sbe.kernels`` must equal them bit
-for bit.
+increment probe spelled on whole fields, one field-sized array per step,
+the heat kernel's on the real half-spectrum as ``sbe.heat`` takes it. The
+blocked passes of ``sbe.heat`` and ``sbe.kernels`` must equal them bit for
+bit.
 
 ``space_pairing_map`` and ``parabolic_pairing_map`` pair a field with the
 test functions phi_x^lambda of ``sbe.norms`` at every base site, by FFT
@@ -290,12 +291,12 @@ def increment_sums_zeros_like(K: np.ndarray, sq: np.ndarray, points, eps: float)
 
 
 def columns_whole(hk: HeatKernel, n_max: int) -> np.ndarray:
-    """Rows 0..n_max of hk's kernel: the scaled delta, then the inverse DFTs of m^n in one pass."""
+    """Rows 0..n_max of hk's kernel: the scaled delta, then the irffts of m^n on the half-spectrum in one pass."""
     n = np.arange(1, n_max + 1)
-    powers = np.exp(np.multiply.outer(n, np.log(hk.multiplier)))
+    powers = np.exp(np.multiply.outer(n, np.log(hk.multiplier[: hk.grid.M // 2 + 1])))
     delta = np.zeros((1, hk.grid.M))
     delta[0, 0] = 1.0 / hk.grid.eps
-    return np.vstack([delta, np.fft.ifft(powers, axis=-1).real / hk.grid.eps])
+    return np.vstack([delta, np.fft.irfft(powers, n=hk.grid.M, axis=-1) / hk.grid.eps])
 
 
 def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
@@ -311,14 +312,14 @@ def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
 
 
 def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
-    """The per-time maxima of ``HeatKernel.verify_bounds``, each step on the whole field."""
+    """The per-time maxima of the order-j diagnostic of ``HeatKernel.verify_bounds``, each step on the whole field."""
     grid = hk.grid
     eps, M = grid.eps, grid.M
     n_h = int(round(horizon / grid.dt))
     cols = columns_whole(hk, n_h)
-    spec = np.fft.fft(cols, axis=-1)
-    dmult = derivative_multiplier(hk.fam, eps, M)
-    vals = np.fft.ifft(spec * dmult**j, axis=-1).real if j else cols
+    spec = np.fft.rfft(cols, axis=-1)
+    dmult = derivative_multiplier(hk.fam, eps, M)[: M // 2 + 1]
+    vals = np.fft.irfft(spec * dmult**j, n=M, axis=-1) if j else cols
     t = np.arange(n_h + 1) * grid.dt
     t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
     x = eps * modes(M)

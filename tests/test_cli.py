@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from conftest import traced_peak
+from conftest import count_rows, traced_peak
 from sbe import cli, processes
 from sbe.cli import (
     EXPERIMENT_KINDS,
@@ -22,6 +22,7 @@ from sbe.cli import (
 from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
 from sbe.kernels import square_check_bytes
+from sbe.operators import _BLOCK_BYTES
 from sbe.norms import estimate_exponent
 from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import compute_constants
@@ -193,6 +194,15 @@ class TestExperiments:
         for entry in manifest["files"]:
             assert sha256_file(os.path.join(bundle.directory, entry["name"])) == entry["sha256"]
 
+    def test_heat_kernel_makes_each_row_of_p_twice(self, tmp_path, monkeypatch):
+        # once for kernel.bin and once for the three decay bounds
+        made = count_rows(monkeypatch)
+        cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 5, "T": 0.125})
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        assert made == [2 * (GridSpec(5, 0.125).n_steps + 1)]
+        quantities = [line.split(",")[0] for line in Path(bundle.directory, "heat_kernel.csv").read_text().splitlines()]
+        assert quantities[-3:] == ["decay_bound_sup_j0", "decay_bound_sup_j1", "decay_bound_sup_j2"]
+
     def test_taken_output_directory_gets_suffix(self, tmp_path, monkeypatch):
         import time
 
@@ -343,6 +353,21 @@ class TestConfigFailsBeforeOutput:
         for budget in (need, None):  # an unreadable budget refuses nothing
             monkeypatch.setattr(cli, "_memory_available", lambda: budget)
             assert config_from_dict({"kind": kind, "family": FAMILY, "N": 8, "T": 0.125}).N == 8
+
+    def test_heat_kernel_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch):
+        # P, which the experiment writes whole, and a block of its decay bounds
+        grid = GridSpec(8, 0.125)
+        need = (grid.n_steps + 1) * grid.M * 8 + _BLOCK_BYTES
+        monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
+        path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
+        out = tmp_path / "out"
+        assert main(["heat-kernel", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: N: level 8 at T=0.125 needs about {need / 1e9:.2f} GB for the heat kernel" in err
+        assert not out.exists()
+        for budget in (need, None):  # an unreadable budget refuses nothing
+            monkeypatch.setattr(cli, "_memory_available", lambda: budget)
+            assert config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 8, "T": 0.125}).N == 8
 
     @pytest.mark.parametrize(
         "kind, bad, field",

@@ -3,7 +3,7 @@ import pytest
 
 from sbe.grids import GridSpec
 from sbe.heat import CUTOFF_INNER, HeatKernel, parabolic_norm
-from sbe.operators import modes
+from sbe.operators import derivative_multiplier, modes
 
 
 @pytest.fixture(scope="module")
@@ -133,18 +133,36 @@ class TestVerifyBounds:
         sups = []
         for N in (4, 5, 6, 7, 8):
             hk = HeatKernel(GridSpec(N, 0.25), fam_bw_ss)
-            sups.append(hk.verify_bounds(0, 0.25).sup)
+            sups.append(hk.verify_bounds(0.25)[0].sup)
         assert max(sups) / min(sups) < 2.0
 
     def test_one_step_value(self, hk):
-        diag = hk.verify_bounds(0, 0.25)
+        diag = hk.verify_bounds(0.25)[0]
         # |t|_eps * P at (eps^2, 0): eps * (3/4) / eps
         assert diag.per_time_max[1] == pytest.approx(0.75, abs=1e-12)
 
     def test_late_time_decay(self, hk):
-        diag = hk.verify_bounds(0, 0.25)
+        diag = hk.verify_bounds(0.25)[0]
         assert diag.per_time_max[-1] < diag.per_time_max[1]
 
-    def test_bad_derivative_count(self, hk):
-        with pytest.raises(ValueError):
-            hk.verify_bounds(3, 0.25)
+
+@pytest.mark.parametrize("N", [5, 6, 7, 8])
+def test_half_spectrum_equals_the_full_spectrum(fam_bw_ss, N):
+    # an independent reference: the complex transforms over all M modes
+    grid = GridSpec(N, 0.125)
+    hk = HeatKernel(grid, fam_bw_ss)
+    n = np.arange(grid.n_steps + 1)[:, None]
+    P = np.fft.ifft(hk.multiplier**n, axis=-1).real / grid.eps
+    rows = hk.columns(grid.n_steps)
+    assert np.all(np.abs(rows - P).max(axis=1) <= 1e-13 * np.abs(P).max(axis=1))
+    t = n[:, 0] * grid.dt
+    t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), grid.eps)
+    keep = parabolic_norm(t[:, None], grid.eps * modes(grid.M)[None, :]) <= 0.375
+    # with P from the same powers exp(n log m) as the rows, only the spectrum route differs
+    spec = np.fft.fft(np.fft.ifft(np.exp(n * np.log(hk.multiplier)), axis=-1).real / grid.eps, axis=-1)
+    for diag in hk.verify_bounds(grid.T)[1:]:
+        dxj = np.fft.ifft(spec * derivative_multiplier(fam_bw_ss, grid.eps, grid.M) ** diag.j, axis=-1).real
+        full = np.where(keep, np.abs(dxj) * t_eps[:, None] ** (1 + diag.j), 0.0).max(axis=1)
+        assert abs(diag.sup - full.max()) <= 1e-13 * full.max()
+        # P's rounding, which D_x^j amplifies by up to (2 / eps)^j, moves single times more
+        np.testing.assert_allclose(diag.per_time_max, full, rtol=1e-11, atol=0)

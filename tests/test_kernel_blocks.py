@@ -12,12 +12,13 @@ kernel free of rows kept between calls, and the mollifier to its space
 pass and its result.
 """
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import traced, traced_peak
+from conftest import count_rows, traced, traced_peak
 from oracles import (
     columns_whole,
     increment_bound_probe,
@@ -44,6 +45,10 @@ def spans_blocks(n: int, item_bytes: int) -> bool:
     return len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
 
 
+OUTSIDE = r"horizon .* outside \[0, T\] with T = 0.125"
+BETWEEN_STEPS = r"horizon 0.1 is not a multiple of dt=0.0009765625"
+
+
 @pytest.fixture(scope="module")
 def long_grid():
     """M = 32 sites and 1025 time rows: several row blocks in every pass."""
@@ -58,19 +63,29 @@ class TestHeatKernel:
         K = hk.singular_part(long_grid.T)
         assert np.array_equal(K, split_whole(hk, long_grid.T))
         assert np.array_equal(hk.columns(long_grid.n_steps), columns_whole(hk, long_grid.n_steps))
-        for j in (0, 1, 2):
-            diag = hk.verify_bounds(j, long_grid.T)
-            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, j, long_grid.T)), j
+        diags = hk.verify_bounds(long_grid.T)
+        assert [diag.j for diag in diags] == [0, 1, 2]
+        for diag in diags:
+            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, diag.j, long_grid.T)), diag.j
+            assert diag.sup == diag.per_time_max.max()
 
     def test_bounds_equal_the_whole_field_in_every_block(self, fam_bw_ss):
         # M = 128: blocks of 64 rows, and every row up to T = 1/8 has sites inside |z|_s <= 3/8
         grid = GridSpec(7, 0.125)
         hk = HeatKernel(grid, fam_bw_ss)
         assert spans_blocks(grid.n_steps + 1, 16 * grid.M)
-        for j in (0, 1, 2):
-            diag = hk.verify_bounds(j, grid.T)
-            assert diag.per_time_max.all(), j
-            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, j, grid.T)), j
+        for diag in hk.verify_bounds(grid.T):
+            assert diag.per_time_max.all(), diag.j
+            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, diag.j, grid.T)), diag.j
+
+    def test_bounds_make_each_row_of_p_once(self, fam_bw_ss, long_grid, monkeypatch):
+        hk = HeatKernel(long_grid, fam_bw_ss)
+        made = count_rows(monkeypatch)
+        hk.verify_bounds(0.5)
+        assert made == [long_grid.n_steps // 2 + 1]
+
+    def test_bounds_take_only_a_horizon(self):
+        assert list(inspect.signature(HeatKernel.verify_bounds).parameters) == ["self", "horizon"]
 
     def test_cache_grown_in_two_calls_keeps_its_rows(self, fam_bw_ss, long_grid):
         hk = HeatKernel(long_grid, fam_bw_ss)
@@ -81,28 +96,41 @@ class TestHeatKernel:
         assert np.array_equal(hk.columns(7), grown[:8])
 
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda hk: hk.columns(-3),
-            lambda hk: hk.columns(hk.grid.n_steps + 1),
-            lambda hk: hk.singular_part(-hk.grid.dt),
-            lambda hk: hk.singular_part(hk.grid.T + hk.grid.dt),
-            lambda hk: hk.verify_bounds(1, 1.0),
-            lambda hk: hk.verify_bounds(1, -0.01),
-            lambda hk: hk.verify_bounds(0, float("nan")),
+            (lambda hk: hk.columns(-3), OUTSIDE),
+            (lambda hk: hk.columns(hk.grid.n_steps + 1), OUTSIDE),
+            (lambda hk: hk.singular_part(-hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.singular_part(hk.grid.T + hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.verify_bounds(1.0), OUTSIDE),
+            (lambda hk: hk.verify_bounds(-0.01), OUTSIDE),
+            (lambda hk: hk.verify_bounds(float("nan")), OUTSIDE),
+            # 0.1 / dt = 102.4 steps at N = 5
+            (lambda hk: hk.singular_part(0.1), BETWEEN_STEPS),
+            (lambda hk: hk.verify_bounds(0.1), BETWEEN_STEPS),
         ],
-        ids=["columns-3", "columns-past-T", "split-dt", "split-past-T", "bounds-1", "bounds-negative", "bounds-nan"],
+        ids=[
+            "columns-3",
+            "columns-past-T",
+            "split-dt",
+            "split-past-T",
+            "bounds-1",
+            "bounds-negative",
+            "bounds-nan",
+            "split-between-steps",
+            "bounds-between-steps",
+        ],
     )
-    def test_horizon_outside_zero_to_T_is_refused(self, fam_bw_ss, call):
+    def test_horizon_outside_zero_to_T_is_refused(self, fam_bw_ss, call, message):
         hk = HeatKernel(GridSpec(5, 0.125), fam_bw_ss)
-        with pytest.raises(ValueError, match=r"horizon .* outside \[0, T\] with T = 0.125"):
+        with pytest.raises(ValueError, match=message):
             call(hk)
 
     def test_horizons_zero_and_T_are_accepted(self, fam_bw_ss):
         hk = HeatKernel(GridSpec(5, 0.125), fam_bw_ss)
         assert hk.columns(0).shape == (1, 32)
         assert np.array_equal(hk.singular_part(0.0), hk.columns(0))  # the delta lies inside the cutoff
-        assert hk.verify_bounds(2, 0.125).per_time_max.shape == (129,)
+        assert [diag.per_time_max.shape for diag in hk.verify_bounds(0.125)] == [(129,)] * 3
 
 
 class TestTimeConvolve:
@@ -269,7 +297,7 @@ class TestMemory:
         assert held < _BLOCK_BYTES
         # a fresh kernel's decay bounds make P one block of rows at a time
         fresh = HeatKernel(grid, fam_bw_ss)
-        _, peak = traced_peak(lambda: fresh.verify_bounds(2, grid.T))
+        _, peak = traced_peak(lambda: fresh.verify_bounds(grid.T))
         assert peak < field / 4
         assert set(vars(hk)) == set(vars(fresh)) == {"grid", "fam", "multiplier"}
 

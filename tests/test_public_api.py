@@ -167,3 +167,24 @@ def test_every_private_helper_has_a_library_reader():
         and not _library_reads(module, node.name)
     ]
     assert sorted(unread) == sorted(PRIVATE_KEPT), f"private helpers no library module reads: {', '.join(unread)}"
+
+
+# the complex transforms that stay: kernels' time FFTs act on complex
+# half-spectra, and the twisted Parseval identity needs both k and -k;
+# every real field goes through rfft and irfft
+COMPLEX_FFT_CALLERS = {
+    ("kernels", "_first_operand"),
+    ("kernels", "_finish_with"),
+    ("operators", "check_parseval_twisted"),
+}
+
+
+def test_complex_ffts_only_where_a_spectrum_is_complex():
+    callers = {
+        (module, getattr(top, "name", None))
+        for module, tree in _library()[0].items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("fft", "ifft")
+    }
+    assert callers == COMPLEX_FFT_CALLERS
