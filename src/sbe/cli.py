@@ -26,13 +26,20 @@ import numpy as np
 
 from . import __version__
 from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
-from .grids import GridSpec, LatticeField, NoiseField, sample_noise
+from .grids import GridSpec, LatticeField, NoiseField
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
-from .norms import PROFILE_SMOOTHNESS, _usable_scales, estimate_exponent, make_test_family
+from .norms import (
+    PROFILE_SMOOTHNESS,
+    ParabolicPlan,
+    _usable_scales,
+    estimate_exponent,
+    make_test_family,
+    regularity_bytes,
+)
 from .operators import _BLOCK_BYTES, OperatorFamily
-from .processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
+from .processes import NOISE_LABEL, TREE_LABELS, lift_chunk_bytes, lift_chunks
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,
@@ -240,9 +247,10 @@ def _check_memory(cfg: ExperimentConfig) -> None:
 
     kernel-diagnostics: the largest square check (``square_check_bytes``).
     heat-kernel: P, which it writes whole, and a block of the decay bounds.
-    processes and regularity: a few chunks of a replica's lift, and for
-    regularity its noise field and T2, which its parabolic estimates read in
-    full (processes draws its noise as the lift reads it).
+    processes: a few chunks of a replica's lift (``lift_chunk_bytes``).
+    regularity: those chunks and its two parabolic plans
+    (``regularity_bytes``). Neither holds a noise or tree field: each draws
+    its noise as the lift reads it.
     """
     if cfg.kind == "heat-kernel":
         n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
@@ -255,8 +263,10 @@ def _check_memory(cfg: ExperimentConfig) -> None:
     elif cfg.kind in ("processes", "regularity"):
         n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
         name, at, what = "N", f" at T={cfg.T!r}", f"the {cfg.kind} lifts"
-        fields = 2 if cfg.kind == "regularity" else 0
-        need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
+        if cfg.kind == "regularity":
+            need = regularity_bytes(grid, _regularity_families(grid)[1])
+        else:
+            need = lift_chunk_bytes(grid)
     else:
         return
     budget = _memory_available()
@@ -454,25 +464,34 @@ def _exp_regularity(cfg, fam, outdir):
     grid = GridSpec(cfg.N, cfg.T)
     consts = compute_constants(fam, grid)
     tf_space, tf_para = _regularity_families(grid)
+    space = ("T1", "T11", "T12")
     targets = {"T1": "space", "T11": "space", "T12": "space", "T2": "parabolic"}
     table: dict[str, list[float]] = {lab: [] for lab in list(targets) + ["noise"]}
     curves = []
     estimates = {}
+    # T2 and the noise are folded into their parabolic estimates a chunk at a
+    # time as the lift makes them; the space estimates read the last row of
+    # T1, T11 and T12. Each replica's noise is drawn as its lift reads it.
+    plans = {
+        "T2": ParabolicPlan(grid, tf_para, grid.n_steps + 1),
+        NOISE_LABEL: ParabolicPlan(grid, tf_para, grid.n_steps),
+    }
     for rep in range(cfg.replicas):
-        noise = sample_noise(grid, cfg.seed + rep)
-        # the space estimates read only the last slice of T1, T11 and T12
-        tps = lift(noise, fam, consts, labels=tuple(targets), last=("T1", "T11", "T12"))
-        for lab, mode in targets.items():
-            est = estimate_exponent(LatticeField(grid, tps[lab]), tf_space if mode == "space" else tf_para, mode=mode)
+        noise = NoiseField(grid, cfg.seed + rep)
+        for span, chunk in lift_chunks(noise, fam, consts, labels=(*targets, NOISE_LABEL), last=space):
+            for lab, plan in plans.items():
+                plan.feed(chunk[lab])
+            if span.stop > grid.n_steps:  # the final chunk
+                finals = {lab: chunk[lab] for lab in space}
+            chunk.clear()  # hold nothing of this chunk while the next is made
+        ests = {lab: estimate_exponent(LatticeField(grid, finals[lab]), tf_space, mode="space") for lab in space}
+        ests["T2"], ests["noise"] = plans["T2"].finish(), plans[NOISE_LABEL].finish()
+        for lab, est in ests.items():
             table[lab].append(est.exponent)
             if rep == 0:
-                curves += [(lab, lam, sup) for lam, sup in zip(est.scales, est.sup_pairings)]
+                if lab in targets:
+                    curves += [(lab, lam, sup) for lam, sup in zip(est.scales, est.sup_pairings)]
                 estimates[lab] = _estimate_to_json(est)
-        est = estimate_exponent(LatticeField(grid, noise.values), tf_para, mode="parabolic")
-        table["noise"].append(est.exponent)
-        if rep == 0:
-            estimates["noise"] = _estimate_to_json(est)
-        del noise, tps  # free this replica before the next one is drawn
     rows = []
     for lab, vals in table.items():
         mode = targets.get(lab, "parabolic")

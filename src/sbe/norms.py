@@ -19,6 +19,13 @@ dyadic dilates). The band family has zero mass, so the estimator resolves
 positive exponents as well; with the plain bump any function-valued field
 would saturate at slope 0. It reads each band at a few hundred sampled
 base points only.
+
+Its parabolic windows are fixed by the grid, the family and the number of
+rows, never by the values, so a ``ParabolicPlan`` folds a field into them
+as its rows stream by and holds one row of sums per (scale, time), not the
+field. A parabolic pairing is dt times the space pairing of its windows'
+time-weighted sums, which every window takes in tiles of rows aligned to
+row 0: every chunking of the rows gives the same bits.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridSpec, LatticeField
+from .processes import _block, lift_chunk_bytes
 
 __all__ = [
     "TestFunctionFamily",
@@ -42,6 +50,8 @@ __all__ = [
     "comparison_sup",
     "comparison_norm",
     "estimate_exponent",
+    "ParabolicPlan",
+    "regularity_bytes",
 ]
 
 # base points per band in estimate_exponent: 2 PATCHES + 1 in space, PATCHES in time
@@ -141,6 +151,71 @@ def _time_kernel(tf: TestFunctionFamily, grid: GridSpec, lam: float) -> np.ndarr
     return tf.profile(np.arange(-kt, kt + 1) * grid.dt / lam**2) / lam**2
 
 
+class _WindowSums:
+    """Time-weighted sums of a field's rows over fixed windows, fed a chunk of rows at a time.
+
+    A group (w, tsel) sums rows t - kt .. t + kt with the 2 kt + 1 weights w
+    for each t in tsel, which must lie inside the nt rows; group g's sums
+    are ``blocks[g]``, one row of M per time. Every window is contracted in
+    fixed tiles of ``_block(grid)`` rows aligned to row 0: per tile one
+    gemv w[lo - s : hi - s] @ rows[lo:hi] (s = t - kt, a stacked product
+    would not be batch-invariant), added to the window's sum in time order.
+    A tile that a feed leaves incomplete is copied until its last row
+    arrives, so every chunking, a row at a time included, makes the same
+    gemvs on the same rows and gives the same bits. At most one partial
+    tile is held between feeds.
+    """
+
+    def __init__(self, grid: GridSpec, nt: int, groups):
+        self.nt, self.tile, self.fed = nt, _block(grid), 0
+        self._weights = [w for w, tsel in groups for _ in tsel]
+        self._starts = np.concatenate([np.asarray(tsel, dtype=np.int64) - len(w) // 2 for w, tsel in groups])
+        self._ends = self._starts + np.array([len(w) for w in self._weights], dtype=np.int64)
+        self.sums = np.zeros((len(self._weights), grid.M))
+        cuts = np.cumsum([len(tsel) for _, tsel in groups])[:-1]
+        self.blocks = np.split(self.sums, cuts)
+        self._partial = None
+
+    def feed(self, rows: np.ndarray) -> None:
+        rows = np.ascontiguousarray(rows, dtype=np.float64)  # every tile's gemv on the same layout
+        if rows.ndim != 2 or rows.shape[1] != self.sums.shape[1]:
+            raise ValueError(f"rows of shape {rows.shape}, expected (rows, {self.sums.shape[1]})")
+        if self.fed + len(rows) > self.nt:
+            raise ValueError(f"{self.fed + len(rows)} rows fed, past the {self.nt} rows of the field")
+        i = 0
+        while i < len(rows):
+            j, off = divmod(self.fed + i, self.tile)
+            a = j * self.tile
+            length = min(self.tile, self.nt - a)
+            take = min(length - off, len(rows) - i)
+            if take == length:  # the whole tile is in this chunk
+                self._contract(a, rows[i : i + take])
+            else:
+                if self._partial is None:
+                    self._partial = np.empty((self.tile, self.sums.shape[1]))
+                self._partial[off : off + take] = rows[i : i + take]
+                if off + take == length:
+                    self._contract(a, self._partial[:length])
+            i += take
+        self.fed += len(rows)
+
+    def _contract(self, a: int, rows: np.ndarray) -> None:
+        """Add tile rows a .. a + len(rows) - 1 into the sums of the windows that read them."""
+        reads = np.flatnonzero((self._starts < a + len(rows)) & (self._ends > a))
+        for k in reads.tolist():
+            s, e = int(self._starts[k]), int(self._ends[k])
+            lo, hi = max(s, a), min(e, a + len(rows))
+            self.sums[k] += self._weights[k][lo - s : hi - s] @ rows[lo - a : hi - a]
+
+    def check_complete(self) -> None:
+        if self.fed != self.nt:
+            raise ValueError(f"only {self.fed} of the field's {self.nt} rows fed")
+
+    def reset(self) -> None:
+        self.sums[:] = 0.0
+        self.fed = 0
+
+
 def _pairings_at(
     values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float, tsel: np.ndarray, xsel: np.ndarray, mode: str
 ) -> np.ndarray:
@@ -149,16 +224,15 @@ def _pairings_at(
     Mode "space" pairs rows tsel spatially, each row on its own, so a row's
     pairings do not depend on the rows stacked with it. "parabolic" pairs in
     space-time around times tsel, whose time windows must lie inside the
-    field; each window is contracted with the time weights before the space
-    sum, so a point costs one pass over its window.
+    field: dt times the space pairings of the windows' time-weighted sums
+    (``_WindowSums``), so a point costs one pass over its window.
     """
+    if mode == "parabolic":
+        sums = _WindowSums(grid, len(values), [(_time_kernel(tf, grid, lam), np.asarray(tsel))])
+        sums.feed(values)
+        return grid.dt * _pairings_at(sums.blocks[0], grid, tf, lam, np.arange(len(tsel)), xsel, "space")
     shifts = _site_matrix(tf.r, grid.N, float(lam), tuple(np.asarray(xsel).tolist()))
-    if mode == "space":
-        return grid.eps * (values[tsel, None] @ shifts)[:, 0]
-    wt = _time_kernel(tf, grid, lam)
-    kt = len(wt) // 2
-    rows = np.stack([wt @ values[t - kt : t + kt + 1] for t in tsel])
-    return grid.dt * grid.eps * (rows @ shifts)
+    return grid.eps * (values[tsel, None] @ shifts)[:, 0]
 
 
 def _slices_in_horizon(field: LatticeField, T: float | None):
@@ -370,28 +444,15 @@ def _usable_scales(tf: TestFunctionFamily, grid: GridSpec, nt: int, mode: str) -
     return usable
 
 
-def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "space") -> HolderEstimate:
-    """Least-squares slope of log sup band-pairing against log lambda.
+def _bands(grid: GridSpec, tf: TestFunctionFamily, nt: int, mode: str) -> list:
+    """(smaller scale, larger scale, tsel, xsel) of each band that estimate_exponent reads on nt rows.
 
-    The supremum runs over base points on a lambda-proportional stride
-    (spacing lambda/2, lambda^2/2 in time) covering PATCHES correlation
-    lengths per scale. Keeping the effective sample count
-    scale-independent removes the extreme-value log factor that otherwise
-    biases the slope low. Mode "space" pairs the last slice of a
-    space-time field. Raises on a degenerate (all-zero) pairing table.
+    The base points run on a lambda-proportional stride (spacing lambda/2,
+    lambda^2/2 in time) over PATCHES correlation lengths per scale. They
+    depend on the grid, the family and nt alone, never on the values.
     """
-    grid = field.grid
-    if mode == "space":
-        vals = np.atleast_2d(field.values)[-1:]
-    elif mode == "parabolic":
-        vals = field.values
-        if vals.ndim != 2:
-            raise ValueError("parabolic pairing needs a space-time field")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    nt = vals.shape[0]
     usable = _usable_scales(tf, grid, nt, mode)
-    sups, lams = [], []
+    bands = []
     for lam_a, lam_b in zip(tf.scales[:usable], tf.scales[1:usable]):
         kt_b = _time_halfwidth(grid, lam_b) if mode == "parabolic" else 0
         st_x = max(1, int(round(lam_a / (2.0 * grid.eps))))
@@ -401,12 +462,17 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
         tsel = nt - 1 - kt_b - np.arange(PATCHES) * st_t
         tsel = tsel[tsel >= kt_b]
         xsel = (np.arange(2 * PATCHES + 1) * st_x) % grid.M
-        pa = _pairings_at(vals, grid, tf, lam_a, tsel, xsel, mode)
-        pb = _pairings_at(vals, grid, tf, lam_b, tsel, xsel, mode)
-        sups.append(float(np.abs(pa - pb).max()))
-        lams.append(lam_a)
-    sups = np.asarray(sups, dtype=np.float64)
-    lams = np.asarray(lams, dtype=np.float64)
+        bands.append((lam_a, lam_b, tsel, xsel))
+    return bands
+
+
+def _fit(bands: list, pairs: list, mode: str) -> HolderEstimate:
+    """The least-squares line through (log2 lambda, log2 sup |pa - pb|) of the bands whose sup is positive.
+
+    ``pairs`` holds each band's pairings (pa, pb) at its smaller and larger scale.
+    """
+    sups = np.array([np.abs(pa - pb).max() for pa, pb in pairs], dtype=np.float64)
+    lams = np.array([lam_a for lam_a, *_ in bands], dtype=np.float64)
     if np.all(sups == 0.0):
         raise ValueError("degenerate fit: all band pairings vanish")
     good = sups > 0.0
@@ -424,3 +490,84 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
         sup_pairings=sups[good],
         mode=mode,
     )
+
+
+class ParabolicPlan:
+    """``estimate_exponent(mode="parabolic")`` of a field fed a chunk of time rows at a time.
+
+    Built once per (grid, family, nt): it holds the fixed windows the
+    estimator reads, the times tsel, the time weights and the sites xsel of
+    each band and scale, and one row of M sums per (scale, time). ``feed``
+    takes the field's next rows, in time order; ``finish`` returns the
+    estimate once all nt rows are in and readies the plan for the next
+    field. Fed whole, in chunks or a row at a time, it gives the bits of
+    ``estimate_exponent`` on the whole field. A feed past nt, and a finish
+    before the last row, are a ValueError.
+    """
+
+    def __init__(self, grid: GridSpec, tf: TestFunctionFamily, nt: int):
+        self.grid, self.tf = grid, tf
+        self.bands = _bands(grid, tf, nt, "parabolic")
+        groups = [
+            (_time_kernel(tf, grid, lam), tsel) for lam_a, lam_b, tsel, _ in self.bands for lam in (lam_a, lam_b)
+        ]
+        self._sums = _WindowSums(grid, nt, groups)
+
+    def feed(self, rows: np.ndarray) -> None:
+        self._sums.feed(rows)
+
+    def finish(self) -> HolderEstimate:
+        self._sums.check_complete()
+        grid, blocks = self.grid, self._sums.blocks  # two per band, its smaller scale's first
+        pairs = []
+        for (lam_a, lam_b, tsel, xsel), sums_a, sums_b in zip(self.bands, blocks[0::2], blocks[1::2]):
+            rows = np.arange(len(tsel))
+            pa = grid.dt * _pairings_at(sums_a, grid, self.tf, lam_a, rows, xsel, "space")
+            pb = grid.dt * _pairings_at(sums_b, grid, self.tf, lam_b, rows, xsel, "space")
+            pairs.append((pa, pb))
+        self._sums.reset()
+        return _fit(self.bands, pairs, "parabolic")
+
+
+def regularity_bytes(grid: GridSpec, tf: TestFunctionFamily) -> int:
+    """About the most that one replica of the regularity table holds at once.
+
+    The chunks of its lift (``lift_chunk_bytes``) and, for each of its two
+    ``ParabolicPlan``s on family ``tf``, T2's and the noise's, the sums and
+    the time weights, with one partial tile: T2's chunks end a row past a
+    tile, the noise's on one. The space estimates read one row of each tree
+    they fit.
+    """
+    bands = _bands(grid, tf, grid.n_steps + 1, "parabolic")
+    sums = sum(2 * len(tsel) * grid.M for _, _, tsel, _ in bands)
+    weights = sum(2 * _time_halfwidth(grid, lam) + 1 for band in bands for lam in band[:2])
+    return lift_chunk_bytes(grid) + (2 * (sums + weights) + _block(grid) * grid.M) * 8
+
+
+def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "space") -> HolderEstimate:
+    """Least-squares slope of log sup band-pairing against log lambda.
+
+    The supremum runs over base points on a lambda-proportional stride
+    (spacing lambda/2, lambda^2/2 in time) covering PATCHES correlation
+    lengths per scale. Keeping the effective sample count
+    scale-independent removes the extreme-value log factor that otherwise
+    biases the slope low. Mode "space" pairs the last slice of a
+    space-time field; "parabolic" feeds the whole field to a
+    ``ParabolicPlan``. Raises on a degenerate (all-zero) pairing table.
+    """
+    grid = field.grid
+    if mode == "parabolic":
+        if field.values.ndim != 2:
+            raise ValueError("parabolic pairing needs a space-time field")
+        plan = ParabolicPlan(grid, tf, field.values.shape[0])
+        plan.feed(field.values)
+        return plan.finish()
+    if mode != "space":
+        raise ValueError(f"unknown mode {mode!r}")
+    vals = np.atleast_2d(field.values)[-1:]
+    bands = _bands(grid, tf, 1, mode)
+    pairs = [
+        (_pairings_at(vals, grid, tf, lam_a, tsel, xsel, mode), _pairings_at(vals, grid, tf, lam_b, tsel, xsel, mode))
+        for lam_a, lam_b, tsel, xsel in bands
+    ]
+    return _fit(bands, pairs, mode)

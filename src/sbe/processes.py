@@ -44,8 +44,11 @@ there, the ``processes`` experiment's Monte Carlo means every tree. Such a
 tree is returned as that row alone, and where no convolution and no tree
 returned in full reads it, it is made at that row alone. Every other
 requested tree is copied into one full array as its chunks come; a tree
-that is only read is not returned. The pass holds a few chunks besides the
-returned trees and an explicit noise field, however long the horizon.
+that is only read is not returned. ``lift_chunks`` also yields each
+chunk's noise rows under NOISE_LABEL when asked, so a statistic of the
+noise reads the rows the lift drew. The pass holds a few chunks, however
+long the horizon; ``lift`` also holds the trees it returns in full, and
+an explicit noise field holds its values.
 
 The recursion is stated once, as a table of label: (the trees the rule
 reads, the rule), every tree after the trees it reads. The labels and
@@ -62,22 +65,23 @@ from .grids import GridSpec, NoiseField
 from .operators import OperatorFamily, _stencil, derivative_multiplier, stepping_multiplier, twisted_product
 from .renorm import RenormConstants
 
-__all__ = ["TREE_LABELS", "lift", "lift_chunks", "lift_chunk_bytes"]
+__all__ = ["TREE_LABELS", "NOISE_LABEL", "lift", "lift_chunks", "lift_chunk_bytes"]
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
+NOISE_LABEL = "xi"  # a chunk's noise rows, which lift_chunks yields when asked
 
 _CHUNK_BYTES = 3 << 19  # a chunk's half-spectrum (1.5 MiB), rounded down to whole blocks
 _CHUNKS_HELD = 24  # chunk-sized arrays held at once: about 19 in a full lift written chunk by chunk
 
 
-def _label_tuple(labels, name: str) -> tuple:
-    """``labels`` as a tuple of tree labels; anything else is a ValueError."""
+def _label_tuple(labels, name: str, known: tuple = TREE_LABELS) -> tuple:
+    """``labels`` as a tuple of labels from ``known``; anything else is a ValueError."""
     if isinstance(labels, str):
         raise ValueError(f"{name} must be a sequence of tree labels, not the string {labels!r}; pass ({labels!r},)")
     labels = tuple(labels)
     for label in labels:
-        if label not in TREE_LABELS:
-            raise ValueError(f"unknown tree label {label!r} in {name}; choose from {', '.join(TREE_LABELS)}")
+        if label not in known:
+            raise ValueError(f"unknown tree label {label!r} in {name}; choose from {', '.join(known)}")
     return labels
 
 
@@ -159,15 +163,17 @@ def lift_chunks(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants,
     ``rows`` is the slice of time indices a chunk covers; the chunks cover
     0..n_steps in order. Each chunk holds every tree that ``lift`` returns
     in full, the final chunk also the last row of each tree in ``last``,
-    all with the bits ``lift`` returns. The pass does not write a chunk's
-    arrays again. The arguments are checked when this is called, before
-    anything is computed.
+    all with the bits ``lift`` returns. With NOISE_LABEL among ``labels``
+    each chunk also holds the noise rows it was made from, rows.stop - 1 -
+    k .. rows.stop - 2 for k of them, which concatenate to the noise's
+    rows. The pass does not write a chunk's arrays again. The arguments are
+    checked when this is called, before anything is computed.
     """
     if consts.family_fingerprint != fam.fingerprint():
         raise ValueError("constants were computed for a different family")
     if consts.grid_N != noise.grid.N:
         raise ValueError(f"constants at N={consts.grid_N} but noise at N={noise.grid.N}")
-    labels, last = _label_tuple(labels, "labels"), _label_tuple(last, "last")
+    labels, last = _label_tuple(labels, "labels", (NOISE_LABEL, *TREE_LABELS)), _label_tuple(last, "last")
     for label in last:
         if label not in labels:
             raise ValueError(f"last label {label!r} is not among the requested labels")
@@ -204,9 +210,9 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
         for label in ("T1_hat", "DxP_T1_hat", "T12_hat", "T122_hat", "T124_hat", "T1222_hat")
     }
     # label: (the trees its rule reads, the rule), each tree after the trees it
-    # reads; xi is the chunk's noise rows
+    # reads; NOISE_LABEL's entry is the chunk's noise rows
     table = {
-        "T1_hat": (("xi",), lambda xi: conv["T1_hat"](hat(xi))),
+        "T1_hat": ((NOISE_LABEL,), lambda xi: conv["T1_hat"](hat(xi))),
         "T1": (("T1_hat",), field),
         "DxP_T1_hat": (("T1_hat",), conv["DxP_T1_hat"]),
         "T11": (("DxP_T1_hat",), lambda dxp_t1: _stencil(one_atoms, field(dxp_t1))),
@@ -226,7 +232,7 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
     for label, (reads, _) in reversed(table.items()):
         if label in needed:
             needed.update(reads)
-    returned = [label for label in TREE_LABELS if label in labels and label not in last]
+    returned = [label for label in (NOISE_LABEL, *TREE_LABELS) if label in labels and label not in last]
     # every row is made of the trees returned in full, of the convolutions
     # and of what they read; the other needed trees only at the final row
     full = set(returned) | needed.intersection(conv)
@@ -238,7 +244,7 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
     for start, xi in zip(range(0, max(nt, 1), step), noise.blocks(step)):  # one chunk when there is no time step
         k = len(xi)
         final = start + k == nt
-        trees = {"xi": xi}
+        trees = {NOISE_LABEL: xi}
         for label, (reads, rule) in table.items():
             if label in full:
                 trees[label] = rule(*(trees[r] for r in reads))

@@ -32,6 +32,12 @@ def traced(call) -> tuple[object, int, int]:
         tracemalloc.stop()
 
 
+def same_bits(got, want) -> bool:
+    """Equal bit for bit, so -0.0 and 0.0 differ, without copying an array (a float becomes a 0-d array)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def count_rows(monkeypatch) -> list:
     """Patch HeatKernel._rows to add up the rows of P it makes; the returned one-item list holds the count."""
     made, rows_of = [0], HeatKernel._rows

@@ -23,7 +23,7 @@ from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
 from sbe.kernels import square_check_bytes
 from sbe.operators import _BLOCK_BYTES
-from sbe.norms import estimate_exponent
+from sbe.norms import estimate_exponent, regularity_bytes
 from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import compute_constants
 from sbe.solver import SchemeConfig, ic_white_noise, run
@@ -151,7 +151,7 @@ class TestExperiments:
         def refuse(grid, seed):
             raise AssertionError("simulate drew the whole noise field")
 
-        monkeypatch.setattr(cli, "sample_noise", refuse)
+        monkeypatch.setattr(cli, "sample_noise", refuse, raising=False)  # intercepts any call cli would make
         raw = {"kind": "simulate", "family": FAMILY, "N": 6, "T": 0.0625, "seed": 4, "initial": {"kind": "white-noise"}}
         bundle = run_experiment(config_from_dict(raw), out_root=str(tmp_path))
         values, meta = read_field(bundle.directory, "trajectory")
@@ -338,11 +338,12 @@ class TestConfigFailsBeforeOutput:
             monkeypatch.setattr(cli, "_memory_available", lambda: budget)
             assert config_from_dict(raw).N_range == [5, 7]
 
-    @pytest.mark.parametrize("kind, fields", [("regularity", 2), ("processes", 0)])
-    def test_lifts_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, kind, fields):
-        # regularity holds the noise and T2 with a few chunks, processes the chunks alone
+    @pytest.mark.parametrize("kind", ["regularity", "processes"])
+    def test_lifts_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, kind):
+        # both hold a few chunks of the lift and no field, regularity also its
+        # two parabolic plans
         grid = GridSpec(8, 0.125)
-        need = fields * (grid.n_steps + 1) * grid.M * 8 + lift_chunk_bytes(grid)
+        need = regularity_bytes(grid, _regularity_families(grid)[1]) if kind == "regularity" else lift_chunk_bytes(grid)
         monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
         path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
         out = tmp_path / "out"
@@ -436,23 +437,38 @@ class TestConfigFailsBeforeOutput:
         assert {"exponents.csv", "pairings.csv", "estimates.json"} <= set(os.listdir(capsys.readouterr().out.strip()))
 
     def test_regularity_exponents_are_those_of_full_lifts(self, tmp_path, capsys, monkeypatch):
-        # the run lifts T1, T11 and T12 at the last slice only; the table must not move
+        # every replica goes through one lift_chunks call on its streamed
+        # noise, in chunks of three blocks, and folds T2 and the noise into
+        # its parabolic estimates a chunk at a time: no lift, no sample_noise
+        # and no chunk as tall as a field; the table must be that of
+        # estimate_exponent on whole-field lifts and noise
         seed, replicas = 11, 2
-        heights = []
+        grid = GridSpec(6, 0.0625)
+        calls, heights = [], []
 
-        def recorded(*args, **kwargs):
-            tps = lift(*args, **kwargs)
-            heights.append({lab: tree.shape[0] for lab, tree in tps.items()})
-            return tps
+        def chunks(noise, *args, **kwargs):
+            calls.append(noise.seed)
+            with pytest.raises(ValueError, match="holds no values"):
+                noise.values
+            for span, chunk in lift_chunks(noise, *args, **kwargs):
+                heights.append(max(values.shape[0] for values in chunk.values()))
+                yield span, chunk
 
-        monkeypatch.setattr(cli, "lift", recorded)
+        def refuse(*args, **kwargs):
+            raise AssertionError("regularity built a whole field")
+
+        monkeypatch.setattr(processes, "_CHUNK_BYTES", 3 * 16 * (grid.M // 2 + 1) * 16)
+        monkeypatch.setattr(cli, "lift_chunks", chunks)
+        for name in ("lift", "sample_noise"):
+            monkeypatch.setattr(cli, name, refuse, raising=False)  # intercepts any call cli would make
         path = write_config(tmp_path, {"family": FAMILY, "N": 6, "T": 0.0625, "seed": seed, "replicas": replicas})
         assert main(["regularity", "--config", path, "--out", str(tmp_path / "out")]) == 0
-        assert heights == replicas * [{"T1": 1, "T2": GridSpec(6, 0.0625).n_steps + 1, "T11": 1, "T12": 1}]
+        assert calls == [seed, seed + 1]
+        assert len(heights) == replicas * 6 and max(heights) == 3 * 16 + 1
+        monkeypatch.undo()
         with open(os.path.join(capsys.readouterr().out.strip(), "exponents.csv")) as fh:
             got = {row["target"]: row for row in csv.DictReader(fh)}
         fam = family_from_config(FAMILY)
-        grid = GridSpec(6, 0.0625)
         consts = compute_constants(fam, grid)
         tf_space, tf_para = _regularity_families(grid)
         targets = {"T1": tf_space, "T11": tf_space, "T12": tf_space, "T2": tf_para}
@@ -487,7 +503,7 @@ class TestConfigFailsBeforeOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("processes called lift")
 
-        monkeypatch.setattr(cli, "lift", refuse)
+        monkeypatch.setattr(cli, "lift", refuse, raising=False)  # intercepts any call cli would make
         monkeypatch.setattr(cli, "lift_chunks", chunks)
         path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.25, "seed": seed, "replicas": replicas})
         assert main(["processes", "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -516,7 +532,7 @@ class TestConfigFailsBeforeOutput:
         def refuse(grid, seed):
             raise AssertionError("processes drew a whole noise field")
 
-        monkeypatch.setattr(cli, "sample_noise", refuse)
+        monkeypatch.setattr(cli, "sample_noise", refuse, raising=False)  # intercepts any call cli would make
         cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": 5, "T": 0.25, "seed": 21, "replicas": 2})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
         for name, digest in TestExperiments.PROCESSES_DIGESTS.items():
@@ -530,6 +546,25 @@ class TestConfigFailsBeforeOutput:
         cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": grid.N, "T": grid.T, "seed": 5, "replicas": 2})
         _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
         assert peak < lift_chunk_bytes(grid)
+
+    def test_regularity_replica_peaks_within_its_estimate(self, tmp_path, monkeypatch):
+        # one replica at N = 7 from its streamed noise, with 256 KiB chunks:
+        # the traced peak of the whole run stays within regularity_bytes, all
+        # that the memory check counts, flat when the horizon quadruples
+        # (4096 -> 16384 rows), and under half a field at the longer one
+        monkeypatch.setattr(processes, "_CHUNK_BYTES", 1 << 18)
+        peaks = []
+        for T in (0.25, 1.0):
+            grid = GridSpec(7, T)
+            cfg = config_from_dict({"kind": "regularity", "family": FAMILY, "N": 7, "T": T, "seed": 5})
+            _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
+            assert peak <= regularity_bytes(grid, _regularity_families(grid)[1]), T
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < (grid.n_steps + 1) * grid.M * 8 / 2
+        # at N = 10, T = 1/4 the estimate counts no field: 0.11 GB against 2.15
+        grid = GridSpec(10, 0.25)
+        assert regularity_bytes(grid, _regularity_families(grid)[1]) < 0.12e9 < (grid.n_steps + 1) * grid.M * 8
 
     @pytest.mark.parametrize(
         "family, field",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sbe.norms
+from conftest import same_bits
 from oracles import parabolic_pairing_map, space_pairing_map
 from sbe.grids import GridSpec, LatticeField, rng_for, sample_noise
 from sbe.norms import (
@@ -480,3 +481,63 @@ def test_estimate_exponent_builds_no_full_map(monkeypatch, mode):
     assert len(est.sup_pairings) >= 3
     assert len(shapes) == 2 * len(est.sup_pairings)
     assert all(1 <= nt <= 16 and nx == 33 for nt, nx in shapes)
+
+
+def same_estimate(got, want):
+    fields = ("exponent", "intercept", "residual", "scales", "sup_pairings")
+    return got.mode == want.mode and all(same_bits(getattr(got, k), getattr(want, k)) for k in fields)
+
+
+def feeds(vals):
+    """The rows of vals whole, in two chunks, in uneven chunks off the tiles and a row at a time."""
+    nt = len(vals)
+    cuts = np.cumsum([5, 37, 101, 3, 64, 1, 90])
+    yield "whole", [vals]
+    yield "two", [vals[: nt // 2 + 3], vals[nt // 2 + 3 :]]
+    yield "uneven", np.split(vals, cuts[cuts < nt])
+    yield "rows", [vals[n : n + 1] for n in range(nt)]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["noise-rows", "tree-rows"])
+def test_parabolic_plan_bits_do_not_depend_on_the_chunking(extra):
+    # N = 6, T = 1/8: tiles of 22 rows, 512 rows as the noise has them and
+    # 513 as a tree has them, whose last tile is 7 rows
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    vals = rng_for(51, 6).standard_normal((grid.n_steps + extra, grid.M))
+    want = estimate_exponent(LatticeField(grid, vals), tf, mode="parabolic")
+    plan = sbe.norms.ParabolicPlan(grid, tf, len(vals))
+    for name, chunks in feeds(vals):
+        for chunk in chunks:
+            plan.feed(chunk)
+        assert same_estimate(plan.finish(), want), name  # finish readies the plan for the next field
+    assert want.mode == "parabolic" and len(want.sup_pairings) == 3 + extra  # 513 rows fit lambda = 1/4
+
+
+def test_parabolic_plan_refuses_rows_past_the_field_and_an_early_finish():
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    vals = sample_noise(grid, 4).values
+    plan = sbe.norms.ParabolicPlan(grid, tf, len(vals))
+    plan.feed(vals[:-1])
+    with pytest.raises(ValueError, match="only 511 of the field's 512 rows fed"):
+        plan.finish()
+    with pytest.raises(ValueError, match="513 rows fed, past the 512 rows of the field"):
+        plan.feed(vals[-2:])
+    with pytest.raises(ValueError, match=r"rows of shape \(1, 32\), expected \(rows, 64\)"):
+        plan.feed(vals[-1:, :32])
+    plan.feed(vals[-1:])
+    assert same_estimate(plan.finish(), estimate_exponent(LatticeField(grid, vals), tf, mode="parabolic"))
+
+
+def test_parabolic_plan_on_a_zero_field_is_degenerate():
+    grid = GridSpec(6, 0.125)
+    tf = make_test_family(grid, lambda_max=0.25)
+    zeros = np.zeros((grid.n_steps + 1, grid.M))
+    plan = sbe.norms.ParabolicPlan(grid, tf, len(zeros))
+    plan.feed(zeros[:100])
+    plan.feed(zeros[100:])
+    with pytest.raises(ValueError, match="degenerate fit"):
+        plan.finish()
+    with pytest.raises(ValueError, match="degenerate fit"):
+        estimate_exponent(LatticeField(grid, zeros), tf, mode="parabolic")

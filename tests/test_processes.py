@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import same_bits, traced_peak
 from oracles import dxk_fft, dxp_forward, remainder_r1222, remainder_r21
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import DiscreteKernel, order_norm
 from sbe.norms import estimate_exponent, make_test_family
 from sbe.operators import derivative_multiplier, stepping_multiplier, twisted_product
 from sbe import processes
-from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
+from sbe.processes import NOISE_LABEL, TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import RenormConstants, compute_constants
 
 
@@ -196,11 +196,6 @@ def chunk_bytes(grid):
     return lift_chunk_bytes(grid) / processes._CHUNKS_HELD
 
 
-def same_bits(got, want):
-    """Equal bit for bit, so -0.0 and 0.0 differ, without copying either array."""
-    return got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 @pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37), (5, 100), (7, 4096), (8, 8192)])
 def test_last_rows_are_the_full_lifts_last_rows(fam_bw_ss, monkeypatch, N, nt):
     # every tree, full or last, against the one-chunk lift, with one chunk,
@@ -243,6 +238,45 @@ def test_chunks_cover_every_row_once_in_order(fam_bw_ss, monkeypatch, blocks, sp
         assert list(chunk) == ["T2"] + ["T21"] * final
         assert chunk["T2"].shape == (rows.stop - rows.start, grid.M)
     assert chunk["T21"].shape == (1, grid.M)
+
+
+@pytest.mark.parametrize("N, nt", [(5, 1), (5, 37), (7, 4096)])
+def test_lift_chunks_yield_the_noise_rows_they_drew(fam_bw_ss, monkeypatch, N, nt):
+    # with NOISE_LABEL each chunk also holds the noise rows it was made of,
+    # which concatenate to sample_noise's rows, in one chunk, two and three
+    # with a shorter last one, from explicit and streamed fields; the spans
+    # and trees are those of the request without the label, which yields
+    # no noise
+    grid = GridSpec(N, nt * 4.0**-N)
+    consts = compute_constants(fam_bw_ss, grid)
+    noise = sample_noise(grid, 90 + nt)
+    counts = []
+    for blocks in (n_blocks(grid), -(-n_blocks(grid) // 2), n_blocks(grid) // 3 + 1):
+        chunk_blocks(monkeypatch, grid, blocks)
+        for field in (noise, NoiseField(grid, noise.seed)):
+            plain = list(lift_chunks(field, fam_bw_ss, consts, labels=REGULARITY_LABELS, last=REGULARITY_LAST))
+            labels = (*REGULARITY_LABELS, NOISE_LABEL)
+            drawn = list(lift_chunks(field, fam_bw_ss, consts, labels=labels, last=REGULARITY_LAST))
+            assert [rows for rows, _ in drawn] == [rows for rows, _ in plain]
+            counts.append(len(drawn))
+            xi = []
+            for (rows, chunk), (_, without) in zip(drawn, plain):
+                assert NOISE_LABEL not in without and set(chunk) == {*without, NOISE_LABEL}
+                assert all(same_bits(chunk[label], values) for label, values in without.items())
+                k = len(chunk[NOISE_LABEL])
+                assert same_bits(chunk[NOISE_LABEL], noise.values[rows.stop - 1 - k : rows.stop - 1]), (blocks, rows)
+                xi.append(chunk[NOISE_LABEL])
+            assert same_bits(np.concatenate(xi), noise.values), blocks
+    assert counts == ([1] * 6 if nt == 1 else [1, 1, 2, 2, 3, 3])
+
+
+def test_only_lift_chunks_yields_the_noise(fam_bw_ss, setup):
+    grid, consts = setup
+    noise = sample_noise(grid, 4)
+    with pytest.raises(ValueError, match="unknown tree label 'xi' in labels"):
+        lift(noise, fam_bw_ss, consts, labels=("T2", NOISE_LABEL))
+    with pytest.raises(ValueError, match="unknown tree label 'xi' in last"):
+        lift_chunks(noise, fam_bw_ss, consts, labels=("T2", NOISE_LABEL), last=(NOISE_LABEL,))
 
 
 @pytest.mark.parametrize(
