@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
 from .grids import GridSpec, LatticeField, NoiseField
-from .heat import HeatKernel
+from .heat import HeatKernel, heat_kernel_bytes
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import (
@@ -38,7 +38,7 @@ from .norms import (
     make_test_family,
     regularity_bytes,
 )
-from .operators import _BLOCK_BYTES, OperatorFamily
+from .operators import OperatorFamily
 from .processes import NOISE_LABEL, TREE_LABELS, lift_chunk_bytes, lift_chunks
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
@@ -184,6 +184,8 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
     for n in given:
         if not 1 <= n <= N_GUARD:
             raise SchemaError(f"N: level {n} outside 1..{N_GUARD} (desk-scale guard)")
+    if cfg.N_range and len(set(cfg.N_range)) < len(cfg.N_range):
+        raise SchemaError(f"N_range: a level is given more than once in {cfg.N_range}")
     if not (math.isfinite(cfg.T) and cfg.T > 0):
         raise SchemaError(f"T: expected a finite horizon > 0, got {cfg.T!r}")
     for n in given:
@@ -242,39 +244,39 @@ def _diag_grid(cfg: ExperimentConfig, n: int) -> GridSpec:
     return GridSpec(n, min(cfg.T, 0.25))
 
 
-def _check_memory(cfg: ExperimentConfig) -> None:
-    """Refuse a config whose largest level needs more than the memory available.
+def _memory_need(cfg: ExperimentConfig) -> tuple[int, str] | None:
+    """The bytes that cfg's largest level holds at its peak, and what for; None for a kind not checked.
 
-    kernel-diagnostics: the largest square check (``square_check_bytes``).
-    heat-kernel: P, which it writes whole, and a block of the decay bounds.
-    processes: a few chunks of a replica's lift (``lift_chunk_bytes``).
-    regularity: those chunks and its two parabolic plans
-    (``regularity_bytes``). Neither holds a noise or tree field: each draws
-    its noise as the lift reads it.
+    Each need is the library's bound for the code that allocates:
+    ``heat_kernel_bytes``, ``square_check_bytes``, ``lift_chunk_bytes`` and
+    ``regularity_bytes``. processes and regularity hold no noise or tree
+    field: each draws its noise as the lift reads it.
     """
+    if cfg.kind == "kernel-diagnostics":
+        return square_check_bytes(_diag_grid(cfg, max(cfg.levels()))), "the kernel diagnostics"
+    if cfg.kind not in ("heat-kernel", "processes", "regularity"):
+        return None
+    grid = GridSpec(cfg.N, cfg.T)
     if cfg.kind == "heat-kernel":
-        n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
-        name, at, what = "N", f" at T={cfg.T!r}", "the heat kernel"
-        need = (grid.n_steps + 1) * grid.M * 8 + _BLOCK_BYTES
-    elif cfg.kind == "kernel-diagnostics":
-        n = max(cfg.levels())
-        name, at, what = "N_range" if cfg.N_range else "N", "", "the kernel diagnostics"
-        need = square_check_bytes(_diag_grid(cfg, n))
-    elif cfg.kind in ("processes", "regularity"):
-        n, grid = cfg.N, GridSpec(cfg.N, cfg.T)
-        name, at, what = "N", f" at T={cfg.T!r}", f"the {cfg.kind} lifts"
-        if cfg.kind == "regularity":
-            need = regularity_bytes(grid, _regularity_families(grid)[1])
-        else:
-            need = lift_chunk_bytes(grid)
-    else:
+        return heat_kernel_bytes(grid), "the heat kernel"
+    if cfg.kind == "processes":
+        return lift_chunk_bytes(grid), "the processes lifts"
+    return regularity_bytes(grid, _regularity_families(grid)[1]), "the regularity lifts"
+
+
+def _check_memory(cfg: ExperimentConfig) -> None:
+    """Refuse a config whose largest level needs more than the memory available (``_memory_need``)."""
+    need, budget = _memory_need(cfg), _memory_available()
+    if need is None or budget is None or need[0] <= budget:
         return
-    budget = _memory_available()
-    if budget is not None and need > budget:
-        raise SchemaError(
-            f"{name}: level {n}{at} needs about {need / 1e9:.2f} GB for {what}, "
-            f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
-        )
+    if cfg.kind == "kernel-diagnostics":
+        name, n, at = "N_range" if cfg.N_range else "N", max(cfg.levels()), ""
+    else:
+        name, n, at = "N", cfg.N, f" at T={cfg.T!r}"
+    raise SchemaError(
+        f"{name}: level {n}{at} needs about {need[0] / 1e9:.2f} GB for {need[1]}, "
+        f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
+    )
 
 
 def _drift_value(cfg: ExperimentConfig, fam: OperatorFamily) -> float:
@@ -542,12 +544,11 @@ def _exp_convergence(cfg, fam, outdir):
 def _exp_kernel_diag(cfg, fam, outdir):
     rows = []
     for n in cfg.levels():
-        grid = _diag_grid(cfg, n)
-        kern, ident, resid = renormalized_square_check(fam, grid)
+        kern, ident_norm, resid = renormalized_square_check(fam, _diag_grid(cfg, n))
         rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, kern.claimed_order, m=2)))
         rows.append((n, "renormalized_convolution_identity_residual", resid))
-        rows.append((n, "renormalized_convolution_order_norm", order_norm(ident, ident.claimed_order, m=0)))
-        del kern, ident  # free this level before the next one is built
+        rows.append((n, "renormalized_convolution_order_norm", ident_norm))
+        del kern  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0
 

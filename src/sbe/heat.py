@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
+from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
 
-__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
+__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm", "heat_kernel_bytes"]
 
 CUTOFF_INNER = 0.25
 CUTOFF_OUTER = 0.5
@@ -167,3 +167,15 @@ class BoundsDiagnostic:
     times: np.ndarray
     per_time_max: np.ndarray
     sup: float
+
+
+def heat_kernel_bytes(grid: GridSpec) -> int:
+    """Bytes that the heat-kernel experiment holds at its peak on this grid, as an upper bound.
+
+    P up to T (``HeatKernel.columns``), which the experiment writes whole;
+    eight floats a time row for the per-time arrays beside it (its mass,
+    and the times, weights and three per-time maxima of ``verify_bounds``);
+    and eight blocks for the temporaries of a block of the decay bounds.
+    """
+    rows = grid.n_steps + 1
+    return 8 * rows * (grid.M + 8) + 8 * _BLOCK_BYTES

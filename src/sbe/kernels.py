@@ -15,28 +15,21 @@ R(|DxK|^2) * K is the plain convolution minus the mass of |DxK|^2 times K.
 Convolutions are eps^3-weighted space-time sums, linear in time and
 circular in space. Kernels are real, so they are convolved on real
 half-spectra (rfft modes 0..M/2) and only over the rows they occupy: each
-input is cut after its last nonzero row before the time FFT, and the
-output rows past the computed ones are exact zeros.
+input is cut after its last nonzero row, and the output rows past the
+computed ones are exact zeros.
 
-The whole-field passes run one block of about operators._BLOCK_BYTES at a
-time: the order norm's z-norms, differences and ratios per block of rows
-(the time difference reads one row past the block); in a convolution the
-first input's space transform per block of rows into the head of its one
-buffer, the zero-padded time FFTs (length ``_time_length``) per block of
-columns in place, and the inverse space transform per block of rows over
-the spectrum into the output, to which the buffer is then cut; the
-renormalized convolution's mass term per block of rows in place; and
-|DxK|^2 per block of rows. Each step is elementwise, per row or column, or
-a max, so the results equal the whole-field passes bit for bit.
+A convolution runs in one buffer laid out by frequency (``_spectra``):
+row c holds column c of each input's half-spectrum, time-transformed along
+contiguous memory and inverted in place by ``_convolved``, which yields the
+output a block of rows at a time. The check reduces the blocks into the
+order norm, the sup and the values at its check points, and keeps |DxK|^2
+and the direct sums' scratch in the buffer before the spectra, so its peak
+is K and the buffer, which ``square_check_bytes`` bounds.
 
-A convolution is two halves, ``_first_operand`` (the first input into the
-buffer) and ``_finish_with`` (the second input into the output), and this
-module holds the whole pipeline and its buffer layout. A caller can drop
-the first input in between; the peak is the buffer, max(2 L (M/2+1),
-n_out M) floats, and one input's half-spectrum. The renormalized-square
-check drops |DxK|^2 there, after its direct sums and mass: its peak is K,
-the buffer and K's half-spectrum, which ``square_check_bytes`` bounds
-before anything is allocated.
+Every pass runs one block of about operators._BLOCK_BYTES at a time (the
+order norm's time difference reads one row past its block). Each step is
+elementwise, per row, or a max, so the results equal the whole-field
+passes bit for bit.
 """
 
 from __future__ import annotations
@@ -106,13 +99,31 @@ def _forward_diffs(values: np.ndarray, grid: GridSpec, m: int) -> dict:
     return out
 
 
-def _not_finite(values: np.ndarray) -> ValueError:
-    """The error for a kernel whose order-norm ratios are not all finite, naming its first non-finite value."""
+def _not_finite(values: np.ndarray, rows: slice | None = None) -> ValueError:
+    """The error for a kernel, or its given rows, whose order-norm ratios are not all finite, naming its first non-finite value."""
     bad = np.argwhere(~np.isfinite(values))
     if not len(bad):
         return ValueError("order-norm ratios overflow on a finite kernel")
-    first = tuple(int(i) for i in bad[0])
-    return ValueError(f"kernel has {len(bad)} non-finite values, the first {values[first]} at (row, site) {first}")
+    row, site = (int(i) for i in bad[0])
+    where, start = ("", 0) if rows is None else (f" in rows {rows.start}..{rows.stop - 1}", rows.start)
+    return ValueError(
+        f"kernel has {len(bad)} non-finite values{where}, the first {values[row, site]} at (row, site) {(row + start, site)}"
+    )
+
+
+def _peak(diffs: dict, start: int, grid: GridSpec, zeta: float) -> float:
+    """The largest order-zeta ratio of a block's forward differences, its first row time row start; not finite if a ratio is not."""
+    zn = _znorm_eps(np.arange(start, start + len(diffs[(0, 0)]))[:, None], grid.eps * modes(grid.M), grid)
+    best, denominators = 0.0, {}
+    for (k0, k1), arr in diffs.items():
+        order = 2 * k0 + k1
+        if order not in denominators:
+            denominators[order] = zn ** (zeta - order)
+        peak = float(np.max(np.abs(arr) / denominators[order]))
+        if not math.isfinite(peak):
+            return peak
+        best = max(best, peak)
+    return best
 
 
 def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
@@ -124,25 +135,18 @@ def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
         raise ValueError(f"derivative depth m must be the int 0, 1 or 2, not {m!r}")
     values, grid = k.values, k.grid
     nt = values.shape[0]
-    x = grid.eps * modes(grid.M)
     best = 0.0
     # a non-finite value makes a non-finite ratio, which raises below
     with np.errstate(invalid="ignore", over="ignore"):
         for rows in _blocks(nt, 8 * grid.M):
-            zn = _znorm_eps(np.arange(rows.start, rows.stop)[:, None], x, grid)
             diffs = _forward_diffs(values[rows], grid, m)
             if m == 2 and rows.stop < nt:
                 # the block's last time difference reads the next block's first row
                 diffs[(1, 0)][-1] = (values[rows.stop] - values[rows.stop - 1]) / grid.dt
-            denominators = {}
-            for (k0, k1), arr in diffs.items():
-                order = 2 * k0 + k1
-                if order not in denominators:
-                    denominators[order] = zn ** (zeta - order)
-                peak = float(np.max(np.abs(arr) / denominators[order]))
-                if not math.isfinite(peak):
-                    raise _not_finite(values)
-                best = max(best, peak)
+            peak = _peak(diffs, rows.start, grid, zeta)
+            if not math.isfinite(peak):
+                raise _not_finite(values)
+            best = max(best, peak)
     return best
 
 
@@ -151,9 +155,12 @@ def kernel_mass(k: DiscreteKernel) -> float:
 
 
 def _occupied_rows(a: np.ndarray) -> int:
-    """Number of rows up to and including the last nonzero one (0 if all zero)."""
-    nonzero = np.flatnonzero(np.any(a != 0.0, axis=1))
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
+    """Number of rows up to and including the last nonzero one (0 if all zero), read a block of rows at a time from the end."""
+    for rows in reversed(_blocks(a.shape[0], a.shape[1])):
+        nonzero = np.flatnonzero(np.any(a[rows] != 0.0, axis=1))
+        if nonzero.size:
+            return rows.start + int(nonzero[-1]) + 1
+    return 0
 
 
 def _time_length(n: int) -> int:
@@ -164,82 +171,66 @@ def _time_length(n: int) -> int:
     return L
 
 
-def _first_operand(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple:
-    """The first half of the convolution of a with b: a's time spectrum in a new buffer.
+def _spectra(buf: np.ndarray, r1: int, r2: int, M: int) -> np.ndarray:
+    """The frequency-major view of buf's head: M/2+1 rows of ``_time_length(r1 + r2)`` complex values."""
+    L = _time_length(r1 + r2)
+    return buf[: 2 * L * (M // 2 + 1)].view(np.complex128).reshape(M // 2 + 1, L)
 
-    The buffer holds max(2 L (M/2+1), n_out M) floats, n_out = n1 + n2 - 1:
-    the (L, M/2+1) spectrum as a complex view of its head, and later the
-    (n_out, M) output. a's half-spectrum is written into the spectrum's head
-    rows a block of rows at a time, and each block of columns is then
-    time-transformed in place, read whole before it is written. b is read
-    for its rows only, so a caller may drop a before b's half-spectrum is
-    made. Returns (buffer, r1, r2, n_out), with r1 and r2 the rows a and b
-    occupy; when either is 0 the buffer is the all-zero output.
+
+def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b: np.ndarray, mass: float):
+    """The n_out rows of a * b minus mass times b, from their half-spectra in spec, as new blocks (rows, block) in order.
+
+    Row c of spec holds column c of a's half-spectrum in its first r1
+    entries and b's in the next r2. Each block of rows is time-transformed
+    (zero-padded to L), a's spectrum multiplied by b's and inverted, in
+    place. A block of output is its columns inverse transformed and scaled
+    by eps^3, exact zeros from row r1 + r2 - 1 on, minus mass times the rows
+    of b it meets.
     """
-    r1, r2 = _occupied_rows(a), _occupied_rows(b)
-    n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
-    if not (r1 and r2):
-        return np.zeros(n_out * M), r1, r2, n_out
-    L, half = _time_length(r1 + r2), M // 2 + 1
-    buf = np.empty(max(2 * L * half, n_out * M))
-    spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
-    for rows in _blocks(r1, 8 * M):
-        spec[rows] = np.fft.rfft(a[rows], axis=1)
-    for cols in _blocks(half, 16 * L):
-        spec[:, cols] = np.fft.fft(spec[:r1, cols], n=L, axis=0)
-    return buf, r1, r2, n_out
+    half, L = spec.shape
+    for cs in _blocks(half, 16 * L):
+        prod = np.fft.fft(spec[cs, :r1], n=L, axis=1)
+        prod *= np.fft.fft(spec[cs, r1 : r1 + r2], n=L, axis=1)
+        spec[cs] = np.fft.ifft(prod, axis=1)
+    M, done = grid.M, r1 + r2 - 1
+    for rows in _blocks(n_out, 8 * M):
+        block = np.zeros((rows.stop - rows.start, M))
+        if rows.start < done:
+            n = min(rows.stop, done) - rows.start
+            np.multiply(grid.eps**3, np.fft.irfft(spec[:, rows.start : rows.start + n].T, n=M, axis=1), out=block[:n])
+        if rows.start < len(b):
+            block[: len(b) - rows.start] -= mass * b[rows]
+        yield rows, block
 
 
-def _finish_with(first: tuple, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The second half: multiply ``_first_operand``'s spectrum by b's, invert, and shrink the buffer to the output.
+def _reduce(blocks, points, grid: GridSpec, zeta: float) -> tuple[float, float, np.ndarray]:
+    """The order-zeta norm at depth 0, the sup of |f| and f at points, of a field f given as (rows, block) in order.
 
-    b's time spectrum multiplies the spectrum, which is inverted in time in
-    place, a block of columns at a time. The inverse space transform is
-    written a block of rows at a time, in increasing row order, over the
-    spectrum: output row i ends at byte 8M (i + 1) and spectrum row i + 1
-    starts at byte (8M + 16)(i + 1), so no block overwrites a spectrum row
-    still to be read. The rows past the computed ones are then zeroed, and
-    the buffer is cut to the n_out M floats of the output in place, so the
-    result holds nothing else.
+    A non-finite value of f raises ValueError naming its (row, site) in f.
     """
-    buf, r1, r2, n_out = first
-    M = grid.M
-    if r1 and r2:
-        L, half = _time_length(r1 + r2), M // 2 + 1
-        spec = buf[: 2 * L * half].view(np.complex128).reshape(L, half)
-        b_hat = np.fft.rfft(b[:r2], axis=1)
-        for cols in _blocks(half, 16 * L):
-            block = spec[:, cols]
-            block *= np.fft.fft(b_hat[:, cols], n=L, axis=0)
-            block[...] = np.fft.ifft(block, axis=0)
-        out = buf[: n_out * M].reshape(n_out, M)
-        for rows in _blocks(r1 + r2 - 1, 8 * M):
-            np.multiply(grid.eps**3, np.fft.irfft(spec[rows], n=M, axis=1), out=out[rows])
-        out[r1 + r2 - 1 :] = 0.0
-        del spec, out
-        # no view of buf is left, and the caller's handle on it is the array
-        # itself, which the resize updates; shrinking moves no data
-        buf.resize(n_out * M, refcheck=False)
-    return buf.reshape(n_out, M)
+    n_idx, x_idx = np.array(points).T
+    at = np.empty(len(points))
+    norm, hi, lo = 0.0, -math.inf, math.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows, block in blocks:
+            peak = _peak({(0, 0): block}, rows.start, grid, zeta)
+            if not math.isfinite(peak):
+                raise _not_finite(block, rows)
+            norm, hi, lo = max(norm, peak), max(hi, float(block.max())), min(lo, float(block.min()))
+            inside = (rows.start <= n_idx) & (n_idx < rows.stop)
+            at[inside] = block[n_idx[inside] - rows.start, x_idx[inside]]
+    return norm, max(hi, -lo), at
 
 
-def _renormalized(first: tuple, mass: float, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The FFT route of R K1 * K2 from K1's first half: the convolution minus mass times b, per block of rows in place."""
-    vals = _finish_with(first, b, grid)
-    for rows in _blocks(b.shape[0], 8 * grid.M):
-        vals[rows] -= mass * b[rows]
-    return vals
-
-
-def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
+def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float, terms: np.ndarray) -> np.ndarray:
     """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows.
 
-    The literal increment sum over every w of sq's grid: rows s where
-    K(z - w) = 0 add -K(z) times sq; on the others it is row n - s of K at
-    sites x, .., 0, M - 1, .., x + 1, two reversed slices copied into one buffer.
+    The literal increment sum over every w of sq's grid, in the scratch
+    terms of sq's shape: rows s where K(z - w) = 0 add -K(z) times sq; on
+    the others it is row n - s of K at sites x, .., 0, M - 1, .., x + 1, two
+    reversed slices copied into terms.
     """
     nk = K.shape[0]
-    terms = np.empty(sq.shape)
     out = np.empty(len(points))
     for i, (n, x) in enumerate(points):
         # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
@@ -258,54 +249,60 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
     return out
 
 
-def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, DiscreteKernel, float]:
-    """Singular kernel K, R(|DxK|^2) * K and the renormalized-convolution residual.
+def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, float, float]:
+    """Singular kernel K, the order norm of R(|DxK|^2) * K and the renormalized-convolution residual.
 
     K (order -1) is the singular part of the heat kernel up to the grid
-    horizon and DxK its spectral derivative; |DxK|^2 is taken at order -3.5.
-    The residual compares the FFT route (``_renormalized``) with the
-    direct sum eps^3 sum_w |DxK|^2(w) (K(z - w) - K(z)), K zero outside its
-    rows, at CHECK_POINTS seeded points z and the four corners: the largest
-    gap over the sup of the FFT result. Returns (K, R(|DxK|^2) * K, residual).
+    horizon and DxK its spectral derivative; |DxK|^2 is taken at order
+    -3.5, so R(|DxK|^2) * K at order -1.5, whose norm is taken at depth 0.
+    The residual compares the FFT route (``_convolved``) with the direct sum
+    eps^3 sum_w |DxK|^2(w) (K(z - w) - K(z)), K zero outside its rows, at
+    CHECK_POINTS seeded points z and the four corners: the largest gap over
+    the sup of the FFT result. Returns (K, norm, residual).
 
-    The direct sums and the mass of |DxK|^2 are taken first; |DxK|^2 is then
-    put into the convolution's buffer and dropped before K's half-spectrum
-    is made, so the peak is K, the buffer and one half-spectrum
-    (``square_check_bytes``).
+    One buffer holds |DxK|^2 and the direct sums' scratch, then the two
+    half-spectra: |DxK|^2's rows are remade from K's, by the same per-row
+    transforms, as its spectrum is written. The FFT result is reduced a
+    block at a time, so the peak is K and the buffer.
     """
     K = HeatKernel(grid, fam).singular_part(grid.T)
-    M = grid.M
+    (nt, M), r2 = K.shape, _occupied_rows(K)
     dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
-    dxk_sq = np.empty_like(K)
-    for rows in _blocks(K.shape[0], 8 * M):
-        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=dxk_sq[rows])
-    rows = 2 * K.shape[0] - 1
+    # a zero row of K makes a zero row of |DxK|^2, so |DxK|^2 occupies at most r2 rows
+    buf = np.empty(max(2 * _time_length(2 * r2) * (M // 2 + 1), 2 * nt * M))
+    sq, terms = buf[: nt * M].reshape(nt, M), buf[nt * M : 2 * nt * M].reshape(nt, M)
+    for rows in _blocks(nt, 8 * M):
+        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=sq[rows])
+    n_out = 2 * nt - 1
     gen = rng_for(PROBE_SEED, 91)
-    points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1)]
-    points += zip(gen.integers(0, rows, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
-    direct = _direct_sums(K, dxk_sq, points, grid.eps)
-    mass = kernel_mass(DiscreteKernel(dxk_sq, grid, -3.5))
-    first = _first_operand(dxk_sq, K, grid)
-    del dxk_sq
-    ident = DiscreteKernel(_renormalized(first, mass, K, grid), grid, -3.5 + -1.0 + SPACE_TIME_DIM)
-    n_idx, x_idx = np.array(points).T
-    gap = np.max(np.abs(direct - ident.values[n_idx, x_idx]))
-    sup = max(float(ident.values.max()), -float(ident.values.min()))  # max |ident|, with no |ident| field
-    return DiscreteKernel(K, grid, -1.0), ident, float(gap) / sup
+    points = [(0, 0), (0, M - 1), (n_out - 1, 0), (n_out - 1, M - 1)]
+    points += zip(gen.integers(0, n_out, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
+    direct = _direct_sums(K, sq, points, grid.eps, terms)
+    mass, r1 = kernel_mass(DiscreteKernel(sq, grid, -3.5)), _occupied_rows(sq)
+    spec = _spectra(buf, r1, r2, M)
+    for rows in _blocks(r2, 16 * M):
+        k_hat = np.fft.rfft(K[rows], axis=1)
+        spec[:, r1 + rows.start : r1 + rows.stop] = k_hat.T
+        if rows.start < r1:
+            sq_hat = np.fft.rfft(np.square(np.fft.irfft(k_hat[: r1 - rows.start] * dmult, n=M, axis=1)), axis=1)
+            spec[:, rows.start : rows.start + len(sq_hat)] = sq_hat.T
+    blocks = _convolved(spec, r1, r2, n_out, grid, K, mass)
+    norm, sup, at = _reduce(blocks, points, grid, -3.5 + -1.0 + SPACE_TIME_DIM)
+    return DiscreteKernel(K, grid, -1.0), norm, float(np.max(np.abs(direct - at))) / sup
 
 
 def square_check_bytes(grid: GridSpec) -> int:
     """Bytes that ``renormalized_square_check`` holds at its peak on this grid, as an upper bound.
 
-    K, the convolution's buffer and K's half-spectrum. K has n_steps + 1
-    rows; its cutoff vanishes from t = 1/4 on, so it occupies at most
-    min(n_steps + 1, M^2 / 4) rows, and so does |DxK|^2. |DxK|^2 beside K
-    and the buffer, the direct sums' scratch beside K and |DxK|^2, and the
-    singular part's blocks of P beside K hold less. Four blocks of the blocked passes, each
-    at least one column of the time FFTs, cover their temporaries.
+    K and the buffer. K has n_steps + 1 rows; its cutoff vanishes from
+    t = 1/4 on, so it occupies at most min(n_steps + 1, M^2 / 4) rows. The
+    buffer holds two fields like K (|DxK|^2 and the direct sums' scratch)
+    or the (M/2+1, L) spectra, whichever is larger. The singular part's
+    blocks of P beside K hold less. Twelve blocks, each at least one row of
+    the time FFTs, cover the temporaries twice over: three for a block's
+    time spectra, about six for an output block and its reduction.
     """
     M, rows = grid.M, grid.n_steps + 1
     occupied = min(rows, max(1, M * M // 4))
-    L, half = _time_length(2 * occupied), M // 2 + 1
-    buffer = 8 * max(2 * L * half, (2 * rows - 1) * M)
-    return 8 * rows * M + buffer + 16 * occupied * half + 4 * max(_BLOCK_BYTES, 16 * L)
+    L = _time_length(2 * occupied)
+    return 8 * rows * M + 8 * max(2 * L * (M // 2 + 1), 2 * rows * M) + 12 * max(_BLOCK_BYTES, 16 * L)

@@ -29,8 +29,8 @@ bit.
 ``twisted_kernel_product``, ``convolve_kernels``, ``renormalized_convolve``,
 ``increment_bound_probe`` and ``mollification_loss_probe`` are the kernel
 calculus of the paper's kernel lemmas on ``sbe.kernels.DiscreteKernel``,
-the convolutions through the blocked pipeline of ``sbe.kernels``, whose two
-halves ``spacetime_convolve`` runs on plain arrays. ``mollify``
+the convolutions through the blocked pipeline of ``sbe.kernels``, whose
+output blocks ``spacetime_convolve`` puts together on plain arrays. ``mollify``
 convolves a field with the separable bump (``bump``, ``mollifier_kernel``)
 on the operators' stencil engine; ``mollify_loop``, the mollifier as first
 written, a double loop over the space-time stencil points with one rolled
@@ -400,14 +400,36 @@ def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMea
     return DiscreteKernel(twisted_product(mu, a, b), k1.grid, k1.claimed_order + k2.claimed_order)
 
 
-def spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy.
+def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, mass=None) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, minus mass times b if a mass is given.
 
-    The two halves of the pipeline of ``sbe.kernels``: ``_first_operand``
-    puts a's time spectrum into the buffer that ``_finish_with`` turns into
-    the output, so the result holds only the (n_out, M) output.
+    The output blocks of ``sbe.kernels._convolved`` put together, from a's
+    and b's half-spectra written into its frequency-major buffer a block of
+    rows at a time; an all-zero input gives exact zeros.
     """
-    return kernels._finish_with(kernels._first_operand(a, b, grid), b, grid)
+    r1, r2 = _occupied_rows(a), _occupied_rows(b)
+    n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
+    out = np.zeros((n_out, M))
+    if not (r1 and r2):
+        if mass is not None:
+            out[: b.shape[0]] -= mass * b
+        return out
+    spec = kernels._spectra(np.empty(2 * kernels._time_length(r1 + r2) * (M // 2 + 1)), r1, r2, M)
+    for rows in _blocks(max(r1, r2), 16 * M):
+        for x, r, offset in ((a, r1, 0), (b, r2, r1)):
+            if rows.start < r:
+                x_hat = np.fft.rfft(x[rows.start : min(rows.stop, r)], axis=1)
+                spec[:, offset + rows.start : offset + rows.start + len(x_hat)] = x_hat.T
+    # the plain convolution subtracts nothing: no rows of b
+    subtracted, mass = (b[:0], 0.0) if mass is None else (b, mass)
+    for rows, block in kernels._convolved(spec, r1, r2, n_out, grid, subtracted, mass):
+        out[rows] = block
+    return out
+
+
+def spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy, by the pipeline of ``sbe.kernels``."""
+    return _pipeline(a, b, grid)
 
 
 def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
@@ -431,8 +453,7 @@ def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKer
         raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
     if k1.grid != k2.grid:
         raise ValueError("kernels live on different grids")
-    first = kernels._first_operand(k1.values, k2.values, k1.grid)
-    vals = kernels._renormalized(first, kernel_mass(k1), k2.values, k1.grid)
+    vals = _pipeline(k1.values, k2.values, k1.grid, kernel_mass(k1))
     return DiscreteKernel(vals, k1.grid, z1 + z2 + SPACE_TIME_DIM)
 
 

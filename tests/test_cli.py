@@ -21,8 +21,8 @@ from sbe.cli import (
 )
 from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
+from sbe.heat import heat_kernel_bytes
 from sbe.kernels import square_check_bytes
-from sbe.operators import _BLOCK_BYTES
 from sbe.norms import estimate_exponent, regularity_bytes
 from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import compute_constants
@@ -356,9 +356,8 @@ class TestConfigFailsBeforeOutput:
             assert config_from_dict({"kind": kind, "family": FAMILY, "N": 8, "T": 0.125}).N == 8
 
     def test_heat_kernel_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch):
-        # P, which the experiment writes whole, and a block of its decay bounds
-        grid = GridSpec(8, 0.125)
-        need = (grid.n_steps + 1) * grid.M * 8 + _BLOCK_BYTES
+        # P, which the experiment writes whole, and its decay bounds' per-time arrays and blocks
+        need = heat_kernel_bytes(GridSpec(8, 0.125))
         monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
         path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
         out = tmp_path / "out"
@@ -380,9 +379,22 @@ class TestConfigFailsBeforeOutput:
             ("simulate", {"N": 14, "N_range": [5]}, "N"),
             ("convergence", {"N_range": [5, 6]}, "N_range"),
             ("convergence", {"N_range": [5, 5, 6]}, "N_range"),
+            ("kernel-diagnostics", {"N_range": [5, 5]}, "N_range"),
+            ("constants", {"N_range": [6, 5, 6]}, "N_range"),
             ("simulate", {"N": 5, "initial": {"kind": "constant", "value": "x"}}, "initial.value"),
         ],
-        ids=["heat-kernel", "simulate", "processes", "regularity", "N-beside-N_range", "two-levels", "repeated-level", "initial-value"],
+        ids=[
+            "heat-kernel",
+            "simulate",
+            "processes",
+            "regularity",
+            "N-beside-N_range",
+            "two-levels",
+            "repeated-level",
+            "kernel-diagnostics-repeated-level",
+            "constants-repeated-level",
+            "initial-value",
+        ],
     )
     def test_level_and_initial_value_checked_first(self, tmp_path, capsys, kind, bad, field):
         path = write_config(tmp_path, dict({"family": FAMILY, "T": 0.125}, **bad))
@@ -565,6 +577,19 @@ class TestConfigFailsBeforeOutput:
         # at N = 10, T = 1/4 the estimate counts no field: 0.11 GB against 2.15
         grid = GridSpec(10, 0.25)
         assert regularity_bytes(grid, _regularity_families(grid)[1]) < 0.12e9 < (grid.n_steps + 1) * grid.M * 8
+
+    @pytest.mark.parametrize("N", [7, 8])
+    @pytest.mark.parametrize("kind", ["heat-kernel", "kernel-diagnostics", "processes", "regularity"])
+    def test_memory_need_bounds_the_traced_peak_within_four_times(self, tmp_path, kind, N):
+        # every kind that refuses on memory: the need that the refusal reads
+        # is a true bound of the run's traced peak, and no gross overcount
+        # that would refuse sizes that fit; a first run at N = 6 imports the
+        # modules the kind reads, which are not the run's to count
+        run_experiment(config_from_dict({"kind": kind, "family": FAMILY, "N": 6, "T": 0.25}), out_root=str(tmp_path))
+        cfg = config_from_dict({"kind": kind, "family": FAMILY, "N": N, "T": 0.25, "seed": 5})
+        need, _ = cli._memory_need(cfg)
+        _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
+        assert peak <= need <= 4 * peak
 
     @pytest.mark.parametrize(
         "family, field",

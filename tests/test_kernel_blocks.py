@@ -1,15 +1,16 @@
 """The blocked kernel diagnostics against their whole-field spellings in oracles.py.
 
 The heat kernel, its singular part and decay bounds, the space-time
-convolution and the order norm run one block of about
-``operators._BLOCK_BYTES`` at a time. Each step is elementwise, per row or
-column, or a max, so every comparison is exact. The block counts are read
-from ``operators._blocks``, so the fields span several blocks with a partial
-last one whatever the block size. The increment probe takes its z-norms at
-its sampled points only, which must give the whole field's values. The
-memory guards keep the passes free of field-sized temporaries, the heat
-kernel free of rows kept between calls, and the mollifier to its space
-pass and its result.
+convolution, the square check's reductions of its output and the order
+norm run one block of about ``operators._BLOCK_BYTES`` at a time. Each step
+is elementwise, per row, or a max, so every comparison is exact. The block
+counts are read from ``operators._blocks``, so the fields span several
+blocks with a partial last one whatever the block size. The increment probe
+takes its z-norms at its sampled points only, which must give the whole
+field's values. The memory guards keep the passes free of field-sized
+temporaries, the convolution to its one buffer, the square check to K and
+that buffer, the heat kernel free of rows kept between calls, and the
+mollifier to its space pass and its result.
 """
 
 import inspect
@@ -36,7 +37,7 @@ from sbe import kernels
 from sbe.grids import GridSpec
 from sbe.heat import HeatKernel
 from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check, square_check_bytes
-from sbe.operators import _BLOCK_BYTES, _blocks
+from sbe.operators import _BLOCK_BYTES, _blocks, derivative_multiplier
 
 
 def spans_blocks(n: int, item_bytes: int) -> bool:
@@ -134,11 +135,11 @@ class TestHeatKernel:
 
 
 class TestTimeConvolve:
-    """The pipeline's time FFTs over W spectrum columns, against whole-array transforms.
+    """The pipeline's time FFTs over W frequency rows, against whole-array transforms.
 
-    ``_first_operand`` and ``_finish_with`` read only M and eps of their
-    grid, so a stand-in with M = 2W - 2 sites and eps = 1 gives half-spectra
-    W columns wide, as many as the time FFTs are to run over.
+    ``_convolved`` reads only M and eps of its grid, so a stand-in with
+    M = 2W - 2 sites and eps = 1 gives half-spectra W columns wide, as many
+    rows of the frequency-major buffer as the time FFTs are to run over.
     """
 
     @staticmethod
@@ -152,7 +153,7 @@ class TestTimeConvolve:
 
     @pytest.mark.parametrize(
         "n1, n2, W, blocked",
-        [(5, 11, 1100, True)],  # L = 16: unequal rows, several column blocks
+        [(5, 11, 1100, True)],  # L = 16: unequal rows, several blocks of frequency rows
     )
     def test_equals_the_whole_array_transforms(self, rng, n1, n2, W, blocked):
         grid = self.grid_of_width(W)
@@ -169,8 +170,8 @@ class TestTimeConvolve:
         out = spacetime_convolve(a, b, grid)
         assert out.shape == (9, grid.M) and not out.any()
         assert np.array_equal(out, self.whole(a, b, grid.M))
-        # constant in space: every spectrum column but the first is all zero,
-        # over several column blocks at L = 16, and stays zero through the time FFTs
+        # constant in space: every frequency row but the first is all zero,
+        # over several blocks of rows at L = 16, and stays zero through the time FFTs
         a[:] = rng.standard_normal((6, 1))
         assert spans_blocks(1100, 16 * kernels._time_length(10))
         out = spacetime_convolve(a, b, grid)
@@ -204,6 +205,19 @@ class TestSpacetimeConvolve:
         got = spacetime_convolve(a, b, grid)
         assert np.array_equal(got, spacetime_convolve_whole(a, b, grid))
 
+    def test_occupied_rows_are_read_from_the_end(self):
+        # several blocks of rows, the last partial, nonzero rows in the first
+        # and the last but one, and trailing zero rows
+        M = 32
+        n = 3 * (_BLOCK_BYTES // M) + 5
+        assert spans_blocks(n, M)
+        a = np.zeros((n, M))
+        assert kernels._occupied_rows(a) == 0
+        a[7, 3] = 1.0
+        assert kernels._occupied_rows(a) == 8
+        a[n - 10, 0] = -0.5
+        assert kernels._occupied_rows(a) == n - 9
+
     def test_renormalized_convolution_equals_the_whole_field(self, rng):
         grid = GridSpec(5, 0.25)
         a, b = rng.standard_normal((600, grid.M)), rng.standard_normal((1100, grid.M))
@@ -221,6 +235,51 @@ class TestSpacetimeConvolve:
         got = spacetime_convolve(a, b, grid)
         assert got.shape == (1299, grid.M) and not got.any()
         assert np.array_equal(got, spacetime_convolve_whole(a, b, grid))
+
+
+class TestSquareCheckReductions:
+    """The check's order norm, sup and point values, streamed over the output blocks, against the whole field.
+
+    At N = 6 the output has 2049 rows in blocks of 256, the last holding one.
+    """
+
+    grid = GridSpec(6, 0.25)
+
+    def test_equal_the_whole_field(self, fam_bw_ss, monkeypatch):
+        reduce, seen = kernels._reduce, []
+
+        def spy(blocks, points, grid, zeta):
+            seen.append((points, reduce(blocks, points, grid, zeta)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(kernels, "_reduce", spy)
+        kern, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
+        K, M = kern.values, self.grid.M
+        assert spans_blocks(2 * K.shape[0] - 1, 8 * M)
+        dmult = derivative_multiplier(fam_bw_ss, self.grid.eps, M)[: M // 2 + 1]
+        sq = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=M, axis=1) ** 2
+        field = spacetime_convolve_whole(sq, K, self.grid)
+        field[: K.shape[0]] -= float(self.grid.eps**3 * np.sum(sq)) * K
+        [(points, (got_norm, sup, at))] = seen
+        assert len(points) == 36
+        assert got_norm == norm == order_norm_whole(field, self.grid, -1.5, 0)
+        assert sup == max(field.max(), -field.min())
+        n_idx, x_idx = np.array(points).T
+        assert np.array_equal(at, field[n_idx, x_idx])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_named_in_the_whole_field(self, fam_bw_ss, monkeypatch, bad):
+        blocks = kernels._convolved
+
+        def poisoned(*args):
+            for rows, block in blocks(*args):
+                if rows.start <= 1000 < rows.stop:  # the fourth block
+                    block[1000 - rows.start, 5] = bad
+                yield rows, block
+
+        monkeypatch.setattr(kernels, "_convolved", poisoned)
+        with pytest.raises(ValueError, match=r"1 non-finite values in rows 768..1023, the first .* at \(row, site\) \(1000, 5\)"):
+            renormalized_square_check(fam_bw_ss, self.grid)
 
 
 class TestOrderNorm:
@@ -307,27 +366,29 @@ class TestMemory:
             _, peak = traced_peak(lambda: order_norm(DiscreteKernel(K, grid, -1.0), -1.0, m))
             assert peak < K.nbytes / 4, m
 
-    def test_convolution_holds_one_input_half_spectrum(self, fam_bw_ss, grid):
+    def test_convolution_holds_only_its_buffer(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         sq = K**2
-        out, peak, held = traced(lambda: spacetime_convolve(sq, K, grid))
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
-        L = 1
-        while L < r1 + r2:
-            L *= 2
-        # the spectrum and the output share one buffer; beside it one input's half-spectrum
-        half_row = 16 * (grid.M // 2 + 1)
-        assert L * half_row > 1.9 * out.nbytes  # the buffer is about twice the output here
-        assert peak <= max(out.nbytes, L * half_row) + max(r1, r2) * half_row + 2**20
-        # and the result holds only the output
-        assert held <= out.nbytes + 2**20
+        L, n_out = kernels._time_length(r1 + r2), 2 * K.shape[0] - 1
+        spec = kernels._spectra(np.empty(2 * L * (grid.M // 2 + 1)), r1, r2, grid.M)
+        spec[:, :r1] = np.fft.rfft(sq[:r1], axis=1).T
+        spec[:, r1 : r1 + r2] = np.fft.rfft(K[:r2], axis=1).T
+        blocks = kernels._convolved(spec, r1, r2, n_out, grid, K, 1.0)
+        count, peak = traced_peak(lambda: sum(1 for _ in blocks))
+        # the time FFTs run in place and the output comes a new block at a
+        # time: beside the buffer no half-spectrum (16.9 MB here) and no
+        # output field (33.5 MB), only a few blocks of at least one row of L
+        assert count == len(_blocks(n_out, 8 * grid.M))
+        assert peak <= 4 * max(_BLOCK_BYTES, 16 * L)
 
-    def test_square_check_holds_k_the_buffer_and_one_half_spectrum(self, fam_bw_ss, grid):
-        (kern, ident, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
+    def test_square_check_holds_k_and_its_buffer(self, fam_bw_ss, grid):
+        (kern, _, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
         K, rows = kern.values, kernels._occupied_rows(kern.values)
-        half_row = 16 * (grid.M // 2 + 1)
-        buffer = max(kernels._time_length(2 * rows) * half_row, ident.values.nbytes)
-        assert peak <= K.nbytes + buffer + rows * half_row + 2**20
+        L = kernels._time_length(2 * rows)
+        buffer = 8 * max(2 * L * (grid.M // 2 + 1), 2 * K.size)
+        # neither the output field (33.5 MB) nor a half-spectrum (16.9 MB) beside them
+        assert peak <= K.nbytes + buffer + 4 * max(_BLOCK_BYTES, 16 * L)
 
     @pytest.mark.parametrize("N", [6, 7])
     def test_square_check_bytes_bound_the_traced_peak(self, fam_bw_ss, N):

@@ -40,6 +40,9 @@ REMOVED = {
         "mollification_loss_probe",
         "PROBE_PAIRS",
         "_spacetime_convolve",
+        "_first_operand",
+        "_finish_with",
+        "_renormalized",
     ),
     "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
     "processes": (
@@ -173,8 +176,7 @@ def test_every_private_helper_has_a_library_reader():
 # half-spectra, and the twisted Parseval identity needs both k and -k;
 # every real field goes through rfft and irfft
 COMPLEX_FFT_CALLERS = {
-    ("kernels", "_first_operand"),
-    ("kernels", "_finish_with"),
+    ("kernels", "_convolved"),
     ("operators", "check_parseval_twisted"),
 }
 

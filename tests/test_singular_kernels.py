@@ -196,15 +196,19 @@ class TestRenormalizedSquareCheck:
         gen = rng_for(5, N)
         points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1), (nk - 1, 3), (nk, M - 2), (1, 1)]
         points += zip(gen.integers(0, rows, 24).tolist(), gen.integers(0, M, 24).tolist())
-        got = kernels._direct_sums(K, sq, points, grid.eps)
+        got = kernels._direct_sums(K, sq, points, grid.eps, np.empty_like(sq))
         assert np.array_equal(got, increment_sums_zeros_like(K, sq, points, grid.eps))
 
     def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
         # the direct sum does not go through the FFT convolution, so a
         # relative error of 1e-9 there must show in the residual;
-        # _finish_with makes the convolution's values from its buffer
-        fft_route = kernels._finish_with
-        monkeypatch.setattr(kernels, "_finish_with", lambda first, b, grid: fft_route(first, b, grid) * (1 + 1e-9))
+        # _convolved yields the convolution's output a block of rows at a time
+        fft_route = kernels._convolved
+
+        def perturbed(*args):
+            return ((rows, block * (1 + 1e-9)) for rows, block in fft_route(*args))
+
+        monkeypatch.setattr(kernels, "_convolved", perturbed)
         _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
         assert resid > 1e-12
 
