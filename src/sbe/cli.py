@@ -38,11 +38,12 @@ from .norms import (
     make_test_family,
     regularity_bytes,
 )
-from .operators import OperatorFamily
+from .operators import OperatorFamily, _check_wrap
 from .processes import NOISE_LABEL, TREE_LABELS, lift_chunk_bytes, lift_chunks
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,
+    _study_family,
     coupled_convergence_study,
     drift_coefficient,
     ic_constant,
@@ -223,7 +224,17 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
             finite = False
         if not finite:
             raise SchemaError(f"initial.value: expected a finite number, got {value!r}")
-    measures_from_config(cfg.family)  # fail fast on malformed atoms
+    nu, pi, mu = measures_from_config(cfg.family)  # fail fast on malformed atoms
+    # the measures whose stencils each kind applies
+    stencils = {"simulate": (nu, pi, mu), "convergence": (nu, pi, mu), "processes": (mu,), "regularity": (mu,)}
+    name, n = ("N_range", min(cfg.levels())) if cfg.kind == "convergence" else ("N", cfg.N)
+    try:
+        if cfg.kind == "convergence":
+            _study_family(GridSpec(n, cfg.T))
+        for measure in stencils.get(cfg.kind, ()):
+            _check_wrap(measure.radius, GridSpec(n, cfg.T).M)
+    except ValueError as exc:
+        raise SchemaError(f"{name}: level {n} is too coarse for {cfg.kind} ({exc})") from exc
     return cfg
 
 

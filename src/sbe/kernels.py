@@ -1,4 +1,4 @@
-"""Discrete singular-kernel calculus diagnostics.
+"""Order norms of discrete singular kernels and the renormalized-square check.
 
 A kernel is a field on the space-time grid supported near the origin (time
 rows n = 0.. are t = n eps^2; space is the torus with signed coordinates).
@@ -18,13 +18,9 @@ half-spectra (rfft modes 0..M/2) and only over the rows they occupy: each
 input is cut after its last nonzero row, and the output rows past the
 computed ones are exact zeros.
 
-A convolution runs in one buffer laid out by frequency (``_spectra``):
-row c holds column c of each input's half-spectrum, time-transformed along
-contiguous memory and inverted in place by ``_convolved``, which yields the
-output a block of rows at a time. The check reduces the blocks into the
-order norm, the sup and the values at its check points, and keeps |DxK|^2
-and the direct sums' scratch in the buffer before the spectra, so its peak
-is K and the buffer, which ``square_check_bytes`` bounds.
+A convolution runs in one buffer laid out by frequency (``_spectra``),
+which ``_convolved`` transforms in place, yielding the output a block of
+rows at a time; the check's peak is K and that buffer.
 
 Every pass runs one block of about operators._BLOCK_BYTES at a time (the
 order norm's time difference reads one row past its block). Each step is
@@ -46,14 +42,11 @@ from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multipl
 __all__ = [
     "DiscreteKernel",
     "order_norm",
-    "kernel_mass",
     "renormalized_square_check",
     "square_check_bytes",
 ]
 
 SPACE_TIME_DIM = 3  # |s| = 2 + 1 for parabolic scaling
-# the seed of every sampled check here
-PROBE_SEED = 0
 # seeded points (besides the corners) where renormalized_square_check sums directly
 CHECK_POINTS = 32
 
@@ -71,11 +64,6 @@ class DiscreteKernel:
         if v.shape[1] != self.grid.M:
             raise ValueError("kernel width disagrees with grid")
         object.__setattr__(self, "values", v)
-
-
-def _znorm_eps(n: np.ndarray, x: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """|z|_{s,eps} at time rows n and signed site coordinates x (of eps * modes(M)), arrays that broadcast together."""
-    return np.maximum(parabolic_norm(n * grid.dt, x), grid.eps)
 
 
 def _space_diff(u: np.ndarray, eps: float) -> np.ndarray:
@@ -113,7 +101,8 @@ def _not_finite(values: np.ndarray, rows: slice | None = None) -> ValueError:
 
 def _peak(diffs: dict, start: int, grid: GridSpec, zeta: float) -> float:
     """The largest order-zeta ratio of a block's forward differences, its first row time row start; not finite if a ratio is not."""
-    zn = _znorm_eps(np.arange(start, start + len(diffs[(0, 0)]))[:, None], grid.eps * modes(grid.M), grid)
+    n = np.arange(start, start + len(diffs[(0, 0)]))[:, None]
+    zn = np.maximum(parabolic_norm(n * grid.dt, grid.eps * modes(grid.M)), grid.eps)  # |z|_{s,eps}
     best, denominators = 0.0, {}
     for (k0, k1), arr in diffs.items():
         order = 2 * k0 + k1
@@ -148,10 +137,6 @@ def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
                 raise _not_finite(values)
             best = max(best, peak)
     return best
-
-
-def kernel_mass(k: DiscreteKernel) -> float:
-    return float(k.grid.eps**3 * np.sum(k.values))
 
 
 def _occupied_rows(a: np.ndarray) -> int:
@@ -274,11 +259,11 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
     for rows in _blocks(nt, 8 * M):
         np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=sq[rows])
     n_out = 2 * nt - 1
-    gen = rng_for(PROBE_SEED, 91)
+    gen = rng_for(0, 91)
     points = [(0, 0), (0, M - 1), (n_out - 1, 0), (n_out - 1, M - 1)]
     points += zip(gen.integers(0, n_out, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
     direct = _direct_sums(K, sq, points, grid.eps, terms)
-    mass, r1 = kernel_mass(DiscreteKernel(sq, grid, -3.5)), _occupied_rows(sq)
+    mass, r1 = float(grid.eps**3 * np.sum(sq)), _occupied_rows(sq)
     spec = _spectra(buf, r1, r2, M)
     for rows in _blocks(r2, 16 * M):
         k_hat = np.fft.rfft(K[rows], axis=1)

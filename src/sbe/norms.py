@@ -76,17 +76,8 @@ class TestFunctionFamily:
         if not np.all(np.diff(self.scales, prepend=0.0) > 0):
             raise ValueError("scales must be positive and strictly increasing")
 
-    @property
-    def mass_constant(self) -> float:
-        return _mass_constant(self.r)
-
     def profile(self, y) -> np.ndarray:
         return _profile(self.r, y)
-
-
-def _mass_constant(r: int) -> float:
-    s = r + 1
-    return math.gamma(s + 1.5) / (math.sqrt(math.pi) * math.gamma(s + 1))
 
 
 def _profile(r: int, y) -> np.ndarray:
@@ -94,7 +85,8 @@ def _profile(r: int, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     out = np.zeros_like(y)
     inside = np.abs(y) < 1.0
-    out[inside] = _mass_constant(r) * (1.0 - y[inside] ** 2) ** (r + 1)
+    c_r = math.gamma(r + 2.5) / (math.sqrt(math.pi) * math.gamma(r + 2))  # unit continuum mass
+    out[inside] = c_r * (1.0 - y[inside] ** 2) ** (r + 1)
     return out
 
 

@@ -249,6 +249,11 @@ class ConvergenceStudy:
         return iter((self.per_pair, self.rows))
 
 
+def _study_family(coarse: GridSpec):
+    """The test functions of the study's comparison norms, at least two scales."""
+    return make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
+
+
 def coupled_convergence_study(
     fam: OperatorFamily,
     levels,
@@ -282,7 +287,7 @@ def coupled_convergence_study(
         raise ValueError(f"levels {levels} are not consecutive")
     grids = [GridSpec(n, T) for n in levels]
     coarse = grids[0]
-    tf = make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
+    tf = _study_family(coarse)
     _check_scale_list(tf, alpha)  # before any step: a run may end with no replica left to check
     steps = [_Step(SchemeConfig(fam=fam, grid=g, b_drift=b_drift), rows=replicas) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step

@@ -26,25 +26,18 @@ as first written: a zero kernel-sized field and a fancy index per point. The
 reversed-slice loop of ``sbe.kernels._direct_sums`` must equal it bit for
 bit.
 
-``twisted_kernel_product``, ``convolve_kernels``, ``renormalized_convolve``,
-``increment_bound_probe`` and ``mollification_loss_probe`` are the kernel
-calculus of the paper's kernel lemmas on ``sbe.kernels.DiscreteKernel``,
-the convolutions through the blocked pipeline of ``sbe.kernels``, whose
-output blocks ``spacetime_convolve`` puts together on plain arrays. ``mollify``
-convolves a field with the separable bump (``bump``, ``mollifier_kernel``)
-on the operators' stencil engine; ``mollify_loop``, the mollifier as first
-written, a double loop over the space-time stencil points with one rolled
-copy of the field each, groups its sums differently, so the two must match
-within rounding.
+``spacetime_convolve`` and ``renormalized_convolve`` put the plain and
+the renormalized space-time convolutions of two plain arrays together from
+the output blocks of ``sbe.kernels._convolved``, the pipeline of the
+renormalized-square check, so that its blocks can be checked whole.
 
 ``columns_whole``, ``split_whole``, ``verify_bounds_whole``,
-``time_convolve_whole``, ``spacetime_convolve_whole``, ``order_norm_whole``
-and ``increment_bound_whole`` are the heat kernel, its singular part and
-decay bounds, the time and space-time convolutions, the order norm and the
-increment probe spelled on whole fields, one field-sized array per step,
-the heat kernel's on the real half-spectrum as ``sbe.heat`` takes it. The
-blocked passes of ``sbe.heat`` and ``sbe.kernels`` must equal them bit for
-bit.
+``time_convolve_whole``, ``spacetime_convolve_whole`` and
+``order_norm_whole`` are the heat kernel, its singular part and decay
+bounds, the time and space-time convolutions and the order norm spelled on
+whole fields, one field-sized array per step, the heat kernel's on the real
+half-spectrum as ``sbe.heat`` takes it. The blocked passes of ``sbe.heat``
+and ``sbe.kernels`` must equal them bit for bit.
 
 ``space_pairing_map`` and ``parabolic_pairing_map`` pair a field with the
 test functions phi_x^lambda of ``sbe.norms`` at every base site, by FFT
@@ -55,7 +48,7 @@ correlation. They are the reference that the direct sums of
 import numpy as np
 
 from sbe import kernels
-from sbe.grids import GridSpec, NoiseField, rng_for
+from sbe.grids import GridSpec, NoiseField
 from sbe.heat import (
     CUTOFF_INNER,
     CUTOFF_OUTER,
@@ -64,14 +57,11 @@ from sbe.heat import (
     smooth_cutoff,
     smooth_parabolic_norm,
 )
-from sbe.kernels import PROBE_SEED, SPACE_TIME_DIM, DiscreteKernel, _occupied_rows, _znorm_eps, kernel_mass, order_norm
+from sbe.kernels import _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
-from sbe.operators import OperatorFamily, _blocks, _stencil, derivative_multiplier, modes, twisted_product
+from sbe.operators import OperatorFamily, _blocks, derivative_multiplier, modes, twisted_product
 from sbe.solver import SchemeConfig, Trajectory, _escaped, _Step
-
-# seeded grid pairs that increment_bound_probe samples
-PROBE_PAIRS = 4096
 
 
 def _check_support(measure_radius: int, M: int):
@@ -368,51 +358,18 @@ def order_norm_whole(values: np.ndarray, grid: GridSpec, zeta: float, m: int) ->
     return best
 
 
-def increment_bound_whole(values: np.ndarray, grid: GridSpec, zeta: float, kappa: float) -> float:
-    """``increment_bound_probe`` reading its z-norms from the whole (nt, M) z-norm field."""
-    nt, M = values.shape
-    gen = rng_for(PROBE_SEED, 90)
-    t = np.arange(nt)[:, None] * grid.dt
-    x = (grid.eps * modes(M))[None, :]
-    zn = np.maximum(parabolic_norm(t, x), grid.eps)
-    i1 = gen.integers(0, nt, PROBE_PAIRS)
-    j1 = gen.integers(0, M, PROBE_PAIRS)
-    i2 = gen.integers(0, nt, PROBE_PAIRS)
-    j2 = gen.integers(0, M, PROBE_PAIRS)
-    same = (i1 == i2) & (j1 == j2)
-    i2[same] = (i2[same] + 1) % nt
-    num = np.abs(values[i1, j1] - values[i2, j2])
-    dt_gap = np.abs(i1 - i2) * grid.dt
-    dx_gap = np.abs((grid.eps * modes(M))[(j1 - j2) % M])
-    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
-    denom = sep**kappa * (zn[i1, j1] ** (zeta - kappa) + zn[i2, j2] ** (zeta - kappa))
-    return float(np.max(num / denom))
-
-
-def twisted_kernel_product(k1: DiscreteKernel, k2: DiscreteKernel, mu: AtomicMeasure2D) -> DiscreteKernel:
-    """Slice-wise twisted product under mu, the shorter kernel zero-padded in time; claimed order adds."""
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    rows = max(k1.values.shape[0], k2.values.shape[0])
-    a, b = np.zeros((rows, k1.grid.M)), np.zeros((rows, k2.grid.M))
-    a[: k1.values.shape[0]] = k1.values
-    b[: k2.values.shape[0]] = k2.values
-    return DiscreteKernel(twisted_product(mu, a, b), k1.grid, k1.claimed_order + k2.claimed_order)
-
-
-def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, mass=None) -> np.ndarray:
-    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, minus mass times b if a mass is given.
+def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, subtracted: np.ndarray, mass: float) -> np.ndarray:
+    """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, minus mass times the rows of ``subtracted``.
 
     The output blocks of ``sbe.kernels._convolved`` put together, from a's
     and b's half-spectra written into its frequency-major buffer a block of
-    rows at a time; an all-zero input gives exact zeros.
+    rows at a time; an all-zero input gives exact zeros before the subtraction.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
     out = np.zeros((n_out, M))
     if not (r1 and r2):
-        if mass is not None:
-            out[: b.shape[0]] -= mass * b
+        out[: len(subtracted)] -= mass * subtracted
         return out
     spec = kernels._spectra(np.empty(2 * kernels._time_length(r1 + r2) * (M // 2 + 1)), r1, r2, M)
     for rows in _blocks(max(r1, r2), 16 * M):
@@ -420,8 +377,6 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, mass=None) -> np.nda
             if rows.start < r:
                 x_hat = np.fft.rfft(x[rows.start : min(rows.stop, r)], axis=1)
                 spec[:, offset + rows.start : offset + rows.start + len(x_hat)] = x_hat.T
-    # the plain convolution subtracts nothing: no rows of b
-    subtracted, mass = (b[:0], 0.0) if mass is None else (b, mass)
     for rows, block in kernels._convolved(spec, r1, r2, n_out, grid, subtracted, mass):
         out[rows] = block
     return out
@@ -429,151 +384,17 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, mass=None) -> np.nda
 
 def spacetime_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
     """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, over the rows a and b occupy, by the pipeline of ``sbe.kernels``."""
-    return _pipeline(a, b, grid)
+    # the plain convolution subtracts nothing: no rows of b
+    return _pipeline(a, b, grid, b[:0], 0.0)
 
 
-def convolve_kernels(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
-    """eps^3-weighted space-time convolution by ``spacetime_convolve``; claimed order gains |s| = 3."""
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    vals = spacetime_convolve(k1.values, k2.values, k1.grid)
-    return DiscreteKernel(vals, k1.grid, k1.claimed_order + k2.claimed_order + SPACE_TIME_DIM)
+def renormalized_convolve(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(R a * b)(z) = eps^3 sum_w a(w) (b(z - w) - b(z)), b zero outside its rows, by the pipeline of ``sbe.kernels``.
 
-
-def renormalized_convolve(k1: DiscreteKernel, k2: DiscreteKernel) -> DiscreteKernel:
-    """(R K1 * K2)(z) = eps^3 sum_w K1(w) (K2(z - w) - K2(z)), by the FFT route of the square check.
-
-    Admissible only on the lemma's order window: zeta1 in (-4, -3] and
-    zeta2 in (-6 - zeta1, 0].
+    The plain convolution minus the mass eps^3 sum a of a times b, as
+    ``sbe.kernels.renormalized_square_check`` takes it.
     """
-    z1, z2 = k1.claimed_order, k2.claimed_order
-    if not (-SPACE_TIME_DIM - 1 < z1 <= -SPACE_TIME_DIM):
-        raise ValueError(f"zeta1={z1} outside (-4, -3]")
-    if not (-2 * SPACE_TIME_DIM - z1 < z2 <= 0.0):
-        raise ValueError(f"zeta2={z2} outside ({-2 * SPACE_TIME_DIM - z1}, 0]")
-    if k1.grid != k2.grid:
-        raise ValueError("kernels live on different grids")
-    vals = _pipeline(k1.values, k2.values, k1.grid, kernel_mass(k1))
-    return DiscreteKernel(vals, k1.grid, z1 + z2 + SPACE_TIME_DIM)
-
-
-def increment_bound_probe(k: DiscreteKernel, kappa: float) -> float:
-    """Empirical sup of |K(z) - K(zbar)| / (|z-zbar|^kappa (|z|^(z-k) + |zbar|^(z-k))).
-
-    Sampled over PROBE_PAIRS seeded random grid pairs, with |z|_{s,eps} taken
-    at the sampled points only; kappa = 0 collapses to the
-    triangle-inequality consequence of the order norm.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
-    grid = k.grid
-    nt, M = k.values.shape
-    gen = rng_for(PROBE_SEED, 90)
-    zeta = k.claimed_order
-    i1 = gen.integers(0, nt, PROBE_PAIRS)
-    j1 = gen.integers(0, M, PROBE_PAIRS)
-    i2 = gen.integers(0, nt, PROBE_PAIRS)
-    j2 = gen.integers(0, M, PROBE_PAIRS)
-    same = (i1 == i2) & (j1 == j2)
-    i2[same] = (i2[same] + 1) % nt
-    num = np.abs(k.values[i1, j1] - k.values[i2, j2])
-    x = grid.eps * modes(M)
-    dt_gap = np.abs(i1 - i2) * grid.dt
-    dx_gap = np.abs(x[(j1 - j2) % M])
-    sep = np.maximum(parabolic_norm(dt_gap, dx_gap), grid.eps)
-    denom = sep**kappa * (_znorm_eps(i1, x[j1], grid) ** (zeta - kappa) + _znorm_eps(i2, x[j2], grid) ** (zeta - kappa))
-    return float(np.max(num / denom))
-
-
-def mollification_loss_probe(k: DiscreteKernel, eps_bar_cells: int, kappa: float) -> float:
-    """order_norm(K - K_mollified, zeta - kappa) / eps_bar^kappa, at depth 0.
-
-    The mollifier is the parabolic rescaling of the smooth bump to
-    eps_bar = eps_bar_cells * eps, sampled on the grid with discrete mass
-    one: ``mollify`` at radii (cells^2 - 1, cells - 1), the last cells
-    inside the bump's support. Boundedness across eps_bar values certifies
-    the smoothing loss bound; one cell is the identity.
-    """
-    if eps_bar_cells < 1:
-        raise ValueError("eps_bar must be at least one cell")
-    grid = k.grid
-    mollified = mollify(k.values, grid, eps_bar_cells**2 - 1, eps_bar_cells - 1)
-    diff = DiscreteKernel(values=k.values - mollified, grid=grid, claimed_order=k.claimed_order - kappa)
-    eps_bar = eps_bar_cells * grid.eps
-    return order_norm(diff, k.claimed_order - kappa) / eps_bar**kappa
-
-
-def bump(r: np.ndarray) -> np.ndarray:
-    """Smooth bump exp(-1/(1-r^2)) on |r| < 1, zero outside (unnormalized)."""
-    r = np.asarray(r, dtype=np.float64)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
-
-
-def mollifier_kernel(rt: int, rs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time and space factors of the tensor-product bump sampled on grid cells, each of unit sum.
-
-    Each direction rescales the bump by radius + 1, where it first vanishes,
-    so radius 0 is the one weight 1.
-    """
-    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0))
-    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0))
-    return wt / wt.sum(), wx / wx.sum()
-
-
-def mollify(values: np.ndarray, grid: GridSpec, radius_cells_time: int, radius_cells_space: int) -> np.ndarray:
-    """Space-time convolution of a time-major (rows, M) field with the bump of unit discrete mass.
-
-    The bump is the tensor product of ``mollifier_kernel``'s factors, so one
-    pass of the operators' stencil engine convolves in space, around the
-    torus, and 2 rt + 1 row-shifted multiply-adds a block of rows at a time
-    in time, zero-padded outside the rows. Radii (0, 0) return the input.
-    """
-    rt, rs = int(radius_cells_time), int(radius_cells_space)
-    if rt < 0 or rs < 0:
-        raise ValueError("radii must be nonnegative")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != grid.M:
-        raise ValueError(f"mollify needs a time-major (rows, M) field with M = {grid.M}, not shape {values.shape}")
-    if 2 * rs + 1 > grid.M:
-        raise ValueError("mollifier support exceeds the torus")
-    wt, wx = mollifier_kernel(rt, rs)
-    space = _stencil(tuple(zip(range(-rs, rs + 1), wx)), values)
-    nt = space.shape[0]
-    out = np.zeros_like(space)
-    blocks = _blocks(nt, 8 * grid.M)
-    tmp = np.empty((blocks[0].stop if blocks else 0, grid.M))
-    for rows in blocks:
-        for a, w in zip(range(-rt, rt + 1), wt):
-            # output row n reads row n + a, zero past the ends
-            lo, hi = max(rows.start, -a), min(rows.stop, nt - a)
-            if lo < hi:
-                np.multiply(w, space[lo + a : hi + a], out=tmp[: hi - lo])
-                out[lo:hi] += tmp[: hi - lo]
-    return out
-
-
-def mollify_loop(values: np.ndarray, grid: GridSpec, rt: int, rs: int) -> np.ndarray:
-    """eps^3-weighted space-time convolution with the bump, one rolled copy per stencil point.
-
-    The weights are the tensor-product bump, each direction rescaled by
-    radius + 1, sampled on grid cells with discrete mass eps^3 sum = 1;
-    space wraps around the torus and time is zero-padded outside the rows.
-    """
-    wt = bump(np.arange(-rt, rt + 1) / (rt + 1.0)) if rt > 0 else np.ones(1)
-    wx = bump(np.arange(-rs, rs + 1) / (rs + 1.0)) if rs > 0 else np.ones(1)
-    w = np.outer(wt, wx)
-    w /= grid.eps**3 * w.sum()
-    nt = values.shape[0]
-    padded = np.pad(values, ((rt, rt), (0, 0)))
-    out = np.zeros_like(values)
-    for a in range(-rt, rt + 1):
-        for b in range(-rs, rs + 1):
-            # padded rows rt + a.. are the values a steps later, zero past the ends
-            out += w[a + rt, b + rs] * np.roll(padded[rt + a : rt + a + nt], -b, axis=1)
-    return grid.eps**3 * out
+    return _pipeline(a, b, grid, b, float(grid.eps**3 * np.sum(a)))
 
 
 def space_pairing_map(values: np.ndarray, grid: GridSpec, tf: TestFunctionFamily, lam: float) -> np.ndarray:

@@ -404,6 +404,40 @@ class TestConfigFailsBeforeOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kind, levels, mu, message",
+        [
+            ("simulate", {"N": 1}, FAMILY["mu"], "N: level 1 is too coarse for simulate (measure radius 1 wraps"),
+            ("processes", {"N": 1}, FAMILY["mu"], "N: level 1 is too coarse for processes (measure radius 1 wraps"),
+            ("regularity", {"N": 6}, {"atoms": [[32, 32, 1.0]]}, "N: level 6 is too coarse for regularity (measure"),
+            (
+                "convergence",
+                {"N_range": [2, 3, 4]},
+                {"atoms": [[2, 2, 1.0]]},
+                "N_range: level 2 is too coarse for convergence (measure radius 2 wraps",
+            ),
+            (
+                "convergence",
+                {"N_range": [1, 2, 3]},
+                FAMILY["mu"],
+                "N_range: level 1 is too coarse for convergence (need at least two scales)",
+            ),
+        ],
+        ids=["simulate", "processes", "regularity", "convergence", "convergence-scales"],
+    )
+    def test_level_too_coarse_for_the_family(self, tmp_path, capsys, kind, levels, mu, message):
+        # a stencil that wraps the torus, or a study with one comparison scale
+        path = write_config(tmp_path, dict({"family": dict(FAMILY, mu=mu), "T": 0.25}, **levels))
+        out = tmp_path / "out"
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["heat-kernel", "constants", "kernel-diagnostics", "validate"])
+    def test_stencil_free_kinds_run_at_level_one(self, tmp_path, kind):
+        path = write_config(tmp_path, {"family": FAMILY, "N": 1, "T": 0.25})
+        assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
         "bad, field",
         [
             ({"alpha": float("nan")}, "alpha"),

@@ -1,11 +1,8 @@
-import re
 
 import numpy as np
 import pytest
 
-from oracles import bump, mollifier_kernel, mollify, mollify_loop
 from sbe.grids import GridSpec, NoiseField, block_average, coarsen_slice, sample_noise
-from sbe.operators import _blocks
 
 
 def test_grid_invariants():
@@ -105,62 +102,6 @@ def test_coupling_consistency_linear_statistic():
 def test_coarsen_slice_pairwise_mean():
     u = np.arange(8.0)
     np.testing.assert_array_equal(coarsen_slice(u), np.array([0.5, 2.5, 4.5, 6.5]))
-
-
-class TestMollify:
-    def test_identity_at_zero_radii(self):
-        for T in (0.125, 1.0):  # one row block, then several
-            noise = sample_noise(GridSpec(5, T), 2)
-            out = mollify(noise.values, noise.grid, 0, 0)
-            assert np.array_equal(out, noise.values)
-
-    def test_variance_contracts(self):
-        noise = sample_noise(GridSpec(5, 0.125), 2)
-        out = mollify(noise.values, noise.grid, 1, 1)
-        assert out.var() < noise.values.var()
-
-    @pytest.mark.parametrize("rt, rs", [(1, 1), (3, 1), (15, 3)])
-    def test_matches_the_double_loop(self, rng, rt, rs):
-        # 1300 rows of 32 sites: several row blocks with a partial last one
-        grid = GridSpec(5, 0.25)
-        values = rng.standard_normal((1300, grid.M))
-        blocks = _blocks(values.shape[0], 8 * grid.M)
-        assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
-        want = mollify_loop(values, grid, rt, rs)
-        assert np.max(np.abs(mollify(values, grid, rt, rs) - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_kernel_mass_normalized(self):
-        # each factor has unit sum, so the bump has discrete mass one
-        for rt, rs in ((0, 0), (3, 2), (15, 3)):
-            wt, wx = mollifier_kernel(rt, rs)
-            assert wt.shape == (2 * rt + 1,) and wx.shape == (2 * rs + 1,)
-            assert abs(wt.sum() - 1.0) < 1e-14 and abs(wx.sum() - 1.0) < 1e-14
-
-    def test_support_guard(self):
-        noise = sample_noise(GridSpec(3, 0.25), 2)
-        with pytest.raises(ValueError):
-            mollify(noise.values, noise.grid, 1, 5)
-
-    @pytest.mark.parametrize("shape", [(40, 64), (32,), (2, 5, 32)])
-    def test_field_must_be_time_major_with_m_sites(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"M = 32, not shape {shape}")):
-            mollify(np.zeros(shape), GridSpec(5, 0.125), 1, 1)
-
-    def test_integer_field_is_read_as_float(self):
-        grid = GridSpec(5, 0.125)
-        ints = np.arange(17 * grid.M).reshape(17, grid.M) % 7
-        assert np.array_equal(mollify(ints, grid, 1, 1), mollify(ints.astype(np.float64), grid, 1, 1))
-
-    @pytest.mark.parametrize("c", [1, 2, 4])
-    def test_kernel_is_parabolic_rescaling(self, c):
-        wt, wx = mollifier_kernel(c * c - 1, c - 1)
-        sampled = np.outer(bump(np.arange(-c * c, c * c + 1) / c**2), bump(np.arange(-c, c + 1) / c))
-        # the sampled rescaling vanishes on its outer rim, so its nonzero
-        # entries are exactly the kernel's cells
-        assert not sampled[[0, -1]].any() and not sampled[:, [0, -1]].any()
-        inner = sampled[1:-1, 1:-1]
-        assert (inner > 0).all()
-        np.testing.assert_allclose(np.outer(wt, wx), inner / inner.sum(), rtol=1e-14, atol=0)
 
 
 def test_field_io_round_trip(tmp_path):

@@ -5,12 +5,10 @@ convolution, the square check's reductions of its output and the order
 norm run one block of about ``operators._BLOCK_BYTES`` at a time. Each step
 is elementwise, per row, or a max, so every comparison is exact. The block
 counts are read from ``operators._blocks``, so the fields span several
-blocks with a partial last one whatever the block size. The increment probe
-takes its z-norms at its sampled points only, which must give the whole
-field's values. The memory guards keep the passes free of field-sized
-temporaries, the convolution to its one buffer, the square check to K and
-that buffer, the heat kernel free of rows kept between calls, and the
-mollifier to its space pass and its result.
+blocks with a partial last one whatever the block size. The memory guards
+keep the passes free of field-sized temporaries, the convolution to its one
+buffer, the square check to K and that buffer, and the heat kernel free of
+rows kept between calls.
 """
 
 import inspect
@@ -22,9 +20,6 @@ import pytest
 from conftest import count_rows, traced, traced_peak
 from oracles import (
     columns_whole,
-    increment_bound_probe,
-    increment_bound_whole,
-    mollify,
     order_norm_whole,
     renormalized_convolve,
     spacetime_convolve,
@@ -222,10 +217,10 @@ class TestSpacetimeConvolve:
         grid = GridSpec(5, 0.25)
         a, b = rng.standard_normal((600, grid.M)), rng.standard_normal((1100, grid.M))
         assert spans_blocks(1100, 8 * grid.M)
-        got = renormalized_convolve(DiscreteKernel(a, grid, -3.5), DiscreteKernel(b, grid, -1.0))
+        got = renormalized_convolve(a, b, grid)
         want = spacetime_convolve_whole(a, b, grid)
         want[:1100] -= float(grid.eps**3 * np.sum(a)) * b
-        assert np.array_equal(got.values, want)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_all_zero_input(self, rng, zero_first):
@@ -325,14 +320,6 @@ class TestOrderNorm:
             order_norm(DiscreteKernel(np.ones((2, grid.M)), grid, -1.0), -1.0, m)
 
 
-class TestIncrementProbe:
-    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
-    def test_equals_the_whole_field_z_norms(self, fam_bw_ss, long_grid, kappa):
-        K = HeatKernel(long_grid, fam_bw_ss).singular_part(long_grid.T)
-        got = increment_bound_probe(DiscreteKernel(K, long_grid, -1.0), kappa)
-        assert got == increment_bound_whole(K, long_grid, -1.0, kappa)
-
-
 class TestMemory:
     """numpy reports its allocations to tracemalloc; fields here are 16.8 MB."""
 
@@ -396,15 +383,3 @@ class TestMemory:
         grid = GridSpec(N, 0.25)
         _, peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
         assert peak <= square_check_bytes(grid)
-
-    def test_increment_probe_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
-        _, peak = traced_peak(lambda: increment_bound_probe(DiscreteKernel(K, grid, -1.0), 0.5))
-        assert peak < K.nbytes / 4
-
-    def test_mollify_holds_two_fields(self, fam_bw_ss):
-        # the radii of mollification_loss_probe at four cells, on a 4.2 MB kernel
-        grid = GridSpec(7, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
-        _, peak = traced_peak(lambda: mollify(K, grid, 15, 3))
-        assert peak <= 2 * K.nbytes + 2**20

@@ -13,10 +13,10 @@ MODULES = ("cli", "fieldio", "grids", "heat", "kernels", "measures", "norms", "o
 LIBRARY = tuple(name for name in MODULES if name != "cli")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# conveniences that nothing outside their own tests called, and internals
-# replaced by another route, now gone; the kernel calculus, the remainders,
-# the mollifier and the continuum constant live on in tests/oracles.py and
-# tests/test_renorm.py
+# conveniences that nothing outside their own tests called, internals
+# replaced by another route, and the kernel calculus and mollifier that no
+# experiment ran, now gone; the remainders live on in tests/oracles.py, the
+# continuum constant and its bump in tests/test_renorm.py
 REMOVED = {
     "operators": ("dft", "idft", "time_convolve", "_time_length", "_time_spectrum", "_convolve_spectrum"),
     "fieldio": ("field_to_csv",),
@@ -43,6 +43,8 @@ REMOVED = {
         "_first_operand",
         "_finish_with",
         "_renormalized",
+        "kernel_mass",
+        "_znorm_eps",
     ),
     "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
     "processes": (
@@ -170,6 +172,37 @@ def test_every_private_helper_has_a_library_reader():
         and not _library_reads(module, node.name)
     ]
     assert sorted(unread) == sorted(PRIVATE_KEPT), f"private helpers no library module reads: {', '.join(unread)}"
+
+
+def _oracle_reads(tree: ast.AST) -> set:
+    """The names a test module imports from tests/oracles.py and reads."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    return {imported[name] for name in _loaded_names(tree) & imported.keys()}
+
+
+def test_every_oracle_has_a_test_reader():
+    # a top-level function, class or constant of tests/oracles.py stays only
+    # while a test module reads it, or an oracle that a test module reads does
+    oracles = {}
+    for node in ast.parse((ROOT / "tests" / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            oracles[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            oracles.update((target.id, node) for target in targets if isinstance(target, ast.Name))
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    reached = set().union(*(_oracle_reads(ast.parse(path.read_text())) for path in modules if path.stem != "oracles"))
+    frontier = list(reached)
+    while frontier:
+        found = (_loaded_names(oracles[frontier.pop()]) & oracles.keys()) - reached
+        reached |= found
+        frontier += found
+    assert not oracles.keys() - reached, f"oracles no test reads: {', '.join(sorted(oracles.keys() - reached))}"
 
 
 # the complex transforms that stay: kernels' time FFTs act on complex
