@@ -432,6 +432,55 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("measure", ["nu", "pi"])
+    @pytest.mark.parametrize("kind", ["simulate", "convergence", "processes", "regularity"])
+    def test_only_the_stencils_a_kind_applies_are_checked(self, tmp_path, capsys, kind, measure):
+        # nu or pi reaching 32 sites wraps the 64-site torus of level 6; the
+        # scheme applies both, the lifts only mu (nu and pi through their spectra)
+        wide = {
+            "nu": {"atoms": [[-32, 1 / 2048], [-1, 0.5], [0, -1.0009765625], [1, 0.5], [32, 1 / 2048]]},
+            "pi": {"atoms": [[-32, -1 / 64], [32, 1 / 64]]},
+        }
+        levels = {"N_range": [6, 7, 8]} if kind == "convergence" else {"N": 6}
+        path = write_config(tmp_path, dict({"family": dict(FAMILY, **{measure: wide[measure]}), "T": 0.25}, **levels))
+        out = tmp_path / "out"
+        if kind in ("processes", "regularity"):
+            assert main([kind, "--config", path, "--out", str(out)]) == 0
+            return
+        assert main([kind, "--config", path, "--out", str(out)]) == 2
+        field = next(iter(levels))
+        message = f"{field}: level 6 is too coarse for {kind} (measure radius 32 wraps on M=64 torus)"
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "convergence", "processes", "regularity"])
+    def test_a_stencil_reaching_half_the_torus_wraps(self, kind):
+        # mu reaches 32 sites: 32 >= 64 / 2 wraps at level 6, 32 < 128 / 2 fits at level 7
+        family = dict(FAMILY, mu={"atoms": [[32, 32, 1.0]]})
+        for N, fits in ((6, False), (7, True)):
+            raw = {"kind": kind, "family": family, "T": 0.25}
+            raw.update({"N_range": [N, N + 1, N + 2]} if kind == "convergence" else {"N": N})
+            if fits:
+                assert config_from_dict(raw).levels()[0] == N
+            else:
+                with pytest.raises(SchemaError, match=f"level {N} is too coarse for {kind} \\(measure radius 32 wraps"):
+                    config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "kind, coarsest", [("simulate", 2), ("convergence", 2), ("processes", 2), ("regularity", 6)]
+    )
+    def test_the_coarsest_level_accepted_runs(self, tmp_path, kind, coarsest):
+        # the refusals take no level that runs: one level coarser is refused
+        # before the output directory exists, the coarsest accepted one runs
+        def config(N):
+            levels = {"N_range": [N, N + 1, N + 2]} if kind == "convergence" else {"N": N}
+            return write_config(tmp_path, dict({"family": FAMILY, "T": 0.25, "replicas": 2}, **levels))
+
+        out = tmp_path / "out"
+        assert main([kind, "--config", config(coarsest - 1), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main([kind, "--config", config(coarsest), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("kind", ["heat-kernel", "constants", "kernel-diagnostics", "validate"])
     def test_stencil_free_kinds_run_at_level_one(self, tmp_path, kind):
         path = write_config(tmp_path, {"family": FAMILY, "N": 1, "T": 0.25})

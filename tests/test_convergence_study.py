@@ -122,6 +122,18 @@ def test_alpha_checked_before_any_step(fam_bw_ss, monkeypatch):
         coupled_convergence_study(fam_bw_ss, [3, 4, 5], 0.25, 4, 0, alpha=-5.0, b_drift=b)
 
 
+def test_one_comparison_scale_refused_before_any_step(fam_bw_ss, monkeypatch):
+    # at level 1 the study's test family has the one scale 1/2
+    import sbe.solver
+
+    def no_step(*args):
+        raise AssertionError("stepped before checking the scales")
+
+    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
+    with pytest.raises(ValueError, match="need at least two scales"):
+        coupled_convergence_study(fam_bw_ss, [1, 2, 3], 0.25, 2, 0)
+
+
 def test_levels_must_be_consecutive(fam_bw_ss):
     with pytest.raises(ValueError, match="consecutive"):
         coupled_convergence_study(fam_bw_ss, [3, 5, 7], 0.0625, 1, 0)

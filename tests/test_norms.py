@@ -8,6 +8,7 @@ from conftest import same_bits
 from oracles import parabolic_pairing_map, space_pairing_map
 from sbe.grids import GridSpec, LatticeField, rng_for, sample_noise
 from sbe.norms import (
+    PROFILE_SMOOTHNESS,
     TestFunctionFamily as BumpFamily,
     besov_norm_negative,
     comparison_norm,
@@ -42,6 +43,16 @@ def test_profile_unit_mass_on_grid():
     y = np.arange(-grid.M, grid.M + 1) * grid.eps
     mass = grid.eps * tf.profile(y).sum()
     assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, PROFILE_SMOOTHNESS])
+def test_profile_unit_continuum_mass(r):
+    # the profile is a polynomial of degree 2r + 2 on (-1, 1), which
+    # Gauss-Legendre on r + 2 nodes integrates exactly
+    y, w = np.polynomial.legendre.leggauss(r + 2)
+    tf = BumpFamily(r=r, scales=np.array([0.25, 0.5]))
+    assert w @ tf.profile(y) == pytest.approx(1.0, rel=1e-14)
+    assert not tf.profile(np.array([-1.0, 1.0, 1.5])).any()
 
 
 class TestHolderSpace:

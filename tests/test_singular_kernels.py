@@ -53,6 +53,14 @@ class TestOrderNorm:
 
 
 class TestProductsAndConvolutions:
+    def test_product_with_zero(self, fam_bw_pw):
+        k, grid = split_kernel(fam_bw_pw, 5)
+        zero = np.zeros_like(k.values)
+        for f, g in ((k.values, zero), (zero, k.values)):
+            p = twisted_product(fam_bw_pw.mu, f, g)
+            assert p.shape == k.values.shape and not p.any()
+            assert order_norm(DiscreteKernel(p, grid, -2.0), -2.0, 2) == 0.0
+
     def test_squared_kernel_order(self, fam_bw_pw):
         vals = []
         for N in (5, 6, 7):
