@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
 from .grids import GridSpec, LatticeField, NoiseField
-from .heat import HeatKernel, heat_kernel_bytes
+from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import (
@@ -259,17 +259,15 @@ def _memory_need(cfg: ExperimentConfig) -> tuple[int, str] | None:
     """The bytes that cfg's largest level holds at its peak, and what for; None for a kind not checked.
 
     Each need is the library's bound for the code that allocates:
-    ``heat_kernel_bytes``, ``square_check_bytes``, ``lift_chunk_bytes`` and
-    ``regularity_bytes``. processes and regularity hold no noise or tree
-    field: each draws its noise as the lift reads it.
+    ``square_check_bytes``, ``lift_chunk_bytes`` and ``regularity_bytes``.
+    processes and regularity hold no noise or tree field: each draws its
+    noise as the lift reads it.
     """
     if cfg.kind == "kernel-diagnostics":
         return square_check_bytes(_diag_grid(cfg, max(cfg.levels()))), "the kernel diagnostics"
-    if cfg.kind not in ("heat-kernel", "processes", "regularity"):
+    if cfg.kind not in ("processes", "regularity"):
         return None
     grid = GridSpec(cfg.N, cfg.T)
-    if cfg.kind == "heat-kernel":
-        return heat_kernel_bytes(grid), "the heat kernel"
     if cfg.kind == "processes":
         return lift_chunk_bytes(grid), "the processes lifts"
     return regularity_bytes(grid, _regularity_families(grid)[1]), "the regularity lifts"
@@ -380,24 +378,29 @@ def _exp_constants(cfg, fam, outdir):
 def _exp_heat_kernel(cfg, fam, outdir):
     grid = GridSpec(cfg.N, cfg.T)
     hk = HeatKernel(grid, fam)
-    cols = hk.columns(grid.n_steps)
-    mass = grid.eps * cols.sum(axis=1)
-    n_half = grid.n_steps // 2
+    # P is written a block at a time; the semigroup residual's rows are kept
+    n, n_half = grid.n_steps, grid.n_steps // 2
+    writer = FieldAppender(outdir, "kernel", {"N": grid.N, "T": grid.T, "seed": None})
+    mass_error, kept = 0.0, {}
+    for rows, P in hk.row_blocks(grid.T):
+        writer.append(P)
+        mass_error = max(mass_error, float(np.max(np.abs(grid.eps * P.sum(axis=1) - 1.0))))
+        for r in (n_half, n - n_half, n):
+            if rows.start <= r < rows.stop:
+                kept[r] = P[r - rows.start].copy()
     semi = 0.0
     if n_half >= 1:
-        conv = grid.eps * np.fft.irfft(np.fft.rfft(cols[n_half]) * np.fft.rfft(cols[grid.n_steps - n_half]), n=grid.M)
-        semi = float(np.max(np.abs(conv - cols[grid.n_steps])))
+        conv = grid.eps * np.fft.irfft(np.fft.rfft(kept[n_half]) * np.fft.rfft(kept[n - n_half]), n=grid.M)
+        semi = float(np.max(np.abs(conv - kept[n])))
     rows = [
-        ("mass_max_error", float(np.max(np.abs(mass - 1.0)))),
+        ("mass_max_error", mass_error),
         ("semigroup_residual", semi),
         ("multiplier_min", float(hk.multiplier.min())),
         ("multiplier_max", float(hk.multiplier.max())),
     ]
     rows += [(f"decay_bound_sup_j{diag.j}", diag.sup) for diag in hk.verify_bounds(cfg.T)]
     write_csv(os.path.join(outdir, "heat_kernel.csv"), ["quantity", "value"], rows)
-    files = ["heat_kernel.csv"]
-    files += write_field(outdir, "kernel", cols, {"N": grid.N, "T": grid.T, "seed": None})
-    return files, {}, 0
+    return ["heat_kernel.csv", *writer.close()], {}, 0
 
 
 def _exp_simulate(cfg, fam, outdir):
@@ -555,11 +558,12 @@ def _exp_convergence(cfg, fam, outdir):
 def _exp_kernel_diag(cfg, fam, outdir):
     rows = []
     for n in cfg.levels():
-        kern, ident_norm, resid = renormalized_square_check(fam, _diag_grid(cfg, n))
-        rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(kern, kern.claimed_order, m=2)))
+        grid = _diag_grid(cfg, n)
+        K, ident_norm, resid = renormalized_square_check(fam, grid)
+        rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(K, grid, -1.0, m=2)))
         rows.append((n, "renormalized_convolution_identity_residual", resid))
         rows.append((n, "renormalized_convolution_order_norm", ident_norm))
-        del kern  # free this level before the next one is built
+        del K  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0
 
@@ -630,7 +634,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure
-        print(f"runtime error: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 2
     print(bundle.directory)
     if cfg.kind == "validate" and bundle.exit_code == 1:

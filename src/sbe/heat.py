@@ -8,11 +8,11 @@ The singular part K multiplies P by a smooth cutoff in the parabolic
 distance, with radii (1/4, 1/2) so that K fits in one torus period.
 
 P is real, so row n is the irfft of m^n on the half-spectrum (rfft modes
-0..M/2), as in ``kernels`` and ``processes``. Every pass (the powers of m
-and their inverse DFTs, the cutoff, the decay-bound weights) runs one
-block of about operators._BLOCK_BYTES of rows at a time, and a
-``HeatKernel`` keeps no rows between calls; the decay bounds take all three
-derivative orders from each block's half-spectrum and hold one block of P.
+0..M/2), as in ``kernels`` and ``processes``. ``HeatKernel.row_blocks``
+makes P one block of about operators._BLOCK_BYTES of rows at a time for
+every pass (the columns, the cutoff, the decay bounds and the heat-kernel
+experiment), and a ``HeatKernel`` keeps no rows between calls; the decay
+bounds take all three derivative orders from each block's half-spectrum.
 Each step is elementwise, per row or a per-row max, so the results equal
 the whole-field passes bit for bit. Every horizon is a whole number of
 steps in [0, T].
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
+from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
 
-__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm", "heat_kernel_bytes"]
+__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
 
 CUTOFF_INNER = 0.25
 CUTOFF_OUTER = 0.5
@@ -45,9 +45,10 @@ def _transition(s: np.ndarray) -> np.ndarray:
     return b / (a + b)
 
 
-def smooth_cutoff(r, inner: float = CUTOFF_INNER, outer: float = CUTOFF_OUTER) -> np.ndarray:
-    """chi(r): identically 1 on [0, inner], identically 0 on [outer, inf)."""
-    return _transition((np.asarray(r, dtype=np.float64) - inner) / (outer - inner))
+def smooth_cutoff(r) -> np.ndarray:
+    """chi(r): identically 1 on [0, 2^(1/4) CUTOFF_INNER], identically 0 on [CUTOFF_OUTER, inf)."""
+    inner = 2**0.25 * CUTOFF_INNER
+    return _transition((np.asarray(r, dtype=np.float64) - inner) / (CUTOFF_OUTER - inner))
 
 
 def smooth_parabolic_norm(t, x) -> np.ndarray:
@@ -101,12 +102,17 @@ class HeatKernel:
         powers = np.exp(np.multiply.outer(n, np.log(self.multiplier[: self.grid.M // 2 + 1])))
         return np.fft.irfft(powers, n=self.grid.M, axis=-1) / self.grid.eps
 
+    def row_blocks(self, horizon: float):
+        """The kernel's rows up to a horizon as new blocks (rows, block) in order; the horizon is checked first."""
+        n_h = self._steps(horizon)
+        return ((rows, self._rows(rows)) for rows in _blocks(n_h + 1, 16 * self.grid.M))
+
     def columns(self, n_max: int) -> np.ndarray:
         """Rows 0..n_max of the kernel, n_max eps^2 <= T, in a new array (row n holds P at t = n eps^2)."""
-        self._steps(n_max * self.grid.dt)
+        blocks = self.row_blocks(n_max * self.grid.dt)
         P = np.empty((n_max + 1, self.grid.M))
-        for rows in _blocks(n_max + 1, 16 * self.grid.M):
-            P[rows] = self._rows(rows)
+        for rows, block in blocks:
+            P[rows] = block
         return P
 
     def step(self, u: np.ndarray) -> np.ndarray:
@@ -129,10 +135,9 @@ class HeatKernel:
         """
         K = np.empty((self._steps(horizon) + 1, self.grid.M))
         x = self.grid.eps * modes(self.grid.M)
-        for rows in _blocks(K.shape[0], 16 * self.grid.M):
+        for rows, P in self.row_blocks(horizon):
             t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
-            chi = smooth_cutoff(smooth_parabolic_norm(t, x), inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-            np.multiply(chi, self._rows(rows), out=K[rows])
+            np.multiply(smooth_cutoff(smooth_parabolic_norm(t, x)), P, out=K[rows])
         return K
 
     def verify_bounds(self, horizon: float) -> tuple["BoundsDiagnostic", ...]:
@@ -150,8 +155,7 @@ class HeatKernel:
         t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
         x = eps * modes(M)
         per_t = np.empty((3, n_h + 1))
-        for rows in _blocks(n_h + 1, 16 * M):
-            P = self._rows(rows)
+        for rows, P in self.row_blocks(horizon):
             spec = np.fft.rfft(P, axis=-1)
             keep = parabolic_norm(t[rows, None], x[None, :]) <= 0.375
             for j in (0, 1, 2):
@@ -167,15 +171,3 @@ class BoundsDiagnostic:
     times: np.ndarray
     per_time_max: np.ndarray
     sup: float
-
-
-def heat_kernel_bytes(grid: GridSpec) -> int:
-    """Bytes that the heat-kernel experiment holds at its peak on this grid, as an upper bound.
-
-    P up to T (``HeatKernel.columns``), which the experiment writes whole;
-    eight floats a time row for the per-time arrays beside it (its mass,
-    and the times, weights and three per-time maxima of ``verify_bounds``);
-    and eight blocks for the temporaries of a block of the decay bounds.
-    """
-    rows = grid.n_steps + 1
-    return 8 * rows * (grid.M + 8) + 8 * _BLOCK_BYTES

@@ -1,6 +1,6 @@
 """Order norms of discrete singular kernels and the renormalized-square check.
 
-A kernel is a field on the space-time grid supported near the origin (time
+A kernel is an array on the space-time grid supported near the origin (time
 rows n = 0.. are t = n eps^2; space is the torus with signed coordinates).
 Its order-zeta norm takes forward differences in space and time,
 
@@ -31,7 +31,6 @@ passes bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .heat import HeatKernel, parabolic_norm
 from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multiplier, modes
 
 __all__ = [
-    "DiscreteKernel",
     "order_norm",
     "renormalized_square_check",
     "square_check_bytes",
@@ -49,21 +47,6 @@ __all__ = [
 SPACE_TIME_DIM = 3  # |s| = 2 + 1 for parabolic scaling
 # seeded points (besides the corners) where renormalized_square_check sums directly
 CHECK_POINTS = 32
-
-
-@dataclass(frozen=True)
-class DiscreteKernel:
-    """Kernel values on rows t = 0, eps^2, ... with a claimed order."""
-
-    values: np.ndarray
-    grid: GridSpec
-    claimed_order: float
-
-    def __post_init__(self):
-        v = np.atleast_2d(self.values)
-        if v.shape[1] != self.grid.M:
-            raise ValueError("kernel width disagrees with grid")
-        object.__setattr__(self, "values", v)
 
 
 def _space_diff(u: np.ndarray, eps: float) -> np.ndarray:
@@ -115,14 +98,16 @@ def _peak(diffs: dict, start: int, grid: GridSpec, zeta: float) -> float:
     return best
 
 
-def order_norm(k: DiscreteKernel, zeta: float, m: int = 0) -> float:
-    """Exact maximum of the order-zeta ratios up to derivative depth m, the int 0, 1 or 2.
+def order_norm(values: np.ndarray, grid: GridSpec, zeta: float, m: int = 0) -> float:
+    """Exact maximum of the order-zeta ratios of a kernel on grid up to derivative depth m, the int 0, 1 or 2.
 
-    A kernel with a non-finite value has no order norm: ValueError.
+    A kernel not M sites wide, or with a non-finite value, is a ValueError.
     """
+    values = np.atleast_2d(values)
+    if values.shape[1] != grid.M:
+        raise ValueError("kernel width disagrees with grid")
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (0, 1, 2):
         raise ValueError(f"derivative depth m must be the int 0, 1 or 2, not {m!r}")
-    values, grid = k.values, k.grid
     nt = values.shape[0]
     best = 0.0
     # a non-finite value makes a non-finite ratio, which raises below
@@ -234,7 +219,7 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float, terms: np.nd
     return out
 
 
-def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[DiscreteKernel, float, float]:
+def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[np.ndarray, float, float]:
     """Singular kernel K, the order norm of R(|DxK|^2) * K and the renormalized-convolution residual.
 
     K (order -1) is the singular part of the heat kernel up to the grid
@@ -273,7 +258,7 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[Disc
             spec[:, rows.start : rows.start + len(sq_hat)] = sq_hat.T
     blocks = _convolved(spec, r1, r2, n_out, grid, K, mass)
     norm, sup, at = _reduce(blocks, points, grid, -3.5 + -1.0 + SPACE_TIME_DIM)
-    return DiscreteKernel(K, grid, -1.0), norm, float(np.max(np.abs(direct - at))) / sup
+    return K, norm, float(np.max(np.abs(direct - at))) / sup
 
 
 def square_check_bytes(grid: GridSpec) -> int:

@@ -30,7 +30,7 @@ slices of about _BLOCK_BYTES.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -60,12 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Validated (nu, pi, mu) triple with the total variation nu_bar cached."""
+    """Validated (nu, pi, mu) triple with the total variation nu_bar of nu cached (not an argument)."""
 
     nu: AtomicMeasure1D
     pi: AtomicMeasure1D
     mu: AtomicMeasure2D
-    nu_bar: float = 0.0
+    nu_bar: float = field(init=False)
 
     def __post_init__(self):
         problems = []

@@ -49,14 +49,7 @@ import numpy as np
 
 from sbe import kernels
 from sbe.grids import GridSpec, NoiseField
-from sbe.heat import (
-    CUTOFF_INNER,
-    CUTOFF_OUTER,
-    HeatKernel,
-    parabolic_norm,
-    smooth_cutoff,
-    smooth_parabolic_norm,
-)
+from sbe.heat import HeatKernel, parabolic_norm, smooth_cutoff, smooth_parabolic_norm
 from sbe.kernels import _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
@@ -296,9 +289,7 @@ def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
     P = columns_whole(hk, n_h)
     t = np.arange(n_h + 1)[:, None] * grid.dt
     x = (grid.eps * modes(grid.M))[None, :]
-    rho = smooth_parabolic_norm(t, x)
-    chi = smooth_cutoff(rho, inner=2**0.25 * CUTOFF_INNER, outer=CUTOFF_OUTER)
-    return chi * P
+    return smooth_cutoff(smooth_parabolic_norm(t, x)) * P
 
 
 def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:

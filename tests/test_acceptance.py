@@ -17,7 +17,7 @@ import numpy as np
 from sbe.cli import coupled_convergence_study
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.heat import HeatKernel
-from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check
+from sbe.kernels import order_norm, renormalized_square_check
 from sbe.measures import AtomicMeasure2D, preset_measure
 from sbe.norms import estimate_exponent, make_test_family
 from sbe.operators import OperatorFamily, check_parseval_twisted
@@ -238,7 +238,7 @@ def test_criterion_9_singular_kernel_order(fam_bw_ss, fam_bw_pw):
     for N in (5, 6, 7, 8):
         grid = GridSpec(N, 0.25)
         K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
-        vals.append(order_norm(DiscreteKernel(K, grid, -1.0), -1.0, 2))
+        vals.append(order_norm(K, grid, -1.0, 2))
     stable = max(vals) / min(vals) <= 2.0
 
     _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(6, 0.25))

@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from conftest import count_rows, traced_peak
+from conftest import count_rows, same_bits, traced_peak
 from sbe import cli, processes
 from sbe.cli import (
     EXPERIMENT_KINDS,
@@ -21,7 +21,7 @@ from sbe.cli import (
 )
 from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
-from sbe.heat import heat_kernel_bytes
+from sbe.heat import HeatKernel
 from sbe.kernels import square_check_bytes
 from sbe.norms import estimate_exponent, regularity_bytes
 from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
@@ -203,6 +203,29 @@ class TestExperiments:
         quantities = [line.split(",")[0] for line in Path(bundle.directory, "heat_kernel.csv").read_text().splitlines()]
         assert quantities[-3:] == ["decay_bound_sup_j0", "decay_bound_sup_j1", "decay_bound_sup_j2"]
 
+    def test_heat_kernel_writes_p_and_its_diagnostics_block_by_block(self, tmp_path):
+        # 1023 rows in several blocks: the residual's rows 511, 512 and 1023
+        # are kept from different blocks, and kernel.bin is P bit for bit
+        grid = GridSpec(5, 1023 / 1024)
+        cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": grid.N, "T": grid.T})
+        bundle = run_experiment(cfg, out_root=str(tmp_path))
+        P = HeatKernel(grid, family_from_config(FAMILY)).columns(grid.n_steps)
+        written, meta = read_field(bundle.directory, "kernel")
+        assert same_bits(written, P) and meta["shape"] == [grid.n_steps + 1, grid.M]
+        with open(os.path.join(bundle.directory, "heat_kernel.csv")) as fh:
+            got = {row["quantity"]: float(row["value"]) for row in csv.DictReader(fh)}
+        conv = grid.eps * np.fft.irfft(np.fft.rfft(P[511]) * np.fft.rfft(P[512]), n=grid.M)
+        assert got["semigroup_residual"] == float(np.max(np.abs(conv - P[1023])))
+        assert got["mass_max_error"] == float(np.max(np.abs(grid.eps * P.sum(axis=1) - 1.0)))
+
+    def test_heat_kernel_holds_no_field(self, tmp_path):
+        # P at N = 8, T = 1/4 is 33.6 MB; the run holds a few blocks of it
+        # and its per-time arrays
+        grid = GridSpec(8, 0.25)
+        cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": grid.N, "T": grid.T})
+        _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
+        assert peak < 8 * (grid.n_steps + 1) * grid.M / 4
+
     def test_taken_output_directory_gets_suffix(self, tmp_path, monkeypatch):
         import time
 
@@ -252,6 +275,18 @@ class TestMainEntry:
         assert main(["processes", "--config", path, "--out", out]) == 0
         run_dir = next(p for p in (tmp_path / "o3").iterdir())
         assert json.loads((run_dir / "manifest.json").read_text())["config"]["seed"] == 77
+
+    @pytest.mark.parametrize(
+        "exc, line", [(MemoryError(), "MemoryError"), (KeyError("T2"), "KeyError: 'T2'")], ids=["memory", "key"]
+    )
+    def test_runtime_error_names_its_cause(self, tmp_path, capsys, monkeypatch, exc, line):
+        def fails(cfg, fam, outdir):
+            raise exc
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "constants", fails)
+        path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.125})
+        assert main(["constants", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"runtime error: {line}\n" in capsys.readouterr().err
 
     def test_all_kinds_have_subcommands(self):
         for kind in EXPERIMENT_KINDS:
@@ -355,19 +390,12 @@ class TestConfigFailsBeforeOutput:
             monkeypatch.setattr(cli, "_memory_available", lambda: budget)
             assert config_from_dict({"kind": kind, "family": FAMILY, "N": 8, "T": 0.125}).N == 8
 
-    def test_heat_kernel_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch):
-        # P, which the experiment writes whole, and its decay bounds' per-time arrays and blocks
-        need = heat_kernel_bytes(GridSpec(8, 0.125))
-        monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
+    def test_heat_kernel_runs_beyond_the_memory_available(self, tmp_path, monkeypatch):
+        # it writes P a block of rows at a time, so no budget refuses it:
+        # here 1 kB against P's 16.8 MB
+        monkeypatch.setattr(cli, "_memory_available", lambda: 1000)
         path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
-        out = tmp_path / "out"
-        assert main(["heat-kernel", "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: N: level 8 at T=0.125 needs about {need / 1e9:.2f} GB for the heat kernel" in err
-        assert not out.exists()
-        for budget in (need, None):  # an unreadable budget refuses nothing
-            monkeypatch.setattr(cli, "_memory_available", lambda: budget)
-            assert config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 8, "T": 0.125}).N == 8
+        assert main(["heat-kernel", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "kind, bad, field",
@@ -662,14 +690,22 @@ class TestConfigFailsBeforeOutput:
         assert regularity_bytes(grid, _regularity_families(grid)[1]) < 0.12e9 < (grid.n_steps + 1) * grid.M * 8
 
     @pytest.mark.parametrize("N", [7, 8])
-    @pytest.mark.parametrize("kind", ["heat-kernel", "kernel-diagnostics", "processes", "regularity"])
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_memory_need_bounds_the_traced_peak_within_four_times(self, tmp_path, kind, N):
         # every kind that refuses on memory: the need that the refusal reads
         # is a true bound of the run's traced peak, and no gross overcount
         # that would refuse sizes that fit; a first run at N = 6 imports the
-        # modules the kind reads, which are not the run's to count
-        run_experiment(config_from_dict({"kind": kind, "family": FAMILY, "N": 6, "T": 0.25}), out_root=str(tmp_path))
-        cfg = config_from_dict({"kind": kind, "family": FAMILY, "N": N, "T": 0.25, "seed": 5})
+        # modules the kind reads, which are not the run's to count. Every
+        # other kind has no need, so one that gains a need must join here
+        def config(n):
+            levels = {"N_range": [n - 2, n - 1, n]} if kind == "convergence" else {"N": n}
+            return config_from_dict(dict({"kind": kind, "family": FAMILY, "T": 0.25, "seed": 5}, **levels))
+
+        cfg = config(N)
+        if kind not in ("kernel-diagnostics", "processes", "regularity"):
+            assert cli._memory_need(cfg) is None
+            return
+        run_experiment(config(6), out_root=str(tmp_path))
         need, _ = cli._memory_need(cfg)
         _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
         assert peak <= need <= 4 * peak

@@ -31,7 +31,7 @@ from oracles import (
 from sbe import kernels
 from sbe.grids import GridSpec
 from sbe.heat import HeatKernel
-from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check, square_check_bytes
+from sbe.kernels import order_norm, renormalized_square_check, square_check_bytes
 from sbe.operators import _BLOCK_BYTES, _blocks, derivative_multiplier
 
 
@@ -248,8 +248,8 @@ class TestSquareCheckReductions:
             return seen[-1][1]
 
         monkeypatch.setattr(kernels, "_reduce", spy)
-        kern, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
-        K, M = kern.values, self.grid.M
+        K, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
+        M = self.grid.M
         assert spans_blocks(2 * K.shape[0] - 1, 8 * M)
         dmult = derivative_multiplier(fam_bw_ss, self.grid.eps, M)[: M // 2 + 1]
         sq = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=M, axis=1) ** 2
@@ -283,7 +283,7 @@ class TestOrderNorm:
         assert spans_blocks(K.shape[0], 8 * long_grid.M)
         for m in (0, 1, 2):
             for zeta in (-1.0, -1.5, 2.5):
-                got = order_norm(DiscreteKernel(K, long_grid, zeta), zeta, m)
+                got = order_norm(K, long_grid, zeta, m)
                 assert got == order_norm_whole(K, long_grid, zeta, m), (m, zeta)
 
     def test_largest_time_difference_on_a_block_boundary(self, long_grid):
@@ -294,12 +294,11 @@ class TestOrderNorm:
         values = np.zeros((long_grid.n_steps + 1, long_grid.M))
         values[b:] = 3.0
         zeta = 2.5
-        k = DiscreteKernel(values, long_grid, zeta)
         z_boundary = max(np.sqrt((b - 1) * long_grid.dt), long_grid.eps)
         expected = 3.0 / long_grid.dt / z_boundary ** (zeta - 2)
-        assert order_norm(k, zeta, 2) == pytest.approx(expected, rel=1e-14)
+        assert order_norm(values, long_grid, zeta, 2) == pytest.approx(expected, rel=1e-14)
         for m in (0, 1, 2):
-            assert order_norm(k, zeta, m) == order_norm_whole(values, long_grid, zeta, m), m
+            assert order_norm(values, long_grid, zeta, m) == order_norm_whole(values, long_grid, zeta, m), m
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_are_named(self, bad):
@@ -309,15 +308,23 @@ class TestOrderNorm:
         all_bad = np.full((2, grid.M), bad)
         for m in (0, 1, 2):
             with pytest.raises(ValueError, match=r"1 non-finite values, the first .* at \(row, site\) \(1, 7\)"):
-                order_norm(DiscreteKernel(one_bad, grid, -1.0), -1.0, m)
+                order_norm(one_bad, grid, -1.0, m)
             with pytest.raises(ValueError, match="64 non-finite values"):
-                order_norm(DiscreteKernel(all_bad, grid, -1.0), -1.0, m)
+                order_norm(all_bad, grid, -1.0, m)
+
+    def test_width_other_than_the_grid_s_is_refused(self):
+        grid = GridSpec(5, 0.25)
+        for values in (np.ones((2, grid.M - 1)), np.ones(2 * grid.M), np.ones((grid.M, 2))):
+            with pytest.raises(ValueError, match="kernel width disagrees with grid"):
+                order_norm(values, grid, -1.0, 0)
+        # a single row may be given flat
+        assert order_norm(np.ones(grid.M), grid, -1.0, 2) == order_norm(np.ones((1, grid.M)), grid, -1.0, 2)
 
     @pytest.mark.parametrize("m", [-1, 3, 1.5, 1.0, True, "1", None])
     def test_depth_other_than_the_int_0_1_or_2_is_refused(self, m):
         grid = GridSpec(5, 0.25)
         with pytest.raises(ValueError, match="the int 0, 1 or 2"):
-            order_norm(DiscreteKernel(np.ones((2, grid.M)), grid, -1.0), -1.0, m)
+            order_norm(np.ones((2, grid.M)), grid, -1.0, m)
 
 
 class TestMemory:
@@ -350,7 +357,7 @@ class TestMemory:
     def test_order_norm_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
         K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         for m in (0, 1, 2):
-            _, peak = traced_peak(lambda: order_norm(DiscreteKernel(K, grid, -1.0), -1.0, m))
+            _, peak = traced_peak(lambda: order_norm(K, grid, -1.0, m))
             assert peak < K.nbytes / 4, m
 
     def test_convolution_holds_only_its_buffer(self, fam_bw_ss, grid):
@@ -370,8 +377,8 @@ class TestMemory:
         assert peak <= 4 * max(_BLOCK_BYTES, 16 * L)
 
     def test_square_check_holds_k_and_its_buffer(self, fam_bw_ss, grid):
-        (kern, _, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
-        K, rows = kern.values, kernels._occupied_rows(kern.values)
+        (K, _, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
+        rows = kernels._occupied_rows(K)
         L = kernels._time_length(2 * rows)
         buffer = 8 * max(2 * L * (grid.M // 2 + 1), 2 * K.size)
         # neither the output field (33.5 MB) nor a half-spectrum (16.9 MB) beside them

@@ -26,6 +26,15 @@ def test_family_rejects_inadmissible():
         )
 
 
+def test_family_takes_three_measures_and_caches_nu_bar(fam_bw_ss):
+    nu, pi, mu = fam_bw_ss.nu, fam_bw_ss.pi, fam_bw_ss.mu
+    with pytest.raises(TypeError):
+        OperatorFamily(nu, pi, mu, 5.0)
+    with pytest.raises(TypeError):
+        OperatorFamily(nu=nu, pi=pi, mu=mu, nu_bar=5.0)
+    assert fam_bw_ss.nu_bar == nu.total_variation() == 4.0
+
+
 def test_laplacian_hand_stencil(fam_bw_ss):
     u = np.array([1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(laplacian(fam_bw_ss, u, 0.25), [-4.0, 2.0, 0.0, 2.0])

@@ -7,7 +7,7 @@ import pytest
 from conftest import same_bits, traced_peak
 from oracles import dxk_fft, dxp_forward, remainder_r1222, remainder_r21
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
-from sbe.kernels import DiscreteKernel, order_norm
+from sbe.kernels import order_norm
 from sbe.norms import estimate_exponent, make_test_family
 from sbe.operators import derivative_multiplier, stepping_multiplier, twisted_product
 from sbe import processes
@@ -558,15 +558,15 @@ def test_kernel_mode_consistency(fam_bw_ss):
 class TestSingularOrderProbe:
     def test_zero_kernel(self):
         grid = GridSpec(5, 0.25)
-        assert order_norm(DiscreteKernel(np.zeros((8, grid.M)), grid, -1.0), -1.0, m=2) == 0.0
+        assert order_norm(np.zeros((8, grid.M)), grid, -1.0, m=2) == 0.0
 
     def test_scaled_delta(self):
         grid = GridSpec(5, 0.25)
         k = np.zeros((4, grid.M))
         k[0, 0] = 1.0 / grid.eps
         # the undifferentiated ratio at the origin is exactly one
-        assert order_norm(DiscreteKernel(k, grid, -1.0), -1.0, m=0) == pytest.approx(1.0, rel=1e-12)
-        full = order_norm(DiscreteKernel(k, grid, -1.0), -1.0, m=2)
+        assert order_norm(k, grid, -1.0, m=0) == pytest.approx(1.0, rel=1e-12)
+        full = order_norm(k, grid, -1.0, m=2)
         assert np.isfinite(full) and full >= 1.0
 
     def test_split_kernel_stability(self, fam_bw_ss):
@@ -576,6 +576,6 @@ class TestSingularOrderProbe:
         for N in (5, 6, 7):
             grid = GridSpec(N, 0.25)
             K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
-            vals.append(order_norm(DiscreteKernel(K, grid, -1.0), -1.0, m=2))
+            vals.append(order_norm(K, grid, -1.0, m=2))
         assert max(vals) / min(vals) < 2.0
 

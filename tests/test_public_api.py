@@ -14,9 +14,10 @@ LIBRARY = tuple(name for name in MODULES if name != "cli")
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # conveniences that nothing outside their own tests called, internals
-# replaced by another route, and the kernel calculus and mollifier that no
-# experiment ran, now gone; the remainders live on in tests/oracles.py, the
-# continuum constant and its bump in tests/test_renorm.py
+# replaced by another route, the kernel calculus and mollifier that no
+# experiment ran, its DiscreteKernel wrapper, and the heat-kernel memory
+# bound of a field no longer held, now gone; the remainders live on in
+# tests/oracles.py, the continuum constant and its bump in tests/test_renorm.py
 REMOVED = {
     "operators": ("dft", "idft", "time_convolve", "_time_length", "_time_spectrum", "_convolve_spectrum"),
     "fieldio": ("field_to_csv",),
@@ -30,7 +31,7 @@ REMOVED = {
         "noise_stream",
         "noise_block",
     ),
-    "heat": ("KernelSplit", "signed_torus_coordinate"),
+    "heat": ("KernelSplit", "signed_torus_coordinate", "heat_kernel_bytes"),
     "kernels": (
         "twisted_kernel_product",
         "_pad_match",
@@ -45,6 +46,7 @@ REMOVED = {
         "_renormalized",
         "kernel_mass",
         "_znorm_eps",
+        "DiscreteKernel",
     ),
     "norms": ("_SPECTRA", "_SPECTRA_MAX", "_kernel_spectrum", "_space_pairing_map", "_parabolic_pairing_map"),
     "processes": (

@@ -5,13 +5,13 @@ from oracles import increment_sums_zeros_like, renormalized_convolve, spacetime_
 from sbe import kernels
 from sbe.grids import GridSpec, rng_for
 from sbe.heat import HeatKernel
-from sbe.kernels import DiscreteKernel, order_norm, renormalized_square_check
+from sbe.kernels import order_norm, renormalized_square_check
 from sbe.operators import derivative_multiplier, modes, twisted_product
 
 
 def split_kernel(fam, N, horizon=0.25):
     grid = GridSpec(N, horizon)
-    return DiscreteKernel(HeatKernel(grid, fam).singular_part(horizon), grid, -1.0), grid
+    return HeatKernel(grid, fam).singular_part(horizon), grid
 
 
 def norm_one_kernel(grid, rows=8):
@@ -19,54 +19,53 @@ def norm_one_kernel(grid, rows=8):
     t = np.arange(rows)[:, None] * grid.dt
     x = (grid.eps * modes(grid.M))[None, :]
     zn = np.maximum(np.maximum(np.sqrt(t), np.abs(x)), grid.eps)
-    return DiscreteKernel(zn**-1.0, grid, -1.0)
+    return zn**-1.0
 
 
 class TestOrderNorm:
     def test_zero_kernel(self):
         grid = GridSpec(5, 0.25)
-        assert order_norm(DiscreteKernel(np.zeros((4, grid.M)), grid, -1.0), -1.0, 2) == 0.0
+        assert order_norm(np.zeros((4, grid.M)), grid, -1.0, 2) == 0.0
 
     def test_norm_one_kernel_is_exactly_one(self):
         grid = GridSpec(5, 0.25)
-        assert order_norm(norm_one_kernel(grid), -1.0, 0) == pytest.approx(1.0, rel=1e-14)
+        assert order_norm(norm_one_kernel(grid), grid, -1.0, 0) == pytest.approx(1.0, rel=1e-14)
 
     def test_absolute_homogeneity(self, fam_bw_ss):
         k, grid = split_kernel(fam_bw_ss, 5)
-        scaled = DiscreteKernel(-2.5 * k.values, grid, -1.0)
-        assert order_norm(scaled, -1.0, 2) == pytest.approx(2.5 * order_norm(k, -1.0, 2), rel=1e-13)
+        assert order_norm(-2.5 * k, grid, -1.0, 2) == pytest.approx(2.5 * order_norm(k, grid, -1.0, 2), rel=1e-13)
 
     def test_monotone_in_zeta_on_unit_box(self, fam_bw_ss):
         # every |z|_{s,eps} <= 1 here, so raising zeta divides by smaller
         # powers and the norm can only grow
-        k, _ = split_kernel(fam_bw_ss, 5)
-        assert order_norm(k, -0.5, 0) >= order_norm(k, -1.0, 0) >= order_norm(k, -1.5, 0)
+        k, grid = split_kernel(fam_bw_ss, 5)
+        assert order_norm(k, grid, -0.5, 0) >= order_norm(k, grid, -1.0, 0) >= order_norm(k, grid, -1.5, 0)
 
     def test_split_kernel_stable_across_levels(self, fam_bw_ss):
-        vals = [order_norm(split_kernel(fam_bw_ss, N)[0], -1.0, 2) for N in (5, 6, 7, 8)]
+        vals = [order_norm(*split_kernel(fam_bw_ss, N), -1.0, 2) for N in (5, 6, 7, 8)]
         assert max(vals) / min(vals) <= 2.0
 
     def test_derivative_depth_cap(self, fam_bw_ss):
-        k, _ = split_kernel(fam_bw_ss, 5)
+        k, grid = split_kernel(fam_bw_ss, 5)
         with pytest.raises(ValueError):
-            order_norm(k, -1.0, 3)
+            order_norm(k, grid, -1.0, 3)
 
 
 class TestProductsAndConvolutions:
     def test_product_with_zero(self, fam_bw_pw):
         k, grid = split_kernel(fam_bw_pw, 5)
-        zero = np.zeros_like(k.values)
-        for f, g in ((k.values, zero), (zero, k.values)):
+        zero = np.zeros_like(k)
+        for f, g in ((k, zero), (zero, k)):
             p = twisted_product(fam_bw_pw.mu, f, g)
-            assert p.shape == k.values.shape and not p.any()
-            assert order_norm(DiscreteKernel(p, grid, -2.0), -2.0, 2) == 0.0
+            assert p.shape == k.shape and not p.any()
+            assert order_norm(p, grid, -2.0, 2) == 0.0
 
     def test_squared_kernel_order(self, fam_bw_pw):
         vals = []
         for N in (5, 6, 7):
             k, grid = split_kernel(fam_bw_pw, N)
-            p = twisted_product(fam_bw_pw.mu, k.values, k.values)
-            vals.append(order_norm(DiscreteKernel(p, grid, -2.0), -2.0, 0))
+            p = twisted_product(fam_bw_pw.mu, k, k)
+            vals.append(order_norm(p, grid, -2.0, 0))
         assert max(vals) / min(vals) < 2.0
 
     def test_self_convolution_after_taylor_subtraction(self, fam_bw_pw):
@@ -74,8 +73,8 @@ class TestProductsAndConvolutions:
         vals = []
         for N in (5, 6, 7):
             k, grid = split_kernel(fam_bw_pw, N)
-            c = spacetime_convolve(k.values, k.values, grid)
-            vals.append(order_norm(DiscreteKernel(c - c[0, 0], grid, 1.0), 1.0, 0))
+            c = spacetime_convolve(k, k, grid)
+            vals.append(order_norm(c - c[0, 0], grid, 1.0, 0))
         assert max(vals) / min(vals) < 2.0
 
 
@@ -83,8 +82,8 @@ class TestRenormalizedConvolve:
     def make_window_pair(self, fam, N):
         """|DxK|^2 (order -3.5), K (order -1) and their grid."""
         k, grid = split_kernel(fam, N)
-        dxk = np.fft.ifft(np.fft.fft(k.values, axis=1) * derivative_multiplier(fam, grid.eps, grid.M), axis=1).real
-        return dxk**2, k.values, grid
+        dxk = np.fft.ifft(np.fft.fft(k, axis=1) * derivative_multiplier(fam, grid.eps, grid.M), axis=1).real
+        return dxk**2, k, grid
 
     def test_constant_second_factor_vanishes(self, fam_bw_pw):
         # the increment K2(z-w) - K2(z) kills constants wherever the
@@ -101,7 +100,7 @@ class TestRenormalizedConvolve:
         # R(|DxK|^2) * K has order -3.5 + -1 + 3 = -1.5
         sq, k, grid = self.make_window_pair(fam_bw_pw, 6)
         out = renormalized_convolve(sq, k, grid)
-        assert np.isfinite(order_norm(DiscreteKernel(out, grid, -1.5), -1.5, 0))
+        assert np.isfinite(order_norm(out, grid, -1.5, 0))
 
 
 def spacetime_sum(a, b, eps):
