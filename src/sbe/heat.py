@@ -11,8 +11,10 @@ P is real, so row n is the irfft of m^n on the half-spectrum (rfft modes
 0..M/2), as in ``kernels`` and ``processes``. ``HeatKernel.row_blocks``
 makes P one block of about operators._BLOCK_BYTES of rows at a time for
 every pass (the columns, the cutoff, the decay bounds and the heat-kernel
-experiment), and a ``HeatKernel`` keeps no rows between calls; the decay
-bounds take all three derivative orders from each block's half-spectrum.
+experiment), and a ``HeatKernel`` keeps no rows between calls;
+``bound_blocks`` adds each block's per-time maxima of the decay bounds,
+all three derivative orders from its half-spectrum, so that the
+heat-kernel experiment makes each row once.
 Each step is elementwise, per row or a per-row max, so the results equal
 the whole-field passes bit for bit. Every horizon is a whole number of
 steps in [0, T].
@@ -140,28 +142,43 @@ class HeatKernel:
             np.multiply(smooth_cutoff(smooth_parabolic_norm(t, x)), P, out=K[rows])
         return K
 
+    def bound_blocks(self, horizon: float):
+        """The kernel's rows up to a horizon as new blocks (rows, block, maxima) in order; the horizon is checked first.
+
+        maxima holds the block's per-time maxima of |D_x^j P_t(x)| *
+        |t|_eps^(1+j) for j = 0, 1, 2 in its three rows, over the grid points
+        with |z|_s <= 3/8, clear of the torus wraparound; the block's
+        half-spectrum gives D_x P and D_x^2 P.
+        """
+        eps, M = self.grid.eps, self.grid.M
+        blocks = self.row_blocks(horizon)
+        dmult = derivative_multiplier(self.fam, eps, M)[: M // 2 + 1]
+        x = eps * modes(M)
+
+        def maxima(rows: slice, P: np.ndarray) -> np.ndarray:
+            t = np.arange(rows.start, rows.stop) * self.grid.dt
+            t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
+            keep = parabolic_norm(t[:, None], x[None, :]) <= 0.375
+            spec = np.fft.rfft(P, axis=-1)
+            out = np.empty((3, len(P)))
+            for j in (0, 1, 2):
+                vals = np.fft.irfft(spec * dmult**j, n=M, axis=-1) if j else P
+                out[j] = np.where(keep, np.abs(vals) * t_eps[:, None] ** (1 + j), 0.0).max(axis=1)
+            return out
+
+        return ((rows, P, maxima(rows, P)) for rows, P in blocks)
+
     def verify_bounds(self, horizon: float) -> tuple["BoundsDiagnostic", ...]:
         """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded, for j = 0, 1, 2 in order.
 
         Samples grid points with |z|_s <= 3/8 to stay clear of the torus
-        wraparound; an N-stable value certifies the decay bound. P is made
-        a block of rows at a time, whose half-spectrum gives D_x P and
-        D_x^2 P, so no field is held.
+        wraparound; an N-stable value certifies the decay bound. The
+        per-time maxima come from ``bound_blocks``, so no field is held.
         """
-        eps, M = self.grid.eps, self.grid.M
-        n_h = self._steps(horizon)
-        dmult = derivative_multiplier(self.fam, eps, M)[: M // 2 + 1]
-        t = np.arange(n_h + 1) * self.grid.dt
-        t_eps = np.maximum(np.minimum(np.sqrt(t), 1.0), eps)
-        x = eps * modes(M)
-        per_t = np.empty((3, n_h + 1))
-        for rows, P in self.row_blocks(horizon):
-            spec = np.fft.rfft(P, axis=-1)
-            keep = parabolic_norm(t[rows, None], x[None, :]) <= 0.375
-            for j in (0, 1, 2):
-                vals = np.fft.irfft(spec * dmult**j, n=M, axis=-1) if j else P
-                weighted = np.where(keep, np.abs(vals) * t_eps[rows, None] ** (1 + j), 0.0)
-                per_t[j, rows] = weighted.max(axis=1)
+        t = np.arange(self._steps(horizon) + 1) * self.grid.dt
+        per_t = np.empty((3, len(t)))
+        for rows, _, maxima in self.bound_blocks(horizon):
+            per_t[:, rows] = maxima
         return tuple(BoundsDiagnostic(j=j, times=t, per_time_max=per_t[j], sup=float(per_t[j].max())) for j in (0, 1, 2))
 
 

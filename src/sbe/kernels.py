@@ -20,12 +20,16 @@ computed ones are exact zeros.
 
 A convolution runs in one buffer laid out by frequency (``_spectra``),
 which ``_convolved`` transforms in place, yielding the output a block of
-rows at a time; the check's peak is K and that buffer.
+rows at a time; the check's peak is K and that buffer. The check's direct
+sums add their terms in the pairwise tree of np.sum (``_pairwise``), one
+leaf of _LEAF items at a time in a scratch of a few rows.
 
-Every pass runs one block of about operators._BLOCK_BYTES at a time (the
-order norm's time difference reads one row past its block). Each step is
-elementwise, per row, or a max, so the results equal the whole-field
-passes bit for bit.
+Every other pass runs one block of about operators._BLOCK_BYTES at a time
+(the order norm's time difference reads one row past its block), and an
+order norm's powers of |z|_{s,eps} are taken once per row and once per
+site. Each step is elementwise, per row, or a max, and each direct sum
+adds the same terms in the same tree, so the results equal the
+whole-field passes bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 import numpy as np
 
 from .grids import GridSpec, rng_for
-from .heat import HeatKernel, parabolic_norm
+from .heat import HeatKernel
 from .operators import _BLOCK_BYTES, OperatorFamily, _blocks, derivative_multiplier, modes
 
 __all__ = [
@@ -47,6 +51,9 @@ __all__ = [
 SPACE_TIME_DIM = 3  # |s| = 2 + 1 for parabolic scaling
 # seeded points (besides the corners) where renormalized_square_check sums directly
 CHECK_POINTS = 32
+# items in a leaf of the direct sums' pairwise trees: at least the 128 that
+# np.sum adds in one loop, and few enough (256 KiB) that a leaf stays in cache
+_LEAF = 1 << 15
 
 
 def _space_diff(u: np.ndarray, eps: float) -> np.ndarray:
@@ -83,14 +90,22 @@ def _not_finite(values: np.ndarray, rows: slice | None = None) -> ValueError:
 
 
 def _peak(diffs: dict, start: int, grid: GridSpec, zeta: float) -> float:
-    """The largest order-zeta ratio of a block's forward differences, its first row time row start; not finite if a ratio is not."""
+    """The largest order-zeta ratio of a block's forward differences, its first row time row start; not finite if a ratio is not.
+
+    |z|_{s,eps} is the larger of the row's sqrt(t) v eps and the site's
+    |x| v eps, so each power of it is taken once per row and once per site
+    and picked per element: the same pow of the same value as on the whole
+    field, bit for bit.
+    """
     n = np.arange(start, start + len(diffs[(0, 0)]))[:, None]
-    zn = np.maximum(parabolic_norm(n * grid.dt, grid.eps * modes(grid.M)), grid.eps)  # |z|_{s,eps}
+    row = np.maximum(np.sqrt(n * grid.dt), grid.eps)
+    site = np.maximum(np.abs(grid.eps * modes(grid.M)), grid.eps)
+    nearer = row >= site  # where |z|_{s,eps} is the row's
     best, denominators = 0.0, {}
     for (k0, k1), arr in diffs.items():
         order = 2 * k0 + k1
         if order not in denominators:
-            denominators[order] = zn ** (zeta - order)
+            denominators[order] = np.where(nearer, row ** (zeta - order), site ** (zeta - order))
         peak = float(np.max(np.abs(arr) / denominators[order]))
         if not math.isfinite(peak):
             return peak
@@ -192,30 +207,62 @@ def _reduce(blocks, points, grid: GridSpec, zeta: float) -> tuple[float, float, 
     return norm, max(hi, -lo), at
 
 
-def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float, terms: np.ndarray) -> np.ndarray:
+def _pairwise(a: int, n: int, leaf, cap: int) -> float:
+    """The sum of items a .. a + n - 1 added as numpy's pairwise np.sum adds them, a span of at most cap items by leaf(a, n).
+
+    np.sum of n contiguous float64 items splits them at n // 2, rounded down
+    to a multiple of 8, until a span has at most 128 items, which it sums in
+    one unrolled loop. A whole subtree summed alone gives the same bits, so
+    with cap >= 128 and leaf(a, n) the np.sum of those items, this equals
+    np.sum of all n.
+    """
+    if n <= cap:
+        return leaf(a, n)
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(a, n2, leaf, cap) + _pairwise(a + n2, n - n2, leaf, cap)
+
+
+def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarray:
     """eps^3 sum_w sq(w) (K(z - w) - K(z)) at each point z = (n, x), K zero outside its rows.
 
-    The literal increment sum over every w of sq's grid, in the scratch
-    terms of sq's shape: rows s where K(z - w) = 0 add -K(z) times sq; on
-    the others it is row n - s of K at sites x, .., 0, M - 1, .., x + 1, two
-    reversed slices copied into terms.
+    The literal increment sum over every w of sq's grid, added as np.sum
+    adds the field of terms of sq's shape, but one leaf of _LEAF items of
+    its pairwise tree (``_pairwise``) at a time in a scratch of a few rows.
+    A leaf's rows s where K(z - w) = 0 are sq times -K(z); on the others
+    it is row n - s of K at sites x, .., 0, M - 1, .., x + 1, two reversed
+    slices copied in, minus K(z), times sq. A leaf with no row of the
+    second kind at a point where K(z) = 0 sums to +0.0 (sq >= 0) and is not
+    made.
     """
-    nk = K.shape[0]
+    nk, M = K.shape
+    scratch = np.empty((_LEAF // M + 2) * M)  # a leaf meets at most _LEAF // M + 2 rows
     out = np.empty(len(points))
     for i, (n, x) in enumerate(points):
         # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
         lo, hi = max(0, n - nk + 1), min(n, nk - 1) + 1
         kz = K[n, x] if n < nk else 0.0
-        terms[:lo] = 0.0 - kz
-        terms[hi:] = 0.0 - kz
-        if lo < hi:
-            rows = K[n - hi + 1 : n - lo + 1][::-1]  # rows n - s for s = lo .. hi - 1
-            # copied first: a subtract that reads the reversed slices is slower
-            np.copyto(terms[lo:hi, : x + 1], rows[:, x::-1])
-            np.copyto(terms[lo:hi, x + 1 :], rows[:, :x:-1])
-            np.subtract(terms[lo:hi], kz, out=terms[lo:hi])
-        np.multiply(sq, terms, out=terms)
-        out[i] = eps**3 * np.sum(terms)
+
+        def leaf(a: int, size: int) -> float:
+            r0, r1 = a // M, (a + size - 1) // M + 1
+            if kz == 0.0 and (r1 <= lo or hi <= r0):
+                return 0.0
+            terms = scratch[: (r1 - r0) * M].reshape(r1 - r0, M)
+            s0 = min(max(lo, r0), r1)
+            s1 = max(s0, min(hi, r1))
+            np.multiply(sq[r0:s0], 0.0 - kz, out=terms[: s0 - r0])
+            np.multiply(sq[s1:r1], 0.0 - kz, out=terms[s1 - r0 :])
+            if s0 < s1:
+                rows = K[n - s1 + 1 : n - s0 + 1][::-1]  # rows n - s for s = s0 .. s1 - 1
+                inner = terms[s0 - r0 : s1 - r0]
+                # copied first: a subtract that reads the reversed slices is slower
+                np.copyto(inner[:, : x + 1], rows[:, x::-1])
+                np.copyto(inner[:, x + 1 :], rows[:, :x:-1])
+                np.subtract(inner, kz, out=inner)
+                np.multiply(sq[s0:s1], inner, out=inner)
+            return np.sum(scratch[a - r0 * M : a - r0 * M + size])
+
+        out[i] = eps**3 * _pairwise(0, sq.size, leaf, _LEAF)
     return out
 
 
@@ -230,24 +277,25 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[np.n
     CHECK_POINTS seeded points z and the four corners: the largest gap over
     the sup of the FFT result. Returns (K, norm, residual).
 
-    One buffer holds |DxK|^2 and the direct sums' scratch, then the two
-    half-spectra: |DxK|^2's rows are remade from K's, by the same per-row
-    transforms, as its spectrum is written. The FFT result is reduced a
-    block at a time, so the peak is K and the buffer.
+    One buffer holds |DxK|^2 for the direct sums and its mass, then the
+    two half-spectra: |DxK|^2's rows are remade from K's, by the same
+    per-row transforms, as its spectrum is written. The direct sums make
+    their terms a few rows at a time and the FFT result is reduced a block
+    at a time, so the peak is K and the buffer.
     """
     K = HeatKernel(grid, fam).singular_part(grid.T)
     (nt, M), r2 = K.shape, _occupied_rows(K)
     dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
     # a zero row of K makes a zero row of |DxK|^2, so |DxK|^2 occupies at most r2 rows
-    buf = np.empty(max(2 * _time_length(2 * r2) * (M // 2 + 1), 2 * nt * M))
-    sq, terms = buf[: nt * M].reshape(nt, M), buf[nt * M : 2 * nt * M].reshape(nt, M)
+    buf = np.empty(max(2 * _time_length(2 * r2) * (M // 2 + 1), nt * M))
+    sq = buf[: nt * M].reshape(nt, M)
     for rows in _blocks(nt, 8 * M):
         np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=sq[rows])
     n_out = 2 * nt - 1
     gen = rng_for(0, 91)
     points = [(0, 0), (0, M - 1), (n_out - 1, 0), (n_out - 1, M - 1)]
     points += zip(gen.integers(0, n_out, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
-    direct = _direct_sums(K, sq, points, grid.eps, terms)
+    direct = _direct_sums(K, sq, points, grid.eps)
     mass, r1 = float(grid.eps**3 * np.sum(sq)), _occupied_rows(sq)
     spec = _spectra(buf, r1, r2, M)
     for rows in _blocks(r2, 16 * M):
@@ -266,13 +314,14 @@ def square_check_bytes(grid: GridSpec) -> int:
 
     K and the buffer. K has n_steps + 1 rows; its cutoff vanishes from
     t = 1/4 on, so it occupies at most min(n_steps + 1, M^2 / 4) rows. The
-    buffer holds two fields like K (|DxK|^2 and the direct sums' scratch)
-    or the (M/2+1, L) spectra, whichever is larger. The singular part's
-    blocks of P beside K hold less. Twelve blocks, each at least one row of
-    the time FFTs, cover the temporaries twice over: three for a block's
-    time spectra, about six for an output block and its reduction.
+    buffer holds one field like K (|DxK|^2) or the (M/2+1, L) spectra,
+    whichever is larger. The singular part's blocks of P beside K, and the
+    direct sums' scratch of _LEAF items and two rows, hold less. Twelve
+    blocks, each at least one row of the time FFTs, cover the temporaries
+    twice over: three for a block's time spectra, about six for an output
+    block and its reduction.
     """
     M, rows = grid.M, grid.n_steps + 1
     occupied = min(rows, max(1, M * M // 4))
     L = _time_length(2 * occupied)
-    return 8 * rows * M + 8 * max(2 * L * (M // 2 + 1), 2 * rows * M) + 12 * max(_BLOCK_BYTES, 16 * L)
+    return 8 * rows * M + 8 * max(2 * L * (M // 2 + 1), rows * M) + 12 * max(_BLOCK_BYTES, 16 * L)

@@ -22,9 +22,9 @@ split-kernel response, which the suite compares with the full one.
 expansion at a point, read off the trees.
 
 ``increment_sums_zeros_like`` is the direct-sum loop of criterion 9's check
-as first written: a zero kernel-sized field and a fancy index per point. The
-reversed-slice loop of ``sbe.kernels._direct_sums`` must equal it bit for
-bit.
+as first written: a zero kernel-sized field and a fancy index per point,
+added by one np.sum. The leaf-by-leaf sums of ``sbe.kernels._direct_sums``
+must equal it bit for bit.
 
 ``spacetime_convolve`` and ``renormalized_convolve`` put the plain and
 the renormalized space-time convolutions of two plain arrays together from

@@ -194,18 +194,19 @@ class TestExperiments:
         for entry in manifest["files"]:
             assert sha256_file(os.path.join(bundle.directory, entry["name"])) == entry["sha256"]
 
-    def test_heat_kernel_makes_each_row_of_p_twice(self, tmp_path, monkeypatch):
-        # once for kernel.bin and once for the three decay bounds
+    def test_heat_kernel_makes_each_row_of_p_once(self, tmp_path, monkeypatch):
+        # kernel.bin and the three decay bounds read the same blocks
         made = count_rows(monkeypatch)
         cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": 5, "T": 0.125})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
-        assert made == [2 * (GridSpec(5, 0.125).n_steps + 1)]
+        assert made == [GridSpec(5, 0.125).n_steps + 1]
         quantities = [line.split(",")[0] for line in Path(bundle.directory, "heat_kernel.csv").read_text().splitlines()]
         assert quantities[-3:] == ["decay_bound_sup_j0", "decay_bound_sup_j1", "decay_bound_sup_j2"]
 
     def test_heat_kernel_writes_p_and_its_diagnostics_block_by_block(self, tmp_path):
         # 1023 rows in several blocks: the residual's rows 511, 512 and 1023
-        # are kept from different blocks, and kernel.bin is P bit for bit
+        # are kept from different blocks, kernel.bin is P bit for bit and
+        # the decay bounds' sups are the maxima over every block
         grid = GridSpec(5, 1023 / 1024)
         cfg = config_from_dict({"kind": "heat-kernel", "family": FAMILY, "N": grid.N, "T": grid.T})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
@@ -217,6 +218,8 @@ class TestExperiments:
         conv = grid.eps * np.fft.irfft(np.fft.rfft(P[511]) * np.fft.rfft(P[512]), n=grid.M)
         assert got["semigroup_residual"] == float(np.max(np.abs(conv - P[1023])))
         assert got["mass_max_error"] == float(np.max(np.abs(grid.eps * P.sum(axis=1) - 1.0)))
+        for diag in HeatKernel(grid, family_from_config(FAMILY)).verify_bounds(grid.T):
+            assert got[f"decay_bound_sup_j{diag.j}"] == diag.sup
 
     def test_heat_kernel_holds_no_field(self, tmp_path):
         # P at N = 8, T = 1/4 is 33.6 MB; the run holds a few blocks of it

@@ -5,10 +5,12 @@ convolution, the square check's reductions of its output and the order
 norm run one block of about ``operators._BLOCK_BYTES`` at a time. Each step
 is elementwise, per row, or a max, so every comparison is exact. The block
 counts are read from ``operators._blocks``, so the fields span several
-blocks with a partial last one whatever the block size. The memory guards
-keep the passes free of field-sized temporaries, the convolution to its one
-buffer, the square check to K and that buffer, and the heat kernel free of
-rows kept between calls.
+blocks with a partial last one whatever the block size. The square check's
+direct sums add their terms in leaves of np.sum's pairwise tree, which
+must add up to np.sum of the whole bit for bit. The memory guards keep the
+passes free of field-sized temporaries, the direct sums to a few rows, the
+convolution to its one buffer, the square check to K and that buffer, and
+the heat kernel free of rows kept between calls.
 """
 
 import inspect
@@ -327,6 +329,18 @@ class TestOrderNorm:
             order_norm(np.ones((2, grid.M)), grid, -1.0, m)
 
 
+class TestDirectSumTree:
+    @pytest.mark.parametrize("n", [999, 1025 * 32, 4097 * 64, 16385 * 256])
+    def test_leaves_add_up_to_np_sum_bit_for_bit(self, rng, n):
+        # magnitudes over many decades: another order of the additions rounds otherwise
+        a = rng.standard_normal(n) * np.exp(6 * rng.standard_normal(n))
+        whole = np.sum(a)
+        assert kernels._LEAF >= 128
+        for leaf in (128, 200, 1000, kernels._LEAF):
+            got = kernels._pairwise(0, n, lambda start, size: np.sum(a[start : start + size]), leaf)
+            assert np.float64(got).tobytes() == whole.tobytes(), leaf
+
+
 class TestMemory:
     """numpy reports its allocations to tracemalloc; fields here are 16.8 MB."""
 
@@ -380,9 +394,18 @@ class TestMemory:
         (K, _, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
         rows = kernels._occupied_rows(K)
         L = kernels._time_length(2 * rows)
-        buffer = 8 * max(2 * L * (grid.M // 2 + 1), 2 * K.size)
+        buffer = 8 * max(2 * L * (grid.M // 2 + 1), K.size)
         # neither the output field (33.5 MB) nor a half-spectrum (16.9 MB) beside them
         assert peak <= K.nbytes + buffer + 4 * max(_BLOCK_BYTES, 16 * L)
+
+    def test_direct_sums_hold_no_field(self, fam_bw_ss):
+        # K at N = 7, T = 1/4 is 4.2 MB; the terms are made a leaf at a time
+        grid = GridSpec(7, 0.25)
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        sq, (nk, M) = K**2, K.shape
+        points = [(0, 0), (nk // 2, 3), (nk - 1, M - 1), (2 * nk - 2, 5)]
+        _, peak = traced_peak(lambda: kernels._direct_sums(K, sq, points, grid.eps))
+        assert peak < K.nbytes / 4
 
     @pytest.mark.parametrize("N", [6, 7])
     def test_square_check_bytes_bound_the_traced_peak(self, fam_bw_ss, N):

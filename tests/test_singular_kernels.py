@@ -151,8 +151,13 @@ class TestRenormalizedSquareCheck:
         _, _, resid = renormalized_square_check(fam_bw_pw, GridSpec(5, 0.25))
         assert 0.0 < resid <= 1e-15
 
+    @pytest.mark.parametrize("leaf", [128, 1000, None], ids=["128", "1000", "default"])
     @pytest.mark.parametrize("N", [5, 6])
-    def test_direct_sums_equal_the_reference_loop(self, fam_bw_ss, N):
+    def test_direct_sums_equal_the_reference_loop(self, fam_bw_ss, N, leaf, monkeypatch):
+        # leaves of the pairwise tree from numpy's own block up: the terms
+        # are added in the same order whatever the leaf
+        if leaf is not None:
+            monkeypatch.setattr(kernels, "_LEAF", leaf)
         grid = GridSpec(N, 0.25)
         K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
         dmult = derivative_multiplier(fam_bw_ss, grid.eps, grid.M)[: grid.M // 2 + 1]
@@ -161,9 +166,10 @@ class TestRenormalizedSquareCheck:
         rows = 2 * nk - 1
         gen = rng_for(5, N)
         points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1), (nk - 1, 3), (nk, M - 2), (1, 1)]
+        points += [(nk - 1, 0), (2 * nk - 2, 5)]
         points += zip(gen.integers(0, rows, 24).tolist(), gen.integers(0, M, 24).tolist())
-        got = kernels._direct_sums(K, sq, points, grid.eps, np.empty_like(sq))
-        assert np.array_equal(got, increment_sums_zeros_like(K, sq, points, grid.eps))
+        got = kernels._direct_sums(K, sq, points, grid.eps)
+        assert got.tobytes() == increment_sums_zeros_like(K, sq, points, grid.eps).tobytes()
 
     def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
         # the direct sum does not go through the FFT convolution, so a
