@@ -1,11 +1,11 @@
-"""Configuration-driven command line front end.
+"""Configuration-driven command line front end: parse a config, run its ``KINDS`` record, write the results.
 
 One subcommand per experiment kind; a JSON config names the discretization
 family (presets or inline atoms), grid level(s), horizon, seed, replica
-count and drift mode. Every run lands in a fresh timestamped directory
-containing a manifest (config echo, library version, wall time, checksums)
-plus CSV/binary artifacts; identical (config, seed) pairs reproduce the
-data files byte for byte.
+count and drift mode, and no other field. Every run lands in a fresh
+timestamped directory containing a manifest (config echo, library version,
+wall time, checksums) plus CSV/binary artifacts; identical (config, seed)
+pairs reproduce the data files byte for byte.
 
 Exit codes: 0 ok, 1 validation failure, 2 config or runtime error, 3
 blow-up truncated (simulate only).
@@ -20,42 +20,36 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
-from .grids import GridSpec, LatticeField, NoiseField
+from .grids import GridSpec, NoiseField
 from .heat import HeatKernel
 from .kernels import order_norm, renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
-from .norms import (
-    PROFILE_SMOOTHNESS,
-    ParabolicPlan,
-    _usable_scales,
-    estimate_exponent,
-    make_test_family,
-    regularity_bytes,
-)
-from .operators import OperatorFamily, _check_wrap
-from .processes import NOISE_LABEL, TREE_LABELS, lift_chunk_bytes, lift_chunks
+from .norms import PROFILE_SMOOTHNESS, regularity_bytes, regularity_families, regularity_table
+from .operators import OperatorFamily, check_wrap
+from .processes import TREE_LABELS, lift_chunk_bytes, mc_summary
 from .renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from .solver import (
     SchemeConfig,
-    _study_family,
+    consecutive_levels,
     coupled_convergence_study,
     drift_coefficient,
     ic_constant,
     ic_white_noise,
     ic_zero,
     run,
+    study_family,
 )
 
 N_GUARD = 10
 DRIFT_MODES = ("none", "renormalized")
 INITIAL_KINDS = ("zero", "constant", "white-noise")
-SINGLE_LEVEL_KINDS = ("heat-kernel", "simulate", "processes", "regularity")
 
 
 class SchemaError(ValueError):
@@ -86,6 +80,22 @@ class ExperimentConfig:
         return echoed
 
 
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind, as the front end reads it."""
+
+    run: Callable  # (cfg, fam, grids, outdir) -> (files, extra manifest entries, exit code)
+    one_level: bool = False  # runs at N; N_range is not read
+    consecutive: int = 0  # least number of consecutive levels
+    stencils: tuple = ()  # of "nu", "pi", "mu"
+    check: tuple | None = None  # (fits(coarsest grid), refusal text)
+    need: Callable | None = None  # largest grid -> (peak bytes, what for)
+    horizon: float = math.inf
+
+    def grids(self, cfg: ExperimentConfig) -> list[GridSpec]:
+        return [GridSpec(n, min(cfg.T, self.horizon)) for n in ([cfg.N] if self.one_level else cfg.levels())]
+
+
 def _measure_from(entry, kind: str):
     """The measure of family.<kind>: a preset name or an atoms object; a malformed one is a SchemaError naming it."""
     if isinstance(entry, str):
@@ -106,6 +116,7 @@ def measures_from_config(family: dict):
     """Parse the three measures structurally, without admissibility checks."""
     if not isinstance(family, dict):
         raise SchemaError("family: expected an object with nu/pi/mu")
+    _refuse_unknown(family, ("nu", "pi", "mu"), "family.")
     for key in ("nu", "pi", "mu"):
         if key not in family:
             raise SchemaError(f"family.{key}: missing")
@@ -148,16 +159,24 @@ def _coerced(key: str, value, to):
         raise SchemaError(expected) from exc
 
 
+def _refuse_unknown(entry: dict, known, prefix: str = "") -> None:
+    for key in entry:
+        if key not in known:
+            raise SchemaError(f"{prefix}{key}: unknown field, expected one of {', '.join(known)}")
+
+
 def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise SchemaError(f"config: expected a JSON object, got {type(raw).__name__}")
+    _refuse_unknown(raw, [f.name for f in fields(ExperimentConfig)])
     if "family" not in raw:
         raise SchemaError("family: missing")
     cfg_kind = raw.get("kind", kind)
     if cfg_kind is None:
         raise SchemaError("kind: missing (set it in the config or pick a subcommand)")
-    if cfg_kind not in EXPERIMENT_KINDS:
-        raise SchemaError(f"kind: {cfg_kind!r} is not one of {', '.join(EXPERIMENT_KINDS)}")
+    if cfg_kind not in KINDS:
+        raise SchemaError(f"kind: {cfg_kind!r} is not one of {', '.join(KINDS)}")
+    spec = KINDS[cfg_kind]
     N, N_range = raw.get("N"), raw.get("N_range")
     if N_range is not None and not isinstance(N_range, (list, tuple)):
         raise SchemaError(f"N_range: expected a list of levels, got {N_range!r}")
@@ -175,11 +194,14 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         eta=_coerced("eta", raw.get("eta", -0.6), float),
         out=raw.get("out", "sbe-out"),
     )
+    if not isinstance(cfg.out, str):
+        raise SchemaError(f"out: expected a directory path, got {cfg.out!r}")
     if not isinstance(cfg.initial, dict):
         raise SchemaError(f"initial: expected an object with a kind, got {cfg.initial!r}")
+    _refuse_unknown(cfg.initial, ("kind", "value"), "initial.")
     if cfg.N is None and not cfg.N_range:
         raise SchemaError("N: missing (give N or N_range)")
-    if cfg.N is None and cfg.kind in SINGLE_LEVEL_KINDS:
+    if cfg.N is None and spec.one_level:
         raise SchemaError(f"N: missing ({cfg.kind} runs at one level N; N_range is not read)")
     given = ([cfg.N] if cfg.N is not None else []) + list(cfg.N_range or [])
     for n in given:
@@ -193,16 +215,12 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         steps = cfg.T * 4**n
         if abs(steps - round(steps)) > 1e-9:
             raise SchemaError(f"T: {cfg.T!r} is not a whole number of time steps 4^-{n} at level {n}")
-    if cfg.kind == "regularity":
+    grids = sorted(spec.grids(cfg), key=lambda grid: grid.N)
+    if spec.consecutive:
         try:
-            _regularity_families(GridSpec(cfg.N, cfg.T))
+            consecutive_levels([grid.N for grid in grids], spec.consecutive)
         except ValueError as exc:
-            raise SchemaError(f"N={cfg.N}, T={cfg.T!r}: too few test-function scales to fit ({exc})") from exc
-    if cfg.kind == "convergence":
-        levels = sorted(cfg.levels())
-        if len(levels) < 3 or levels != list(range(levels[0], levels[0] + len(levels))):
-            raise SchemaError(f"N_range: convergence needs three or more distinct consecutive levels, got {levels}")
-    _check_memory(cfg)
+            raise SchemaError(f"N_range: {exc}") from exc
     if cfg.replicas < 1:
         raise SchemaError("replicas: must be >= 1")
     if cfg.seed < 0:
@@ -217,24 +235,23 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
     if cfg.initial.get("kind", "zero") not in INITIAL_KINDS:
         raise SchemaError(f"initial.kind: expected one of {', '.join(INITIAL_KINDS)}, got {cfg.initial.get('kind')!r}")
     if cfg.initial.get("kind") == "constant":
-        value = cfg.initial.get("value", 0.0)
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(float(value))  # what _initial_slice reads
-        except (TypeError, ValueError, OverflowError):
-            finite = False
-        if not finite:
+        value = _coerced("initial.value", cfg.initial.get("value", 0.0), float)  # what _initial_slice reads
+        if not math.isfinite(value):
             raise SchemaError(f"initial.value: expected a finite number, got {value!r}")
-    nu, pi, mu = measures_from_config(cfg.family)  # fail fast on malformed atoms
-    # the measures whose stencils each kind applies
-    stencils = {"simulate": (nu, pi, mu), "convergence": (nu, pi, mu), "processes": (mu,), "regularity": (mu,)}
-    name, n = ("N_range", min(cfg.levels())) if cfg.kind == "convergence" else ("N", cfg.N)
+    measures = dict(zip(("nu", "pi", "mu"), measures_from_config(cfg.family)))  # fail fast on malformed atoms
+    if spec.check is not None:
+        fits, refusal = spec.check
+        try:
+            fits(grids[0])
+        except ValueError as exc:
+            raise SchemaError(refusal.format(cfg=cfg, grid=grids[0], exc=exc)) from exc
+    name = "N" if spec.one_level or not cfg.N_range else "N_range"
     try:
-        if cfg.kind == "convergence":
-            _study_family(GridSpec(n, cfg.T))
-        for measure in stencils.get(cfg.kind, ()):
-            _check_wrap(measure.radius, GridSpec(n, cfg.T).M)
+        for key in spec.stencils:
+            check_wrap(measures[key].radius, grids[0].M)
     except ValueError as exc:
-        raise SchemaError(f"{name}: level {n} is too coarse for {cfg.kind} ({exc})") from exc
+        raise SchemaError(f"{name}: level {grids[0].N} is too coarse for {cfg.kind} ({exc})") from exc
+    _check_memory(cfg, spec, grids[-1], name)
     return cfg
 
 
@@ -250,42 +267,17 @@ def _memory_available() -> int | None:
     return None
 
 
-def _diag_grid(cfg: ExperimentConfig, n: int) -> GridSpec:
-    """A kernel-diagnostics level: the split kernel's horizon is at most 1/4."""
-    return GridSpec(n, min(cfg.T, 0.25))
-
-
-def _memory_need(cfg: ExperimentConfig) -> tuple[int, str] | None:
-    """The bytes that cfg's largest level holds at its peak, and what for; None for a kind not checked.
-
-    Each need is the library's bound for the code that allocates:
-    ``square_check_bytes``, ``lift_chunk_bytes`` and ``regularity_bytes``.
-    processes and regularity hold no noise or tree field: each draws its
-    noise as the lift reads it.
-    """
-    if cfg.kind == "kernel-diagnostics":
-        return square_check_bytes(_diag_grid(cfg, max(cfg.levels()))), "the kernel diagnostics"
-    if cfg.kind not in ("processes", "regularity"):
-        return None
-    grid = GridSpec(cfg.N, cfg.T)
-    if cfg.kind == "processes":
-        return lift_chunk_bytes(grid), "the processes lifts"
-    return regularity_bytes(grid, _regularity_families(grid)[1]), "the regularity lifts"
-
-
-def _check_memory(cfg: ExperimentConfig) -> None:
-    """Refuse a config whose largest level needs more than the memory available (``_memory_need``)."""
-    need, budget = _memory_need(cfg), _memory_available()
-    if need is None or budget is None or need[0] <= budget:
+def _check_memory(cfg: ExperimentConfig, spec: Kind, grid: GridSpec, name: str) -> None:
+    """Refuse a config whose largest level, ``grid``, needs more than the memory available."""
+    if spec.need is None or (budget := _memory_available()) is None:
         return
-    if cfg.kind == "kernel-diagnostics":
-        name, n, at = "N_range" if cfg.N_range else "N", max(cfg.levels()), ""
-    else:
-        name, n, at = "N", cfg.N, f" at T={cfg.T!r}"
-    raise SchemaError(
-        f"{name}: level {n}{at} needs about {need[0] / 1e9:.2f} GB for {need[1]}, "
-        f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
-    )
+    need, what = spec.need(grid)
+    if need > budget:
+        at = f" at T={cfg.T!r}" if spec.one_level else ""
+        raise SchemaError(
+            f"{name}: level {grid.N}{at} needs about {need / 1e9:.2f} GB for {what}, "
+            f"more than the {budget / 1e9:.2f} GB available (MemAvailable)"
+        )
 
 
 def _drift_value(cfg: ExperimentConfig, fam: OperatorFamily) -> float:
@@ -322,10 +314,10 @@ def emit(bundle: ResultBundle) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies; each returns (files, extra manifest entries, exit code)
+# the run of each Kind: each returns (files, extra manifest entries, exit code)
 
 
-def _exp_validate(cfg, fam, outdir):
+def _exp_validate(cfg, fam, grids, outdir):
     nu, pi, mu = measures_from_config(cfg.family)
     reports = {
         "nu": validate_nu(nu),
@@ -352,14 +344,13 @@ def _exp_validate(cfg, fam, outdir):
     return files, {"ok": ok}, 0 if ok else 1
 
 
-def _exp_constants(cfg, fam, outdir):
+def _exp_constants(cfg, fam, grids, outdir):
     rows = []
     label = json.dumps(cfg.family, sort_keys=True)
-    for n in cfg.levels():
-        grid = GridSpec(n, cfg.T)
+    for grid in grids:
         rows.append(
             (
-                n,
+                grid.N,
                 label,
                 c2_quadrature(fam, grid),
                 c2_lattice_sum(fam, grid),
@@ -375,37 +366,16 @@ def _exp_constants(cfg, fam, outdir):
     return ["constants.csv"], {}, 0
 
 
-def _exp_heat_kernel(cfg, fam, outdir):
-    grid = GridSpec(cfg.N, cfg.T)
+def _exp_heat_kernel(cfg, fam, grids, outdir):
+    (grid,) = grids
     hk = HeatKernel(grid, fam)
-    # P is made and written a block at a time; the semigroup residual's rows are kept
-    n, n_half = grid.n_steps, grid.n_steps // 2
     writer = FieldAppender(outdir, "kernel", {"N": grid.N, "T": grid.T, "seed": None})
-    mass_error, kept, decay = 0.0, {}, np.full(3, -np.inf)
-    for rows, P, maxima in hk.bound_blocks(grid.T):
-        writer.append(P)
-        mass_error = max(mass_error, float(np.max(np.abs(grid.eps * P.sum(axis=1) - 1.0))))
-        np.maximum(decay, maxima.max(axis=1), out=decay)
-        for r in (n_half, n - n_half, n):
-            if rows.start <= r < rows.stop:
-                kept[r] = P[r - rows.start].copy()
-    semi = 0.0
-    if n_half >= 1:
-        conv = grid.eps * np.fft.irfft(np.fft.rfft(kept[n_half]) * np.fft.rfft(kept[n - n_half]), n=grid.M)
-        semi = float(np.max(np.abs(conv - kept[n])))
-    rows = [
-        ("mass_max_error", mass_error),
-        ("semigroup_residual", semi),
-        ("multiplier_min", float(hk.multiplier.min())),
-        ("multiplier_max", float(hk.multiplier.max())),
-    ]
-    rows += [(f"decay_bound_sup_j{j}", float(decay[j])) for j in (0, 1, 2)]
-    write_csv(os.path.join(outdir, "heat_kernel.csv"), ["quantity", "value"], rows)
+    write_csv(os.path.join(outdir, "heat_kernel.csv"), ["quantity", "value"], hk.diagnostics(writer.append))
     return ["heat_kernel.csv", *writer.close()], {}, 0
 
 
-def _exp_simulate(cfg, fam, outdir):
-    grid = GridSpec(cfg.N, cfg.T)
+def _exp_simulate(cfg, fam, grids, outdir):
+    (grid,) = grids
     b = _drift_value(cfg, fam)
     scheme = SchemeConfig(fam=fam, grid=grid, b_drift=b, record_stride=max(1, grid.n_steps // 64))
     # streamed: run draws the noise a block of rows at a time
@@ -430,107 +400,35 @@ def _exp_simulate(cfg, fam, outdir):
     return files, {"blowup": traj.blowup}, 3 if traj.blowup else 0
 
 
-def _exp_processes(cfg, fam, outdir):
-    grid = GridSpec(cfg.N, cfg.T)
+def _exp_processes(cfg, fam, grids, outdir):
+    (grid,) = grids
     consts = compute_constants(fam, grid)
-    finals = {lab: [] for lab in TREE_LABELS}
-    # replica 0 is written a chunk of rows at a time, as the lift makes them;
-    # the later ones enter only at the last slice. Each replica's noise is
-    # drawn as its lift reads it.
     meta = {"N": grid.N, "T": grid.T, "seed": cfg.seed}
     writers = {lab: FieldAppender(outdir, f"tree_{lab}", meta) for lab in TREE_LABELS}
-    for rep in range(cfg.replicas):
-        noise = NoiseField(grid, cfg.seed + rep)
-        for span, chunk in lift_chunks(noise, fam, consts, last=() if rep == 0 else TREE_LABELS):
-            if rep == 0:
-                for lab, values in chunk.items():
-                    writers[lab].append(values)
-            if span.stop > grid.n_steps:  # the final chunk
-                for lab in TREE_LABELS:
-                    finals[lab].append(float(chunk[lab][-1, 0]))
-            chunk.clear()  # hold nothing of this chunk while the next is made
+    rows = mc_summary(fam, consts, grid, cfg.seed, cfg.replicas, lambda lab, values: writers[lab].append(values))
     files = [name for writer in writers.values() for name in writer.close()]
-    rows = []
-    for lab in TREE_LABELS:
-        vals = finals[lab]
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        rows.append((lab, cfg.T, mean, stderr, cfg.replicas))
     write_csv(os.path.join(outdir, "mc_summary.csv"), ["label", "t", "mean", "stderr", "replicas"], rows)
     files.append("mc_summary.csv")
     return files, {"c2": consts.c2, "c21": consts.c21}, 0
 
 
-def _regularity_families(grid: GridSpec):
-    """The space and parabolic test families of the regularity table.
-
-    Four dyadic scales each where the level and the horizon leave room; the
-    parabolic ones must fit kt in the horizon (2 lambda^2 <= T - dt). Raises
-    ValueError where estimate_exponent would refuse either family.
-    """
-    lam_min = 4 * grid.eps
-    tf_space = make_test_family(grid, lambda_min=lam_min, lambda_max=min(0.5, max(0.125, 8 * lam_min)))
-    lam_p = 2.0 ** math.floor(math.log2(math.sqrt((grid.T - grid.dt) / 2.0))) if grid.n_steps > 1 else 0.0
-    tf_para = make_test_family(grid, lambda_min=max(grid.eps, lam_p / 8), lambda_max=lam_p)
-    _usable_scales(tf_space, grid, 1, "space")
-    _usable_scales(tf_para, grid, grid.n_steps, "parabolic")
-    return tf_space, tf_para
-
-
-def _exp_regularity(cfg, fam, outdir):
-    grid = GridSpec(cfg.N, cfg.T)
-    consts = compute_constants(fam, grid)
-    tf_space, tf_para = _regularity_families(grid)
-    space = ("T1", "T11", "T12")
-    targets = {"T1": "space", "T11": "space", "T12": "space", "T2": "parabolic"}
-    table: dict[str, list[float]] = {lab: [] for lab in list(targets) + ["noise"]}
-    curves = []
-    estimates = {}
-    # T2 and the noise are folded into their parabolic estimates a chunk at a
-    # time as the lift makes them; the space estimates read the last row of
-    # T1, T11 and T12. Each replica's noise is drawn as its lift reads it.
-    plans = {
-        "T2": ParabolicPlan(grid, tf_para, grid.n_steps + 1),
-        NOISE_LABEL: ParabolicPlan(grid, tf_para, grid.n_steps),
-    }
-    for rep in range(cfg.replicas):
-        noise = NoiseField(grid, cfg.seed + rep)
-        for span, chunk in lift_chunks(noise, fam, consts, labels=(*targets, NOISE_LABEL), last=space):
-            for lab, plan in plans.items():
-                plan.feed(chunk[lab])
-            if span.stop > grid.n_steps:  # the final chunk
-                finals = {lab: chunk[lab] for lab in space}
-            chunk.clear()  # hold nothing of this chunk while the next is made
-        ests = {lab: estimate_exponent(LatticeField(grid, finals[lab]), tf_space, mode="space") for lab in space}
-        ests["T2"], ests["noise"] = plans["T2"].finish(), plans[NOISE_LABEL].finish()
-        for lab, est in ests.items():
-            table[lab].append(est.exponent)
-            if rep == 0:
-                if lab in targets:
-                    curves += [(lab, lam, sup) for lam, sup in zip(est.scales, est.sup_pairings)]
-                estimates[lab] = _estimate_to_json(est)
-    rows = []
-    for lab, vals in table.items():
-        mode = targets.get(lab, "parabolic")
-        sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-        rows.append((lab, mode, float(np.mean(vals)), sd, cfg.replicas))
-    write_csv(os.path.join(outdir, "exponents.csv"), ["target", "mode", "exponent_mean", "exponent_sd", "replicas"], rows)
+def _exp_regularity(cfg, fam, grids, outdir):
+    (grid,) = grids
+    rows, first = regularity_table(fam, compute_constants(fam, grid), grid, cfg.seed, cfg.replicas)
+    header = ["target", "mode", "exponent_mean", "exponent_sd", "replicas"]
+    write_csv(os.path.join(outdir, "exponents.csv"), header, rows)
+    # replica 0's pairing curves of the trees, and its estimates
+    trees = [(lab, est) for lab, est in first.items() if lab != "noise"]
+    curves = [(lab, lam, sup) for lab, est in trees for lam, sup in zip(est.scales, est.sup_pairings)]
     write_csv(os.path.join(outdir, "pairings.csv"), ["target", "lambda", "sup_pairing"], curves)
+    estimates = {
+        lab: {**asdict(est), "scales": est.scales.tolist(), "sup_pairings": est.sup_pairings.tolist()}
+        for lab, est in first.items()
+    }
     return ["exponents.csv", "pairings.csv", write_json(outdir, "estimates.json", estimates)], {}, 0
 
 
-def _estimate_to_json(est) -> dict:
-    return {
-        "exponent": est.exponent,
-        "intercept": est.intercept,
-        "residual": est.residual,
-        "mode": est.mode,
-        "scales": [float(v) for v in est.scales],
-        "sup_pairings": [float(v) for v in est.sup_pairings],
-    }
-
-
-def _exp_convergence(cfg, fam, outdir):
+def _exp_convergence(cfg, fam, grids, outdir):
     """Coupled dyadic self-convergence over consecutive levels.
 
     Every level always starts from the replica's coupled white noise (see
@@ -556,36 +454,52 @@ def _exp_convergence(cfg, fam, outdir):
     return ["comparison_norms.csv", "medians.csv"], extra, 0
 
 
-def _exp_kernel_diag(cfg, fam, outdir):
+def _exp_kernel_diag(cfg, fam, grids, outdir):
     rows = []
-    for n in cfg.levels():
-        grid = _diag_grid(cfg, n)
+    for grid in grids:
         K, ident_norm, resid = renormalized_square_check(fam, grid)
-        rows.append((n, "order_norm_K_zeta_-1_m2", order_norm(K, grid, -1.0, m=2)))
-        rows.append((n, "renormalized_convolution_identity_residual", resid))
-        rows.append((n, "renormalized_convolution_order_norm", ident_norm))
+        rows.append((grid.N, "order_norm_K_zeta_-1_m2", order_norm(K, grid, -1.0, m=2)))
+        rows.append((grid.N, "renormalized_convolution_identity_residual", resid))
+        rows.append((grid.N, "renormalized_convolution_order_norm", ident_norm))
         del K  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0
 
 
-_EXPERIMENTS = {
-    "validate": _exp_validate,
-    "constants": _exp_constants,
-    "heat-kernel": _exp_heat_kernel,
-    "simulate": _exp_simulate,
-    "processes": _exp_processes,
-    "regularity": _exp_regularity,
-    "convergence": _exp_convergence,
-    "kernel-diagnostics": _exp_kernel_diag,
+KINDS = {
+    "validate": Kind(_exp_validate),
+    "constants": Kind(_exp_constants),
+    "heat-kernel": Kind(_exp_heat_kernel, one_level=True),
+    "simulate": Kind(_exp_simulate, one_level=True, stencils=("nu", "pi", "mu")),
+    "processes": Kind(
+        _exp_processes, one_level=True, stencils=("mu",), need=lambda g: (lift_chunk_bytes(g), "the processes lifts")
+    ),
+    "regularity": Kind(
+        _exp_regularity,
+        one_level=True,
+        stencils=("mu",),
+        check=(regularity_families, "N={cfg.N}, T={cfg.T!r}: too few test-function scales to fit ({exc})"),
+        need=lambda g: (regularity_bytes(g, regularity_families(g)[1]), "the regularity lifts"),
+    ),
+    "convergence": Kind(
+        _exp_convergence,
+        consecutive=3,
+        stencils=("nu", "pi", "mu"),
+        check=(study_family, "N_range: level {grid.N} is too coarse for convergence ({exc})"),
+    ),
+    # the split kernel's horizon is at most 1/4
+    "kernel-diagnostics": Kind(
+        _exp_kernel_diag, need=lambda g: (square_check_bytes(g), "the kernel diagnostics"), horizon=0.25
+    ),
 }
-EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
+EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ResultBundle:
     # validate must be able to REPORT inadmissible families; everything else
     # needs the admissibility-enforcing constructor up front
     fam = None if cfg.kind == "validate" else family_from_config(cfg.family)
+    spec = KINDS[cfg.kind]
     stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
     base = os.path.join(out_root or cfg.out, f"{cfg.kind}-{stamp}")
     suffix = 0
@@ -598,7 +512,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Result
         except FileExistsError:
             suffix += 1
     t0 = time.monotonic()
-    files, extra, code = _EXPERIMENTS[cfg.kind](cfg, fam, outdir)
+    files, extra, code = spec.run(cfg, fam, spec.grids(cfg), outdir)
     manifest = {
         "config": cfg.echo(),
         "version": __version__,

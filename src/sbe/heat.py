@@ -13,8 +13,8 @@ makes P one block of about operators._BLOCK_BYTES of rows at a time for
 every pass (the columns, the cutoff, the decay bounds and the heat-kernel
 experiment), and a ``HeatKernel`` keeps no rows between calls;
 ``bound_blocks`` adds each block's per-time maxima of the decay bounds,
-all three derivative orders from its half-spectrum, so that the
-heat-kernel experiment makes each row once.
+all three derivative orders from its half-spectrum, so that
+``diagnostics`` makes each row once.
 Each step is elementwise, per row or a per-row max, so the results equal
 the whole-field passes bit for bit. Every horizon is a whole number of
 steps in [0, T].
@@ -167,6 +167,26 @@ class HeatKernel:
             return out
 
         return ((rows, P, maxima(rows, P)) for rows, P in blocks)
+
+    def diagnostics(self, sink) -> list[tuple[str, float]]:
+        """The heat-kernel experiment's (quantity, value) rows up to T; each block of P goes to sink(block)."""
+        grid, n = self.grid, self.grid.n_steps
+        n_half = n // 2
+        mass_error, kept, decay = 0.0, {}, np.full(3, -np.inf)
+        for rows, P, maxima in self.bound_blocks(grid.T):
+            sink(P)
+            mass_error = max(mass_error, float(np.max(np.abs(grid.eps * P.sum(axis=1) - 1.0))))
+            np.maximum(decay, maxima.max(axis=1), out=decay)
+            for r in (n_half, n - n_half, n):
+                if rows.start <= r < rows.stop:
+                    kept[r] = P[r - rows.start].copy()
+        semi = 0.0
+        if n_half >= 1:
+            conv = grid.eps * np.fft.irfft(np.fft.rfft(kept[n_half]) * np.fft.rfft(kept[n - n_half]), n=grid.M)
+            semi = float(np.max(np.abs(conv - kept[n])))
+        rows = [("mass_max_error", mass_error), ("semigroup_residual", semi)]
+        rows += [("multiplier_min", float(self.multiplier.min())), ("multiplier_max", float(self.multiplier.max()))]
+        return rows + [(f"decay_bound_sup_j{j}", float(decay[j])) for j in (0, 1, 2)]
 
     def verify_bounds(self, horizon: float) -> tuple["BoundsDiagnostic", ...]:
         """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded, for j = 0, 1, 2 in order.

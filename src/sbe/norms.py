@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, LatticeField
-from .processes import _block, lift_chunk_bytes
+from .grids import GridSpec, LatticeField, NoiseField
+from .processes import NOISE_LABEL, _block, lift_chunk_bytes, lift_chunks
 
 __all__ = [
     "TestFunctionFamily",
@@ -51,7 +51,9 @@ __all__ = [
     "comparison_norm",
     "estimate_exponent",
     "ParabolicPlan",
+    "regularity_families",
     "regularity_bytes",
+    "regularity_table",
 ]
 
 # base points per band in estimate_exponent: 2 PATCHES + 1 in space, PATCHES in time
@@ -521,6 +523,22 @@ class ParabolicPlan:
         return _fit(self.bands, pairs, "parabolic")
 
 
+def regularity_families(grid: GridSpec) -> tuple[TestFunctionFamily, TestFunctionFamily]:
+    """The space and parabolic test families of the regularity table.
+
+    Four dyadic scales each where the level and the horizon leave room; the
+    parabolic ones must fit kt in the horizon (2 lambda^2 <= T - dt). Raises
+    ValueError where estimate_exponent would refuse either family.
+    """
+    lam_min = 4 * grid.eps
+    tf_space = make_test_family(grid, lambda_min=lam_min, lambda_max=min(0.5, max(0.125, 8 * lam_min)))
+    lam_p = 2.0 ** math.floor(math.log2(math.sqrt((grid.T - grid.dt) / 2.0))) if grid.n_steps > 1 else 0.0
+    tf_para = make_test_family(grid, lambda_min=max(grid.eps, lam_p / 8), lambda_max=lam_p)
+    _usable_scales(tf_space, grid, 1, "space")
+    _usable_scales(tf_para, grid, grid.n_steps, "parabolic")
+    return tf_space, tf_para
+
+
 def regularity_bytes(grid: GridSpec, tf: TestFunctionFamily) -> int:
     """About the most that one replica of the regularity table holds at once.
 
@@ -563,3 +581,31 @@ def estimate_exponent(field: LatticeField, tf: TestFunctionFamily, mode: str = "
         for lam_a, lam_b, tsel, xsel in bands
     ]
     return _fit(bands, pairs, mode)
+
+
+def regularity_table(fam, consts, grid: GridSpec, seed: int, replicas: int) -> tuple[list, dict]:
+    """Rows (target, mode, mean exponent, sd, replicas) over replicas seed, seed + 1, ..., and replica 0's estimates."""
+    if replicas < 1:
+        raise ValueError(f"replicas: expected >= 1, got {replicas}")
+    tf_space, tf_para = regularity_families(grid)
+    space = ("T1", "T11", "T12")
+    # T2 has a row per time, the noise one per step
+    plans = {lab: ParabolicPlan(grid, tf_para, grid.n_steps + (lab == "T2")) for lab in ("T2", NOISE_LABEL)}
+    runs = []
+    for rep in range(replicas):
+        noise = NoiseField(grid, seed + rep)
+        for span, chunk in lift_chunks(noise, fam, consts, labels=(*space, "T2", NOISE_LABEL), last=space):
+            for lab, plan in plans.items():
+                plan.feed(chunk[lab])
+            if span.stop > grid.n_steps:  # the final chunk
+                finals = {lab: chunk[lab] for lab in space}
+            chunk.clear()  # hold nothing of this chunk while the next is made
+        ests = {lab: estimate_exponent(LatticeField(grid, finals[lab]), tf_space, mode="space") for lab in space}
+        ests["T2"], ests["noise"] = plans["T2"].finish(), plans[NOISE_LABEL].finish()
+        runs.append(ests)
+    rows = []
+    for lab in runs[0]:
+        vals = [ests[lab].exponent for ests in runs]
+        sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        rows.append((lab, "space" if lab in space else "parabolic", float(np.mean(vals)), sd, replicas))
+    return rows, runs[0]

@@ -55,6 +55,7 @@ __all__ = [
     "stepping_multiplier",
     "derivative_multiplier",
     "check_parseval_twisted",
+    "check_wrap",
 ]
 
 
@@ -88,7 +89,8 @@ class OperatorFamily:
 _BLOCK_BYTES = 128 * 1024
 
 
-def _check_wrap(radius: int, M: int) -> None:
+def check_wrap(radius: int, M: int) -> None:
+    """Refuse a stencil reaching ``radius`` sites that wraps the M-site torus."""
     if radius >= M / 2:
         raise ValueError(f"measure radius {radius} wraps on M={M} torus")
 
@@ -96,7 +98,7 @@ def _check_wrap(radius: int, M: int) -> None:
 def _periodic(measure, u) -> np.ndarray:
     """u as float64, once the measure's support is known not to wrap the torus."""
     u = np.asarray(u, dtype=np.float64)
-    _check_wrap(measure.radius, u.shape[-1])
+    check_wrap(measure.radius, u.shape[-1])
     return u
 
 
@@ -230,7 +232,7 @@ def _stencil(atoms, u: np.ndarray) -> np.ndarray:
     """sum_j w_j u(. + eps j) along the last axis, added in atom order."""
     terms = _terms(atoms)
     u = np.asarray(u, dtype=np.float64)
-    _check_wrap(_reach(terms), u.shape[-1])
+    check_wrap(_reach(terms), u.shape[-1])
     return _apply(terms, u)
 
 

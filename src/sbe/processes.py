@@ -40,7 +40,7 @@ in any chunking.
 
 A statistic that reads a tree only at the final time slice names it in
 ``last``: the regularity table's space estimates read T1, T11 and T12
-there, the ``processes`` experiment's Monte Carlo means every tree. Such a
+there, the Monte Carlo means of ``mc_summary`` every tree. Such a
 tree is returned as that row alone, and where no convolution and no tree
 returned in full reads it, it is made at that row alone. Every other
 requested tree is copied into one full array as its chunks come; a tree
@@ -65,7 +65,7 @@ from .grids import GridSpec, NoiseField
 from .operators import OperatorFamily, _stencil, derivative_multiplier, stepping_multiplier, twisted_product
 from .renorm import RenormConstants
 
-__all__ = ["TREE_LABELS", "NOISE_LABEL", "lift", "lift_chunks", "lift_chunk_bytes"]
+__all__ = ["TREE_LABELS", "NOISE_LABEL", "lift", "lift_chunks", "lift_chunk_bytes", "mc_summary"]
 
 TREE_LABELS = ("T1", "T2", "T11", "T21", "T12", "T22", "T122", "T124", "T1222")
 NOISE_LABEL = "xi"  # a chunk's noise rows, which lift_chunks yields when asked
@@ -289,3 +289,25 @@ def lift(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels
                 trees[label][rows] = values
         chunk.clear()  # hold nothing of this chunk while the next is made
     return {label: trees[label] for label in TREE_LABELS if label in trees}
+
+
+def mc_summary(fam: OperatorFamily, consts: RenormConstants, grid: GridSpec, seed: int, replicas: int, sink) -> list:
+    """Rows (label, T, mean, stderr, replicas) of each tree at site 0 and time T; sink(label, values) gets replica 0."""
+    if replicas < 1:
+        raise ValueError(f"replicas: expected >= 1, got {replicas}")
+    finals = {lab: [] for lab in TREE_LABELS}
+    for rep in range(replicas):
+        noise = NoiseField(grid, seed + rep)
+        for span, chunk in lift_chunks(noise, fam, consts, last=() if rep == 0 else TREE_LABELS):
+            if rep == 0:
+                for lab, values in chunk.items():
+                    sink(lab, values)
+            if span.stop > grid.n_steps:  # the final chunk
+                for lab in TREE_LABELS:
+                    finals[lab].append(float(chunk[lab][-1, 0]))
+            chunk.clear()  # hold nothing of this chunk while the next is made
+    rows = []
+    for lab, vals in finals.items():
+        stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        rows.append((lab, grid.T, float(np.mean(vals)), stderr, replicas))
+    return rows

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grids import GridSpec, NoiseField, block_average, coarsen_slice, rng_for
 from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
-from .operators import _BLOCK_BYTES, OperatorFamily, _accumulate, _block_rows, _check_wrap, _reach, _terms, _Wrapped
+from .operators import _BLOCK_BYTES, OperatorFamily, _accumulate, _block_rows, _reach, _terms, _Wrapped, check_wrap
 from .renorm import c21
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "ic_constant",
     "ic_white_noise",
     "coupled_convergence_study",
+    "consecutive_levels",
+    "study_family",
     "ConvergenceStudy",
     "BLOWUP_THRESHOLD",
     "ESCAPE_GUARD",
@@ -109,7 +111,7 @@ class _Step:
         fam, grid = cfg.fam, cfg.grid
         self.N, self.M = grid.N, grid.M
         for measure in (fam.mu, fam.nu, fam.pi):
-            _check_wrap(measure.radius, self.M)
+            check_wrap(measure.radius, self.M)
         self.product = _terms(fam.mu.atoms, bilinear=True)
         self.lap = _terms(fam.nu.atoms)
         self.der = _terms(fam.pi.atoms)
@@ -249,7 +251,15 @@ class ConvergenceStudy:
         return iter((self.per_pair, self.rows))
 
 
-def _study_family(coarse: GridSpec):
+def consecutive_levels(levels, least: int = 2) -> list[int]:
+    """levels in increasing order; ValueError unless they are ``least`` or more distinct consecutive levels."""
+    levels = sorted(levels)
+    if len(levels) < least or levels != list(range(levels[0], levels[0] + len(levels))):
+        raise ValueError(f"the study needs {least} or more distinct consecutive levels, got {levels}")
+    return levels
+
+
+def study_family(coarse: GridSpec):
     """The test functions of the study's comparison norms, at least two scales."""
     return make_test_family(coarse, lambda_min=coarse.eps, lambda_max=0.5)
 
@@ -264,7 +274,7 @@ def coupled_convergence_study(
     eta: float = -0.6,
     b_drift: float = 0.0,
 ) -> ConvergenceStudy:
-    """Coupled-noise solves at consecutive dyadic levels and pairwise comparison norms.
+    """Coupled-noise solves at two or more consecutive dyadic levels and pairwise comparison norms.
 
     Replica r's noise is the streamed field ``NoiseField(fine, seed + r)``
     at the finest level, read one coarse time step (4^(Nmax - Nmin) fine
@@ -282,12 +292,10 @@ def coupled_convergence_study(
 
     Memory is O(replicas * M) at the finest level, independent of T.
     """
-    levels = sorted(levels)
-    if levels != list(range(levels[0], levels[-1] + 1)):
-        raise ValueError(f"levels {levels} are not consecutive")
+    levels = consecutive_levels(levels)
     grids = [GridSpec(n, T) for n in levels]
     coarse = grids[0]
-    tf = _study_family(coarse)
+    tf = study_family(coarse)
     _check_scale_list(tf, alpha)  # before any step: a run may end with no replica left to check
     steps = [_Step(SchemeConfig(fam=fam, grid=g, b_drift=b_drift), rows=replicas) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -8,11 +10,11 @@ import pytest
 import numpy as np
 
 from conftest import count_rows, same_bits, traced_peak
-from sbe import cli, processes
+from sbe import cli, norms, processes, solver
 from sbe.cli import (
     EXPERIMENT_KINDS,
+    KINDS,
     SchemaError,
-    _regularity_families,
     config_from_dict,
     family_from_config,
     main,
@@ -23,12 +25,14 @@ from sbe.fieldio import read_field, sha256_file
 from sbe.grids import GridSpec, LatticeField, sample_noise
 from sbe.heat import HeatKernel
 from sbe.kernels import square_check_bytes
-from sbe.norms import estimate_exponent, regularity_bytes
+from sbe.norms import estimate_exponent, regularity_bytes, regularity_families
 from sbe.processes import TREE_LABELS, lift, lift_chunk_bytes, lift_chunks
 from sbe.renorm import compute_constants
 from sbe.solver import SchemeConfig, ic_white_noise, run
 
 FAMILY = {"nu": "laplacian-nn", "pi": "deriv-backward", "mu": "product-sasamoto-spohn"}
+# the coarsest level each kind that applies stencils accepts for FAMILY at T = 1/4
+COARSEST = {"simulate": 2, "convergence": 2, "processes": 2, "regularity": 6}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -151,7 +155,7 @@ class TestExperiments:
         def refuse(grid, seed):
             raise AssertionError("simulate drew the whole noise field")
 
-        monkeypatch.setattr(cli, "sample_noise", refuse, raising=False)  # intercepts any call cli would make
+        monkeypatch.setattr(solver, "sample_noise", refuse, raising=False)  # intercepts any call run would make
         raw = {"kind": "simulate", "family": FAMILY, "N": 6, "T": 0.0625, "seed": 4, "initial": {"kind": "white-noise"}}
         bundle = run_experiment(config_from_dict(raw), out_root=str(tmp_path))
         values, meta = read_field(bundle.directory, "trajectory")
@@ -283,10 +287,10 @@ class TestMainEntry:
         "exc, line", [(MemoryError(), "MemoryError"), (KeyError("T2"), "KeyError: 'T2'")], ids=["memory", "key"]
     )
     def test_runtime_error_names_its_cause(self, tmp_path, capsys, monkeypatch, exc, line):
-        def fails(cfg, fam, outdir):
+        def fails(cfg, fam, grids, outdir):
             raise exc
 
-        monkeypatch.setitem(cli._EXPERIMENTS, "constants", fails)
+        monkeypatch.setitem(cli.KINDS, "constants", dataclasses.replace(cli.KINDS["constants"], run=fails))
         path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.125})
         assert main(["constants", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"runtime error: {line}\n" in capsys.readouterr().err
@@ -359,6 +363,32 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"replica": 50}, "replica"),
+            ({"initial": {"kind": "constant", "valu": 3}}, "initial.valu"),
+            ({"family": dict(FAMILY, muu="product-pointwise")}, "family.muu"),
+        ],
+        ids=["top-level", "initial", "family"],
+    )
+    def test_unknown_field_named(self, tmp_path, capsys, bad, field):
+        # a misspelt field would otherwise leave its default in force: one
+        # replica for "replica", a start from 0 for "valu"
+        path = write_config(tmp_path, dict({"family": FAMILY, "N": 5, "T": 0.125}, **bad))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert f"config error: {field}: unknown field, expected one of " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_that_is_no_path(self, tmp_path, capsys):
+        # refused as a config even where --out would take its place
+        path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.125, "out": 5})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "config error: out: expected a directory path, got 5\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("levels, field", [({"N_range": [5, 7]}, "N_range"), ({"N": 7}, "N")])
     def test_kernel_diagnostics_beyond_the_memory_available(self, tmp_path, capsys, monkeypatch, levels, field):
         need = square_check_bytes(GridSpec(7, 0.125))
@@ -381,7 +411,7 @@ class TestConfigFailsBeforeOutput:
         # both hold a few chunks of the lift and no field, regularity also its
         # two parabolic plans
         grid = GridSpec(8, 0.125)
-        need = regularity_bytes(grid, _regularity_families(grid)[1]) if kind == "regularity" else lift_chunk_bytes(grid)
+        need = regularity_bytes(grid, regularity_families(grid)[1]) if kind == "regularity" else lift_chunk_bytes(grid)
         monkeypatch.setattr(cli, "_memory_available", lambda: need - 1)
         path = write_config(tmp_path, {"family": FAMILY, "N": 8, "T": 0.125})
         out = tmp_path / "out"
@@ -402,29 +432,17 @@ class TestConfigFailsBeforeOutput:
 
     @pytest.mark.parametrize(
         "kind, bad, field",
-        [
-            ("heat-kernel", {"N_range": [5]}, "N"),
-            ("simulate", {"N_range": [5]}, "N"),
-            ("processes", {"N_range": [5]}, "N"),
-            ("regularity", {"N_range": [5]}, "N"),
-            ("simulate", {"N": 14, "N_range": [5]}, "N"),
-            ("convergence", {"N_range": [5, 6]}, "N_range"),
-            ("convergence", {"N_range": [5, 5, 6]}, "N_range"),
-            ("kernel-diagnostics", {"N_range": [5, 5]}, "N_range"),
-            ("constants", {"N_range": [6, 5, 6]}, "N_range"),
-            ("simulate", {"N": 5, "initial": {"kind": "constant", "value": "x"}}, "initial.value"),
-        ],
-        ids=[
-            "heat-kernel",
-            "simulate",
-            "processes",
-            "regularity",
-            "N-beside-N_range",
-            "two-levels",
-            "repeated-level",
-            "kernel-diagnostics-repeated-level",
-            "constants-repeated-level",
-            "initial-value",
+        # every one-level kind refuses N_range alone
+        [pytest.param(kind, {"N_range": [5]}, "N", id=kind) for kind, spec in KINDS.items() if spec.one_level]
+        + [
+            pytest.param("simulate", {"N": 14, "N_range": [5]}, "N", id="N-beside-N_range"),
+            pytest.param("convergence", {"N_range": [5, 6]}, "N_range", id="two-levels"),
+            pytest.param("convergence", {"N_range": [5, 5, 6]}, "N_range", id="repeated-level"),
+            pytest.param("kernel-diagnostics", {"N_range": [5, 5]}, "N_range", id="kernel-diagnostics-repeated-level"),
+            pytest.param("constants", {"N_range": [6, 5, 6]}, "N_range", id="constants-repeated-level"),
+            pytest.param(
+                "simulate", {"N": 5, "initial": {"kind": "constant", "value": "x"}}, "initial.value", id="initial-value"
+            ),
         ],
     )
     def test_level_and_initial_value_checked_first(self, tmp_path, capsys, kind, bad, field):
@@ -463,8 +481,29 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_records_are_pinned(self):
+        # the tests that draw their kinds from KINDS cannot shrink silently:
+        # a record that drops a stencil, its level rule or its need fails here
+        table = {
+            kind: (spec.one_level, spec.consecutive, spec.stencils, spec.check is not None, spec.need is not None)
+            for kind, spec in KINDS.items()
+        }
+        assert table == {
+            "validate": (False, 0, (), False, False),
+            "constants": (False, 0, (), False, False),
+            "heat-kernel": (True, 0, (), False, False),
+            "simulate": (True, 0, ("nu", "pi", "mu"), False, False),
+            "processes": (True, 0, ("mu",), False, True),
+            "regularity": (True, 0, ("mu",), True, True),
+            "convergence": (False, 3, ("nu", "pi", "mu"), True, False),
+            "kernel-diagnostics": (False, 0, (), False, True),
+        }
+        assert {kind: spec.horizon for kind, spec in KINDS.items() if spec.horizon != math.inf} == {
+            "kernel-diagnostics": 0.25
+        }
+
     @pytest.mark.parametrize("measure", ["nu", "pi"])
-    @pytest.mark.parametrize("kind", ["simulate", "convergence", "processes", "regularity"])
+    @pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if spec.stencils])
     def test_only_the_stencils_a_kind_applies_are_checked(self, tmp_path, capsys, kind, measure):
         # nu or pi reaching 32 sites wraps the 64-site torus of level 6; the
         # scheme applies both, the lifts only mu (nu and pi through their spectra)
@@ -475,7 +514,7 @@ class TestConfigFailsBeforeOutput:
         levels = {"N_range": [6, 7, 8]} if kind == "convergence" else {"N": 6}
         path = write_config(tmp_path, dict({"family": dict(FAMILY, **{measure: wide[measure]}), "T": 0.25}, **levels))
         out = tmp_path / "out"
-        if kind in ("processes", "regularity"):
+        if measure not in KINDS[kind].stencils:
             assert main([kind, "--config", path, "--out", str(out)]) == 0
             return
         assert main([kind, "--config", path, "--out", str(out)]) == 2
@@ -484,7 +523,7 @@ class TestConfigFailsBeforeOutput:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["simulate", "convergence", "processes", "regularity"])
+    @pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if "mu" in spec.stencils])
     def test_a_stencil_reaching_half_the_torus_wraps(self, kind):
         # mu reaches 32 sites: 32 >= 64 / 2 wraps at level 6, 32 < 128 / 2 fits at level 7
         family = dict(FAMILY, mu={"atoms": [[32, 32, 1.0]]})
@@ -498,7 +537,7 @@ class TestConfigFailsBeforeOutput:
                     config_from_dict(raw)
 
     @pytest.mark.parametrize(
-        "kind, coarsest", [("simulate", 2), ("convergence", 2), ("processes", 2), ("regularity", 6)]
+        "kind, coarsest", [(kind, COARSEST[kind]) for kind, spec in KINDS.items() if spec.stencils]
     )
     def test_the_coarsest_level_accepted_runs(self, tmp_path, kind, coarsest):
         # the refusals take no level that runs: one level coarser is refused
@@ -512,7 +551,7 @@ class TestConfigFailsBeforeOutput:
         assert not out.exists()
         assert main([kind, "--config", config(coarsest), "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("kind", ["heat-kernel", "constants", "kernel-diagnostics", "validate"])
+    @pytest.mark.parametrize("kind", [kind for kind, spec in KINDS.items() if not spec.stencils])
     def test_stencil_free_kinds_run_at_level_one(self, tmp_path, kind):
         path = write_config(tmp_path, {"family": FAMILY, "N": 1, "T": 0.25})
         assert main([kind, "--config", path, "--out", str(tmp_path / "out")]) == 0
@@ -584,9 +623,9 @@ class TestConfigFailsBeforeOutput:
             raise AssertionError("regularity built a whole field")
 
         monkeypatch.setattr(processes, "_CHUNK_BYTES", 3 * 16 * (grid.M // 2 + 1) * 16)
-        monkeypatch.setattr(cli, "lift_chunks", chunks)
+        monkeypatch.setattr(norms, "lift_chunks", chunks)
         for name in ("lift", "sample_noise"):
-            monkeypatch.setattr(cli, name, refuse, raising=False)  # intercepts any call cli would make
+            monkeypatch.setattr(norms, name, refuse, raising=False)  # intercepts any call the table would make
         path = write_config(tmp_path, {"family": FAMILY, "N": 6, "T": 0.0625, "seed": seed, "replicas": replicas})
         assert main(["regularity", "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert calls == [seed, seed + 1]
@@ -596,7 +635,7 @@ class TestConfigFailsBeforeOutput:
             got = {row["target"]: row for row in csv.DictReader(fh)}
         fam = family_from_config(FAMILY)
         consts = compute_constants(fam, grid)
-        tf_space, tf_para = _regularity_families(grid)
+        tf_space, tf_para = regularity_families(grid)
         targets = {"T1": tf_space, "T11": tf_space, "T12": tf_space, "T2": tf_para}
         want = {lab: [] for lab in [*targets, "noise"]}
         for rep in range(replicas):
@@ -629,10 +668,11 @@ class TestConfigFailsBeforeOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("processes called lift")
 
-        monkeypatch.setattr(cli, "lift", refuse, raising=False)  # intercepts any call cli would make
-        monkeypatch.setattr(cli, "lift_chunks", chunks)
+        monkeypatch.setattr(processes, "lift", refuse)
+        monkeypatch.setattr(processes, "lift_chunks", chunks)
         path = write_config(tmp_path, {"family": FAMILY, "N": 5, "T": 0.25, "seed": seed, "replicas": replicas})
         assert main(["processes", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()  # the reference lifts below go through lift_chunks unpatched
         outdir = capsys.readouterr().out.strip()
         with open(os.path.join(outdir, "mc_summary.csv")) as fh:
             got = {row["label"]: row for row in csv.DictReader(fh)}
@@ -658,7 +698,7 @@ class TestConfigFailsBeforeOutput:
         def refuse(grid, seed):
             raise AssertionError("processes drew a whole noise field")
 
-        monkeypatch.setattr(cli, "sample_noise", refuse, raising=False)  # intercepts any call cli would make
+        monkeypatch.setattr(processes, "sample_noise", refuse, raising=False)  # any call mc_summary would make
         cfg = config_from_dict({"kind": "processes", "family": FAMILY, "N": 5, "T": 0.25, "seed": 21, "replicas": 2})
         bundle = run_experiment(cfg, out_root=str(tmp_path))
         for name, digest in TestExperiments.PROCESSES_DIGESTS.items():
@@ -684,32 +724,30 @@ class TestConfigFailsBeforeOutput:
             grid = GridSpec(7, T)
             cfg = config_from_dict({"kind": "regularity", "family": FAMILY, "N": 7, "T": T, "seed": 5})
             _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
-            assert peak <= regularity_bytes(grid, _regularity_families(grid)[1]), T
+            assert peak <= regularity_bytes(grid, regularity_families(grid)[1]), T
             peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < (grid.n_steps + 1) * grid.M * 8 / 2
         # at N = 10, T = 1/4 the estimate counts no field: 0.11 GB against 2.15
         grid = GridSpec(10, 0.25)
-        assert regularity_bytes(grid, _regularity_families(grid)[1]) < 0.12e9 < (grid.n_steps + 1) * grid.M * 8
+        assert regularity_bytes(grid, regularity_families(grid)[1]) < 0.12e9 < (grid.n_steps + 1) * grid.M * 8
 
     @pytest.mark.parametrize("N", [7, 8])
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_memory_need_bounds_the_traced_peak_within_four_times(self, tmp_path, kind, N):
-        # every kind that refuses on memory: the need that the refusal reads
-        # is a true bound of the run's traced peak, and no gross overcount
-        # that would refuse sizes that fit; a first run at N = 6 imports the
-        # modules the kind reads, which are not the run's to count. Every
-        # other kind has no need, so one that gains a need must join here
+        # every kind whose record has a memory need: the need that the
+        # refusal reads is a true bound of the run's traced peak, and no gross
+        # overcount that would refuse sizes that fit; a first run at N = 6
+        # imports the modules the kind reads, which are not the run's to count
         def config(n):
             levels = {"N_range": [n - 2, n - 1, n]} if kind == "convergence" else {"N": n}
             return config_from_dict(dict({"kind": kind, "family": FAMILY, "T": 0.25, "seed": 5}, **levels))
 
-        cfg = config(N)
-        if kind not in ("kernel-diagnostics", "processes", "regularity"):
-            assert cli._memory_need(cfg) is None
+        spec, cfg = KINDS[kind], config(N)
+        if spec.need is None:
             return
         run_experiment(config(6), out_root=str(tmp_path))
-        need, _ = cli._memory_need(cfg)
+        need, _ = spec.need(spec.grids(cfg)[-1])
         _, peak = traced_peak(lambda: run_experiment(cfg, out_root=str(tmp_path)))
         assert peak <= need <= 4 * peak
 

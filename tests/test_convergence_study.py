@@ -137,3 +137,17 @@ def test_one_comparison_scale_refused_before_any_step(fam_bw_ss, monkeypatch):
 def test_levels_must_be_consecutive(fam_bw_ss):
     with pytest.raises(ValueError, match="consecutive"):
         coupled_convergence_study(fam_bw_ss, [3, 5, 7], 0.0625, 1, 0)
+
+
+@pytest.mark.parametrize("levels", [[5], [5, 5]])
+def test_one_level_refused_before_any_step(fam_bw_ss, monkeypatch, levels):
+    # one level has no pair to compare; the check is the one that the
+    # convergence kind's parse-time check calls, with three for its least
+    import sbe.solver
+
+    def no_step(*args):
+        raise AssertionError("stepped before checking the levels")
+
+    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
+    with pytest.raises(ValueError, match="2 or more distinct consecutive levels"):
+        coupled_convergence_study(fam_bw_ss, levels, 0.0625, 1, 0)

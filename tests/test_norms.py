@@ -20,6 +20,7 @@ from sbe.norms import (
     make_test_family,
     _pairings_at,
 )
+from sbe.renorm import compute_constants
 
 
 def white_slice(grid, seed):
@@ -552,3 +553,12 @@ def test_parabolic_plan_on_a_zero_field_is_degenerate():
         plan.finish()
     with pytest.raises(ValueError, match="degenerate fit"):
         estimate_exponent(LatticeField(grid, zeros), tf, mode="parabolic")
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_regularity_table_refuses_no_replica(fam_bw_ss, replicas):
+    grid = GridSpec(6, 0.25)
+    sbe.norms.regularity_families(grid)  # the grid itself fits
+    consts = compute_constants(fam_bw_ss, grid)
+    with pytest.raises(ValueError, match="replicas: expected >= 1"):
+        sbe.norms.regularity_table(fam_bw_ss, consts, grid, 0, replicas)

@@ -63,6 +63,15 @@ def test_lift_guards(fam_bw_ss, fam_ce_pw, setup):
         lift(noise, fam_bw_ss, wrong_grid)
 
 
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_mc_summary_refuses_no_replica(fam_bw_ss, setup, replicas):
+    grid, consts = setup
+    seen = []
+    with pytest.raises(ValueError, match="replicas: expected >= 1"):
+        processes.mc_summary(fam_bw_ss, consts, grid, 0, replicas, lambda lab, values: seen.append(lab))
+    assert seen == []
+
+
 def test_t1_linear_in_noise(fam_bw_ss, setup):
     grid, consts = setup
     n1 = sample_noise(grid, 1)

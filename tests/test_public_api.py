@@ -176,6 +176,19 @@ def test_every_private_helper_has_a_library_reader():
     assert sorted(unread) == sorted(PRIVATE_KEPT), f"private helpers no library module reads: {', '.join(unread)}"
 
 
+def test_cli_imports_no_private_library_name():
+    # the front end parses, dispatches and writes: what it needs of a kind
+    # the library offers under a public name (dunders such as __version__ aside)
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse((ROOT / "src" / "sbe" / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "sbe")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"cli imports private library names: {', '.join(private)}"
+
+
 def _oracle_reads(tree: ast.AST) -> set:
     """The names a test module imports from tests/oracles.py and reads."""
     imported = {
