@@ -29,7 +29,7 @@ from . import __version__
 from .fieldio import FieldAppender, sha256_file, write_csv, write_field, write_json
 from .grids import GridSpec, NoiseField
 from .heat import HeatKernel
-from .kernels import order_norm, renormalized_square_check, square_check_bytes
+from .kernels import renormalized_square_check, square_check_bytes
 from .measures import AtomicMeasure1D, AtomicMeasure2D, preset_measure, validate_mu, validate_nu, validate_pi
 from .norms import PROFILE_SMOOTHNESS, regularity_bytes, regularity_families, regularity_table
 from .operators import OperatorFamily, check_wrap
@@ -203,10 +203,12 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
         raise SchemaError("N: missing (give N or N_range)")
     if cfg.N is None and spec.one_level:
         raise SchemaError(f"N: missing ({cfg.kind} runs at one level N; N_range is not read)")
-    given = ([cfg.N] if cfg.N is not None else []) + list(cfg.N_range or [])
+    # the field holding the levels the run reads: N_range replaces N, except for a one-level kind
+    name = "N" if spec.one_level or not cfg.N_range else "N_range"
+    given = [cfg.N] if name == "N" else cfg.N_range
     for n in given:
         if not 1 <= n <= N_GUARD:
-            raise SchemaError(f"N: level {n} outside 1..{N_GUARD} (desk-scale guard)")
+            raise SchemaError(f"{name}: level {n} outside 1..{N_GUARD} (desk-scale guard)")
     if cfg.N_range and len(set(cfg.N_range)) < len(cfg.N_range):
         raise SchemaError(f"N_range: a level is given more than once in {cfg.N_range}")
     if not (math.isfinite(cfg.T) and cfg.T > 0):
@@ -245,7 +247,6 @@ def config_from_dict(raw: dict, kind: str | None = None) -> ExperimentConfig:
             fits(grids[0])
         except ValueError as exc:
             raise SchemaError(refusal.format(cfg=cfg, grid=grids[0], exc=exc)) from exc
-    name = "N" if spec.one_level or not cfg.N_range else "N_range"
     try:
         for key in spec.stencils:
             check_wrap(measures[key].radius, grids[0].M)
@@ -457,11 +458,10 @@ def _exp_convergence(cfg, fam, grids, outdir):
 def _exp_kernel_diag(cfg, fam, grids, outdir):
     rows = []
     for grid in grids:
-        K, ident_norm, resid = renormalized_square_check(fam, grid)
-        rows.append((grid.N, "order_norm_K_zeta_-1_m2", order_norm(K, grid, -1.0, m=2)))
+        k_norm, ident_norm, resid = renormalized_square_check(fam, grid)
+        rows.append((grid.N, "order_norm_K_zeta_-1_m2", k_norm))
         rows.append((grid.N, "renormalized_convolution_identity_residual", resid))
         rows.append((grid.N, "renormalized_convolution_order_norm", ident_norm))
-        del K  # free this level before the next one is built
     write_csv(os.path.join(outdir, "kernel_diagnostics.csv"), ["N", "quantity", "value"], rows)
     return ["kernel_diagnostics.csv"], {}, 0
 

@@ -12,9 +12,12 @@ P is real, so row n is the irfft of m^n on the half-spectrum (rfft modes
 makes P one block of about operators._BLOCK_BYTES of rows at a time for
 every pass (the columns, the cutoff, the decay bounds and the heat-kernel
 experiment), and a ``HeatKernel`` keeps no rows between calls;
-``bound_blocks`` adds each block's per-time maxima of the decay bounds,
-all three derivative orders from its half-spectrum, so that
-``diagnostics`` makes each row once.
+``singular_blocks`` cuts each block off as it comes, so that the
+renormalized-square check of ``kernels`` can make K again where it reads
+it; the cutoff reads x only through x^4, so it is taken on the M/2 + 1
+distinct |x| and mirrored. ``bound_blocks`` adds each block's per-time
+maxima of the decay bounds, all three derivative orders from its
+half-spectrum, so that ``diagnostics`` makes each row once.
 Each step is elementwise, per row or a per-row max, so the results equal
 the whole-field passes bit for bit. Every horizon is a whole number of
 steps in [0, T].
@@ -38,12 +41,10 @@ CUTOFF_OUTER = 0.5
 def _transition(s: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for s <= 0, 0 for s >= 1."""
     s = np.asarray(s, dtype=np.float64)
-    a = np.zeros_like(s)
-    b = np.zeros_like(s)
-    pos = s > 0.0
-    neg = s < 1.0
-    a[pos] = np.exp(-1.0 / s[pos])
-    b[neg] = np.exp(-1.0 / (1.0 - s[neg]))
+    a, b = np.zeros_like(s), np.zeros_like(s)
+    pos, neg = s > 0.0, s < 1.0
+    np.exp(np.divide(-1.0, s, out=a, where=pos), out=a, where=pos)
+    np.exp(np.divide(-1.0, np.subtract(1.0, s, out=b, where=neg), out=b, where=neg), out=b, where=neg)
     return b / (a + b)
 
 
@@ -126,20 +127,33 @@ class HeatKernel:
         u = np.asarray(u, dtype=np.float64)
         return u + self.grid.dt * laplacian(self.fam, u, self.grid.eps)
 
-    def singular_part(self, horizon: float) -> np.ndarray:
-        """The singular part K = chi P of the kernel up to a horizon, with torus-adapted radii.
+    def singular_blocks(self, horizon: float):
+        """The singular part K = chi P of the kernel up to a horizon as new blocks (rows, block) in order; the horizon is checked first.
 
         chi is smooth in z (a transition in the smooth parabolic-norm
         surrogate); its radii are calibrated so that K equals P on
-        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. Each
-        block of rows of P is made, cut off and written into K, so K is the
-        one field held.
+        |z|_s <= CUTOFF_INNER and vanishes for |z|_s > CUTOFF_OUTER. chi
+        reads x only through x^4, so it is taken on the M/2 + 1 sites
+        x = 0 .. M/2 eps and mirrored onto the rest; each block of P is
+        multiplied by it in place.
         """
+        M = self.grid.M
+        blocks = self.row_blocks(horizon)
+        half = self.grid.eps * np.arange(M // 2 + 1)
+
+        def cut(rows: slice, P: np.ndarray) -> np.ndarray:
+            chi = smooth_cutoff(smooth_parabolic_norm(np.arange(rows.start, rows.stop)[:, None] * self.grid.dt, half))
+            P[:, : M // 2 + 1] *= chi
+            P[:, M // 2 + 1 :] *= chi[:, M // 2 - 1 : 0 : -1]  # sites -(M/2 - 1) .. -1
+            return P
+
+        return ((rows, cut(rows, P)) for rows, P in blocks)
+
+    def singular_part(self, horizon: float) -> np.ndarray:
+        """The singular part K = chi P of the kernel up to a horizon (``singular_blocks``) in a new array, the one field held."""
         K = np.empty((self._steps(horizon) + 1, self.grid.M))
-        x = self.grid.eps * modes(self.grid.M)
-        for rows, P in self.row_blocks(horizon):
-            t = np.arange(rows.start, rows.stop)[:, None] * self.grid.dt
-            np.multiply(smooth_cutoff(smooth_parabolic_norm(t, x)), P, out=K[rows])
+        for rows, block in self.singular_blocks(horizon):
+            K[rows] = block
         return K
 
     def bound_blocks(self, horizon: float):

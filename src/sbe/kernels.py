@@ -20,9 +20,12 @@ computed ones are exact zeros.
 
 A convolution runs in one buffer laid out by frequency (``_spectra``),
 which ``_convolved`` transforms in place, yielding the output a block of
-rows at a time; the check's peak is K and that buffer. The check's direct
-sums add their terms in the pairwise tree of np.sum (``_pairwise``), one
-leaf of _LEAF items at a time in a scratch of a few rows.
+rows at a time. The check holds |DxK|^2 and K in the same buffer until the
+spectra are written, and makes K again a block at a time
+(``HeatKernel.singular_blocks``) wherever the spectra and the output read
+it, so its peak is that buffer. The check's direct sums add their terms in
+the pairwise tree of np.sum (``_pairwise``), one leaf of _LEAF items at a
+time in a scratch of a few rows.
 
 Every other pass runs one block of about operators._BLOCK_BYTES at a time
 (the order norm's time difference reads one row past its block), and an
@@ -162,7 +165,7 @@ def _spectra(buf: np.ndarray, r1: int, r2: int, M: int) -> np.ndarray:
     return buf[: 2 * L * (M // 2 + 1)].view(np.complex128).reshape(M // 2 + 1, L)
 
 
-def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b: np.ndarray, mass: float):
+def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b_blocks, mass: float):
     """The n_out rows of a * b minus mass times b, from their half-spectra in spec, as new blocks (rows, block) in order.
 
     Row c of spec holds column c of a's half-spectrum in its first r1
@@ -170,7 +173,8 @@ def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b
     (zero-padded to L), a's spectrum multiplied by b's and inverted, in
     place. A block of output is its columns inverse transformed and scaled
     by eps^3, exact zeros from row r1 + r2 - 1 on, minus mass times the rows
-    of b it meets.
+    of b it meets; b's rows come as blocks (rows, block) in order from row
+    0, of any size.
     """
     half, L = spec.shape
     for cs in _blocks(half, 16 * L):
@@ -178,13 +182,19 @@ def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b
         prod *= np.fft.fft(spec[cs, r1 : r1 + r2], n=L, axis=1)
         spec[cs] = np.fft.ifft(prod, axis=1)
     M, done = grid.M, r1 + r2 - 1
+    b_blocks = iter(b_blocks)
+    b_rows, b = next(b_blocks, (None, None))
     for rows in _blocks(n_out, 8 * M):
         block = np.zeros((rows.stop - rows.start, M))
         if rows.start < done:
             n = min(rows.stop, done) - rows.start
             np.multiply(grid.eps**3, np.fft.irfft(spec[:, rows.start : rows.start + n].T, n=M, axis=1), out=block[:n])
-        if rows.start < len(b):
-            block[: len(b) - rows.start] -= mass * b[rows]
+        while b is not None and b_rows.start < rows.stop:
+            lo, hi = max(rows.start, b_rows.start), min(rows.stop, b_rows.stop)
+            block[lo - rows.start : hi - rows.start] -= mass * b[lo - b_rows.start : hi - b_rows.start]
+            if b_rows.stop > rows.stop:  # the rest of b's block meets the next output block
+                break
+            b_rows, b = next(b_blocks, (None, None))
         yield rows, block
 
 
@@ -266,62 +276,79 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
     return out
 
 
-def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[np.ndarray, float, float]:
-    """Singular kernel K, the order norm of R(|DxK|^2) * K and the renormalized-convolution residual.
+def _max_time_length(grid: GridSpec) -> int:
+    """The longest L of the square check's spectra on grid.
+
+    K's cutoff vanishes from t = 1/4 on, so K occupies at most
+    min(n_steps + 1, M^2 / 4) rows, and |DxK|^2 no more.
+    """
+    return _time_length(2 * min(grid.n_steps + 1, max(1, grid.M * grid.M // 4)))
+
+
+def _buffer_items(grid: GridSpec) -> int:
+    """Float64 items of the square check's buffer: two fields like K or the longest spectra, whichever is larger."""
+    M = grid.M
+    return max(2 * _max_time_length(grid) * (M // 2 + 1), 2 * (grid.n_steps + 1) * M)
+
+
+def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[float, float, float]:
+    """The order norm of the singular kernel K, that of R(|DxK|^2) * K and the renormalized-convolution residual.
 
     K (order -1) is the singular part of the heat kernel up to the grid
-    horizon and DxK its spectral derivative; |DxK|^2 is taken at order
-    -3.5, so R(|DxK|^2) * K at order -1.5, whose norm is taken at depth 0.
-    The residual compares the FFT route (``_convolved``) with the direct sum
-    eps^3 sum_w |DxK|^2(w) (K(z - w) - K(z)), K zero outside its rows, at
-    CHECK_POINTS seeded points z and the four corners: the largest gap over
-    the sup of the FFT result. Returns (K, norm, residual).
+    horizon, its norm taken at depth 2, and DxK its spectral derivative;
+    |DxK|^2 is taken at order -3.5, so R(|DxK|^2) * K at order -1.5, whose
+    norm is taken at depth 0. The residual compares the FFT route
+    (``_convolved``) with the direct sum eps^3 sum_w |DxK|^2(w) (K(z - w) -
+    K(z)), K zero outside its rows, at CHECK_POINTS seeded points z and the
+    four corners: the largest gap over the sup of the FFT result. Returns
+    (K's norm, norm, residual).
 
-    One buffer holds |DxK|^2 for the direct sums and its mass, then the
-    two half-spectra: |DxK|^2's rows are remade from K's, by the same
-    per-row transforms, as its spectrum is written. The direct sums make
-    their terms a few rows at a time and the FFT result is reduced a block
-    at a time, so the peak is K and the buffer.
+    One buffer holds |DxK|^2 in its head and K in its tail for the direct
+    sums, the mass and K's norm, then the two half-spectra, written from
+    K's rows made again a block at a time (``HeatKernel.singular_blocks``)
+    and |DxK|^2's rows remade from them by the same per-row transforms.
+    The mass times K that the output subtracts reads K made again the same
+    way, the direct sums make their terms a few rows at a time and the FFT
+    result is reduced a block at a time, so the peak is the buffer.
     """
-    K = HeatKernel(grid, fam).singular_part(grid.T)
-    (nt, M), r2 = K.shape, _occupied_rows(K)
+    hk = HeatKernel(grid, fam)
+    M, nt = grid.M, grid.n_steps + 1
     dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
-    # a zero row of K makes a zero row of |DxK|^2, so |DxK|^2 occupies at most r2 rows
-    buf = np.empty(max(2 * _time_length(2 * r2) * (M // 2 + 1), nt * M))
-    sq = buf[: nt * M].reshape(nt, M)
-    for rows in _blocks(nt, 8 * M):
-        np.square(np.fft.irfft(np.fft.rfft(K[rows], axis=1) * dmult, n=M, axis=1), out=sq[rows])
+    buf = np.empty(_buffer_items(grid))
+    sq, K = buf[: nt * M].reshape(nt, M), buf[len(buf) - nt * M :].reshape(nt, M)
+    for rows, block in hk.singular_blocks(grid.T):
+        K[rows] = block
+        np.square(np.fft.irfft(np.fft.rfft(block, axis=1) * dmult, n=M, axis=1), out=sq[rows])
     n_out = 2 * nt - 1
     gen = rng_for(0, 91)
     points = [(0, 0), (0, M - 1), (n_out - 1, 0), (n_out - 1, M - 1)]
     points += zip(gen.integers(0, n_out, CHECK_POINTS).tolist(), gen.integers(0, M, CHECK_POINTS).tolist())
     direct = _direct_sums(K, sq, points, grid.eps)
-    mass, r1 = float(grid.eps**3 * np.sum(sq)), _occupied_rows(sq)
-    spec = _spectra(buf, r1, r2, M)
-    for rows in _blocks(r2, 16 * M):
-        k_hat = np.fft.rfft(K[rows], axis=1)
-        spec[:, r1 + rows.start : r1 + rows.stop] = k_hat.T
+    k_norm = order_norm(K, grid, -1.0, m=2)
+    # a zero row of K makes a zero row of |DxK|^2, so r1 <= r2
+    mass, r1, r2 = float(grid.eps**3 * np.sum(sq)), _occupied_rows(sq), _occupied_rows(K)
+    spec = _spectra(buf, r1, r2, M)  # from here on K and |DxK|^2 are overwritten
+    for rows, block in hk.singular_blocks(grid.T):
+        if rows.start >= r2:
+            break
+        k_hat = np.fft.rfft(block[: r2 - rows.start], axis=1)
+        spec[:, r1 + rows.start : r1 + rows.start + len(k_hat)] = k_hat.T
         if rows.start < r1:
             sq_hat = np.fft.rfft(np.square(np.fft.irfft(k_hat[: r1 - rows.start] * dmult, n=M, axis=1)), axis=1)
             spec[:, rows.start : rows.start + len(sq_hat)] = sq_hat.T
-    blocks = _convolved(spec, r1, r2, n_out, grid, K, mass)
+    blocks = _convolved(spec, r1, r2, n_out, grid, hk.singular_blocks(grid.T), mass)
     norm, sup, at = _reduce(blocks, points, grid, -3.5 + -1.0 + SPACE_TIME_DIM)
-    return K, norm, float(np.max(np.abs(direct - at))) / sup
+    return k_norm, norm, float(np.max(np.abs(direct - at))) / sup
 
 
 def square_check_bytes(grid: GridSpec) -> int:
     """Bytes that ``renormalized_square_check`` holds at its peak on this grid, as an upper bound.
 
-    K and the buffer. K has n_steps + 1 rows; its cutoff vanishes from
-    t = 1/4 on, so it occupies at most min(n_steps + 1, M^2 / 4) rows. The
-    buffer holds one field like K (|DxK|^2) or the (M/2+1, L) spectra,
-    whichever is larger. The singular part's blocks of P beside K, and the
-    direct sums' scratch of _LEAF items and two rows, hold less. Twelve
-    blocks, each at least one row of the time FFTs, cover the temporaries
-    twice over: three for a block's time spectra, about six for an output
+    The buffer (``_buffer_items``). The blocks of K made again beside it,
+    the direct sums' scratch of _LEAF items and two rows and the order
+    norm's blocks hold less than the temporaries of the convolution:
+    twelve blocks, each at least one row of the time FFTs, cover them twice
+    over, three for a block's time spectra and about six for an output
     block and its reduction.
     """
-    M, rows = grid.M, grid.n_steps + 1
-    occupied = min(rows, max(1, M * M // 4))
-    L = _time_length(2 * occupied)
-    return 8 * rows * M + 8 * max(2 * L * (M // 2 + 1), rows * M) + 12 * max(_BLOCK_BYTES, 16 * L)
+    return 8 * _buffer_items(grid) + 12 * max(_BLOCK_BYTES, 16 * _max_time_length(grid))

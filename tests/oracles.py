@@ -36,8 +36,11 @@ renormalized-square check, so that its blocks can be checked whole.
 ``order_norm_whole`` are the heat kernel, its singular part and decay
 bounds, the time and space-time convolutions and the order norm spelled on
 whole fields, one field-sized array per step, the heat kernel's on the real
-half-spectrum as ``sbe.heat`` takes it. The blocked passes of ``sbe.heat``
-and ``sbe.kernels`` must equal them bit for bit.
+half-spectrum as ``sbe.heat`` takes it. ``split_whole`` takes the cutoff at
+every site, with its exps on boolean gathers (``cutoff_whole``), where
+``sbe.heat`` takes it on the M/2 + 1 distinct |x| with masked exps. The
+blocked passes of ``sbe.heat`` and ``sbe.kernels`` must equal them bit for
+bit.
 
 ``space_pairing_map`` and ``parabolic_pairing_map`` pair a field with the
 test functions phi_x^lambda of ``sbe.norms`` at every base site, by FFT
@@ -49,7 +52,7 @@ import numpy as np
 
 from sbe import kernels
 from sbe.grids import GridSpec, NoiseField
-from sbe.heat import HeatKernel, parabolic_norm, smooth_cutoff, smooth_parabolic_norm
+from sbe.heat import CUTOFF_INNER, CUTOFF_OUTER, HeatKernel, parabolic_norm, smooth_parabolic_norm
 from sbe.kernels import _occupied_rows
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.norms import TestFunctionFamily, _space_kernel, _time_halfwidth, _time_kernel
@@ -282,14 +285,25 @@ def columns_whole(hk: HeatKernel, n_max: int) -> np.ndarray:
     return np.vstack([delta, np.fft.irfft(powers, n=hk.grid.M, axis=-1) / hk.grid.eps])
 
 
+def cutoff_whole(r: np.ndarray) -> np.ndarray:
+    """chi(r) of ``sbe.heat.smooth_cutoff``, its transition's exps taken on boolean gathers."""
+    inner = 2**0.25 * CUTOFF_INNER
+    s = (r - inner) / (CUTOFF_OUTER - inner)
+    a, b = np.zeros_like(s), np.zeros_like(s)
+    pos, neg = s > 0.0, s < 1.0
+    a[pos] = np.exp(-1.0 / s[pos])
+    b[neg] = np.exp(-1.0 / (1.0 - s[neg]))
+    return b / (a + b)
+
+
 def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
-    """hk's singular part K = chi P, each step on the whole field."""
+    """hk's singular part K = chi P, each step on the whole field, chi at every site."""
     grid = hk.grid
     n_h = int(round(horizon / grid.dt))
     P = columns_whole(hk, n_h)
     t = np.arange(n_h + 1)[:, None] * grid.dt
     x = (grid.eps * modes(grid.M))[None, :]
-    return smooth_cutoff(smooth_parabolic_norm(t, x)) * P
+    return cutoff_whole(smooth_parabolic_norm(t, x)) * P
 
 
 def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
@@ -354,7 +368,9 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, subtracted: np.ndarr
 
     The output blocks of ``sbe.kernels._convolved`` put together, from a's
     and b's half-spectra written into its frequency-major buffer a block of
-    rows at a time; an all-zero input gives exact zeros before the subtraction.
+    rows at a time; an all-zero input gives exact zeros before the
+    subtraction. ``subtracted`` goes in as blocks of a third of the output's
+    rows, rounded down, so that some straddle two output blocks.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
@@ -368,7 +384,8 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, subtracted: np.ndarr
             if rows.start < r:
                 x_hat = np.fft.rfft(x[rows.start : min(rows.stop, r)], axis=1)
                 spec[:, offset + rows.start : offset + rows.start + len(x_hat)] = x_hat.T
-    for rows, block in kernels._convolved(spec, r1, r2, n_out, grid, subtracted, mass):
+    sub_blocks = ((rows, subtracted[rows]) for rows in _blocks(len(subtracted), 24 * M))
+    for rows, block in kernels._convolved(spec, r1, r2, n_out, grid, sub_blocks, mass):
         out[rows] = block
     return out
 

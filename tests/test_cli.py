@@ -59,6 +59,22 @@ class TestConfigSchema:
         with pytest.raises(SchemaError, match="desk-scale"):
             config_from_dict({"kind": "simulate", "family": FAMILY, "N": 14})
 
+    def test_guard_names_the_field_holding_the_level(self):
+        with pytest.raises(SchemaError, match=r"^N_range: level 14 outside 1\.\.10 \(desk-scale guard\)"):
+            config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [5, 14]})
+        with pytest.raises(SchemaError, match=r"^T: .* at level 2$"):
+            config_from_dict({"kind": "constants", "family": FAMILY, "N_range": [2, 5], "T": 1 / 64})
+
+    def test_levels_a_run_does_not_read_are_not_checked(self):
+        # a one-level kind reads N alone: a level beyond the guard, or one
+        # the horizon is no whole number of steps at, in N_range is let be
+        cfg = config_from_dict({"kind": "simulate", "family": FAMILY, "N": 5, "N_range": [14]})
+        assert [grid.N for grid in KINDS["simulate"].grids(cfg)] == [5]
+        config_from_dict({"kind": "simulate", "family": FAMILY, "N": 5, "N_range": [2], "T": 1 / 64})
+        # and N_range replaces N for the others
+        cfg = config_from_dict({"kind": "constants", "family": FAMILY, "N": 14, "N_range": [5, 6]})
+        assert cfg.levels() == [5, 6]
+
     def test_replica_guard(self):
         with pytest.raises(SchemaError, match="replicas"):
             config_from_dict({"kind": "processes", "family": FAMILY, "N": 5, "replicas": 0})

@@ -9,7 +9,7 @@ blocks with a partial last one whatever the block size. The square check's
 direct sums add their terms in leaves of np.sum's pairwise tree, which
 must add up to np.sum of the whole bit for bit. The memory guards keep the
 passes free of field-sized temporaries, the direct sums to a few rows, the
-convolution to its one buffer, the square check to K and that buffer, and
+convolution to its one buffer, the square check to one buffer, and
 the heat kernel free of rows kept between calls.
 """
 
@@ -67,6 +67,17 @@ class TestHeatKernel:
             assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, diag.j, long_grid.T)), diag.j
             assert diag.sup == diag.per_time_max.max()
 
+    @pytest.mark.parametrize("N", [5, 6, 7, 8])
+    def test_singular_part_and_blocks_equal_the_whole_field_in_bytes(self, fam_bw_ss, N):
+        # bytes, not values: a -0.0 where the whole field has +0.0 fails here
+        grid = GridSpec(N, 0.25)
+        hk = HeatKernel(grid, fam_bw_ss)
+        want = split_whole(hk, grid.T).tobytes()
+        assert hk.singular_part(grid.T).tobytes() == want
+        blocks = list(hk.singular_blocks(grid.T))
+        assert [rows for rows, _ in blocks] == _blocks(grid.n_steps + 1, 16 * grid.M)
+        assert b"".join(block.tobytes() for _, block in blocks) == want
+
     def test_bounds_equal_the_whole_field_in_every_block(self, fam_bw_ss):
         # M = 128: blocks of 64 rows, and every row up to T = 1/8 has sites inside |z|_s <= 3/8
         grid = GridSpec(7, 0.125)
@@ -100,6 +111,7 @@ class TestHeatKernel:
             (lambda hk: hk.columns(hk.grid.n_steps + 1), OUTSIDE),
             (lambda hk: hk.singular_part(-hk.grid.dt), OUTSIDE),
             (lambda hk: hk.singular_part(hk.grid.T + hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.singular_blocks(hk.grid.T + hk.grid.dt), OUTSIDE),
             (lambda hk: hk.verify_bounds(1.0), OUTSIDE),
             (lambda hk: hk.verify_bounds(-0.01), OUTSIDE),
             (lambda hk: hk.verify_bounds(float("nan")), OUTSIDE),
@@ -112,6 +124,7 @@ class TestHeatKernel:
             "columns-past-T",
             "split-dt",
             "split-past-T",
+            "split-blocks-past-T",
             "bounds-1",
             "bounds-negative",
             "bounds-nan",
@@ -250,7 +263,8 @@ class TestSquareCheckReductions:
             return seen[-1][1]
 
         monkeypatch.setattr(kernels, "_reduce", spy)
-        K, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
+        _, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
+        K = HeatKernel(self.grid, fam_bw_ss).singular_part(self.grid.T)
         M = self.grid.M
         assert spans_blocks(2 * K.shape[0] - 1, 8 * M)
         dmult = derivative_multiplier(fam_bw_ss, self.grid.eps, M)[: M // 2 + 1]
@@ -263,6 +277,11 @@ class TestSquareCheckReductions:
         assert sup == max(field.max(), -field.min())
         n_idx, x_idx = np.array(points).T
         assert np.array_equal(at, field[n_idx, x_idx])
+
+    def test_k_norm_is_that_of_the_singular_part(self, fam_bw_ss):
+        k_norm, _, _ = renormalized_square_check(fam_bw_ss, self.grid)
+        K = HeatKernel(self.grid, fam_bw_ss).singular_part(self.grid.T)
+        assert k_norm == order_norm(K, self.grid, -1.0, m=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_value_is_named_in_the_whole_field(self, fam_bw_ss, monkeypatch, bad):
@@ -382,7 +401,8 @@ class TestMemory:
         spec = kernels._spectra(np.empty(2 * L * (grid.M // 2 + 1)), r1, r2, grid.M)
         spec[:, :r1] = np.fft.rfft(sq[:r1], axis=1).T
         spec[:, r1 : r1 + r2] = np.fft.rfft(K[:r2], axis=1).T
-        blocks = kernels._convolved(spec, r1, r2, n_out, grid, K, 1.0)
+        k_blocks = ((rows, K[rows]) for rows in _blocks(K.shape[0], 16 * grid.M))
+        blocks = kernels._convolved(spec, r1, r2, n_out, grid, k_blocks, 1.0)
         count, peak = traced_peak(lambda: sum(1 for _ in blocks))
         # the time FFTs run in place and the output comes a new block at a
         # time: beside the buffer no half-spectrum (16.9 MB here) and no
@@ -390,13 +410,14 @@ class TestMemory:
         assert count == len(_blocks(n_out, 8 * grid.M))
         assert peak <= 4 * max(_BLOCK_BYTES, 16 * L)
 
-    def test_square_check_holds_k_and_its_buffer(self, fam_bw_ss, grid):
-        (K, _, _), peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
-        rows = kernels._occupied_rows(K)
-        L = kernels._time_length(2 * rows)
-        buffer = 8 * max(2 * L * (grid.M // 2 + 1), K.size)
-        # neither the output field (33.5 MB) nor a half-spectrum (16.9 MB) beside them
-        assert peak <= K.nbytes + buffer + 4 * max(_BLOCK_BYTES, 16 * L)
+    def test_square_check_holds_its_buffer_alone(self, fam_bw_ss, grid):
+        _, peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
+        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        L = kernels._time_length(2 * kernels._occupied_rows(K))
+        buffer = 8 * max(2 * L * (grid.M // 2 + 1), 2 * K.size)
+        # neither K (16.8 MB) nor the output field (33.5 MB) nor a
+        # half-spectrum (16.9 MB) beside it
+        assert peak <= buffer + 4 * max(_BLOCK_BYTES, 16 * L)
 
     def test_direct_sums_hold_no_field(self, fam_bw_ss):
         # K at N = 7, T = 1/4 is 4.2 MB; the terms are made a leaf at a time
