@@ -18,14 +18,16 @@ half-spectra (rfft modes 0..M/2) and only over the rows they occupy: each
 input is cut after its last nonzero row, and the output rows past the
 computed ones are exact zeros.
 
-A convolution runs in one buffer laid out by frequency (``_spectra``),
-which ``_convolved`` transforms in place, yielding the output a block of
-rows at a time. The check holds |DxK|^2 and K in the same buffer until the
-spectra are written, and makes K again a block at a time
-(``HeatKernel.singular_blocks``) wherever the spectra and the output read
-it, so its peak is that buffer. The check's direct sums add their terms in
-the pairwise tree of np.sum (``_pairwise``), one leaf of _LEAF items at a
-time in a scratch of a few rows.
+A convolution runs in one buffer of half-spectra laid out by time
+(``_spectra``), which ``_convolved`` transforms a block of frequency
+columns at a time and writes back in place, yielding the output a block
+of rows at a time. The check holds |DxK|^2 and K in that buffer, turns
+them into their spectra in place and makes K again a block at a time
+(``HeatKernel.singular_blocks``) where the output subtracts it, so K is
+made twice and the check's peak is the buffer. The check's direct sums add
+their terms in the pairwise tree of np.sum (``_pairwise``), one leaf of
+_LEAF items at a time in a scratch of a few rows, each leaf made for every
+point while its rows are in cache.
 
 Every other pass runs one block of about operators._BLOCK_BYTES at a time
 (the order norm's time difference reads one row past its block), and an
@@ -37,6 +39,7 @@ whole-field passes bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -159,36 +162,37 @@ def _time_length(n: int) -> int:
     return L
 
 
-def _spectra(buf: np.ndarray, r1: int, r2: int, M: int) -> np.ndarray:
-    """The frequency-major view of buf's head: M/2+1 rows of ``_time_length(r1 + r2)`` complex values."""
-    L = _time_length(r1 + r2)
-    return buf[: 2 * L * (M // 2 + 1)].view(np.complex128).reshape(M // 2 + 1, L)
+def _spectra(buf: np.ndarray, rows: int, M: int) -> np.ndarray:
+    """The time-major view of buf's head: ``rows`` rows of M/2+1 complex values, one half-spectrum per time row."""
+    return buf[: rows * (M + 2)].view(np.complex128).reshape(rows, M // 2 + 1)
 
 
 def _convolved(spec: np.ndarray, r1: int, r2: int, n_out: int, grid: GridSpec, b_blocks, mass: float):
     """The n_out rows of a * b minus mass times b, from their half-spectra in spec, as new blocks (rows, block) in order.
 
-    Row c of spec holds column c of a's half-spectrum in its first r1
-    entries and b's in the next r2. Each block of rows is time-transformed
-    (zero-padded to L), a's spectrum multiplied by b's and inverted, in
-    place. A block of output is its columns inverse transformed and scaled
-    by eps^3, exact zeros from row r1 + r2 - 1 on, minus mass times the rows
-    of b it meets; b's rows come as blocks (rows, block) in order from row
-    0, of any size.
+    Rows 0 .. r1 - 1 of spec hold a's half-spectra, one per time row, and
+    the next r2 rows b's. A block of frequency columns of each is
+    time-transformed along spec's rows (numpy gathers each column into a
+    contiguous line zero-padded to L), a's spectrum multiplied by b's and
+    inverted, and its first r1 + r2 - 1 rows scattered back into spec. A
+    block of output is those rows, contiguous, inverse transformed and
+    scaled by eps^3, exact zeros from row r1 + r2 - 1 on, minus mass times
+    the rows of b it meets; b's rows come as blocks (rows, block) in order
+    from row 0, of any size.
     """
-    half, L = spec.shape
+    half, L, done = spec.shape[1], _time_length(r1 + r2), r1 + r2 - 1
     for cs in _blocks(half, 16 * L):
-        prod = np.fft.fft(spec[cs, :r1], n=L, axis=1)
-        prod *= np.fft.fft(spec[cs, r1 : r1 + r2], n=L, axis=1)
-        spec[cs] = np.fft.ifft(prod, axis=1)
-    M, done = grid.M, r1 + r2 - 1
+        prod = np.fft.fft(spec[:r1, cs], n=L, axis=0)
+        prod *= np.fft.fft(spec[r1 : r1 + r2, cs], n=L, axis=0)
+        spec[:done, cs] = np.fft.ifft(prod, axis=0)[:done]
+    M = grid.M
     b_blocks = iter(b_blocks)
     b_rows, b = next(b_blocks, (None, None))
     for rows in _blocks(n_out, 8 * M):
         block = np.zeros((rows.stop - rows.start, M))
         if rows.start < done:
             n = min(rows.stop, done) - rows.start
-            np.multiply(grid.eps**3, np.fft.irfft(spec[:, rows.start : rows.start + n].T, n=M, axis=1), out=block[:n])
+            np.multiply(grid.eps**3, np.fft.irfft(spec[rows.start : rows.start + n], n=M, axis=1), out=block[:n])
         while b is not None and b_rows.start < rows.stop:
             lo, hi = max(rows.start, b_rows.start), min(rows.stop, b_rows.stop)
             block[lo - rows.start : hi - rows.start] -= mass * b[lo - b_rows.start : hi - b_rows.start]
@@ -238,26 +242,31 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
 
     The literal increment sum over every w of sq's grid, added as np.sum
     adds the field of terms of sq's shape, but one leaf of _LEAF items of
-    its pairwise tree (``_pairwise``) at a time in a scratch of a few rows.
-    A leaf's rows s where K(z - w) = 0 are sq times -K(z); on the others
-    it is row n - s of K at sites x, .., 0, M - 1, .., x + 1, two reversed
-    slices copied in, minus K(z), times sq. A leaf with no row of the
-    second kind at a point where K(z) = 0 sums to +0.0 (sq >= 0) and is not
-    made.
+    its pairwise tree (``_pairwise``) at a time in a scratch of a few rows;
+    each leaf is made for every point in turn while its rows of sq are in
+    cache, and the tree adds the points' leaf sums elementwise. A leaf's
+    rows s where K(z - w) = 0 are sq times -K(z); on the others it is row
+    n - s of K at sites x, .., 0, M - 1, .., x + 1, two reversed slices
+    copied in, minus K(z), times sq. The subtract is skipped where K(z) =
+    0: it could only turn a -0.0 term into +0.0, and np.sum does not see
+    the sign of a zero term (terms all zero sum to +0.0). A leaf with no
+    row of the second kind at a point where K(z) = 0 sums to +0.0 (sq >= 0)
+    and is not made.
     """
     nk, M = K.shape
     scratch = np.empty((_LEAF // M + 2) * M)  # a leaf meets at most _LEAF // M + 2 rows
-    out = np.empty(len(points))
-    for i, (n, x) in enumerate(points):
+    spans = []
+    for n, x in points:
         # w = (s, y) with K(z - w) inside K's rows: nk > n - s >= 0
-        lo, hi = max(0, n - nk + 1), min(n, nk - 1) + 1
-        kz = K[n, x] if n < nk else 0.0
+        kz = float(K[n, x]) if n < nk else 0.0
+        spans.append((n, x, max(0, n - nk + 1), min(n, nk - 1) + 1, kz))
 
-        def leaf(a: int, size: int) -> float:
-            r0, r1 = a // M, (a + size - 1) // M + 1
+    def leaf(a: int, size: int) -> np.ndarray:
+        r0, r1 = a // M, (a + size - 1) // M + 1
+        terms, sums = scratch[: (r1 - r0) * M].reshape(r1 - r0, M), np.zeros(len(spans))
+        for i, (n, x, lo, hi, kz) in enumerate(spans):
             if kz == 0.0 and (r1 <= lo or hi <= r0):
-                return 0.0
-            terms = scratch[: (r1 - r0) * M].reshape(r1 - r0, M)
+                continue
             s0 = min(max(lo, r0), r1)
             s1 = max(s0, min(hi, r1))
             np.multiply(sq[r0:s0], 0.0 - kz, out=terms[: s0 - r0])
@@ -268,27 +277,44 @@ def _direct_sums(K: np.ndarray, sq: np.ndarray, points, eps: float) -> np.ndarra
                 # copied first: a subtract that reads the reversed slices is slower
                 np.copyto(inner[:, : x + 1], rows[:, x::-1])
                 np.copyto(inner[:, x + 1 :], rows[:, :x:-1])
-                np.subtract(inner, kz, out=inner)
+                if kz != 0.0:
+                    np.subtract(inner, kz, out=inner)
                 np.multiply(sq[s0:s1], inner, out=inner)
-            return np.sum(scratch[a - r0 * M : a - r0 * M + size])
+            sums[i] = np.sum(scratch[a - r0 * M : a - r0 * M + size])
+        return sums
 
-        out[i] = eps**3 * _pairwise(0, sq.size, leaf, _LEAF)
-    return out
+    return eps**3 * _pairwise(0, sq.size, leaf, _LEAF)
 
 
-def _max_time_length(grid: GridSpec) -> int:
-    """The longest L of the square check's spectra on grid.
-
-    K's cutoff vanishes from t = 1/4 on, so K occupies at most
-    min(n_steps + 1, M^2 / 4) rows, and |DxK|^2 no more.
-    """
-    return _time_length(2 * min(grid.n_steps + 1, max(1, grid.M * grid.M // 4)))
+def _max_rows(grid: GridSpec) -> int:
+    """The most rows K occupies on grid: its cutoff vanishes from t = 1/4 on, so min(n_steps + 1, M^2 / 4)."""
+    return min(grid.n_steps + 1, max(1, grid.M * grid.M // 4))
 
 
 def _buffer_items(grid: GridSpec) -> int:
-    """Float64 items of the square check's buffer: two fields like K or the longest spectra, whichever is larger."""
-    M = grid.M
-    return max(2 * _max_time_length(grid) * (M // 2 + 1), 2 * (grid.n_steps + 1) * M)
+    """Float64 items of the square check's buffer: two fields like K, or what the in-place conversion needs.
+
+    |DxK|^2's field sits in the head and K's in the tail. K's half-spectra
+    (M + 2 items a row) start after |DxK|^2's r1 rows of them and are
+    written first rows first, so each block of them ends at or before K's
+    first field row not yet read when K's field starts at (M + 2) r1 + 2 r2
+    or later: M nt + (M + 2) r1 + 2 r2 items, with r1 <= r2 <= ``_max_rows``.
+    """
+    M, nt, r = grid.M, grid.n_steps + 1, _max_rows(grid)
+    return max(2 * nt * M, nt * M + (M + 4) * r)
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system (glibc's malloc_trim), where the C library has it.
+
+    numpy arrays below the mmap threshold are freed into the heap, and its
+    pages under a live chunk stay resident: after ``processes`` about 14 MB
+    of them, which would sit beside the check's buffer at its peak.
+    """
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):  # no glibc
+        pass
 
 
 def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[float, float, float]:
@@ -304,16 +330,21 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[floa
     (K's norm, norm, residual).
 
     One buffer holds |DxK|^2 in its head and K in its tail for the direct
-    sums, the mass and K's norm, then the two half-spectra, written from
-    K's rows made again a block at a time (``HeatKernel.singular_blocks``)
-    and |DxK|^2's rows remade from them by the same per-row transforms.
-    The mass times K that the output subtracts reads K made again the same
-    way, the direct sums make their terms a few rows at a time and the FFT
-    result is reduced a block at a time, so the peak is the buffer.
+    sums, the mass and K's norm; then both fields become their half-spectra
+    in place, laid out by time (``_spectra``): |DxK|^2's last rows first,
+    since row t's spectrum covers only field rows >= t, then K's first rows
+    first, from row r1 on (``_buffer_items``). The mass times K that the
+    output subtracts reads K made again a block at a time
+    (``HeatKernel.singular_blocks``), so K is made twice; the direct sums
+    make their terms a few rows at a time and the FFT result is reduced a
+    block at a time, so the peak is the buffer. Free heap pages are handed
+    back first (``_release_free_heap``), so what ran before leaves none of
+    them beside it.
     """
     hk = HeatKernel(grid, fam)
     M, nt = grid.M, grid.n_steps + 1
     dmult = derivative_multiplier(fam, grid.eps, M)[: M // 2 + 1]
+    _release_free_heap()
     buf = np.empty(_buffer_items(grid))
     sq, K = buf[: nt * M].reshape(nt, M), buf[len(buf) - nt * M :].reshape(nt, M)
     for rows, block in hk.singular_blocks(grid.T):
@@ -327,15 +358,11 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[floa
     k_norm = order_norm(K, grid, -1.0, m=2)
     # a zero row of K makes a zero row of |DxK|^2, so r1 <= r2
     mass, r1, r2 = float(grid.eps**3 * np.sum(sq)), _occupied_rows(sq), _occupied_rows(K)
-    spec = _spectra(buf, r1, r2, M)  # from here on K and |DxK|^2 are overwritten
-    for rows, block in hk.singular_blocks(grid.T):
-        if rows.start >= r2:
-            break
-        k_hat = np.fft.rfft(block[: r2 - rows.start], axis=1)
-        spec[:, r1 + rows.start : r1 + rows.start + len(k_hat)] = k_hat.T
-        if rows.start < r1:
-            sq_hat = np.fft.rfft(np.square(np.fft.irfft(k_hat[: r1 - rows.start] * dmult, n=M, axis=1)), axis=1)
-            spec[:, rows.start : rows.start + len(sq_hat)] = sq_hat.T
+    spec = _spectra(buf, r1 + r2, M)  # from here on K and |DxK|^2 are overwritten
+    for rows in reversed(_blocks(r1, 16 * M)):
+        spec[rows] = np.fft.rfft(sq[rows], axis=1)
+    for rows in _blocks(r2, 16 * M):
+        spec[r1 + rows.start : r1 + rows.stop] = np.fft.rfft(K[rows], axis=1)
     blocks = _convolved(spec, r1, r2, n_out, grid, hk.singular_blocks(grid.T), mass)
     norm, sup, at = _reduce(blocks, points, grid, -3.5 + -1.0 + SPACE_TIME_DIM)
     return k_norm, norm, float(np.max(np.abs(direct - at))) / sup
@@ -344,11 +371,12 @@ def renormalized_square_check(fam: OperatorFamily, grid: GridSpec) -> tuple[floa
 def square_check_bytes(grid: GridSpec) -> int:
     """Bytes that ``renormalized_square_check`` holds at its peak on this grid, as an upper bound.
 
-    The buffer (``_buffer_items``). The blocks of K made again beside it,
-    the direct sums' scratch of _LEAF items and two rows and the order
-    norm's blocks hold less than the temporaries of the convolution:
-    twelve blocks, each at least one row of the time FFTs, cover them twice
-    over, three for a block's time spectra and about six for an output
-    block and its reduction.
+    The buffer (``_buffer_items``). The row blocks that turn the fields into
+    spectra and the blocks of K made again beside it, the direct sums'
+    scratch of _LEAF items and two rows and the order norm's blocks hold
+    less than the temporaries of the convolution: twelve blocks, each at
+    least one column of the time FFTs, cover them twice over, two for a
+    block of columns' time spectra and about six for an output block and
+    its reduction.
     """
-    return 8 * _buffer_items(grid) + 12 * max(_BLOCK_BYTES, 16 * _max_time_length(grid))
+    return 8 * _buffer_items(grid) + 12 * max(_BLOCK_BYTES, 16 * _time_length(2 * _max_rows(grid)))

@@ -367,10 +367,10 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, subtracted: np.ndarr
     """eps^3 sum_w a(w) b(z - w) on rows 0..n1+n2-2, minus mass times the rows of ``subtracted``.
 
     The output blocks of ``sbe.kernels._convolved`` put together, from a's
-    and b's half-spectra written into its frequency-major buffer a block of
-    rows at a time; an all-zero input gives exact zeros before the
-    subtraction. ``subtracted`` goes in as blocks of a third of the output's
-    rows, rounded down, so that some straddle two output blocks.
+    and b's half-spectra written into its time-major buffer, a's rows and
+    then b's; an all-zero input gives exact zeros before the subtraction.
+    ``subtracted`` goes in as blocks of a third of the output's rows,
+    rounded down, so that some straddle two output blocks.
     """
     r1, r2 = _occupied_rows(a), _occupied_rows(b)
     n_out, M = a.shape[0] + b.shape[0] - 1, grid.M
@@ -378,12 +378,8 @@ def _pipeline(a: np.ndarray, b: np.ndarray, grid: GridSpec, subtracted: np.ndarr
     if not (r1 and r2):
         out[: len(subtracted)] -= mass * subtracted
         return out
-    spec = kernels._spectra(np.empty(2 * kernels._time_length(r1 + r2) * (M // 2 + 1)), r1, r2, M)
-    for rows in _blocks(max(r1, r2), 16 * M):
-        for x, r, offset in ((a, r1, 0), (b, r2, r1)):
-            if rows.start < r:
-                x_hat = np.fft.rfft(x[rows.start : min(rows.stop, r)], axis=1)
-                spec[:, offset + rows.start : offset + rows.start + len(x_hat)] = x_hat.T
+    spec = kernels._spectra(np.empty((r1 + r2) * (M + 2)), r1 + r2, M)
+    spec[:r1], spec[r1:] = np.fft.rfft(a[:r1], axis=1), np.fft.rfft(b[:r2], axis=1)
     sub_blocks = ((rows, subtracted[rows]) for rows in _blocks(len(subtracted), 24 * M))
     for rows, block in kernels._convolved(spec, r1, r2, n_out, grid, sub_blocks, mass):
         out[rows] = block

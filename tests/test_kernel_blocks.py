@@ -13,6 +13,7 @@ convolution to its one buffer, the square check to one buffer, and
 the heat kernel free of rows kept between calls.
 """
 
+import ctypes
 import inspect
 from types import SimpleNamespace
 
@@ -32,7 +33,7 @@ from oracles import (
 )
 from sbe import kernels
 from sbe.grids import GridSpec
-from sbe.heat import HeatKernel
+from sbe.heat import HeatKernel, smooth_cutoff, smooth_parabolic_norm
 from sbe.kernels import order_norm, renormalized_square_check, square_check_bytes
 from sbe.operators import _BLOCK_BYTES, _blocks, derivative_multiplier
 
@@ -145,11 +146,11 @@ class TestHeatKernel:
 
 
 class TestTimeConvolve:
-    """The pipeline's time FFTs over W frequency rows, against whole-array transforms.
+    """The pipeline's time FFTs over W frequency columns, against whole-array transforms.
 
     ``_convolved`` reads only M and eps of its grid, so a stand-in with
     M = 2W - 2 sites and eps = 1 gives half-spectra W columns wide, as many
-    rows of the frequency-major buffer as the time FFTs are to run over.
+    columns of the time-major buffer as the time FFTs are to run over.
     """
 
     @staticmethod
@@ -283,6 +284,21 @@ class TestSquareCheckReductions:
         K = HeatKernel(self.grid, fam_bw_ss).singular_part(self.grid.T)
         assert k_norm == order_norm(K, self.grid, -1.0, m=2)
 
+    def test_k_is_made_twice(self, fam_bw_ss, monkeypatch):
+        # once into the buffer and once for the mass times K that the output
+        # subtracts; the spectra are converted in place from the fields held
+        passes, blocks_of = [], HeatKernel.singular_blocks
+
+        def counted(hk, horizon):
+            passes.append(horizon)
+            return blocks_of(hk, horizon)
+
+        monkeypatch.setattr(HeatKernel, "singular_blocks", counted)
+        made = count_rows(monkeypatch)
+        renormalized_square_check(fam_bw_ss, self.grid)
+        assert passes == [self.grid.T] * 2
+        assert made == [2 * (self.grid.n_steps + 1)]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_value_is_named_in_the_whole_field(self, fam_bw_ss, monkeypatch, bad):
         blocks = kernels._convolved
@@ -398,15 +414,15 @@ class TestMemory:
         sq = K**2
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
         L, n_out = kernels._time_length(r1 + r2), 2 * K.shape[0] - 1
-        spec = kernels._spectra(np.empty(2 * L * (grid.M // 2 + 1)), r1, r2, grid.M)
-        spec[:, :r1] = np.fft.rfft(sq[:r1], axis=1).T
-        spec[:, r1 : r1 + r2] = np.fft.rfft(K[:r2], axis=1).T
+        spec = kernels._spectra(np.empty((r1 + r2) * (grid.M + 2)), r1 + r2, grid.M)
+        spec[:r1], spec[r1:] = np.fft.rfft(sq[:r1], axis=1), np.fft.rfft(K[:r2], axis=1)
         k_blocks = ((rows, K[rows]) for rows in _blocks(K.shape[0], 16 * grid.M))
         blocks = kernels._convolved(spec, r1, r2, n_out, grid, k_blocks, 1.0)
         count, peak = traced_peak(lambda: sum(1 for _ in blocks))
-        # the time FFTs run in place and the output comes a new block at a
-        # time: beside the buffer no half-spectrum (16.9 MB here) and no
-        # output field (33.5 MB), only a few blocks of at least one row of L
+        # the time FFTs run a block of columns at a time and scatter back
+        # into the buffer, and the output comes a new block at a time: beside
+        # the buffer no half-spectrum (16.9 MB here) and no output field
+        # (33.5 MB), only a few blocks of at least one column of L
         assert count == len(_blocks(n_out, 8 * grid.M))
         assert peak <= 4 * max(_BLOCK_BYTES, 16 * L)
 
@@ -418,6 +434,48 @@ class TestMemory:
         # neither K (16.8 MB) nor the output field (33.5 MB) nor a
         # half-spectrum (16.9 MB) beside it
         assert peak <= buffer + 4 * max(_BLOCK_BYTES, 16 * L)
+
+    @pytest.mark.parametrize("T", ["dt", 1 / 16, 1 / 4, 1 / 2])
+    @pytest.mark.parametrize("N", range(2, 10))
+    def test_buffer_covers_the_in_place_conversion(self, N, T):
+        grid = GridSpec(N, 4.0**-N if T == "dt" else T)
+        M, nt = grid.M, grid.n_steps + 1
+        # chi(t, x) <= chi(t, 0), so K occupies at most the rows where chi(t, 0) > 0
+        chi = smooth_cutoff(smooth_parabolic_norm(np.arange(nt) * grid.dt, 0.0))
+        r = int(np.flatnonzero(chi)[-1]) + 1
+        # |DxK|^2's r1 <= r rows of spectra, then K's r2 <= r rows from
+        # head to tail, each block's end at or ahead of K's next field row
+        # in the tail, and both fields at once before that
+        need = max(2 * nt * M, (M + 2) * r + 2 * r + nt * M)
+        assert need <= kernels._buffer_items(grid) <= need + (M + 4) * (kernels._max_rows(grid) - r)
+        assert kernels._buffer_items(grid) <= 2 * nt * M + (M + 4) * nt  # about two fields at most
+
+    def test_free_heap_is_handed_back(self):
+        def resident_mb() -> float:
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+        try:
+            resident_mb()
+            ctypes.CDLL("libc.so.6").malloc_trim
+        except (OSError, AttributeError):
+            pytest.skip("needs /proc and glibc")
+        # 32 MB of 64 KiB arrays, below the mmap threshold, under one kept
+        # above them: freed, their pages stay in the heap until handed back
+        arrays = [np.ones(8192) for _ in range(512)]
+        kept = np.ones(8192)
+        del arrays
+        before = resident_mb()
+        kernels._release_free_heap()
+        assert resident_mb() < before - 16
+        assert kept.all()
+
+    def test_no_glibc_is_no_error(self, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", missing)
+        kernels._release_free_heap()
 
     def test_direct_sums_hold_no_field(self, fam_bw_ss):
         # K at N = 7, T = 1/4 is 4.2 MB; the terms are made a leaf at a time

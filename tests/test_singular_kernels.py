@@ -168,8 +168,32 @@ class TestRenormalizedSquareCheck:
         points = [(0, 0), (0, M - 1), (rows - 1, 0), (rows - 1, M - 1), (nk - 1, 3), (nk, M - 2), (1, 1)]
         points += [(nk - 1, 0), (2 * nk - 2, 5)]
         points += zip(gen.integers(0, rows, 24).tolist(), gen.integers(0, M, 24).tolist())
+        # chi = 0 at x = M/2, so K(z) = 0 in K's rows and the subtract is
+        # skipped, also where K(z) is -0.0 (three rows at N = 6)
+        negative = np.flatnonzero(np.signbit(K[:, M // 2])).tolist()
+        assert not K[:, M // 2].any() and len(negative) == {5: 0, 6: 3}[N]
+        points += [(n, M // 2) for n in [1, nk // 2, nk - 1, nk + 1] + negative]
         got = kernels._direct_sums(K, sq, points, grid.eps)
         assert got.tobytes() == increment_sums_zeros_like(K, sq, points, grid.eps).tobytes()
+
+    # the values before the spectra were converted in place: K's spectra
+    # land inside |DxK|^2's field where K occupies fewer rows than the field
+    # (T = 1 and 1/2), and reach into K's own field where it occupies them
+    # all (T < 1/4)
+    @pytest.mark.parametrize(
+        "N, T, want",
+        [
+            (4, 1.0, ("8.0", "13.050620965340404", "1.3611282130696048e-16")),
+            (5, 0.5, ("8.0", "19.463594643906443", "3.87207190632774e-16")),
+            (6, 1 / 16, ("204.3593907237793", "61.862978267387284", "2.1447481221524697e-17")),
+            (7, 1 / 8, ("1473.970790904655", "140.96186871634816", "2.4881093103586817e-16")),
+            (5, 1 / 4, ("8.0", "19.463594643906447", "2.6024148646146006e-17")),
+            (6, 1 / 4, ("8.0", "28.23803021871658", "3.774392531578612e-16")),
+            (7, 1 / 4, ("8.0", "40.43833590366361", "1.0642221835784362e-17")),
+        ],
+    )
+    def test_values_are_pinned(self, fam_bw_ss, N, T, want):
+        assert tuple(map(repr, renormalized_square_check(fam_bw_ss, GridSpec(N, T)))) == want
 
     def test_residual_sees_a_perturbed_convolution(self, fam_bw_pw, monkeypatch):
         # the direct sum does not go through the FFT convolution, so a
