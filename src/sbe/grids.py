@@ -77,7 +77,8 @@ class NoiseField:
     """Seeded space-time white noise, variance eps^-3, time-major layout.
 
     An explicit field holds values[n, i], the draw at time n*eps^2, site
-    i*eps. A streamed one, made without values, holds none: its rows are
+    i*eps; they must be finite float64, or the field is refused with the
+    first non-finite (row, site) named. A streamed one, made without values, holds none: its rows are
     those of sample_noise(grid, seed), drawn from the seed's stream as
     ``blocks`` reads them. Reading ``values`` of a streamed field is a
     ValueError.
@@ -88,8 +89,15 @@ class NoiseField:
     _values: np.ndarray | None
 
     def __init__(self, grid: GridSpec, seed: int, values: np.ndarray | None = None):
-        if values is not None and values.shape != (grid.n_steps, grid.M):
-            raise ValueError("noise shape inconsistent with grid")
+        if values is not None:
+            if values.shape != (grid.n_steps, grid.M):
+                raise ValueError("noise shape inconsistent with grid")
+            if values.dtype != np.float64:
+                raise ValueError(f"noise values must be float64, not {values.dtype}")
+            finite = np.isfinite(values)
+            if not finite.all():
+                row, site = np.unravel_index(np.argmin(finite), values.shape)
+                raise ValueError(f"noise values must be finite; row {row}, site {site} holds {values[row, site]}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_values", values)
@@ -108,8 +116,14 @@ class NoiseField:
         An explicit field yields views of its values; a streamed one draws
         each block from its stream as it is read, the same bits in any
         blocking, so a reader that stops early draws no more. There is
-        always at least one block, empty when there is no time step.
+        always at least one block, empty when there is no time step. A
+        ``step`` below 1 is refused when this is called.
         """
+        if step < 1:
+            raise ValueError(f"step: expected >= 1 rows per block, got {step}")
+        return self._blocks(step)
+
+    def _blocks(self, step: int):
         nt = self.grid.n_steps
         gen = _noise_stream(self.seed) if self._values is None else None
         for start in range(0, max(nt, 1), step):

@@ -23,7 +23,12 @@ with the stepping multiplier m, the one time convolution of the lift. It
 runs in blocks of about sqrt(nt) time rows: every block runs the recurrence
 from zero, then each block in turn adds m^(i+1) times the finished last row
 of the block before it to its row i. Admissibility pins m into [1/2, 1], so
-every power is at most 1 and nothing is divided.
+every power is at most 1 and nothing is divided. m and its powers are made
+complex once per pass, as the rows are, and the convolutions share them, so
+no multiply casts a factor. A convolution that no tree made in full reads
+is last-only: after the same in-block steps it carries its blocks' last
+rows alone, L_j = x_last,j + m^block L_(j-1), and then its final row, which
+is all that is read of it; those rows get the full carry's bits.
 
 The trees are built in one forward pass over time, a chunk of whole blocks
 at a time (about _CHUNK_BYTES of half-spectrum rows, at least one block).
@@ -96,6 +101,21 @@ def _chunk_rows(grid: GridSpec) -> int:
     return block * max(1, _CHUNK_BYTES // (block * (grid.M // 2 + 1) * 16))
 
 
+def _multipliers(fam: OperatorFamily, grid: GridSpec, step: int) -> tuple:
+    """The recurrence's m, tiled to one row per block of a ``step``-row chunk, eps^2 Dx and m^(i+1) for row i of a block.
+
+    m and the powers are complex, as the rows they multiply are: a float
+    factor would be cast to (m, 0) on every call, the same bits at more cost.
+    """
+    half = grid.M // 2 + 1  # rfft modes 0..M/2
+    block = _block(grid)
+    m = stepping_multiplier(fam, grid.eps, grid.M)[:half]
+    pref = grid.eps**2 * derivative_multiplier(fam, grid.eps, grid.M)[:half]
+    carry_powers = (m ** np.arange(1, block + 1)[:, None]).astype(np.complex128)
+    n_blocks = -(-min(step, max(grid.n_steps, 1)) // block)
+    return np.tile(m.astype(np.complex128), (n_blocks, 1)), pref, carry_powers
+
+
 def lift_chunk_bytes(grid: GridSpec) -> int:
     """About the most that a lift's pass holds at once besides its noise and the trees it returns in full."""
     return _CHUNKS_HELD * (_chunk_rows(grid) + 1) * (grid.M // 2 + 1) * 16
@@ -112,16 +132,24 @@ class _Convolution:
     row, which is kept for the next call. Without, they are the forcing
     rows themselves (the noise). The finished last row of a chunk's last
     block is kept for the carries of the next.
+
+    ``m`` (tiled to one row per block of the longest chunk) and
+    ``carry_powers`` are complex, as the rows are, so no multiply casts.
+    With ``last_only`` the output is read at its final row alone: the
+    blocks' last rows are carried, in turn, and then the final row, and no
+    other row. Those rows get the operations, and so the bits, of a full
+    call.
     """
 
-    def __init__(self, m: np.ndarray, pref: np.ndarray, carry_powers: np.ndarray, shifted: bool):
-        self.m, self.pref, self.carry_powers, self.shifted = m, pref, carry_powers, shifted
+    def __init__(self, m: np.ndarray, pref: np.ndarray, carry_powers: np.ndarray, shifted: bool, last_only: bool):
+        self.m, self.pref, self.carry_powers = m, pref, carry_powers
+        self.shifted, self.last_only = shifted, last_only
         self.head = None  # the forcing row before this chunk's rows
         self.carry = None  # the finished last row of the chunk before
         self.out = None
 
     def __call__(self, f_hat: np.ndarray) -> np.ndarray:
-        m, pref, carry_powers = self.m, self.pref, self.carry_powers
+        pref, carry_powers = self.pref, self.carry_powers
         block, half = carry_powers.shape
         head, first = self.head, self.out is None
         if self.shifted:
@@ -142,19 +170,39 @@ class _Convolution:
         steps = self.steps.get(n_blocks)
         if steps is None:  # the in-block steps' views, made once per chunk length
             steps = self.steps[n_blocks] = [(blocks[:, i - 1], blocks[:, i]) for i in range(1, block)]
-        tmp = self.tmp[:n_blocks]
+        m, tmp = self.m[:n_blocks], self.tmp[:n_blocks]
         for before, row in steps:  # blocks[:, i] += m * blocks[:, i - 1]
             np.multiply(m, before, tmp)
             np.add(row, tmp, row)
-        tmp = self.tmp[:block]
-        for j in range(n_blocks):  # blocks[j] += m^(i+1) * blocks[j - 1, -1]
-            before = blocks[j - 1, -1] if j else self.carry
-            if before is not None:
-                np.multiply(carry_powers, before, tmp)
-                np.add(blocks[j], tmp, blocks[j])
-        if n_blocks:
-            self.carry = blocks[-1, -1].copy()
+        if self.last_only:
+            self._carry_ends(blocks, k)
+        else:
+            tmp = self.tmp[:block]
+            for j in range(n_blocks):  # blocks[j] += m^(i+1) * blocks[j - 1, -1]
+                before = blocks[j - 1, -1] if j else self.carry
+                if before is not None:
+                    np.multiply(carry_powers, before, tmp)
+                    np.add(blocks[j], tmp, blocks[j])
+            if n_blocks:
+                self.carry = blocks[-1, -1].copy()
         return out[: k + 1] if first else out[1 : k + 1]
+
+    def _carry_ends(self, blocks: np.ndarray, k: int):
+        """Carry the last rows of the chunk's whole blocks and then its final row, row k."""
+        carry_powers, tmp = self.carry_powers, self.tmp[0]
+        whole, i = divmod(k, len(carry_powers))
+        before = self.carry
+        for j in range(whole):  # L_j = x_last,j + m^block L_(j-1)
+            if before is not None:
+                np.multiply(carry_powers[-1], before, tmp)
+                np.add(blocks[j, -1], tmp, blocks[j, -1])
+            before = blocks[j, -1]
+        if i and before is not None:  # the final row is row i - 1 of a short last block
+            row = blocks[whole, i - 1]
+            np.multiply(carry_powers[i - 1], before, tmp)
+            np.add(row, tmp, row)
+        if whole:
+            self.carry = blocks[whole - 1, -1].copy()
 
 
 def lift_chunks(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels=TREE_LABELS, last=()):
@@ -180,14 +228,14 @@ def lift_chunks(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants,
     return _stream(noise, fam, consts, labels, last)
 
 
+_CONVOLVED = ("T1_hat", "DxP_T1_hat", "T12_hat", "T122_hat", "T124_hat", "T1222_hat")  # the convolutions' labels
+
+
 def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, labels: tuple, last: tuple):
     grid = noise.grid
-    eps, nt, M = grid.eps, grid.n_steps, grid.M
+    nt, M = grid.n_steps, grid.M
     a, b = consts.c2, consts.c21
-    half = M // 2 + 1  # rfft modes 0..M/2
-    m = stepping_multiplier(fam, eps, M)[:half]
-    pref = eps**2 * derivative_multiplier(fam, eps, M)[:half]
-    carry_powers = m ** np.arange(1, _block(grid) + 1)[:, None]  # m^(i+1) for row i of a block
+    step = _chunk_rows(grid)
 
     def field(f_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfft(f_hat, n=M, axis=1)
@@ -198,34 +246,36 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
     def B(f, g):
         return twisted_product(fam.mu, f, g)
 
+    def B_minus(f, g, c):
+        """B(f, g) - c, subtracted in place on the product's fresh output."""
+        p = B(f, g)
+        p -= c
+        return p
+
     # B(1, h) = sum_j2 (sum_j1 mu(j1, j2)) h(. + eps j2)
     marginal = {}
     for (_, j2), w in fam.mu.atoms:
         marginal[j2] = marginal.get(j2, 0.0) + w
     one_atoms = sorted(marginal.items())
 
-    # the half-spectra of the convolutions; only T1's is driven by the noise
-    conv = {
-        label: _Convolution(m, pref, carry_powers, shifted=label != "T1_hat")
-        for label in ("T1_hat", "DxP_T1_hat", "T12_hat", "T122_hat", "T124_hat", "T1222_hat")
-    }
+    conv = {}  # the half-spectra of the convolutions, made below; only T1's is driven by the noise
     # label: (the trees its rule reads, the rule), each tree after the trees it
     # reads; NOISE_LABEL's entry is the chunk's noise rows
     table = {
         "T1_hat": ((NOISE_LABEL,), lambda xi: conv["T1_hat"](hat(xi))),
         "T1": (("T1_hat",), field),
-        "DxP_T1_hat": (("T1_hat",), conv["DxP_T1_hat"]),
+        "DxP_T1_hat": (("T1_hat",), lambda t1_hat: conv["DxP_T1_hat"](t1_hat)),
         "T11": (("DxP_T1_hat",), lambda dxp_t1: _stencil(one_atoms, field(dxp_t1))),
-        "T2": (("T1",), lambda t1: B(t1, t1) - a),
-        "T21": (("T11", "T1"), lambda t11, t1: B(t11, t1) - b),
+        "T2": (("T1",), lambda t1: B_minus(t1, t1, a)),
+        "T21": (("T11", "T1"), lambda t11, t1: B_minus(t11, t1, b)),
         "T12_hat": (("T2",), lambda t2: conv["T12_hat"](hat(t2))),
         "T12": (("T12_hat",), field),
-        "T22": (("T12", "T1"), lambda t12, t1: B(t12, t1) - 2.0 * b * t1),
+        "T22": (("T12", "T1"), lambda t12, t1: B_minus(t12, t1, 2.0 * b * t1)),
         "T122_hat": (("T22",), lambda t22: conv["T122_hat"](hat(t22))),
         "T122": (("T122_hat",), field),
         "T124_hat": (("T12",), lambda t12: conv["T124_hat"](hat(B(t12, t12)))),
         "T124": (("T124_hat",), field),
-        "T1222_hat": (("T122", "T1", "T12"), lambda t122, t1, t12: conv["T1222_hat"](hat(B(t122, t1) - b * t12))),
+        "T1222_hat": (("T122", "T1", "T12"), lambda t122, t1, t12: conv["T1222_hat"](hat(B_minus(t122, t1, b * t12)))),
         "T1222": (("T1222_hat",), field),
     }
     needed = set(labels)  # grows to the closure: a tree read by a needed tree comes before it
@@ -235,12 +285,20 @@ def _stream(noise: NoiseField, fam: OperatorFamily, consts: RenormConstants, lab
     returned = [label for label in (NOISE_LABEL, *TREE_LABELS) if label in labels and label not in last]
     # every row is made of the trees returned in full, of the convolutions
     # and of what they read; the other needed trees only at the final row
-    full = set(returned) | needed.intersection(conv)
+    full = set(returned) | needed.intersection(_CONVOLVED)
     for label, (reads, _) in reversed(table.items()):
         if label in full:
             full.update(reads)
 
-    step = _chunk_rows(grid)
+    # a convolution that no tree made in full reads is read at its final row
+    # alone; the needed ones share the multipliers, made once per pass
+    read_in_full = {read for label, (reads, _) in table.items() if label in full for read in reads}
+    m, pref, carry_powers = _multipliers(fam, grid, step)
+    for label in _CONVOLVED:
+        if label in needed:
+            last_only = label not in read_in_full
+            conv[label] = _Convolution(m, pref, carry_powers, shifted=label != "T1_hat", last_only=last_only)
+
     for start, xi in zip(range(0, max(nt, 1), step), noise.blocks(step)):  # one chunk when there is no time step
         k = len(xi)
         final = start + k == nt

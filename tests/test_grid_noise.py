@@ -56,6 +56,51 @@ def test_blocks_of_explicit_and_streamed_fields_agree(step):
     assert all(np.shares_memory(b, explicit.values) for b in explicit.blocks(step))
 
 
+@pytest.mark.parametrize(
+    "cells, value, match",
+    [
+        ([(3, 7)], np.nan, "row 3, site 7 holds nan"),
+        ([(0, 0)], np.inf, "row 0, site 0 holds inf"),
+        ([(127, 31)], -np.inf, "row 127, site 31 holds -inf"),
+        ([(5, 2), (3, 9)], np.nan, "row 3, site 9 holds nan"),  # the first in row-major order
+    ],
+)
+def test_explicit_noise_must_be_finite(cells, value, match):
+    grid = GridSpec(5, 0.125)
+    values = sample_noise(grid, 3).values.copy()
+    for cell in cells:
+        values[cell] = value
+    with pytest.raises(ValueError, match=f"noise values must be finite; {match}"):
+        NoiseField(grid, 3, values)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64, np.complex128])
+def test_explicit_noise_must_be_float64(dtype):
+    grid = GridSpec(5, 0.125)
+    values = np.zeros((grid.n_steps, grid.M), dtype=dtype)
+    with pytest.raises(ValueError, match=f"noise values must be float64, not {np.dtype(dtype).name}"):
+        NoiseField(grid, 3, values)
+
+
+def test_streamed_noise_is_not_checked(monkeypatch):
+    # a streamed field holds no values, so making and reading it costs no check
+    def refused(*args, **kwargs):
+        raise AssertionError("a streamed field was checked")
+
+    monkeypatch.setattr(np, "isfinite", refused)
+    grid = GridSpec(5, 0.125)
+    assert sum(len(block) for block in NoiseField(grid, 3).blocks(50)) == grid.n_steps
+
+
+@pytest.mark.parametrize("step", [0, -1, -128])
+def test_blocks_refuse_a_step_below_one(step):
+    # refused when blocks is called, before a block is read
+    grid = GridSpec(5, 0.125)
+    for field in (sample_noise(grid, 3), NoiseField(grid, 3)):
+        with pytest.raises(ValueError, match=f"step: expected >= 1 rows per block, got {step}"):
+            field.blocks(step)
+
+
 def test_blocks_without_a_time_step_is_one_empty_block():
     grid = GridSpec(5, 0.0)
     for field in (sample_noise(grid, 3), NoiseField(grid, 3)):

@@ -313,7 +313,82 @@ def test_lift_builds_exactly_the_closure_with_last(fam_bw_ss, setup, monkeypatch
     assert work == work_of(grid.n_steps, built)
     for label in labels:
         assert tps[label].shape == ((1, grid.M) if label in last else (grid.n_steps + 1, grid.M)), label
-        assert np.array_equal(tps[label], full[label][-1:] if label in last else full[label]), label
+        assert same_bits(tps[label], full[label][-1:] if label in last else full[label]), label
+
+
+@pytest.mark.parametrize("N, nt", [(5, 1), (5, 2), (5, 37)])
+def test_last_only_convolution_keeps_the_full_ones_ends(fam_bw_ss, monkeypatch, N, nt):
+    # a last-only convolution, unshifted (the noise's) and shifted (a
+    # tree's), fed the chunks a lift feeds it, in one chunk, two and three
+    # (nt = 37: chunks of 7, 4 and 3 blocks of 6, the last block of one
+    # row): its blocks' last rows, its final row and the carry it keeps for
+    # the next chunk are the full one's, byte for byte, and with blocks of
+    # more than one row it skips the other rows' carries
+    grid = GridSpec(N, nt * 4.0**-N)
+    block = max(1, math.isqrt(nt))
+    forcing = np.fft.rfft(sample_noise(grid, 40 + nt).values, axis=1)
+    chunkings = set()
+    for blocks in (n_blocks(grid), -(-n_blocks(grid) // 2), n_blocks(grid) // 3 + 1):
+        chunk_blocks(monkeypatch, grid, blocks)
+        step = processes._chunk_rows(grid)
+        chunkings.add(-(-nt // step))
+        m, pref, powers = processes._multipliers(fam_bw_ss, grid, step)
+        assert m.dtype == powers.dtype == np.complex128  # as the rows are: no multiply casts
+        convs = {
+            last_only: [processes._Convolution(m, pref, powers, shifted, last_only) for shifted in (False, True)]
+            for last_only in (False, True)
+        }
+        skipped = False
+        for start in range(0, nt, step):
+            rows = np.arange(start + 1 if start else 0, min(start + step, nt) + 1)  # the output's time indices
+            ends = (rows % block == 0) & (rows > 0) | (rows == nt)
+            f_hat = forcing[start : start + step]
+            for conv_full, conv_last in zip(convs[False], convs[True]):
+                want, got = conv_full(f_hat), conv_last(f_hat)
+                assert same_bits(got[ends], want[ends]), (blocks, start, conv_full.shifted)
+                if start + step < nt:
+                    assert same_bits(conv_last.carry, conv_full.carry), (blocks, start, conv_full.shifted)
+                skipped |= not same_bits(got, want)
+                f_hat = want  # the shifted convolution reads the full output of the one before
+        assert skipped == (block > 1), blocks
+    assert chunkings == ({1} if nt == 1 else {1, 2} if nt == 2 else {1, 2, 3})
+
+
+ALL_CONVOLVED = ("T1_hat", "DxP_T1_hat", "T12_hat", "T122_hat", "T124_hat", "T1222_hat")
+
+
+@pytest.mark.parametrize(
+    "labels, last, made, last_only",
+    [
+        (TREE_LABELS, (), ALL_CONVOLVED, ()),
+        (REGULARITY_LABELS, (), ALL_CONVOLVED[:3], ()),
+        (REGULARITY_LABELS, REGULARITY_LAST, ALL_CONVOLVED[:3], ("DxP_T1_hat", "T12_hat")),
+        (TREE_LABELS, TREE_LABELS, ALL_CONVOLVED, ("DxP_T1_hat", "T124_hat", "T1222_hat")),
+        (TREE_LABELS, PROCESSES_LAST, ALL_CONVOLVED, ("DxP_T1_hat", "T124_hat", "T1222_hat")),
+        (TREE_LABELS, ("T12",), ALL_CONVOLVED, ()),
+        (("T11", "T21"), ("T11", "T21"), ALL_CONVOLVED[:2], ("DxP_T1_hat",)),
+    ],
+    ids=["full", "regularity-full", "regularity", "later-replica", "processes-last", "T12-last", "T21-last"],
+)
+def test_convolutions_read_at_the_final_row_alone_are_last_only(
+    fam_bw_ss, setup, monkeypatch, labels, last, made, last_only
+):
+    # the lift makes the convolutions it needs, in table order, and one that
+    # no tree made in full reads carries its block ends alone: in the
+    # regularity lift DxP * T1 (read by T11) and DxP * T2 (by T12), in the
+    # later processes replicas DxP * T1, T124 and T1222
+    grid, consts = setup
+    convs = []
+
+    class Recorded(processes._Convolution):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            convs.append(self)
+
+    monkeypatch.setattr(processes, "_Convolution", Recorded)
+    lift(sample_noise(grid, 4), fam_bw_ss, consts, labels=labels, last=last)
+    assert len(convs) == len(made)
+    assert tuple(label for label, conv in zip(made, convs) if conv.last_only) == last_only
 
 
 @pytest.mark.parametrize(

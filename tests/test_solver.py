@@ -113,11 +113,15 @@ def test_blowup_flagged_and_truncated(fam_bw_ss):
 
 
 def test_nan_flagged_as_blowup(fam_bw_ss):
-    """A non-number fails every sup-norm comparison; it must still stop the run."""
+    """A non-number fails every sup-norm comparison; it must still stop the run.
+
+    A noise field refuses one when it is made, so it is written into the
+    field's values afterwards.
+    """
     grid = GridSpec(5, 0.125)
-    values = np.zeros((grid.n_steps, grid.M))
-    values[3, 7] = np.nan
-    traj = run(SchemeConfig(fam_bw_ss, grid), ic_zero(grid), NoiseField(grid, 0, values), 0.125)
+    noise = NoiseField(grid, 0, np.zeros((grid.n_steps, grid.M)))
+    noise.values[3, 7] = np.nan
+    traj = run(SchemeConfig(fam_bw_ss, grid), ic_zero(grid), noise, 0.125)
     assert traj.blowup
     assert traj.blowup_time == 4 * grid.dt
     assert all(np.all(np.isfinite(u)) for _, u in traj.snapshots)
