@@ -72,7 +72,7 @@ def rng_for(seed: int, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class NoiseField:
     """Seeded space-time white noise, variance eps^-3, time-major layout.
 
@@ -81,7 +81,9 @@ class NoiseField:
     first non-finite (row, site) named. A streamed one, made without values, holds none: its rows are
     those of sample_noise(grid, seed), drawn from the seed's stream as
     ``blocks`` reads them. Reading ``values`` of a streamed field is a
-    ValueError.
+    ValueError. Fields are equal when their grids, seeds and the bytes of
+    their values are (two streamed fields have no values), and hash by
+    grid and seed.
     """
 
     grid: GridSpec
@@ -101,6 +103,17 @@ class NoiseField:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, NoiseField):
+            return NotImplemented
+        a, b = self._values, other._values
+        if (self.grid, self.seed) != (other.grid, other.seed) or (a is None) != (b is None):
+            return False
+        return a is None or np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def __hash__(self):
+        return hash((self.grid, self.seed))
 
     @property
     def values(self) -> np.ndarray:

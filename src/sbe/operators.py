@@ -17,14 +17,14 @@ time into a flat buffer that lays the rows end to end, each with r
 wrapped ghost sites on either side (``_Wrapped``),
 so u(. + eps j) is one contiguous view that holds it at columns
 r + j .. r + j + M - 1 of every padded row. ``_accumulate`` adds the terms
-with ``out=`` ufuncs from a zero start in atom order (the twisted product
-sums the g stencil once per first offset of mu). Those are the operations,
-in the order, of rolling the field once per offset, so the results equal
-the ``np.roll`` spelling bit for bit, and no field-sized temporary is made
-beyond the result. The operators prepare the engine per call; the solver
-holds one prepared step per level. The Fourier side supplies their
-multipliers; ``_blocks`` cuts the other modules' whole-field passes into
-slices of about _BLOCK_BYTES.
+with ``out=`` ufuncs in atom order (the twisted product sums the g stencil
+once per first offset of mu), from the first term, then +0.0: a zero
+start's bits. Those are the operations, in the order, of rolling the field
+once per offset, so the results equal the ``np.roll`` spelling bit for
+bit, and no field-sized temporary is made beyond the result. The
+operators prepare the engine per call; the solver holds one step per
+level, its states kept in the engine's padded layout. The Fourier side supplies their multipliers; ``_blocks`` cuts
+the other modules' whole-field passes into slices of about _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ class OperatorFamily:
 
 # one block of wrapped rows holds about this many bytes, so it stays in cache
 _BLOCK_BYTES = 128 * 1024
+# added to every finished engine sum; a 0-d array costs less per call than a Python float
+_PLUS_ZERO = np.array(0.0)
 
 
 def check_wrap(radius: int, M: int) -> None:
@@ -109,10 +111,13 @@ def _terms(atoms, bilinear: bool = False) -> tuple:
     a term (j1, ((j2, w), ...)) per first offset j1 of mu. mu's atoms are
     sorted, so groupby meets each first offset once. Each weight is a 0-d
     float64 array, which numpy multiplies by with less overhead per call
-    than a Python float and to the same bits.
+    than a Python float and to the same bits. Atoms of weight zero are left
+    out: on finite fields they add signed zeros, whose sign the final +0.0
+    of ``_accumulate`` drops, so a measure of zero weights has no terms.
     """
+    atoms = [(j, w) for j, w in atoms if w != 0.0]
     if not bilinear:
-        return ((None, tuple((int(j), np.array(w, dtype=np.float64)) for j, w in atoms)),)
+        return ((None, tuple((int(j), np.array(w, dtype=np.float64)) for j, w in atoms)),) if atoms else ()
     return tuple(
         (int(j1), tuple((int(j2), np.array(w, dtype=np.float64)) for (_, j2), w in run))
         for j1, run in groupby(atoms, key=lambda atom: atom[0][0])
@@ -180,23 +185,31 @@ class _Wrapped:
 
 
 def _accumulate(out, terms, g: _Wrapped, f: _Wrapped | None, acc, tmp) -> None:
-    """out = the sum of the terms over the loaded rows, added in order from zero.
+    """out = the sum of the terms over the loaded rows, added in order from the first term, then +0.0.
 
     A (None, atoms) term adds sum_j w g(. + eps j); a (j1, atoms) term adds
-    f(. + eps j1) times sum_j2 w g(. + eps j2), which acc sums from zero.
-    out, acc and tmp are flat arrays in the padded layout of g and f.
+    f(. + eps j1) times sum_j2 w g(. + eps j2), which acc sums from its
+    first atom. out, acc and tmp are flat arrays in the padded layout of g
+    and f. A zero start's sum is never -0.0, and it differs from this one
+    at most in the sign of a zero, so the final +0.0 gives a zero start's
+    bits; with no terms, out is +0.0.
     """
-    out.fill(0.0)
-    for j1, atoms in terms:
+    if not terms:
+        out.fill(0.0)
+        return
+    for i, (j1, atoms) in enumerate(terms):
         into = out if j1 is None else acc
-        if j1 is not None:
-            acc.fill(0.0)
-        for j, w in atoms:
+        (j, w), *rest = atoms
+        np.multiply(w, g.at(j), out=into)
+        for j, w in rest:
             np.multiply(w, g.at(j), out=tmp)
             np.add(into, tmp, out=into)
-        if j1 is not None:
+        if j1 is not None and i == 0:
+            np.multiply(acc, f.at(j1), out=out)
+        elif j1 is not None:
             np.multiply(acc, f.at(j1), out=tmp)
             np.add(out, tmp, out=out)
+    np.add(out, _PLUS_ZERO, out=out)
 
 
 def _apply(terms, g: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:

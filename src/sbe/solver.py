@@ -9,17 +9,18 @@ the convergence statement only holds up to a stopping time. The coupled
 dyadic self-convergence study steps all replicas and levels together.
 
 A step is prepared once per level (``_Step``): the family's terms for the
-operators' blocked engine, the drift, and buffers for a block of replica
-rows. ``run`` and the study hold one for the whole run; ``step_forward``
-is a one-step use of it. ``run`` and the study read their noise with
+operators' blocked engine, the drift, and the replicas' states, held in
+padded buffers of at most one engine block of rows and advanced in place.
+``run`` and the study hold one for the whole run; ``step_forward`` is a
+one-step use of it. ``run`` and the study read their noise with
 ``NoiseField.blocks``, which slices an explicit field and draws a streamed
-one a block at a time.
+one a block at a time, and write each block once into the step's padded
+noise buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -96,18 +97,21 @@ class Trajectory:
 
 
 class _Step:
-    """The scheme's step for one config, prepared once and applied as often as needed.
+    """The scheme's step for one config, holding the replicas' states and advancing them in place.
 
-    It holds the engine terms of mu, nu and pi, the drift and buffers for up
-    to ``rows`` state rows (one block of the engine). A call takes a state
-    (..., M) and a noise slice of the same shape and returns a new array,
-    which no later call writes to. States with fewer rows use the leading
-    rows of the buffers; states with more are stepped a block at a time.
-    Every value is computed as ``u + dt * (lap u + der(B(u, u) + b u + xi))``
-    with each operator summed from zero in atom order.
+    It holds the engine terms of mu, nu and pi, the drift, and the states
+    (rows, M) in blocks of at most one engine block of rows, each block in
+    its own padded buffer (``_Wrapped``), so every add runs flat over the
+    padded rows. ``noise_rows(steps)`` gives the sites of a padded noise
+    buffer with zero ghost sites, (steps, rows, M), reused from one noise
+    block to the next; ``advance(s)`` steps every state with noise row s,
+    and ``keep`` compacts the rows that stay. Every value is computed as
+    ``u + dt * (lap u + der(B(u, u) + b u + xi))``, with each operator
+    summed in atom order to a zero start's bits and the drift term left out
+    when b is 0, so a held step gives the bits of the ``np.roll`` spelling.
     """
 
-    def __init__(self, cfg: SchemeConfig, rows: int = 1):
+    def __init__(self, cfg: SchemeConfig, u: np.ndarray):
         fam, grid = cfg.fam, cfg.grid
         self.N, self.M = grid.N, grid.M
         for measure in (fam.mu, fam.nu, fam.pi):
@@ -119,45 +123,89 @@ class _Step:
         self.lap_coeff = np.array(1.0 / (2.0 * fam.nu_bar * grid.eps**2))
         self.der_coeff = np.array(1.0 / grid.eps)
         self.b_drift, self.dt = np.array(cfg.b_drift, dtype=np.float64), np.array(grid.dt)
-        r = max(_reach(self.product), _reach(self.lap), _reach(self.der))
-        self.rows = max(1, min(rows, _block_rows(self.M, r)))
-        # one padded layout for all: the state, read by B and lap, and the
-        # transported field B(u, u) + b u + xi, read by der
-        self.u = _Wrapped(self.rows, self.M, r)
-        self.t = _Wrapped(self.rows, self.M, r)
-        self.scratch = np.empty((4, self.u.size))
-        self._use(self.rows)
+        self.r = max(_reach(self.product), _reach(self.lap), _reach(self.der))
+        self.W = self.M + 2 * self.r
+        self.block_rows = _block_rows(self.M, self.r)
+        self._noise = np.zeros(0)
+        self._hold(u)
+        self.noise_rows(0)  # no noise rows until the caller writes some
+        # the transported field B(u, u) + b u + xi, read by der, and the
+        # engine's scratch, shared by the blocks
+        self.t = _Wrapped(self.blocks[0].n, self.M, self.r)
+        self.scratch = np.empty((4, self.t.size))
+        self._use(self.t.n)
+
+    def _hold(self, u: np.ndarray) -> None:
+        """Hold the states u (rows, M) in fresh blocks, no more rows than the first held."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.ndim != 2 or u.shape[1] != self.M:
+            raise ValueError(f"state has shape {u.shape}; level N={self.N} needs (rows, {self.M})")
+        self.n = u.shape[0]
+        self.blocks = []
+        for a in range(0, max(self.n, 1), self.block_rows):
+            block = _Wrapped(min(self.block_rows, self.n - a), self.M, self.r)
+            block.load(u[a : a + block.n])
+            self.blocks.append(block)
+
+    def states(self) -> np.ndarray:
+        """A copy of the states, (rows, M)."""
+        return np.concatenate([block.center for block in self.blocks])
+
+    def noise_rows(self, steps: int) -> np.ndarray:
+        """The sites (steps, rows, M) of the padded noise that ``advance(s)`` reads at row s; write them before stepping."""
+        size = steps * self.n * self.W
+        if self._noise.size < size:
+            self._noise = np.zeros(size)
+        self.xi = self._noise[:size].reshape(steps, self.n * self.W)
+        return self.xi.reshape(steps, self.n, self.W)[..., self.r : self.r + self.M]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep the states and noise rows that ``rows`` (a boolean mask) selects, in order."""
+        old = self.xi.reshape(len(self.xi), self.n, self.W)
+        self._hold(self.states()[rows])
+        self.noise_rows(len(old))
+        new = self.xi.reshape(len(old), self.n, self.W)
+        # in place, a noise row at a time: row s moves to a lower offset,
+        # below every row still to move, and no block-sized copy is made
+        for s in range(len(old)):
+            new[s] = old[s][rows]
 
     def _use(self, n: int) -> None:
-        self.u.use(n)
         self.t.use(n)
-        self.lap_out, self.der_out, self.acc, self.tmp = self.scratch[:, : self.u.size]
-        self.lap_core = self.u.core(self.lap_out)
+        self.lap_out, self.der_out, self.acc, self.tmp = self.scratch[:, : self.t.size]
 
-    def __call__(self, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        xi_slice = np.asarray(xi_slice, dtype=np.float64)
-        if u.shape[-1:] != (self.M,):
-            raise ValueError(f"state has shape {u.shape}; level N={self.N} needs (..., {self.M})")
-        if xi_slice.shape != u.shape:
-            raise ValueError(f"noise slice has shape {xi_slice.shape}; the state has shape {u.shape}")
-        rows, noise = u.reshape(-1, self.M), xi_slice.reshape(-1, self.M)
-        out = np.empty(rows.shape)
-        for a in range(0, rows.shape[0], self.rows):
-            n = min(self.rows, rows.shape[0] - a)
-            if n != self.u.n:
-                self._use(n)
-            self._block(rows[a : a + n], noise[a : a + n], out[a : a + n])
-        return out.reshape(u.shape)
+    def advance(self, s: int) -> np.ndarray | None:
+        """Step every state with noise row s; the rows that escaped, as ``escaped`` gives them."""
+        xi = self.xi[s]
+        for a, block in zip(range(0, self.n, self.block_rows), self.blocks):
+            if block.n != self.t.n:
+                self._use(block.n)
+            self._advance(block, xi[a * self.W : (a + block.n) * self.W])
+        return self.escaped()
 
-    def _block(self, u: np.ndarray, xi: np.ndarray, out: np.ndarray) -> None:
-        w, t, lap, der, acc, tmp = self.u, self.t, self.lap_out, self.der_out, self.acc, self.tmp
-        w.load(u)
+    def escaped(self) -> np.ndarray | None:
+        """The rows whose sup norm is past BLOWUP_THRESHOLD, or not a number, as a mask; None if there are none.
+
+        The test is one reduction of |u| over each block's padded rows,
+        whose ghost sites copy their own row's sites; only a block where it
+        is not <= BLOWUP_THRESHOLD is tested row by row (``_escaped``).
+        """
+        out = None
+        for a, block in zip(range(0, self.n, self.block_rows), self.blocks):
+            if not np.abs(block.at(0), out=self.scratch[3, : block.size]).max() <= BLOWUP_THRESHOLD:
+                if out is None:
+                    out = np.zeros(self.n, dtype=bool)
+                out[a : a + block.n] = _escaped(block.center)
+        return out
+
+    def _advance(self, w: _Wrapped, xi: np.ndarray) -> None:
+        t, lap, der, acc, tmp = self.t, self.lap_out, self.der_out, self.acc, self.tmp
         transported = t.at(0)
         _accumulate(transported, self.product, w, w, acc, tmp)
-        np.multiply(self.b_drift, w.at(0), out=tmp)
-        np.add(transported, tmp, out=transported)
-        np.add(t.center, xi, out=t.center)
+        if self.b_drift:
+            np.multiply(self.b_drift, w.at(0), out=tmp)
+            np.add(transported, tmp, out=transported)
+        np.add(transported, xi, out=transported)
         t.wrap()
         _accumulate(lap, self.lap, w, None, acc, tmp)
         np.multiply(self.lap_coeff, lap, out=lap)
@@ -165,7 +213,9 @@ class _Step:
         np.multiply(self.der_coeff, der, out=der)
         np.add(lap, der, out=lap)
         np.multiply(self.dt, lap, out=lap)
-        np.add(u, self.lap_core, out=out)
+        u = w.at(0)
+        np.add(u, lap, out=u)
+        w.wrap()
 
 
 def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:
@@ -174,7 +224,16 @@ def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.n
     u is one slice (M,) or a batch (..., M); xi_slice must have u's shape.
     """
     u = np.asarray(u, dtype=np.float64)
-    return _Step(cfg, rows=int(np.prod(u.shape[:-1])))(u, xi_slice)
+    xi_slice = np.asarray(xi_slice, dtype=np.float64)
+    M = cfg.grid.M
+    if u.shape[-1:] != (M,):
+        raise ValueError(f"state has shape {u.shape}; level N={cfg.grid.N} needs (..., {M})")
+    if xi_slice.shape != u.shape:
+        raise ValueError(f"noise slice has shape {xi_slice.shape}; the state has shape {u.shape}")
+    step = _Step(cfg, u.reshape(-1, M))
+    np.copyto(step.noise_rows(1)[0], xi_slice.reshape(-1, M))
+    step.advance(0)
+    return step.states().reshape(u.shape)
 
 
 def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Trajectory:
@@ -203,17 +262,20 @@ def run(cfg: SchemeConfig, u0: np.ndarray, noise: NoiseField, T: float) -> Traje
         raise ValueError("u0 has non-finite entries")
     snaps = [(0.0, u)]
     traj = Trajectory(snapshots=snaps)
-    step = _Step(cfg)
+    step = _Step(cfg, u[None])
     blocks = noise.blocks(max(1, _BLOCK_BYTES // (8 * cfg.grid.M)))
-    rows = islice((xi for block in blocks for xi in block), n_steps)
-    for n, xi in enumerate(rows):
-        u = step(u, xi)
-        if _escaped(u):
-            traj.blowup = True
-            traj.blowup_time = (n + 1) * cfg.grid.dt
-            break
-        if (n + 1) % cfg.record_stride == 0 or n + 1 == n_steps:
-            snaps.append(((n + 1) * cfg.grid.dt, u))
+    n = 0
+    while n < n_steps:
+        block = next(blocks)[: n_steps - n]
+        np.copyto(step.noise_rows(len(block))[:, 0], block)
+        for s in range(len(block)):
+            n += 1
+            if step.advance(s) is not None:
+                traj.blowup = True
+                traj.blowup_time = n * cfg.grid.dt
+                return traj
+            if n % cfg.record_stride == 0 or n == n_steps:
+                snaps.append((n * cfg.grid.dt, step.states()[0]))
     return traj
 
 
@@ -297,7 +359,6 @@ def coupled_convergence_study(
     coarse = grids[0]
     tf = study_family(coarse)
     _check_scale_list(tf, alpha)  # before any step: a run may end with no replica left to check
-    steps = [_Step(SchemeConfig(fam=fam, grid=g, b_drift=b_drift), rows=replicas) for g in grids]
     fine_rows = 4 ** (levels[-1] - levels[0])  # fine steps per coarse step
     every = [4 ** (levels[-1] - n) for n in levels]  # fine steps per own step
 
@@ -305,6 +366,7 @@ def coupled_convergence_study(
     u = [np.stack([ic_white_noise(grids[-1], seed + r) for r in range(replicas)])]
     for _ in levels[:-1]:
         u.insert(0, coarsen_slice(u[0]))
+    steps = [_Step(SchemeConfig(fam=fam, grid=g, b_drift=b_drift), v) for g, v in zip(grids, u)]
     alive = np.arange(replicas)
     sups = np.zeros((len(levels) - 1, len(tf.scales), replicas))
     clean = np.zeros(replicas, dtype=int)
@@ -313,23 +375,31 @@ def coupled_convergence_study(
     for k in range(coarse.n_steps):
         if alive.size == 0:
             break
-        xi = [np.stack([next(blocks[r]) for r in alive])]
-        for _ in levels[:-1]:
-            xi.insert(0, block_average(xi[0]))
+        # each level's noise block goes once into its step's padded noise
+        # buffer, read as (replica, time, site) by block_average
+        fine = steps[-1].noise_rows(fine_rows)
+        for a, r in enumerate(alive):
+            fine[:, a] = next(blocks[r])
+        xi = fine.transpose(1, 0, 2)
+        for step in reversed(steps[:-1]):
+            xi = block_average(xi)
+            np.copyto(step.noise_rows(xi.shape[1]), xi.transpose(1, 0, 2))
         for j in range(1, fine_rows + 1):
-            bad = np.zeros(alive.size, dtype=bool)
-            for i, stride in enumerate(every):
+            bad = None
+            for step, stride in zip(steps, every):
                 if j % stride == 0:
-                    u[i] = steps[i](u[i], xi[i][:, j // stride - 1])
-                    bad |= _escaped(u[i])
-            if bad.any():
+                    escaped = step.advance(j // stride - 1)
+                    if escaped is not None:
+                        bad = escaped if bad is None else bad | escaped
+            if bad is not None:
                 t = (k * fine_rows + j) * grids[-1].dt
                 for r in alive[bad]:
                     escape_times[r] = t
                 keep = ~bad
                 alive = alive[keep]
-                u = [v[keep] for v in u]
-                xi = [x[keep] for x in xi]
+                for step in steps:
+                    step.keep(keep)
+        u = [step.states() for step in steps]
         inside = np.ones(alive.size, dtype=bool)
         for v in u:
             inside &= np.abs(v).max(axis=-1) <= ESCAPE_GUARD

@@ -168,12 +168,14 @@ def dxp_forward(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray) -> np.
     a zero start, with F in place of the noise: row n is
     eps^2 sum_{s<n} (DxP)_{n-1-s} * F_s, since step n reads F at row n - 1.
     The step is the one ``step_forward`` prepares per call, held for all
-    rows: the same bits, at a third of the cost.
+    rows with F as its noise rows: the same bits, at a third of the cost.
     """
-    step = _Step(SchemeConfig(linear_family(fam), grid))
     out = np.zeros((grid.n_steps + 1, grid.M))
+    step = _Step(SchemeConfig(linear_family(fam), grid), out[:1])
+    np.copyto(step.noise_rows(grid.n_steps)[:, 0], forcing[: grid.n_steps])
     for n in range(1, grid.n_steps + 1):
-        out[n] = step(out[n - 1], forcing[n - 1])
+        step.advance(n - 1)
+        out[n] = step.states()[0]
     return out
 
 

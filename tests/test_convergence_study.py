@@ -116,7 +116,7 @@ def test_alpha_checked_before_any_step(fam_bw_ss, monkeypatch):
         raise AssertionError("stepped before checking alpha")
 
     # the study steps through the held step of each level, not step_forward
-    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
+    monkeypatch.setattr(sbe.solver._Step, "advance", no_step)
     b = drift_coefficient(fam_bw_ss, "renormalized")
     with pytest.raises(ValueError, match="smoothness"):
         coupled_convergence_study(fam_bw_ss, [3, 4, 5], 0.25, 4, 0, alpha=-5.0, b_drift=b)
@@ -129,7 +129,7 @@ def test_one_comparison_scale_refused_before_any_step(fam_bw_ss, monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before checking the scales")
 
-    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
+    monkeypatch.setattr(sbe.solver._Step, "advance", no_step)
     with pytest.raises(ValueError, match="need at least two scales"):
         coupled_convergence_study(fam_bw_ss, [1, 2, 3], 0.25, 2, 0)
 
@@ -148,6 +148,6 @@ def test_one_level_refused_before_any_step(fam_bw_ss, monkeypatch, levels):
     def no_step(*args):
         raise AssertionError("stepped before checking the levels")
 
-    monkeypatch.setattr(sbe.solver._Step, "__call__", no_step)
+    monkeypatch.setattr(sbe.solver._Step, "advance", no_step)
     with pytest.raises(ValueError, match="2 or more distinct consecutive levels"):
         coupled_convergence_study(fam_bw_ss, levels, 0.0625, 1, 0)

@@ -108,6 +108,36 @@ def test_blocks_without_a_time_step_is_one_empty_block():
         assert len(blocks) == 1 and blocks[0].shape == (0, grid.M)
 
 
+def test_fields_compare_by_grid_seed_and_value_bytes():
+    grid = GridSpec(3, 0.0625)
+    field = sample_noise(grid, 1)
+    assert field == sample_noise(grid, 1)
+    assert NoiseField(grid, 1) == NoiseField(grid, 1)
+    signed = field.values.copy()
+    signed[0, 0] = 0.0
+    flipped = signed.copy()
+    flipped[0, 0] = -0.0
+    unequal = [
+        sample_noise(grid, 2),  # another seed
+        NoiseField(grid, 2, field.values),  # the same values under another seed
+        sample_noise(GridSpec(3, 0.125), 1),  # another horizon
+        NoiseField(grid, 1),  # streamed
+        NoiseField(grid, 1, signed),
+    ]
+    for other in unequal:
+        assert field != other and other != field
+    assert NoiseField(grid, 1, signed) != NoiseField(grid, 1, flipped)  # 0.0 and -0.0 differ in their bytes
+    assert NoiseField(grid, 1, flipped) == NoiseField(grid, 1, flipped.copy())
+    assert field != "noise"
+
+
+def test_fields_hash_by_grid_and_seed():
+    grid = GridSpec(3, 0.0625)
+    explicit = sample_noise(grid, 1)
+    assert hash(explicit) == hash(sample_noise(grid, 1)) == hash(NoiseField(grid, 1)) == hash((grid, 1))
+    assert len({explicit, sample_noise(grid, 1), NoiseField(grid, 1), NoiseField(grid, 1), sample_noise(grid, 2)}) == 3
+
+
 def test_coarsen_variance():
     grid = GridSpec(7, 0.25)
     coarse = block_average(sample_noise(grid, 11).values)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from sbe.operators import OperatorFamily, _blocks, derivative_multiplier
 from sbe.solver import (
     BLOWUP_THRESHOLD,
     SchemeConfig,
+    _escaped,
     _Step,
+    coupled_convergence_study,
     drift_coefficient,
     ic_constant,
     ic_white_noise,
@@ -18,7 +22,7 @@ from sbe.solver import (
     step_forward,
 )
 
-from conftest import traced_peak
+from conftest import family, traced_peak
 from oracles import linear_family, mild_oracle, step_roll
 
 
@@ -139,7 +143,7 @@ def test_run_rejects_bad_initial_slice(fam_bw_ss, u0, match):
 
 
 class TestHeldStep:
-    """One prepared step, applied K times, against K step_forward calls and the roll spelling."""
+    """One held step, advanced K times, against K step_forward calls and the roll spelling."""
 
     @staticmethod
     def cfg(fam, N):
@@ -148,24 +152,31 @@ class TestHeldStep:
     def steps_agree(self, cfg, u, xis, keep=None):
         """K held steps equal K step_forward calls and K roll steps, bit for bit.
 
-        keep[k], if given, selects the rows that stay after step k. Returns
-        every array the held step returned, with a copy made on return.
+        The held step takes all K noise rows at once. keep[k], if given,
+        selects the rows that stay after step k, and their noise rows with
+        them. Returns every array the held step returned, with a copy made
+        on return.
         """
-        held = _Step(cfg, rows=u.shape[0] if u.ndim > 1 else 1)
+        M = cfg.grid.M
+        held = _Step(cfg, u.reshape(-1, M))
+        np.copyto(held.noise_rows(len(xis)), xis.reshape(len(xis), -1, M))
+        ids = np.arange(held.n)
         v = w = u
         returned = []
         for k, xi in enumerate(xis):
-            if u.ndim > 1:
-                xi = xi[: u.shape[0]]
-            new = held(u, xi)
+            xi = xi[ids] if u.ndim > 1 else xi
+            escaped = held.advance(k)
+            new = held.states().reshape(u.shape)
             returned.append((new, new.copy()))
             v = step_forward(cfg, v, xi)
             w = step_roll(cfg, w, xi)
             assert new.shape == u.shape
             assert np.array_equal(new, v) and np.array_equal(new, w), k
+            assert escaped is None, k
             u = new
             if keep is not None and k in keep:
-                u, v, w = u[keep[k]], v[keep[k]], w[keep[k]]
+                held.keep(keep[k])
+                ids, u, v, w = ids[keep[k]], u[keep[k]], v[keep[k]], w[keep[k]]
         return returned
 
     def test_one_slice(self, fam_bw_ss, rng):
@@ -173,6 +184,7 @@ class TestHeldStep:
             cfg = self.cfg(fam_bw_ss, N)
             u = rng.standard_normal(cfg.grid.M)
             self.steps_agree(cfg, u, rng.standard_normal((12, cfg.grid.M)))
+            self.steps_agree(SchemeConfig(linear_family(fam_bw_ss), cfg.grid), u, rng.standard_normal((12, cfg.grid.M)))
 
     def test_batch_drops_rows_to_none(self, all_preset_families, rng):
         for name, fam in all_preset_families.items():
@@ -212,6 +224,73 @@ class TestHeldStep:
             assert np.array_equal(snap, u), n
 
 
+class TestEscapes:
+    """The held step's escape test: one reduction over each block's padded rows, then row by row."""
+
+    # N = 9: 31 rows a block, so 70 rows take two full blocks and a partial one
+    cfg = SchemeConfig(family("deriv-backward", "product-sasamoto-spohn"), GridSpec(9, 0.25))
+
+    @pytest.mark.parametrize("site", ["first", "last", "interior"])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, BLOWUP_THRESHOLD * (1 + 1e-15), -BLOWUP_THRESHOLD * (1 + 1e-15)]
+    )
+    def test_flags_the_rows_escaped_flags(self, value, site, rng):
+        M = self.cfg.grid.M
+        u = rng.standard_normal((70, M))
+        u[[1, 40]] = BLOWUP_THRESHOLD  # at the threshold, not past it
+        u[64, 7] = -BLOWUP_THRESHOLD
+        x = {"first": 0, "last": M - 1, "interior": M // 3}[site]
+        for rows in ([2], [30, 31], [33, 61, 69]):
+            v = u.copy()
+            v[rows, x] = value
+            held = _Step(self.cfg, v)
+            flagged = held.escaped()
+            assert flagged is not None and np.array_equal(flagged, _escaped(v)), rows
+            assert np.flatnonzero(flagged).tolist() == rows
+            np.copyto(held.noise_rows(1), 0.0)
+            with np.errstate(invalid="ignore", over="ignore"):  # stepping an inf gives inf - inf
+                flagged = held.advance(0)
+            assert flagged is not None and np.array_equal(flagged, _escaped(held.states())), rows
+
+    def test_none_when_no_row_escaped(self, rng):
+        u = rng.standard_normal((70, self.cfg.grid.M))
+        u[[0, 35, 69], [0, 100, 511]] = [BLOWUP_THRESHOLD, -BLOWUP_THRESHOLD, BLOWUP_THRESHOLD]
+        assert not _escaped(u).any()
+        assert _Step(self.cfg, u).escaped() is None
+
+
+def digest(*blobs) -> str:
+    return hashlib.sha256(b"".join(blobs)).hexdigest()
+
+
+class TestPinnedBytes:
+    """sha256 digests of the scheme's outputs, so that a faster held step keeps every bit."""
+
+    @pytest.mark.parametrize(
+        "linear, blowup_time, snapshots, sha256",
+        [
+            (False, 0.025390625, 9, "3ca346723a3998c77ce0d65fb343e9d43b53f91279a3f078938fbb41d9e8f1aa"),
+            (True, None, 44, "91e3942eb1f70938275fa39425df62c42fee8c3d6a93aad75f453782c7d6002f"),
+        ],
+    )
+    def test_run(self, fam_bw_ss, linear, blowup_time, snapshots, sha256):
+        # Sasamoto-Spohn with the renormalized drift escapes after 26 steps;
+        # the linear family runs to the horizon
+        grid = GridSpec(5, 0.125)
+        fam = linear_family(fam_bw_ss) if linear else fam_bw_ss
+        b = 0.0 if linear else drift_coefficient(fam_bw_ss, "renormalized")
+        traj = run(SchemeConfig(fam, grid, b, record_stride=3), ic_white_noise(grid, 9), NoiseField(grid, 9), grid.T)
+        assert traj.blowup_time == blowup_time and len(traj.snapshots) == snapshots
+        assert digest(traj.times.tobytes(), traj.values().tobytes()) == sha256
+
+    def test_coupled_study(self, fam_bw_ss):
+        b = drift_coefficient(fam_bw_ss, "renormalized")
+        study = coupled_convergence_study(fam_bw_ss, [4, 5, 6], 0.0625, 12, 3, b_drift=b)
+        assert study.dropped == [2, 3, 4, 5, 6, 8, 9, 10] and len(study.rows) == 8
+        blob = repr([(r, name, v.hex()) for r, name, v in study.rows]) + repr(study.dropped) + repr(study.escape_times)
+        assert digest(blob.encode()) == "c9b950e35dbc3f875843284334ab68d1d4c8a6f967fda4ddb5b9e2943f9c7eb0"
+
+
 class TestShapesAndHorizons:
     @pytest.mark.parametrize(
         "u_shape, xi_shape, match",
@@ -228,8 +307,12 @@ class TestShapesAndHorizons:
         u, xi = np.zeros(u_shape), np.zeros(xi_shape)
         with pytest.raises(ValueError, match=match):
             step_forward(cfg, u, xi)
-        with pytest.raises(ValueError, match=match):
-            _Step(cfg, rows=3)(u, xi)
+
+    @pytest.mark.parametrize("u_shape", [(64,), (32,), (3, 16), (2, 3, 32)])
+    def test_held_step_holds_rows_of_m_sites(self, fam_bw_ss, u_shape):
+        cfg = SchemeConfig(fam_bw_ss, GridSpec(5, 0.25))
+        with pytest.raises(ValueError, match=r"state has shape .*\(rows, 32\)"):
+            _Step(cfg, np.zeros(u_shape))
 
     @pytest.mark.parametrize(
         "T, match", [(0.1, "not a multiple"), (-0.1, "negative"), (-0.125, "negative"), (2.0**-11, "not a multiple")]

@@ -2,17 +2,29 @@
 
 The engine keeps the summation order, so every comparison is exact. Fields
 are cut into blocks of rows, so the shapes include fields of several blocks
-with a partial last one, an empty batch and 1-d and 3-d fields.
+with a partial last one, an empty batch and 1-d and 3-d fields. Fields of
+signed zeros and subnormals check the sign of every zero sum by its bits.
 """
 
 import numpy as np
 import pytest
 
-from oracles import forward_diffs_roll, stencil_apply_roll, twisted_product_roll
+from conftest import same_bits
+from oracles import forward_diffs_roll, linear_family, stencil_apply_roll, step_roll, twisted_product_roll
 from sbe.grids import GridSpec
 from sbe.kernels import _forward_diffs
 from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
-from sbe.operators import OperatorFamily, _block_rows, _reach, _terms, derivative, laplacian, twisted_product
+from sbe.operators import (
+    OperatorFamily,
+    _block_rows,
+    _reach,
+    _stencil,
+    _terms,
+    derivative,
+    laplacian,
+    twisted_product,
+)
+from sbe.solver import SchemeConfig, step_forward
 
 
 def radius2_family() -> OperatorFamily:
@@ -94,3 +106,52 @@ def test_wrap_guard_reads_the_radius():
             derivative(fam, u, 1.0 / M)
         with pytest.raises(ValueError, match="wraps"):
             twisted_product(fam.mu, u, u)
+
+
+def signed_zero_fields(M: int, rng) -> np.ndarray:
+    """Rows whose engine sums meet signed zeros: rows of +0.0 and of -0.0,
+    zeros of random signs, subnormals of random signs (their products
+    underflow to signed zeros), zeros with a few subnormals, and constant
+    rows, whose stencil sums cancel to zero."""
+    signs = rng.choice([-1.0, 1.0], size=(4, M))
+    tiny = np.array(5e-324)
+    return np.stack(
+        [
+            np.zeros(M),
+            np.full(M, -0.0),
+            0.0 * signs[0],
+            0.0 * signs[1],
+            tiny * signs[2] * rng.integers(1, 4, M),
+            np.where(rng.random(M) < 0.25, tiny * signs[3], 0.0 * signs[0]),
+            np.full(M, 0.75),
+            np.full(M, -3.0),
+        ]
+    )
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_signed_zeros_keep_the_bits_of_a_zero_start(families, fam_bw_ss, N):
+    """Sums that start from their first term, then add +0.0, give the bits
+    of the roll spelling's zero start, signed zeros included, also for the
+    linear family, whose product has no terms, and steps with and without
+    a drift."""
+    rng = np.random.default_rng(N)
+    grid = GridSpec(N, 0.25)
+    M, eps = grid.M, grid.eps
+    for name, fam in dict(families, linear=linear_family(fam_bw_ss)).items():
+        u = signed_zero_fields(M, rng)
+        g = u[rng.permutation(len(u))]
+        lap_coeff = 1.0 / (2.0 * fam.nu_bar * eps**2)
+        pairs = [
+            (laplacian(fam, u, eps), stencil_apply_roll(fam.nu, lap_coeff, u)),
+            (derivative(fam, u, eps), stencil_apply_roll(fam.pi, 1.0 / eps, u)),
+            (_stencil(fam.nu.atoms, u), stencil_apply_roll(fam.nu, 1.0, u)),
+            (_stencil(fam.pi.atoms, g), stencil_apply_roll(fam.pi, 1.0, g)),
+            (twisted_product(fam.mu, u, g), twisted_product_roll(fam.mu, u, g)),
+            (twisted_product(fam.mu, u, u), twisted_product_roll(fam.mu, u, u)),
+        ]
+        for b in (0.0, 2e-13, -1.5):
+            cfg = SchemeConfig(fam, grid, b_drift=b)
+            pairs.append((step_forward(cfg, u, g), step_roll(cfg, u, g)))
+        for k, (got, want) in enumerate(pairs):
+            assert same_bits(got, want), (name, k)
