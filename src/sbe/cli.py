@@ -143,10 +143,6 @@ def _load_json(path: str):
         raise SchemaError(f"config: cannot read {path}: {exc}") from exc
 
 
-def parse_config(path: str, kind: str | None = None) -> ExperimentConfig:
-    return config_from_dict(_load_json(path), kind=kind)
-
-
 def _coerced(key: str, value, to):
     """value as ``to``, never from a boolean; an integer takes integral numbers and strings ("77")."""
     expected = f"{key}: expected {'an integer' if to is int else 'a number'}, got {value!r}"
@@ -492,7 +488,6 @@ KINDS = {
         _exp_kernel_diag, need=lambda g: (square_check_bytes(g), "the kernel diagnostics"), horizon=0.25
     ),
 }
-EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> ResultBundle:
@@ -527,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig, out_root: str | None = None) -> Result
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="sbe", description=__doc__)
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="seed (config value wins if present)")

@@ -12,6 +12,8 @@ it is read; ``NoiseField.blocks`` reads either a block of rows at a time.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,11 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N: expected an integer, got {self.N!r}")
+        object.__setattr__(self, "N", int(self.N))  # a numpy integer, unsigned too, as a Python int
+        if not math.isfinite(self.T):
+            raise ValueError(f"T: expected a finite horizon, got {self.T!r}")
         if self.N < 0:
             raise ValueError("N must be nonnegative")
         steps = self.T / self.dt

@@ -1,4 +1,4 @@
-"""Space-time discrete heat kernel, its explicit step and its singular part.
+"""Space-time discrete heat kernel and its singular part, made a block of rows at a time.
 
 The kernel solves the explicit-Euler heat equation from an eps^-1 Kronecker
 delta, so each column is the inverse DFT of m(k)^n with the stepping
@@ -9,15 +9,15 @@ distance, with radii (1/4, 1/2) so that K fits in one torus period.
 
 P is real, so row n is the irfft of m^n on the half-spectrum (rfft modes
 0..M/2), as in ``kernels`` and ``processes``. ``HeatKernel.row_blocks``
-makes P one block of about operators._BLOCK_BYTES of rows at a time for
-every pass (the columns, the cutoff, the decay bounds and the heat-kernel
-experiment), and a ``HeatKernel`` keeps no rows between calls;
-``singular_blocks`` cuts each block off as it comes, so that the
-renormalized-square check of ``kernels`` can make K again where it reads
-it; the cutoff reads x only through x^4, so it is taken on the M/2 + 1
-distinct |x| and mirrored. ``bound_blocks`` adds each block's per-time
-maxima of the decay bounds, all three derivative orders from its
-half-spectrum, so that ``diagnostics`` makes each row once.
+makes P one block of about operators._BLOCK_BYTES of rows at a time, and a
+``HeatKernel`` keeps no rows between calls. ``singular_blocks`` cuts each
+block off as it comes, so that the renormalized-square check of ``kernels``
+can make K again where it reads it; the cutoff reads x only through x^4,
+so it is taken on the M/2 + 1 distinct |x| and mirrored.
+``bound_blocks`` adds each block's per-time maxima of the decay bounds,
+all three derivative orders from its half-spectrum, so that
+``diagnostics``, the heat-kernel experiment, makes each row once. The
+explicit step is ``operators.laplacian``'s u + eps^2 lap u.
 Each step is elementwise, per row or a per-row max, so the results equal
 the whole-field passes bit for bit. Every horizon is a whole number of
 steps in [0, T].
@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import GridSpec
-from .operators import OperatorFamily, _blocks, derivative_multiplier, laplacian, modes, stepping_multiplier
+from .operators import OperatorFamily, _blocks, derivative_multiplier, modes, stepping_multiplier
 
-__all__ = ["HeatKernel", "BoundsDiagnostic", "smooth_cutoff", "parabolic_norm"]
+__all__ = ["HeatKernel", "smooth_cutoff", "parabolic_norm"]
 
 CUTOFF_INNER = 0.25
 CUTOFF_OUTER = 0.5
@@ -110,23 +110,6 @@ class HeatKernel:
         n_h = self._steps(horizon)
         return ((rows, self._rows(rows)) for rows in _blocks(n_h + 1, 16 * self.grid.M))
 
-    def columns(self, n_max: int) -> np.ndarray:
-        """Rows 0..n_max of the kernel, n_max eps^2 <= T, in a new array (row n holds P at t = n eps^2)."""
-        blocks = self.row_blocks(n_max * self.grid.dt)
-        P = np.empty((n_max + 1, self.grid.M))
-        for rows, block in blocks:
-            P[rows] = block
-        return P
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """One explicit Euler step u + eps^2 lap u, by the stencil.
-
-        Exact dyadic arithmetic for dyadic-weight families; in Fourier it
-        multiplies mode k by the stepping multiplier m(k).
-        """
-        u = np.asarray(u, dtype=np.float64)
-        return u + self.grid.dt * laplacian(self.fam, u, self.grid.eps)
-
     def singular_blocks(self, horizon: float):
         """The singular part K = chi P of the kernel up to a horizon as new blocks (rows, block) in order; the horizon is checked first.
 
@@ -148,13 +131,6 @@ class HeatKernel:
             return P
 
         return ((rows, cut(rows, P)) for rows, P in blocks)
-
-    def singular_part(self, horizon: float) -> np.ndarray:
-        """The singular part K = chi P of the kernel up to a horizon (``singular_blocks``) in a new array, the one field held."""
-        K = np.empty((self._steps(horizon) + 1, self.grid.M))
-        for rows, block in self.singular_blocks(horizon):
-            K[rows] = block
-        return K
 
     def bound_blocks(self, horizon: float):
         """The kernel's rows up to a horizon as new blocks (rows, block, maxima) in order; the horizon is checked first.
@@ -201,24 +177,3 @@ class HeatKernel:
         rows = [("mass_max_error", mass_error), ("semigroup_residual", semi)]
         rows += [("multiplier_min", float(self.multiplier.min())), ("multiplier_max", float(self.multiplier.max()))]
         return rows + [(f"decay_bound_sup_j{j}", float(decay[j])) for j in (0, 1, 2)]
-
-    def verify_bounds(self, horizon: float) -> tuple["BoundsDiagnostic", ...]:
-        """Empirical check of |D_x^j P_t(x)| * |t|_eps^(1+j) staying bounded, for j = 0, 1, 2 in order.
-
-        Samples grid points with |z|_s <= 3/8 to stay clear of the torus
-        wraparound; an N-stable value certifies the decay bound. The
-        per-time maxima come from ``bound_blocks``, so no field is held.
-        """
-        t = np.arange(self._steps(horizon) + 1) * self.grid.dt
-        per_t = np.empty((3, len(t)))
-        for rows, _, maxima in self.bound_blocks(horizon):
-            per_t[:, rows] = maxima
-        return tuple(BoundsDiagnostic(j=j, times=t, per_time_max=per_t[j], sup=float(per_t[j].max())) for j in (0, 1, 2))
-
-
-@dataclass(frozen=True)
-class BoundsDiagnostic:
-    j: int
-    times: np.ndarray
-    per_time_max: np.ndarray
-    sup: float

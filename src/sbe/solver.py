@@ -295,7 +295,7 @@ def ic_white_noise(grid: GridSpec, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Outcome of ``coupled_convergence_study``; unpacks as (per_pair, rows).
+    """Outcome of ``coupled_convergence_study``.
 
     per_pair maps "a->b" to the replicas' comparison norms in replica
     order, rows holds (replica, pair, value), dropped lists the replicas
@@ -308,9 +308,6 @@ class ConvergenceStudy:
     rows: list
     dropped: list
     escape_times: list
-
-    def __iter__(self):
-        return iter((self.per_pair, self.rows))
 
 
 def consecutive_levels(levels, least: int = 2) -> list[int]:
@@ -354,6 +351,8 @@ def coupled_convergence_study(
 
     Memory is O(replicas * M) at the finest level, independent of T.
     """
+    if replicas < 1:
+        raise ValueError(f"replicas: expected >= 1, got {replicas}")
     levels = consecutive_levels(levels)
     grids = [GridSpec(n, T) for n in levels]
     coarse = grids[0]

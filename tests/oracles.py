@@ -31,7 +31,10 @@ the renormalized space-time convolutions of two plain arrays together from
 the output blocks of ``sbe.kernels._convolved``, the pipeline of the
 renormalized-square check, so that its blocks can be checked whole.
 
-``columns_whole``, ``split_whole``, ``verify_bounds_whole``,
+``stacked`` joins the blocks of a ``HeatKernel`` pass into one array:
+the kernel's rows, its singular part or the decay bounds' per-time maxima.
+
+``columns_whole``, ``split_whole``, ``bound_maxima_whole``,
 ``time_convolve_whole``, ``spacetime_convolve_whole`` and
 ``order_norm_whole`` are the heat kernel, its singular part and decay
 bounds, the time and space-time convolutions and the order norm spelled on
@@ -213,7 +216,7 @@ def dxk_direct(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray, points)
     derivative.
     """
     eps, M = grid.eps, grid.M
-    dxk = stencil_apply_roll(fam.pi, 1.0 / eps, HeatKernel(grid, fam).singular_part(grid.T))
+    dxk = stencil_apply_roll(fam.pi, 1.0 / eps, stacked(HeatKernel(grid, fam).singular_blocks(grid.T)))
     y = np.arange(M)
     vals = []
     for n, x in points:
@@ -232,7 +235,7 @@ def dxk_fft(fam: OperatorFamily, grid: GridSpec, forcing: np.ndarray) -> np.ndar
     """
     eps, nt, half = grid.eps, grid.n_steps, grid.M // 2 + 1
     dmult = derivative_multiplier(fam, eps, grid.M)[:half]
-    k_hat = (np.fft.rfft(HeatKernel(grid, fam).singular_part(grid.T), axis=1) * dmult)[:nt]
+    k_hat = (np.fft.rfft(stacked(HeatKernel(grid, fam).singular_blocks(grid.T)), axis=1) * dmult)[:nt]
     out = np.zeros((nt + 1, half), dtype=np.complex128)
     out[1:] = eps**3 * time_convolve_whole(k_hat, np.fft.rfft(forcing[:nt], axis=1))[:nt]
     return np.fft.irfft(out, n=grid.M, axis=1)
@@ -278,6 +281,11 @@ def increment_sums_zeros_like(K: np.ndarray, sq: np.ndarray, points, eps: float)
     return np.array(vals)
 
 
+def stacked(blocks, item: int = 1) -> np.ndarray:
+    """Item 1 of every block of a HeatKernel pass, P or K as (rows, M); item 2 of bound_blocks, the maxima as (3, rows)."""
+    return np.concatenate([block[item] for block in blocks], axis=item - 1)
+
+
 def columns_whole(hk: HeatKernel, n_max: int) -> np.ndarray:
     """Rows 0..n_max of hk's kernel: the scaled delta, then the irffts of m^n on the half-spectrum in one pass."""
     n = np.arange(1, n_max + 1)
@@ -308,8 +316,8 @@ def split_whole(hk: HeatKernel, horizon: float) -> np.ndarray:
     return cutoff_whole(smooth_parabolic_norm(t, x)) * P
 
 
-def verify_bounds_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
-    """The per-time maxima of the order-j diagnostic of ``HeatKernel.verify_bounds``, each step on the whole field."""
+def bound_maxima_whole(hk: HeatKernel, j: int, horizon: float) -> np.ndarray:
+    """Row j of the per-time maxima of ``HeatKernel.bound_blocks``, each step on the whole field."""
     grid = hk.grid
     eps, M = grid.eps, grid.M
     n_h = int(round(horizon / grid.dt))

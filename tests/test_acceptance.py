@@ -20,12 +20,12 @@ from sbe.heat import HeatKernel
 from sbe.kernels import order_norm, renormalized_square_check
 from sbe.measures import AtomicMeasure2D, preset_measure
 from sbe.norms import estimate_exponent, make_test_family
-from sbe.operators import OperatorFamily, check_parseval_twisted
+from sbe.operators import OperatorFamily, check_parseval_twisted, laplacian
 from sbe.processes import lift
 from sbe.renorm import c2_lattice_sum, c2_quadrature, c21, compute_constants
 from sbe.solver import SchemeConfig, ic_zero, run
 
-from oracles import mild_oracle
+from oracles import mild_oracle, stacked
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -109,7 +109,7 @@ def test_criterion_3_exact_conservation(fam_bw_ss):
 def test_criterion_4_heat_kernel_certificates(fam_bw_ss):
     grid = GridSpec(6, 0.25)
     hk = HeatKernel(grid, fam_bw_ss)
-    cols = hk.columns(grid.n_steps)
+    cols = stacked(hk.row_blocks(grid.T))
     mass_err = float(np.max(np.abs(grid.eps * cols.sum(axis=1) - 1.0)))
     semi = 0.0
     for a, b in ((7, 40), (128, 512), (300, 300)):
@@ -117,7 +117,7 @@ def test_criterion_4_heat_kernel_certificates(fam_bw_ss):
         semi = max(semi, float(np.max(np.abs(conv - cols[a + b]))))
     delta = np.zeros(grid.M)
     delta[0] = 1.0 / grid.eps
-    one = hk.step(delta) * grid.eps
+    one = (delta + grid.dt * laplacian(fam_bw_ss, delta, grid.eps)) * grid.eps
     one_ok = one[0] == 0.75 and one[1] == 0.125 and one[-1] == 0.125 and not one[2:-1].any()
     mult_ok = hk.multiplier.min() >= 0.5 and hk.multiplier.max() <= 1.0
     report(
@@ -211,16 +211,16 @@ def test_criterion_8_dyadic_self_convergence(fam_bw_ss):
     from sbe.solver import drift_coefficient
 
     b = drift_coefficient(fam_bw_ss, "renormalized")
-    per_pair, _ = coupled_convergence_study(
+    per_pair = coupled_convergence_study(
         fam_bw_ss, [5, 6, 7], T=0.125, replicas=50, seed=100, alpha=-0.6, eta=-0.6, b_drift=b
-    )
+    ).per_pair
     m56 = statistics.median(per_pair["5->6"])
     m67 = statistics.median(per_pair["6->7"])
     ratio = m67 / m56
 
     # diagnostic baseline: the identical protocol on the linear equation
     lin = OperatorFamily(fam_bw_ss.nu, fam_bw_ss.pi, AtomicMeasure2D({(0, 0): 0.0}))
-    lin_pairs, _ = coupled_convergence_study(lin, [5, 6, 7], T=0.125, replicas=20, seed=100)
+    lin_pairs = coupled_convergence_study(lin, [5, 6, 7], T=0.125, replicas=20, seed=100).per_pair
     lin_ratio = statistics.median(lin_pairs["6->7"]) / statistics.median(lin_pairs["5->6"])
     elapsed = time.monotonic() - t0
     report(
@@ -237,7 +237,7 @@ def test_criterion_9_singular_kernel_order(fam_bw_ss, fam_bw_pw):
     vals = []
     for N in (5, 6, 7, 8):
         grid = GridSpec(N, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(0.25))
         vals.append(order_norm(K, grid, -1.0, 2))
     stable = max(vals) / min(vals) <= 2.0
 

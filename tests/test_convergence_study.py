@@ -100,11 +100,21 @@ def test_linear_matches_reference(fam_bw_ss):
         assert study.escape_times == escapes == [None] * replicas
 
 
-def test_unpacks_as_pair(fam_bw_ss):
+def test_pairs_in_level_order(fam_bw_ss):
     study = coupled_convergence_study(linear(fam_bw_ss), [3, 4, 5], 0.0625, 2, 5)
-    per_pair, rows = study
-    assert per_pair is study.per_pair and rows is study.rows
-    assert list(per_pair) == ["3->4", "4->5"]
+    assert list(study.per_pair) == ["3->4", "4->5"]
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_no_replica_refused_before_any_step(fam_bw_ss, monkeypatch, replicas):
+    import sbe.solver
+
+    def no_step(*args):
+        raise AssertionError("stepped before checking the replicas")
+
+    monkeypatch.setattr(sbe.solver._Step, "advance", no_step)
+    with pytest.raises(ValueError, match=rf"^replicas: expected >= 1, got {replicas}$"):
+        coupled_convergence_study(fam_bw_ss, [3, 4, 5], 0.0625, replicas, 0)
 
 
 def test_alpha_checked_before_any_step(fam_bw_ss, monkeypatch):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sbe.grids import GridSpec, NoiseField, block_average, coarsen_slice, sample_noise
+from sbe.solver import SchemeConfig, run
 
 
 def test_grid_invariants():
@@ -11,6 +12,28 @@ def test_grid_invariants():
     assert grid.n_steps * grid.dt == grid.T
     with pytest.raises(ValueError):
         GridSpec(5, 0.25 + 1e-5)
+
+
+@pytest.mark.parametrize("N", [5, np.int64(5), np.int32(5), np.uint8(5)], ids=["int", "int64", "int32", "uint8"])
+def test_integer_levels_accepted(N):
+    grid = GridSpec(N, 0.25)
+    assert grid == GridSpec(5, 0.25) and type(grid.N) is int and grid.eps == 2.0**-5
+
+
+@pytest.mark.parametrize("N", [3.5, 5.0, np.float64(5.0), True, False, "5", None], ids=repr)
+def test_a_level_that_is_no_integer_is_refused(N):
+    with pytest.raises(ValueError, match=r"^N: expected an integer, got "):
+        GridSpec(N, 0.25)
+
+
+@pytest.mark.parametrize("T", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_a_horizon_that_is_not_finite_is_refused(fam_bw_ss, T):
+    with pytest.raises(ValueError, match=r"^T: expected a finite horizon, got "):
+        GridSpec(5, T)
+    # run builds its grid from the horizon it is given, after refusing a negative one
+    grid = GridSpec(5, 0.25)
+    with pytest.raises(ValueError, match=r"^(T: expected a finite horizon, got |horizon T=-inf is negative)"):
+        run(SchemeConfig(fam=fam_bw_ss, grid=grid), np.zeros(grid.M), NoiseField(grid, 0), T)
 
 
 def test_noise_moments():

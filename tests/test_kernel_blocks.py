@@ -14,7 +14,6 @@ the heat kernel free of rows kept between calls.
 """
 
 import ctypes
-import inspect
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,14 +21,15 @@ import pytest
 
 from conftest import count_rows, traced, traced_peak
 from oracles import (
+    bound_maxima_whole,
     columns_whole,
     order_norm_whole,
     renormalized_convolve,
     spacetime_convolve,
     spacetime_convolve_whole,
     split_whole,
+    stacked,
     time_convolve_whole,
-    verify_bounds_whole,
 )
 from sbe import kernels
 from sbe.grids import GridSpec
@@ -59,22 +59,19 @@ class TestHeatKernel:
         hk = HeatKernel(long_grid, fam_bw_ss)
         rows, M = long_grid.n_steps + 1, long_grid.M
         assert spans_blocks(rows, 8 * M) and spans_blocks(rows, 16 * M)
-        K = hk.singular_part(long_grid.T)
+        K = stacked(hk.singular_blocks(long_grid.T))
         assert np.array_equal(K, split_whole(hk, long_grid.T))
-        assert np.array_equal(hk.columns(long_grid.n_steps), columns_whole(hk, long_grid.n_steps))
-        diags = hk.verify_bounds(long_grid.T)
-        assert [diag.j for diag in diags] == [0, 1, 2]
-        for diag in diags:
-            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, diag.j, long_grid.T)), diag.j
-            assert diag.sup == diag.per_time_max.max()
+        assert np.array_equal(stacked(hk.row_blocks(long_grid.T)), columns_whole(hk, long_grid.n_steps))
+        maxima = stacked(hk.bound_blocks(long_grid.T), 2)
+        for j in (0, 1, 2):
+            assert np.array_equal(maxima[j], bound_maxima_whole(hk, j, long_grid.T)), j
 
     @pytest.mark.parametrize("N", [5, 6, 7, 8])
-    def test_singular_part_and_blocks_equal_the_whole_field_in_bytes(self, fam_bw_ss, N):
+    def test_singular_blocks_equal_the_whole_field_in_bytes(self, fam_bw_ss, N):
         # bytes, not values: a -0.0 where the whole field has +0.0 fails here
         grid = GridSpec(N, 0.25)
         hk = HeatKernel(grid, fam_bw_ss)
         want = split_whole(hk, grid.T).tobytes()
-        assert hk.singular_part(grid.T).tobytes() == want
         blocks = list(hk.singular_blocks(grid.T))
         assert [rows for rows, _ in blocks] == _blocks(grid.n_steps + 1, 16 * grid.M)
         assert b"".join(block.tobytes() for _, block in blocks) == want
@@ -84,47 +81,44 @@ class TestHeatKernel:
         grid = GridSpec(7, 0.125)
         hk = HeatKernel(grid, fam_bw_ss)
         assert spans_blocks(grid.n_steps + 1, 16 * grid.M)
-        for diag in hk.verify_bounds(grid.T):
-            assert diag.per_time_max.all(), diag.j
-            assert np.array_equal(diag.per_time_max, verify_bounds_whole(hk, diag.j, grid.T)), diag.j
+        maxima = stacked(hk.bound_blocks(grid.T), 2)
+        for j in (0, 1, 2):
+            assert maxima[j].all(), j
+            assert np.array_equal(maxima[j], bound_maxima_whole(hk, j, grid.T)), j
 
     def test_bounds_make_each_row_of_p_once(self, fam_bw_ss, long_grid, monkeypatch):
         hk = HeatKernel(long_grid, fam_bw_ss)
         made = count_rows(monkeypatch)
-        hk.verify_bounds(0.5)
+        for _ in hk.bound_blocks(0.5):
+            pass
         assert made == [long_grid.n_steps // 2 + 1]
-
-    def test_bounds_take_only_a_horizon(self):
-        assert list(inspect.signature(HeatKernel.verify_bounds).parameters) == ["self", "horizon"]
 
     def test_cache_grown_in_two_calls_keeps_its_rows(self, fam_bw_ss, long_grid):
         hk = HeatKernel(long_grid, fam_bw_ss)
-        first = hk.columns(300).copy()  # not on a block boundary
-        grown = hk.columns(long_grid.n_steps)
+        first = stacked(hk.row_blocks(300 * long_grid.dt))  # not on a block boundary
+        grown = stacked(hk.row_blocks(long_grid.T))
         assert np.array_equal(grown[:301], first)
         assert np.array_equal(grown, columns_whole(hk, long_grid.n_steps))
-        assert np.array_equal(hk.columns(7), grown[:8])
+        assert np.array_equal(stacked(hk.row_blocks(7 * long_grid.dt)), grown[:8])
 
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda hk: hk.columns(-3), OUTSIDE),
-            (lambda hk: hk.columns(hk.grid.n_steps + 1), OUTSIDE),
-            (lambda hk: hk.singular_part(-hk.grid.dt), OUTSIDE),
-            (lambda hk: hk.singular_part(hk.grid.T + hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.row_blocks(-3 * hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.row_blocks(hk.grid.T + hk.grid.dt), OUTSIDE),
+            (lambda hk: hk.singular_blocks(-hk.grid.dt), OUTSIDE),
             (lambda hk: hk.singular_blocks(hk.grid.T + hk.grid.dt), OUTSIDE),
-            (lambda hk: hk.verify_bounds(1.0), OUTSIDE),
-            (lambda hk: hk.verify_bounds(-0.01), OUTSIDE),
-            (lambda hk: hk.verify_bounds(float("nan")), OUTSIDE),
+            (lambda hk: hk.bound_blocks(1.0), OUTSIDE),
+            (lambda hk: hk.bound_blocks(-0.01), OUTSIDE),
+            (lambda hk: hk.bound_blocks(float("nan")), OUTSIDE),
             # 0.1 / dt = 102.4 steps at N = 5
-            (lambda hk: hk.singular_part(0.1), BETWEEN_STEPS),
-            (lambda hk: hk.verify_bounds(0.1), BETWEEN_STEPS),
+            (lambda hk: hk.singular_blocks(0.1), BETWEEN_STEPS),
+            (lambda hk: hk.bound_blocks(0.1), BETWEEN_STEPS),
         ],
         ids=[
             "columns-3",
             "columns-past-T",
             "split-dt",
-            "split-past-T",
             "split-blocks-past-T",
             "bounds-1",
             "bounds-negative",
@@ -140,9 +134,10 @@ class TestHeatKernel:
 
     def test_horizons_zero_and_T_are_accepted(self, fam_bw_ss):
         hk = HeatKernel(GridSpec(5, 0.125), fam_bw_ss)
-        assert hk.columns(0).shape == (1, 32)
-        assert np.array_equal(hk.singular_part(0.0), hk.columns(0))  # the delta lies inside the cutoff
-        assert [diag.per_time_max.shape for diag in hk.verify_bounds(0.125)] == [(129,)] * 3
+        assert stacked(hk.row_blocks(0.0)).shape == (1, 32)
+        # the delta lies inside the cutoff
+        assert np.array_equal(stacked(hk.singular_blocks(0.0)), stacked(hk.row_blocks(0.0)))
+        assert stacked(hk.bound_blocks(0.125), 2).shape == (3, 129)
 
 
 class TestTimeConvolve:
@@ -265,7 +260,7 @@ class TestSquareCheckReductions:
 
         monkeypatch.setattr(kernels, "_reduce", spy)
         _, norm, _ = renormalized_square_check(fam_bw_ss, self.grid)
-        K = HeatKernel(self.grid, fam_bw_ss).singular_part(self.grid.T)
+        K = stacked(HeatKernel(self.grid, fam_bw_ss).singular_blocks(self.grid.T))
         M = self.grid.M
         assert spans_blocks(2 * K.shape[0] - 1, 8 * M)
         dmult = derivative_multiplier(fam_bw_ss, self.grid.eps, M)[: M // 2 + 1]
@@ -281,7 +276,7 @@ class TestSquareCheckReductions:
 
     def test_k_norm_is_that_of_the_singular_part(self, fam_bw_ss):
         k_norm, _, _ = renormalized_square_check(fam_bw_ss, self.grid)
-        K = HeatKernel(self.grid, fam_bw_ss).singular_part(self.grid.T)
+        K = stacked(HeatKernel(self.grid, fam_bw_ss).singular_blocks(self.grid.T))
         assert k_norm == order_norm(K, self.grid, -1.0, m=2)
 
     def test_k_is_made_twice(self, fam_bw_ss, monkeypatch):
@@ -316,7 +311,7 @@ class TestSquareCheckReductions:
 
 class TestOrderNorm:
     def test_split_kernel_equals_the_whole_field(self, fam_bw_ss, long_grid):
-        K = HeatKernel(long_grid, fam_bw_ss).singular_part(long_grid.T)
+        K = stacked(HeatKernel(long_grid, fam_bw_ss).singular_blocks(long_grid.T))
         assert spans_blocks(K.shape[0], 8 * long_grid.M)
         for m in (0, 1, 2):
             for zeta in (-1.0, -1.5, 2.5):
@@ -385,32 +380,32 @@ class TestMemory:
 
     def test_split_allocates_its_results_and_little_else(self, fam_bw_ss, grid):
         hk = HeatKernel(grid, fam_bw_ss)
-        K, peak = traced_peak(lambda: hk.singular_part(grid.T))
-        field = K.nbytes
+        _, peak = traced_peak(lambda: sum(1 for _ in hk.singular_blocks(grid.T)))
+        field = 8 * (grid.n_steps + 1) * grid.M
         assert field > 16e6
-        # K alone: P is made a block of rows at a time and not cached
-        assert peak - field < field / 4
+        # a block of K at a time: P is made a block of rows at a time and not cached
+        assert peak < field / 4
 
     def test_heat_kernel_keeps_nothing_between_calls(self, fam_bw_ss, grid):
         hk = HeatKernel(grid, fam_bw_ss)
         field = 8 * (grid.n_steps + 1) * grid.M
-        # columns dropped by the caller leave nothing behind
-        _, _, held = traced(lambda: hk.columns(grid.n_steps).shape)
+        # rows dropped by the caller leave nothing behind
+        _, _, held = traced(lambda: sum(1 for _ in hk.row_blocks(grid.T)))
         assert held < _BLOCK_BYTES
         # a fresh kernel's decay bounds make P one block of rows at a time
         fresh = HeatKernel(grid, fam_bw_ss)
-        _, peak = traced_peak(lambda: fresh.verify_bounds(grid.T))
+        _, peak = traced_peak(lambda: sum(1 for _ in fresh.bound_blocks(grid.T)))
         assert peak < field / 4
         assert set(vars(hk)) == set(vars(fresh)) == {"grid", "fam", "multiplier"}
 
     def test_order_norm_allocates_less_than_a_quarter_field(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(grid.T))
         for m in (0, 1, 2):
             _, peak = traced_peak(lambda: order_norm(K, grid, -1.0, m))
             assert peak < K.nbytes / 4, m
 
     def test_convolution_holds_only_its_buffer(self, fam_bw_ss, grid):
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(grid.T))
         sq = K**2
         r1, r2 = kernels._occupied_rows(sq), kernels._occupied_rows(K)
         L, n_out = kernels._time_length(r1 + r2), 2 * K.shape[0] - 1
@@ -428,7 +423,7 @@ class TestMemory:
 
     def test_square_check_holds_its_buffer_alone(self, fam_bw_ss, grid):
         _, peak = traced_peak(lambda: renormalized_square_check(fam_bw_ss, grid))
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(grid.T))
         L = kernels._time_length(2 * kernels._occupied_rows(K))
         buffer = 8 * max(2 * L * (grid.M // 2 + 1), 2 * K.size)
         # neither K (16.8 MB) nor the output field (33.5 MB) nor a
@@ -480,7 +475,7 @@ class TestMemory:
     def test_direct_sums_hold_no_field(self, fam_bw_ss):
         # K at N = 7, T = 1/4 is 4.2 MB; the terms are made a leaf at a time
         grid = GridSpec(7, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(grid.T))
         sq, (nk, M) = K**2, K.shape
         points = [(0, 0), (nk // 2, 3), (nk - 1, M - 1), (2 * nk - 2, 5)]
         _, peak = traced_peak(lambda: kernels._direct_sums(K, sq, points, grid.eps))

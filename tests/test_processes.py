@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import same_bits, traced_peak
-from oracles import dxk_fft, dxp_forward, remainder_r1222, remainder_r21
+from oracles import dxk_fft, dxp_forward, remainder_r1222, remainder_r21, stacked
 from sbe.grids import GridSpec, LatticeField, NoiseField, sample_noise
 from sbe.kernels import order_norm
 from sbe.norms import estimate_exponent, make_test_family
@@ -659,7 +659,7 @@ class TestSingularOrderProbe:
         vals = []
         for N in (5, 6, 7):
             grid = GridSpec(N, 0.25)
-            K = HeatKernel(grid, fam_bw_ss).singular_part(0.25)
+            K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(0.25))
             vals.append(order_norm(K, grid, -1.0, m=2))
         assert max(vals) / min(vals) < 2.0
 

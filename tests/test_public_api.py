@@ -15,10 +15,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # conveniences that nothing outside their own tests called, internals
 # replaced by another route, the kernel calculus and mollifier that no
-# experiment ran, its DiscreteKernel wrapper, and the heat-kernel memory
-# bound of a field no longer held, now gone; the remainders live on in
-# tests/oracles.py, the continuum constant and its bump in tests/test_renorm.py
+# experiment ran, its DiscreteKernel wrapper, the heat-kernel memory
+# bound of a field no longer held, and the heat kernel's whole-field
+# readers and the CLI's file parser and kind tuple, which only tests read,
+# now gone; the remainders live on in tests/oracles.py, the continuum
+# constant and its bump in tests/test_renorm.py
 REMOVED = {
+    "cli": ("parse_config", "EXPERIMENT_KINDS"),
     "operators": ("dft", "idft", "time_convolve", "_time_length", "_time_spectrum", "_convolve_spectrum"),
     "fieldio": ("field_to_csv",),
     "grids": (
@@ -31,7 +34,7 @@ REMOVED = {
         "noise_stream",
         "noise_block",
     ),
-    "heat": ("KernelSplit", "signed_torus_coordinate", "heat_kernel_bytes"),
+    "heat": ("KernelSplit", "signed_torus_coordinate", "heat_kernel_bytes", "BoundsDiagnostic"),
     "kernels": (
         "twisted_kernel_product",
         "_pad_match",
@@ -102,6 +105,13 @@ def test_removed_names_are_gone(fam_bw_ss):
             assert name not in sbe.__all__ and not hasattr(sbe, name) and not hasattr(mod, name), f"{module}.{name}"
     assert not hasattr(sbe.HeatKernel, "kernel_column")
     assert not hasattr(sbe.HeatKernel, "split")
+    # the passes the program runs are the kernel's block generators; tests
+    # stack their blocks, and the explicit step is laplacian's
+    for method in ("columns", "singular_part", "step", "verify_bounds"):
+        assert not hasattr(sbe.HeatKernel, method), method
+    # a study is read by its fields, not unpacked
+    with pytest.raises(TypeError, match="not iterable"):
+        iter(sbe.solver.ConvergenceStudy(per_pair={}, rows=[], dropped=[], escape_times=[]))
     # the kernel keeps no rows between calls
     assert not hasattr(sbe.HeatKernel(sbe.GridSpec(3, 0.25), fam_bw_ss), "_columns")
     assert not hasattr(sbe.SchemeConfig, "fingerprint")

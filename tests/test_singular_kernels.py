@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import increment_sums_zeros_like, renormalized_convolve, spacetime_convolve
+from oracles import increment_sums_zeros_like, renormalized_convolve, spacetime_convolve, stacked
 from sbe import kernels
 from sbe.grids import GridSpec, rng_for
 from sbe.heat import HeatKernel
@@ -11,7 +11,7 @@ from sbe.operators import derivative_multiplier, modes, twisted_product
 
 def split_kernel(fam, N, horizon=0.25):
     grid = GridSpec(N, horizon)
-    return HeatKernel(grid, fam).singular_part(horizon), grid
+    return stacked(HeatKernel(grid, fam).singular_blocks(horizon)), grid
 
 
 def norm_one_kernel(grid, rows=8):
@@ -159,7 +159,7 @@ class TestRenormalizedSquareCheck:
         if leaf is not None:
             monkeypatch.setattr(kernels, "_LEAF", leaf)
         grid = GridSpec(N, 0.25)
-        K = HeatKernel(grid, fam_bw_ss).singular_part(grid.T)
+        K = stacked(HeatKernel(grid, fam_bw_ss).singular_blocks(grid.T))
         dmult = derivative_multiplier(fam_bw_ss, grid.eps, grid.M)[: grid.M // 2 + 1]
         sq = np.fft.irfft(np.fft.rfft(K, axis=1) * dmult, n=grid.M, axis=1) ** 2
         nk, M = K.shape
