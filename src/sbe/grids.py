@@ -43,9 +43,11 @@ class GridSpec:
         if not math.isfinite(self.T):
             raise ValueError(f"T: expected a finite horizon, got {self.T!r}")
         if self.N < 0:
-            raise ValueError("N must be nonnegative")
+            raise ValueError(f"N: expected a nonnegative integer, got {self.N!r}")
+        if self.T < 0:
+            raise ValueError(f"T: expected a nonnegative horizon, got {self.T!r}")
         steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 0:
+        if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"T={self.T} is not a multiple of dt={self.dt}")
 
     @property

@@ -16,15 +16,18 @@ blocked shift-and-sum engine. It copies about _BLOCK_BYTES of rows at a
 time into a flat buffer that lays the rows end to end, each with r
 wrapped ghost sites on either side (``_Wrapped``),
 so u(. + eps j) is one contiguous view that holds it at columns
-r + j .. r + j + M - 1 of every padded row. ``_accumulate`` adds the terms
-with ``out=`` ufuncs in atom order (the twisted product sums the g stencil
-once per first offset of mu), from the first term, then +0.0: a zero
-start's bits. Those are the operations, in the order, of rolling the field
-once per offset, so the results equal the ``np.roll`` spelling bit for
-bit, and no field-sized temporary is made beyond the result. The
-operators prepare the engine per call; the solver holds one step per
-level, its states kept in the engine's padded layout. The Fourier side supplies their multipliers; ``_blocks`` cuts
-the other modules' whole-field passes into slices of about _BLOCK_BYTES.
+r + j .. r + j + M - 1 of every padded row. The engine does not run its
+sums but emits them: ``_program`` lists the ufunc calls, each with its
+operands and a positional output, that add the terms in atom order (the
+twisted product sums the g stencil once per first offset of mu), from the
+first term, then +0.0: a zero start's bits. Those are the operations, in
+the order, of rolling the field once per offset, so the results equal the
+``np.roll`` spelling bit for bit, and no field-sized temporary is made
+beyond the result. The operators build a program per block size and
+replay it on every block (``_run``); the solver binds a held step's whole
+program once per block of states, kept in the engine's padded layout. The
+Fourier side supplies their multipliers; ``_blocks`` cuts the other
+modules' whole-field passes into slices of about _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ def _terms(atoms, bilinear: bool = False) -> tuple:
     float64 array, which numpy multiplies by with less overhead per call
     than a Python float and to the same bits. Atoms of weight zero are left
     out: on finite fields they add signed zeros, whose sign the final +0.0
-    of ``_accumulate`` drops, so a measure of zero weights has no terms.
+    of ``_program`` drops, so a measure of zero weights has no terms.
     """
     atoms = [(j, w) for j, w in atoms if w != 0.0]
     if not bilinear:
@@ -149,6 +152,7 @@ class _Wrapped:
     contiguous view of n W sites whose padded row i holds u_i(x + eps j) at
     position r + x, for |j| <= r. Its ghost positions hold values of no use,
     which ``core`` leaves out of any array in this padded layout.
+    ``wrapping`` is the program of the wrap for the n rows in use.
     """
 
     def __init__(self, rows: int, M: int, r: int):
@@ -158,64 +162,72 @@ class _Wrapped:
         self.use(rows)
 
     def use(self, n: int) -> None:
+        r, M = self.r, self.M
         self.n, self.size = n, n * self.W
-        self.rows = self.buf[self.r : self.r + self.size].reshape(n, self.W)
-        self.center = self.core(self.rows)
-        self.views = {}
+        self.rows = rows = self.buf[r : r + self.size].reshape(n, self.W)
+        self.center = rows[:, r : r + M]
+        self.wrapping = (
+            [(np.copyto, (rows[:, :r], rows[:, M : M + r])), (np.copyto, (rows[:, M + r :], rows[:, r : 2 * r]))]
+            if r
+            else []
+        )
 
     def core(self, padded: np.ndarray) -> np.ndarray:
         """The (n, M) sites of an array in the padded layout."""
         return padded.reshape(self.n, self.W)[:, self.r : self.r + self.M]
 
     def wrap(self) -> None:
-        r, M = self.r, self.M
-        if r:
-            np.copyto(self.rows[:, :r], self.rows[:, M : M + r])
-            np.copyto(self.rows[:, M + r :], self.rows[:, r : 2 * r])
+        _run(self.wrapping)
 
     def load(self, u: np.ndarray) -> None:
         np.copyto(self.center, u)
         self.wrap()
 
     def at(self, j: int) -> np.ndarray:
-        view = self.views.get(j)
-        if view is None:
-            view = self.views[j] = self.buf[self.r + j : self.r + j + self.size]
-        return view
+        return self.buf[self.r + j : self.r + j + self.size]
 
 
-def _accumulate(out, terms, g: _Wrapped, f: _Wrapped | None, acc, tmp) -> None:
-    """out = the sum of the terms over the loaded rows, added in order from the first term, then +0.0.
+def _run(program) -> None:
+    """Make the calls of a program, a list of (function, arguments), in order."""
+    for call, args in program:
+        call(*args)
+
+
+def _program(out, terms, g: _Wrapped, f: _Wrapped | None, acc, tmp) -> list:
+    """The calls that set out to the sum of the terms over g's and f's rows, from the first term, then +0.0.
 
     A (None, atoms) term adds sum_j w g(. + eps j); a (j1, atoms) term adds
     f(. + eps j1) times sum_j2 w g(. + eps j2), which acc sums from its
     first atom. out, acc and tmp are flat arrays in the padded layout of g
     and f. A zero start's sum is never -0.0, and it differs from this one
     at most in the sign of a zero, so the final +0.0 gives a zero start's
-    bits; with no terms, out is +0.0.
+    bits; with no terms, out is +0.0 (one ``np.copyto``). Every other call
+    is (ufunc, (operands..., out)), its output positional. The calls read
+    the views that g and f have for the rows in use, so the program serves
+    every load of that many rows.
     """
     if not terms:
-        out.fill(0.0)
-        return
+        return [(np.copyto, (out, _PLUS_ZERO))]
+    calls = []
     for i, (j1, atoms) in enumerate(terms):
         into = out if j1 is None else acc
         (j, w), *rest = atoms
-        np.multiply(w, g.at(j), out=into)
+        calls.append((np.multiply, (w, g.at(j), into)))
         for j, w in rest:
-            np.multiply(w, g.at(j), out=tmp)
-            np.add(into, tmp, out=into)
+            calls += [(np.multiply, (w, g.at(j), tmp)), (np.add, (into, tmp, into))]
         if j1 is not None and i == 0:
-            np.multiply(acc, f.at(j1), out=out)
+            calls.append((np.multiply, (acc, f.at(j1), out)))
         elif j1 is not None:
-            np.multiply(acc, f.at(j1), out=tmp)
-            np.add(out, tmp, out=out)
-    np.add(out, _PLUS_ZERO, out=out)
+            calls += [(np.multiply, (acc, f.at(j1), tmp)), (np.add, (out, tmp, out))]
+    calls.append((np.add, (out, _PLUS_ZERO, out)))
+    return calls
 
 
 def _apply(terms, g: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     """The engine on a whole field (..., M), prepared for it and run a block of rows at a time.
 
     f is read only by bilinear terms; when it is g, one buffer serves both.
+    The program is built for the first block and again for a short last one.
     """
     shape, M = g.shape, g.shape[-1]
     r = _reach(terms)
@@ -227,16 +239,19 @@ def _apply(terms, g: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
     fw = gw if f2 is None else _Wrapped(rows, M, r)
     scratch = np.empty((3, gw.size))
     out = np.empty((R, M))
+    total, acc, tmp = scratch
+    program = _program(total, terms, gw, fw, acc, tmp)
     for a in range(0, R, rows):
         n = min(rows, R - a)
-        if n != gw.n:
+        if n != gw.n:  # a short last block
             gw.use(n)
             fw.use(n)
+            total, acc, tmp = scratch[:, : gw.size]
+            program = _program(total, terms, gw, fw, acc, tmp)
         gw.load(g2[a : a + n])
         if fw is not gw:
             fw.load(f2[a : a + n])
-        total, acc, tmp = scratch[:, : gw.size]
-        _accumulate(total, terms, gw, fw, acc, tmp)
+        _run(program)
         np.copyto(out[a : a + n], gw.core(total))
     return out.reshape(shape)
 

@@ -63,6 +63,7 @@ reads, the rule), every tree after the trees it reads. The labels and
 from __future__ import annotations
 
 import math
+from itertools import pairwise
 
 import numpy as np
 
@@ -159,7 +160,7 @@ class _Convolution:
         if first:  # sized by the first chunk, the longest; its row 0 stays zero
             self.out = np.zeros((n_blocks * block + 1, half), dtype=np.complex128)
             self.tmp = np.empty((max(n_blocks, block), half), dtype=np.complex128)
-            self.steps = {}
+            self.columns = {}
         out = self.out[: n_blocks * block + 1]  # a short last block's rows past k are never read
         rows = out[1 : k + 1]
         if head is not None:
@@ -167,11 +168,11 @@ class _Convolution:
             rows = rows[1:]
         np.multiply(pref, f_hat, rows)
         blocks = out[1:].reshape(n_blocks, block, half)
-        steps = self.steps.get(n_blocks)
-        if steps is None:  # the in-block steps' views, made once per chunk length
-            steps = self.steps[n_blocks] = [(blocks[:, i - 1], blocks[:, i]) for i in range(1, block)]
+        columns = self.columns.get(n_blocks)
+        if columns is None:  # the views blocks[:, i], made once per chunk length
+            columns = self.columns[n_blocks] = list(blocks.swapaxes(0, 1))
         m, tmp = self.m[:n_blocks], self.tmp[:n_blocks]
-        for before, row in steps:  # blocks[:, i] += m * blocks[:, i - 1]
+        for before, row in pairwise(columns):  # blocks[:, i] += m * blocks[:, i - 1]
             np.multiply(m, before, tmp)
             np.add(row, tmp, row)
         if self.last_only:

@@ -11,6 +11,9 @@ dyadic self-convergence study steps all replicas and levels together.
 A step is prepared once per level (``_Step``): the family's terms for the
 operators' blocked engine, the drift, and the replicas' states, held in
 padded buffers of at most one engine block of rows and advanced in place.
+Each block's whole step is bound once, when the blocks are made, as the
+ufunc calls of the engine's programs and of the step, and replayed every
+step; only the noise add reads the step's noise row.
 ``run`` and the study hold one for the whole run; ``step_forward`` is a
 one-step use of it. ``run`` and the study read their noise with
 ``NoiseField.blocks``, which slices an explicit field and draws a streamed
@@ -26,7 +29,7 @@ import numpy as np
 
 from .grids import GridSpec, NoiseField, block_average, coarsen_slice, rng_for
 from .norms import _check_scale_list, comparison_sup, comparison_terms, make_test_family
-from .operators import _BLOCK_BYTES, OperatorFamily, _accumulate, _block_rows, _reach, _terms, _Wrapped, check_wrap
+from .operators import _BLOCK_BYTES, OperatorFamily, _block_rows, _program, _reach, _run, _terms, _Wrapped, check_wrap
 from .renorm import c21
 
 __all__ = [
@@ -109,6 +112,11 @@ class _Step:
     ``u + dt * (lap u + der(B(u, u) + b u + xi))``, with each operator
     summed in atom order to a zero start's bits and the drift term left out
     when b is 0, so a held step gives the bits of the ``np.roll`` spelling.
+
+    Each block's whole step is bound once, when the blocks are made: the
+    engine's calls (``_program``) and the step's own, with their views and
+    positional outputs, split at the noise add, the one call that reads
+    row s. ``advance`` replays them.
     """
 
     def __init__(self, cfg: SchemeConfig, u: np.ndarray):
@@ -116,6 +124,9 @@ class _Step:
         self.N, self.M = grid.N, grid.M
         for measure in (fam.mu, fam.nu, fam.pi):
             check_wrap(measure.radius, self.M)
+        u = np.asarray(u, dtype=np.float64)
+        if u.ndim != 2 or u.shape[1] != self.M:
+            raise ValueError(f"state has shape {u.shape}; level N={self.N} needs (rows, {self.M})")
         self.product = _terms(fam.mu.atoms, bilinear=True)
         self.lap = _terms(fam.nu.atoms)
         self.der = _terms(fam.pi.atoms)
@@ -126,26 +137,48 @@ class _Step:
         self.r = max(_reach(self.product), _reach(self.lap), _reach(self.der))
         self.W = self.M + 2 * self.r
         self.block_rows = _block_rows(self.M, self.r)
+        # the transported field B(u, u) + b u + xi, read by der, and the
+        # engine's scratch, shared by the blocks
+        self.t = _Wrapped(min(self.block_rows, len(u)), self.M, self.r)
+        self.scratch = np.empty((4, self.t.size))
         self._noise = np.zeros(0)
         self._hold(u)
         self.noise_rows(0)  # no noise rows until the caller writes some
-        # the transported field B(u, u) + b u + xi, read by der, and the
-        # engine's scratch, shared by the blocks
-        self.t = _Wrapped(self.blocks[0].n, self.M, self.r)
-        self.scratch = np.empty((4, self.t.size))
-        self._use(self.t.n)
 
     def _hold(self, u: np.ndarray) -> None:
-        """Hold the states u (rows, M) in fresh blocks, no more rows than the first held."""
-        u = np.asarray(u, dtype=np.float64)
-        if u.ndim != 2 or u.shape[1] != self.M:
-            raise ValueError(f"state has shape {u.shape}; level N={self.N} needs (rows, {self.M})")
-        self.n = u.shape[0]
-        self.blocks = []
+        """Hold the states u (rows, M) in fresh blocks, no more rows than the first held, and bind their steps."""
+        self.n = len(u)
+        self.blocks, self.spans, self.programs, self.sups = [], [], [], []
         for a in range(0, max(self.n, 1), self.block_rows):
             block = _Wrapped(min(self.block_rows, self.n - a), self.M, self.r)
             block.load(u[a : a + block.n])
             self.blocks.append(block)
+            self.spans.append(slice(a, a + block.n))
+            self.programs.append(self._bind(block))
+            if block.n:  # |u| over the padded rows, into the scratch row that tmp uses
+                self.sups.append((self.spans[-1], block.center, block.at(0), self.scratch[3, : block.size]))
+
+    def _bind(self, w: _Wrapped) -> tuple:
+        """Block w's step: (the calls before the noise add, the field it adds to, the calls after it)."""
+        t = self.t
+        t.use(w.n)
+        lap, der, acc, tmp = self.scratch[:, : w.size]
+        transported, u = t.at(0), w.at(0)
+        before = _program(transported, self.product, w, w, acc, tmp)
+        if self.b_drift:
+            before += [(np.multiply, (self.b_drift, u, tmp)), (np.add, (transported, tmp, transported))]
+        after = [
+            *t.wrapping,
+            *_program(lap, self.lap, w, None, acc, tmp),
+            (np.multiply, (self.lap_coeff, lap, lap)),
+            *_program(der, self.der, t, None, acc, tmp),
+            (np.multiply, (self.der_coeff, der, der)),
+            (np.add, (lap, der, lap)),
+            (np.multiply, (self.dt, lap, lap)),
+            (np.add, (u, lap, u)),
+            *w.wrapping,
+        ]
+        return before, transported, after
 
     def states(self) -> np.ndarray:
         """A copy of the states, (rows, M)."""
@@ -157,6 +190,8 @@ class _Step:
         if self._noise.size < size:
             self._noise = np.zeros(size)
         self.xi = self._noise[:size].reshape(steps, self.n * self.W)
+        # each block's columns of the noise rows, for its noise add
+        self.noise = [self.xi[:, span.start * self.W : span.stop * self.W] for span in self.spans]
         return self.xi.reshape(steps, self.n, self.W)[..., self.r : self.r + self.M]
 
     def keep(self, rows: np.ndarray) -> None:
@@ -170,17 +205,12 @@ class _Step:
         for s in range(len(old)):
             new[s] = old[s][rows]
 
-    def _use(self, n: int) -> None:
-        self.t.use(n)
-        self.lap_out, self.der_out, self.acc, self.tmp = self.scratch[:, : self.t.size]
-
     def advance(self, s: int) -> np.ndarray | None:
         """Step every state with noise row s; the rows that escaped, as ``escaped`` gives them."""
-        xi = self.xi[s]
-        for a, block in zip(range(0, self.n, self.block_rows), self.blocks):
-            if block.n != self.t.n:
-                self._use(block.n)
-            self._advance(block, xi[a * self.W : (a + block.n) * self.W])
+        for (before, transported, after), xi in zip(self.programs, self.noise):
+            _run(before)
+            np.add(transported, xi[s], transported)
+            _run(after)
         return self.escaped()
 
     def escaped(self) -> np.ndarray | None:
@@ -189,33 +219,16 @@ class _Step:
         The test is one reduction of |u| over each block's padded rows,
         whose ghost sites copy their own row's sites; only a block where it
         is not <= BLOWUP_THRESHOLD is tested row by row (``_escaped``).
+        ``np.maximum.reduce`` is what ``ndarray.max`` calls: a NaN gives NaN.
         """
         out = None
-        for a, block in zip(range(0, self.n, self.block_rows), self.blocks):
-            if not np.abs(block.at(0), out=self.scratch[3, : block.size]).max() <= BLOWUP_THRESHOLD:
+        for span, center, u, magnitude in self.sups:
+            np.absolute(u, magnitude)
+            if not np.maximum.reduce(magnitude) <= BLOWUP_THRESHOLD:
                 if out is None:
                     out = np.zeros(self.n, dtype=bool)
-                out[a : a + block.n] = _escaped(block.center)
+                out[span] = _escaped(center)
         return out
-
-    def _advance(self, w: _Wrapped, xi: np.ndarray) -> None:
-        t, lap, der, acc, tmp = self.t, self.lap_out, self.der_out, self.acc, self.tmp
-        transported = t.at(0)
-        _accumulate(transported, self.product, w, w, acc, tmp)
-        if self.b_drift:
-            np.multiply(self.b_drift, w.at(0), out=tmp)
-            np.add(transported, tmp, out=transported)
-        np.add(transported, xi, out=transported)
-        t.wrap()
-        _accumulate(lap, self.lap, w, None, acc, tmp)
-        np.multiply(self.lap_coeff, lap, out=lap)
-        _accumulate(der, self.der, t, None, acc, tmp)
-        np.multiply(self.der_coeff, der, out=der)
-        np.add(lap, der, out=lap)
-        np.multiply(self.dt, lap, out=lap)
-        u = w.at(0)
-        np.add(u, lap, out=u)
-        w.wrap()
 
 
 def step_forward(cfg: SchemeConfig, u: np.ndarray, xi_slice: np.ndarray) -> np.ndarray:

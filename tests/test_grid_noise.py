@@ -36,6 +36,25 @@ def test_a_horizon_that_is_not_finite_is_refused(fam_bw_ss, T):
         run(SchemeConfig(fam=fam_bw_ss, grid=grid), np.zeros(grid.M), NoiseField(grid, 0), T)
 
 
+
+@pytest.mark.parametrize("T", [-0.25, -2.0**-10, -1e-300], ids=["-0.25", "-dt", "-1e-300"])
+def test_a_negative_horizon_is_refused_as_negative(T):
+    # -0.25 and -dt are whole numbers of steps, so "not a multiple of dt" would be the wrong reason
+    with pytest.raises(ValueError, match=rf"^T: expected a nonnegative horizon, got {T!r}$"):
+        GridSpec(5, T)
+
+
+@pytest.mark.parametrize("N", [-1, np.int64(-3)], ids=["-1", "int64(-3)"])
+def test_a_negative_level_is_refused(N):
+    with pytest.raises(ValueError, match=rf"^N: expected a nonnegative integer, got {int(N)}$"):
+        GridSpec(N, 0.25)
+
+
+def test_zero_level_and_horizon_are_grids():
+    grid = GridSpec(0, 0.0)
+    assert (grid.M, grid.n_steps) == (1, 0)
+    assert GridSpec(5, -0.0).n_steps == 0
+
 def test_noise_moments():
     grid = GridSpec(6, 0.25)  # 1024 x 64 > 1e5 sites
     noise = sample_noise(grid, 7)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sbe import grids
+from sbe import grids, solver
 from sbe.grids import GridSpec, NoiseField, sample_noise
 from sbe.heat import HeatKernel
 from sbe.measures import AtomicMeasure2D, fourier_mu, fourier_pi
@@ -22,7 +22,7 @@ from sbe.solver import (
     step_forward,
 )
 
-from conftest import family, traced_peak
+from conftest import family, same_bits, traced_peak
 from oracles import linear_family, mild_oracle, step_roll
 
 
@@ -222,6 +222,52 @@ class TestHeldStep:
         for n, (t, snap) in enumerate(traj.snapshots[1:]):
             u = step_roll(cfg, u, noise.values[n])
             assert np.array_equal(snap, u), n
+
+
+class TestBoundPrograms:
+    """Each block's step is bound once, when its blocks are made, and replayed at every step."""
+
+    def test_programs_are_built_only_with_the_blocks(self, fam_bw_ss, monkeypatch):
+        # N = 5, T = 1: 1024 steps read in two noise blocks of 512 rows
+        grid = GridSpec(5, 1.0)
+        cfg = SchemeConfig(linear_family(fam_bw_ss), grid, record_stride=256)
+        u0, noise = ic_white_noise(grid, 3), NoiseField(grid, 3)
+        want = run(cfg, u0, noise, grid.T)
+        made, init = [], _Step.__init__
+
+        def refuse(*args):
+            raise AssertionError("a program was built after the held step was made")
+
+        def init_then_refuse(step, *args):
+            init(step, *args)
+            made.append(step)
+            monkeypatch.setattr(solver, "_program", refuse)
+
+        monkeypatch.setattr(_Step, "__init__", init_then_refuse)
+        got = run(cfg, u0, noise, grid.T)
+        assert len(made) == 1 and not got.blowup and len(got.snapshots) == 5
+        assert same_bits(got.times, want.times) and same_bits(got.values(), want.values())
+
+    def test_keep_rebinds_blocks_that_change_size(self, fam_bw_ss, rng):
+        # N = 9: 31 rows a block, so 70 rows are blocks of 31, 31 and 8, and
+        # dropping three rows makes the last block 5 rows
+        cfg = TestHeldStep.cfg(fam_bw_ss, 9)
+        M = cfg.grid.M
+        u = rng.standard_normal((70, M))
+        xis = rng.standard_normal((4, 70, M))
+        held = _Step(cfg, u)
+        assert [block.n for block in held.blocks] == [31, 31, 8]
+        np.copyto(held.noise_rows(len(xis)), xis)
+        keep = np.arange(70) % 23 != 5  # drops rows 5, 28 and 51
+        w = u
+        for k in range(len(xis)):
+            if k == 2:
+                held.keep(keep)
+                w, xis = w[keep], xis[:, keep]
+                assert [block.n for block in held.blocks] == [31, 31, 5]
+            assert held.advance(k) is None
+            w = step_roll(cfg, w, xis[k])
+            assert same_bits(held.states(), w), k
 
 
 class TestEscapes:

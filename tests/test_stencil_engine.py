@@ -17,9 +17,12 @@ from sbe.measures import AtomicMeasure1D, AtomicMeasure2D
 from sbe.operators import (
     OperatorFamily,
     _block_rows,
+    _program,
     _reach,
+    _run,
     _stencil,
     _terms,
+    _Wrapped,
     derivative,
     laplacian,
     twisted_product,
@@ -129,12 +132,32 @@ def signed_zero_fields(M: int, rng) -> np.ndarray:
     )
 
 
+def programmed(terms, g: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+    """The sum of the terms over the rows g (and f), by one program of ``_program`` replayed on one block.
+
+    The program's output and scratch start as NaN, so a call that read one
+    of them before writing it would show.
+    """
+    n, M = g.shape
+    r = _reach(terms)
+    gw = _Wrapped(n, M, r)
+    gw.load(g)
+    fw = gw
+    if f is not None:
+        fw = _Wrapped(n, M, r)
+        fw.load(f)
+    out, acc, tmp = np.full((3, gw.size), np.nan)
+    _run(_program(out, terms, gw, fw, acc, tmp))
+    return gw.core(out).copy()
+
+
 @pytest.mark.parametrize("N", [3, 5])
 def test_signed_zeros_keep_the_bits_of_a_zero_start(families, fam_bw_ss, N):
     """Sums that start from their first term, then add +0.0, give the bits
     of the roll spelling's zero start, signed zeros included, also for the
     linear family, whose product has no terms, and steps with and without
-    a drift."""
+    a drift: through the operators and through a program of ``_program``
+    replayed on its own."""
     rng = np.random.default_rng(N)
     grid = GridSpec(N, 0.25)
     M, eps = grid.M, grid.eps
@@ -149,6 +172,10 @@ def test_signed_zeros_keep_the_bits_of_a_zero_start(families, fam_bw_ss, N):
             (_stencil(fam.pi.atoms, g), stencil_apply_roll(fam.pi, 1.0, g)),
             (twisted_product(fam.mu, u, g), twisted_product_roll(fam.mu, u, g)),
             (twisted_product(fam.mu, u, u), twisted_product_roll(fam.mu, u, u)),
+            (programmed(_terms(fam.nu.atoms), u), stencil_apply_roll(fam.nu, 1.0, u)),
+            (programmed(_terms(fam.pi.atoms), g), stencil_apply_roll(fam.pi, 1.0, g)),
+            (programmed(_terms(fam.mu.atoms, bilinear=True), g, u), twisted_product_roll(fam.mu, u, g)),
+            (programmed(_terms(fam.mu.atoms, bilinear=True), u), twisted_product_roll(fam.mu, u, u)),
         ]
         for b in (0.0, 2e-13, -1.5):
             cfg = SchemeConfig(fam, grid, b_drift=b)
